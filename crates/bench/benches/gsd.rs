@@ -37,8 +37,6 @@ fn opts(iterations: usize, seed: u64) -> GsdOptions {
         record_trace: false,
         seed,
         warm_start: false,
-        incremental: true,
-        batched: false,
     }
 }
 

@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use coca_bench::ColdGsd;
 use coca_core::gsd::{GsdOptions, GsdSolver};
 use coca_core::solver::{ExhaustiveSolver, P3Solver};
 use coca_core::symmetric::SymmetricSolver;
@@ -57,64 +58,32 @@ fn bench_slot_decision(c: &mut Criterion) {
     group.finish();
 }
 
-/// The ISSUE acceptance benchmark: a 500-iteration GSD solve at the
-/// paper's fleet scale, cold oracle (every proposal re-runs
-/// `optimal_dispatch` from scratch) vs the incremental evaluation engine
-/// (delta-aggregation + warm-started water levels + state-cost cache).
-/// Headline numbers are committed to `BENCH_p3.json`.
-fn bench_cold_vs_incremental(c: &mut Criterion) {
+/// A 500-iteration GSD solve at the paper's fleet scale: the cold
+/// reference chain (every proposal re-runs `optimal_dispatch` from
+/// scratch) vs the struct-of-arrays kernel that prices proposals in
+/// `GsdSolver`. Headline numbers are committed to `BENCH_p3.json`.
+fn bench_cold_vs_kernel(c: &mut Criterion) {
     let cluster = Cluster::paper_datacenter();
     let p = problem(&cluster);
+    let opts = GsdOptions {
+        iterations: 500,
+        schedule: TemperatureSchedule::Constant(1e6),
+        ..Default::default()
+    };
     let mut group = c.benchmark_group("p3_gsd500_paper_scale");
     group.sample_size(10);
     group.bench_function("gsd500_cold_oracle", |b| {
-        let mut s = GsdSolver::new(GsdOptions {
-            iterations: 500,
-            schedule: TemperatureSchedule::Constant(1e6),
-            incremental: false,
-            ..Default::default()
-        });
-        let _ = s.solve(&p).expect("warm-up");
-        b.iter(|| black_box(s.solve(&p).expect("solve")))
-    });
-    group.bench_function("gsd500_incremental", |b| {
-        let mut s = GsdSolver::new(GsdOptions {
-            iterations: 500,
-            schedule: TemperatureSchedule::Constant(1e6),
-            incremental: true,
-            ..Default::default()
-        });
-        let _ = s.solve(&p).expect("warm-up");
-        b.iter(|| black_box(s.solve(&p).expect("solve")))
+        let mut s = ColdGsd::new(&opts);
+        let _ = s.solve(&p);
+        b.iter(|| black_box(s.solve(&p)))
     });
     group.bench_function("gsd500_batched", |b| {
-        let mut s = GsdSolver::new(GsdOptions {
-            iterations: 500,
-            schedule: TemperatureSchedule::Constant(1e6),
-            incremental: true,
-            batched: true,
-            ..Default::default()
-        });
+        let mut s = GsdSolver::new(opts.clone());
         let _ = s.solve(&p).expect("warm-up");
         b.iter(|| black_box(s.solve(&p).expect("solve")))
     });
-    // The slot-context primitives in isolation: one single-flip proposal
-    // evaluated incrementally vs one cold dispatch of the same state.
-    group.bench_function("single_proposal_incremental", |b| {
-        let initial = cluster.full_speed_vector();
-        let mut ctx = SlotEvalContext::new(p, &initial).expect("context");
-        let mut state = initial.clone();
-        let mut level = 0usize;
-        let mut g = 0usize;
-        b.iter(|| {
-            // Cycle through fresh states so the state-cost cache cannot
-            // short-circuit the solve being measured.
-            state[g] = 1 + (state[g] + level) % 4;
-            g = (g + 1) % state.len();
-            level = (level + 1) % 3;
-            black_box(ctx.evaluate(&state))
-        })
-    });
+    // One cold dispatch of a single-flip proposal, the unit of work the
+    // kernel's `single_candidate_batched` row replaces.
     group.bench_function("single_proposal_cold_dispatch", |b| {
         let mut state = cluster.full_speed_vector();
         let mut level = 0usize;
@@ -131,8 +100,8 @@ fn bench_cold_vs_incremental(c: &mut Criterion) {
 
 /// The batched struct-of-arrays kernel primitives in isolation: one full
 /// candidate sweep of a sampled group (every level priced off the shared
-/// aggregates), one single batched candidate, and the committed-state
-/// batched solve — the building blocks behind `gsd500_batched`.
+/// aggregates), one single candidate, and the committed-state solve — the
+/// building blocks behind `gsd500_batched`.
 fn bench_batched_kernel(c: &mut Criterion) {
     let cluster = Cluster::paper_datacenter();
     let p = problem(&cluster);
@@ -163,7 +132,7 @@ fn bench_batched_kernel(c: &mut Criterion) {
     });
     group.bench_function("current_state_batched", |b| {
         let mut ctx = SlotEvalContext::new(p, &initial).expect("context");
-        b.iter(|| black_box(ctx.evaluate_current_batched()))
+        b.iter(|| black_box(ctx.evaluate_current()))
     });
     group.finish();
 }
@@ -190,7 +159,7 @@ fn bench_exhaustive_reference(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_slot_decision,
-    bench_cold_vs_incremental,
+    bench_cold_vs_kernel,
     bench_batched_kernel,
     bench_exhaustive_reference
 );

@@ -23,7 +23,7 @@ use coca_dcsim::dispatch::{optimal_dispatch, SlotProblem};
 use coca_dcsim::incremental::{SlotContextSeed, SlotEvalContext};
 use coca_dcsim::SimError;
 use coca_obs::SolverObserver;
-use coca_opt::gibbs::{run_gibbs, run_gibbs_batched, CandidateOracle, GibbsOptions};
+use coca_opt::gibbs::{run_gibbs_batched, CandidateOracle, GibbsOptions};
 use coca_opt::schedule::TemperatureSchedule;
 
 use crate::solver::{P3Solution, P3Solver, SolveStats};
@@ -54,23 +54,6 @@ pub struct GsdOptions {
     /// paper's servers keep their current speeds between slots, which is
     /// exactly a warm start.
     pub warm_start: bool,
-    /// Evaluate proposals through the slot-scoped incremental engine
-    /// ([`SlotEvalContext`]: delta-maintained type multiset, warm-started
-    /// water levels, state-cost cache) instead of calling the cold
-    /// [`optimal_dispatch`] oracle per proposal. Results agree to ≤ 1e-9
-    /// relative error (see the differential property test); the final
-    /// reported outcome is always re-solved cold.
-    pub incremental: bool,
-    /// Drive the chain through the struct-of-arrays batched candidate
-    /// kernel ([`SlotEvalContext::evaluate_candidate`]) instead of the
-    /// state-vector closure: proposals are priced by delta-adjusting the
-    /// shared multiset aggregates, with no sync walk, no state hashing and
-    /// no restore pass on rejection. Requires `incremental` (ignored on
-    /// the cold path); the RNG stream is identical, so a batched chain
-    /// visits the same states as the incremental one whenever the two
-    /// kernels agree on costs (they do, to ≤ 1e-9 — see the batched
-    /// differential property test).
-    pub batched: bool,
 }
 
 impl Default for GsdOptions {
@@ -82,15 +65,26 @@ impl Default for GsdOptions {
             record_trace: false,
             seed: 0xC0CA,
             warm_start: true,
-            incremental: true,
-            batched: false,
         }
     }
 }
 
-/// [`CandidateOracle`] adapter over the slot-scoped incremental context:
+impl GsdOptions {
+    /// The Gibbs-driver part of these options (what a cold reference chain
+    /// over [`GsdSolver::state_cost`] needs to replay the same chain).
+    pub fn gibbs(&self) -> GibbsOptions {
+        GibbsOptions {
+            iterations: self.iterations,
+            schedule: self.schedule,
+            patience: self.patience,
+            record_trace: self.record_trace,
+        }
+    }
+}
+
+/// [`CandidateOracle`] adapter over the slot-scoped evaluation kernel:
 /// applies GSD's strictly-positive shift / infeasibility penalty on top of
-/// the batched kernel's objectives.
+/// the kernel's objectives.
 struct ContextOracle<'c, 'p> {
     ctx: &'c mut SlotEvalContext<'p>,
 }
@@ -104,7 +98,7 @@ impl ContextOracle<'_, '_> {
 
 impl CandidateOracle for ContextOracle<'_, '_> {
     fn current_cost(&mut self) -> f64 {
-        Self::shift(self.ctx.evaluate_current_batched())
+        Self::shift(self.ctx.evaluate_current())
     }
 
     fn candidate_cost(&mut self, site: usize, level: usize) -> f64 {
@@ -117,6 +111,15 @@ impl CandidateOracle for ContextOracle<'_, '_> {
 }
 
 /// Sequential GSD engine.
+///
+/// Every proposal is priced by the struct-of-arrays kernel
+/// ([`SlotEvalContext::evaluate_candidate`]): a ±1 delta on the shared
+/// multiset aggregates plus one warm water-filling solve, with no restore
+/// pass on rejection. [`Self::state_cost`] is the cold reference for the
+/// same costs; a chain driven by it through
+/// [`coca_opt::gibbs::run_gibbs`] with the same seed and initial state
+/// visits the same states, because the two agree to ≤ 1e-9 and share the
+/// RNG stream.
 #[derive(Debug)]
 pub struct GsdSolver {
     opts: GsdOptions,
@@ -127,8 +130,8 @@ pub struct GsdSolver {
     /// Kept-state cost after every iteration of the most recent solve
     /// (empty unless `record_trace` is set).
     pub last_trace: Vec<f64>,
-    /// Cross-slot context seed: the collapsed type tables and Zobrist keys
-    /// are cluster/γ/PUE-derived, so consecutive solves on the same fleet
+    /// Cross-slot context seed: the collapsed type tables are
+    /// cluster/γ/PUE-derived, so consecutive solves on the same fleet
     /// reuse them (exact-verified, bit-for-bit transparent) instead of
     /// rebuilding the dedup map every slot.
     seed: SlotContextSeed,
@@ -175,9 +178,9 @@ impl GsdSolver {
         self.warm = Some(levels);
     }
 
-    /// The GSD cost oracle for a speed vector: optimal-dispatch objective,
-    /// shifted to be strictly positive; infeasible states get
-    /// [`INFEASIBLE_COST`].
+    /// The cold GSD cost oracle for a speed vector: optimal-dispatch
+    /// objective, shifted to be strictly positive; infeasible states get
+    /// [`INFEASIBLE_COST`]. The reference the kernel is tested against.
     pub fn state_cost(problem: &SlotProblem<'_>, levels: &[usize]) -> f64 {
         if !problem.is_feasible(levels) {
             return INFEASIBLE_COST;
@@ -215,67 +218,23 @@ impl P3Solver for GsdSolver {
     fn solve(&mut self, problem: &SlotProblem<'_>) -> Result<P3Solution, SimError> {
         let initial = self.initial_state(problem)?;
         let counts = problem.cluster.choice_counts();
-        let gibbs_opts = GibbsOptions {
-            iterations: self.opts.iterations,
-            schedule: self.opts.schedule,
-            patience: self.opts.patience,
-            record_trace: self.opts.record_trace,
-        };
-        let (outcome, eval_stats, mut batched_ctx) = if self.opts.incremental && self.opts.batched
-        {
-            // Struct-of-arrays batched kernel: proposals are priced by
-            // delta-adjusting the shared multiset aggregates — no sync
-            // walk, no state hashing, no restore pass on rejection. The
-            // context outlives the chain so the final solution can be
-            // extracted from the same warm kernel instead of a cold
-            // from-scratch dispatch.
-            let mut ctx = SlotEvalContext::new_seeded(*problem, &initial, &mut self.seed)?;
-            let outcome = {
-                let mut oracle = ContextOracle { ctx: &mut ctx };
-                run_gibbs_batched(&counts, &initial, &mut oracle, &gibbs_opts, &mut self.rng)
-                    .map_err(SimError::Opt)?
-            };
-            let stats = ctx.stats;
-            (outcome, stats, Some(ctx))
-        } else if self.opts.incremental {
-            // Slot-scoped incremental oracle: delta-updated type multiset,
-            // warm-started water levels, state-cost cache. The context dies
-            // with this solve — its cache is only valid for this slot's
-            // (λ, r, A, W).
-            let mut ctx = SlotEvalContext::new_seeded(*problem, &initial, &mut self.seed)?;
-            let outcome = run_gibbs(
-                &counts,
-                &initial,
-                |state| {
-                    let obj = ctx.evaluate(state);
-                    if obj.is_finite() { obj + COST_EPSILON } else { INFEASIBLE_COST }
-                },
-                &gibbs_opts,
-                &mut self.rng,
-            )
-            .map_err(SimError::Opt)?;
-            let stats = ctx.stats;
-            (outcome, stats, None)
-        } else {
-            let outcome = run_gibbs(
-                &counts,
-                &initial,
-                |state| Self::state_cost(problem, state),
-                &gibbs_opts,
-                &mut self.rng,
-            )
-            .map_err(SimError::Opt)?;
-            (outcome, coca_dcsim::incremental::EvalStats::default(), None)
+        let gibbs_opts = self.opts.gibbs();
+        // The context outlives the chain so the final solution is
+        // extracted from the same warm kernel instead of a cold
+        // from-scratch dispatch.
+        let mut ctx = SlotEvalContext::new_seeded(*problem, &initial, &mut self.seed)?;
+        let outcome = {
+            let mut oracle = ContextOracle { ctx: &mut ctx };
+            run_gibbs_batched(&counts, &initial, &mut oracle, &gibbs_opts, &mut self.rng)
+                .map_err(SimError::Opt)?
         };
         self.last_trace = outcome.trace;
         self.finish_solve(SolveStats {
             iterations: outcome.iterations_run,
             accepted: outcome.accepted,
-            cache_hits: eval_stats.cache_hits,
-            cache_misses: eval_stats.cache_misses,
-            bisection_evals: eval_stats.bisection_evals,
-            candidate_batches: eval_stats.candidate_batches,
-            batched_candidates: eval_stats.batched_candidates,
+            bisection_evals: ctx.stats.bisection_evals,
+            candidate_batches: ctx.stats.candidate_batches,
+            batched_candidates: ctx.stats.batched_candidates,
         });
 
         let levels = outcome.best_state;
@@ -284,20 +243,13 @@ impl P3Solver for GsdSolver {
             // and even it failed — guarded above, so this is defensive.
             return Err(SimError::InvalidDecision("GSD ended on an infeasible state".into()));
         }
-        // Batched path: extract the final solution from the chain's own
-        // warm kernel (one more SoA solve) rather than a cold dispatch —
-        // the extraction agrees with `optimal_dispatch` to ≤ 1e-9 (the
-        // shared stopping tolerances) and skips its from-scratch type
+        // One more warm SoA solve: agrees with `optimal_dispatch` to ≤ 1e-9
+        // (the shared stopping tolerances) and skips its from-scratch type
         // compression. Cold dispatch remains the fallback for the
         // defensive solver-failure case.
-        let out = match batched_ctx.as_mut() {
-            Some(ctx) => {
-                ctx.sync(&levels);
-                match ctx.extract_outcome() {
-                    Some(out) => out,
-                    None => optimal_dispatch(problem, &levels)?,
-                }
-            }
+        ctx.sync(&levels);
+        let out = match ctx.extract_outcome() {
+            Some(out) => out,
             None => optimal_dispatch(problem, &levels)?,
         };
         if self.opts.warm_start {
@@ -316,6 +268,26 @@ impl P3Solver for GsdSolver {
     fn name(&self) -> &'static str {
         "gsd"
     }
+}
+
+/// The cold reference chain: [`coca_opt::gibbs::run_gibbs`] over
+/// [`GsdSolver::state_cost`], for tests that pin the kernel's chain to it.
+#[cfg(test)]
+pub(crate) fn cold_chain(
+    problem: &SlotProblem<'_>,
+    initial: &[usize],
+    opts: &GsdOptions,
+    rng: &mut StdRng,
+) -> coca_opt::gibbs::GibbsOutcome {
+    let counts = problem.cluster.choice_counts();
+    coca_opt::gibbs::run_gibbs(
+        &counts,
+        initial,
+        |state| GsdSolver::state_cost(problem, state),
+        &opts.gibbs(),
+        rng,
+    )
+    .unwrap()
 }
 
 #[cfg(test)]
@@ -462,79 +434,33 @@ mod tests {
     }
 
     #[test]
-    fn incremental_oracle_matches_cold_chain() {
-        let cluster = Cluster::homogeneous(3, 4);
-        let p = problem(&cluster, 40.0, 5.0, 5.0);
-        let mut inc =
-            GsdSolver::new(GsdOptions { iterations: 400, seed: 21, ..Default::default() });
-        let mut cold = GsdSolver::new(GsdOptions {
-            iterations: 400,
-            seed: 21,
-            incremental: false,
-            ..Default::default()
-        });
-        let a = inc.solve(&p).unwrap();
-        let b = cold.solve(&p).unwrap();
-        assert_eq!(a.levels, b.levels, "same seed + agreeing oracles → same chain");
-        assert!((a.outcome.objective - b.outcome.objective).abs() < 1e-9);
-        // The incremental engine reports its evaluation work; the cold
-        // path zeroes the counters. (Self-proposals are no-ops in the
-        // Gibbs driver, so evaluations ≤ iterations + initial eval.)
-        let evals = inc.stats().cache_hits + inc.stats().cache_misses;
-        assert!(evals > 0 && evals <= 400 + 1, "evals = {evals}");
-        assert!(inc.stats().cache_hits > 0, "revert-heavy chains revisit states");
-        assert!(inc.stats().bisection_evals > 0);
-        assert_eq!(cold.stats().cache_hits, 0);
-        assert_eq!(cold.stats().bisection_evals, 0);
-    }
-
-    #[test]
-    fn batched_matches_incremental_chain() {
-        // Same seed, agreeing kernels → identical chain, identical answer.
-        // The batched path bypasses the state-cost cache entirely and
-        // reports its work through the candidate-batch counters instead.
+    fn kernel_chain_matches_cold_chain() {
+        // Same seed, same initial state, agreeing oracles → the kernel
+        // walks exactly the cold reference chain.
         let cluster = Cluster::homogeneous(3, 4);
         for &(lam, a, w) in &[(40.0, 5.0, 5.0), (90.0, 20.0, 2.0), (15.0, 0.5, 10.0)] {
             let p = problem(&cluster, lam, a, w);
-            let mut inc =
-                GsdSolver::new(GsdOptions { iterations: 400, seed: 21, ..Default::default() });
-            let mut bat = GsdSolver::new(GsdOptions {
-                iterations: 400,
-                seed: 21,
-                batched: true,
-                ..Default::default()
-            });
-            let a_sol = inc.solve(&p).unwrap();
-            let b_sol = bat.solve(&p).unwrap();
-            assert_eq!(a_sol.levels, b_sol.levels, "λ={lam}, A={a}, W={w}");
-            assert!((a_sol.outcome.objective - b_sol.outcome.objective).abs() < 1e-9);
-            assert!(bat.stats().candidate_batches > 0, "batched kernel was exercised");
-            assert_eq!(
-                bat.stats().candidate_batches,
-                bat.stats().batched_candidates,
-                "single-proposal driver prices one candidate per batch"
-            );
-            assert_eq!(bat.stats().cache_hits, 0, "batched path bypasses the cache");
-            assert_eq!(bat.stats().cache_misses, 0);
-            assert!(bat.stats().bisection_evals > 0);
-            assert_eq!(inc.stats().candidate_batches, 0, "scalar path never batches");
+            let opts =
+                GsdOptions { iterations: 400, seed: 21, record_trace: true, ..Default::default() };
+            let mut gsd = GsdSolver::new(opts.clone());
+            let sol = gsd.solve(&p).unwrap();
+            let full = cluster.full_speed_vector();
+            let cold = cold_chain(&p, &full, &opts, &mut StdRng::seed_from_u64(opts.seed));
+            let case = format!("λ={lam}, A={a}, W={w}");
+            assert_eq!(sol.levels, cold.best_state, "{case}");
+            assert_eq!(gsd.stats().accepted, cold.accepted, "{case}");
+            assert_eq!(gsd.stats().iterations, cold.iterations_run, "{case}");
+            for (k, c) in gsd.last_trace.iter().zip(&cold.trace) {
+                assert!((k - c).abs() <= 1e-9 * c.abs().max(1.0), "{case}: trace {k} vs {c}");
+            }
+            let cold_out = optimal_dispatch(&p, &cold.best_state).unwrap();
+            assert!((sol.outcome.objective - cold_out.objective).abs() < 1e-9, "{case}");
+            // The kernel reports its work through the candidate counters;
+            // the single-proposal driver prices one candidate per batch.
+            assert!(gsd.stats().candidate_batches > 0, "{case}");
+            assert_eq!(gsd.stats().candidate_batches, gsd.stats().batched_candidates);
+            assert!(gsd.stats().bisection_evals > 0, "{case}");
         }
-    }
-
-    #[test]
-    fn batched_reset_restores_determinism() {
-        let cluster = Cluster::homogeneous(3, 4);
-        let p = problem(&cluster, 40.0, 5.0, 5.0);
-        let mut gsd = GsdSolver::new(GsdOptions {
-            iterations: 300,
-            seed: 11,
-            batched: true,
-            ..Default::default()
-        });
-        let a = gsd.solve(&p).unwrap();
-        gsd.reset();
-        let b = gsd.solve(&p).unwrap();
-        assert_eq!(a.levels, b.levels, "same seed after reset → same chain");
     }
 
     #[test]

@@ -20,26 +20,29 @@
 //!   bisects ν until the coupling constraint `Σλᵢ = λ` is met. The
 //!   `[p−r]⁺` kink is handled with the same three-regime analysis as the
 //!   exact solver, each regime being one more broadcast/reduce round.
-//! * The **coordinator** keeps the incremental machinery on its side of
+//! * The **coordinator** keeps the warm-start machinery on its side of
 //!   the wire: per-shard aggregate replies are cached with dirty bits
 //!   (an `Aggregates` round only re-queries the shard whose speed
-//!   changed), revisited speed vectors are answered from a
-//!   [`StateCostCache`] without any messaging at all, and each regime's
-//!   ν bracket (plus the kink weight μ) is warm-started from the previous
-//!   proposal under the same sign-verify-then-fall-back rule as
-//!   [`coca_opt::waterfill::WarmWaterfill`]. All of this state is
-//!   slot-scoped — it lives and dies inside one `solve` call, which is
-//!   what makes the caching sound (see the cache invalidation story in
-//!   [`coca_dcsim::incremental`]).
+//!   changed), and each regime's ν bracket (plus the kink weight μ) is
+//!   warm-started from the previous proposal under the same
+//!   sign-verify-then-fall-back rule as
+//!   [`coca_opt::waterfill::SoaWaterfill`]. The bracket search is where
+//!   the broadcast rounds go, so a warm bracket directly cuts the message
+//!   count per proposal. All of this state is slot-scoped — it lives and
+//!   dies inside one `solve` call (see [`coca_dcsim::incremental`]).
 //! * The coordinator runs the acceptance rule and tells the owner to commit
 //!   or revert — the paper's "servers communicate decisions to each other /
 //!   a coordinating node may facilitate message passing" (semi-distributed
 //!   mode).
 //!
-//! The test-suite checks that the distributed evaluation agrees with the
-//! centralized [`optimal_dispatch`] to floating-point accuracy (including
-//! warm-started evaluations along a flip walk) and that the solver reaches
-//! the exhaustive optimum on small fleets.
+//! Proposals are priced through `CoordinatorOracle` by the same Gibbs
+//! driver ([`run_gibbs_batched`]) and the same RNG discipline as the
+//! sequential engine, so both engines walk the same chain. The test-suite
+//! checks that the distributed evaluation agrees with the centralized
+//! [`optimal_dispatch`] to floating-point accuracy (including warm-started
+//! evaluations along a flip walk), that the chain equals the cold
+//! reference chain and the sequential engine's chain slot by slot, and
+//! that the solver reaches the exhaustive optimum on small fleets.
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -49,10 +52,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use coca_dcsim::dispatch::{optimal_dispatch, SlotProblem};
-use coca_dcsim::incremental::{EvalStats, StateCostCache, ZobristTable};
+use coca_dcsim::incremental::EvalStats;
 use coca_dcsim::{ServerGroup, SimError};
 use coca_opt::bisect::{grow_upper_bracket, illinois_increasing, BisectOptions};
-use coca_opt::gibbs::{run_gibbs, run_gibbs_batched, CandidateOracle, GibbsOptions};
+use coca_opt::gibbs::{run_gibbs_batched, CandidateOracle};
 use coca_opt::waterfill::WARM_BRACKET_SPAN;
 
 use coca_obs::SolverObserver;
@@ -359,9 +362,9 @@ fn solve_linear_via(
         }
         let lo = (prev * (1.0 - WARM_BRACKET_SPAN)).max(nu_lo);
         let hi = prev * (1.0 + WARM_BRACKET_SPAN);
-        // `bisect_increasing` clamps to the endpoints of a violated
+        // The bracketed search clamps to the endpoints of a violated
         // bracket, so a warm bracket must be sign-verified before use —
-        // the identical rule as `WarmWaterfill::penalty_into_scratch`.
+        // the identical rule as `SoaWaterfill`'s penalty solve.
         (lo < hi && total_at(lo) - lam <= 0.0 && total_at(hi) - lam >= 0.0).then_some((lo, hi))
     });
     let (nu_lo, nu_hi) = match bracket {
@@ -386,9 +389,7 @@ fn solve_linear_via(
 /// Slot-scoped coordinator state layered over the agent pool: the
 /// diff-sync mirror, the per-shard aggregate cache with dirty-bit
 /// invalidation (an `Aggregates` round only messages shards whose speeds
-/// changed), the [`StateCostCache`] shared with the sequential engine,
-/// and the warm ν/μ brackets. Built fresh per `solve` call; see the cache
-/// invalidation story in [`coca_dcsim::incremental`].
+/// changed), and the warm ν/μ brackets. Built fresh per `solve` call.
 struct Coordinator<'a> {
     pool: AgentPool,
     problem: SlotProblem<'a>,
@@ -403,19 +404,12 @@ struct Coordinator<'a> {
     warm_nu: [Option<f64>; 3],
     /// Warm boundary weight μ for the kink regime.
     warm_mu: Option<f64>,
-    /// Per-(group, level) keys for the incremental state hash.
-    zobrist: ZobristTable,
-    /// Zobrist hash of `mirror`, maintained by [`Self::sync`].
-    mirror_hash: u64,
-    cache: StateCostCache,
     stats: EvalStats,
 }
 
 impl<'a> Coordinator<'a> {
     fn new(pool: AgentPool, problem: SlotProblem<'a>, mirror: Vec<usize>) -> Self {
         let n = pool.num_shards();
-        let zobrist = ZobristTable::new(&problem.cluster.choice_counts());
-        let mirror_hash = zobrist.hash_of(&mirror);
         Self {
             pool,
             problem,
@@ -424,9 +418,6 @@ impl<'a> Coordinator<'a> {
             agg_dirty: vec![true; n],
             warm_nu: [None; 3],
             warm_mu: None,
-            zobrist,
-            mirror_hash,
-            cache: StateCostCache::default(),
             stats: EvalStats::default(),
         }
     }
@@ -437,7 +428,6 @@ impl<'a> Coordinator<'a> {
             if new != self.mirror[gi] {
                 self.pool.set_level(gi, new);
                 self.agg_dirty[self.pool.owner[gi].0] = true;
-                self.mirror_hash ^= self.zobrist.flip(gi, self.mirror[gi], new);
                 self.mirror[gi] = new;
                 self.stats.delta_updates += 1;
             }
@@ -445,19 +435,12 @@ impl<'a> Coordinator<'a> {
     }
     // audit:hot-path: end
 
-    /// The Gibbs cost oracle: diff-sync the agents, then answer from the
-    /// state-cost cache or a warm-started distributed evaluation.
+    /// The Gibbs cost oracle: diff-sync the agents, then run a
+    /// warm-started distributed evaluation.
     fn cost(&mut self, state: &[usize]) -> f64 {
         self.sync(state);
         self.stats.evaluations += 1;
-        if let Some(c) = self.cache.get(self.mirror_hash, &self.mirror) {
-            self.stats.cache_hits += 1;
-            return c;
-        }
-        self.stats.cache_misses += 1;
-        let c = self.evaluate_current();
-        self.cache.insert(self.mirror_hash, &self.mirror, c);
-        c
+        self.evaluate_current()
     }
 
     /// Fleet (capacity, static power) from the per-shard cache, messaging
@@ -542,7 +525,7 @@ impl<'a> Coordinator<'a> {
     /// Kink regime: bisect the effective energy weight μ ∈ [0, A] until
     /// onsite power pins to r, warm-starting the μ bracket from the
     /// previous proposal (sign-verified, cold `[0, A]` fallback — the same
-    /// rule as `WarmWaterfill::bisect_mu`).
+    /// rule as `SoaWaterfill`'s kink search).
     fn solve_kink(&mut self, a: f64, w: f64, lam: f64, r: f64) -> Option<(f64, f64, f64)> {
         let (mut lo, mut hi) = (0.0, a);
         if let Some(prev) = self.warm_mu {
@@ -582,12 +565,12 @@ impl<'a> Coordinator<'a> {
     }
 }
 
-/// [`CandidateOracle`] adapter over the coordinator for the batched Gibbs
-/// driver: the committed state lives in `state`, candidates are priced by
-/// flipping one entry and letting [`Coordinator::sync`]'s diff against the
-/// mirror ship exactly the changed-group messages. A rejected candidate is
-/// not messaged back eagerly — the next sync diffs it away, so rejection
-/// costs at most the same messages as the closure driver's revert.
+/// [`CandidateOracle`] adapter over the coordinator — the only way the
+/// distributed chain prices a proposal. The committed state lives in
+/// `state`; candidates are priced by flipping one entry and letting
+/// [`Coordinator::sync`]'s diff against the mirror ship exactly the
+/// changed-group messages. A rejected candidate is not messaged back
+/// eagerly — the next sync diffs it away.
 struct CoordinatorOracle<'c, 'a> {
     coord: &'c mut Coordinator<'a>,
     state: Vec<usize>,
@@ -621,6 +604,10 @@ pub struct DistributedGsdSolver {
     opts: GsdOptions,
     /// Number of server-agent threads.
     pub num_workers: usize,
+    /// Chain RNG, seeded from `opts.seed` at construction and on
+    /// [`P3Solver::reset`] and carried across solves, exactly like the
+    /// sequential engine's.
+    rng: StdRng,
     stats: SolveStats,
     observer: Option<Arc<dyn SolverObserver + Send + Sync>>,
     warm: Option<Vec<usize>>,
@@ -630,9 +617,11 @@ impl DistributedGsdSolver {
     /// Creates a solver with the given GSD options and worker count.
     pub fn new(opts: GsdOptions, num_workers: usize) -> Self {
         assert!(num_workers >= 1);
+        let rng = StdRng::seed_from_u64(opts.seed);
         Self {
             opts,
             num_workers,
+            rng,
             stats: SolveStats::default(),
             observer: None,
             warm: None,
@@ -696,13 +685,8 @@ impl P3Solver for DistributedGsdSolver {
 
         let (mut shards, owner) = self.build_agents(problem, &initial);
         let counts = problem.cluster.choice_counts();
-        let opts = GibbsOptions {
-            iterations: self.opts.iterations,
-            schedule: self.opts.schedule,
-            patience: self.opts.patience,
-            record_trace: self.opts.record_trace,
-        };
-        let mut rng = StdRng::seed_from_u64(self.opts.seed);
+        let opts = self.opts.gibbs();
+        let rng = &mut self.rng;
 
         let (result, stats) = crossbeam::thread::scope(|scope| {
             let mut txs = Vec::new();
@@ -717,14 +701,9 @@ impl P3Solver for DistributedGsdSolver {
             let pool = AgentPool { txs, rxs, owner };
             let mut coord = Coordinator::new(pool, *problem, initial.clone());
 
-            let outcome = if self.opts.batched {
-                let mut oracle = CoordinatorOracle { coord: &mut coord, state: initial.clone() };
-                run_gibbs_batched(&counts, &initial, &mut oracle, &opts, &mut rng)
-                    .map_err(SimError::Opt)
-            } else {
-                run_gibbs(&counts, &initial, |state| coord.cost(state), &opts, &mut rng)
-                    .map_err(SimError::Opt)
-            };
+            let mut oracle = CoordinatorOracle { coord: &mut coord, state: initial.clone() };
+            let outcome = run_gibbs_batched(&counts, &initial, &mut oracle, &opts, rng)
+                .map_err(SimError::Opt);
             for tx in &coord.pool.txs {
                 let _ = tx.send(Request::Stop);
             }
@@ -737,8 +716,6 @@ impl P3Solver for DistributedGsdSolver {
         self.finish_solve(SolveStats {
             iterations: result.iterations_run,
             accepted: result.accepted,
-            cache_hits: stats.cache_hits,
-            cache_misses: stats.cache_misses,
             bisection_evals: stats.bisection_evals,
             candidate_batches: stats.candidate_batches,
             batched_candidates: stats.batched_candidates,
@@ -759,6 +736,7 @@ impl P3Solver for DistributedGsdSolver {
 
     fn reset(&mut self) {
         self.warm = None;
+        self.rng = StdRng::seed_from_u64(self.opts.seed);
         self.stats = SolveStats::default();
     }
 
@@ -770,6 +748,7 @@ impl P3Solver for DistributedGsdSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gsd::{cold_chain, GsdSolver};
     use crate::solver::ExhaustiveSolver;
     use coca_dcsim::Cluster;
     use coca_opt::schedule::TemperatureSchedule;
@@ -851,8 +830,8 @@ mod tests {
         with_coordinator(&p, &full, 2, |coord| {
             let mut state = full.clone();
             // Walk through speed flips so later evaluations run on warm ν/μ
-            // brackets and cached shard aggregates, including revisits
-            // (cache hits) and a low-capacity excursion.
+            // brackets and cached shard aggregates, including revisited
+            // states and a low-capacity excursion.
             let flips =
                 [(0, 2), (1, 1), (2, 3), (0, 4), (3, 2), (1, 0), (1, 4), (2, 3), (2, 1), (0, 2)];
             for &(g, lvl) in &flips {
@@ -874,7 +853,7 @@ mod tests {
     }
 
     #[test]
-    fn solve_populates_cache_and_bisection_stats() {
+    fn solve_populates_kernel_stats() {
         let cluster = Cluster::homogeneous(3, 4);
         let p = problem(&cluster, 40.0, 5.0, 5.0, 2.0);
         let mut solver = DistributedGsdSolver::new(
@@ -883,12 +862,16 @@ mod tests {
         );
         let sol = solver.solve(&p).unwrap();
         assert!(p.is_feasible(&sol.levels));
-        assert!(solver.stats().cache_misses > 0);
-        assert!(solver.stats().cache_hits > 0, "Gibbs chains revisit states");
+        assert!(solver.stats().candidate_batches > 0);
+        assert_eq!(
+            solver.stats().candidate_batches,
+            solver.stats().batched_candidates,
+            "one candidate per batch in the single-proposal driver"
+        );
         assert!(solver.stats().bisection_evals > 0);
         assert!(solver.stats().iterations > 0);
         solver.reset();
-        assert_eq!(solver.stats().cache_hits, 0);
+        assert_eq!(solver.stats().candidate_batches, 0);
     }
 
     #[test]
@@ -917,31 +900,51 @@ mod tests {
     }
 
     #[test]
-    fn batched_driver_matches_closure_chain() {
-        // The batched oracle prices candidates through the same coordinator
-        // evaluation (cache included), so with the same seed the two
-        // drivers must walk the identical chain, bit for bit.
+    fn distributed_chain_matches_cold_chain() {
+        // Same seed, same initial state, agreeing oracles → the message-
+        // passing chain walks exactly the cold reference chain.
         let cluster = Cluster::homogeneous(3, 4);
-        let p = problem(&cluster, 40.0, 5.0, 5.0, 2.0);
-        let mut plain = DistributedGsdSolver::new(
-            GsdOptions { iterations: 300, seed: 7, ..Default::default() },
-            2,
-        );
-        let mut batched = DistributedGsdSolver::new(
-            GsdOptions { iterations: 300, seed: 7, batched: true, ..Default::default() },
-            2,
-        );
-        let a = plain.solve(&p).unwrap();
-        let b = batched.solve(&p).unwrap();
-        assert_eq!(a.levels, b.levels);
-        assert_eq!(a.outcome.objective.to_bits(), b.outcome.objective.to_bits());
-        assert!(batched.stats().candidate_batches > 0);
-        assert_eq!(
-            batched.stats().candidate_batches,
-            batched.stats().batched_candidates,
-            "one candidate per batch in the single-proposal driver"
-        );
-        assert_eq!(plain.stats().candidate_batches, 0);
+        for &(lam, a, w) in &[(40.0, 5.0, 5.0), (90.0, 20.0, 2.0), (15.0, 0.5, 10.0)] {
+            let p = problem(&cluster, lam, a, w, 2.0);
+            let opts = GsdOptions { iterations: 300, seed: 7, ..Default::default() };
+            let mut solver = DistributedGsdSolver::new(opts.clone(), 2);
+            let sol = solver.solve(&p).unwrap();
+            let full = cluster.full_speed_vector();
+            let cold = cold_chain(&p, &full, &opts, &mut StdRng::seed_from_u64(opts.seed));
+            let case = format!("λ={lam}, A={a}, W={w}");
+            assert_eq!(sol.levels, cold.best_state, "{case}");
+            assert_eq!(solver.stats().accepted, cold.accepted, "{case}");
+            assert_eq!(solver.stats().iterations, cold.iterations_run, "{case}");
+        }
+    }
+
+    #[test]
+    fn consecutive_solves_follow_the_sequential_chain() {
+        // The chain RNG carries across slots in both engines, so every
+        // slot — not just the first — replays the sequential chain.
+        let cluster = Cluster::homogeneous(3, 4);
+        let p = problem(&cluster, 50.0, 5.0, 5.0, 0.0);
+        let opts = GsdOptions {
+            iterations: 200,
+            schedule: TemperatureSchedule::Constant(50.0),
+            seed: 7,
+            ..Default::default()
+        };
+        let mut sequential = GsdSolver::new(opts.clone());
+        let mut distributed = DistributedGsdSolver::new(opts, 2);
+        for slot in 0..4 {
+            let a = sequential.solve(&p).unwrap();
+            let b = distributed.solve(&p).unwrap();
+            assert_eq!(a.levels, b.levels, "slot {slot}");
+            assert_eq!(sequential.stats().accepted, distributed.stats().accepted, "slot {slot}");
+        }
+        // reset() restarts both chains from the seed.
+        sequential.reset();
+        distributed.reset();
+        let a = sequential.solve(&p).unwrap();
+        let b = distributed.solve(&p).unwrap();
+        assert_eq!(a.levels, b.levels, "after reset");
+        assert_eq!(sequential.stats().accepted, distributed.stats().accepted, "after reset");
     }
 
     #[test]

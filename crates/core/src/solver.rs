@@ -43,15 +43,11 @@ pub struct SolveStats {
     pub iterations: usize,
     /// Accepted proposals (GSD chains; 0 for deterministic solvers).
     pub accepted: usize,
-    /// Proposal evaluations answered by the state-cost cache.
-    pub cache_hits: u64,
-    /// Proposal evaluations that ran a full water-filling solve.
-    pub cache_misses: u64,
     /// Water-level evaluations spent inside bisections.
     pub bisection_evals: u64,
     /// Candidate batches priced by the struct-of-arrays kernel (one per
-    /// `evaluate_candidates` / `evaluate_candidate` call; 0 on the scalar
-    /// and cold paths).
+    /// `evaluate_candidates` / `evaluate_candidate` call; 0 for solvers
+    /// that do not run it).
     pub candidate_batches: u64,
     /// Individual candidates priced across those batches.
     pub batched_candidates: u64,
@@ -64,8 +60,6 @@ impl SolveStats {
             solver,
             iterations: self.iterations,
             accepted: self.accepted,
-            cache_hits: self.cache_hits,
-            cache_misses: self.cache_misses,
             bisection_evals: self.bisection_evals,
             candidate_batches: self.candidate_batches,
             batched_candidates: self.batched_candidates,

@@ -1,111 +1,47 @@
-//! Incremental P3 evaluation engine — the per-slot cost oracle behind both
+//! Slot-scoped P3 evaluation kernel — the per-slot cost oracle behind both
 //! GSD engines.
 //!
 //! COCA's per-slot decision (paper Algorithm 2) runs hundreds of Gibbs
 //! proposals, and each proposal flips exactly **one** group's speed level.
 //! Evaluating a proposal cold ([`crate::dispatch::optimal_dispatch`])
 //! re-collapses all groups into queue types and re-runs the three-regime
-//! bisection from scratch; this module amortizes all of that across the
-//! proposal stream:
+//! bisection from scratch; [`SlotEvalContext`] amortizes all of that across
+//! the proposal stream:
 //!
-//! * [`SlotEvalContext`] precomputes, **once per slot**, the per-group
-//!   per-level `(capacity, util_cap, static_power, energy_slope)` tables
-//!   and maintains the collapsed queue-type multiset as integer counts
-//!   under single-group delta updates — O(1) per proposal instead of
-//!   O(groups) re-aggregation. Counts are integers, so a million flips
-//!   cannot accumulate floating-point drift; the float aggregates are
-//!   re-derived O(#types) per evaluation.
-//! * The water-level search is warm-started via
-//!   [`coca_opt::waterfill::WarmWaterfill`]: the previous proposal's ν (and
-//!   kink weight μ) seed the next bisection bracket, falling back to the
-//!   cold bracket when the warm one misses.
-//! * A [`StateCostCache`] keyed by the full speed vector short-circuits
-//!   revisited states — Gibbs chains are revert-heavy, so the same vectors
-//!   recur constantly.
-//! * The type multiset is mirrored into a struct-of-arrays
+//! * It takes the per-group per-level `(capacity, util_cap, energy_slope,
+//!   static_power)` tables from a cross-slot [`SlotContextSeed`] and keeps
+//!   the collapsed queue-type multiset as integer counts under single-group
+//!   delta updates — O(1) per flip instead of O(groups) re-aggregation.
+//!   Counts are integers, so a million flips cannot accumulate
+//!   floating-point drift.
+//! * The multiset is mirrored into a struct-of-arrays
 //!   [`coca_opt::waterfill::QueueBank`] (parallel capacity / util_cap /
 //!   energy_slope / static_power / multiplicity lanes), and
-//!   [`Self::evaluate_candidates`](SlotEvalContext::evaluate_candidates)
-//!   scores **every** level choice of a sampled group in one batched call:
-//!   each candidate is a ±1.0 multiplicity delta on two bank rows (exact on
-//!   integer-valued lanes) plus a chunked
-//!   [`coca_opt::waterfill::SoaWaterfill`] solve — no `sync`/cache
-//!   round-trip per proposal.
+//!   [`SlotEvalContext::evaluate_candidates`] scores **every** level choice
+//!   of a sampled group in one call: each candidate is a ±1.0 multiplicity
+//!   delta on two bank rows (exact on integer-valued lanes) plus a chunked
+//!   [`coca_opt::waterfill::SoaWaterfill`] solve whose ν/μ brackets are
+//!   warm-started from the previous proposal.
 //!
-//! **Cache invalidation story:** a context is *slot-scoped*. Its cache and
-//! warm brackets are only valid for fixed slot parameters — any change to
-//! the arrival rate `λ(t)`, the renewable supply `r(t)`, or the weights
-//! `A = V·w(t) + q(t)` / `W = V·β` invalidates every cached cost, so the
-//! engines build a fresh context per `solve()` call and drop it with the
-//! slot. Nothing is ever invalidated piecemeal.
+//! There is no state-cost cache: Gibbs chains rarely re-propose an exact
+//! earlier state (3 hits per 404 lookups on a 500-iteration paper-scale
+//! chain), so hashing the full speed vector cost more than it saved.
 //!
-//! Correctness: the incremental path answers the *same* water-filling
-//! problems with the same stopping tolerances as the cold path, so results
-//! agree with [`crate::dispatch::optimal_dispatch`] to ≤ 1e-9 relative
-//! error (pinned by the differential property test in `coca-core`), and
-//! the `coca_opt::invariant` hooks (load conservation + KKT residual) keep
-//! firing on every incremental solve.
+//! **Scope:** a context is *slot-scoped*. Its warm brackets are tuned to
+//! fixed slot parameters — the arrival rate `λ(t)`, the renewable supply
+//! `r(t)`, and the weights `A = V·w(t) + q(t)` / `W = V·β` — so the engines
+//! build a fresh context per `solve()` call and drop it with the slot.
+//!
+//! Correctness: the kernel answers the *same* water-filling problems with
+//! the same stopping tolerances as the cold path, so results agree with
+//! [`crate::dispatch::optimal_dispatch`] to ≤ 1e-9 relative error (pinned
+//! by the differential property test in `coca-core`), and the
+//! `coca_opt::invariant` hooks (load conservation, plus the KKT residual in
+//! debug and strict builds) fire on every solve.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
-use coca_opt::waterfill::{
-    BankProblem, LoadDistProblem, QueueBank, QueueSpec, SoaWaterfill, WarmWaterfill,
-};
-
-/// Multiplicative word hasher (FxHash-style) for the state-cost cache.
-///
-/// The cache key is the full speed vector — ~200 machine words at paper
-/// scale — and the default SipHash spends more time hashing it than the
-/// warm-started solve spends on the actual water-filling. Speed vectors are
-/// internal state, not attacker-controlled input, so a non-cryptographic
-/// rotate-xor-multiply over the words is the right trade. The constant is
-/// the usual 64-bit golden-ratio-derived odd multiplier.
-#[derive(Default)]
-struct FxHasher {
-    hash: u64,
-}
-
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            // chunks_exact guarantees 8-byte slices.
-            self.add(u64::from_le_bytes(chunk.try_into().unwrap()));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(tail));
-        }
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
+use coca_opt::waterfill::{BankProblem, QueueBank, SoaWaterfill};
 
 use crate::dispatch::{DispatchOutcome, SlotProblem};
 
@@ -126,85 +62,29 @@ struct TypeSpec {
     static_power: f64,
 }
 
-/// Per-`(group, level)` random keys for incremental (Zobrist) hashing of
-/// speed vectors.
-///
-/// A state's hash is the XOR of one key per group, so a single-group flip
-/// updates it with two XORs ([`Self::flip`]) instead of rehashing the whole
-/// vector — the same delta discipline the type multiset uses. Keys come
-/// from a fixed-seed SplitMix64 stream, so two tables built from the same
-/// `choice_counts` (e.g. the sequential context and the distributed
-/// coordinator) agree.
-#[derive(Debug, Clone)]
-pub struct ZobristTable {
-    /// Start of group `g`'s keys (one per level, level 0 included).
-    offsets: Vec<usize>,
-    keys: Vec<u64>,
-}
-
-/// SplitMix64 step — the standard 64-bit mixer; deterministic and
-/// dependency-free, which is all the hash keys need.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-impl ZobristTable {
-    /// Builds keys for a fleet with the given per-group speed-set sizes.
-    pub fn new(choice_counts: &[usize]) -> Self {
-        let mut offsets = Vec::with_capacity(choice_counts.len());
-        let total: usize = choice_counts.iter().sum();
-        let mut keys = Vec::with_capacity(total);
-        let mut state = 0x5EED_C0CA_0000_0001u64;
-        for &n in choice_counts {
-            offsets.push(keys.len());
-            for _ in 0..n {
-                keys.push(splitmix64(&mut state));
-            }
-        }
-        Self { offsets, keys }
-    }
-
-    /// Full hash of a speed vector (used once at context build).
-    pub fn hash_of(&self, levels: &[usize]) -> u64 {
-        levels.iter().enumerate().fold(0, |h, (g, &c)| h ^ self.keys[self.offsets[g] + c])
-    }
-
-    /// XOR delta for one group's flip; apply with `hash ^= flip(...)`.
-    #[inline]
-    pub fn flip(&self, group: usize, old: usize, new: usize) -> u64 {
-        let off = self.offsets[group];
-        self.keys[off + old] ^ self.keys[off + new]
-    }
-}
-
 /// Reusable cross-slot skeleton of a [`SlotEvalContext`]: the collapsed
-/// type table, the `(group, level) → type` maps, and the Zobrist keys.
+/// type table and the `(group, level) → type` maps.
 ///
 /// These depend only on the cluster topology and the γ/PUE scalars — not
 /// on the per-slot arrival rate, renewable supply, or objective weights —
 /// so a solver that prices one slot after another on the same fleet
 /// ([`SlotEvalContext::new_seeded`]) verifies the seed with one linear
 /// key-stream compare and clones it, instead of re-deduplicating every
-/// `(group, level)` row through a hash map at each solve. Verification is
-/// exact (full bit compare of the derived keys, not a fingerprint): a seed
-/// built for a different cluster, γ, or PUE is detected and rebuilt, so
-/// reuse is bit-for-bit transparent.
+/// `(group, level)` row at each solve. Verification is exact (full bit
+/// compare of the derived keys, not a fingerprint): a seed built for a
+/// different cluster, γ, or PUE is detected and rebuilt, so reuse is
+/// bit-for-bit transparent.
 #[derive(Debug, Default)]
 pub struct SlotContextSeed {
     /// Bit-pattern key of every `(group, level ≥ 1)` row in scan order —
     /// the exact dedup keys [`Self::rebuild`] fed to the type map.
     keys: Vec<(u64, u64, u64)>,
     /// γ the seed was built for (`util_cap = γ·capacity` is derived from
-    /// the key, so it must be pinned separately).
-    gamma: u64,
+    /// the key, so it must be pinned separately); `None` until built.
+    gamma: Option<u64>,
     types: Vec<TypeSpec>,
     type_ids: Vec<usize>,
     type_offsets: Vec<usize>,
-    zobrist: Option<ZobristTable>,
 }
 
 impl SlotContextSeed {
@@ -217,7 +97,7 @@ impl SlotContextSeed {
     /// derive for `problem`: same group structure, same per-row spec bits,
     /// same γ. One pass over the `(group, level)` rows, no hashing.
     fn matches(&self, problem: &SlotProblem<'_>) -> bool {
-        if self.zobrist.is_none() || self.gamma != problem.gamma.to_bits() {
+        if self.gamma != Some(problem.gamma.to_bits()) {
             return false;
         }
         let groups = problem.cluster.groups();
@@ -245,13 +125,10 @@ impl SlotContextSeed {
     }
 
     /// Re-derives every table from `problem` (the slow path `matches`
-    /// guards). FxHash rather than SipHash for the dedup map: one insert
-    /// per `(group, level)` pair, and the keys are trusted bit patterns,
-    /// not attacker input.
+    /// guards; it runs once per fleet, so a std map is fine).
     fn rebuild(&mut self, problem: &SlotProblem<'_>) {
         let groups = problem.cluster.groups();
-        let mut key_to_type: HashMap<(u64, u64, u64), usize, BuildHasherDefault<FxHasher>> =
-            HashMap::default();
+        let mut key_to_type: HashMap<(u64, u64, u64), usize> = HashMap::new();
         self.keys.clear();
         self.types.clear();
         self.type_ids.clear();
@@ -283,167 +160,64 @@ impl SlotContextSeed {
                 self.type_ids.push(idx);
             }
         }
-        self.zobrist = Some(ZobristTable::new(&problem.cluster.choice_counts()));
-        self.gamma = problem.gamma.to_bits();
-    }
-}
-
-/// Hit/miss-counting state-cost cache keyed by a Zobrist hash of the full
-/// speed vector.
-///
-/// Callers maintain the hash incrementally (two XORs per flip) and pass it
-/// with the vector; the map then hashes only the 8-byte key. Entries store
-/// the owned vector and a hit verifies it, so a 64-bit collision degrades
-/// to a miss (and the colliding insert evicts the old entry) instead of
-/// returning a wrong cost.
-#[derive(Debug, Default)]
-pub struct StateCostCache {
-    map: HashMap<u64, (Vec<usize>, f64), BuildHasherDefault<FxHasher>>,
-    /// Maximum number of states retained (`None` = unbounded, the
-    /// historical default; `Some(0)` = caching off). When full, new states
-    /// are simply not inserted — Gibbs revisits cluster around the chain's
-    /// recent past, which enters the cache first, so dropping the overflow
-    /// keeps the useful prefix without eviction bookkeeping.
-    limit: Option<usize>,
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that fell through to a full evaluation.
-    pub misses: u64,
-}
-
-impl StateCostCache {
-    /// Cache bounded to at most `limit` states (`0` disables caching
-    /// entirely — every lookup misses and nothing is stored).
-    pub fn bounded(limit: usize) -> Self {
-        Self { limit: Some(limit), ..Self::default() }
-    }
-
-    /// Changes the retention bound (`None` = unbounded). Already-cached
-    /// states above a new lower bound are kept — only future inserts are
-    /// gated.
-    pub fn set_limit(&mut self, limit: Option<usize>) {
-        self.limit = limit;
-    }
-
-    /// Current retention bound (`None` = unbounded).
-    pub fn limit(&self) -> Option<usize> {
-        self.limit
-    }
-
-    /// Returns the cached cost of `levels` (whose Zobrist hash is `hash`),
-    /// counting the hit or miss.
-    pub fn get(&mut self, hash: u64, levels: &[usize]) -> Option<f64> {
-        match self.map.get(&hash) {
-            Some((key, cost)) if key == levels => {
-                self.hits += 1;
-                Some(*cost)
-            }
-            _ => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Stores the cost of `levels` (clones the key; insert is the cold
-    /// path by construction). A full or disabled cache drops the entry —
-    /// except that a hash already present is always updated, so a 64-bit
-    /// collision can still be repaired.
-    pub fn insert(&mut self, hash: u64, levels: &[usize], cost: f64) {
-        if let Some(limit) = self.limit {
-            if self.map.len() >= limit && !self.map.contains_key(&hash) {
-                return;
-            }
-        }
-        self.map.insert(hash, (levels.to_vec(), cost));
-    }
-
-    /// Number of distinct states cached.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache holds no states.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.gamma = Some(problem.gamma.to_bits());
     }
 }
 
 /// Work counters accumulated over a context's lifetime (one slot).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EvalStats {
-    /// Cost-oracle calls (cache hits + full solves).
+    /// Cost-oracle calls (one SoA water-filling solve each, or an
+    /// infeasibility short-circuit).
     pub evaluations: u64,
-    /// Oracle calls answered by the state-cost cache.
-    pub cache_hits: u64,
-    /// Oracle calls that ran a full water-filling solve.
-    pub cache_misses: u64,
     /// Water-level function evaluations spent inside bisections (each is
-    /// an O(#types) pass — the dominant arithmetic of a full solve).
+    /// an O(#types) pass — the dominant arithmetic of a solve).
     pub bisection_evals: u64,
     /// Single-group O(1) delta updates applied to the type multiset.
     pub delta_updates: u64,
-    /// Batched candidate-sweep kernel calls
-    /// ([`SlotEvalContext::evaluate_candidates`]).
+    /// Candidate-sweep kernel calls ([`SlotEvalContext::evaluate_candidates`]
+    /// or [`SlotEvalContext::evaluate_candidate`]).
     pub candidate_batches: u64,
-    /// Candidates scored inside those batched sweeps (each is a ±1.0
-    /// multiplicity delta plus one SoA water-filling solve).
+    /// Candidates scored inside those sweeps (each is a ±1.0 multiplicity
+    /// delta plus one SoA water-filling solve).
     pub batched_candidates: u64,
 }
 
-/// Slot-scoped incremental evaluator for the P3 cost oracle.
+/// Slot-scoped evaluator for the P3 cost oracle.
 ///
-/// Build once per slot with the initial speed vector, then feed it speed
-/// vectors that differ from the previous call in few coordinates (the
-/// Gibbs proposal stream): [`Self::evaluate`] diff-syncs the internal
-/// multiset with O(1) work per changed group and answers from the cache or
-/// a warm-started water-filling solve. See the module docs for the cache
-/// invalidation story.
+/// Build once per slot with the initial speed vector, then price proposals
+/// with [`Self::evaluate_candidate`] / [`Self::evaluate_candidates`] and
+/// commit the accepted ones with [`Self::set_level`]. See the module docs
+/// for the scope rules.
 #[derive(Debug)]
 pub struct SlotEvalContext<'a> {
     problem: SlotProblem<'a>,
-    /// Distinct per-level rows over all `(group, level ≥ 1)` pairs.
-    types: Vec<TypeSpec>,
     /// Type id of `(group g, level c ≥ 1)` at `type_ids[type_offsets[g] + c − 1]`.
     type_ids: Vec<usize>,
     /// Start of each group's row range in `type_ids`.
     type_offsets: Vec<usize>,
-    /// Active-queue count per type. Integers: delta updates cannot drift,
-    /// and the float aggregates are re-derived from them per evaluation.
+    /// Active-queue count per type. Integers: delta updates cannot drift.
     counts: Vec<u32>,
     /// Mirror of the speed vector the counts currently describe.
     levels: Vec<usize>,
-    /// Scratch: collapsed active types of the current state.
-    specs: Vec<QueueSpec>,
-    /// Scratch: type id behind each row of `specs`.
-    spec_types: Vec<usize>,
-    /// Scratch: spec row of each type (`usize::MAX` when inactive).
-    spec_of_type: Vec<usize>,
-    /// Warm-started water-filling solver (carries ν/μ across proposals).
-    solver: WarmWaterfill,
     /// SoA mirror of the type multiset: one bank row per type, the
     /// multiplicity lane tracking `counts` (set from the integer counts on
-    /// every flip, so it cannot drift). Drives the batched candidate path.
+    /// every flip, so it cannot drift).
     bank: QueueBank,
     /// Running `Σ m·u` over the bank rows, maintained by exact per-unit
-    /// deltas in [`Self::set_level`] so the batched candidate path reads
-    /// its batch aggregates in O(1) instead of re-walking the lanes per
-    /// proposal. Each flip adds/subtracts one row's `util_cap` verbatim,
-    /// so the only deviation from a fresh [`QueueBank::aggregates`] walk
-    /// is summation-order rounding — ≤ ~1e-15 relative over a context
-    /// lifetime (contexts are slot-scoped), far inside the 1e-12
-    /// feasibility-guard band and the 1e-9 differential band.
+    /// deltas in [`Self::set_level`] so a candidate reads its aggregates in
+    /// O(1) instead of re-walking the lanes per proposal. Each flip
+    /// adds/subtracts one row's `util_cap` verbatim, so the only deviation
+    /// from a fresh [`QueueBank::aggregates`] walk is summation-order
+    /// rounding — ≤ ~1e-15 relative over a context lifetime (contexts are
+    /// slot-scoped), far inside the 1e-12 feasibility-guard band and the
+    /// 1e-9 differential band.
     agg_cap: f64,
     /// Running `Σ m·s` (static power), same maintenance as `agg_cap`.
     agg_base: f64,
-    /// Chunked batched solver over `bank` (its own warm ν/μ state, carried
-    /// across candidates and batches).
+    /// Chunked solver over `bank` (its own warm ν/μ state, carried across
+    /// candidates and sweeps).
     soa: SoaWaterfill,
-    /// Per-(group, level) keys for the incremental state hash.
-    zobrist: ZobristTable,
-    /// Zobrist hash of `levels`, maintained by [`Self::set_level`].
-    state_hash: u64,
-    cache: StateCostCache,
     /// Work counters, exported by the engines as solve statistics.
     pub stats: EvalStats,
 }
@@ -460,11 +234,11 @@ impl<'a> SlotEvalContext<'a> {
 
     /// [`Self::new`] with a reusable [`SlotContextSeed`]: when `seed` still
     /// matches `problem` (same cluster topology, γ, PUE — verified by an
-    /// exact key compare), the collapsed type tables and Zobrist keys are
-    /// cloned from it instead of re-derived, skipping the hash-map dedup
-    /// that dominates a cold context build. A stale or empty seed is
-    /// rebuilt in place. Either way the resulting context is bit-for-bit
-    /// identical to a [`Self::new`] build.
+    /// exact key compare), the collapsed type tables are cloned from it
+    /// instead of re-derived, skipping the hash-map dedup that dominates a
+    /// cold context build. A stale or empty seed is rebuilt in place.
+    /// Either way the resulting context is bit-for-bit identical to a
+    /// [`Self::new`] build.
     ///
     /// # Errors
     /// Propagates invalid slot parameters or an out-of-range level vector.
@@ -475,43 +249,27 @@ impl<'a> SlotEvalContext<'a> {
     ) -> crate::Result<Self> {
         problem.validate()?;
         problem.cluster.validate_levels(initial)?;
-        let groups = problem.cluster.groups();
         if !seed.matches(&problem) {
             seed.rebuild(&problem);
         }
-        let types = seed.types.clone();
-        let type_ids = seed.type_ids.clone();
-        let type_offsets = seed.type_offsets.clone();
-        let zobrist = seed.zobrist.clone().expect("rebuild always sets the table");
-        let num_types = types.len();
-        let state_hash = zobrist.hash_of(&vec![0; groups.len()]);
-        // SoA mirror: one bank row per type, all retracted (m = 0) until
-        // the seeding below raises the counts. Rows are validated once
-        // here — the batched solver relies on that instead of per-solve
-        // re-validation.
+        // One bank row per type, all retracted (m = 0) until the seeding
+        // below raises the counts. Rows are validated once here — the SoA
+        // solver relies on that instead of per-solve re-validation.
         let mut bank = QueueBank::new();
-        for t in &types {
+        for t in &seed.types {
             bank.push_type(t.capacity, t.util_cap, t.energy_slope, t.static_power, 0.0);
         }
         debug_assert!(bank.validate().is_ok(), "cluster-derived rows satisfy the bank contract");
         let mut ctx = Self {
             problem,
-            types,
-            type_ids,
-            type_offsets,
-            counts: vec![0; num_types],
-            levels: vec![0; groups.len()],
-            specs: Vec::with_capacity(num_types),
-            spec_types: Vec::with_capacity(num_types),
-            spec_of_type: vec![usize::MAX; num_types],
-            solver: WarmWaterfill::new(),
+            type_ids: seed.type_ids.clone(),
+            type_offsets: seed.type_offsets.clone(),
+            counts: vec![0; seed.types.len()],
+            levels: vec![0; initial.len()],
             bank,
             agg_cap: 0.0,
             agg_base: 0.0,
             soa: SoaWaterfill::new(),
-            zobrist,
-            state_hash,
-            cache: StateCostCache::default(),
             stats: EvalStats::default(),
         };
         for (g, &c) in initial.iter().enumerate() {
@@ -534,7 +292,7 @@ impl<'a> SlotEvalContext<'a> {
 
     /// Number of distinct queue types in the per-level tables.
     pub fn num_types(&self) -> usize {
-        self.types.len()
+        self.bank.len()
     }
 
     // The two functions below are the per-proposal delta-update path: they
@@ -566,7 +324,6 @@ impl<'a> SlotEvalContext<'a> {
             self.agg_cap += self.bank.util_cap_of(t);
             self.agg_base += self.bank.static_power_of(t);
         }
-        self.state_hash ^= self.zobrist.flip(group, old, level);
         self.levels[group] = level;
         self.stats.delta_updates += 1;
     }
@@ -584,64 +341,26 @@ impl<'a> SlotEvalContext<'a> {
 
     // audit:hot-path: end
 
-    /// Cost of `levels`: the P3 objective at the optimal load distribution
-    /// (plus nothing — callers add their own shift), or `f64::INFINITY`
-    /// when the state is infeasible. Diff-syncs, then answers from the
-    /// cache or a warm-started solve.
-    pub fn evaluate(&mut self, levels: &[usize]) -> f64 {
-        self.sync(levels);
-        self.evaluate_current()
-    }
-
-    /// [`Self::evaluate`] for the state the multiset already describes.
+    /// Cost of the state the multiset currently describes: the P3 objective
+    /// at the optimal load distribution (callers add their own shift), or
+    /// `f64::INFINITY` when the state is infeasible.
     pub fn evaluate_current(&mut self) -> f64 {
-        self.stats.evaluations += 1;
-        if let Some(cost) = self.cache.get(self.state_hash, &self.levels) {
-            self.stats.cache_hits += 1;
-            return cost;
-        }
-        self.stats.cache_misses += 1;
-        let cost = match self.solve_current() {
-            Some((objective, _)) => objective,
-            None => f64::INFINITY,
-        };
-        self.stats.bisection_evals += self.solver.last_evals;
-        self.cache.insert(self.state_hash, &self.levels, cost);
-        cost
-    }
-
-    /// State-cost cache counters (hits/misses/size).
-    pub fn cache(&self) -> &StateCostCache {
-        &self.cache
-    }
-
-    /// Bounds (or disables, with `Some(0)`) the state-cost cache. The
-    /// batched candidate path bypasses the cache entirely; this knob only
-    /// affects the scalar [`Self::evaluate`] path.
-    pub fn set_cache_limit(&mut self, limit: Option<usize>) {
-        self.cache.set_limit(limit);
-    }
-
-    /// Batched cost of the state the multiset currently describes, via the
-    /// SoA kernel (cache bypassed — the batched path's costs all come from
-    /// one solver so candidate comparisons are internally consistent).
-    pub fn evaluate_current_batched(&mut self) -> f64 {
         let (cap, base_power) = (self.agg_cap, self.agg_base);
         self.bank_cost(cap, base_power)
     }
 
-    /// Scores **every** level choice of `group` in one batched kernel
-    /// call, writing `costs[level]` for `level ∈ 0..num_choices(group)`
-    /// (`f64::INFINITY` marks an infeasible candidate). The current level's
-    /// cost is included, so the Gibbs driver reads both sides of an
-    /// acceptance test from one sweep.
+    /// Scores **every** level choice of `group` in one kernel call, writing
+    /// `costs[level]` for `level ∈ 0..num_choices(group)` (`f64::INFINITY`
+    /// marks an infeasible candidate). The current level's cost is
+    /// included, so a caller reads both sides of an acceptance test from
+    /// one sweep.
     ///
     /// Each candidate delta-adjusts the shared multiset aggregates — two
     /// ±1.0 multiplicity-lane writes plus capped-capacity / base-power
     /// deltas — runs a warm chunked [`SoaWaterfill`] solve, and restores
-    /// the lanes; nothing is committed. Costs agree with the scalar oracle
+    /// the lanes; nothing is committed. Costs agree with the cold dispatch
     /// to the water-filling stopping tolerance (≤ 1e-9 relative — pinned by
-    /// the batched differential property test in `coca-core`), though not
+    /// the differential property test in `coca-core`), though not
     /// bit-for-bit: the chunked kernel sums lanes in a different order.
     pub fn evaluate_candidates(&mut self, group: usize, costs: &mut Vec<f64>) {
         let choices = self.problem.cluster.groups()[group].num_choices();
@@ -655,9 +374,9 @@ impl<'a> SlotEvalContext<'a> {
         }
     }
 
-    /// Batched cost of flipping `group` to `level`, without committing the
-    /// flip. Single-candidate form of [`Self::evaluate_candidates`] (same
-    /// delta math, same counters minus the batch increment).
+    /// Cost of flipping `group` to `level`, without committing the flip.
+    /// Single-candidate form of [`Self::evaluate_candidates`] (same delta
+    /// math, one candidate per batch) — the Gibbs driver's proposal oracle.
     pub fn evaluate_candidate(&mut self, group: usize, level: usize) -> f64 {
         let (cap, base_power) = (self.agg_cap, self.agg_base);
         self.stats.candidate_batches += 1;
@@ -706,9 +425,8 @@ impl<'a> SlotEvalContext<'a> {
     }
 
     /// Prices the bank's current multiset: Algorithm 2's feasibility guard
-    /// (same tolerance as the scalar path), then a warm SoA solve.
-    /// Infeasible or failed solves price to `f64::INFINITY`, exactly like
-    /// [`Self::evaluate_current`].
+    /// (same tolerance as [`SlotProblem::is_feasible`]), then a warm SoA
+    /// solve. Infeasible or failed solves price to `f64::INFINITY`.
     fn bank_cost(&mut self, cap: f64, base_power: f64) -> f64 {
         self.stats.evaluations += 1;
         let lam = self.problem.arrival_rate;
@@ -732,32 +450,10 @@ impl<'a> SlotEvalContext<'a> {
         }
     }
 
-    /// Full *uncached* solve of the current state, additionally writing
-    /// the per-group loads (full cluster length; zero for off groups) into
-    /// `loads`. Returns `(objective, water_level)`, or `None` when the
-    /// state is infeasible. Used for final-state extraction and the
-    /// differential tests — not on the proposal path.
-    pub fn solve_detailed(&mut self, loads: &mut Vec<f64>) -> Option<(f64, Option<f64>)> {
-        let out = self.solve_current()?;
-        loads.clear();
-        loads.resize(self.levels.len(), 0.0);
-        let lambdas = self.solver.lambdas();
-        for (g, &c) in self.levels.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let ti = self.type_ids[self.type_offsets[g] + c - 1];
-            let row = self.spec_of_type[ti];
-            debug_assert!(row != usize::MAX, "active level must have a spec row");
-            loads[g] = lambdas[row];
-        }
-        Some(out)
-    }
-
     /// Full [`DispatchOutcome`] extraction for the state the multiset
-    /// currently describes, via the batched SoA kernel: one warm solve,
-    /// with the per-row loads expanded back to per-group loads. This is
-    /// the batched engine's final-solution path — it replaces the cold
+    /// currently describes: one warm SoA solve, with the per-row loads
+    /// expanded back to per-group loads. This is the GSD engine's
+    /// final-solution path — it replaces the cold
     /// [`crate::dispatch::optimal_dispatch`] exit solve, whose from-scratch
     /// type compression costs more than the whole extraction. Agrees with
     /// the cold dispatch to the shared stopping tolerances (≤ 1e-9
@@ -801,53 +497,6 @@ impl<'a> SlotEvalContext<'a> {
             water_level: out.water_level,
         })
     }
-
-    /// Collapses the nonzero types into the scratch spec list and runs the
-    /// warm water-filling solve. `None` = infeasible (or a solver failure,
-    /// which the cold oracle also prices as infeasible).
-    fn solve_current(&mut self) -> Option<(f64, Option<f64>)> {
-        self.specs.clear();
-        self.spec_types.clear();
-        for row in &mut self.spec_of_type {
-            *row = usize::MAX;
-        }
-        let mut base_power = 0.0;
-        let mut capacity = 0.0;
-        for (ti, (t, &cnt)) in self.types.iter().zip(&self.counts).enumerate() {
-            if cnt == 0 {
-                continue;
-            }
-            let m = f64::from(cnt);
-            self.spec_of_type[ti] = self.specs.len();
-            self.specs.push(QueueSpec {
-                capacity: t.capacity,
-                util_cap: t.util_cap,
-                energy_slope: t.energy_slope,
-                multiplicity: m,
-            });
-            self.spec_types.push(ti);
-            base_power += m * t.static_power;
-            capacity += m * t.capacity;
-        }
-        let lam = self.problem.arrival_rate;
-        // Algorithm 2 line 2 guard — same tolerance as
-        // `SlotProblem::is_feasible`.
-        if lam > self.problem.gamma * capacity * (1.0 + 1e-12) {
-            return None;
-        }
-        let lp = LoadDistProblem {
-            queues: &self.specs,
-            total_load: lam,
-            energy_weight: self.problem.energy_weight,
-            delay_weight: self.problem.delay_weight,
-            base_power,
-            renewable: self.problem.onsite,
-        };
-        match self.solver.solve(&lp) {
-            Ok(out) => Some((out.objective, out.water_level)),
-            Err(_) => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -868,55 +517,39 @@ mod tests {
         }
     }
 
+    fn assert_close(kernel: f64, cold: f64, what: &str) {
+        let scale = cold.abs().max(1.0);
+        assert!((kernel - cold).abs() <= 1e-9 * scale, "{what}: kernel {kernel} vs cold {cold}");
+    }
+
     #[test]
     fn matches_cold_dispatch_on_flip_sequence() {
         let cluster = Cluster::scaled_paper_datacenter(4, 6);
         let p = slot(&cluster);
         let mut levels = cluster.full_speed_vector();
         let mut ctx = SlotEvalContext::new(p, &levels).unwrap();
-        let mut loads = Vec::new();
         // Deterministic flip walk touching every group and the off level.
         for step in 0..40 {
             let g = step % levels.len();
             let choices = cluster.groups()[g].num_choices();
             levels[g] = (levels[g] + 1 + step / levels.len()) % choices;
             ctx.sync(&levels);
-            let inc = ctx.solve_detailed(&mut loads);
-            let feasible = p.is_feasible(&levels);
-            match inc {
-                None => assert!(!feasible || optimal_dispatch(&p, &levels).is_err()),
-                Some((obj, _)) => {
+            let cost = ctx.evaluate_current();
+            match ctx.extract_outcome() {
+                None => {
+                    assert!(cost.is_infinite(), "step {step}");
+                    assert!(!p.is_feasible(&levels) || optimal_dispatch(&p, &levels).is_err());
+                }
+                Some(out) => {
                     let cold = optimal_dispatch(&p, &levels).unwrap();
-                    let scale = cold.objective.abs().max(1.0);
-                    assert!(
-                        (obj - cold.objective).abs() <= 1e-9 * scale,
-                        "step {step}: incremental {obj} vs cold {}",
-                        cold.objective
-                    );
-                    for (a, b) in loads.iter().zip(&cold.loads) {
+                    assert_close(cost, cold.objective, &format!("step {step} cost"));
+                    assert_close(out.objective, cold.objective, &format!("step {step} outcome"));
+                    for (a, b) in out.loads.iter().zip(&cold.loads) {
                         assert!((a - b).abs() <= 1e-9 * b.abs().max(1.0), "{a} vs {b}");
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn cache_hits_on_revisited_states() {
-        let cluster = Cluster::homogeneous(3, 5);
-        let p = slot(&cluster);
-        let levels = cluster.full_speed_vector();
-        let mut ctx = SlotEvalContext::new(p, &levels).unwrap();
-        let first = ctx.evaluate(&levels);
-        let mut flipped = levels.clone();
-        flipped[0] = 2;
-        let _ = ctx.evaluate(&flipped);
-        let again = ctx.evaluate(&levels);
-        assert_eq!(first.to_bits(), again.to_bits(), "cached value returned verbatim");
-        assert_eq!(ctx.stats.cache_hits, 1);
-        assert_eq!(ctx.stats.cache_misses, 2);
-        assert_eq!(ctx.stats.evaluations, 3);
-        assert_eq!(ctx.cache().len(), 2);
     }
 
     #[test]
@@ -927,8 +560,9 @@ mod tests {
         let all_off = vec![0; 2];
         let mut ctx = SlotEvalContext::new(p, &all_off).unwrap();
         assert!(ctx.evaluate_current().is_infinite());
-        let full = cluster.full_speed_vector();
-        assert!(ctx.evaluate(&full).is_infinite(), "overloaded even at full speed");
+        ctx.sync(&cluster.full_speed_vector());
+        assert!(ctx.evaluate_current().is_infinite(), "overloaded even at full speed");
+        assert!(ctx.extract_outcome().is_none());
     }
 
     #[test]
@@ -950,7 +584,28 @@ mod tests {
     }
 
     #[test]
-    fn batched_candidates_match_scalar_oracle() {
+    fn seed_is_reused_on_the_same_fleet_and_rebuilt_on_a_new_gamma() {
+        let cluster = Cluster::scaled_paper_datacenter(4, 6);
+        let p = slot(&cluster);
+        let full = cluster.full_speed_vector();
+        let mut seed = SlotContextSeed::new();
+        let mut fresh = SlotEvalContext::new(p, &full).unwrap();
+        let mut seeded = SlotEvalContext::new_seeded(p, &full, &mut seed).unwrap();
+        assert!(seed.matches(&p));
+        let mut reused = SlotEvalContext::new_seeded(p, &full, &mut seed).unwrap();
+        let cost = fresh.evaluate_current();
+        assert_eq!(cost.to_bits(), seeded.evaluate_current().to_bits());
+        assert_eq!(cost.to_bits(), reused.evaluate_current().to_bits());
+        let other = SlotProblem { gamma: 0.9, ..p };
+        assert!(!seed.matches(&other), "γ is part of the seed identity");
+        let mut rebuilt = SlotEvalContext::new_seeded(other, &full, &mut seed).unwrap();
+        assert!(seed.matches(&other));
+        let cold = optimal_dispatch(&other, &full).unwrap().objective;
+        assert_close(rebuilt.evaluate_current(), cold, "rebuilt seed");
+    }
+
+    #[test]
+    fn candidates_match_cold_dispatch() {
         let cluster = Cluster::scaled_paper_datacenter(4, 6);
         let p = slot(&cluster);
         let levels = cluster.full_speed_vector();
@@ -959,21 +614,14 @@ mod tests {
         for group in 0..levels.len() {
             ctx.evaluate_candidates(group, &mut costs);
             assert_eq!(costs.len(), cluster.groups()[group].num_choices());
-            for (level, &batched) in costs.iter().enumerate() {
-                // Fresh scalar context per candidate state = the cold
-                // reference (no shared warm state with the batched path).
+            for (level, &kernel) in costs.iter().enumerate() {
                 let mut probe = levels.clone();
                 probe[group] = level;
-                let mut cold_ctx = SlotEvalContext::new(p, &probe).unwrap();
-                let scalar = cold_ctx.evaluate_current();
-                if scalar.is_infinite() {
-                    assert!(batched.is_infinite(), "group {group} level {level}");
+                if p.is_feasible(&probe) {
+                    let cold = optimal_dispatch(&p, &probe).unwrap().objective;
+                    assert_close(kernel, cold, &format!("group {group} level {level}"));
                 } else {
-                    let scale = scalar.abs().max(1.0);
-                    assert!(
-                        (batched - scalar).abs() <= 1e-9 * scale,
-                        "group {group} level {level}: batched {batched} vs scalar {scalar}"
-                    );
+                    assert!(kernel.is_infinite(), "group {group} level {level}");
                 }
             }
             // The sweep must not commit anything.
@@ -984,24 +632,19 @@ mod tests {
     }
 
     #[test]
-    fn batched_current_state_matches_scalar() {
+    fn current_state_matches_cold_dispatch() {
         let cluster = Cluster::homogeneous(3, 5);
         let p = slot(&cluster);
         let levels = cluster.full_speed_vector();
         let mut ctx = SlotEvalContext::new(p, &levels).unwrap();
-        let scalar = ctx.evaluate_current();
-        let batched = ctx.evaluate_current_batched();
-        assert!(
-            (batched - scalar).abs() <= 1e-9 * scalar.abs().max(1.0),
-            "batched {batched} vs scalar {scalar}"
-        );
+        let cold = optimal_dispatch(&p, &levels).unwrap().objective;
+        assert_close(ctx.evaluate_current(), cold, "current state");
         // The current level re-scored through the candidate API agrees too.
-        let same = ctx.evaluate_candidate(0, levels[0]);
-        assert!((same - scalar).abs() <= 1e-9 * scalar.abs().max(1.0));
+        assert_close(ctx.evaluate_candidate(0, levels[0]), cold, "self-candidate");
     }
 
     #[test]
-    fn batched_candidates_price_infeasible_levels() {
+    fn candidates_price_infeasible_levels() {
         let cluster = Cluster::homogeneous(2, 3);
         let full = cluster.full_speed_vector();
         let mut p = slot(&cluster);
@@ -1009,45 +652,10 @@ mod tests {
         // capped capacity) but a single group alone is overloaded (150%).
         p.arrival_rate = 1.5 * p.gamma * cluster.groups()[0].capacity(full[0]);
         let mut ctx = SlotEvalContext::new(p, &full).unwrap();
-        assert!(ctx.evaluate_current_batched().is_finite());
+        assert!(ctx.evaluate_current().is_finite());
         let mut costs = Vec::new();
         ctx.evaluate_candidates(0, &mut costs);
         assert!(costs[0].is_infinite(), "turning group 0 off must overload");
         assert!(costs[full[0]].is_finite(), "keeping full speed stays feasible");
-    }
-
-    #[test]
-    fn bounded_cache_stops_inserting_at_limit() {
-        let mut cache = StateCostCache::bounded(2);
-        cache.insert(1, &[1], 1.0);
-        cache.insert(2, &[2], 2.0);
-        cache.insert(3, &[3], 3.0); // over the bound: dropped
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get(1, &[1]), Some(1.0));
-        assert_eq!(cache.get(3, &[3]), None);
-        // An existing hash is still updated (collision repair path).
-        cache.insert(1, &[9], 9.0);
-        assert_eq!(cache.get(1, &[9]), Some(9.0));
-        // Zero = caching off.
-        let mut off = StateCostCache::bounded(0);
-        off.insert(7, &[7], 7.0);
-        assert!(off.is_empty());
-        assert_eq!(off.get(7, &[7]), None);
-        assert_eq!(off.limit(), Some(0));
-    }
-
-    #[test]
-    fn context_cache_limit_is_settable() {
-        let cluster = Cluster::homogeneous(3, 5);
-        let p = slot(&cluster);
-        let levels = cluster.full_speed_vector();
-        let mut ctx = SlotEvalContext::new(p, &levels).unwrap();
-        ctx.set_cache_limit(Some(1));
-        let _ = ctx.evaluate(&levels);
-        let mut flipped = levels.clone();
-        flipped[0] = 2;
-        let _ = ctx.evaluate(&flipped);
-        assert_eq!(ctx.cache().len(), 1, "second state dropped at the bound");
-        assert_eq!(ctx.cache().limit(), Some(1));
     }
 }

@@ -15,9 +15,9 @@
 //!   conditions.
 //! * [`dispatch`] — the bridge to `coca-opt`: optimal load distribution and
 //!   P3-objective evaluation for a fixed speed vector.
-//! * [`incremental`] — the slot-scoped incremental P3 oracle behind the GSD
-//!   engines: delta-maintained queue-type multiset, warm-started water
-//!   levels, and a state-cost cache.
+//! * [`incremental`] — the slot-scoped P3 evaluation kernel behind GSD:
+//!   a delta-maintained queue-type multiset in struct-of-arrays lanes and
+//!   warm-started water levels.
 //! * [`policy`] — the [`Policy`] trait implemented by COCA and all
 //!   baselines, plus the per-slot observation/feedback types and the
 //!   snapshot/restore hooks behind engine checkpoints.
@@ -67,7 +67,7 @@ pub use engine::{
 };
 pub use error::SimError;
 pub use group::ServerGroup;
-pub use incremental::{EvalStats, SlotEvalContext, StateCostCache, ZobristTable};
+pub use incremental::{EvalStats, SlotEvalContext};
 pub use metrics::{DecisionContext, RecordSink, SimOutcome, SlotRecord, SummarySink, VecSink};
 pub use policy::{Decision, Policy, PolicyTelemetry, SlotFeedback, SlotObservation, StaticLevels};
 pub use push::{push_source, push_source_at, PushError, PushHandle, PushSource};

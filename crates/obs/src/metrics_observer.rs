@@ -25,8 +25,6 @@ const RATIO_BOUNDS: &[f64] = &[0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9
 /// | `engine_phase_solve_seconds` | histogram | `on_phase(Solve)` |
 /// | `engine_phase_record_seconds` | histogram | `on_phase(Record)` |
 /// | `solver_solves_total` | counter | `on_solve` |
-/// | `gsd_cache_hits_total` | counter | `on_solve` |
-/// | `gsd_cache_misses_total` | counter | `on_solve` |
 /// | `gsd_bisection_evals_total` | counter | `on_solve` |
 /// | `gsd_candidate_batches_total` | counter | `on_solve` |
 /// | `gsd_batched_candidates_total` | counter | `on_solve` |
@@ -47,8 +45,6 @@ pub struct MetricsObserver {
     slots: Arc<Counter>,
     checkpoints: Arc<Counter>,
     solves: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
     bisection_evals: Arc<Counter>,
     candidate_batches: Arc<Counter>,
     batched_candidates: Arc<Counter>,
@@ -73,8 +69,6 @@ impl MetricsObserver {
             slots: registry.counter("engine_slots_total"),
             checkpoints: registry.counter("engine_checkpoints_total"),
             solves: registry.counter("solver_solves_total"),
-            cache_hits: registry.counter("gsd_cache_hits_total"),
-            cache_misses: registry.counter("gsd_cache_misses_total"),
             bisection_evals: registry.counter("gsd_bisection_evals_total"),
             candidate_batches: registry.counter("gsd_candidate_batches_total"),
             batched_candidates: registry.counter("gsd_batched_candidates_total"),
@@ -120,8 +114,6 @@ impl EngineObserver for MetricsObserver {
 impl SolverObserver for MetricsObserver {
     fn on_solve(&self, ev: &SolveEvent) {
         self.solves.inc();
-        self.cache_hits.add(ev.cache_hits);
-        self.cache_misses.add(ev.cache_misses);
         self.bisection_evals.add(ev.bisection_evals);
         self.candidate_batches.add(ev.candidate_batches);
         self.batched_candidates.add(ev.batched_candidates);
@@ -162,18 +154,14 @@ mod tests {
             solver: "gsd",
             iterations: 500,
             accepted: 125,
-            cache_hits: 60,
-            cache_misses: 440,
             bisection_evals: 2000,
-            candidate_batches: 0,
-            batched_candidates: 0,
+            candidate_batches: 420,
+            batched_candidates: 420,
         });
         obs.on_solve(&SolveEvent {
             solver: "gsd",
             iterations: 400,
             accepted: 100,
-            cache_hits: 0,
-            cache_misses: 0,
             bisection_evals: 1600,
             candidate_batches: 380,
             batched_candidates: 380,
@@ -182,8 +170,6 @@ mod tests {
             solver: "symmetric",
             iterations: 3,
             accepted: 0,
-            cache_hits: 0,
-            cache_misses: 0,
             bisection_evals: 0,
             candidate_batches: 0,
             batched_candidates: 0,
@@ -196,11 +182,9 @@ mod tests {
         assert_eq!(snap.counter("engine_slots_total"), Some(1));
         assert_eq!(snap.counter("engine_checkpoints_total"), Some(1));
         assert_eq!(snap.counter("solver_solves_total"), Some(3));
-        assert_eq!(snap.counter("gsd_cache_hits_total"), Some(60));
-        assert_eq!(snap.counter("gsd_cache_misses_total"), Some(440));
         assert_eq!(snap.counter("gsd_bisection_evals_total"), Some(3600));
-        assert_eq!(snap.counter("gsd_candidate_batches_total"), Some(380));
-        assert_eq!(snap.counter("gsd_batched_candidates_total"), Some(380));
+        assert_eq!(snap.counter("gsd_candidate_batches_total"), Some(800));
+        assert_eq!(snap.counter("gsd_batched_candidates_total"), Some(800));
         assert_eq!(snap.counter("coca_frame_resets_total"), Some(1));
         // Only the GSD solves contribute acceptance ratios (0.25 each).
         let acc = snap.histogram("gsd_acceptance_ratio").unwrap();

@@ -41,7 +41,7 @@ impl Phase {
 ///
 /// The counter fields mirror [`SolveStats`] in `coca-core` (the solver's
 /// own by-reference stats view); GSD chains report proposal/acceptance and
-/// cache work, the symmetric solver reports its descent rounds as
+/// kernel work, the symmetric solver reports its descent rounds as
 /// `iterations` and leaves the chain-specific fields zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolveEvent {
@@ -51,14 +51,10 @@ pub struct SolveEvent {
     pub iterations: usize,
     /// Accepted proposals (GSD chains; 0 for deterministic solvers).
     pub accepted: usize,
-    /// Proposal evaluations answered by the state-cost cache.
-    pub cache_hits: u64,
-    /// Proposal evaluations that ran a full water-filling solve.
-    pub cache_misses: u64,
     /// Water-level evaluations spent inside bisections.
     pub bisection_evals: u64,
-    /// Candidate batches priced by the struct-of-arrays batched kernel
-    /// (0 on the scalar and cold paths).
+    /// Candidate batches priced by the struct-of-arrays kernel (0 for
+    /// solvers that do not run it).
     pub candidate_batches: u64,
     /// Individual candidates priced across those batches.
     pub batched_candidates: u64,
@@ -138,8 +134,6 @@ mod tests {
             solver: "gsd",
             iterations: 10,
             accepted: 3,
-            cache_hits: 1,
-            cache_misses: 9,
             bisection_evals: 40,
             candidate_batches: 0,
             batched_candidates: 0,

@@ -402,15 +402,15 @@ pub fn solve_with_power_cap(
     Ok(problem.solution_from(blended, None))
 }
 
-// The helpers below sit on the per-proposal delta-update path of the GSD
-// engines (via `WarmWaterfill`): they must stay allocation-free.
+// The helpers below run once per water-level evaluation of the cold solver,
+// which `SymmetricSolver` calls for every coordinate-descent step: they
+// must stay allocation-free.
 // audit:hot-path: begin
 
 /// Closed-form per-queue load at water level `nu` for a fixed linear energy
 /// weight `a_eff` — the KKT stationarity condition
-/// `λᵢ(ν) = clip(Xᵢ − √(W·Xᵢ/(ν − a_eff·cᵢ)), 0, uᵢ)`. Shared verbatim by
-/// the cold and the warm-started solver so the two paths are bit-identical
-/// at equal water levels.
+/// `λᵢ(ν) = clip(Xᵢ − √(W·Xᵢ/(ν − a_eff·cᵢ)), 0, uᵢ)`. [`bank_row_load`] is
+/// its struct-of-arrays twin.
 #[inline]
 fn lambda_at(q: &QueueSpec, nu: f64, a_eff: f64, w: f64) -> f64 {
     debug_assert!(q.capacity > 0.0, "validated at entry");
@@ -421,47 +421,6 @@ fn lambda_at(q: &QueueSpec, nu: f64, a_eff: f64, w: f64) -> f64 {
     } else {
         (q.capacity - (w * q.capacity / gap).sqrt()).clamp(0.0, q.util_cap)
     }
-}
-
-/// Aggregate load and its ν-derivative in one pass, writing each row's
-/// clipped load (exactly [`lambda_at`]'s value) into `out`. For an interior
-/// row, λᵢ = Xᵢ − √(W·Xᵢ/gap) gives dλᵢ/dν = (Xᵢ − λᵢ)/(2·gap); rows
-/// clipped at 0 or uᵢ contribute zero slope. The slope reuses the √ already
-/// computed for the load, so a Newton evaluation costs the same as a plain
-/// one, and the caller can use the rows of the accepting evaluation as the
-/// final loads without another pass.
-fn total_slope_into(
-    queues: &[QueueSpec],
-    nu: f64,
-    a_eff: f64,
-    w: f64,
-    out: &mut Vec<f64>,
-) -> (f64, f64) {
-    out.clear();
-    let mut total = 0.0;
-    let mut slope = 0.0;
-    debug_assert!(queues.iter().all(|q| q.capacity > 0.0), "validated at entry");
-    for q in queues {
-        let gap = nu - a_eff * q.energy_slope;
-        if gap <= w / q.capacity {
-            out.push(0.0);
-            continue;
-        }
-        debug_assert!(gap > 0.0, "positive by the branch above");
-        // gap > W/Xᵢ implies √(W·Xᵢ/gap) < Xᵢ, so the unclipped load is
-        // strictly positive here.
-        let root = (w * q.capacity / gap).sqrt();
-        let l = q.capacity - root;
-        if l >= q.util_cap {
-            out.push(q.util_cap);
-            total += q.multiplicity * q.util_cap;
-        } else {
-            out.push(l);
-            total += q.multiplicity * l;
-            slope += q.multiplicity * root / (2.0 * gap);
-        }
-    }
-    (total, slope)
 }
 
 /// Removes the residual bisection error by rescaling the interior
@@ -541,16 +500,15 @@ fn solve_linear_penalty(problem: &LoadDistProblem<'_>, a_eff: f64) -> Result<(Ve
 /// previous water level. A single-group flip in a ~200-group fleet moves ν
 /// by far less than this; a miss only costs the two sign-check evaluations
 /// before the cold fallback. Public so the distributed GSD coordinator
-/// applies the identical warm-bracket/fallback rule.
+/// applies the identical warm-bracket/fallback rule as [`SoaWaterfill`].
 pub const WARM_BRACKET_SPAN: f64 = 0.05;
 
-/// Scalar outcome of a [`WarmWaterfill::solve`]. The per-queue loads stay
-/// in the solver's scratch buffer — read them via
-/// [`WarmWaterfill::lambdas`] — so the hot loop never allocates a result
-/// vector.
+/// Scalar outcome of a [`SoaWaterfill::solve`]. The per-row loads stay in
+/// the solver's scratch buffer — read them via [`SoaWaterfill::lambdas`] —
+/// so the hot loop never allocates a result vector.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[must_use]
-pub struct WarmOutcome {
+pub struct SoaOutcome {
     /// Objective value `A·[power − r]⁺ + W·Σ mᵢ dᵢ`.
     pub objective: f64,
     /// Total power `P₀ + Σ mᵢ cᵢ λᵢ`.
@@ -562,406 +520,8 @@ pub struct WarmOutcome {
     pub water_level: Option<f64>,
 }
 
-/// Warm-started, allocation-free re-solver for *streams* of nearby
-/// load-distribution problems — the per-proposal cost oracle of the GSD
-/// engines, where each Gibbs proposal flips one group's speed level and the
-/// optimal water level drifts only slightly.
-///
-/// Differences from the cold [`solve`]:
-///
-/// * **Warm brackets.** The previous water level ν (one slot per penalty
-///   regime) and boundary weight μ seed the next bisection bracket
-///   (±[`WARM_BRACKET_SPAN`] relative). Because [`bisect_increasing`]
-///   clamps to an endpoint when the root lies outside the bracket, a warm
-///   bracket is only used after verifying `f(lo) ≤ 0 ≤ f(hi)`; on a miss
-///   the solver falls back to the cold bracket
-///   (`nu_lower_bound` + [`grow_upper_bracket`]).
-/// * **Scratch buffers.** Per-queue loads live in reusable buffers; the
-///   steady-state solve performs no heap allocation.
-///
-/// Both searches run [`illinois_increasing`] with the *same stopping
-/// tolerances* as the cold path's bisections, so results agree with
-/// [`solve`] to the stopping-tolerance band (≤ 1e-9 relative on the
-/// objective — pinned by the differential property test in `coca-core`),
-/// and the paper-invariant hooks (load conservation + KKT residual) fire on
-/// every warm solve exactly as they do in [`solve`].
-#[derive(Debug, Default)]
-pub struct WarmWaterfill {
-    /// Previous water level of the electricity-active regime (`a_eff = A`).
-    nu_active: Option<f64>,
-    /// Previous water level of the renewable-slack regime (`a_eff = 0`).
-    nu_slack: Option<f64>,
-    /// Previous water level seen inside the kink μ-search trials.
-    nu_kink: Option<f64>,
-    /// Previous boundary weight μ* of the kink regime.
-    mu: Option<f64>,
-    /// Per-queue loads of the winning candidate after [`Self::solve`].
-    lambdas: Vec<f64>,
-    /// Candidate buffer for the regime comparison (swapped, never cloned).
-    scratch: Vec<f64>,
-    /// Water-level function evaluations spent in the most recent solve
-    /// (each one is an O(queues) pass; the cold path spends roughly
-    /// 50–250 of these per regime, the warm path a handful).
-    pub last_evals: u64,
-}
-
-impl WarmWaterfill {
-    /// Fresh solver with no warm-start state.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drops all warm brackets (e.g. when the slot parameters change so the
-    /// previous water level is no longer informative).
-    pub fn reset(&mut self) {
-        self.nu_active = None;
-        self.nu_slack = None;
-        self.nu_kink = None;
-        self.mu = None;
-        self.last_evals = 0;
-    }
-
-    /// Per-queue loads of the most recent [`Self::solve`] (same order as
-    /// the input queue types).
-    pub fn lambdas(&self) -> &[f64] {
-        &self.lambdas
-    }
-
-    /// Solves the load-distribution problem, reusing warm-start state from
-    /// the previous call. Fires the same paper-invariant hooks as the cold
-    /// [`solve`].
-    ///
-    /// # Errors
-    /// Same contract as [`solve`]: invalid input, infeasible load, or a
-    /// bisection that fails to converge.
-    pub fn solve(&mut self, problem: &LoadDistProblem<'_>) -> Result<WarmOutcome> {
-        self.last_evals = 0;
-        let out = self.solve_inner(problem)?;
-        let inv = crate::invariant::global();
-        inv.load_conserved(problem.dispatched(&self.lambdas), problem.total_load);
-        inv.kkt(problem, &self.lambdas);
-        Ok(out)
-    }
-
-    /// Scalar summary of the loads currently held in `self.lambdas`.
-    fn outcome_of(&self, problem: &LoadDistProblem<'_>, water_level: Option<f64>) -> WarmOutcome {
-        self.outcome_with_power(problem, problem.power(&self.lambdas), water_level)
-    }
-
-    /// [`Self::outcome_of`] when the caller already computed the facility
-    /// power of `self.lambdas` — skips one O(n) pass on the hot path.
-    fn outcome_with_power(
-        &self,
-        problem: &LoadDistProblem<'_>,
-        power: f64,
-        water_level: Option<f64>,
-    ) -> WarmOutcome {
-        let delay = problem.delay(&self.lambdas);
-        let objective =
-            problem.energy_weight * pos(power - problem.renewable) + problem.delay_weight * delay;
-        WarmOutcome { objective, power, delay, water_level }
-    }
-
-    /// Mirrors [`solve_unchecked`] branch for branch; only the bracket
-    /// seeding and the buffer management differ.
-    fn solve_inner(&mut self, problem: &LoadDistProblem<'_>) -> Result<WarmOutcome> {
-        problem.validate()?;
-        let n = problem.queues.len();
-        let lam = problem.total_load;
-        self.lambdas.clear();
-        self.lambdas.resize(n, 0.0);
-        // validate() guarantees lam >= 0, so `<=` is the exact-zero test.
-        if lam <= 0.0 {
-            return Ok(self.outcome_of(problem, None));
-        }
-        if n == 0 {
-            return Err(OptError::Infeasible("positive load but no active queues".into()));
-        }
-        let cap = problem.capped_capacity();
-        if lam > cap * (1.0 + 1e-12) {
-            return Err(OptError::Infeasible(format!(
-                "total load {lam} exceeds capped capacity {cap}"
-            )));
-        }
-        // Saturated case: every queue pinned at (a fraction of) its cap.
-        if lam >= cap * (1.0 - 1e-12) {
-            for (l, q) in self.lambdas.iter_mut().zip(problem.queues) {
-                *l = q.util_cap * (lam / cap);
-            }
-            return Ok(self.outcome_of(problem, None));
-        }
-        // W = 0 degenerates to the greedy LP; it needs a sort permutation,
-        // so delegate to the cold path (the per-slot oracle always has
-        // W = V·β > 0, so this never runs inside the proposal loop).
-        if problem.delay_weight <= 0.0 {
-            let sol = solve_linear_greedy(problem)?;
-            self.lambdas.copy_from_slice(&sol.lambdas);
-            return Ok(WarmOutcome {
-                objective: sol.objective,
-                power: sol.power,
-                delay: sol.delay,
-                water_level: None,
-            });
-        }
-
-        let r = problem.renewable;
-
-        // Regime 1: electricity-active (penalty weight = A everywhere).
-        let nu_active = self.penalty_into_scratch(problem, problem.energy_weight, self.nu_active)?;
-        self.nu_active = Some(nu_active);
-        std::mem::swap(&mut self.lambdas, &mut self.scratch);
-        let p_active = problem.power(&self.lambdas);
-        if p_active >= r * (1.0 - KINK_TOL) || problem.energy_weight <= 0.0 {
-            return Ok(self.outcome_with_power(problem, p_active, Some(nu_active)));
-        }
-        let mut best_obj = problem.objective(&self.lambdas);
-        let mut best_nu = nu_active;
-
-        // Regime 2: renewable-slack (penalty weight = 0).
-        let nu_slack = self.penalty_into_scratch(problem, 0.0, self.nu_slack)?;
-        self.nu_slack = Some(nu_slack);
-        let p_slack = problem.power(&self.scratch);
-        if p_slack <= r * (1.0 + KINK_TOL) {
-            std::mem::swap(&mut self.lambdas, &mut self.scratch);
-            return Ok(self.outcome_with_power(problem, p_slack, Some(nu_slack)));
-        }
-        let obj_slack = problem.objective(&self.scratch);
-        if obj_slack < best_obj {
-            std::mem::swap(&mut self.lambdas, &mut self.scratch);
-            best_obj = obj_slack;
-            best_nu = nu_slack;
-        }
-
-        // Regime 3: the optimum pins total power to r; bisect the effective
-        // energy weight μ ∈ [0, A] exactly as the cold path does, but seed
-        // the bracket from the previous μ*.
-        let mu = self.bisect_mu(problem)?;
-        self.mu = Some(mu);
-        let nu_kink = self.penalty_into_scratch(problem, mu, self.nu_kink)?;
-        self.nu_kink = Some(nu_kink);
-        let obj_kink = problem.objective(&self.scratch);
-        if !best_obj.is_finite() || !obj_kink.is_finite() {
-            return Err(OptError::NonFinite(format!(
-                "candidate objectives {best_obj}/{obj_kink} in warm regime selection"
-            )));
-        }
-        if obj_kink < best_obj {
-            std::mem::swap(&mut self.lambdas, &mut self.scratch);
-            best_nu = nu_kink;
-        }
-        Ok(self.outcome_of(problem, Some(best_nu)))
-    }
-
-    /// Kink-regime μ-search: `g(μ) = r − power(μ)` is increasing in μ. The
-    /// bracket is seeded from the previous μ* (±[`WARM_BRACKET_SPAN`]·A),
-    /// sign-verified, and widened back to the cold `[0, A]` on a miss.
-    fn bisect_mu(&mut self, problem: &LoadDistProblem<'_>) -> Result<f64> {
-        let r = problem.renewable;
-        let a = problem.energy_weight;
-        // Same tight f_tol as the cold regime-3 search: kink objectives are
-        // first-order sensitive to the stopping power gap.
-        let opts = BisectOptions { x_tol: 0.0, f_tol: r.abs().max(1.0) * 1e-13, max_iter: 200 };
-        let power_gap = |this: &mut Self, mu: f64| -> f64 {
-            match this.penalty_into_scratch(problem, mu, this.nu_kink) {
-                Ok(nu) => {
-                    this.nu_kink = Some(nu);
-                    r - problem.power(&this.scratch)
-                }
-                Err(_) => f64::NAN,
-            }
-        };
-        // Each power_gap evaluation is a full inner ν-solve, so the warm
-        // bracket hands its verification values to the seeded search and a
-        // sign miss shrinks to the known-good side of `[0, A]` (the kink
-        // regime guarantees g(0) < 0 < g(A)) instead of restarting cold.
-        if let Some(prev) = self.mu {
-            if prev.is_finite() {
-                let half = WARM_BRACKET_SPAN * a;
-                let wlo = (prev - half).max(0.0);
-                let whi = (prev + half).min(a);
-                if wlo < whi {
-                    let glo = power_gap(self, wlo);
-                    if glo.is_finite() {
-                        if glo > 0.0 {
-                            let g0 = power_gap(self, 0.0);
-                            if g0.is_finite() && g0 <= 0.0 {
-                                return illinois_seeded(
-                                    0.0,
-                                    wlo,
-                                    g0,
-                                    glo,
-                                    |mu| power_gap(self, mu),
-                                    opts,
-                                );
-                            }
-                        } else {
-                            let ghi = power_gap(self, whi);
-                            if ghi.is_finite() && ghi >= 0.0 {
-                                return illinois_seeded(
-                                    wlo,
-                                    whi,
-                                    glo,
-                                    ghi,
-                                    |mu| power_gap(self, mu),
-                                    opts,
-                                );
-                            }
-                            if ghi.is_finite() && whi < a {
-                                let ga = power_gap(self, a);
-                                if ga.is_finite() && ga >= 0.0 {
-                                    return illinois_seeded(
-                                        whi,
-                                        a,
-                                        ghi,
-                                        ga,
-                                        |mu| power_gap(self, mu),
-                                        opts,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        illinois_increasing(0.0, a, |mu| power_gap(self, mu), opts)
-    }
-
-    /// Warm-bracketed [`solve_linear_penalty`]: same water-level search and
-    /// interior rescale, but the loads land in `self.scratch` and the
-    /// bracket is seeded from `warm` when the sign check passes.
-    fn penalty_into_scratch(
-        &mut self,
-        problem: &LoadDistProblem<'_>,
-        a_eff: f64,
-        warm: Option<f64>,
-    ) -> Result<f64> {
-        let w = problem.delay_weight;
-        let lam = problem.total_load;
-        let queues = problem.queues;
-        let evals = std::cell::Cell::new(0u64);
-
-        // audit:hot-path: begin
-        let total_of = |nu: f64| -> f64 {
-            evals.set(evals.get() + 1);
-            queues.iter().map(|q| q.multiplicity * lambda_at(q, nu, a_eff, w)).sum()
-        };
-        let nu_lo = nu_lower_bound(queues, a_eff, w);
-        let opts = nu_bisect_options(lam);
-        // Newton from the previous slot's water level: `g` is piecewise
-        // concave and increasing, so from a warm start the iteration
-        // typically lands within `f_tol` in 2–3 evaluations — the stopping
-        // rule is the same `|g| ≤ f_tol` as the bracketed search, so the
-        // answer agrees with it (and with cold bisection) to tolerance.
-        // Each evaluation writes the row loads into `self.scratch`, so the
-        // accepting iteration IS the final fill — no extra O(n) pass.
-        // Activation kinks can make Newton oscillate; any sign of trouble
-        // (flat slope, leaving the domain, iteration cap) falls through to
-        // the sign-safe bracketed search below.
-        if let Some(prev) = warm {
-            if prev.is_finite() && prev > nu_lo {
-                let mut nu = prev;
-                for _ in 0..8 {
-                    evals.set(evals.get() + 1);
-                    let (total, slope) =
-                        total_slope_into(queues, nu, a_eff, w, &mut self.scratch);
-                    let g = total - lam;
-                    if !g.is_finite() {
-                        break;
-                    }
-                    if g.abs() <= opts.f_tol {
-                        rescale_interior(&mut self.scratch, queues, lam);
-                        self.last_evals += evals.get();
-                        return Ok(nu);
-                    }
-                    if slope.is_nan() || slope <= 0.0 {
-                        break;
-                    }
-                    let next = nu - g / slope;
-                    if !next.is_finite() || next <= nu_lo {
-                        break;
-                    }
-                    nu = next;
-                }
-            }
-        }
-        // Warm bracket `prev·(1 ± span)`, sign-verified before use
-        // (`bisect_increasing`/Illinois clamp to an endpoint on a violated
-        // bracket, so an unverified bracket would silently return a wrong
-        // level). Every verification evaluation is handed to
-        // [`illinois_seeded`] instead of being recomputed, and a miss keeps
-        // the sign information: a root below the warm bracket is bracketed
-        // by `[nu_lo, lo]` for free (aggregate load is exactly zero at
-        // `nu_lo`, so `f(nu_lo) = −λ`), a root above it grows upward from
-        // `hi` instead of restarting cold.
-        let nu = 'search: {
-            if let Some(prev) = warm {
-                // The root always sits above nu_lo (aggregate load is zero
-                // there), so a previous level at or below it cannot bracket.
-                if prev.is_finite() && prev > nu_lo {
-                    let lo = (prev * (1.0 - WARM_BRACKET_SPAN)).max(nu_lo);
-                    let hi = prev * (1.0 + WARM_BRACKET_SPAN);
-                    let glo = total_of(lo) - lam;
-                    if !glo.is_finite() {
-                        // Terminal error path, never taken per-proposal. audit:allow(hot-alloc)
-                        return Err(OptError::NonFinite(format!("f({lo}) = {glo}")));
-                    }
-                    if glo > 0.0 {
-                        break 'search illinois_seeded(
-                            nu_lo,
-                            lo,
-                            -lam,
-                            glo,
-                            |nu| total_of(nu) - lam,
-                            opts,
-                        )?;
-                    }
-                    let ghi = total_of(hi) - lam;
-                    if !ghi.is_finite() {
-                        // Terminal error path, never taken per-proposal. audit:allow(hot-alloc)
-                        return Err(OptError::NonFinite(format!("f({hi}) = {ghi}")));
-                    }
-                    if ghi >= 0.0 {
-                        break 'search illinois_seeded(
-                            lo,
-                            hi,
-                            glo,
-                            ghi,
-                            |nu| total_of(nu) - lam,
-                            opts,
-                        )?;
-                    }
-                    let nu_hi = grow_upper_bracket(hi * 2.0, |nu| total_of(nu) - lam, 200)?;
-                    break 'search illinois_seeded(
-                        hi,
-                        nu_hi,
-                        ghi,
-                        total_of(nu_hi) - lam,
-                        |nu| total_of(nu) - lam,
-                        opts,
-                    )?;
-                }
-            }
-            // Cold path (no usable previous level): grow the upper bracket
-            // by doubling, exactly like `solve_linear_penalty`.
-            let start = (nu_lo.abs().max(1.0)) * 2.0;
-            let nu_hi = grow_upper_bracket(start, |nu| total_of(nu) - lam, 200)?;
-            illinois_increasing(nu_lo, nu_hi, |nu| total_of(nu) - lam, opts)?
-        };
-
-        self.scratch.clear();
-        for q in queues {
-            self.scratch.push(lambda_at(q, nu, a_eff, w));
-        }
-        rescale_interior(&mut self.scratch, queues, lam);
-        // audit:hot-path: end
-        self.last_evals += evals.get();
-        Ok(nu)
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Struct-of-arrays batched kernel (ROADMAP item 3)
+// Struct-of-arrays batched kernel
 // ---------------------------------------------------------------------------
 
 /// Fixed lane width of the chunked SoA kernels: rows are processed in
@@ -1125,8 +685,8 @@ impl QueueBank {
 }
 
 /// Load-distribution problem over a [`QueueBank`] — the SoA counterpart of
-/// [`LoadDistProblem`]. `base_power` is passed in (the incremental engine
-/// maintains it by delta) rather than derived from the static-power lane,
+/// [`LoadDistProblem`]. `base_power` is passed in (the GSD evaluation
+/// context maintains it by delta) rather than derived from the static-power lane,
 /// mirroring how the AoS problem carries `P₀` separately.
 #[derive(Debug, Clone, Copy)]
 pub struct BankProblem<'a> {
@@ -1144,8 +704,8 @@ pub struct BankProblem<'a> {
     /// currently set. Caller-maintained by delta, exactly like
     /// `base_power` — the solver trusts it for the feasibility and
     /// saturation tests instead of re-walking the lanes on every solve
-    /// (the incremental engine prices hundreds of candidates per batch
-    /// against one bank). [`QueueBank::aggregates`] is the ground-truth
+    /// (the GSD evaluation context prices hundreds of candidates against
+    /// one bank). [`QueueBank::aggregates`] is the ground-truth
     /// recompute; `validate` debug-asserts agreement.
     pub capped_capacity: f64,
     /// On-site renewable supply `r ≥ 0`.
@@ -1206,8 +766,8 @@ impl BankProblem<'_> {
     }
 }
 
-// The bank kernels below are the data-parallel counterparts of `lambda_at`,
-// `total_slope_into` and `rescale_interior`: every per-row branch is turned
+// The bank kernels below are the data-parallel counterparts of `lambda_at`
+// and `rescale_interior`: every per-row branch is turned
 // into a select so the `[f64; LANE_WIDTH]` chunks autovectorize, and all
 // results land in caller-provided slices. They run once per water-level
 // evaluation inside the batched Gibbs candidate sweep and must stay
@@ -1233,9 +793,10 @@ fn bank_row_load(x: f64, u: f64, c: f64, nu: f64, a_eff: f64, wox: f64, wx: f64)
     }
 }
 
-/// Row load **and** ν-slope, mirroring the per-row math of
-/// [`total_slope_into`] (the unclipped load is written when interior, the
-/// cap when saturated, zero when inactive; only interior rows carry slope).
+/// Row load **and** ν-slope. For an interior row, λᵢ = Xᵢ − √(W·Xᵢ/gap)
+/// gives dλᵢ/dν = (Xᵢ − λᵢ)/(2·gap) = √(W·Xᵢ/gap)/(2·gap); the unclipped
+/// load is returned when interior, the cap when saturated, zero when
+/// inactive, and only interior rows carry slope.
 ///
 /// This is the Newton workhorse — it runs once per row per water-level
 /// evaluation — so the gap division is hoisted into a single reciprocal
@@ -1259,7 +820,7 @@ fn bank_row_load_slope(x: f64, u: f64, c: f64, nu: f64, a_eff: f64, wox: f64, wx
 /// Chunked aggregate load `Σ mᵢ·λᵢ(ν)` — the water-filling residual's
 /// workhorse, evaluating every row in `[f64; LANE_WIDTH]` blocks with a
 /// scalar tail. Lane accumulators change the summation *order* relative to
-/// the scalar path, so totals agree to rounding (≪ the 1e-12·λ stopping
+/// the cold path, so totals agree to rounding (≪ the 1e-12·λ stopping
 /// tolerance), not bit-for-bit.
 fn bank_total_at(bank: &QueueBank, nu: f64, a_eff: f64, wox: &[f64], wx: &[f64]) -> f64 {
     let n = bank.capacity.len();
@@ -1284,8 +845,7 @@ fn bank_total_at(bank: &QueueBank, nu: f64, a_eff: f64, wox: &[f64], wx: &[f64])
 }
 
 /// Chunked aggregate load and ν-slope in one pass, writing each row's load
-/// into `out` (the batched counterpart of [`total_slope_into`]; the
-/// accepting Newton evaluation doubles as the final fill).
+/// into `out` (the accepting Newton evaluation doubles as the final fill).
 fn bank_total_slope_into(
     bank: &QueueBank,
     nu: f64,
@@ -1447,21 +1007,32 @@ fn bank_distribute_remainder(lambdas: &mut [f64], bank: &QueueBank, mut slack: f
 
 // audit:hot-path: end
 
-/// Warm-started batched solver over a [`QueueBank`] — the SoA counterpart
-/// of [`WarmWaterfill`], and the cost oracle of the batched Gibbs candidate
-/// sweep. Same three-regime analysis, same warm-bracket/Newton seeding,
-/// same stopping tolerances ([`nu_bisect_options`], the `1e-13` kink
-/// `f_tol`, [`KINK_TOL`], [`WARM_BRACKET_SPAN`]), so its objectives agree
-/// with the cold [`solve`] to the identical ≤ 1e-9 band — pinned by the
-/// batched differential property test in `coca-core`. Only the inner
-/// residual evaluation differs: one chunked pass over the bank lanes
-/// instead of a per-`QueueSpec` branchy loop.
+/// Warm-started batched solver over a [`QueueBank`] — the P3 evaluation
+/// kernel behind both GSD engines' Gibbs candidate sweeps, where each
+/// proposal flips one group's speed level and the optimal water level
+/// drifts only slightly. Same three-regime analysis and same stopping
+/// tolerances as the cold [`solve`] (`nu_bisect_options`, the `1e-13`
+/// kink `f_tol`, `KINK_TOL`), so its objectives agree with it to the
+/// ≤ 1e-9 band — pinned by the differential property test in `coca-core`.
+/// What differs from the cold path:
+///
+/// * **Warm brackets.** The previous water level ν (one slot per penalty
+///   regime) and boundary weight μ seed the next search: a few Newton
+///   steps first, then a ±[`WARM_BRACKET_SPAN`] bracket. Because the
+///   bracketed searches clamp to an endpoint when the root lies outside
+///   the bracket, a warm bracket is only used after verifying
+///   `f(lo) ≤ 0 ≤ f(hi)`; on a miss the solver falls back to the cold
+///   bracket (lower bound + [`grow_upper_bracket`]).
+/// * **Lane passes.** Every residual evaluation is one chunked pass over
+///   the bank lanes instead of a per-`QueueSpec` branchy loop, and the
+///   per-row loads live in reusable buffers, so the steady-state solve
+///   performs no heap allocation.
 ///
 /// Invariant hooks: load conservation fires on every solve, exactly like
-/// the scalar paths. The O(n) KKT certificate is recomputed in debug builds
+/// the cold path. The O(n) KKT certificate is recomputed in debug builds
 /// and in strict mode (`COCA_STRICT_INVARIANTS=1`) via a compact AoS view
-/// of the live rows; plain release builds skip it — that re-derivation was
-/// a measurable share of the scalar per-solve cost and is covered by the
+/// of the live rows; plain release builds skip it — that re-derivation is
+/// a measurable share of the per-solve cost and is covered by the
 /// differential tests.
 #[derive(Debug, Default)]
 pub struct SoaWaterfill {
@@ -1527,7 +1098,7 @@ impl SoaWaterfill {
     /// # Errors
     /// Same contract as [`solve`]: invalid scalars, infeasible load, or a
     /// bisection that fails to converge.
-    pub fn solve(&mut self, problem: &BankProblem<'_>) -> Result<WarmOutcome> {
+    pub fn solve(&mut self, problem: &BankProblem<'_>) -> Result<SoaOutcome> {
         self.last_evals = 0;
         let out = self.solve_inner(problem)?;
         let inv = crate::invariant::global();
@@ -1574,7 +1145,7 @@ impl SoaWaterfill {
 
     /// Scalar summary of the loads currently held in `self.lambdas` (one
     /// fused power+delay pass).
-    fn outcome_of(&self, problem: &BankProblem<'_>, water_level: Option<f64>) -> WarmOutcome {
+    fn outcome_of(&self, problem: &BankProblem<'_>, water_level: Option<f64>) -> SoaOutcome {
         let (power, delay) = bank_power_delay(problem.bank, problem.base_power, &self.lambdas);
         Self::outcome_parts(problem, power, delay, water_level)
     }
@@ -1586,15 +1157,15 @@ impl SoaWaterfill {
         power: f64,
         delay: f64,
         water_level: Option<f64>,
-    ) -> WarmOutcome {
+    ) -> SoaOutcome {
         let objective = problem.energy_weight * pos(power - problem.renewable)
             + problem.delay_weight * delay;
-        WarmOutcome { objective, power, delay, water_level }
+        SoaOutcome { objective, power, delay, water_level }
     }
 
-    /// Mirrors [`WarmWaterfill::solve_inner`] branch for branch on the bank
-    /// lanes.
-    fn solve_inner(&mut self, problem: &BankProblem<'_>) -> Result<WarmOutcome> {
+    /// Mirrors [`solve_unchecked`] branch for branch on the bank lanes;
+    /// only the bracket seeding and the buffer management differ.
+    fn solve_inner(&mut self, problem: &BankProblem<'_>) -> Result<SoaOutcome> {
         problem.validate()?;
         let bank = problem.bank;
         let n = bank.len();
@@ -1693,7 +1264,7 @@ impl SoaWaterfill {
 
     /// Cold `W = 0` greedy delegation over a compact AoS view, scattering
     /// the result back to bank row order.
-    fn solve_greedy_cold(&mut self, problem: &BankProblem<'_>) -> Result<WarmOutcome> {
+    fn solve_greedy_cold(&mut self, problem: &BankProblem<'_>) -> Result<SoaOutcome> {
         let bank = problem.bank;
         self.aos_specs.clear();
         for row in 0..bank.len() {
@@ -1725,7 +1296,7 @@ impl SoaWaterfill {
                 self.lambdas[row] = 0.0;
             }
         }
-        Ok(WarmOutcome {
+        Ok(SoaOutcome {
             objective: sol.objective,
             power: sol.power,
             delay: sol.delay,
@@ -1733,8 +1304,9 @@ impl SoaWaterfill {
         })
     }
 
-    /// Kink-regime μ-search, identical in structure and tolerances to
-    /// [`WarmWaterfill::bisect_mu`].
+    /// Kink-regime μ-search: `g(μ) = r − power(μ)` is increasing in μ. The
+    /// bracket is seeded from the previous μ* (±[`WARM_BRACKET_SPAN`]·A),
+    /// sign-verified, and widened back to the cold `[0, A]` on a miss.
     fn bisect_mu(&mut self, problem: &BankProblem<'_>) -> Result<f64> {
         let r = problem.renewable;
         let a = problem.energy_weight;
@@ -1748,6 +1320,10 @@ impl SoaWaterfill {
                 Err(_) => f64::NAN,
             }
         };
+        // Each power_gap evaluation is a full inner ν-solve, so the warm
+        // bracket hands its verification values to the seeded search and a
+        // sign miss shrinks to the known-good side of `[0, A]` (the kink
+        // regime guarantees g(0) < 0 < g(A)) instead of restarting cold.
         if let Some(prev) = self.mu {
             if prev.is_finite() {
                 let half = WARM_BRACKET_SPAN * a;
@@ -1801,10 +1377,6 @@ impl SoaWaterfill {
         illinois_increasing(0.0, a, |mu| power_gap(self, mu), opts)
     }
 
-    /// Warm-bracketed penalty solve on the bank lanes — the batched
-    /// [`WarmWaterfill::penalty_into_scratch`], with every residual
-    /// evaluation a single chunked [`bank_total_at`] /
-    /// [`bank_total_slope_into`] pass.
     /// Rebuilds the derived `W/xᵢ` / `W·xᵢ` lanes when the delay weight or
     /// the capacity lanes changed since the last solve (a slice compare —
     /// capacities are immutable for a bank's lifetime, so this is a no-op
@@ -1829,6 +1401,10 @@ impl SoaWaterfill {
         self.aux_w = w;
     }
 
+    /// Warm-bracketed water-level search for a fixed linear energy weight
+    /// `a_eff` (the bank form of the cold `solve_linear_penalty`): the loads
+    /// land in `self.scratch`, and every residual evaluation is a single
+    /// chunked [`bank_total_at`] / [`bank_total_slope_into`] pass.
     fn penalty_into_scratch(
         &mut self,
         problem: &BankProblem<'_>,
@@ -1847,9 +1423,15 @@ impl SoaWaterfill {
         };
         let nu_lo = bank_nu_lower_bound(bank, a_eff, wox);
         let opts = nu_bisect_options(lam);
-        // Newton from the previous water level; the accepting evaluation's
-        // rows ARE the final fill (see `WarmWaterfill` for the rationale —
-        // the stopping rule is identical, so agreement carries over).
+        // Newton from the previous water level: `g` is piecewise concave and
+        // increasing, so from a warm start the iteration typically lands
+        // within `f_tol` in 2–3 evaluations — the stopping rule is the same
+        // `|g| ≤ f_tol` as the bracketed search, so the answer agrees with
+        // it (and with cold bisection) to tolerance. Each evaluation writes
+        // the row loads into `self.scratch`, so the accepting iteration IS
+        // the final fill. Activation kinks can make Newton oscillate; any
+        // sign of trouble (flat slope, leaving the domain, iteration cap)
+        // falls through to the sign-safe bracketed search below.
         if let Some(prev) = warm {
             if prev.is_finite() && prev > nu_lo {
                 let mut nu = prev;
@@ -1877,9 +1459,14 @@ impl SoaWaterfill {
                 }
             }
         }
-        // Sign-verified warm bracket handed to the seeded search; misses
-        // keep their sign information (see `WarmWaterfill` for the full
-        // derivation — `f(nu_lo) = −λ` brackets any root below for free).
+        // Warm bracket `prev·(1 ± span)`, sign-verified before use (the
+        // Illinois search clamps to an endpoint on a violated bracket, so an
+        // unverified bracket would silently return a wrong level). Every
+        // verification evaluation is handed to [`illinois_seeded`] instead
+        // of being recomputed, and a miss keeps the sign information: a
+        // root below the warm bracket is bracketed by `[nu_lo, lo]` for free
+        // (aggregate load is exactly zero at `nu_lo`, so `f(nu_lo) = −λ`),
+        // a root above it grows upward from `hi` instead of restarting cold.
         let nu = 'search: {
             if let Some(prev) = warm {
                 if prev.is_finite() && prev > nu_lo {
@@ -2298,66 +1885,6 @@ mod tests {
         let p = problem(&qs, 10.0, 1.0, 1.0, 0.0);
         let r = solve_with_power_cap(&p, 0.1);
         assert!(matches!(r, Err(OptError::Infeasible(_))));
-    }
-
-    #[test]
-    fn warm_solver_matches_cold_across_regime_transitions() {
-        let qs = vec![
-            QueueSpec::single(10.0, 9.0, 1.0),
-            QueueSpec { capacity: 10.0, util_cap: 9.0, energy_slope: 3.0, multiplicity: 2.0 },
-        ];
-        let mut warm = WarmWaterfill::new();
-        // One solver instance across the sweep so warm brackets carry over
-        // regime transitions (active → kink → slack → kink again).
-        for &(lam, a, w, r) in &[
-            (10.0, 50.0, 1.0, 0.0),  // electricity-active
-            (16.0, 50.0, 1.0, 16.0), // boundary kink
-            (10.0, 50.0, 1.0, 1e9),  // renewable-slack
-            (16.5, 50.0, 1.0, 16.0), // kink revisited with drifted load
-            (10.1, 50.0, 1.0, 0.0),  // back to active
-        ] {
-            let p = problem(&qs, lam, a, w, r);
-            let cold = solve(&p).unwrap();
-            let out = warm.solve(&p).unwrap();
-            let scale = cold.objective.abs().max(1.0);
-            assert!(
-                (out.objective - cold.objective).abs() <= 1e-9 * scale,
-                "objective warm {} vs cold {} at (λ={lam}, A={a}, W={w}, r={r})",
-                out.objective,
-                cold.objective
-            );
-            for (wl, cl) in warm.lambdas().iter().zip(&cold.lambdas) {
-                assert!((wl - cl).abs() <= 1e-9 * cl.abs().max(1.0), "{wl} vs {cl}");
-            }
-            let (Some(wn), Some(cn)) = (out.water_level, cold.water_level) else {
-                panic!("both paths should report a water level");
-            };
-            assert!((wn - cn).abs() <= 1e-6 * cn.abs().max(1.0), "ν warm {wn} vs cold {cn}");
-        }
-    }
-
-    #[test]
-    fn warm_solver_handles_degenerate_paths() {
-        let qs = homogeneous(3, 10.0, 0.9, 0.1);
-        let mut warm = WarmWaterfill::new();
-        // Zero load.
-        let out = warm.solve(&problem(&qs, 0.0, 1.0, 1.0, 0.0)).unwrap();
-        assert_eq!(out.objective, 0.0);
-        assert!(warm.lambdas().iter().all(|&l| l == 0.0));
-        assert!(out.water_level.is_none());
-        // Saturated.
-        let _ = warm.solve(&problem(&qs, 27.0, 1.0, 1.0, 0.0)).unwrap();
-        assert!(warm.lambdas().iter().all(|&l| (l - 9.0).abs() < 1e-9));
-        // W = 0 greedy delegation.
-        let p = problem(&qs, 6.0, 1.0, 0.0, 0.0);
-        let out_greedy = warm.solve(&p).unwrap();
-        let cold = solve(&p).unwrap();
-        assert!((out_greedy.objective - cold.objective).abs() < 1e-12);
-        // Infeasible load.
-        assert!(matches!(
-            warm.solve(&problem(&qs, 28.0, 1.0, 1.0, 0.0)),
-            Err(OptError::Infeasible(_))
-        ));
     }
 
     #[test]

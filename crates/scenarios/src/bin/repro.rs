@@ -341,8 +341,8 @@ fn list_scenarios(args: &Args, dir: &Path) -> Result<(), String> {
 
 /// The instrumented probe behind `--metrics`: a GSD-backed COCA run over a
 /// short window of the scenario, with one [`MetricsObserver`] watching the
-/// engine (slots, checkpoints, phase timers), the GSD solver (cache and
-/// acceptance statistics) and the controller (deficit queue, frame
+/// engine (slots, checkpoints, phase timers), the GSD solver (kernel work
+/// and acceptance statistics) and the controller (deficit queue, frame
 /// resets), plus a crash-and-resume mini batch so the snapshot also
 /// carries every batch counter family the checked-in schema requires.
 fn metrics_probe(args: &Args, setup: &PaperSetup, path: &Path) -> Result<(), String> {
@@ -377,30 +377,6 @@ fn metrics_probe(args: &Args, setup: &PaperSetup, path: &Path) -> Result<(), Str
                 &format!("probe progress: {t}/{hours} slots"),
             );
         }
-    }
-    // One batched-kernel GSD solve on a representative slot instance, so
-    // the snapshot also carries the candidate-batch counter family
-    // (`gsd_candidate_batches_total` / `gsd_batched_candidates_total`)
-    // the schema requires.
-    {
-        use coca_core::solver::P3Solver;
-        let mut batched = GsdSolver::new(GsdOptions {
-            iterations: 200,
-            seed: 1500,
-            batched: true,
-            ..Default::default()
-        });
-        batched.set_observer(Arc::clone(&observer) as _);
-        let p = coca_dcsim::dispatch::SlotProblem {
-            cluster: &setup.cluster,
-            arrival_rate: 0.5 * 0.95 * setup.cluster.max_capacity(),
-            onsite: 0.0,
-            energy_weight: 1.0,
-            delay_weight: 1.0,
-            gamma: 0.95,
-            pue: 1.0,
-        };
-        let _ = batched.solve(&p).map_err(|e| format!("batched probe solve: {e}"))?;
     }
     // Exercise the batch orchestrator end to end: crash a one-run batch
     // mid-flight (after earlier checkpoints have landed, so the resume has
