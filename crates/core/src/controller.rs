@@ -99,9 +99,6 @@ pub struct CocaController<S> {
     /// Slot index of the most recent decision (backs [`Policy::telemetry`]).
     // audit:transient(overwritten by the next observe() before any read)
     last_t: usize,
-    /// q(t) observed at each decision epoch (diagnostics; Theorem 2 relates
-    /// its peak to the neutrality deviation).
-    pub q_history: Vec<f64>,
 }
 
 impl<S: P3Solver> CocaController<S> {
@@ -112,11 +109,13 @@ impl<S: P3Solver> CocaController<S> {
         cfg.validate().expect("valid CocaConfig");
         cost.validate().expect("valid CostParams");
         let deficit = DeficitQueue::new(cfg.alpha, cfg.rec_total, cfg.horizon);
-        Self { cluster, cost, cfg, solver, deficit, observer: None, last_t: 0, q_history: Vec::new() }
+        Self { cluster, cost, cfg, solver, deficit, observer: None, last_t: 0 }
     }
 
     /// Attaches a solver observer: the controller reports frame resets and
-    /// the deficit-queue trajectory (eq. 17). Per-solve events come from
+    /// the deficit-queue trajectory (eq. 17) — q(t) at every decision, via
+    /// [`SolverObserver::on_deficit`]; a `MetricsObserver` keeps it as the
+    /// `coca_deficit_queue_kwh` gauge trajectory. Per-solve events come from
     /// the solver itself — attach the same observer there too (via
     /// [`Self::solver_mut`] or before construction).
     pub fn set_observer(&mut self, observer: Arc<dyn SolverObserver + Send + Sync>) {
@@ -179,7 +178,6 @@ impl<S: P3Solver> Policy for CocaController<S> {
         let inv = crate::invariant::global();
         inv.deficit_nonnegative(q);
         inv.frame_reset(obs.t, self.cfg.frame_length, self.deficit.updates_since_reset());
-        self.q_history.push(q);
         if let Some(o) = &self.observer {
             o.on_deficit(obs.t, q);
         }
@@ -207,7 +205,6 @@ impl<S: P3Solver> Policy for CocaController<S> {
 
     fn reset(&mut self) {
         self.deficit = DeficitQueue::new(self.cfg.alpha, self.cfg.rec_total, self.cfg.horizon);
-        self.q_history.clear();
         self.last_t = 0;
         self.solver.reset();
     }
@@ -224,22 +221,17 @@ impl<S: P3Solver> Policy for CocaController<S> {
         })
     }
 
-    /// Captures everything decision-relevant: the carbon-deficit queue,
-    /// the q-history diagnostics, and the solver's warm-start state (via
-    /// [`P3Solver::snapshot_state`]). With a snapshot-capable solver the
+    /// Captures everything decision-relevant — the carbon-deficit queue and
+    /// the solver's warm-start state (via [`P3Solver::snapshot_state`]) —
+    /// and nothing that grows with `t`. With a snapshot-capable solver the
     /// restored controller continues bit-identically.
     fn snapshot(&self) -> coca_dcsim::Result<Value> {
         let deficit = self
             .deficit
             .serialize_value()
             .map_err(|e| SimError::Internal(format!("deficit snapshot: {e}")))?;
-        let q_history = self
-            .q_history
-            .serialize_value()
-            .map_err(|e| SimError::Internal(format!("q_history snapshot: {e}")))?;
         Ok(Value::Map(vec![
             ("deficit".to_string(), deficit),
-            ("q_history".to_string(), q_history),
             ("solver".to_string(), self.solver.snapshot_state()?),
         ]))
     }
@@ -252,11 +244,8 @@ impl<S: P3Solver> Policy for CocaController<S> {
         };
         let deficit = DeficitQueue::deserialize_value(field("deficit")?)
             .map_err(|e| SimError::InvalidConfig(format!("coca snapshot deficit: {e}")))?;
-        let q_history = Vec::<f64>::deserialize_value(field("q_history")?)
-            .map_err(|e| SimError::InvalidConfig(format!("coca snapshot q_history: {e}")))?;
         self.solver.restore_state(field("solver")?)?;
         self.deficit = deficit;
-        self.q_history = q_history;
         Ok(())
     }
 }
@@ -267,6 +256,28 @@ mod tests {
     use crate::symmetric::SymmetricSolver;
     use coca_dcsim::{run_lockstep, Policy, SimOutcome};
     use coca_traces::{TraceConfig, WorkloadKind};
+
+    /// The q(t) trajectory a `MetricsObserver` recorded, one value per
+    /// decision.
+    fn deficit_trajectory(registry: &coca_obs::MetricsRegistry) -> Vec<f64> {
+        registry
+            .snapshot()
+            .gauge("coca_deficit_queue_kwh")
+            .map(|g| g.trajectory.iter().map(|&(_, q)| q).collect())
+            .unwrap_or_default()
+    }
+
+    /// A controller reporting to a fresh metrics registry.
+    fn observed(
+        cluster: &Arc<Cluster>,
+        cost: CostParams,
+        cfg: CocaConfig,
+    ) -> (CocaController<SymmetricSolver>, Arc<coca_obs::MetricsRegistry>) {
+        let registry = Arc::new(coca_obs::MetricsRegistry::new());
+        let mut coca = CocaController::new(Arc::clone(cluster), cost, cfg, SymmetricSolver::new());
+        coca.set_observer(Arc::new(coca_obs::MetricsObserver::new(Arc::clone(&registry))));
+        (coca, registry)
+    }
 
     /// Single-lane engine pass.
     fn run_sim(
@@ -327,11 +338,12 @@ mod tests {
         let trace = small_trace(72);
         let cost = CostParams::default();
         let cfg = config(72, 100.0, 50.0);
-        let mut coca = CocaController::new(Arc::clone(&cluster), cost, cfg, SymmetricSolver::new());
-        let out = run_sim(&cluster, &trace, cost, 50.0, Box::new(&mut coca));
+        let (coca, registry) = observed(&cluster, cost, cfg);
+        let out = run_sim(&cluster, &trace, cost, 50.0, Box::new(coca));
         assert_eq!(out.len(), 72);
-        assert_eq!(coca.q_history.len(), 72);
-        assert!(coca.q_history[0] == 0.0, "queue starts empty");
+        let q = deficit_trajectory(&registry);
+        assert_eq!(q.len(), 72);
+        assert!(q[0] == 0.0, "queue starts empty");
         assert!(out.records.iter().all(|r| r.total_cost.is_finite()));
     }
 
@@ -348,12 +360,13 @@ mod tests {
             alpha: 1.0,
             rec_total: 0.0,
         };
-        let mut coca = CocaController::new(Arc::clone(&cluster), cost, cfg, SymmetricSolver::new());
+        let (mut coca, registry) = observed(&cluster, cost, cfg);
         let _ = run_sim(&cluster, &trace, cost, 0.0, Box::new(&mut coca));
+        let q = deficit_trajectory(&registry);
         // The queue accumulated during frame 0 (tiny allowance)…
-        assert!(coca.q_history[1..24].iter().any(|&q| q > 0.0));
+        assert!(q[1..24].iter().any(|&q| q > 0.0));
         // …and was reset at the frame boundary (slot 24 decision sees q=0).
-        assert_eq!(coca.q_history[24], 0.0);
+        assert_eq!(q[24], 0.0);
         // V switches per frame.
         assert_eq!(coca.v_at(0), 50.0);
         assert_eq!(coca.v_at(24), 200.0);
@@ -446,11 +459,11 @@ mod tests {
         assert_eq!(snap.counter("solver_solves_total"), Some(48), "one solve per slot");
         let q = snap.gauge("coca_deficit_queue_kwh").unwrap();
         assert_eq!(q.trajectory.len(), 48, "one deficit sample per decision");
-        assert_eq!(
-            q.trajectory.iter().map(|&(_, v)| v).collect::<Vec<_>>(),
-            coca.q_history,
-            "trajectory mirrors q_history"
+        assert!(
+            q.trajectory.iter().enumerate().all(|(t, &(slot, _))| slot == t as u64),
+            "one sample per slot, in slot order"
         );
+        assert_eq!(q.trajectory[24].1, 0.0, "frame reset before the slot-24 decision");
         // Deterministic solver: no acceptance-ratio samples.
         assert_eq!(snap.histogram("gsd_acceptance_ratio").unwrap().count, 0);
         assert!(coca.solver().stats().iterations > 0);
@@ -472,6 +485,6 @@ mod tests {
         assert!(coca.deficit_len() > 0.0);
         Policy::reset(&mut coca);
         assert_eq!(coca.deficit_len(), 0.0);
-        assert!(coca.q_history.is_empty());
+        assert_eq!(coca.max_deficit(), 0.0);
     }
 }

@@ -33,13 +33,18 @@
 //! [`SimEngine::checkpoint`] captures an [`EngineState`]: the next slot
 //! index, the run configuration scalars, and one [`LaneState`] per lane
 //! (policy name, previous speed vector for switching-energy accounting,
-//! the policy's own [`Policy::snapshot`] value, and the records collected
-//! so far). The state derives `Serialize`/`Deserialize`, so it round-trips
-//! through `serde_json`. [`SimEngine::restore`] is the inverse; the
-//! engine/policy contract is that a restored run continues byte-identical
-//! to the uninterrupted one. Policies whose solvers carry warm-start state
-//! must include it in their snapshot (see `SymmetricSolver`), because warm
-//! starts change solve results.
+//! and the policy's own [`Policy::snapshot`] value). That is the
+//! controller state, O(1) in `t`. A lane's record history rides along only
+//! when its sink asks for it through [`RecordSink::collected`]: batch
+//! lanes on the default [`VecSink`] do, so a resumed run can still build
+//! its [`SimOutcome`]; sinks whose history already left the process (the
+//! wire, a running summary) do not, and their checkpoints stay the same
+//! size however long the run has been going. [`SimEngine::restore`] is the
+//! inverse; the engine/policy contract is that a restored run continues
+//! byte-identical to the uninterrupted one. Policies whose solvers carry
+//! warm-start state must include it in their snapshot (see
+//! `SymmetricSolver`), because warm starts change solve results. The
+//! on-disk form is [`crate::checkpoint`]'s versioned codec.
 //!
 //! ## Observability
 //!
@@ -62,6 +67,7 @@ use coca_obs::{EngineObserver, NoopObserver, Phase};
 use coca_traces::{EnvironmentTrace, SlotEnv};
 use serde::{Deserialize, Serialize, Value};
 
+use crate::checkpoint::CheckpointError;
 use crate::cluster::Cluster;
 use crate::cost::CostParams;
 use crate::dispatch::{evaluate_dispatch, SlotProblem};
@@ -252,7 +258,8 @@ pub struct LaneState {
     pub prev_levels: Vec<usize>,
     /// The policy's own [`Policy::snapshot`] value.
     pub policy_state: Value,
-    /// Records collected so far (requires a sink that materializes them).
+    /// The lane's record history since slot 0 when its sink persists one
+    /// ([`RecordSink::collected`]); empty otherwise.
     pub records: Vec<SlotRecord>,
 }
 
@@ -604,8 +611,8 @@ impl<'p, Src: SlotSource> SimEngine<'p, Src> {
     /// `stop` is raised (a SIGTERM handler flips that flag).
     ///
     /// `on_checkpoint` receives every emitted [`EngineState`]; persist it
-    /// atomically (write + rename) to make restarts crash-consistent. All
-    /// lanes must use materializing sinks (checkpoint requirement).
+    /// with [`crate::checkpoint::write_checkpoint`] (durable write +
+    /// rename) to make restarts crash-consistent.
     pub fn run_service(
         &mut self,
         cfg: &ServiceConfig,
@@ -649,7 +656,11 @@ impl<'p, Src: SlotSource> SimEngine<'p, Src> {
     }
 
     /// Finishes the run and produces one [`SimOutcome`] per lane, in lane
-    /// order. Errors if any lane's sink does not materialize records.
+    /// order, from each sink's [`RecordSink::take_records`]. Errors if any
+    /// lane's sink keeps no records at all. An outcome covers exactly the
+    /// records its sink kept: the whole run for a [`VecSink`], only the
+    /// slots decided since the process started for a sink whose history is
+    /// not checkpointed.
     pub fn into_outcomes(self) -> crate::Result<Vec<SimOutcome>> {
         let rec_total = self.rec_total;
         self.lanes
@@ -666,28 +677,23 @@ impl<'p, Src: SlotSource> SimEngine<'p, Src> {
             .collect()
     }
 
-    /// Serializes the full run state at the current slot boundary.
+    /// Serializes the run state at the current slot boundary.
     ///
-    /// Requires every lane's sink to materialize its records (the default
-    /// [`VecSink`] does). Call between steps — typically at frame
-    /// boundaries (`t % frame_length == 0`) so COCA's deficit queue is at
-    /// a natural reset point, though any boundary is exact.
+    /// Each lane contributes its controller state, plus its record history
+    /// when the sink persists one ([`RecordSink::collected`]). Call between
+    /// steps — typically at frame boundaries (`t % frame_length == 0`) so
+    /// COCA's deficit queue is at a natural reset point, though any
+    /// boundary is exact.
     pub fn checkpoint(&self) -> crate::Result<EngineState> {
         let lanes = self
             .lanes
             .iter()
             .map(|lane| {
-                let records = lane.sink.collected().ok_or_else(|| {
-                    SimError::InvalidConfig(format!(
-                        "lane `{}` uses a non-materializing sink; checkpoint unsupported",
-                        lane.policy.name()
-                    ))
-                })?;
                 Ok(LaneState {
                     policy: lane.policy.name().to_string(),
                     prev_levels: lane.prev_levels.clone(),
                     policy_state: lane.policy.snapshot()?,
-                    records: records.to_vec(),
+                    records: lane.sink.collected().map_or_else(Vec::new, <[SlotRecord]>::to_vec),
                 })
             })
             .collect::<crate::Result<Vec<_>>>()?;
@@ -703,6 +709,13 @@ impl<'p, Src: SlotSource> SimEngine<'p, Src> {
     /// Restores a checkpoint into this engine. The engine must have been
     /// constructed with the same cluster/source/cost configuration and the
     /// same lanes (same policies, same order) as the checkpointed one.
+    ///
+    /// Lanes whose sink persists its history ([`RecordSink::collected`])
+    /// get it back through [`RecordSink::restore_records`], and must find
+    /// exactly one record per slot before `state.t` — otherwise the state
+    /// is rejected with [`CheckpointError::HistoryLength`] rather than
+    /// resumed with a silently missing prefix. Every shape check runs
+    /// before any lane is touched.
     // audit:allow(snapshot-complete) checkpoint only *notifies* self.observer; it is injected at construction, not restored state
     pub fn restore(&mut self, state: &EngineState) -> crate::Result<()> {
         if state.lanes.len() != self.lanes.len() {
@@ -718,7 +731,7 @@ impl<'p, Src: SlotSource> SimEngine<'p, Src> {
                 state.rec_total, self.rec_total
             )));
         }
-        for (lane, ls) in self.lanes.iter_mut().zip(&state.lanes) {
+        for (lane, ls) in self.lanes.iter().zip(&state.lanes) {
             if lane.policy.name() != ls.policy {
                 return Err(SimError::InvalidConfig(format!(
                     "checkpoint lane `{}` does not match engine lane `{}`",
@@ -733,8 +746,20 @@ impl<'p, Src: SlotSource> SimEngine<'p, Src> {
                     self.cluster.num_groups()
                 )));
             }
+            if lane.sink.collected().is_some() && ls.records.len() != state.t {
+                return Err(CheckpointError::HistoryLength {
+                    lane: ls.policy.clone(),
+                    records: ls.records.len(),
+                    t: state.t,
+                }
+                .into());
+            }
+        }
+        for (lane, ls) in self.lanes.iter_mut().zip(&state.lanes) {
             lane.policy.restore(&ls.policy_state)?;
-            lane.sink.restore_records(&ls.records).map_err(SimError::Internal)?;
+            if lane.sink.collected().is_some() {
+                lane.sink.restore_records(&ls.records).map_err(SimError::Internal)?;
+            }
             lane.prev_levels = ls.prev_levels.clone();
         }
         self.overestimation = state.overestimation;
@@ -940,27 +965,64 @@ mod tests {
     #[test]
     fn generator_source_streams_without_materialization() {
         let (cluster, _, cost) = small();
-        let source = FnSource::with_len(
-            |t| {
-                Some(SlotEnv {
-                    t,
-                    arrival_rate: 200.0 + 100.0 * (t as f64 * 0.3).sin(),
-                    onsite: 20.0,
-                    price: 0.05,
-                    offsite: 30.0,
-                })
-            },
-            1000,
-        );
-        let mut engine = SimEngine::new(Arc::clone(&cluster), source, cost, 0.0).unwrap();
+        let source = || {
+            FnSource::with_len(
+                |t| {
+                    Some(SlotEnv {
+                        t,
+                        arrival_rate: 200.0 + 100.0 * (t as f64 * 0.3).sin(),
+                        onsite: 20.0,
+                        price: 0.05,
+                        offsite: 30.0,
+                    })
+                },
+                1000,
+            )
+        };
+        let mut engine = SimEngine::new(Arc::clone(&cluster), source(), cost, 0.0).unwrap();
         engine.add_policy_with_sink(
             Box::new(StaticLevels::full_speed(Arc::clone(&cluster), cost)),
             Box::new(SummarySink::new()),
         );
         assert_eq!(engine.run_to_end().unwrap(), 1000);
-        // A summary lane cannot produce a SimOutcome or a checkpoint.
-        assert!(engine.checkpoint().is_err());
+        // A summary lane checkpoints its controller state only, and the
+        // state restores into a fresh summary lane.
+        let state = engine.checkpoint().unwrap();
+        assert!(state.lanes[0].records.is_empty());
+        let mut resumed = SimEngine::new(Arc::clone(&cluster), source(), cost, 0.0).unwrap();
+        resumed.add_policy_with_sink(
+            Box::new(StaticLevels::full_speed(Arc::clone(&cluster), cost)),
+            Box::new(SummarySink::new()),
+        );
+        resumed.restore(&state).unwrap();
+        assert_eq!(resumed.t(), 1000);
+        assert_eq!(resumed.checkpoint().unwrap(), state);
+        // It still cannot produce a SimOutcome.
         assert!(engine.into_outcomes().is_err());
+    }
+
+    /// A state without history must not resume into a lane that keeps
+    /// one: the lane would silently lose the run's prefix.
+    #[test]
+    fn collecting_lane_rejects_a_records_less_state() {
+        let (cluster, trace, cost) = small();
+        let mk = || Box::new(StaticLevels::full_speed(Arc::clone(&cluster), cost));
+        let mut summary = SimEngine::new(Arc::clone(&cluster), &trace, cost, 0.0).unwrap();
+        summary.add_policy_with_sink(mk(), Box::new(SummarySink::new()));
+        for _ in 0..10 {
+            assert_eq!(summary.step().unwrap(), StepStatus::Advanced);
+        }
+        let state = summary.checkpoint().unwrap();
+
+        let mut batch = SimEngine::new(Arc::clone(&cluster), &trace, cost, 0.0).unwrap();
+        batch.add_policy(mk());
+        match batch.restore(&state) {
+            Err(SimError::Checkpoint(CheckpointError::HistoryLength { records, t, .. })) => {
+                assert_eq!((records, t), (0, 10));
+            }
+            other => panic!("expected a HistoryLength error, got {other:?}"),
+        }
+        assert_eq!(batch.t(), 0, "a rejected state leaves the engine untouched");
     }
 
     /// Regression for the old `Option<SlotEnv>` API, which conflated "no

@@ -23,6 +23,8 @@ pub enum SimError {
     /// indicates a bug contained at the solver boundary rather than a bad
     /// input.
     Internal(String),
+    /// A checkpoint could not be written, read, or restored.
+    Checkpoint(crate::checkpoint::CheckpointError),
 }
 
 impl fmt::Display for SimError {
@@ -36,6 +38,7 @@ impl fmt::Display for SimError {
             ),
             SimError::Opt(e) => write!(f, "optimization failure: {e}"),
             SimError::Internal(msg) => write!(f, "internal failure: {msg}"),
+            SimError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
         }
     }
 }
@@ -44,6 +47,7 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimError::Opt(e) => Some(e),
+            SimError::Checkpoint(e) => Some(e),
             _ => None,
         }
     }

@@ -27,6 +27,8 @@
 //!   pass, streams records into [`RecordSink`]s, checkpoints/restores via
 //!   a serializable [`EngineState`], and runs resident via
 //!   [`SimEngine::run_service`].
+//! * [`checkpoint`] — the one versioned, durable on-disk codec for
+//!   [`EngineState`], shared by batch resume and the resident service.
 //! * [`push`] — the push-capable slot channel behind live ingestion:
 //!   bounded queue, blocking backpressure, in-order validation, typed
 //!   close semantics.
@@ -43,6 +45,7 @@
 #![deny(missing_docs, unsafe_code)]
 
 pub mod batch;
+pub mod checkpoint;
 pub mod cluster;
 pub mod cost;
 pub mod dispatch;
@@ -58,6 +61,7 @@ pub mod server;
 
 mod error;
 
+pub use checkpoint::{read_checkpoint, write_checkpoint, CheckpointError};
 pub use cluster::{Cluster, ClusterBuilder};
 pub use dispatch::{optimal_dispatch, DispatchOutcome, SlotProblem};
 pub use cost::CostParams;

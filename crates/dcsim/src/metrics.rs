@@ -181,11 +181,13 @@ pub struct DecisionContext<'a> {
 ///
 /// Figures, reports, and tests all read the same [`SlotRecord`] stream; a
 /// sink decides what to keep. [`VecSink`] materializes every record (the
-/// default, and the only sink that supports checkpointing and
-/// [`SimOutcome`] extraction); [`SummarySink`] keeps O(1) running totals
-/// for unbounded generator traces that must not be materialized; protocol
-/// sinks override [`record_decision`](Self::record_decision) to also see
-/// the control decision they must serialize.
+/// default, and the only sink here whose history engine checkpoints carry,
+/// so a resumed batch run still yields a whole-run [`SimOutcome`]);
+/// [`SummarySink`] keeps O(1) running totals for unbounded generator
+/// traces that must not be materialized (its totals cover the slots since
+/// it was created, restore or not); protocol sinks override
+/// [`record_decision`](Self::record_decision) to also see the control
+/// decision they must serialize.
 pub trait RecordSink {
     /// Receives the record for one completed slot. Records arrive in slot
     /// order, exactly once per slot.
@@ -203,20 +205,26 @@ pub trait RecordSink {
         self.record(rec)
     }
 
-    /// Borrows the materialized records, if this sink keeps them.
-    /// Sinks that aggregate (or forward elsewhere) return `None`; such
-    /// sinks cannot participate in checkpoints or produce a `SimOutcome`.
+    /// The history this sink wants persisted: `Some` makes every engine
+    /// checkpoint carry these records (one per slot since slot 0) and
+    /// every restore hand them back through
+    /// [`restore_records`](Self::restore_records). `None` (the default)
+    /// means the sink's history lives elsewhere — on the wire, in a
+    /// running summary — so the lane is checkpointed with its controller
+    /// state only, and the checkpoint's size does not grow with `t`.
     fn collected(&self) -> Option<&[SlotRecord]> {
         None
     }
 
-    /// Takes the materialized records out of the sink, if kept.
+    /// Takes the records this sink kept out of it, if it keeps any; the
+    /// engine builds a lane's `SimOutcome` from them.
     fn take_records(&mut self) -> Option<Vec<SlotRecord>> {
         None
     }
 
-    /// Replaces the sink's state with previously checkpointed records.
-    /// Returns an error for sinks that cannot restore.
+    /// Replaces the sink's history with checkpointed records. The engine
+    /// calls it on restore only for sinks whose
+    /// [`collected`](Self::collected) is `Some`; the default refuses.
     fn restore_records(&mut self, _records: &[SlotRecord]) -> Result<(), String> {
         Err("this RecordSink does not support checkpoint restore".to_string())
     }

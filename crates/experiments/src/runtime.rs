@@ -5,17 +5,21 @@
 //! length), so an interrupted `repro` invocation can restart from the last
 //! frame boundary with `--resume` instead of recomputing the whole year.
 //!
-//! The checkpoint file is JSON (`serde_json` over the engine's
-//! `EngineState`), written atomically (temp file + rename) and deleted on
-//! successful completion. A checkpoint that fails to parse or does not
-//! match the engine's configuration (lane count, policy names, `rec_total`)
-//! is ignored with a warning — the run then starts from slot 0.
+//! The checkpoint file is [`coca_dcsim::checkpoint`]'s versioned codec
+//! over the engine's `EngineState`, written durably (temp file, `fsync`,
+//! rename) and deleted on successful completion. Batch lanes use the
+//! default `VecSink`, so their checkpoints carry the record history a
+//! resumed run needs to rebuild its `SimOutcome`. A checkpoint that fails
+//! to parse, is of another format version, or does not match the engine's
+//! configuration (lane count, policy names, `rec_total`, history length)
+//! is ignored with a logged error — the run then starts from slot 0.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use coca_dcsim::{
-    Cluster, CostParams, EngineBuilder, EngineState, Policy, SimError, SimOutcome, StepStatus,
+    read_checkpoint, write_checkpoint, Cluster, CostParams, EngineBuilder, Policy, SimError,
+    SimOutcome, StepStatus,
 };
 use coca_obs::logger::{self, Span};
 use coca_obs::EngineObserver;
@@ -70,32 +74,6 @@ impl Default for RunOptions<'_> {
     }
 }
 
-/// Serializes an [`EngineState`] to `path` as JSON, atomically.
-pub fn write_checkpoint(path: &Path, state: &EngineState) -> Result<(), SimError> {
-    let json = serde_json::to_string(state)
-        .map_err(|e| SimError::Internal(format!("checkpoint serialization failed: {e}")))?;
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| {
-                SimError::Internal(format!("cannot create {}: {e}", dir.display()))
-            })?;
-        }
-    }
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, json)
-        .map_err(|e| SimError::Internal(format!("cannot write {}: {e}", tmp.display())))?;
-    std::fs::rename(&tmp, path)
-        .map_err(|e| SimError::Internal(format!("cannot rename {}: {e}", tmp.display())))
-}
-
-/// Reads an [`EngineState`] previously written by [`write_checkpoint`].
-pub fn read_checkpoint(path: &Path) -> Result<EngineState, SimError> {
-    let json = std::fs::read_to_string(path)
-        .map_err(|e| SimError::Internal(format!("cannot read {}: {e}", path.display())))?;
-    serde_json::from_str(&json)
-        .map_err(|e| SimError::Internal(format!("checkpoint parse failed: {e}")))
-}
-
 /// Runs `policies` in lockstep over `trace`, checkpointing at frame
 /// boundaries when `ckpt` is given. Semantically identical to
 /// [`coca_dcsim::run_lockstep`] — same outcomes, slot for slot — plus the
@@ -126,7 +104,7 @@ pub fn run_lockstep_checkpointed<'p>(
     if let Some(c) = &ckpt {
         if c.resume && c.path.exists() {
             let every = c.every.max(1);
-            match read_checkpoint(c.path).and_then(|state| {
+            match read_checkpoint(c.path).map_err(SimError::from).and_then(|state| {
                 engine.restore(&state)?;
                 Ok(state.t)
             }) {
@@ -385,5 +363,55 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.len(), 1, "run falls back to a fresh start");
+    }
+
+    #[test]
+    fn pre_marker_checkpoint_is_ignored_and_the_run_starts_fresh() {
+        let setup = small_setup();
+        let dir = std::env::temp_dir().join("coca_runtime_test_old_format");
+        let path = dir.join("ckpt.json");
+        std::fs::create_dir_all(&dir).unwrap();
+        // The unmarked format: a bare EngineState, here taken at slot 24.
+        let mut engine = SimEngine::new(
+            Arc::clone(&setup.cluster),
+            &setup.trace,
+            setup.cost,
+            setup.rec_total,
+        )
+        .unwrap();
+        for policy in lanes(&setup) {
+            let _ = engine.add_policy(policy);
+        }
+        for _ in 0..24 {
+            assert_eq!(engine.step().unwrap(), StepStatus::Advanced);
+        }
+        std::fs::write(&path, serde_json::to_string(&engine.checkpoint().unwrap()).unwrap())
+            .unwrap();
+        assert!(matches!(
+            read_checkpoint(&path),
+            Err(coca_dcsim::CheckpointError::UnsupportedVersion { found: None, expected: 2 })
+        ));
+        let out = run_lockstep_checkpointed(
+            Arc::clone(&setup.cluster),
+            &setup.trace,
+            setup.cost,
+            setup.rec_total,
+            lanes(&setup),
+            RunOptions {
+                ckpt: Some(Checkpointing::new(&path, 24, true)),
+                ..RunOptions::default()
+            },
+        )
+        .unwrap();
+        let fresh = run_lockstep(
+            Arc::clone(&setup.cluster),
+            &setup.trace,
+            setup.cost,
+            setup.rec_total,
+            lanes(&setup),
+        )
+        .unwrap();
+        assert_eq!(out, fresh, "the fallback is a full fresh run");
+        assert!(!path.exists());
     }
 }

@@ -15,8 +15,9 @@
 //! `run` reads slot NDJSON from stdin (or one TCP connection with
 //! `--listen`), publishes decision NDJSON to stdout and any
 //! `--decisions-listen` subscriber, serves Prometheus metrics on
-//! `--metrics-http`, and on SIGTERM/SIGINT checkpoints atomically and
-//! exits; `--resume` continues bit-exactly. `replay` turns a trace into
+//! `--metrics-http`, and on SIGTERM/SIGINT checkpoints durably and exits;
+//! `--resume` continues bit-exactly, and refuses (non-zero exit) a
+//! checkpoint of another format version. `replay` turns a trace into
 //! the ingest stream, optionally paced by `--rate`. `scrape` is the
 //! one-shot metrics client used by the CI smoke test.
 
@@ -167,10 +168,11 @@ fn cmd_run(args: RunArgs) -> Result<(), String> {
         run_stream(&args.cfg, input, publisher, registry, stop)?
     };
     eprintln!(
-        "coca-serve: {:?} after {} slots (avg hourly cost {:.4})",
+        "coca-serve: {:?} at slot {} (avg hourly cost {:.4} over {} slots served by this process)",
         report.exit,
         report.slots,
-        report.outcome.avg_hourly_cost()
+        report.outcome.avg_hourly_cost(),
+        report.outcome.len()
     );
     Ok(())
 }

@@ -4,11 +4,14 @@
 //! [`run_stream`] is the resident path: it restores from a checkpoint when
 //! asked, spawns the reader thread, and drives
 //! [`SimEngine::run_service`] until the stream closes or the stop flag is
-//! raised (SIGTERM), checkpointing atomically (`.tmp` + rename) on the
-//! configured cadence and always once at exit. [`run_batch`] is the same
-//! pipeline minus residency — the whole stream is materialized first and
-//! the engine runs to completion — and exists so stream-vs-batch
-//! bit-identity is a one-`diff` property ingrained in the test suite.
+//! raised (SIGTERM), checkpointing durably through
+//! [`coca_dcsim::checkpoint`] on the configured cadence and always once at
+//! exit. Checkpoints hold controller state only — the decisions already
+//! went out on the wire — so their size does not grow with uptime.
+//! [`run_batch`] is the same pipeline minus residency — the whole stream
+//! is materialized first and the engine runs to completion — and exists so
+//! stream-vs-batch bit-identity is a one-`diff` property ingrained in the
+//! test suite.
 
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
@@ -17,8 +20,8 @@ use std::sync::Arc;
 
 use coca_core::{CocaConfig, CocaController, SymmetricSolver, VSchedule};
 use coca_dcsim::{
-    push_source_at, Cluster, CostParams, EngineBuilder, EngineState, ServiceConfig, ServiceExit,
-    SimOutcome,
+    push_source_at, CheckpointError, Cluster, CostParams, EngineBuilder, EngineState,
+    ServiceConfig, ServiceExit, SimOutcome,
 };
 use coca_obs::{MetricsObserver, MetricsRegistry};
 use coca_traces::EnvironmentTrace;
@@ -86,9 +89,12 @@ impl Default for ServeConfig {
 pub struct ServeReport {
     /// Why the run ended.
     pub exit: ServiceExit,
-    /// Slots simulated in total (including any resumed prefix).
+    /// The slot the run stands at: slots simulated in total, including any
+    /// prefix decided by an earlier process before a resume.
     pub slots: usize,
-    /// The materialized outcome (records include any resumed prefix).
+    /// The outcome over the slots *this process* decided. After a resume
+    /// from slot `k` its records are slots `k..slots`; the earlier ones
+    /// went out on the wire and are not kept in checkpoints.
     pub outcome: SimOutcome,
 }
 
@@ -121,23 +127,20 @@ impl ServeConfig {
     }
 }
 
-/// Loads an [`EngineState`] checkpoint from disk.
+/// Loads an [`EngineState`] checkpoint from disk
+/// ([`coca_dcsim::read_checkpoint`] with a `String` error). A file in
+/// another format version is an error naming the version this build reads.
 pub fn read_checkpoint(path: &Path) -> Result<EngineState, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("read checkpoint {}: {e}", path.display()))?;
-    serde_json::from_str(&text).map_err(|e| format!("parse checkpoint {}: {e}", path.display()))
+    coca_dcsim::read_checkpoint(path).map_err(|e| match e {
+        CheckpointError::Io { .. } => e.to_string(),
+        _ => format!("checkpoint {}: {e}", path.display()),
+    })
 }
 
-/// Writes an [`EngineState`] checkpoint atomically: serialize to
-/// `<path>.tmp`, then rename over `path`, so a crash mid-write never
-/// leaves a torn checkpoint behind.
+/// Writes an [`EngineState`] checkpoint durably and atomically
+/// ([`coca_dcsim::write_checkpoint`] with a `String` error).
 pub fn write_checkpoint(path: &Path, state: &EngineState) -> Result<(), String> {
-    let json =
-        serde_json::to_string(state).map_err(|e| format!("serialize checkpoint: {e}"))?;
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, json).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path)
-        .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
+    coca_dcsim::write_checkpoint(path, state).map_err(|e| e.to_string())
 }
 
 /// Runs the resident service over a live NDJSON stream.
@@ -195,7 +198,7 @@ pub fn run_stream(
     let exit = engine
         .run_service(&service_cfg, &stop, |state| {
             if let Some(path) = &checkpoint_path {
-                write_checkpoint(path, state).map_err(coca_dcsim::SimError::Internal)?;
+                coca_dcsim::write_checkpoint(path, state)?;
             }
             checkpoint_slot.record(state.t, state.t as f64);
             if stop_at.is_some_and(|n| state.t >= n) {
@@ -291,6 +294,7 @@ pub fn read_trace_ndjson(input: Box<dyn BufRead + Send>) -> Result<EnvironmentTr
 mod tests {
     use super::*;
     use crate::replay::replay;
+    use crate::sink::tests::SharedBuf;
     use coca_traces::TraceConfig;
 
     fn test_cfg() -> ServeConfig {
@@ -341,18 +345,55 @@ mod tests {
         assert_eq!(stream_report.outcome, batch_report.outcome, "bit-exact equivalence");
     }
 
+    /// A publisher plus a handle on its decision lines.
+    fn capture() -> (Arc<Publisher>, Arc<std::sync::Mutex<Vec<u8>>>) {
+        let publisher = Publisher::new();
+        let buf = Arc::new(std::sync::Mutex::new(Vec::new()));
+        publisher.subscribe(Box::new(SharedBuf(Arc::clone(&buf))));
+        (publisher, buf)
+    }
+
+    fn decision_lines(buf: &std::sync::Mutex<Vec<u8>>) -> Vec<String> {
+        String::from_utf8(buf.lock().unwrap().clone())
+            .unwrap()
+            .lines()
+            .filter(|l| l.contains("\"type\":\"decision\""))
+            .map(str::to_string)
+            .collect()
+    }
+
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir()
+            .join(format!("coca-serve-test-{}-{name}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Serves `trace` from slot 0, checkpointing to `ckpt` at exit.
+    fn serve_to_end(trace: &EnvironmentTrace, ckpt: &Path) -> ServeReport {
+        let cfg = ServeConfig { checkpoint_path: Some(ckpt.to_path_buf()), ..test_cfg() };
+        run_stream(
+            &cfg,
+            Box::new(std::io::Cursor::new(ndjson(trace))),
+            Publisher::new(),
+            Arc::new(MetricsRegistry::new()),
+            Arc::new(AtomicBool::new(false)),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn checkpoint_resume_is_bit_exact() {
         let trace = test_trace(24);
-        let dir = std::env::temp_dir().join(format!("coca-serve-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("resume");
         let ckpt = dir.join("resume-test.ckpt.json");
 
         // Uninterrupted reference.
+        let (publisher, reference_buf) = capture();
         let reference = run_stream(
             &test_cfg(),
             Box::new(std::io::Cursor::new(ndjson(&trace))),
-            Publisher::new(),
+            publisher,
             Arc::new(MetricsRegistry::new()),
             Arc::new(AtomicBool::new(false)),
         )
@@ -365,33 +406,111 @@ mod tests {
             stop_at_slot: Some(12),
             ..test_cfg()
         };
+        let (publisher, first_buf) = capture();
         let first = run_stream(
             &cfg,
             Box::new(std::io::Cursor::new(ndjson(&trace))),
-            Publisher::new(),
+            publisher,
             Arc::new(MetricsRegistry::new()),
             Arc::new(AtomicBool::new(false)),
         )
         .unwrap();
         assert_eq!(first.exit, ServiceExit::Stopped);
         assert_eq!(first.slots, 12);
+        assert_eq!(first.outcome.records[..], reference.outcome.records[..12]);
 
         // Resume: feed the remainder of the stream from slot 12.
         let mut rest = Vec::new();
         replay(&trace, 12, 0.0, &mut rest).unwrap();
         let cfg = ServeConfig { resume: true, stop_at_slot: None, ..cfg };
+        let (publisher, resumed_buf) = capture();
         let resumed = run_stream(
             &cfg,
             Box::new(std::io::Cursor::new(rest)),
-            Publisher::new(),
+            publisher,
             Arc::new(MetricsRegistry::new()),
             Arc::new(AtomicBool::new(false)),
         )
         .unwrap();
         assert_eq!(resumed.exit, ServiceExit::Closed);
         assert_eq!(resumed.slots, 24);
-        assert_eq!(resumed.outcome, reference.outcome, "resume is bit-exact");
+        // The resumed process reports on the slots it decided, bit-exactly.
+        assert_eq!(resumed.outcome.records[..], reference.outcome.records[12..]);
+        // The two decision streams concatenate to the reference stream.
+        let mut streamed = decision_lines(&first_buf);
+        streamed.extend(decision_lines(&resumed_buf));
+        assert_eq!(streamed.len(), 24);
+        assert_eq!(streamed, decision_lines(&reference_buf), "resume is bit-exact on the wire");
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The structure of a JSON value with its numbers and strings erased:
+    /// two checkpoints of the same fleet must agree on it at any `t`.
+    fn shape(v: &serde::Value) -> String {
+        match v {
+            serde::Value::Map(m) => {
+                let fields: Vec<String> =
+                    m.iter().map(|(k, v)| format!("{k}:{}", shape(v))).collect();
+                format!("{{{}}}", fields.join(","))
+            }
+            serde::Value::Seq(items) => {
+                let items: Vec<String> = items.iter().map(shape).collect();
+                format!("[{}]", items.join(","))
+            }
+            serde::Value::Null => "null".to_string(),
+            serde::Value::Bool(_) => "bool".to_string(),
+            serde::Value::Int(_) | serde::Value::Float(_) => "num".to_string(),
+            serde::Value::Str(_) => "str".to_string(),
+        }
+    }
+
+    #[test]
+    fn serve_checkpoint_size_is_independent_of_t() {
+        let dir = scratch_dir("size");
+        let short = dir.join("t24.ckpt.json");
+        let long = dir.join("t240.ckpt.json");
+        assert_eq!(serve_to_end(&test_trace(24), &short).slots, 24);
+        assert_eq!(serve_to_end(&test_trace(240), &long).slots, 240);
+        let short = std::fs::read_to_string(&short).unwrap();
+        let long = std::fs::read_to_string(&long).unwrap();
+        assert!(long.len() < 1024, "{} bytes at t = 240: {long}", long.len());
+        // Ten times the uptime, the same state: identical structure, and a
+        // size that differs only by the printed width of its numbers (t
+        // itself gains a digit).
+        let parse = |text: &str| serde_json::from_str::<serde::Value>(text).unwrap();
+        assert_eq!(shape(&parse(&short)), shape(&parse(&long)));
+        assert!(long.len().abs_diff(short.len()) <= 32, "{short}\n{long}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resume_from_a_pre_marker_checkpoint_names_the_expected_version() {
+        let trace = test_trace(12);
+        let dir = scratch_dir("old-format");
+        let ckpt = dir.join("old.ckpt.json");
+        serve_to_end(&trace, &ckpt);
+        // Rewrite it in the unmarked format: a bare EngineState whose lane
+        // carries its record history and the controller's q_history.
+        let mut state = read_checkpoint(&ckpt).unwrap();
+        let lane = &mut state.lanes[0];
+        lane.records = serve_to_end(&trace, &dir.join("again.ckpt.json")).outcome.records;
+        if let serde::Value::Map(fields) = &mut lane.policy_state {
+            let q_history = serde::Value::Seq(vec![serde::Value::Float(0.0); 12]);
+            fields.push(("q_history".to_string(), q_history));
+        }
+        std::fs::write(&ckpt, serde_json::to_string(&state).unwrap()).unwrap();
+
+        let cfg = ServeConfig { checkpoint_path: Some(ckpt), resume: true, ..test_cfg() };
+        let err = run_stream(
+            &cfg,
+            Box::new(std::io::Cursor::new(Vec::new())),
+            Publisher::new(),
+            Arc::new(MetricsRegistry::new()),
+            Arc::new(AtomicBool::new(false)),
+        )
+        .unwrap_err();
+        assert!(err.contains("version 2"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

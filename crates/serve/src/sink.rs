@@ -1,25 +1,33 @@
 //! [`WireSink`]: the [`RecordSink`] that turns completed slots into wire
 //! messages.
 //!
-//! It wraps a materializing [`VecSink`] (so checkpoints and
-//! [`SimOutcome`](coca_dcsim::SimOutcome) extraction keep working) and
-//! overrides [`RecordSink::record_decision`] — the context-carrying hook
-//! added for exactly this purpose — to publish a
+//! It overrides [`RecordSink::record_decision`] — the context-carrying
+//! hook added for exactly this purpose — to publish a
 //! [`DecisionMsg`](crate::proto::DecisionMsg) per slot: record fields for
 //! the realized costs, [`DecisionContext`] for the speed vector and the
 //! actually-dispatched load split, and the policy's
 //! [`telemetry`](coca_dcsim::Policy::telemetry) for controller internals.
+//!
+//! The decision history already went out on the wire, so the sink does
+//! not offer it to engine checkpoints ([`RecordSink::collected`] stays
+//! `None`): a service checkpoint holds controller state only and stays the
+//! same size for the life of the fleet. The sink keeps the records decided
+//! by *this process* so [`SimEngine::into_outcomes`] can report on them;
+//! nothing checkpoints or restores them.
+//!
+//! [`SimEngine::into_outcomes`]: coca_dcsim::SimEngine::into_outcomes
 
 use std::sync::Arc;
 
-use coca_dcsim::{DecisionContext, RecordSink, SlotRecord, VecSink};
+use coca_dcsim::{DecisionContext, RecordSink, SlotRecord};
 
 use crate::proto::{DecisionMsg, OutMsg};
 use crate::publish::Publisher;
 
 /// Record sink that publishes each slot's decision to a [`Publisher`].
 pub struct WireSink {
-    inner: VecSink,
+    /// Records decided by this process (not since slot 0 after a resume).
+    records: Vec<SlotRecord>,
     policy: String,
     publisher: Arc<Publisher>,
 }
@@ -27,13 +35,14 @@ pub struct WireSink {
 impl WireSink {
     /// Creates a sink publishing decisions under `policy`'s name.
     pub fn new(policy: impl Into<String>, publisher: Arc<Publisher>) -> Self {
-        Self { inner: VecSink::new(), policy: policy.into(), publisher }
+        Self { records: Vec::new(), policy: policy.into(), publisher }
     }
 }
 
 impl RecordSink for WireSink {
     fn record(&mut self, rec: &SlotRecord) -> Result<(), String> {
-        self.inner.record(rec)
+        self.records.push(*rec);
+        Ok(())
     }
 
     fn record_decision(
@@ -41,7 +50,7 @@ impl RecordSink for WireSink {
         rec: &SlotRecord,
         ctx: &DecisionContext<'_>,
     ) -> Result<(), String> {
-        self.inner.record(rec)?;
+        self.records.push(*rec);
         self.publisher.publish(&OutMsg::Decision(DecisionMsg {
             t: rec.t,
             policy: self.policy.clone(),
@@ -55,26 +64,20 @@ impl RecordSink for WireSink {
         Ok(())
     }
 
-    fn collected(&self) -> Option<&[SlotRecord]> {
-        self.inner.collected()
-    }
-
     fn take_records(&mut self) -> Option<Vec<SlotRecord>> {
-        self.inner.take_records()
-    }
-
-    fn restore_records(&mut self, records: &[SlotRecord]) -> Result<(), String> {
-        self.inner.restore_records(records)
+        Some(std::mem::take(&mut self.records))
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::io::Write;
     use std::sync::Mutex;
 
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+    /// A publisher subscriber that appends everything it is sent to a
+    /// shared buffer.
+    pub(crate) struct SharedBuf(pub(crate) Arc<Mutex<Vec<u8>>>);
     impl Write for SharedBuf {
         fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
             self.0.lock().unwrap().extend_from_slice(data);
@@ -104,7 +107,7 @@ mod tests {
     }
 
     #[test]
-    fn publishes_one_decision_per_slot_and_stays_materializing() {
+    fn publishes_one_decision_per_slot_and_keeps_history_out_of_checkpoints() {
         let publisher = Publisher::new();
         let buf = Arc::new(Mutex::new(Vec::new()));
         publisher.subscribe(Box::new(SharedBuf(Arc::clone(&buf))));
@@ -126,9 +129,10 @@ mod tests {
         assert_eq!(d.loads, vec![10.0, 0.0]);
         assert_eq!(d.servers_on, 8);
 
-        // Checkpoint surface still works through the wrapper.
-        assert_eq!(sink.collected().unwrap().len(), 2);
-        sink.restore_records(&[record(0)]).unwrap();
-        assert_eq!(sink.take_records().unwrap().len(), 1);
+        // The history went out on the wire: checkpoints get none of it,
+        // and the process-local records are still there for the report.
+        assert!(sink.collected().is_none());
+        assert!(sink.restore_records(&[record(0)]).is_err());
+        assert_eq!(sink.take_records().unwrap(), vec![record(0), record(1)]);
     }
 }

@@ -15,6 +15,7 @@ use coca::baselines::CarbonUnaware;
 use coca::core::symmetric::SymmetricSolver;
 use coca::core::{CocaConfig, CocaController, VSchedule};
 use coca::dcsim::{run_lockstep, Cluster, CostParams, Policy, SimOutcome};
+use coca::obs::{MetricsObserver, MetricsRegistry};
 use coca::traces::{TraceConfig, WorkloadKind, HOURS_PER_YEAR};
 
 const SPARK: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
@@ -80,8 +81,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         rec_total,
     };
     let mut coca = CocaController::new(Arc::clone(&cluster), cost, cfg, SymmetricSolver::new());
+    // The controller reports q(t) at every decision; the metrics registry
+    // keeps it as the `coca_deficit_queue_kwh` gauge trajectory.
+    let registry = Arc::new(MetricsRegistry::new());
+    coca.set_observer(Arc::new(MetricsObserver::new(Arc::clone(&registry))));
     // COCA and the unaware operator advance in lockstep through a single
-    // pass over the year; `&mut coca` keeps the queue history readable.
+    // pass over the year; `&mut coca` keeps the peak queue readable.
     let mut outcomes = run_lockstep(
         Arc::clone(&cluster),
         &trace,
@@ -118,7 +123,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\ncarbon-deficit queue over the year:");
-    println!("  {}", sparkline(&coca.q_history, 72));
+    let queue: Vec<f64> = registry
+        .snapshot()
+        .gauge("coca_deficit_queue_kwh")
+        .map(|g| g.trajectory.iter().map(|&(_, q)| q).collect())
+        .unwrap_or_default();
+    println!("  {}", sparkline(&queue, 72));
     println!("  peak queue: {:.0} kWh", coca.max_deficit());
 
     println!("\nannual totals:");
