@@ -61,7 +61,8 @@ fn bench_slot_decision(c: &mut Criterion) {
 /// A 500-iteration GSD solve at the paper's fleet scale: the cold
 /// reference chain (every proposal re-runs `optimal_dispatch` from
 /// scratch) vs the struct-of-arrays kernel that prices proposals in
-/// `GsdSolver`. Headline numbers are committed to `BENCH_p3.json`.
+/// `GsdSolver`. Reference numbers are in the `p3_smoke` docs and
+/// DESIGN.md §10.4.
 fn bench_cold_vs_kernel(c: &mut Criterion) {
     let cluster = Cluster::paper_datacenter();
     let p = problem(&cluster);

@@ -14,8 +14,25 @@
 //!   RNG stream, and their costs agree to ≤ 1e-9, so every solve must
 //!   return the same speed vector.
 //! * **Kernel speed.** The kernel must be at least [`MIN_SPEEDUP`]× faster
-//!   than the cold chain. It is ~27× faster at paper scale
-//!   (BENCH_p3.json), so only a real regression trips this.
+//!   than the cold chain. It is ~27× faster at paper scale, so only a
+//!   real regression trips this.
+//!
+//! Reference numbers from `cargo bench -p coca-bench --bench p3_solvers`
+//! (vendored criterion shim, mean of 10 iterations; 2026-08 on an
+//! unrecorded machine, 2026-10 on a shared 2-vCPU Intel Xeon VM;
+//! DESIGN.md §10.4 keeps the table):
+//!
+//! | bench | 2026-08 | 2026-10, 2 vCPU |
+//! |---|---|---|
+//! | `gsd500_cold_oracle` | 5.69 ms | 8.51 ms |
+//! | `gsd500_batched` | 211 µs (≈ 27×) | 317 µs (≈ 27×) |
+//! | `single_proposal_cold_dispatch` | 11.9 µs | 19.8 µs |
+//! | `single_candidate_batched` | 358 ns | 672 ns |
+//! | `current_state_batched` | 249 ns | 516 ns |
+//! | `candidate_sweep_one_group` | 1.33 µs | 2.44 µs |
+//!
+//! A typical chain makes ~400 candidate batches and ~4.3 water-filling
+//! evaluations per solve.
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};

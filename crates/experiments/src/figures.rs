@@ -1,27 +1,24 @@
-//! One function per paper figure. Each returns [`Series`] data that the
-//! `repro` binary prints/saves and the integration tests assert on.
-//!
-//! Sweeps run through the [`SimEngine`](coca_dcsim::SimEngine): independent
-//! policy variants (V values, baselines) become **lockstep lanes** sharing
-//! one trace pass, and lane sets are split across worker threads with
-//! [`crate::parallel::sweep`]. On a single core the whole sweep collapses
-//! to exactly one pass over the trace.
+//! The primitives the scenario runner (`coca-scenarios`) composes into the
+//! paper's figures: the COCA policy and its V\* calibration, horizon
+//! trimming, one GSD convergence trace, one budget-sweep point, one
+//! frame-reset point, and the setup variants of Fig. 5(d) and the
+//! portfolio study. Each figure itself is a committed spec under
+//! `scenarios/`; [`Figure`] is the assembled result `repro` prints and
+//! writes.
 
 use std::sync::Arc;
 
-use coca_baselines::{OfflineOpt, PerfectHp};
+use coca_baselines::OfflineOpt;
 use coca_core::gsd::{GsdOptions, GsdSolver};
 use coca_core::solver::P3Solver;
 use coca_core::symmetric::SymmetricSolver;
 use coca_core::{CocaConfig, CocaController, VSchedule};
 use coca_dcsim::dispatch::SlotProblem;
-use coca_dcsim::{run_lockstep, Policy, SimEngine, SimError, SimOutcome};
+use coca_dcsim::{run_lockstep, Policy, SimError, SimOutcome};
 use coca_opt::schedule::TemperatureSchedule;
-use coca_traces::{WorkloadKind, WorkloadTrace, HOURS_PER_WEEK, HOURS_PER_YEAR};
 
-use crate::parallel;
 use crate::report::Series;
-use crate::setup::{unaware_reference, PaperSetup};
+use crate::setup::PaperSetup;
 
 /// A figure: a title, an x-axis label, and one or more curves.
 #[derive(Debug, Clone)]
@@ -32,12 +29,6 @@ pub struct Figure {
     pub x_label: String,
     /// The curves.
     pub series: Vec<Series>,
-}
-
-impl Figure {
-    fn new(title: &str, x_label: &str, series: Vec<Series>) -> Self {
-        Self { title: title.into(), x_label: x_label.into(), series }
-    }
 }
 
 /// Moving-average window scaled to the horizon (paper: 45 days of 365).
@@ -80,53 +71,6 @@ pub fn run_coca(
     .ok_or_else(|| SimError::Internal("engine produced no outcome".into()))
 }
 
-/// Runs one policy per item over the setup's trace, lockstep within worker
-/// chunks: items are split into [`parallel::effective_workers`]`(0)`
-/// contiguous chunks (the `repro --workers` default, or all cores) via
-/// [`parallel::sweep`], and each chunk's policies advance through a
-/// **single shared trace pass** in a [`SimEngine`]. Outcomes come back in
-/// item order.
-pub fn lockstep_sweep<T, F>(
-    setup: &PaperSetup,
-    items: Vec<T>,
-    make_policy: F,
-) -> Result<Vec<SimOutcome>, SimError>
-where
-    T: Send,
-    F: for<'s> Fn(&'s PaperSetup, T) -> Box<dyn Policy + 's> + Sync,
-{
-    if items.is_empty() {
-        return Ok(Vec::new());
-    }
-    let workers = parallel::effective_workers(0);
-    let chunk_size = items.len().div_ceil(workers);
-    let mut chunks: Vec<Vec<T>> = Vec::new();
-    let mut it = items.into_iter();
-    loop {
-        let chunk: Vec<T> = it.by_ref().take(chunk_size).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        chunks.push(chunk);
-    }
-    let results = parallel::sweep(chunks, 0, |chunk: Vec<T>| {
-        let policies: Vec<Box<dyn Policy + '_>> =
-            chunk.into_iter().map(|item| make_policy(setup, item)).collect();
-        run_lockstep(
-            Arc::clone(&setup.cluster),
-            &setup.trace,
-            setup.cost,
-            setup.rec_total,
-            policies,
-        )
-    });
-    let mut outs = Vec::new();
-    for chunk in results {
-        outs.extend(chunk?);
-    }
-    Ok(outs)
-}
-
 /// Finds the largest constant V whose COCA run stays within the carbon
 /// budget — the paper's "we appropriately choose V such that carbon
 /// neutrality is satisfied". Larger V means lower cost (Theorem 2b), so
@@ -163,72 +107,6 @@ pub fn calibrate_v(setup: &PaperSetup, probes: usize) -> Result<f64, SimError> {
     Ok(lo)
 }
 
-/// Fig. 1(a)(b): the normalized workload traces.
-pub fn fig1_workloads(seed: u64) -> (Figure, Figure) {
-    let fiu = WorkloadTrace::generate(WorkloadKind::Fiu, HOURS_PER_YEAR, 1.0, seed);
-    let msr = WorkloadTrace::generate(WorkloadKind::Msr, HOURS_PER_WEEK, 1.0, seed);
-    let a = Figure::new(
-        "Fig. 1(a) FIU workload trace (normalized, one year)",
-        "hour",
-        vec![Series::indexed("fiu", fiu.normalized())],
-    );
-    let b = Figure::new(
-        "Fig. 1(b) MSR workload trace (normalized, one week)",
-        "hour",
-        vec![Series::indexed("msr", msr.normalized())],
-    );
-    (a, b)
-}
-
-/// Fig. 2(a)(b): average hourly cost and carbon deficit vs constant V.
-///
-/// Every V value — plus the carbon-unaware reference (the V → ∞ limit) —
-/// is one lockstep lane. Lanes are chunked across worker threads; each
-/// chunk shares a single trace pass, so on one core the whole figure is a
-/// single pass instead of `|vs| + 1` passes.
-pub fn fig2_constant_v(setup: &PaperSetup, vs: &[f64]) -> Result<(Figure, Figure), SimError> {
-    // `Some(v)` is a COCA lane at constant V; `None` the unaware reference.
-    let lanes: Vec<Option<f64>> =
-        vs.iter().copied().map(Some).chain(std::iter::once(None)).collect();
-    let outs = lockstep_sweep(setup, lanes, |setup, lane| match lane {
-        Some(v) => Box::new(coca_policy(setup, VSchedule::Constant(v), setup.trace.len())),
-        None => Box::new(coca_baselines::CarbonUnaware::new(
-            Arc::clone(&setup.cluster),
-            setup.cost,
-            SymmetricSolver::new(),
-        )),
-    })?;
-    let unaware = outs.last().expect("unaware lane present").clone();
-    let cost: Vec<f64> = outs[..vs.len()].iter().map(SimOutcome::avg_hourly_cost).collect();
-    let deficit: Vec<f64> =
-        outs[..vs.len()].iter().map(SimOutcome::avg_hourly_deficit).collect();
-    let a = Figure::new(
-        "Fig. 2(a) average hourly cost vs V",
-        "V",
-        vec![
-            Series::new("coca", vs.to_vec(), cost),
-            Series::new(
-                "carbon-unaware",
-                vs.to_vec(),
-                vec![unaware.avg_hourly_cost(); vs.len()],
-            ),
-        ],
-    );
-    let b = Figure::new(
-        "Fig. 2(b) average hourly carbon deficit vs V",
-        "V",
-        vec![
-            Series::new("coca", vs.to_vec(), deficit),
-            Series::new(
-                "carbon-unaware",
-                vs.to_vec(),
-                vec![unaware.avg_hourly_deficit(); vs.len()],
-            ),
-        ],
-    );
-    Ok((a, b))
-}
-
 /// Trims the setup's trace to `frames` whole frames (J = R·T like the
 /// paper) and returns the trimmed setup plus the frame length `T`.
 /// `rec_total` is left untouched — callers that want neutrality pressure
@@ -247,100 +125,6 @@ pub fn trim_to_frames(setup: &PaperSetup, frames: usize) -> (PaperSetup, usize) 
         s
     };
     (s, frame)
-}
-
-/// Fig. 2(c)(d): 45-day moving averages under quarterly-varying V.
-///
-/// `window` is in slots (paper: 45 days = 1080 h); pass a smaller value at
-/// reduced scales.
-pub fn fig2_varying_v(
-    setup: &PaperSetup,
-    increasing: (f64, f64, f64, f64),
-    constant: f64,
-    window: usize,
-) -> Result<(Figure, Figure), SimError> {
-    // Horizon may not divide by 4 exactly; trim to R·T like the paper (J = RT).
-    let (setup, frame) = trim_to_frames(setup, 4);
-    // Both schedules share one lockstep trace pass.
-    let schedules = vec![
-        VSchedule::quarterly(increasing.0, increasing.1, increasing.2, increasing.3),
-        VSchedule::Constant(constant),
-    ];
-    let mut outs = run_lockstep(
-        Arc::clone(&setup.cluster),
-        &setup.trace,
-        setup.cost,
-        setup.rec_total,
-        schedules
-            .into_iter()
-            .map(|v| Box::new(coca_policy(&setup, v, frame)) as Box<dyn Policy + '_>)
-            .collect(),
-    )?;
-    let cons = outs.pop().ok_or_else(|| SimError::Internal("missing constant-V lane".into()))?;
-    let vary = outs.pop().ok_or_else(|| SimError::Internal("missing varying-V lane".into()))?;
-    let c = Figure::new(
-        "Fig. 2(c) moving average cost, varying vs constant V",
-        "hour",
-        vec![
-            Series::indexed("varying-v", vary.movavg_cost(window)),
-            Series::indexed("constant-v", cons.movavg_cost(window)),
-        ],
-    );
-    let d = Figure::new(
-        "Fig. 2(d) moving average carbon deficit, varying vs constant V",
-        "hour",
-        vec![
-            Series::indexed("varying-v", vary.movavg_deficit(window)),
-            Series::indexed("constant-v", cons.movavg_deficit(window)),
-        ],
-    );
-    Ok((c, d))
-}
-
-/// Fig. 3(a)(b): COCA vs PerfectHP, cumulative average cost and deficit.
-/// Returns the figures plus the final cost-saving fraction (the paper's
-/// ">25%" headline).
-pub fn fig3_vs_perfect_hp(
-    setup: &PaperSetup,
-    v: f64,
-    window: usize,
-) -> Result<(Figure, Figure, f64), SimError> {
-    // COCA and PerfectHP advance in lockstep over one trace pass.
-    let hp: PerfectHp<SymmetricSolver> = PerfectHp::new(
-        Arc::clone(&setup.cluster),
-        setup.cost,
-        &setup.trace,
-        setup.rec_total,
-        window,
-    )?;
-    let coca_lane = coca_policy(setup, VSchedule::Constant(v), setup.trace.len());
-    let mut outs = run_lockstep(
-        Arc::clone(&setup.cluster),
-        &setup.trace,
-        setup.cost,
-        setup.rec_total,
-        vec![Box::new(coca_lane), Box::new(hp)],
-    )?;
-    let hp_out = outs.pop().ok_or_else(|| SimError::Internal("missing PerfectHP lane".into()))?;
-    let coca = outs.pop().ok_or_else(|| SimError::Internal("missing COCA lane".into()))?;
-    let saving = 1.0 - coca.avg_hourly_cost() / hp_out.avg_hourly_cost();
-    let a = Figure::new(
-        "Fig. 3(a) cumulative average hourly cost",
-        "hour",
-        vec![
-            Series::indexed("coca", coca.cumavg_cost()),
-            Series::indexed("perfect-hp", hp_out.cumavg_cost()),
-        ],
-    );
-    let b = Figure::new(
-        "Fig. 3(b) cumulative average carbon deficit",
-        "hour",
-        vec![
-            Series::indexed("coca", coca.cumavg_deficit()),
-            Series::indexed("perfect-hp", hp_out.cumavg_deficit()),
-        ],
-    );
-    Ok((a, b, saving))
 }
 
 /// One GSD convergence trace on the P3 snapshot of `slot`: the kept-state
@@ -394,43 +178,6 @@ pub fn gsd_initial_levels(setup: &PaperSetup, name: &str) -> Option<Vec<usize>> 
     }
 }
 
-/// Fig. 4(a): GSD kept-state cost vs iteration for several temperatures δ,
-/// on the P3 snapshot of `slot` (queue length excluded, as in the paper).
-pub fn fig4_gsd_deltas(
-    setup: &PaperSetup,
-    slot: usize,
-    v: f64,
-    deltas: &[f64],
-    iterations: usize,
-) -> Result<Figure, SimError> {
-    let mut series = Vec::new();
-    for &delta in deltas {
-        let trace = gsd_trace_point(setup, slot, v, delta, iterations, None)?
-            .ok_or_else(|| SimError::Internal("default GSD start must be feasible".into()))?;
-        series.push(Series::indexed(format!("delta={delta:.0}"), trace));
-    }
-    Ok(Figure::new("Fig. 4(a) GSD cost vs iteration, temperature sweep", "iteration", series))
-}
-
-/// Fig. 4(b): GSD cost vs iteration from different initial points at a
-/// fixed δ.
-pub fn fig4_gsd_initial_points(
-    setup: &PaperSetup,
-    slot: usize,
-    v: f64,
-    delta: f64,
-    iterations: usize,
-) -> Result<Figure, SimError> {
-    let mut series = Vec::new();
-    for name in ["full-speed", "slowest-on", "mixed", "half-top"] {
-        let init = gsd_initial_levels(setup, name).expect("preset name");
-        if let Some(trace) = gsd_trace_point(setup, slot, v, delta, iterations, Some(init))? {
-            series.push(Series::indexed(name, trace));
-        }
-    }
-    Ok(Figure::new("Fig. 4(b) GSD cost vs iteration, initial points", "iteration", series))
-}
-
 /// The P3 objective of the all-full-speed configuration at a snapshot slot
 /// — a scale reference for choosing GSD temperatures (the acceptance rule
 /// depends on δ/g̃, so meaningful δ values are multiples of typical g̃).
@@ -472,7 +219,8 @@ pub struct BudgetSweepRow {
 /// One Fig. 5(a)/(b) budget point: re-calibrates V against the rescaled
 /// budget, runs COCA and the OPT plan, and normalizes both by the
 /// caller-supplied carbon-unaware reference cost (computed once per sweep
-/// via [`unaware_reference`] on the base setup).
+/// via [`unaware_reference`](crate::setup::unaware_reference) on the base
+/// setup).
 pub fn budget_point(
     base: &PaperSetup,
     frac: f64,
@@ -495,96 +243,12 @@ pub fn budget_point(
     })
 }
 
-/// Fig. 5(a)/(b): normalized cost vs carbon budget for COCA, OPT, and the
-/// carbon-unaware reference (always 1.0 by normalization, shown for
-/// context). `calib_probes` controls V-calibration effort per budget.
-pub fn fig5_budget_sweep(
-    base: &PaperSetup,
-    fractions: &[f64],
-    calib_probes: usize,
-) -> Result<(Figure, Vec<BudgetSweepRow>), SimError> {
-    let unaware = unaware_reference(&base.cluster, base.cost, &base.trace, base.rec_total)?;
-    let unaware_cost = unaware.avg_hourly_cost();
-
-    // Budget points are independent (each re-calibrates V against its own
-    // budget), so the sweep fans them out across worker threads.
-    let results = parallel::sweep(fractions.to_vec(), 0, |frac: f64| {
-        budget_point(base, frac, calib_probes, unaware_cost)
-    });
-    let rows = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-    let fig = Figure::new(
-        "Fig. 5(a/b) normalized cost vs carbon budget",
-        "budget (normalized)",
-        vec![
-            Series::new("coca", fractions.to_vec(), rows.iter().map(|r| r.coca).collect()),
-            Series::new("opt", fractions.to_vec(), rows.iter().map(|r| r.opt).collect()),
-            Series::new(
-                "carbon-unaware",
-                fractions.to_vec(),
-                vec![1.0; fractions.len()],
-            ),
-        ],
-    );
-    Ok((fig, rows))
-}
-
-/// Fig. 5(c): total cost vs workload overestimation factor φ, normalized to
-/// φ = 1.
-pub fn fig5_overestimation(setup: &PaperSetup, v: f64, phis: &[f64]) -> Result<Figure, SimError> {
-    // Each φ changes the engine's shared per-slot env prep, so every φ is
-    // its own engine; the points fan out across worker threads.
-    let results = parallel::sweep(phis.to_vec(), 0, |phi: f64| -> Result<f64, SimError> {
-        let mut engine = SimEngine::new(
-            Arc::clone(&setup.cluster),
-            &setup.trace,
-            setup.cost,
-            setup.rec_total,
-        )?;
-        engine.set_overestimation(phi)?;
-        let _ = engine
-            .add_policy(Box::new(coca_policy(setup, VSchedule::Constant(v), setup.trace.len())));
-        let _ = engine.run_to_end()?;
-        let out = engine
-            .into_outcomes()?
-            .pop()
-            .ok_or_else(|| SimError::Internal("engine produced no outcome".into()))?;
-        Ok(out.avg_hourly_cost())
-    });
-    let costs = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-    let base = costs[0];
-    let normalized = costs.iter().map(|c| c / base).collect();
-    Ok(Figure::new(
-        "Fig. 5(c) cost vs workload overestimation",
-        "phi",
-        vec![Series::new("coca", phis.to_vec(), normalized)],
-    ))
-}
-
 /// The setup with the per-server switching energy overridden — engine and
 /// controller both see the modified cost (Fig. 5(d)).
 pub fn switching_setup(setup: &PaperSetup, switch_kwh: f64) -> PaperSetup {
     let mut s = setup.clone();
     s.cost.switch_energy_kwh = switch_kwh;
     s
-}
-
-/// Fig. 5(d): total cost vs per-server switching energy (kWh), normalized
-/// to zero switching cost.
-pub fn fig5_switching(setup: &PaperSetup, v: f64, switch_kwh: &[f64]) -> Result<Figure, SimError> {
-    // Switching energy enters the engine's cost accounting, so each point
-    // is its own engine run; the points fan out across worker threads.
-    let results = parallel::sweep(switch_kwh.to_vec(), 0, |sw: f64| -> Result<f64, SimError> {
-        let s = switching_setup(setup, sw);
-        Ok(run_coca(&s, VSchedule::Constant(v), s.trace.len())?.avg_hourly_cost())
-    });
-    let costs = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-    let base = costs[0];
-    let normalized = costs.iter().map(|c| c / base).collect();
-    Ok(Figure::new(
-        "Fig. 5(d) cost vs switching energy per power-up",
-        "switch kWh",
-        vec![Series::new("coca", switch_kwh.to_vec(), normalized)],
-    ))
 }
 
 /// One row of the frame-reset ablation.
@@ -600,20 +264,7 @@ pub struct AblationRow {
     pub peak_queue: f64,
 }
 
-/// Ablation (DESIGN.md §7): the deficit-queue **frame reset**. Resetting
-/// every T slots decouples frames so V can be retuned (Sec. 4.3), but each
-/// reset forgives the accumulated deficit — more frames means weaker
-/// neutrality pressure at the same V. This sweep quantifies that trade-off
-/// at a fixed constant V.
-pub fn ablation_frame_reset(
-    setup: &PaperSetup,
-    v: f64,
-    frame_counts: &[usize],
-) -> Result<Vec<AblationRow>, SimError> {
-    frame_counts.iter().map(|&frames| frame_reset_point(setup, v, frames)).collect()
-}
-
-/// One frame-reset ablation point (see [`ablation_frame_reset`]): COCA at
+/// One point of the frame-reset ablation (DESIGN.md §7): COCA at
 /// constant `v` with the horizon split into `frames` frames, the trace
 /// trimmed to J = R·T, and the controller's REC allotment (but not the
 /// engine's) prorated to the trimmed horizon.
@@ -668,60 +319,15 @@ pub fn portfolio_setup(setup: &PaperSetup, share: f64) -> PaperSetup {
     s
 }
 
-/// Renewable-portfolio sensitivity (paper Sec. 5.2.4 closing remark): the
-/// cost change when the off-site/REC mix varies at a fixed total budget.
-/// Returns normalized costs, one per mix.
-pub fn portfolio_sensitivity(
-    setup: &PaperSetup,
-    v: f64,
-    offsite_shares: &[f64],
-) -> Result<Figure, SimError> {
-    // Each mix reshapes the off-site trace, so each point is its own
-    // engine run; the points fan out across worker threads.
-    let results = parallel::sweep(offsite_shares.to_vec(), 0, |share: f64| -> Result<f64, SimError> {
-        let s = portfolio_setup(setup, share);
-        Ok(run_coca(&s, VSchedule::Constant(v), s.trace.len())?.avg_hourly_cost())
-    });
-    let costs = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-    let base = costs[0];
-    let normalized = costs.iter().map(|c| c / base).collect();
-    Ok(Figure::new(
-        "Portfolio sensitivity: cost vs off-site share of the budget",
-        "offsite share",
-        vec![Series::new("coca", offsite_shares.to_vec(), normalized)],
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::setup::ExperimentScale;
-
-    fn small_setup() -> PaperSetup {
-        PaperSetup::build(ExperimentScale::small(), WorkloadKind::Fiu, 0.92).unwrap()
-    }
-
-    #[test]
-    fn fig1_shapes() {
-        let (a, b) = fig1_workloads(7);
-        assert_eq!(a.series[0].y.len(), HOURS_PER_YEAR);
-        assert_eq!(b.series[0].y.len(), HOURS_PER_WEEK);
-    }
-
-    #[test]
-    fn fig2_cost_decreases_deficit_increases_with_v() {
-        let setup = small_setup();
-        let vs = [0.02, 2.0, 2000.0];
-        let (a, b) = fig2_constant_v(&setup, &vs).unwrap();
-        let cost = &a.series[0].y;
-        let deficit = &b.series[0].y;
-        assert!(cost[2] <= cost[0] + 1e-9, "cost decreases with V: {cost:?}");
-        assert!(deficit[2] >= deficit[0] - 1e-9, "deficit grows with V: {deficit:?}");
-    }
+    use coca_traces::WorkloadKind;
 
     #[test]
     fn calibrated_v_meets_budget() {
-        let setup = small_setup();
+        let setup = PaperSetup::build(ExperimentScale::small(), WorkloadKind::Fiu, 0.92).unwrap();
         let v = calibrate_v(&setup, 6).unwrap();
         let out = run_coca(&setup, VSchedule::Constant(v), setup.trace.len()).unwrap();
         assert!(
@@ -730,51 +336,5 @@ mod tests {
             out.total_brown_energy(),
             setup.budget_kwh
         );
-    }
-
-    #[test]
-    fn fig4_traces_have_requested_length() {
-        let setup = small_setup();
-        let fig = fig4_gsd_deltas(&setup, 100, 240.0, &[1e3, 1e6], 120).unwrap();
-        assert_eq!(fig.series.len(), 2);
-        assert!(fig.series.iter().all(|s| s.y.len() == 120));
-        let fig_b = fig4_gsd_initial_points(&setup, 100, 240.0, 1e6, 120).unwrap();
-        assert!(fig_b.series.len() >= 2);
-    }
-
-    #[test]
-    fn ablation_more_frames_weaker_neutrality() {
-        let setup = small_setup();
-        let v = calibrate_v(&setup, 5).unwrap();
-        let rows = ablation_frame_reset(&setup, v, &[1, 4]).unwrap();
-        assert_eq!(rows.len(), 2);
-        // Resets forgive deficit: brown usage cannot decrease with frames.
-        assert!(
-            rows[1].brown_over_budget >= rows[0].brown_over_budget - 0.02,
-            "4 frames {} vs 1 frame {}",
-            rows[1].brown_over_budget,
-            rows[0].brown_over_budget
-        );
-        assert!(rows.iter().all(|r| r.cost.is_finite() && r.peak_queue >= 0.0));
-    }
-
-    #[test]
-    fn portfolio_mix_is_insensitive() {
-        // Paper Sec. 5.2.4: different off-site/REC mixes at the same total
-        // budget change the cost by well under a few percent.
-        let setup = small_setup();
-        let v = calibrate_v(&setup, 5).unwrap();
-        let fig = portfolio_sensitivity(&setup, v, &[0.2, 0.8]).unwrap();
-        let y = &fig.series[0].y;
-        assert!((y[1] - 1.0).abs() < 0.05, "portfolio sensitivity too high: {y:?}");
-    }
-
-    #[test]
-    fn fig5c_small_overestimation_small_cost_increase() {
-        let setup = small_setup();
-        let fig = fig5_overestimation(&setup, 100.0, &[1.0, 1.2]).unwrap();
-        let y = &fig.series[0].y;
-        assert!((y[0] - 1.0).abs() < 1e-12);
-        assert!(y[1] < 1.2, "20% overestimation should cost far less than 20%: {y:?}");
     }
 }

@@ -7,9 +7,10 @@
 //!   calibrated exactly as in Sec. 5.1 (92 % of the carbon-unaware
 //!   consumption; 40 % off-site renewables / 60 % RECs; on-site ≈ 20 % of
 //!   consumption).
-//! * [`figures`] — one function per figure; each returns printable
-//!   [`report::Series`] so the `repro` binary and the integration tests
-//!   share the same code paths.
+//! * [`figures`] — the primitives each figure's spec is built from (the
+//!   COCA policy, V\* calibration, one budget / frame-reset / GSD-trace
+//!   point) and the assembled [`figures::Figure`] type. The figures
+//!   themselves are declarative specs run by `coca-scenarios`.
 //! * [`report`] — plain-text table/series printing and CSV output.
 //! * [`parallel`] — order-preserving multi-threaded sweeps for independent
 //!   experiment points.
@@ -17,8 +18,10 @@
 //!   the engine state so interrupted reproductions resume with
 //!   `repro --resume`.
 //!
-//! Run `cargo run --release -p coca-experiments --bin repro -- all` to
-//! regenerate everything; see `EXPERIMENTS.md` for recorded results.
+//! Run `cargo run --release -p coca-scenarios --bin repro -- batch
+//! scenarios` to regenerate every figure (`run <spec.json>` for one,
+//! `list-scenarios` to list them); see `EXPERIMENTS.md` for recorded
+//! results.
 
 #![deny(missing_docs, unsafe_code)]
 

@@ -1,16 +1,18 @@
 //! Order-preserving parallel sweeps for independent experiment points.
 //!
-//! Figure sweeps (one COCA year per V value, one OPT plan per budget) are
-//! embarrassingly parallel across points; on multicore machines this cuts
-//! wall-clock time roughly by the core count. Built on crossbeam scoped
-//! threads with a per-item channel send instead of a shared results lock —
-//! results come back in input order, and a panic in any worker propagates.
+//! The scenario batch runner fans a manifest's runs (one COCA year per V
+//! value, one OPT plan per budget) out over this pool; on multicore
+//! machines this cuts wall-clock time roughly by the core count. Built on
+//! crossbeam scoped threads with a per-item channel send instead of a
+//! shared results lock — results come back in input order, and a panic in
+//! any worker propagates.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Process-wide default worker count used when a sweep requests `0`
 /// workers. `0` (the initial value) means "use all available cores"; the
-/// `repro --workers N` flag overrides it once at startup.
+/// benchmark tracer (`perfbench/tracer`) overrides it once at startup.
+/// `repro --workers N` passes its count to each batch explicitly instead.
 static DEFAULT_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
 /// Sets the process-wide default worker count consulted by
@@ -40,9 +42,8 @@ pub fn effective_workers(requested: usize) -> usize {
 /// and returns outputs in input order.
 ///
 /// `workers == 0` means "use the process default" — the value set via
-/// [`set_default_workers`] (CLI-reachable as `repro --workers N`), or all
-/// available cores (`std::thread::available_parallelism()`) when no
-/// default was set.
+/// [`set_default_workers`], or all available cores
+/// (`std::thread::available_parallelism()`) when no default was set.
 ///
 /// Each worker sends `(index, output)` pairs over a channel sized to hold
 /// every result, so finished items never contend on a shared lock and sends

@@ -17,7 +17,7 @@
 //! * `normalize: "first"` divides a curve by its first y value.
 //!
 //! Lanes marked `skipped` in the results (e.g. an infeasible GSD initial
-//! point) drop their curves, matching the hand-coded figures.
+//! point) drop their curves, so Fig. 4(b) shows only feasible starts.
 
 use std::collections::HashMap;
 
@@ -55,8 +55,8 @@ fn lane_series(lane: &Value, name: &str) -> Option<Vec<f64>> {
     seq.iter().map(num).collect()
 }
 
-/// Formats a numeric placeholder value the way the hand-coded figure
-/// labels did: integral floats print without a fractional part.
+/// Formats a numeric placeholder value for a series label: integral
+/// floats print without a fractional part (`delta=2g`, not `delta=2.0g`).
 fn format_num(v: f64) -> String {
     // audit:allow(float-eq) exact integrality test: fract() of an integral f64 is exactly 0.0
     if v.fract() == 0.0 && v.abs() < 1e15 {

@@ -14,8 +14,10 @@
 //! ```
 //!
 //! Each spec executes in `<out>/batch/<name>/` (manifest, per-run results,
-//! checkpoints, status); figures land at `<out>/<stem>.csv` exactly like
-//! the old hand-coded harness. `--resume` skips completed runs and
+//! checkpoints, status); figures land at `<out>/<stem>.csv`, and at small
+//! scale each one matches its committed reference under
+//! `perfbench/refs/batch_small/` (the `spec_equivalence` test checks all
+//! of them). `--resume` skips completed runs and
 //! restores in-flight lockstep runs from their last frame checkpoint.
 //! `--kill-after N` stops after N completed runs (the CI crash-resume
 //! smoke gate); `--abort-at-slot T` injects a simulated crash into every
@@ -91,7 +93,6 @@ fn parse_args() -> Result<Args, String> {
                 if n == 0 {
                     return Err("--workers must be >= 1 (omit the flag for all cores)".into());
                 }
-                coca_experiments::parallel::set_default_workers(n);
                 workers = n;
             }
             "--kill-after" => {

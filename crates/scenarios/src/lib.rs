@@ -1,7 +1,7 @@
 //! Declarative scenario specs and resumable batch orchestration.
 //!
-//! The paper figures used to be ~730 lines of bespoke per-figure plumbing
-//! in `coca-experiments::figures`; the ROADMAP north star is
+//! Every paper figure is one committed spec; `coca-experiments::figures`
+//! keeps only the primitives the runner composes. The ROADMAP north star is
 //! thousands-of-scenarios scale (fleets of what-if plans, forecast-error
 //! grids). This crate promotes the existing substrate — the lockstep
 //! [`SimEngine`](coca_dcsim::SimEngine) with serializable checkpoints and

@@ -567,8 +567,8 @@ fn run_gsd_trace_kind(ctx: &Ctx, entry: &RunEntry) -> Result<Value, String> {
             scalar_map(scalars),
             series_map(vec![("trace".to_string(), t)]),
         ),
-        // Infeasible initial point: recorded as a skipped lane, like the
-        // hand-coded Fig. 4(b) which drops the curve.
+        // Infeasible initial point: recorded as a skipped lane, whose
+        // curve Fig. 4(b) drops.
         None => lane_value("gsd", true, scalar_map(scalars), series_map(Vec::new())),
     };
     Ok(run_value(entry, vec![lane]))

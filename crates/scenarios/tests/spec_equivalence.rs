@@ -1,208 +1,235 @@
-//! Every committed scenario spec must reproduce its paper figure exactly
-//! as the hand-coded `coca_experiments::figures` harness does. The two
-//! paths share the same extracted primitives, the lockstep engine is
-//! assert_eq-tested against individual runs, and checkpointing is proven
-//! not to perturb results — so the comparison here is exact equality, far
-//! tighter than the 1e-12 the acceptance criteria ask for.
+//! Every committed scenario spec, run at small scale through the batch
+//! pipeline (materialize → `BatchRunner` → `assemble` → `write_csv`), must
+//! reproduce the committed figure CSVs in `perfbench/refs/batch_small/`,
+//! the same references the benchmark checks its `repro batch` output
+//! against. The comparison follows `perfbench/verify.py::compare_csv`:
+//! headers and row counts exactly, every cell equal as text or within
+//! 1e-9 relative (1e-12 absolute floor) as floats.
+//!
+//! The specs run once per test binary; the paper-shape tests below assert
+//! on the same figures.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use coca_experiments::figures::{self, Figure};
+use coca_experiments::report::write_csv;
 use coca_experiments::setup::PaperSetup;
 use coca_experiments::ExperimentScale;
-use coca_scenarios::{assemble, manifest, BatchOptions, BatchRunner, Spec};
-use coca_traces::WorkloadKind;
+use coca_scenarios::{assemble, manifest, spec, BatchOptions, BatchRunner, Spec};
+use coca_traces::{WorkloadKind, HOURS_PER_WEEK, HOURS_PER_YEAR};
 use serde::Value;
 
-fn scenarios_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
+const REL_TOL: f64 = 1e-9;
+const ABS_FLOOR: f64 = 1e-12;
+
+fn repo_path(rel: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(rel)
 }
 
-/// Runs a committed spec at small scale through the full batch pipeline
-/// (materialize → BatchRunner → assemble) and returns the figures by stem.
-fn run_spec(file: &str) -> (Vec<(String, Figure)>, HashMap<String, Value>) {
-    let spec = Spec::load(&scenarios_dir().join(file)).expect("spec parses");
-    let m = manifest::materialize(&spec, ExperimentScale::small()).expect("materialize");
-    let dir = std::env::temp_dir().join(format!("coca_equiv_{}_{}", std::process::id(), spec.name));
-    let _ = std::fs::remove_dir_all(&dir);
-    let runner = BatchRunner::new(
-        &m,
-        BatchOptions { dir: dir.clone(), workers: 1, ..Default::default() },
-    );
-    let summary = runner.run().expect("batch runs");
-    assert!(summary.is_complete(), "batch incomplete: {summary:?}");
-    let results = runner.load_results().expect("results load");
-    let figs = assemble::assemble(&spec, &m, &results).expect("figures assemble");
-    let _ = std::fs::remove_dir_all(&dir);
-    (figs, results)
+/// What the committed specs produce at small scale: each figure with the
+/// CSV text `repro` would write for it, and the run results by spec name.
+struct Outputs {
+    figures: BTreeMap<String, (Figure, String)>,
+    results: HashMap<String, HashMap<String, Value>>,
 }
 
-fn fig<'a>(figs: &'a [(String, Figure)], stem: &str) -> &'a Figure {
-    &figs.iter().find(|(s, _)| s == stem).unwrap_or_else(|| panic!("missing stem {stem}")).1
+fn outputs() -> &'static Outputs {
+    static OUT: OnceLock<Outputs> = OnceLock::new();
+    OUT.get_or_init(run_all_specs)
 }
 
-/// Exact equality — titles, labels, names, and every x/y sample bit for bit.
-fn assert_fig_eq(actual: &Figure, expected: &Figure) {
-    assert_eq!(actual.title, expected.title);
-    assert_eq!(actual.x_label, expected.x_label);
-    let names = |f: &Figure| f.series.iter().map(|s| s.name.clone()).collect::<Vec<_>>();
-    assert_eq!(names(actual), names(expected), "series names for {}", expected.title);
-    for (a, e) in actual.series.iter().zip(&expected.series) {
-        assert_eq!(a.x, e.x, "x of {}/{}", expected.title, e.name);
-        assert_eq!(a.y, e.y, "y of {}/{}", expected.title, e.name);
+fn run_all_specs() -> Outputs {
+    let root = std::env::temp_dir().join(format!("coca_spec_golden_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let mut figures = BTreeMap::new();
+    let mut results = HashMap::new();
+    for path in spec::discover(&repo_path("scenarios")).expect("scenarios dir lists") {
+        let spec = Spec::load(&path).expect("spec parses");
+        let m = manifest::materialize(&spec, ExperimentScale::small()).expect("materialize");
+        let dir = root.join("batch").join(&spec.name);
+        let runner = BatchRunner::new(&m, BatchOptions { dir, ..Default::default() });
+        let summary = runner.run().expect("batch runs");
+        assert!(summary.is_complete(), "{}: batch incomplete: {summary:?}", spec.name);
+        let run_results = runner.load_results().expect("results load");
+        for (stem, fig) in assemble::assemble(&spec, &m, &run_results).expect("figures assemble") {
+            let csv = root.join(format!("{stem}.csv"));
+            write_csv(&csv, &fig.x_label, &fig.series).expect("csv written");
+            let text = std::fs::read_to_string(&csv).expect("csv reads back");
+            assert!(
+                figures.insert(stem.clone(), (fig, text)).is_none(),
+                "two specs write {stem}.csv"
+            );
+        }
+        results.insert(spec.name.clone(), run_results);
     }
+    let _ = std::fs::remove_dir_all(&root);
+    Outputs { figures, results }
 }
 
-fn small_setup() -> &'static PaperSetup {
-    static S: OnceLock<PaperSetup> = OnceLock::new();
-    S.get_or_init(|| {
-        PaperSetup::build(ExperimentScale::small(), WorkloadKind::Fiu, 0.92).expect("setup")
-    })
+fn figure(stem: &str) -> &'static Figure {
+    &outputs().figures.get(stem).unwrap_or_else(|| panic!("no spec produces {stem}")).0
 }
 
-/// V* from the same 7-probe calibration the specs declare.
-fn vstar7() -> f64 {
-    static V: OnceLock<f64> = OnceLock::new();
-    *V.get_or_init(|| figures::calibrate_v(small_setup(), 7).expect("calibration"))
+fn series<'f>(fig: &'f Figure, name: &str) -> &'f [f64] {
+    &fig.series.iter().find(|s| s.name == name).unwrap_or_else(|| panic!("no series {name}")).y
+}
+
+fn close(a: f64, b: f64) -> bool {
+    (a - b).abs() <= (REL_TOL * a.abs().max(b.abs())).max(ABS_FLOOR)
+}
+
+fn cell_ok(a: &str, b: &str) -> bool {
+    a == b
+        || match (a.parse::<f64>(), b.parse::<f64>()) {
+            (Ok(x), Ok(y)) => close(x, y),
+            _ => false,
+        }
+}
+
+/// The first difference between a figure CSV and its reference, if any.
+fn compare_csv(text: &str, reference: &str) -> Option<String> {
+    let rows: Vec<&str> = text.lines().collect();
+    let want: Vec<&str> = reference.lines().collect();
+    if rows.len() != want.len() {
+        return Some(format!("{} rows, reference has {}", rows.len(), want.len()));
+    }
+    for (i, (row, want_row)) in rows.iter().zip(&want).enumerate() {
+        let cells: Vec<&str> = row.split(',').collect();
+        let want_cells: Vec<&str> = want_row.split(',').collect();
+        if cells.len() != want_cells.len() || (i == 0 && row != want_row) {
+            return Some(format!("row {i}: {row:?} != {want_row:?}"));
+        }
+        if let Some((a, b)) = cells.iter().zip(&want_cells).find(|(a, b)| !cell_ok(a, b)) {
+            return Some(format!("row {i}: {a} != {b}"));
+        }
+    }
+    None
 }
 
 #[test]
-fn fig1_matches_hand_coded() {
-    let (figs, _) = run_spec("fig1_workloads.json");
-    let (a, b) = figures::fig1_workloads(ExperimentScale::small().seed);
-    assert_fig_eq(fig(&figs, "fig1a_fiu_workload"), &a);
-    assert_fig_eq(fig(&figs, "fig1b_msr_workload"), &b);
-}
-
-#[test]
-fn fig2_constant_v_matches_hand_coded() {
-    let (figs, _) = run_spec("fig2_constant_v.json");
-    let v0 = small_setup().characteristic_v();
-    let vs: Vec<f64> = [0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0]
-        .iter()
-        .map(|m| m * v0)
+fn every_spec_reproduces_its_committed_golden_csv() {
+    let refs = repo_path("perfbench/refs/batch_small");
+    let golden: BTreeSet<String> = std::fs::read_dir(&refs)
+        .expect("golden dir lists")
+        .map(|e| e.expect("golden entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "csv"))
+        .map(|p| p.file_stem().expect("stem").to_string_lossy().into_owned())
         .collect();
-    let (a, b) = figures::fig2_constant_v(small_setup(), &vs).expect("fig2");
-    assert_fig_eq(fig(&figs, "fig2a_cost_vs_v"), &a);
-    assert_fig_eq(fig(&figs, "fig2b_deficit_vs_v"), &b);
+    let produced: BTreeSet<String> = outputs().figures.keys().cloned().collect();
+    assert_eq!(produced, golden, "the specs' figure stems must be exactly the golden files");
+
+    let mismatches: Vec<String> = outputs()
+        .figures
+        .iter()
+        .filter_map(|(stem, (_, text))| {
+            let reference = std::fs::read_to_string(refs.join(format!("{stem}.csv")))
+                .unwrap_or_else(|e| panic!("read golden {stem}.csv: {e}"));
+            compare_csv(text, &reference).map(|why| format!("{stem}.csv: {why}"))
+        })
+        .collect();
+    assert!(mismatches.is_empty(), "figures differ from the goldens:\n{}", mismatches.join("\n"));
 }
 
 #[test]
-fn fig2_varying_v_matches_hand_coded() {
-    let (figs, _) = run_spec("fig2_varying_v.json");
-    let setup = small_setup();
-    let v0 = setup.characteristic_v();
-    let window = figures::movavg_window(setup.trace.len());
-    let (c, d) = figures::fig2_varying_v(setup, (0.03 * v0, 0.1 * v0, v0, 10.0 * v0), v0, window)
-        .expect("fig2cd");
-    assert_fig_eq(fig(&figs, "fig2c_movavg_cost"), &c);
-    assert_fig_eq(fig(&figs, "fig2d_movavg_deficit"), &d);
+fn fig1_traces_span_a_year_and_a_week() {
+    assert_eq!(series(figure("fig1a_fiu_workload"), "fiu").len(), HOURS_PER_YEAR);
+    assert_eq!(series(figure("fig1b_msr_workload"), "msr").len(), HOURS_PER_WEEK);
 }
 
 #[test]
-fn fig3_matches_hand_coded() {
-    let (figs, _) = run_spec("fig3_perfect_hp.json");
-    let (a, b, _saving) =
-        figures::fig3_vs_perfect_hp(small_setup(), vstar7(), 48).expect("fig3");
-    assert_fig_eq(fig(&figs, "fig3a_cumavg_cost"), &a);
-    assert_fig_eq(fig(&figs, "fig3b_cumavg_deficit"), &b);
+fn fig2_cost_falls_and_deficit_rises_with_v() {
+    // Theorem 2: larger V trades neutrality for cost.
+    let cost = series(figure("fig2a_cost_vs_v"), "coca");
+    let deficit = series(figure("fig2b_deficit_vs_v"), "coca");
+    assert!(cost[cost.len() - 1] <= cost[0] + 1e-9, "cost decreases with V: {cost:?}");
+    assert!(deficit[deficit.len() - 1] >= deficit[0] - 1e-9, "deficit grows with V: {deficit:?}");
 }
 
 #[test]
-fn fig4_matches_hand_coded() {
-    let (figs, _) = run_spec("fig4_gsd.json");
-    let setup = small_setup();
-    let v0 = setup.characteristic_v();
-    let gtyp = figures::typical_slot_objective(setup, 1500, v0).expect("g_typ");
-    let deltas: Vec<f64> = [2.0, 10.0, 50.0, 250.0].iter().map(|m| m * gtyp).collect();
-    let a = figures::fig4_gsd_deltas(setup, 1500, v0, &deltas, 500).expect("fig4a");
-    let b = figures::fig4_gsd_initial_points(setup, 1500, v0, 50.0 * gtyp, 500).expect("fig4b");
-    assert_fig_eq(fig(&figs, "fig4a_gsd_delta"), &a);
-    assert_fig_eq(fig(&figs, "fig4b_gsd_initials"), &b);
+fn fig4_traces_have_the_requested_length() {
+    // fig4_gsd.json asks for 500 GSD iterations per curve.
+    let a = figure("fig4a_gsd_delta");
+    assert_eq!(a.series.len(), 4, "one curve per temperature");
+    assert!(a.series.iter().all(|s| s.y.len() == 500));
+    let b = figure("fig4b_gsd_initials");
+    assert!(b.series.len() >= 2, "at least two feasible initial points");
+    assert!(b.series.iter().all(|s| s.y.len() == 500));
 }
 
 #[test]
-fn fig5_budget_fiu_matches_hand_coded() {
-    let (figs, _) = run_spec("fig5_budget_fiu.json");
-    let fracs = [0.85, 0.9, 0.92, 1.0, 1.05];
-    let (expected, _rows) =
-        figures::fig5_budget_sweep(small_setup(), &fracs, 5).expect("fig5ab");
-    assert_fig_eq(fig(&figs, "fig5a_budget_fiu"), &expected);
+fn more_frames_give_weaker_neutrality() {
+    // Each frame reset forgives the accumulated deficit, so brown usage
+    // cannot fall as the frame count rises (x = 1, 2, 4, 12 frames).
+    let fig = figure("ablation_frame_reset");
+    let frames = &fig.series[0].x;
+    let brown = series(fig, "brown-over-budget");
+    let at = |f: f64| brown[frames.iter().position(|&x| x == f).expect("frame count swept")];
+    assert!(at(4.0) >= at(1.0) - 0.02, "4 frames {} vs 1 frame {}", at(4.0), at(1.0));
+    assert!(series(fig, "avg-cost").iter().all(|c| c.is_finite()));
+    assert!(series(fig, "peak-queue").iter().all(|&q| q >= 0.0));
 }
 
 #[test]
-fn fig5_budget_msr_matches_hand_coded() {
-    let (figs, _) = run_spec("fig5_budget_msr.json");
-    let msr = PaperSetup::build(ExperimentScale::small(), WorkloadKind::Msr, 0.92).expect("setup");
-    let fracs = [0.85, 0.9, 0.92, 1.0, 1.05];
-    let (expected, _rows) = figures::fig5_budget_sweep(&msr, &fracs, 5).expect("fig5ab");
-    assert_fig_eq(fig(&figs, "fig5b_budget_msr"), &expected);
+fn portfolio_mix_is_insensitive() {
+    // Paper Sec. 5.2.4: re-splitting the same total budget between
+    // off-site supply and RECs moves the cost by well under a few percent.
+    let y = series(figure("portfolio_sensitivity"), "coca");
+    assert!(y.iter().all(|c| (c - 1.0).abs() < 0.05), "portfolio sensitivity too high: {y:?}");
 }
 
 #[test]
-fn fig5_overestimation_matches_hand_coded() {
-    let (figs, _) = run_spec("fig5_overestimation.json");
-    let phis = [1.0, 1.05, 1.1, 1.15, 1.2];
-    let expected = figures::fig5_overestimation(small_setup(), vstar7(), &phis).expect("fig5c");
-    assert_fig_eq(fig(&figs, "fig5c_overestimation"), &expected);
-}
+fn overestimation_and_switching_cost_stay_modest() {
+    // Paper Fig. 5(c): ≤2.5% cost increase at 20% overestimation;
+    // Fig. 5(d): ≤5% at 0.0231 kWh switching. The bounds are looser at
+    // the reduced scale, but the "modest" qualitative claim must hold.
+    let c = figure("fig5c_overestimation");
+    let y = series(c, "coca");
+    assert_eq!(c.series[0].x.last(), Some(&1.2));
+    assert!((y[0] - 1.0).abs() < 1e-12, "normalized to phi = 1: {y:?}");
+    assert!(y[y.len() - 1] < 1.2, "20% overestimation must cost far less than 20%: {y:?}");
+    assert!(y[y.len() - 1] <= 1.10, "20% overestimation should cost <10%, got {y:?}");
 
-#[test]
-fn fig5_switching_matches_hand_coded() {
-    let (figs, _) = run_spec("fig5_switching.json");
-    let sws = [0.0, 0.00578, 0.01155, 0.01733, 0.0231];
-    let expected = figures::fig5_switching(small_setup(), vstar7(), &sws).expect("fig5d");
-    assert_fig_eq(fig(&figs, "fig5d_switching"), &expected);
-}
-
-#[test]
-fn portfolio_matches_hand_coded() {
-    let (figs, _) = run_spec("portfolio.json");
-    let shares = [0.2, 0.4, 0.6, 0.8];
-    let expected =
-        figures::portfolio_sensitivity(small_setup(), vstar7(), &shares).expect("portfolio");
-    assert_fig_eq(fig(&figs, "portfolio_sensitivity"), &expected);
-}
-
-#[test]
-fn ablation_matches_hand_coded() {
-    let (figs, _) = run_spec("ablation_frame_reset.json");
-    let frames = [1usize, 2, 4, 12];
-    let rows = figures::ablation_frame_reset(small_setup(), vstar7(), &frames).expect("ablation");
-    let actual = fig(&figs, "ablation_frame_reset");
-    let x: Vec<f64> = frames.iter().map(|&f| f as f64).collect();
-    for (name, pick) in [
-        ("avg-cost", (|r: &figures::AblationRow| r.cost) as fn(&figures::AblationRow) -> f64),
-        ("brown-over-budget", |r| r.brown_over_budget),
-        ("peak-queue", |r| r.peak_queue),
-    ] {
-        let s = actual.series.iter().find(|s| s.name == name).expect("series present");
-        assert_eq!(s.x, x, "x of {name}");
-        let y: Vec<f64> = rows.iter().map(pick).collect();
-        assert_eq!(s.y, y, "y of {name}");
-    }
+    let d = figure("fig5d_switching");
+    let y = series(d, "coca");
+    assert_eq!(d.series[0].x.last(), Some(&0.0231));
+    assert!(y[y.len() - 1] <= 1.15, "switching cost impact should be modest, got {y:?}");
 }
 
 #[test]
 fn summary_headline_matches_fig3_saving() {
-    let (_figs, results) = run_spec("summary.json");
-    let run = results.values().next().expect("one run");
-    let lanes = run.get_field("lanes").and_then(Value::as_seq).expect("lanes");
+    let results = &outputs().results["summary"];
+    assert_eq!(results.len(), 1, "summary is one run");
+    let lanes = results.values().next().and_then(|r| r.get_field("lanes")?.as_seq());
+    let lanes = lanes.expect("lanes");
     let scalar = |label: &str, name: &str| -> f64 {
         let lane = lanes
             .iter()
-            .find(|l| matches!(l.get_field("label"), Some(Value::Str(s)) if s == label))
-            .expect("lane present");
-        match lane.get_field("scalars").and_then(|s| s.get_field(name)) {
-            Some(Value::Float(f)) => *f,
-            Some(Value::Int(i)) => *i as f64,
-            other => panic!("scalar {name} missing: {other:?}"),
-        }
+            .find(|l| l.get_field("label").and_then(spec::str_of) == Some(label))
+            .unwrap_or_else(|| panic!("lane {label} present"));
+        lane.get_field("scalars")
+            .and_then(|s| s.get_field(name))
+            .and_then(spec::num)
+            .unwrap_or_else(|| panic!("scalar {name} missing"))
     };
-    let (_, _, saving) = figures::fig3_vs_perfect_hp(small_setup(), vstar7(), 48).expect("fig3");
-    let spec_saving = 1.0 - scalar("coca", "avg_hourly_cost") / scalar("perfect-hp", "avg_hourly_cost");
-    assert_eq!(spec_saving, saving);
-    assert_eq!(scalar("coca", "v_used"), vstar7());
+    // The last row of the Fig. 3(a) golden (hour, coca, perfect-hp) holds
+    // the whole-horizon average hourly costs.
+    let golden_path = repo_path("perfbench/refs/batch_small/fig3a_cumavg_cost.csv");
+    let golden = std::fs::read_to_string(golden_path).expect("fig3a golden reads");
+    let last: Vec<f64> = golden
+        .lines()
+        .last()
+        .expect("fig3a golden has rows")
+        .split(',')
+        .map(|c| c.parse().expect("numeric cell"))
+        .collect();
+    let fig3_saving = 1.0 - last[1] / last[2];
+    let saving = 1.0 - scalar("coca", "avg_hourly_cost") / scalar("perfect-hp", "avg_hourly_cost");
+    assert!(close(saving, fig3_saving), "summary saving {saving} vs fig3 {fig3_saving}");
+
+    let setup =
+        PaperSetup::build(ExperimentScale::small(), WorkloadKind::Fiu, 0.92).expect("setup");
+    let vstar = figures::calibrate_v(&setup, 7).expect("calibration");
+    assert_eq!(scalar("coca", "v_used"), vstar);
 }

@@ -15,7 +15,9 @@
 //! `run` reads slot NDJSON from stdin (or one TCP connection with
 //! `--listen`), publishes decision NDJSON to stdout and any
 //! `--decisions-listen` subscriber, serves Prometheus metrics on
-//! `--metrics-http`, and on SIGTERM/SIGINT checkpoints durably and exits;
+//! `--metrics-http` (each listener logs the address it bound to stderr,
+//! so port 0 picks a free port), and on SIGTERM/SIGINT checkpoints
+//! durably and exits;
 //! `--resume` continues bit-exactly, and refuses (non-zero exit) a
 //! checkpoint of another format version. `replay` turns a trace into
 //! the ingest stream, optionally paced by `--rate`. `scrape` is the
@@ -28,7 +30,7 @@ use std::process::ExitCode;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use coca_obs::MetricsRegistry;
+use coca_obs::{MetricsObserver, MetricsRegistry};
 use coca_serve::service::{run_batch, run_stream, ServeConfig};
 use coca_serve::{http_get, replay, spawn_acceptor, spawn_metrics_server, OutMsg, Publisher};
 use coca_traces::adapters::{self, azure, google};
@@ -117,13 +119,19 @@ fn parse_run_args(mut it: impl Iterator<Item = String>) -> Result<RunArgs, Strin
     Ok(args)
 }
 
+/// The address a listener actually bound — the real port when the
+/// request was port 0 — falling back to the requested string.
+fn bound_addr(listener: &TcpListener, requested: &str) -> String {
+    listener.local_addr().map_or_else(|_| requested.to_string(), |a| a.to_string())
+}
+
 fn open_ingest(listen: &Option<String>) -> Result<Box<dyn BufRead + Send>, String> {
     match listen {
         None => Ok(Box::new(BufReader::new(std::io::stdin()))),
         Some(addr) => {
             let listener =
                 TcpListener::bind(addr).map_err(|e| format!("bind ingest {addr}: {e}"))?;
-            eprintln!("coca-serve: ingest listening on {addr}");
+            eprintln!("coca-serve: ingest listening on {}", bound_addr(&listener, addr));
             let (conn, peer) =
                 listener.accept().map_err(|e| format!("accept ingest on {addr}: {e}"))?;
             eprintln!("coca-serve: ingest connected from {peer}");
@@ -141,7 +149,7 @@ fn cmd_run(args: RunArgs) -> Result<(), String> {
     if let Some(addr) = &args.decisions_listen {
         let listener =
             TcpListener::bind(addr).map_err(|e| format!("bind decisions {addr}: {e}"))?;
-        eprintln!("coca-serve: decisions on {addr}");
+        eprintln!("coca-serve: decisions on {}", bound_addr(&listener, addr));
         spawn_acceptor(
             listener,
             Arc::clone(&publisher),
@@ -151,7 +159,7 @@ fn cmd_run(args: RunArgs) -> Result<(), String> {
     if let Some(addr) = &args.metrics_http {
         let listener =
             TcpListener::bind(addr).map_err(|e| format!("bind metrics {addr}: {e}"))?;
-        eprintln!("coca-serve: metrics on http://{addr}/metrics");
+        eprintln!("coca-serve: metrics on http://{}/metrics", bound_addr(&listener, addr));
         spawn_metrics_server(listener, Arc::clone(&registry));
     }
 
@@ -161,6 +169,10 @@ fn cmd_run(args: RunArgs) -> Result<(), String> {
             .map_err(|e| format!("register signal {signal}: {e}"))?;
     }
 
+    // Register the engine's metric families before accepting ingest: a
+    // scrape that lands before the first slot then reads them at zero
+    // instead of an empty body. The service's observer re-uses them.
+    let _ = MetricsObserver::new(Arc::clone(&registry));
     let input = open_ingest(&args.listen)?;
     let report = if args.batch {
         run_batch(&args.cfg, input, publisher, registry)?

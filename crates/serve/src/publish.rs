@@ -57,8 +57,11 @@ impl Publisher {
 }
 
 /// Accepts TCP subscribers forever: each connection gets the `hello`
-/// banner and then the live decision stream. The thread exits when the
-/// listener errors (e.g. the process is shutting down and closed it).
+/// banner and then the live decision stream, with no line in between: the
+/// banner is written under the publisher lock and the subscriber joins
+/// before the lock is released, so a client that has read the banner is
+/// already subscribed. The thread exits when the listener errors (e.g. the
+/// process is shutting down and closed it).
 pub fn spawn_acceptor(
     listener: TcpListener,
     publisher: Arc<Publisher>,
@@ -68,13 +71,14 @@ pub fn spawn_acceptor(
     std::thread::spawn(move || {
         for conn in listener.incoming() {
             let Ok(mut stream) = conn else { break };
+            let mut subscribers = publisher.lock();
             let greeted = stream
                 .write_all(banner.as_bytes())
                 .and_then(|()| stream.write_all(b"\n"))
                 .and_then(|()| stream.flush())
                 .is_ok();
             if greeted {
-                publisher.subscribe(Box::new(stream));
+                subscribers.push(Box::new(stream));
             }
         }
     })
@@ -152,13 +156,7 @@ mod tests {
         let banner = lines.next().unwrap().unwrap();
         assert!(matches!(OutMsg::parse(&banner), Ok(OutMsg::Hello { .. })), "{banner}");
 
-        // The acceptor registers the subscriber asynchronously; wait for it.
-        for _ in 0..200 {
-            if publisher.subscriber_count() > 0 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
+        // Having read the banner, the client is subscribed: no waiting.
         publisher.publish(&OutMsg::End { slots: 9 });
         let line = lines.next().unwrap().unwrap();
         assert_eq!(OutMsg::parse(&line).unwrap(), OutMsg::End { slots: 9 });

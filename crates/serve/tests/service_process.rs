@@ -3,8 +3,8 @@
 //! push queue, and schema validation of the captured wire streams.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::process::{Child, Command, Stdio};
+use std::net::TcpStream;
+use std::process::{Child, ChildStderr, Command, Stdio};
 use std::time::{Duration, Instant};
 
 const SERVE: &str = env!("CARGO_BIN_EXE_coca-serve");
@@ -20,12 +20,33 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Grabs a free localhost port by binding to 0 and dropping the listener.
-/// A later bind can lose the port in principle, but the window is tiny and
-/// each test uses distinct ports.
-fn free_addr() -> String {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    listener.local_addr().unwrap().to_string()
+/// The addresses a `coca-serve run` child bound for `--decisions-listen`,
+/// `--metrics-http` and `--listen` (all given as port 0), read from the
+/// lines it logs to stderr before it blocks on the ingest connection.
+/// Returns them in that order with the stderr reader, positioned after
+/// the ingest line.
+fn bound_addrs(child: &mut Child) -> ([String; 3], BufReader<ChildStderr>) {
+    let mut stderr = BufReader::new(child.stderr.take().unwrap());
+    let prefixes = [
+        "coca-serve: decisions on ",
+        "coca-serve: metrics on http://",
+        "coca-serve: ingest listening on ",
+    ];
+    let mut addrs: [Option<String>; 3] = Default::default();
+    let mut seen = String::new();
+    while addrs.iter().any(Option::is_none) {
+        let mut line = String::new();
+        let n = stderr.read_line(&mut line).unwrap();
+        assert!(n > 0, "coca-serve exited before announcing its listeners: {seen}");
+        seen.push_str(&line);
+        let line = line.trim_end();
+        for (slot, prefix) in addrs.iter_mut().zip(prefixes) {
+            if let Some(rest) = line.strip_prefix(prefix) {
+                *slot = Some(rest.trim_end_matches("/metrics").to_string());
+            }
+        }
+    }
+    (addrs.map(Option::unwrap), stderr)
 }
 
 fn connect_with_retry(addr: &str) -> TcpStream {
@@ -97,26 +118,28 @@ fn socket_stream_matches_batch_and_passes_schema() {
     let input = replay_ndjson(24);
     let reference = batch_reference(&input);
 
-    let ingest_addr = free_addr();
-    let decisions_addr = free_addr();
-    let metrics_addr = free_addr();
-    let child = Command::new(SERVE)
+    let mut child = Command::new(SERVE)
         .args(["run", "--quiet"])
-        .args(["--listen", &ingest_addr])
-        .args(["--decisions-listen", &decisions_addr])
-        .args(["--metrics-http", &metrics_addr])
+        .args(["--listen", "127.0.0.1:0"])
+        .args(["--decisions-listen", "127.0.0.1:0"])
+        .args(["--metrics-http", "127.0.0.1:0"])
         .args(FLEET)
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
         .unwrap();
+    let ([decisions_addr, metrics_addr, ingest_addr], mut stderr) = bound_addrs(&mut child);
 
-    // Subscribe before any slot flows so no decision is missed.
-    let subscriber = connect_with_retry(&decisions_addr);
+    // Subscribe before any slot flows so no decision is missed: a client
+    // that has read the hello banner is subscribed.
+    let mut subscriber = BufReader::new(connect_with_retry(&decisions_addr));
+    let mut banner = String::new();
+    subscriber.read_line(&mut banner).unwrap();
+    assert!(banner.contains("\"type\":\"hello\""), "subscriber banner missing: {banner:?}");
     let reader = std::thread::spawn(move || {
         let mut lines = Vec::new();
-        for line in BufReader::new(subscriber).lines() {
+        for line in subscriber.lines() {
             match line {
                 Ok(l) => lines.push(l),
                 Err(_) => break,
@@ -139,20 +162,18 @@ fn socket_stream_matches_batch_and_passes_schema() {
     ingest.write_all(end.as_bytes()).unwrap();
     ingest.flush().unwrap();
     drop(ingest);
-    wait_success(child);
+    let mut rest = String::new();
+    stderr.read_to_string(&mut rest).unwrap();
+    assert!(child.wait().unwrap().success(), "coca-serve failed: {rest}");
 
     let published = reader.join().unwrap();
-    assert!(
-        published.first().is_some_and(|l| l.contains("\"type\":\"hello\"")),
-        "subscriber banner missing: {published:?}"
-    );
     let stream_decisions: Vec<&str> =
         published.iter().map(String::as_str).filter(|l| l.contains("\"type\":\"decision\"")).collect();
     assert_eq!(stream_decisions.len(), 24);
     assert_eq!(stream_decisions, decision_lines(&reference), "stream must equal batch bit-exactly");
     assert!(published.last().is_some_and(|l| l.contains("\"slots\":24")));
 
-    validate(&published.join("\n"), "decisions");
+    validate(&format!("{banner}{}", published.join("\n")), "decisions");
     validate(&input, "replay");
 }
 
