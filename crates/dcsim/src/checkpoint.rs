@@ -12,9 +12,10 @@
 //! Files written before the marker existed (a bare `EngineState` whose
 //! lanes carried their whole record history and COCA's `q_history`) are
 //! rejected with [`CheckpointError::UnsupportedVersion`] rather than
-//! half-parsed. Writes are durable: the JSON goes to `<path>.tmp`, which is
-//! `fsync`ed, renamed over `path`, and then the parent directory is
-//! `fsync`ed so the rename itself survives a power loss.
+//! half-parsed. Writes are durable ([`write_atomic`]): the JSON goes to
+//! `<path>.tmp`, which is `fsync`ed, renamed over `path`, and then the
+//! parent directory is `fsync`ed so the rename itself survives a power
+//! loss.
 
 use std::fmt;
 use std::fs::File;
@@ -144,13 +145,21 @@ fn decode_checkpoint(text: &str) -> Result<EngineState, CheckpointError> {
     EngineState::deserialize_value(state).map_err(|e| CheckpointError::Malformed(e.to_string()))
 }
 
-/// Writes `state` to `path` durably and atomically: `<path>.tmp` is
-/// written and `fsync`ed, renamed over `path`, and the parent directory is
-/// `fsync`ed. Creates the parent directory if needed. A crash at any point
-/// leaves either the previous checkpoint or the new one, never a torn file.
+/// Writes `state` to `path` durably and atomically through
+/// [`write_atomic`]. A crash at any point leaves either the previous
+/// checkpoint or the new one, never a torn file.
 pub fn write_checkpoint(path: &Path, state: &EngineState) -> Result<(), CheckpointError> {
     let json =
         serde_json::to_string(state).map_err(|e| CheckpointError::Malformed(e.to_string()))?;
+    write_atomic(path, &[header().as_bytes(), json.as_bytes(), b"}"])
+}
+
+/// Writes the concatenation of `parts` to `path` durably and atomically:
+/// `<path>.tmp` is written and `fsync`ed, renamed over `path`, and the
+/// parent directory is `fsync`ed. Creates the parent directory if needed.
+/// The one atomic-write implementation behind engine checkpoints and the
+/// batch runner's result and status files.
+pub fn write_atomic(path: &Path, parts: &[&[u8]]) -> Result<(), CheckpointError> {
     let io = |path: &Path, op: &'static str| {
         let path = path.to_path_buf();
         move |e: std::io::Error| CheckpointError::Io { path, op, message: e.to_string() }
@@ -163,10 +172,7 @@ pub fn write_checkpoint(path: &Path, state: &EngineState) -> Result<(), Checkpoi
     tmp_name.push(".tmp");
     let tmp = PathBuf::from(tmp_name);
     let mut file = File::create(&tmp).map_err(io(&tmp, "create"))?;
-    [header().as_bytes(), json.as_bytes(), b"}"]
-        .iter()
-        .try_for_each(|part| file.write_all(part))
-        .map_err(io(&tmp, "write"))?;
+    parts.iter().try_for_each(|part| file.write_all(part)).map_err(io(&tmp, "write"))?;
     file.sync_all().map_err(io(&tmp, "fsync"))?;
     drop(file);
     std::fs::rename(&tmp, path).map_err(io(&tmp, "rename"))?;

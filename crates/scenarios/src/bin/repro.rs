@@ -13,15 +13,19 @@
 //!   list-scenarios [dir]  list specs with expanded run counts
 //! ```
 //!
-//! Each spec executes in `<out>/batch/<name>/` (manifest, per-run results,
-//! checkpoints, status); figures land at `<out>/<stem>.csv`, and at small
-//! scale each one matches its committed reference under
-//! `perfbench/refs/batch_small/` (the `spec_equivalence` test checks all
-//! of them). `--resume` skips completed runs and
-//! restores in-flight lockstep runs from their last frame checkpoint.
-//! `--kill-after N` stops after N completed runs (the CI crash-resume
-//! smoke gate); `--abort-at-slot T` injects a simulated crash into every
-//! lockstep run at slot T.
+//! All runs of all the specs named on one command line go through one
+//! batch queue (costliest first, one shared setup and V\* per scale,
+//! workload and budget); each spec keeps its state in `<out>/batch/<name>/`
+//! (manifest, per-run results, checkpoints, status). Once the queue
+//! drains, figures are assembled spec by spec and land at
+//! `<out>/<stem>.csv`; at small scale each one matches its committed
+//! reference under `perfbench/refs/batch_small/` (the `spec_equivalence`
+//! test checks all of them). `--resume` skips completed runs and restores
+//! in-flight lockstep runs from their last frame checkpoint.
+//! `--kill-after N` stops after N completed runs, counted across the whole
+//! invocation rather than per spec (the CI crash-resume smoke gate);
+//! `--abort-at-slot T` injects a simulated crash into every lockstep run
+//! at slot T.
 //!
 //! `--metrics PATH` runs the instrumented engine/GSD probe plus a small
 //! crash-and-resume batch so the snapshot carries the batch counter
@@ -266,17 +270,24 @@ fn print_narratives(
     }
 }
 
-/// Materializes and executes one spec, then (when complete) assembles and
-/// emits its figures. Returns `true` when every run completed.
-fn run_spec(args: &Args, path: &Path) -> Result<bool, String> {
-    let sp = Spec::load(path)?;
-    let m = manifest::materialize(&sp, args.scale)?;
-    let span = Span::new("batch").lane(&sp.name);
-    logger::info(&span, &format!("{} runs ({} groups)", m.runs.len(), sp.groups.len()));
-    let runner = BatchRunner::new(
-        &m,
+/// Materializes every spec, executes all their runs through one batch
+/// queue, then — spec by spec, in the given order — assembles and emits the
+/// figures of each complete spec. Returns `true` when every run completed.
+fn run_specs(args: &Args, paths: &[PathBuf]) -> Result<bool, String> {
+    let mut specs = Vec::with_capacity(paths.len());
+    for path in paths {
+        let sp = Spec::load(path)?;
+        let m = manifest::materialize(&sp, args.scale)?;
+        logger::info(
+            &Span::new("batch").lane(&sp.name),
+            &format!("{} runs ({} groups)", m.runs.len(), sp.groups.len()),
+        );
+        specs.push((sp, m));
+    }
+    let runner = BatchRunner::batch(
+        specs.iter().map(|(_, m)| m),
         BatchOptions {
-            dir: args.out.join("batch").join(&sp.name),
+            dir: args.out.join("batch"),
             workers: args.workers,
             resume: args.resume,
             kill_after: args.kill_after,
@@ -285,40 +296,55 @@ fn run_spec(args: &Args, path: &Path) -> Result<bool, String> {
         },
     );
     let t0 = Instant::now();
-    let summary = runner.run()?;
+    let summaries = runner.run_each()?;
     logger::info(
-        &span,
+        &Span::new("batch"),
         &format!(
-            "completed {} (resumed {}, skipped {}, failed {}, pending {}) in {:.1?}",
-            summary.completed,
-            summary.resumed,
-            summary.skipped,
-            summary.failures.len(),
-            summary.pending,
+            "{} specs, {} runs in {:.1?}",
+            specs.len(),
+            summaries.iter().map(|s| s.total).sum::<usize>(),
             t0.elapsed()
         ),
     );
-    for (id, err) in &summary.failures {
-        logger::error(&span, &format!("{id}: {err}"));
-    }
-    if !summary.is_complete() {
-        logger::error(
+    let mut all_complete = true;
+    for (idx, ((sp, m), summary)) in specs.iter().zip(&summaries).enumerate() {
+        let span = Span::new("batch").lane(&sp.name);
+        logger::info(
             &span,
             &format!(
-                "{}: batch incomplete ({} failed, {} pending) — rerun with --resume",
-                sp.name,
+                "completed {} (resumed {}, skipped {}, failed {}, pending {})",
+                summary.completed,
+                summary.resumed,
+                summary.skipped,
                 summary.failures.len(),
-                summary.pending
+                summary.pending,
             ),
         );
-        return Ok(false);
+        for (id, err) in &summary.failures {
+            logger::error(&span, &format!("{id}: {err}"));
+        }
+        if !summary.is_complete() {
+            logger::error(
+                &span,
+                &format!(
+                    "{}: batch incomplete ({} failed, {} pending) — rerun with --resume",
+                    sp.name,
+                    summary.failures.len(),
+                    summary.pending
+                ),
+            );
+            all_complete = false;
+            continue;
+        }
+        // One spec's results at a time: they are dropped before the next
+        // spec's load.
+        let results = runner.spec_results(idx)?;
+        for (stem, fig) in assemble::assemble(sp, m, &results)? {
+            emit(args, &stem, &fig);
+        }
+        print_narratives(sp, m, &results, args);
     }
-    let results = runner.load_results()?;
-    for (stem, fig) in assemble::assemble(&sp, &m, &results)? {
-        emit(args, &stem, &fig);
-    }
-    print_narratives(&sp, &m, &results, args);
-    Ok(true)
+    Ok(all_complete)
 }
 
 fn list_scenarios(args: &Args, dir: &Path) -> Result<(), String> {
@@ -439,9 +465,8 @@ fn run(args: &Args) -> Result<bool, String> {
             if args.operands.is_empty() {
                 return Err("run needs at least one spec file".into());
             }
-            for op in &args.operands {
-                all_complete &= run_spec(args, Path::new(op))?;
-            }
+            let paths: Vec<PathBuf> = args.operands.iter().map(PathBuf::from).collect();
+            all_complete = run_specs(args, &paths)?;
         }
         "batch" => {
             let dir = args.operands.first().map_or_else(|| Path::new("scenarios"), Path::new);
@@ -449,9 +474,7 @@ fn run(args: &Args) -> Result<bool, String> {
             if specs.is_empty() {
                 return Err(format!("no spec files in {}", dir.display()));
             }
-            for path in &specs {
-                all_complete &= run_spec(args, path)?;
-            }
+            all_complete = run_specs(args, &specs)?;
         }
         "list-scenarios" => {
             let dir = args.operands.first().map_or_else(|| Path::new("scenarios"), Path::new);

@@ -18,12 +18,13 @@
 //!   canonical (recursively key-sorted) JSON of each run's resolved
 //!   configuration, so re-materializing an edited spec preserves the
 //!   identity — and the on-disk results — of unchanged runs.
-//! * **Batch runner** ([`runner`]) — executes a manifest through a worker
-//!   pool with per-run atomic result files, engine checkpoints at frame
-//!   boundaries for long lockstep runs, a manifest-level status file, and
-//!   crash-resume that skips completed runs and restores in-flight ones
-//!   from their last checkpoint. Progress counters flow through the
-//!   canonical [`coca_obs::BatchMetrics`] names.
+//! * **Batch runner** ([`runner`]) — executes one or many manifests
+//!   through a single worker queue (longest runs first, one shared setup
+//!   and V\* per scale, workload and budget) with per-run atomic result
+//!   files, engine checkpoints at frame boundaries for long lockstep runs,
+//!   a per-manifest status file, and crash-resume that skips completed
+//!   runs and restores in-flight ones from their last checkpoint. Progress
+//!   counters flow through the canonical [`coca_obs::BatchMetrics`] names.
 //!
 //! [`assemble`] turns completed run results back into
 //! [`Figure`](coca_experiments::figures::Figure)s, and the `repro` binary

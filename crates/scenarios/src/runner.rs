@@ -1,7 +1,8 @@
-//! The resumable batch runner: manifest → per-run result files.
+//! The resumable batch runner: manifests → per-run result files.
 //!
-//! [`BatchRunner::run`] executes every run of a [`Manifest`] through a
-//! [`parallel::sweep`] worker pool. The batch directory layout is
+//! [`BatchRunner::run_each`] executes every run of one or more
+//! [`Manifest`]s through a single [`parallel::sweep`] worker queue. Each
+//! manifest keeps its own batch directory:
 //!
 //! ```text
 //! <dir>/manifest.json   canonical manifest (rewritten every invocation)
@@ -10,14 +11,28 @@
 //! <dir>/ckpt/<id>.json  engine checkpoint of an in-flight lockstep run
 //! ```
 //!
-//! **Resume semantics** (DESIGN.md §16): a run whose result file exists is
-//! skipped outright (run IDs hash the resolved configuration, so a stale
-//! result can only match an identical run). With `resume`, an in-flight
+//! **Shared contexts.** Manifests with the same (scale, workload, budget
+//! fraction) share one context: the base setup is built once, V\* is
+//! calibrated once per probe count, and the carbon-unaware reference cost
+//! and typical slot objectives are computed once.
+//!
+//! **Run order.** The queue is FIFO and holds the runs of every manifest,
+//! sorted costliest first by a deterministic estimate from each run's kind
+//! and configuration (lanes, `perfect_hp` lanes, calibration probes,
+//! trimmed horizon), so the long runs start early and the short ones fill
+//! the tail. Result files do not depend on the order, and the order does
+//! not depend on the worker count or on wall times.
+//!
+//! **Resume semantics** (DESIGN.md §16): a run whose result file exists and
+//! parses is skipped outright (run IDs hash the resolved configuration, so
+//! a stale result can only match an identical run); a zero-length or torn
+//! result file counts as not completed. With `resume`, an in-flight
 //! lockstep run whose checkpoint file exists restores from its last frame
 //! boundary via [`run_lockstep_checkpointed`]; point kinds (`budget_point`,
 //! `frame_reset`, `gsd_trace`, `workloads`) are atomic — interrupted ones
-//! simply re-run. Result files are written canonically (temp + rename), so
-//! a resumed batch is byte-identical to an uninterrupted one.
+//! simply re-run. Result and status files are written canonically through
+//! the fsync'd temp + rename of [`coca_dcsim::checkpoint::write_atomic`],
+//! so a resumed batch is byte-identical to an uninterrupted one.
 //!
 //! Progress flows through the canonical [`BatchMetrics`] counters when a
 //! registry is attached, and through [`coca_obs::logger`] spans.
@@ -31,7 +46,7 @@ use std::time::Instant;
 use coca_baselines::{CarbonUnaware, PerfectHp};
 use coca_core::symmetric::SymmetricSolver;
 use coca_core::{CocaController, VSchedule};
-use coca_dcsim::{Policy, SimOutcome};
+use coca_dcsim::{checkpoint, Policy};
 use coca_experiments::figures;
 use coca_experiments::parallel;
 use coca_experiments::runtime::{run_lockstep_checkpointed, Checkpointing, RunOptions};
@@ -41,14 +56,15 @@ use coca_obs::{BatchMetrics, MetricsRegistry};
 use coca_traces::{WorkloadKind, WorkloadTrace};
 use serde::Value;
 
-use crate::manifest::{canonical_json, Manifest, RunEntry};
+use crate::manifest::{canonical_json, scale_value, Manifest, RunEntry};
 use crate::spec::{num, str_of, uint};
 
 /// How a batch executes: directory, parallelism, resume and test hooks.
 #[derive(Debug, Clone, Default)]
 pub struct BatchOptions {
     /// Batch directory (holds `manifest.json`, `status.json`, `runs/`,
-    /// `ckpt/`).
+    /// `ckpt/`). For [`BatchRunner::batch`], the root holding one such
+    /// directory per manifest, named after its spec.
     pub dir: PathBuf,
     /// Worker threads (`0` = the process default, see
     /// [`parallel::effective_workers`]).
@@ -57,7 +73,8 @@ pub struct BatchOptions {
     /// checkpoints.
     pub resume: bool,
     /// Smoke-gate hook: stop scheduling new runs once this many have
-    /// completed in this invocation (remaining runs report `pending`).
+    /// completed in this invocation, counted across every manifest of the
+    /// runner (remaining runs report `pending`).
     pub kill_after: Option<usize>,
     /// Test hook forwarded to every lockstep run's [`Checkpointing`]: crash
     /// the run once it reaches this slot, leaving its checkpoint behind.
@@ -67,7 +84,7 @@ pub struct BatchOptions {
 }
 
 /// Outcome counters of one [`BatchRunner::run`] invocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchSummary {
     /// Manifest runs.
     pub total: usize,
@@ -97,17 +114,19 @@ enum RunState {
     Pending,
 }
 
-/// Executes one materialized manifest (see the module docs).
+/// Executes materialized manifests through one worker queue (see the
+/// module docs).
 pub struct BatchRunner<'m> {
-    manifest: &'m Manifest,
+    jobs: Vec<Job<'m>>,
     opts: BatchOptions,
 }
 
-/// Shared per-batch context: the lazily built base setup and memoized
-/// derived quantities (calibrated V*, the carbon-unaware reference cost,
-/// typical slot objectives). Every cache is computed under its mutex, so
-/// concurrent runs needing the same quantity block instead of duplicating
-/// a year-long calibration.
+/// Context shared by every run of one (scale, workload, budget fraction)
+/// across all manifests of a batch: the lazily built base setup and
+/// memoized derived quantities (calibrated V* per probe count, the
+/// carbon-unaware reference cost, typical slot objectives). Every cache is
+/// computed under its mutex, so concurrent runs needing the same quantity
+/// block instead of duplicating a year-long calibration.
 struct Ctx {
     scale: ExperimentScale,
     workload: WorkloadKind,
@@ -256,17 +275,10 @@ fn run_value(entry: &RunEntry, lanes: Vec<Value>) -> Value {
     ])
 }
 
-/// Writes `content` to `path` atomically (temp file + rename).
-pub fn write_atomic(path: &Path, content: &str) -> Result<(), String> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        }
-    }
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, content).map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path).map_err(|e| format!("cannot rename {}: {e}", tmp.display()))
+/// Writes `content` to `path` durably and atomically through
+/// [`coca_dcsim::checkpoint::write_atomic`] (fsync'd temp file + rename).
+fn write_atomic(path: &Path, content: &str) -> Result<(), String> {
+    checkpoint::write_atomic(path, &[content.as_bytes()]).map_err(|e| e.to_string())
 }
 
 // ---- run kinds -------------------------------------------------------------
@@ -591,17 +603,72 @@ fn execute_run(
     }
 }
 
+// ---- the run queue ---------------------------------------------------------
+
+/// Queue-order weight of a `perfect_hp` lane per slot, in COCA lane-slots
+/// (measured at small scale: a PerfectHP lane-slot costs 25–30 COCA ones).
+const PERFECT_HP_LANE_SLOTS: u64 = 25;
+
+/// Queue-order weight of a budget point's offline OPT plan, in
+/// whole-horizon COCA passes (measured at small scale: up to ~8).
+const OPT_PLAN_PASSES: u64 = 8;
+
+/// Whole-horizon passes a calibrated lane's V\* bisection costs: the two
+/// bracket endpoints plus one pass per probe.
+fn calibration_slots(lane: &Value, cfg: &Value, hours: u64) -> u64 {
+    match p_str(lane, "v_mode") {
+        Ok(Some("calibrated")) => {
+            (lane_uint(lane, cfg, "calib_probes", 7).unwrap_or(7) as u64 + 2) * hours
+        }
+        _ => 0,
+    }
+}
+
+/// A deterministic estimate of what a run costs, in COCA lane-slots (one
+/// controller stepping one slot), computed from the run's kind and
+/// configuration alone. The queue runs the costliest runs first; wall
+/// times never enter, so the order — and with it every result and status
+/// file — is the same at any worker count. Calibration is charged to every
+/// run that needs V\*, although only the first one pays it.
+fn run_cost(entry: &RunEntry, hours: usize) -> u64 {
+    let cfg = &entry.config;
+    let h = hours as u64;
+    match entry.kind.as_str() {
+        "lockstep" => {
+            let frames = p_uint(cfg, "trim_frames", 1).unwrap_or(1).max(1);
+            let horizon = ((hours / frames).max(1) * frames) as u64;
+            let lanes = cfg.get_field("lanes").and_then(Value::as_seq).unwrap_or(&[]);
+            lanes
+                .iter()
+                .map(|lane| match p_str(lane, "policy") {
+                    Ok(Some("perfect_hp")) => PERFECT_HP_LANE_SLOTS * horizon,
+                    _ => horizon + calibration_slots(lane, cfg, h),
+                })
+                .sum()
+        }
+        "frame_reset" => h + calibration_slots(cfg, cfg, h),
+        "budget_point" => {
+            // Its own V bisection (probes + 2 passes), one COCA pass, the plan.
+            let probes = p_uint(cfg, "calib_probes", 5).unwrap_or(5) as u64;
+            (probes + 3 + OPT_PLAN_PASSES) * h
+        }
+        "gsd_trace" => p_uint(cfg, "iterations", 500).unwrap_or(500) as u64 / 250,
+        "workloads" => p_uint(cfg, "hours", 0).unwrap_or(0) as u64 / 1000,
+        _ => 0,
+    }
+}
+
 // ---- the batch loop --------------------------------------------------------
 
-impl<'m> BatchRunner<'m> {
-    /// Creates a runner for `manifest` with the given options.
-    pub fn new(manifest: &'m Manifest, opts: BatchOptions) -> Self {
-        Self { manifest, opts }
-    }
+/// One manifest of a batch and the directory holding its state.
+struct Job<'m> {
+    manifest: &'m Manifest,
+    dir: PathBuf,
+}
 
-    /// Directory holding per-run result files.
-    pub fn runs_dir(&self) -> PathBuf {
-        self.opts.dir.join("runs")
+impl Job<'_> {
+    fn runs_dir(&self) -> PathBuf {
+        self.dir.join("runs")
     }
 
     fn status_json(&self, states: &[(String, String)]) -> Result<String, String> {
@@ -636,139 +703,291 @@ impl<'m> BatchRunner<'m> {
         ]))
     }
 
-    /// Runs the manifest to completion (or until `kill_after`), returning
-    /// the invocation's counters. Individual run failures are collected,
-    /// not fatal.
-    pub fn run(&self) -> Result<BatchSummary, String> {
-        let manifest_path = self.opts.dir.join("manifest.json");
-        write_atomic(&manifest_path, &self.manifest.to_json()?)?;
-        let runs_dir = self.runs_dir();
-        let ckpt_dir = self.opts.dir.join("ckpt");
-        std::fs::create_dir_all(&runs_dir)
-            .map_err(|e| format!("cannot create {}: {e}", runs_dir.display()))?;
-        std::fs::create_dir_all(&ckpt_dir)
-            .map_err(|e| format!("cannot create {}: {e}", ckpt_dir.display()))?;
+    /// Writes the manifest and creates `runs/` and `ckpt/`.
+    fn prepare(&self) -> Result<(), String> {
+        write_atomic(&self.dir.join("manifest.json"), &self.manifest.to_json()?)?;
+        for sub in [self.runs_dir(), self.dir.join("ckpt")] {
+            std::fs::create_dir_all(&sub)
+                .map_err(|e| format!("cannot create {}: {e}", sub.display()))?;
+        }
+        Ok(())
+    }
+}
 
-        let ctx = Ctx {
-            scale: self.manifest.scale,
-            workload: workload_kind(&self.manifest.workload)?,
-            budget_fraction: self.manifest.budget_fraction,
-            setup: Mutex::new(None),
-            vstar: Mutex::new(HashMap::new()),
-            unaware: Mutex::new(None),
-            gtyp: Mutex::new(HashMap::new()),
-        };
-        let metrics = self.opts.registry.as_ref().map(BatchMetrics::new);
-        let completed_count = AtomicUsize::new(0);
-        // Per-run states in manifest order, rewritten to status.json after
-        // every run so an interrupted batch leaves an inspectable trail.
-        let states: Mutex<Vec<(String, String)>> = Mutex::new(
-            self.manifest.runs.iter().map(|r| (r.id.clone(), "pending".to_string())).collect(),
-        );
-        let record_state = |idx: usize, state: String| {
-            if let Ok(mut guard) = states.lock() {
-                guard[idx].1 = state;
-                if let Ok(json) = self.status_json(&guard) {
-                    if let Err(e) = write_atomic(&self.opts.dir.join("status.json"), &json) {
-                        logger::error(&Span::new("batch"), &e);
-                    }
-                }
-            }
-        };
+/// `true` when `path` holds a parseable result file for run `id`. A
+/// zero-length or torn file counts as not completed, so the run executes
+/// again instead of failing every later load.
+fn result_complete(path: &Path, id: &str) -> bool {
+    std::fs::read_to_string(path)
+        .ok()
+        .and_then(|text| serde_json::from_str::<Value>(&text).ok())
+        .is_some_and(|v| v.get_field("id").and_then(str_of) == Some(id))
+}
 
-        let indices: Vec<usize> = (0..self.manifest.runs.len()).collect();
-        let results = parallel::sweep(indices, self.opts.workers, |i: usize| {
-            let entry = &self.manifest.runs[i];
-            if let Some(m) = &metrics {
-                m.runs.inc();
+/// One shared [`Ctx`] per distinct (scale, workload, budget fraction), in
+/// first-appearance order, and each job's index into them.
+fn contexts(jobs: &[Job<'_>]) -> Result<(Vec<Ctx>, Vec<usize>), String> {
+    let mut keys: Vec<String> = Vec::new();
+    let mut ctxs = Vec::new();
+    let mut ctx_of = Vec::with_capacity(jobs.len());
+    for job in jobs {
+        let m = job.manifest;
+        let key = canonical_json(&Value::Map(vec![
+            ("budget_fraction".to_string(), Value::Float(m.budget_fraction)),
+            ("scale".to_string(), scale_value(&m.scale)),
+            ("workload".to_string(), Value::Str(m.workload.clone())),
+        ]))?;
+        let idx = match keys.iter().position(|k| *k == key) {
+            Some(idx) => idx,
+            None => {
+                ctxs.push(Ctx {
+                    scale: m.scale,
+                    workload: workload_kind(&m.workload)?,
+                    budget_fraction: m.budget_fraction,
+                    setup: Mutex::new(None),
+                    vstar: Mutex::new(HashMap::new()),
+                    unaware: Mutex::new(None),
+                    gtyp: Mutex::new(HashMap::new()),
+                });
+                keys.push(key);
+                keys.len() - 1
             }
-            let result_path = runs_dir.join(format!("{}.json", entry.id));
-            if result_path.exists() {
-                if let Some(m) = &metrics {
-                    m.skipped.inc();
-                }
-                record_state(i, "skipped".into());
-                return RunState::Skipped;
-            }
-            // audit:atomic(SeqCst; crash-injection test hook counting completed runs — monotonic counter, an off-by-one kill point is harmless)
-            if self.opts.kill_after.is_some_and(|k| completed_count.load(Ordering::SeqCst) >= k)
-            {
-                record_state(i, "pending".into());
-                return RunState::Pending;
-            }
-            let ckpt_path = ckpt_dir.join(format!("{}.json", entry.id));
-            let resumed = self.opts.resume && ckpt_path.exists();
-            if resumed {
-                if let Some(m) = &metrics {
-                    m.resumed.inc();
-                }
-            }
-            let span = Span::new("run").lane(&entry.group);
-            // audit:ordered(timing-only: the duration feeds logs and prometheus metrics, never result files)
-            let t0 = Instant::now();
-            let outcome = execute_run(
-                &ctx,
-                entry,
-                &ckpt_path,
-                self.opts.resume,
-                self.opts.abort_runs_at_slot,
-            )
-            .and_then(|value| write_atomic(&result_path, &canonical_json(&value)?));
-            match outcome {
-                Ok(()) => {
-                    if let Some(m) = &metrics {
-                        m.completed.inc();
-                        m.run_seconds.observe(t0.elapsed().as_secs_f64());
-                    }
-                    // audit:atomic(SeqCst; crash-injection test hook counting completed runs — monotonic counter, an off-by-one kill point is harmless)
-                    completed_count.fetch_add(1, Ordering::SeqCst);
-                    logger::info(&span, &format!("{} done ({:.1?})", entry.id, t0.elapsed()));
-                    record_state(i, if resumed { "resumed" } else { "completed" }.into());
-                    RunState::Completed { resumed }
-                }
-                Err(e) => {
-                    if let Some(m) = &metrics {
-                        m.failed.inc();
-                    }
-                    logger::error(&span, &format!("{} failed: {e}", entry.id));
-                    record_state(i, format!("failed: {e}"));
-                    RunState::Failed(e)
-                }
-            }
-        });
-
-        let mut summary = BatchSummary {
-            total: self.manifest.runs.len(),
-            completed: 0,
-            failures: Vec::new(),
-            resumed: 0,
-            skipped: 0,
-            pending: 0,
         };
-        for (i, state) in results.into_iter().enumerate() {
-            match state {
-                RunState::Completed { resumed } => {
-                    summary.completed += 1;
-                    if resumed {
-                        summary.resumed += 1;
-                    }
-                }
-                RunState::Skipped => summary.skipped += 1,
-                RunState::Pending => summary.pending += 1,
-                RunState::Failed(e) => {
-                    summary.failures.push((self.manifest.runs[i].id.clone(), e));
-                }
+        ctx_of.push(idx);
+    }
+    Ok((ctxs, ctx_of))
+}
+
+/// What the workers of one [`BatchRunner::run_each`] invocation share.
+struct Shared {
+    ctxs: Vec<Ctx>,
+    /// Index into `ctxs` per job.
+    ctx_of: Vec<usize>,
+    /// Per-run states of each job in manifest order, rewritten to the
+    /// job's status.json after every run so an interrupted batch leaves an
+    /// inspectable trail.
+    states: Vec<Mutex<Vec<(String, String)>>>,
+    metrics: Option<BatchMetrics>,
+    /// Runs completed by this invocation, across every job.
+    completed: AtomicUsize,
+}
+
+impl Shared {
+    fn record_state(&self, job: &Job<'_>, j: usize, i: usize, state: String) {
+        if let Ok(mut guard) = self.states[j].lock() {
+            guard[i].1 = state;
+            let written = job
+                .status_json(&guard)
+                .and_then(|json| write_atomic(&job.dir.join("status.json"), &json));
+            if let Err(e) = written {
+                logger::error(&Span::new("batch"), &e);
             }
         }
-        Ok(summary)
+    }
+}
+
+impl<'m> BatchRunner<'m> {
+    /// Creates a runner for `manifest`, whose state lives in `opts.dir`.
+    pub fn new(manifest: &'m Manifest, opts: BatchOptions) -> Self {
+        let dir = opts.dir.clone();
+        Self { jobs: vec![Job { manifest, dir }], opts }
     }
 
-    /// Loads every completed run result of the manifest from `runs/`,
-    /// keyed by run ID.
+    /// Creates one runner for several manifests: each keeps its state in
+    /// `opts.dir/<spec>/`, and [`run_each`](Self::run_each) executes all
+    /// their runs through one queue with shared contexts.
+    pub fn batch(manifests: impl IntoIterator<Item = &'m Manifest>, opts: BatchOptions) -> Self {
+        let jobs = manifests
+            .into_iter()
+            .map(|manifest| Job { manifest, dir: opts.dir.join(&manifest.spec) })
+            .collect();
+        Self { jobs, opts }
+    }
+
+    /// Directory holding the first manifest's result files (the only
+    /// manifest's, for a runner made by [`new`](Self::new)).
+    pub fn runs_dir(&self) -> PathBuf {
+        self.jobs.first().map_or_else(|| self.opts.dir.join("runs"), Job::runs_dir)
+    }
+
+    /// Every run as `(manifest index, run index)`, in queue order: costliest
+    /// first by [`run_cost`], ties in manifest order then run order.
+    fn queue(&self) -> Vec<(usize, usize)> {
+        let mut order: Vec<(u64, usize, usize)> = self
+            .jobs
+            .iter()
+            .enumerate()
+            .flat_map(|(j, job)| {
+                let hours = job.manifest.scale.hours;
+                job.manifest.runs.iter().enumerate().map(move |(i, r)| (run_cost(r, hours), j, i))
+            })
+            .collect();
+        order.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        order.into_iter().map(|(_, j, i)| (j, i)).collect()
+    }
+
+    /// Runs every manifest to completion (or until `kill_after`), returning
+    /// the invocation's counters summed over the manifests. Individual run
+    /// failures are collected, not fatal.
+    pub fn run(&self) -> Result<BatchSummary, String> {
+        let mut total = BatchSummary::default();
+        for s in self.run_each()? {
+            total.total += s.total;
+            total.completed += s.completed;
+            total.failures.extend(s.failures);
+            total.resumed += s.resumed;
+            total.skipped += s.skipped;
+            total.pending += s.pending;
+        }
+        Ok(total)
+    }
+
+    /// Runs every manifest to completion (or until `kill_after`) through
+    /// one worker queue, returning one summary per manifest in order.
+    /// Manifests with the same (scale, workload, budget fraction) share one
+    /// context, so its setup is built and V\* calibrated once.
+    pub fn run_each(&self) -> Result<Vec<BatchSummary>, String> {
+        for (j, job) in self.jobs.iter().enumerate() {
+            if self.jobs[..j].iter().any(|other| other.dir == job.dir) {
+                return Err(format!(
+                    "two manifests share the batch directory {}",
+                    job.dir.display()
+                ));
+            }
+            job.prepare()?;
+        }
+        let (ctxs, ctx_of) = contexts(&self.jobs)?;
+        let shared = Shared {
+            ctxs,
+            ctx_of,
+            states: self
+                .jobs
+                .iter()
+                .map(|job| {
+                    let runs = &job.manifest.runs;
+                    Mutex::new(runs.iter().map(|r| (r.id.clone(), "pending".to_string())).collect())
+                })
+                .collect(),
+            metrics: self.opts.registry.as_ref().map(BatchMetrics::new),
+            completed: AtomicUsize::new(0),
+        };
+        let queue = self.queue();
+        let states =
+            parallel::sweep(queue.clone(), self.opts.workers, |(j, i)| self.run_one(&shared, j, i));
+
+        let mut by_run: Vec<Vec<RunState>> = self
+            .jobs
+            .iter()
+            .map(|job| job.manifest.runs.iter().map(|_| RunState::Pending).collect())
+            .collect();
+        for ((j, i), state) in queue.into_iter().zip(states) {
+            by_run[j][i] = state;
+        }
+        let summaries = self
+            .jobs
+            .iter()
+            .zip(by_run)
+            .map(|(job, states)| {
+                let mut summary =
+                    BatchSummary { total: job.manifest.runs.len(), ..BatchSummary::default() };
+                for (entry, state) in job.manifest.runs.iter().zip(states) {
+                    match state {
+                        RunState::Completed { resumed } => {
+                            summary.completed += 1;
+                            summary.resumed += usize::from(resumed);
+                        }
+                        RunState::Skipped => summary.skipped += 1,
+                        RunState::Pending => summary.pending += 1,
+                        RunState::Failed(e) => summary.failures.push((entry.id.clone(), e)),
+                    }
+                }
+                summary
+            })
+            .collect();
+        Ok(summaries)
+    }
+
+    /// Executes (or skips) run `i` of manifest `j`.
+    fn run_one(&self, shared: &Shared, j: usize, i: usize) -> RunState {
+        let job = &self.jobs[j];
+        let entry = &job.manifest.runs[i];
+        let metrics = shared.metrics.as_ref();
+        if let Some(m) = metrics {
+            m.runs.inc();
+        }
+        let result_path = job.runs_dir().join(format!("{}.json", entry.id));
+        if result_complete(&result_path, &entry.id) {
+            if let Some(m) = metrics {
+                m.skipped.inc();
+            }
+            shared.record_state(job, j, i, "skipped".into());
+            return RunState::Skipped;
+        }
+        // audit:atomic(SeqCst; crash-injection test hook counting completed runs — monotonic counter, an off-by-one kill point is harmless)
+        if self.opts.kill_after.is_some_and(|k| shared.completed.load(Ordering::SeqCst) >= k) {
+            shared.record_state(job, j, i, "pending".into());
+            return RunState::Pending;
+        }
+        let ckpt_path = job.dir.join("ckpt").join(format!("{}.json", entry.id));
+        let resumed = self.opts.resume && ckpt_path.exists();
+        if resumed {
+            if let Some(m) = metrics {
+                m.resumed.inc();
+            }
+        }
+        let span = Span::new("run").lane(&entry.group);
+        // audit:ordered(timing-only: the duration feeds logs and prometheus metrics, never result files)
+        let t0 = Instant::now();
+        let outcome = execute_run(
+            &shared.ctxs[shared.ctx_of[j]],
+            entry,
+            &ckpt_path,
+            self.opts.resume,
+            self.opts.abort_runs_at_slot,
+        )
+        .and_then(|value| write_atomic(&result_path, &canonical_json(&value)?));
+        match outcome {
+            Ok(()) => {
+                if let Some(m) = metrics {
+                    m.completed.inc();
+                    m.run_seconds.observe(t0.elapsed().as_secs_f64());
+                }
+                // audit:atomic(SeqCst; crash-injection test hook counting completed runs — monotonic counter, an off-by-one kill point is harmless)
+                shared.completed.fetch_add(1, Ordering::SeqCst);
+                logger::info(&span, &format!("{} done ({:.1?})", entry.id, t0.elapsed()));
+                let state = if resumed { "resumed" } else { "completed" };
+                shared.record_state(job, j, i, state.into());
+                RunState::Completed { resumed }
+            }
+            Err(e) => {
+                if let Some(m) = metrics {
+                    m.failed.inc();
+                }
+                logger::error(&span, &format!("{} failed: {e}", entry.id));
+                shared.record_state(job, j, i, format!("failed: {e}"));
+                RunState::Failed(e)
+            }
+        }
+    }
+
+    /// Loads every completed run result of every manifest from `runs/`,
+    /// keyed by run ID. Run IDs hash the resolved configuration, so an ID
+    /// two manifests share names the same result.
     pub fn load_results(&self) -> Result<HashMap<String, Value>, String> {
-        let runs_dir = self.runs_dir();
         let mut results = HashMap::new();
-        for entry in &self.manifest.runs {
+        for j in 0..self.jobs.len() {
+            results.extend(self.spec_results(j)?);
+        }
+        Ok(results)
+    }
+
+    /// Loads the completed run results of manifest `spec` (its index in
+    /// the order the runner was given them), keyed by run ID.
+    pub fn spec_results(&self, spec: usize) -> Result<HashMap<String, Value>, String> {
+        let job = self.jobs.get(spec).ok_or_else(|| format!("no manifest #{spec} in this batch"))?;
+        let runs_dir = job.runs_dir();
+        let mut results = HashMap::new();
+        for entry in &job.manifest.runs {
             let path = runs_dir.join(format!("{}.json", entry.id));
             if !path.exists() {
                 continue;
@@ -783,7 +1002,77 @@ impl<'m> BatchRunner<'m> {
     }
 }
 
-/// SimOutcome → nothing here: kept private via method calls above. (The
-/// type alias exists so rustdoc links in the module docs resolve.)
-#[doc(hidden)]
-pub type _OutcomeDoc = SimOutcome;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{manifest, spec, Spec};
+
+    fn committed_small_manifests() -> Vec<Manifest> {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+        spec::discover(&dir)
+            .expect("scenarios dir lists")
+            .iter()
+            .map(|path| {
+                let sp = Spec::load(path).expect("spec parses");
+                manifest::materialize(&sp, ExperimentScale::small()).expect("materialize")
+            })
+            .collect()
+    }
+
+    fn lane_policies(entry: &RunEntry) -> Vec<&str> {
+        let lanes = entry.config.get_field("lanes").and_then(Value::as_seq).unwrap_or(&[]);
+        lanes.iter().map(|l| p_str(l, "policy").ok().flatten().unwrap_or("coca")).collect()
+    }
+
+    fn has_lane(entry: &RunEntry, policy: &str) -> bool {
+        lane_policies(entry).contains(&policy)
+    }
+
+    fn single_coca_lane(entry: &RunEntry) -> bool {
+        entry.kind == "lockstep" && lane_policies(entry) == ["coca"]
+    }
+
+    #[test]
+    fn queue_is_total_deterministic_and_longest_kinds_first() {
+        let manifests = committed_small_manifests();
+        let queue = BatchRunner::batch(&manifests, BatchOptions::default()).queue();
+        let total: usize = manifests.iter().map(|m| m.runs.len()).sum();
+        let mut distinct = queue.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!((queue.len(), distinct.len()), (total, total), "every run queued exactly once");
+        for workers in [1, 2, 4] {
+            let opts = BatchOptions { workers, ..BatchOptions::default() };
+            assert_eq!(BatchRunner::batch(&manifests, opts).queue(), queue, "workers {workers}");
+        }
+
+        let entries: Vec<&RunEntry> = queue.iter().map(|&(j, i)| &manifests[j].runs[i]).collect();
+        let first: Vec<usize> = (0..entries.len())
+            .filter(|&k| {
+                let e = entries[k];
+                e.kind == "budget_point" || (e.kind == "lockstep" && has_lane(e, "perfect_hp"))
+            })
+            .collect();
+        let last: Vec<usize> = (0..entries.len())
+            .filter(|&k| {
+                let e = entries[k];
+                e.kind == "gsd_trace" || e.kind == "workloads" || single_coca_lane(e)
+            })
+            .collect();
+        assert_eq!(first.len(), 12, "two perfect_hp duels and ten budget points");
+        assert!(!last.is_empty());
+        assert!(
+            first.iter().max() < last.iter().min(),
+            "long runs must be queued before every short one: {first:?} vs {last:?}"
+        );
+    }
+
+    #[test]
+    fn committed_specs_share_two_contexts() {
+        let manifests = committed_small_manifests();
+        let runner = BatchRunner::batch(&manifests, BatchOptions::default());
+        let (ctxs, ctx_of) = contexts(&runner.jobs).expect("contexts");
+        assert_eq!(ctxs.len(), 2, "(small, fiu, 0.92) and (small, msr, 0.92)");
+        assert_eq!(ctx_of.len(), manifests.len());
+    }
+}

@@ -112,6 +112,34 @@ fn completed_results_are_skipped_not_rerun() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn truncated_result_files_rerun_on_resume() {
+    // A zero-length file and a torn one (say, the data of a rename lost
+    // by a filesystem that was not fsync'd) must count as not completed.
+    let dir = fresh_dir("truncated");
+    let (first, runner) = run_batch(&dir, false, None, None);
+    assert!(first.is_complete());
+    let manifest_bytes = std::fs::read(dir.join("manifest.json")).expect("manifest");
+    let ids: Vec<&String> = probe_manifest().runs.iter().map(|r| &r.id).collect();
+    let zero = runner.runs_dir().join(format!("{}.json", ids[0]));
+    std::fs::write(&zero, b"").expect("truncate to zero");
+    let torn = runner.runs_dir().join(format!("{}.json", ids[1]));
+    let bytes = std::fs::read(&torn).expect("result file");
+    std::fs::write(&torn, &bytes[..bytes.len() / 2]).expect("truncate to half");
+
+    let (second, runner) = run_batch(&dir, true, None, None);
+    assert!(second.is_complete(), "resume incomplete: {second:?}");
+    assert_eq!((second.completed, second.skipped), (2, 0), "both runs must execute again");
+    assert!(run_bytes(&runner) == *baseline(), "re-run files differ from the baseline");
+    assert_eq!(std::fs::read(dir.join("manifest.json")).expect("manifest"), manifest_bytes);
+    assert_eq!(runner.load_results().expect("results load").len(), 2);
+
+    // Once repaired, the next resume skips both.
+    let (third, _) = run_batch(&dir, true, None, None);
+    assert_eq!(third.skipped, 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 

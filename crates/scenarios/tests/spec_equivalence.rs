@@ -1,5 +1,6 @@
 //! Every committed scenario spec, run at small scale through the batch
-//! pipeline (materialize → `BatchRunner` → `assemble` → `write_csv`), must
+//! pipeline (materialize → one `BatchRunner::batch` queue over all specs →
+//! `assemble` → `write_csv`), must
 //! reproduce the committed figure CSVs in `perfbench/refs/batch_small/`,
 //! the same references the benchmark checks its `repro batch` output
 //! against. The comparison follows `perfbench/verify.py::compare_csv`:
@@ -17,7 +18,7 @@ use coca_experiments::figures::{self, Figure};
 use coca_experiments::report::write_csv;
 use coca_experiments::setup::PaperSetup;
 use coca_experiments::ExperimentScale;
-use coca_scenarios::{assemble, manifest, spec, BatchOptions, BatchRunner, Spec};
+use coca_scenarios::{assemble, manifest, spec, BatchOptions, BatchRunner, Manifest, Spec};
 use coca_traces::{WorkloadKind, HOURS_PER_WEEK, HOURS_PER_YEAR};
 use serde::Value;
 
@@ -43,17 +44,27 @@ fn outputs() -> &'static Outputs {
 fn run_all_specs() -> Outputs {
     let root = std::env::temp_dir().join(format!("coca_spec_golden_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
+    let specs: Vec<(Spec, Manifest)> = spec::discover(&repo_path("scenarios"))
+        .expect("scenarios dir lists")
+        .iter()
+        .map(|path| {
+            let spec = Spec::load(path).expect("spec parses");
+            let m = manifest::materialize(&spec, ExperimentScale::small()).expect("materialize");
+            (spec, m)
+        })
+        .collect();
+    // One queue over every spec, as `repro batch` runs them.
+    let runner = BatchRunner::batch(
+        specs.iter().map(|(_, m)| m),
+        BatchOptions { dir: root.join("batch"), ..Default::default() },
+    );
+    let summaries = runner.run_each().expect("batch runs");
     let mut figures = BTreeMap::new();
     let mut results = HashMap::new();
-    for path in spec::discover(&repo_path("scenarios")).expect("scenarios dir lists") {
-        let spec = Spec::load(&path).expect("spec parses");
-        let m = manifest::materialize(&spec, ExperimentScale::small()).expect("materialize");
-        let dir = root.join("batch").join(&spec.name);
-        let runner = BatchRunner::new(&m, BatchOptions { dir, ..Default::default() });
-        let summary = runner.run().expect("batch runs");
+    for (k, ((spec, m), summary)) in specs.iter().zip(&summaries).enumerate() {
         assert!(summary.is_complete(), "{}: batch incomplete: {summary:?}", spec.name);
-        let run_results = runner.load_results().expect("results load");
-        for (stem, fig) in assemble::assemble(&spec, &m, &run_results).expect("figures assemble") {
+        let run_results = runner.spec_results(k).expect("results load");
+        for (stem, fig) in assemble::assemble(spec, m, &run_results).expect("figures assemble") {
             let csv = root.join(format!("{stem}.csv"));
             write_csv(&csv, &fig.x_label, &fig.series).expect("csv written");
             let text = std::fs::read_to_string(&csv).expect("csv reads back");
