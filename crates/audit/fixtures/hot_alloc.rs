@@ -28,3 +28,10 @@ pub fn delta_update_waived(state: &[usize]) -> Vec<usize> {
 pub fn report(xs: &[f64]) -> String {
     xs.iter().map(|x| x.to_string()).collect::<Vec<_>>().join(",")
 }
+
+// audit:hot-path: begin — per-slot publish
+pub fn publish(&self) -> usize {
+    let guard = self.m.lock();
+    guard.len() + helper(&self.m)
+}
+// audit:hot-path: end

@@ -27,3 +27,15 @@ pub struct FixtureResult {
     /// Payload.
     pub flag: bool,
 }
+
+/// Annotated: the attribute belongs to this struct alone.
+#[must_use]
+pub struct FixtureAOutcome {
+    /// Payload.
+    pub a: f64,
+}
+/// Follows an annotated struct but carries no attribute of its own.
+pub struct FixtureBOutcome {
+    /// Payload.
+    pub b: f64,
+}

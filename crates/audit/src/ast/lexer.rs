@@ -1,15 +1,15 @@
-//! Span-tracking lexer for one Rust source file.
+//! Span-tracking lexer for one Rust source file — the audit's only lexer.
 //!
-//! Unlike the line-oriented sanitizer in [`crate::scan`], this pass
-//! produces a real token stream: every token carries its 1-based line and
-//! column, and comments are kept as *trivia* (with their own lines) rather
-//! than blanked — the semantic rules read `audit:unit(...)` /
-//! `audit:atomic(...)` annotations out of them. The lexer is deliberately
+//! Every token carries its 1-based line and column, and comments are kept
+//! as *trivia* (with their own lines): the rules read `audit:allow(...)`
+//! waivers, `audit:hot-path` region markers and `audit:unit(...)` /
+//! `audit:atomic(...)` annotations out of them, and string, char and
+//! comment text never reaches a rule as code. The lexer is deliberately
 //! tolerant: it never fails, and anything it cannot classify becomes a
 //! one-character punctuation token. That is the right trade-off for a
 //! linter — a garbled region degrades to "no findings there", not a crash.
 
-/// Token classification. Just enough structure for the semantic rules;
+/// Token classification. Just enough structure for the rules;
 /// no keyword table (rules match identifier text directly).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {

@@ -1,31 +1,34 @@
-//! AST engine for the semantic lint rules.
+//! The audit's one parse of a source file.
 //!
 //! The registry-less build environment rules out `syn`, so this module is
 //! the workspace's own substitute, scoped to what a linter needs:
 //!
 //! * [`lexer`] — a tolerant, span-tracking lexer whose comments survive as
-//!   trivia (the semantic rules read `audit:…(…)` annotations from them);
+//!   trivia (rules read `audit:…(…)` annotations and waivers from them);
 //! * [`tree`] — balanced token trees over the token stream;
+//! * [`lines`] — per-line facts computed once from the trees and the
+//!   trivia: `#[cfg(test)]` code, `audit:hot-path` regions, and the
+//!   `audit:allow` waivers each line carries;
 //! * [`visit`] — the run visitor and the expression-level pattern helpers
-//!   (method calls, argument splitting, statement bounds, operand terms)
-//!   every semantic rule builds on.
+//!   (method and macro calls, argument splitting, statement bounds,
+//!   operand terms) every rule builds on.
 //!
-//! Compared to the line pass in [`crate::scan`], rules written against
-//! this layer see *structure*: a `compare_exchange` call knows its
-//! argument list even when it spans four lines, and a `+` knows its
-//! operands even through field chains and calls. The two layers coexist —
-//! the original line rules still run against [`crate::scan::SourceFile`],
-//! and each parsed [`Ast`] carries a reference back to the same text via
-//! line numbers, so waivers and `#[cfg(test)]` regions resolve uniformly.
+//! Every rule — per-file, semantic and interprocedural — reads the same
+//! [`Ast`], so what counts as code, a comment, a string, test code or a
+//! waiver is decided in exactly one place. Rules see *structure*: a
+//! `compare_exchange` call knows its argument list even when it spans four
+//! lines, and a `+` knows its operands even through field chains and
+//! calls.
 
 pub mod lexer;
+pub mod lines;
 pub mod tree;
 pub mod visit;
 
 pub use lexer::{Comment, TokKind, Token};
 pub use tree::{Delim, Group, Node};
 
-/// One parsed source file: token forest plus comment trivia.
+/// One parsed source file: token forest, comment trivia and line facts.
 #[derive(Debug)]
 pub struct Ast {
     /// Workspace-relative path, used in reports.
@@ -34,6 +37,8 @@ pub struct Ast {
     pub nodes: Vec<Node>,
     /// Comment trivia in source order.
     pub comments: Vec<Comment>,
+    /// Per-line facts, index 0 = line 1.
+    pub lines: Vec<lines::Line>,
 }
 
 impl Ast {
@@ -41,7 +46,36 @@ impl Ast {
     /// and imbalanced brackets are recovered (see [`tree::build`]).
     pub fn parse(path: &str, text: &str) -> Self {
         let (tokens, comments) = lexer::lex(text);
-        Ast { path: path.to_string(), nodes: tree::build(tokens), comments }
+        let nodes = tree::build(tokens);
+        let lines = lines::facts(text.lines().count(), &nodes, &comments);
+        Ast { path: path.to_string(), nodes, comments, lines }
+    }
+
+    fn line(&self, line: usize) -> Option<&lines::Line> {
+        self.lines.get(line.wrapping_sub(1))
+    }
+
+    /// True when the 1-based `line` is `#[cfg(test)]` code.
+    pub fn in_test(&self, line: usize) -> bool {
+        self.line(line).is_some_and(|l| l.in_test)
+    }
+
+    /// True when the 1-based `line` sits inside an `audit:hot-path` region.
+    pub fn in_hot(&self, line: usize) -> bool {
+        self.line(line).is_some_and(|l| l.in_hot)
+    }
+
+    /// The line whose `audit:allow(<rule>)` waiver covers a finding on the
+    /// 1-based `line`: the line itself, else the line immediately above.
+    pub fn waiver_line(&self, line: usize, rule: &str) -> Option<usize> {
+        [line, line.wrapping_sub(1)]
+            .into_iter()
+            .find(|&l| self.line(l).is_some_and(|f| f.waivers.iter().any(|w| w == rule)))
+    }
+
+    /// True when a finding of `rule` on the 1-based `line` is waived.
+    pub fn waived(&self, line: usize, rule: &str) -> bool {
+        self.waiver_line(line, rule).is_some()
     }
 
     /// Looks up an `audit:<key>(<payload>)` annotation covering `line`

@@ -47,6 +47,9 @@ pub struct Group {
     pub line: usize,
     /// 1-based column of the opening bracket.
     pub col: usize,
+    /// 1-based line of the closing bracket (of the last token inside when
+    /// the group is left open at end of file).
+    pub end_line: usize,
     /// Child nodes in source order.
     pub children: Vec<Node>,
 }
@@ -85,6 +88,15 @@ impl Node {
         }
     }
 
+    /// 1-based line of the node's last character (a group's closing
+    /// bracket).
+    pub fn end_line(&self) -> usize {
+        match self {
+            Node::Tok(t) => t.line,
+            Node::Group(g) => g.end_line,
+        }
+    }
+
     /// True for a leaf punct with this exact text.
     pub fn is_punct(&self, text: &str) -> bool {
         self.tok().is_some_and(|t| t.is_punct(text))
@@ -108,11 +120,24 @@ impl Node {
 /// plus the children collected so far.
 type Frame = (Option<(Delim, usize, usize)>, Vec<Node>);
 
+/// Pops the innermost open group, closed on `end_line`, into its parent.
+fn close_group(stack: &mut Vec<Frame>, end_line: usize) {
+    let (header, children) = stack.pop().expect("caller keeps the bottom frame");
+    let (delim, line, col) = header.expect("non-bottom frame has a header");
+    stack
+        .last_mut()
+        .expect("bottom frame remains")
+        .1
+        .push(Node::Group(Group { delim, line, col, end_line, children }));
+}
+
 /// Builds the token forest from a flat token stream.
 pub fn build(tokens: Vec<Token>) -> Vec<Node> {
     // Stack of open groups; the bottom Vec is the top-level forest.
     let mut stack: Vec<Frame> = vec![(None, Vec::new())];
+    let mut last_line = 1;
     for tok in tokens {
+        last_line = tok.line;
         if tok.kind == TokKind::Punct {
             if let Some(d) = Delim::open(&tok.text) {
                 stack.push((Some((d, tok.line, tok.col)), Vec::new()));
@@ -123,13 +148,7 @@ pub fn build(tokens: Vec<Token>) -> Vec<Node> {
                 // even on mismatch (recovery); on empty stack drop the
                 // stray closer.
                 if stack.len() > 1 {
-                    let (header, children) = stack.pop().expect("len checked");
-                    let (delim, line, col) = header.expect("non-bottom frame has a header");
-                    stack
-                        .last_mut()
-                        .expect("bottom frame remains")
-                        .1
-                        .push(Node::Group(Group { delim, line, col, children }));
+                    close_group(&mut stack, tok.line);
                 }
                 continue;
             }
@@ -138,13 +157,7 @@ pub fn build(tokens: Vec<Token>) -> Vec<Node> {
     }
     // Close anything left open at EOF, innermost first.
     while stack.len() > 1 {
-        let (header, children) = stack.pop().expect("len checked");
-        let (delim, line, col) = header.expect("non-bottom frame has a header");
-        stack
-            .last_mut()
-            .expect("bottom frame remains")
-            .1
-            .push(Node::Group(Group { delim, line, col, children }));
+        close_group(&mut stack, last_line);
     }
     stack.pop().expect("bottom frame").1
 }
@@ -180,9 +193,10 @@ mod tests {
     }
 
     #[test]
-    fn group_records_open_position() {
-        let f = forest("a\n  (b)");
+    fn group_records_open_position_and_closing_line() {
+        let f = forest("a\n  (b\n\n)");
         let g = f[1].group().unwrap();
-        assert_eq!((g.line, g.col), (2, 3));
+        assert_eq!((g.line, g.col, g.end_line), (2, 3, 4));
+        assert_eq!(forest("{ x\n y")[0].end_line(), 2, "open at EOF");
     }
 }

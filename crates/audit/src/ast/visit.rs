@@ -1,4 +1,4 @@
-//! Visitor infrastructure shared by the semantic rules.
+//! Visitor infrastructure shared by every rule.
 //!
 //! The central shape is the **run**: one group's children (or the
 //! top-level forest) as a flat slice of [`Node`]s. Every expression-level
@@ -6,7 +6,7 @@
 //! boundary — is local to a run, so a rule implements [`RunVisitor`] and
 //! receives every run in the file exactly once, depth-first.
 
-use super::lexer::TokKind;
+use super::lexer::{TokKind, Token};
 use super::tree::{Delim, Group, Node};
 
 /// A rule's hook: called once per run (sibling slice), outermost first.
@@ -89,6 +89,15 @@ pub fn find_method_calls<'a>(run: &'a [Node]) -> Vec<MethodCall<'a>> {
     out
 }
 
+/// Finds every `name!(…)` / `name![…]` / `name!{…}` macro call in one run,
+/// returning the name tokens.
+pub fn find_macro_calls(run: &[Node]) -> Vec<&Token> {
+    run.windows(3)
+        .filter(|w| w[1].is_punct("!") && w[2].group().is_some())
+        .filter_map(|w| w[0].tok().filter(|t| t.kind == TokKind::Ident))
+        .collect()
+}
+
 /// Splits a group's children on top-level commas (argument lists).
 pub fn split_commas(g: &Group) -> Vec<&[Node]> {
     let mut out = Vec::new();
@@ -128,45 +137,33 @@ pub struct Term {
     pub is_call: bool,
 }
 
+/// True for a node that continues a value chain: an identifier, a number,
+/// a `.`/`::` separator, or a postfix (non-brace) group.
+fn chains(n: &Node) -> bool {
+    n.ident().is_some()
+        || n.is_punct(".")
+        || n.is_punct("::")
+        || n.tok().is_some_and(|t| t.kind == TokKind::Number)
+        || matches!(n, Node::Group(g) if g.delim != Delim::Brace)
+}
+
+/// The chain starting at `idx` after an optional unary borrow, deref or
+/// negation, as `(first, end)` indices into the run.
+fn chain_after(run: &[Node], idx: usize) -> (usize, usize) {
+    let unary = |n: &&Node| n.is_punct("&") || n.is_punct("*") || n.is_punct("-");
+    let first = idx + run.get(idx..).unwrap_or_default().iter().take_while(unary).count();
+    (first, first + run.get(first..).unwrap_or_default().iter().take_while(|n| chains(n)).count())
+}
+
 /// Scans the term ending just before `idx` (exclusive) in the run.
 pub fn term_before(run: &[Node], idx: usize) -> Option<Term> {
-    let mut start = idx;
-    while start > 0 {
-        let prev = &run[start - 1];
-        let chains = prev.ident().is_some()
-            || prev.is_punct(".")
-            || prev.is_punct("::")
-            || prev.tok().is_some_and(|t| t.kind == TokKind::Number)
-            || matches!(prev, Node::Group(g) if g.delim != Delim::Brace);
-        if chains {
-            start -= 1;
-        } else {
-            break;
-        }
-    }
+    let start = idx - run[..idx].iter().rev().take_while(|n| chains(n)).count();
     (start < idx).then(|| make_term(&run[start..idx]))
 }
 
 /// Scans the term starting at `idx` in the run.
 pub fn term_after(run: &[Node], idx: usize) -> Option<Term> {
-    let mut end = idx;
-    // Allow a leading unary borrow/deref/negation.
-    while run.get(end).is_some_and(|n| n.is_punct("&") || n.is_punct("*") || n.is_punct("-")) {
-        end += 1;
-    }
-    let first = end;
-    while let Some(n) = run.get(end) {
-        let chains = n.ident().is_some()
-            || n.is_punct(".")
-            || n.is_punct("::")
-            || n.tok().is_some_and(|t| t.kind == TokKind::Number)
-            || matches!(n, Node::Group(g) if g.delim != Delim::Brace);
-        if chains {
-            end += 1;
-        } else {
-            break;
-        }
-    }
+    let (first, end) = chain_after(run, idx);
     (end > first).then(|| make_term(&run[first..end]))
 }
 
@@ -175,24 +172,7 @@ pub fn term_after(run: &[Node], idx: usize) -> Option<Term> {
 /// Call-argument slices attribute a unit only when the whole argument is
 /// one term — `f(a_kwh)` carries kWh, `f(a_kwh * r)` carries nothing.
 pub fn term_spanning(run: &[Node]) -> Option<Term> {
-    let mut end = 0;
-    // Allow a leading unary borrow/deref/negation.
-    while run.get(end).is_some_and(|n| n.is_punct("&") || n.is_punct("*") || n.is_punct("-")) {
-        end += 1;
-    }
-    let first = end;
-    while let Some(n) = run.get(end) {
-        let chains = n.ident().is_some()
-            || n.is_punct(".")
-            || n.is_punct("::")
-            || n.tok().is_some_and(|t| t.kind == TokKind::Number)
-            || matches!(n, Node::Group(g) if g.delim != Delim::Brace);
-        if chains {
-            end += 1;
-        } else {
-            break;
-        }
-    }
+    let (first, end) = chain_after(run, 0);
     (end == run.len() && end > first).then(|| make_term(&run[first..end]))
 }
 

@@ -172,12 +172,9 @@ pub fn name_index(symbols: &SymbolTable) -> HashMap<&str, FnId> {
 mod tests {
     use super::*;
     use crate::ast::Ast;
-    use crate::scan::SourceFile;
 
     fn graph(src: &str) -> (SymbolTable, CallGraph) {
-        let file = SourceFile::parse("crates/core/src/x.rs", src);
-        let ast = Ast::parse("crates/core/src/x.rs", src);
-        let symbols = SymbolTable::build(&[(file, ast)]);
+        let symbols = SymbolTable::build(&[Ast::parse("crates/core/src/x.rs", src)]);
         let g = CallGraph::build(&symbols);
         (symbols, g)
     }

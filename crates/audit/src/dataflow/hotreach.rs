@@ -1,9 +1,10 @@
 //! `hot-path-reach`: transitive allocation / locking / IO detection for
 //! `audit:hot-path` regions.
 //!
-//! The v1 `hot-alloc` line rule flags allocation *directly on* hot-region
-//! lines, and keeps doing so. What it cannot see is a hot line calling an
-//! innocuous-looking helper that allocates two frames down. This analysis
+//! The `hot-alloc` rule flags sinks written *directly on* hot-region
+//! lines, reading the same sink table as this analysis. What it cannot see
+//! is a hot line calling an innocuous-looking helper that allocates two
+//! frames down. This analysis
 //! takes every resolved call on a hot-region line as a *root*, walks the
 //! call graph breadth-first, and scans each reachable body for sink
 //! operations:
@@ -18,7 +19,7 @@
 //!
 //! `.push` is deliberately *not* a sink: the workspace's hot-path
 //! contract is capacity reuse (push into pre-sized scratch is the whole
-//! point), mirroring `hot-alloc`. Sinks on lines that are themselves
+//! point), and `hot-alloc` agrees. Sinks on lines that are themselves
 //! inside a hot region are skipped — `hot-alloc` owns those sites, so no
 //! site is reported by both rules — and test code never sinks.
 //!
@@ -30,10 +31,9 @@ use std::collections::HashMap;
 
 use super::callgraph::{raw_calls, CallGraph};
 use super::symbols::{FnId, SymbolTable};
-use crate::ast::visit::{find_method_calls, RunVisitor};
-use crate::ast::{Ast, Node, TokKind};
+use crate::ast::visit::{find_macro_calls, find_method_calls, RunVisitor};
+use crate::ast::{Ast, Node};
 use crate::report::Related;
-use crate::scan::SourceFile;
 use crate::Report;
 
 /// Method-call sinks: `(name, what)` flagged when called with no
@@ -79,15 +79,18 @@ const MACRO_SINKS: &[(&str, &str)] = &[
     ("format", "allocates (`format!`)"),
 ];
 
-/// One sink operation found in a function body.
+/// One sink operation found in a token forest.
 #[derive(Debug)]
-struct Sink {
-    line: usize,
-    what: &'static str,
+pub(crate) struct Sink {
+    /// 1-based line of the sink.
+    pub(crate) line: usize,
+    /// What the sink does, e.g. "allocates (`format!`)".
+    pub(crate) what: &'static str,
 }
 
-/// Scans a body forest for sink operations.
-fn body_sinks(nodes: &[Node]) -> Vec<Sink> {
+/// Scans a forest (a function body, or a whole file for `hot-alloc`) for
+/// sink operations.
+pub(crate) fn body_sinks(nodes: &[Node]) -> Vec<Sink> {
     struct Sinks(Vec<Sink>);
     impl RunVisitor for Sinks {
         fn run(&mut self, run: &[Node], _depth: usize) {
@@ -96,29 +99,22 @@ fn body_sinks(nodes: &[Node]) -> Vec<Sink> {
                     self.0.push(Sink { line: call.line, what });
                 }
             }
-            for i in 0..run.len() {
-                let Some(tok) = run[i].tok() else { continue };
-                if tok.kind != TokKind::Ident {
+            // `Qualifier::name` sink paths.
+            for w in run.windows(3) {
+                let [q, sep, name] = w else { continue };
+                let (Some(q), Some(name)) = (q.ident(), name.ident()) else { continue };
+                if !sep.is_punct("::") {
                     continue;
                 }
-                // `Qualifier::name` sink paths.
-                if run.get(i + 1).is_some_and(|n| n.is_punct("::")) {
-                    if let Some(name) = run.get(i + 2).and_then(Node::ident) {
-                        if let Some((_, _, what)) = PATH_SINKS
-                            .iter()
-                            .find(|(q, n, _)| tok.is_ident(q) && *n == name)
-                        {
-                            self.0.push(Sink { line: tok.line, what });
-                        }
-                    }
-                }
-                // `name!(…)` macro sinks.
-                if run.get(i + 1).is_some_and(|n| n.is_punct("!"))
-                    && run.get(i + 2).and_then(Node::group).is_some()
+                if let Some((_, _, what)) =
+                    PATH_SINKS.iter().find(|(pq, pn, _)| *pq == q && *pn == name)
                 {
-                    if let Some((_, what)) = MACRO_SINKS.iter().find(|(n, _)| tok.is_ident(n)) {
-                        self.0.push(Sink { line: tok.line, what });
-                    }
+                    self.0.push(Sink { line: w[0].line(), what });
+                }
+            }
+            for tok in find_macro_calls(run) {
+                if let Some((_, what)) = MACRO_SINKS.iter().find(|(n, _)| tok.is_ident(n)) {
+                    self.0.push(Sink { line: tok.line, what });
                 }
             }
         }
@@ -129,39 +125,27 @@ fn body_sinks(nodes: &[Node]) -> Vec<Sink> {
 }
 
 /// Runs the analysis and reports `hot-path-reach` findings.
-pub fn check(
-    files: &[(SourceFile, Ast)],
-    symbols: &SymbolTable,
-    graph: &CallGraph,
-    report: &mut Report,
-) {
+pub fn check(files: &[Ast], symbols: &SymbolTable, graph: &CallGraph, report: &mut Report) {
     let file_of: HashMap<&str, usize> =
-        files.iter().enumerate().map(|(i, (f, _))| (f.path.as_str(), i)).collect();
+        files.iter().enumerate().map(|(i, f)| (f.path.as_str(), i)).collect();
     // Sinks per function, minus hot-region lines (`hot-alloc` territory)
     // and test code.
     let sinks: Vec<Vec<Sink>> = symbols
         .fns
         .iter()
         .map(|f| {
-            let file = &files[file_of[f.file.as_str()]].0;
+            let file = &files[file_of[f.file.as_str()]];
             body_sinks(&f.body.children)
                 .into_iter()
-                .filter(|s| {
-                    let line = file.lines.get(s.line.saturating_sub(1));
-                    line.is_some_and(|l| !l.in_hot && !l.in_test)
-                })
+                .filter(|s| !file.in_hot(s.line) && !file.in_test(s.line))
                 .collect()
         })
         .collect();
 
     // Roots: resolved calls sitting on hot-region lines, per file.
-    for (file, ast) in files {
-        for raw in raw_calls(&ast.nodes) {
-            let on_hot = file
-                .lines
-                .get(raw.line.saturating_sub(1))
-                .is_some_and(|l| l.in_hot && !l.in_test);
-            if !on_hot {
+    for file in files {
+        for raw in raw_calls(&file.nodes) {
+            if !file.in_hot(raw.line) || file.in_test(raw.line) {
                 continue;
             }
             let roots = symbols.resolve(&raw.name, raw.argc, raw.qualifier.as_deref(), raw.kind);
@@ -201,7 +185,7 @@ pub fn check(
                             message: format!("{} here", sink.what),
                         });
                         let depth = chain.len();
-                        super::emit(
+                        report.flag(
                             file,
                             raw.line,
                             super::HOT_PATH_REACH,
@@ -215,7 +199,6 @@ pub fn check(
                                 if depth == 1 { "" } else { "s" }
                             ),
                             related,
-                            report,
                         );
                     }
                     for next in graph.callees(cur) {

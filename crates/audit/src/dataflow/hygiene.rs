@@ -31,37 +31,29 @@ use std::collections::HashSet;
 
 use crate::ast::Ast;
 use crate::report::Report;
-use crate::scan::SourceFile;
 use crate::semantic::{atomic, units};
 use crate::Violation;
 
-/// One declared waiver site: file index, 0-based line index, rule id.
+/// One declared waiver site: file index, 1-based line, rule id.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct WaiverSite {
     file: usize,
-    line_idx: usize,
+    line: usize,
     rule: String,
 }
 
 /// Computes which declared waivers are *used* by the given findings: a
-/// waived violation at 1-based line L resolves through a waiver on line
-/// index L-1 or L-2 (same resolution order as [`SourceFile::waived`]).
+/// waived violation resolves through the waiver [`Ast::waiver_line`]
+/// names (its own line first, else the line above).
 fn used_waivers<'a>(
-    files: &[(SourceFile, Ast)],
+    files: &[Ast],
     findings: impl Iterator<Item = &'a Violation>,
 ) -> HashSet<WaiverSite> {
     let mut used = HashSet::new();
     for v in findings.filter(|v| v.waived) {
-        let Some(file) = files.iter().position(|(f, _)| f.path == v.file) else { continue };
-        let lines = &files[file].0.lines;
-        let has = |idx: usize| {
-            lines.get(idx).is_some_and(|l| l.waivers.iter().any(|w| w == v.rule))
-        };
-        let idx = v.line.saturating_sub(1);
-        if has(idx) {
-            used.insert(WaiverSite { file, line_idx: idx, rule: v.rule.to_string() });
-        } else if idx > 0 && has(idx - 1) {
-            used.insert(WaiverSite { file, line_idx: idx - 1, rule: v.rule.to_string() });
+        let Some(file) = files.iter().position(|f| f.path == v.file) else { continue };
+        if let Some(line) = files[file].waiver_line(v.line, v.rule) {
+            used.insert(WaiverSite { file, line, rule: v.rule.to_string() });
         }
     }
     used
@@ -69,19 +61,19 @@ fn used_waivers<'a>(
 
 /// Runs the pass and appends `stale-waiver` findings to `report`.
 /// `known_rules` is the full rule-id vocabulary ([`crate::ALL_RULES`]).
-pub fn check(files: &[(SourceFile, Ast)], known_rules: &[&str], report: &mut Report) {
+pub fn check(files: &[Ast], known_rules: &[&str], report: &mut Report) {
     // Annotation hygiene is independent of waiver usage: compute once.
     let mut base: Vec<Violation> = Vec::new();
-    for (file, ast) in files {
-        for issue in build_unit_issues(ast) {
+    for file in files {
+        for issue in build_unit_issues(file) {
             base.push(finding(
                 file,
                 issue.line,
                 format!("`audit:unit({})` does not cover any binding", issue.tag),
             ));
         }
-        let ops = atomic::op_lines(ast);
-        for c in &ast.comments {
+        let ops = atomic::op_lines(file);
+        for c in &file.comments {
             if crate::ast::annotation_payload(&c.text, "audit:atomic(").is_none() {
                 continue;
             }
@@ -105,7 +97,7 @@ pub fn check(files: &[(SourceFile, Ast)], known_rules: &[&str], report: &mut Rep
             ("audit:transient(", super::SNAPSHOT_COMPLETE, "audit:transient(…)"),
             ("audit:ordered(", super::NONDET_REACH, "audit:ordered(…)"),
         ] {
-            for c in &ast.comments {
+            for c in &file.comments {
                 if crate::ast::annotation_payload(&c.text, needle).is_none() {
                     continue;
                 }
@@ -131,11 +123,11 @@ pub fn check(files: &[(SourceFile, Ast)], known_rules: &[&str], report: &mut Rep
     // Declared waivers, except `stale-waiver` ones (exempt from
     // staleness to keep the fixpoint well-founded).
     let mut declared: Vec<WaiverSite> = Vec::new();
-    for (fi, (file, _)) in files.iter().enumerate() {
-        for (idx, line) in file.lines.iter().enumerate() {
+    for (fi, ast) in files.iter().enumerate() {
+        for (idx, line) in ast.lines.iter().enumerate() {
             for rule in &line.waivers {
                 if rule != super::STALE_WAIVER {
-                    declared.push(WaiverSite { file: fi, line_idx: idx, rule: rule.clone() });
+                    declared.push(WaiverSite { file: fi, line: idx + 1, rule: rule.clone() });
                 }
             }
         }
@@ -151,17 +143,17 @@ pub fn check(files: &[(SourceFile, Ast)], known_rules: &[&str], report: &mut Rep
         );
         let mut next = Vec::new();
         for site in &declared {
-            let (file, _) = &files[site.file];
+            let file = &files[site.file];
             if !known_rules.contains(&site.rule.as_str()) {
                 next.push(finding(
                     file,
-                    site.line_idx + 1,
+                    site.line,
                     format!("`audit:allow({})` names an unknown rule id", site.rule),
                 ));
             } else if !used.contains(site) {
                 next.push(finding(
                     file,
-                    site.line_idx + 1,
+                    site.line,
                     format!(
                         "`audit:allow({})` suppresses no finding; delete the stale waiver",
                         site.rule
@@ -182,13 +174,13 @@ pub fn check(files: &[(SourceFile, Ast)], known_rules: &[&str], report: &mut Rep
 
 /// Builds a `stale-waiver` violation at a 1-based line, resolving its own
 /// waiver status.
-fn finding(file: &SourceFile, line: usize, message: String) -> Violation {
+fn finding(file: &Ast, line: usize, message: String) -> Violation {
     Violation {
         file: file.path.clone(),
         line,
         rule: super::STALE_WAIVER,
         message,
-        waived: file.waived(line.saturating_sub(1), super::STALE_WAIVER),
+        waived: file.waived(line, super::STALE_WAIVER),
         related: Vec::new(),
     }
 }

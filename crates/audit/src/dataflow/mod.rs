@@ -41,8 +41,7 @@ pub mod symbols;
 pub mod unitflow;
 
 use crate::ast::Ast;
-use crate::report::{Related, Report, Violation};
-use crate::scan::SourceFile;
+use crate::report::Report;
 
 /// Rule id: cross-unit flow through function parameters or returns.
 pub const UNIT_FLOW: &str = "unit-flow";
@@ -60,7 +59,7 @@ pub const STALE_WAIVER: &str = "stale-waiver";
 /// runs last and reads them (including `snapshot-complete` and
 /// `nondet-reach` findings) to decide which waivers and annotations are
 /// still earning their keep.
-pub fn apply_all(files: &[(SourceFile, Ast)], report: &mut Report) {
+pub fn apply_all(files: &[Ast], report: &mut Report) {
     let symbols = symbols::SymbolTable::build(files);
     let graph = callgraph::CallGraph::build(&symbols);
     unitflow::check(files, &symbols, report);
@@ -68,33 +67,4 @@ pub fn apply_all(files: &[(SourceFile, Ast)], report: &mut Report) {
     snapshot::check(files, &symbols, report);
     nondet::check(files, &symbols, &graph, report);
     hygiene::check(files, crate::ALL_RULES, report);
-}
-
-/// Records a finding with related locations, resolving waiver status
-/// through the line data. Exact duplicates (same file/line/rule/message)
-/// are dropped — tolerant call resolution can discover the same defect
-/// through several candidate edges.
-pub(crate) fn emit(
-    file: &SourceFile,
-    line: usize,
-    rule: &'static str,
-    message: String,
-    related: Vec<Related>,
-    report: &mut Report,
-) {
-    let dup = report
-        .violations
-        .iter()
-        .any(|v| v.file == file.path && v.line == line && v.rule == rule && v.message == message);
-    if dup {
-        return;
-    }
-    report.push(Violation {
-        file: file.path.clone(),
-        line,
-        rule,
-        message,
-        waived: file.waived(line.saturating_sub(1), rule),
-        related,
-    });
 }

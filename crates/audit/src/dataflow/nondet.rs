@@ -44,7 +44,6 @@ use super::symbols::{type_text, FnDef, FnId, SymbolTable};
 use crate::ast::visit::{find_method_calls, RunVisitor};
 use crate::ast::{Ast, Node, TokKind};
 use crate::report::{Related, Violation};
-use crate::scan::SourceFile;
 use crate::Report;
 
 /// Root set: `(fn name, required impl owner)` — `None` matches any
@@ -264,14 +263,9 @@ fn body_sinks(f: &FnDef, field_names: &HashSet<String>) -> Vec<Sink> {
 }
 
 /// Runs the analysis and reports `nondet-reach` findings.
-pub fn check(
-    files: &[(SourceFile, Ast)],
-    symbols: &SymbolTable,
-    graph: &CallGraph,
-    report: &mut Report,
-) {
+pub fn check(files: &[Ast], symbols: &SymbolTable, graph: &CallGraph, report: &mut Report) {
     let file_of: HashMap<&str, usize> =
-        files.iter().enumerate().map(|(i, (f, _))| (f.path.as_str(), i)).collect();
+        files.iter().enumerate().map(|(i, f)| (f.path.as_str(), i)).collect();
 
     // Hash-container field names, scoped per owning struct: tainting by
     // bare name workspace-wide would condemn every `items` because *one*
@@ -327,18 +321,14 @@ pub fn check(
             continue;
         }
         let Some(&fi) = file_of.get(f.file.as_str()) else { continue };
-        let (sfile, sast) = &files[fi];
+        let sast = &files[fi];
         let field_names = f
             .owner
             .as_deref()
             .and_then(|o| fields_of.get(o))
             .unwrap_or(&empty);
         for sink in body_sinks(f, field_names) {
-            if sfile
-                .lines
-                .get(sink.line.saturating_sub(1))
-                .is_some_and(|l| l.in_test)
-            {
+            if sast.in_test(sink.line) {
                 continue;
             }
             let key = (f.file.clone(), sink.line, sink.what.clone());
@@ -379,7 +369,7 @@ pub fn check(
                 .annotation(sink.line, "ordered")
                 .is_some_and(|contract| !contract.is_empty());
             let waived =
-                ordered || sfile.waived(sink.line.saturating_sub(1), super::NONDET_REACH);
+                ordered || sast.waived(sink.line, super::NONDET_REACH);
             let depth = chain.len();
             let message = format!(
                 "state-affecting path from `{}` reaches {} in `{}` ({} fn{} deep) — \

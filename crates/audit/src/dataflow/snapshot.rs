@@ -38,7 +38,6 @@ use super::symbols::SymbolTable;
 use crate::ast::visit::RunVisitor;
 use crate::ast::{Ast, Node};
 use crate::report::Violation;
-use crate::scan::SourceFile;
 use crate::Report;
 
 /// Method names treated as the capture side of a checkpoint pair.
@@ -68,9 +67,9 @@ fn self_field_mentions(nodes: &[Node]) -> HashSet<String> {
 }
 
 /// Runs the analysis and reports `snapshot-complete` findings.
-pub fn check(files: &[(SourceFile, Ast)], symbols: &SymbolTable, report: &mut Report) {
+pub fn check(files: &[Ast], symbols: &SymbolTable, report: &mut Report) {
     let file_of: HashMap<&str, usize> =
-        files.iter().enumerate().map(|(i, (f, _))| (f.path.as_str(), i)).collect();
+        files.iter().enumerate().map(|(i, f)| (f.path.as_str(), i)).collect();
 
     // Owner type → (snapshot-side FnIds, restore-side FnIds).
     let mut pairs: HashMap<&str, (Vec<usize>, Vec<usize>)> = HashMap::new();
@@ -110,7 +109,7 @@ pub fn check(files: &[(SourceFile, Ast)], symbols: &SymbolTable, report: &mut Re
         let snap_name = &symbols.fns[snaps[0]].name;
         let rest = &symbols.fns[rests[0]];
         let Some(&struct_file) = file_of.get(st.file.as_str()) else { continue };
-        let (sfile, sast) = &files[struct_file];
+        let sast = &files[struct_file];
 
         for field in &st.fields {
             let in_snap = snap_set.contains(&field.name);
@@ -121,10 +120,9 @@ pub fn check(files: &[(SourceFile, Ast)], symbols: &SymbolTable, report: &mut Re
                 let transient = sast
                     .annotation(field.line, "transient")
                     .is_some_and(|reason| !reason.is_empty());
-                let waived = transient
-                    || sfile.waived(field.line.saturating_sub(1), super::SNAPSHOT_COMPLETE);
+                let waived = transient || sast.waived(field.line, super::SNAPSHOT_COMPLETE);
                 report.push(Violation {
-                    file: sfile.path.clone(),
+                    file: sast.path.clone(),
                     line: field.line,
                     rule: super::SNAPSHOT_COMPLETE,
                     message: format!(
@@ -138,9 +136,8 @@ pub fn check(files: &[(SourceFile, Ast)], symbols: &SymbolTable, report: &mut Re
                 });
             } else if in_snap && !in_rest {
                 let Some(&rest_file) = file_of.get(rest.file.as_str()) else { continue };
-                let (rfile, _) = &files[rest_file];
-                super::emit(
-                    rfile,
+                report.flag(
+                    &files[rest_file],
                     rest.line,
                     super::SNAPSHOT_COMPLETE,
                     format!(
@@ -153,7 +150,6 @@ pub fn check(files: &[(SourceFile, Ast)], symbols: &SymbolTable, report: &mut Re
                         line: field.line,
                         message: format!("field `{}` declared here", field.name),
                     }],
-                    report,
                 );
             }
         }

@@ -16,7 +16,6 @@ use std::collections::HashMap;
 
 use crate::ast::tree::{Delim, Group, Node};
 use crate::ast::{Ast, TokKind};
-use crate::scan::SourceFile;
 
 /// Index of a function in [`SymbolTable::fns`].
 pub type FnId = usize;
@@ -34,7 +33,7 @@ pub struct FnDef {
     /// parameter bound by a destructuring pattern gets an empty name.
     pub params: Vec<String>,
     /// Declared parameter types, parallel to `params`, rendered via
-    /// [`type_text`] (container detection only).
+    /// `type_text` (container detection only).
     pub param_tys: Vec<String>,
     /// True for methods taking `self` (by value or reference).
     pub has_self: bool,
@@ -105,12 +104,12 @@ pub enum CallKind {
 
 impl SymbolTable {
     /// Builds the table over every parsed file.
-    pub fn build(files: &[(SourceFile, Ast)]) -> Self {
+    pub fn build(files: &[Ast]) -> Self {
         let mut fns = Vec::new();
         let mut structs = Vec::new();
-        for (file, ast) in files {
-            collect(&ast.nodes, file, None, &mut fns);
-            collect_structs(&ast.nodes, file, &mut structs);
+        for ast in files {
+            collect(&ast.nodes, ast, None, &mut fns);
+            collect_structs(&ast.nodes, ast, &mut structs);
         }
         let mut by_name: HashMap<String, Vec<FnId>> = HashMap::new();
         for (id, f) in fns.iter().enumerate() {
@@ -156,7 +155,7 @@ impl SymbolTable {
     ///
     /// Exception to the tolerance: a bare `recv.name(…)` whose name
     /// collides with a ubiquitous std container method
-    /// ([`STD_COLLIDING_METHODS`]) resolves to nothing — receiver-blind
+    /// (`STD_COLLIDING_METHODS`) resolves to nothing — receiver-blind
     /// matching would attribute every `vec.push(x)` in the workspace to
     /// any workspace method that happens to be called `push`. Qualified
     /// calls (`Type::name(recv, …)`) still resolve, so such methods stay
@@ -281,7 +280,7 @@ fn impl_bodies(run: &[Node]) -> HashMap<usize, String> {
 
 /// Walks one run, recording `fn` items and recursing into child groups
 /// with the right `impl` owner.
-fn collect(run: &[Node], file: &SourceFile, owner: Option<&str>, out: &mut Vec<FnDef>) {
+fn collect(run: &[Node], file: &Ast, owner: Option<&str>, out: &mut Vec<FnDef>) {
     let impls = impl_bodies(run);
     for (i, n) in run.iter().enumerate() {
         if let Node::Group(g) = n {
@@ -298,7 +297,7 @@ fn collect(run: &[Node], file: &SourceFile, owner: Option<&str>, out: &mut Vec<F
 
 /// Parses the `fn` item whose `fn` keyword sits at `run[at]`. Returns
 /// `None` for bodyless declarations and `fn(…)` pointer types.
-fn parse_fn(run: &[Node], at: usize, file: &SourceFile, owner: Option<&str>) -> Option<FnDef> {
+fn parse_fn(run: &[Node], at: usize, file: &Ast, owner: Option<&str>) -> Option<FnDef> {
     let name_tok = run.get(at + 1)?.tok()?;
     if name_tok.kind != TokKind::Ident || KEYWORDS.contains(&name_tok.text.as_str()) {
         return None; // `fn(u8) -> u8` type syntax, or recovery junk
@@ -325,10 +324,7 @@ fn parse_fn(run: &[Node], at: usize, file: &SourceFile, owner: Option<&str>) -> 
                     param_tys: tys,
                     has_self,
                     owner: owner.map(str::to_string),
-                    in_test: file
-                        .lines
-                        .get(line.saturating_sub(1))
-                        .is_some_and(|l| l.in_test),
+                    in_test: file.in_test(line),
                     body: g.clone(),
                 });
             }
@@ -340,7 +336,7 @@ fn parse_fn(run: &[Node], at: usize, file: &SourceFile, owner: Option<&str>) -> 
 
 /// Walks one run collecting `struct Name { … }` declarations, recursing
 /// into every child group (modules; structs inside fn bodies too).
-fn collect_structs(run: &[Node], file: &SourceFile, out: &mut Vec<StructDef>) {
+fn collect_structs(run: &[Node], file: &Ast, out: &mut Vec<StructDef>) {
     for (i, n) in run.iter().enumerate() {
         if let Node::Group(g) = n {
             collect_structs(&g.children, file, out);
@@ -357,7 +353,7 @@ fn collect_structs(run: &[Node], file: &SourceFile, out: &mut Vec<StructDef>) {
 /// recovery junk. Generic parameters and `where` clauses are skipped via
 /// angle-depth tracking (the lexer never glues `>>`, so depth bookkeeping
 /// is exact in type position).
-fn parse_struct(run: &[Node], at: usize, file: &SourceFile) -> Option<StructDef> {
+fn parse_struct(run: &[Node], at: usize, file: &Ast) -> Option<StructDef> {
     let name_tok = run.get(at + 1)?.tok()?;
     if name_tok.kind != TokKind::Ident || KEYWORDS.contains(&name_tok.text.as_str()) {
         return None;
@@ -379,10 +375,7 @@ fn parse_struct(run: &[Node], at: usize, file: &SourceFile) -> Option<StructDef>
                     file: file.path.clone(),
                     line: name_tok.line,
                     fields: parse_struct_fields(g),
-                    in_test: file
-                        .lines
-                        .get(name_tok.line.saturating_sub(1))
-                        .is_some_and(|l| l.in_test),
+                    in_test: file.in_test(name_tok.line),
                 });
             }
             _ => {}
@@ -514,9 +507,7 @@ mod tests {
     use super::*;
 
     fn table(src: &str) -> SymbolTable {
-        let file = SourceFile::parse("crates/core/src/x.rs", src);
-        let ast = Ast::parse("crates/core/src/x.rs", src);
-        SymbolTable::build(&[(file, ast)])
+        SymbolTable::build(&[Ast::parse("crates/core/src/x.rs", src)])
     }
 
     #[test]
@@ -636,11 +627,10 @@ mod tests {
 
     #[test]
     fn ambiguous_struct_names_resolve_same_file_or_not_at_all() {
-        let a = SourceFile::parse("crates/core/src/a.rs", "struct S { x: f64 }\n");
-        let a_ast = Ast::parse("crates/core/src/a.rs", "struct S { x: f64 }\n");
-        let b = SourceFile::parse("crates/core/src/b.rs", "struct S { y: f64 }\n");
-        let b_ast = Ast::parse("crates/core/src/b.rs", "struct S { y: f64 }\n");
-        let t = SymbolTable::build(&[(a, a_ast), (b, b_ast)]);
+        let t = SymbolTable::build(&[
+            Ast::parse("crates/core/src/a.rs", "struct S { x: f64 }\n"),
+            Ast::parse("crates/core/src/b.rs", "struct S { y: f64 }\n"),
+        ]);
         let same = t.struct_named("S", "crates/core/src/b.rs").expect("same-file candidate");
         assert_eq!(same.fields[0].name, "y");
         assert!(t.struct_named("S", "crates/core/src/other.rs").is_none());

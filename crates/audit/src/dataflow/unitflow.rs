@@ -16,7 +16,7 @@
 //! 3. **inferred arithmetic mix** — a `+`/`-`/comparison whose operand
 //!    unit was only discoverable through a call's return summary (the
 //!    callee's name carries no suffix). Purely local mixes stay with
-//!    `unit-mix`; this check reports only what v1 cannot see, so no site
+//!    `unit-mix`; this check reports only what it cannot see, so no site
 //!    is double-reported.
 //!
 //! Findings are waivable at the *call/operator* site with
@@ -30,7 +30,6 @@ use super::symbols::{CallKind, FnId, SymbolTable};
 use crate::ast::visit::{term_after, term_before, term_spanning, RunVisitor, Term};
 use crate::ast::{Ast, Node, TokKind};
 use crate::report::Related;
-use crate::scan::SourceFile;
 use crate::semantic::units::{build_env, suffix_unit, Env, Unit};
 use crate::Report;
 
@@ -115,10 +114,10 @@ struct Flow<'a> {
 }
 
 impl<'a> Flow<'a> {
-    fn build(files: &'a [(SourceFile, Ast)], symbols: &'a SymbolTable) -> Self {
-        let envs: Vec<Env> = files.iter().map(|(_, ast)| build_env(ast).0).collect();
+    fn build(files: &'a [Ast], symbols: &'a SymbolTable) -> Self {
+        let envs: Vec<Env> = files.iter().map(|ast| build_env(ast).0).collect();
         let file_of: HashMap<&str, usize> =
-            files.iter().enumerate().map(|(i, (f, _))| (f.path.as_str(), i)).collect();
+            files.iter().enumerate().map(|(i, f)| (f.path.as_str(), i)).collect();
         let n = symbols.fns.len();
         let mut calls = Vec::with_capacity(n);
         let mut rets = Vec::with_capacity(n);
@@ -219,8 +218,8 @@ impl<'a> Flow<'a> {
 
     /// True when `term`'s unit was only discoverable interprocedurally:
     /// a call whose callee name carries no suffix but has a workspace
-    /// return summary. (`env` lookups and suffixed callees are v1
-    /// territory.)
+    /// return summary. (`env` lookups and suffixed callees are
+    /// `unit-mix` territory.)
     fn inferred_only(&self, term: &Term) -> bool {
         term.is_call
             && suffix_unit(&term.key).is_none()
@@ -279,21 +278,17 @@ impl<'a> Flow<'a> {
 type ArgSite = (usize, usize, Unit, String);
 
 /// Runs the analysis and reports `unit-flow` findings.
-pub fn check(files: &[(SourceFile, Ast)], symbols: &SymbolTable, report: &mut Report) {
+pub fn check(files: &[Ast], symbols: &SymbolTable, report: &mut Report) {
     let mut flow = Flow::build(files, symbols);
     let n = symbols.fns.len();
     solve(n, |c| flow.step(c));
 
-    let in_test = |file: &SourceFile, line: usize| {
-        file.lines.get(line.saturating_sub(1)).is_some_and(|l| l.in_test)
-    };
-
     // Check 1: argument unit vs declared parameter unit, per call site.
     for c in 0..n {
         let fi = flow.file_of[symbols.fns[c].file.as_str()];
-        let (file, _) = &files[fi];
+        let file = &files[fi];
         for call in &flow.calls[c] {
-            if in_test(file, call.raw.line) {
+            if file.in_test(call.raw.line) {
                 continue;
             }
             for &k in &call.cands {
@@ -304,7 +299,7 @@ pub fn check(files: &[(SourceFile, Ast)], symbols: &SymbolTable, report: &mut Re
                     let Some(pi) = param_index(call, callee, ai) else { continue };
                     let Some(d) = flow.declared[k].get(pi).copied().flatten() else { continue };
                     if d != u {
-                        super::emit(
+                        report.flag(
                             file,
                             call.raw.line,
                             super::UNIT_FLOW,
@@ -325,7 +320,6 @@ pub fn check(files: &[(SourceFile, Ast)], symbols: &SymbolTable, report: &mut Re
                                     d.label()
                                 ),
                             }],
-                            report,
                         );
                     }
                 }
@@ -373,13 +367,13 @@ pub fn check(files: &[(SourceFile, Ast)], symbols: &SymbolTable, report: &mut Re
         let related = contributions
             .iter()
             .map(|(sfi, line, u, text)| Related {
-                file: files[*sfi].0.path.clone(),
+                file: files[*sfi].path.clone(),
                 line: *line,
                 message: format!("`{}` ({}) passed here", text, u.label()),
             })
             .collect();
-        super::emit(
-            &files[fi].0,
+        report.flag(
+            &files[fi],
             callee.line,
             super::UNIT_FLOW,
             format!(
@@ -389,13 +383,12 @@ pub fn check(files: &[(SourceFile, Ast)], symbols: &SymbolTable, report: &mut Re
                 labels.join(" vs ")
             ),
             related,
-            report,
         );
     }
 
     // Check 3: same-dimension operators whose mix is only visible through
     // an inferred return summary.
-    for (fi, (file, ast)) in files.iter().enumerate() {
+    for (fi, ast) in files.iter().enumerate() {
         struct MixVisitor<'x, 'a> {
             flow: &'x Flow<'a>,
             fi: usize,
@@ -411,7 +404,7 @@ pub fn check(files: &[(SourceFile, Ast)], symbols: &SymbolTable, report: &mut Re
                     let Some(lhs) = term_before(nodes, i) else { continue };
                     let Some(rhs) = term_after(nodes, i + 1) else { continue };
                     if !(self.flow.inferred_only(&lhs) || self.flow.inferred_only(&rhs)) {
-                        continue; // v1's unit-mix already covers local tags
+                        continue; // unit-mix already covers local tags
                     }
                     let env = &self.flow.envs[self.fi];
                     let (Some(lu), Some(ru)) =
@@ -458,10 +451,9 @@ pub fn check(files: &[(SourceFile, Ast)], symbols: &SymbolTable, report: &mut Re
         let mut v = MixVisitor { flow: &flow, fi, findings: Vec::new() };
         crate::ast::visit::walk_runs(&ast.nodes, &mut v);
         for (line, msg, related) in v.findings {
-            if in_test(file, line) {
-                continue;
+            if !ast.in_test(line) {
+                report.flag(ast, line, super::UNIT_FLOW, msg, related);
             }
-            super::emit(file, line, super::UNIT_FLOW, msg, related, report);
         }
     }
 }

@@ -52,12 +52,15 @@ const ENTRIES: &[Entry] = &[
     },
     Entry {
         rule: "hot-alloc",
-        contract: "No heap allocation (`Vec::new`, `format!`, `to_string`, `clone` \
-                   of owned containers, …) inside a declared `audit:hot-path` \
-                   region; per-slot allocation dominates small-scale runs.",
+        contract: "No allocation (`Vec::new`, `format!`, `to_string`, `clone`, …), \
+                   lock acquisition (`.lock()`, `.read()`, `.write()`) or IO \
+                   (`File::open`, `fs::…`, `flush`) written inside a declared \
+                   `audit:hot-path` region; per-slot allocation dominates \
+                   small-scale runs, and a lock or IO call stalls the decision loop. \
+                   Sinks reached through calls are `hot-path-reach`'s.",
         waiver: "// audit:allow(hot-alloc) for allocations proven out of the per-slot \
                  loop (setup, error paths).",
-        example: "// audit:hot-path(decide)\nfn decide(&self) {\n    let names = Vec::new(); // fires\n}",
+        example: "// audit:hot-path: begin\nfn decide(&self) {\n    let names = Vec::new(); // fires\n}\n// audit:hot-path: end",
     },
     Entry {
         rule: "slot-loop",
@@ -94,14 +97,6 @@ const ENTRIES: &[Entry] = &[
         waiver: "The annotation *is* the resolution — there is no separate waiver. \
                  `// audit:atomic(SeqCst; why this ordering is sufficient)`.",
         example: "count.fetch_add(1, Ordering::SeqCst); // fires until annotated",
-    },
-    Entry {
-        rule: "deprecated-api",
-        contract: "No internal use of items the workspace marks `#[deprecated]` \
-                   outside the defining file — migrations finish instead of \
-                   lingering.",
-        waiver: "// audit:allow(deprecated-api) in explicitly waived compat tests.",
-        example: "let v = old_entrypoint(); // fires if old_entrypoint is #[deprecated]",
     },
     Entry {
         rule: "unit-flow",

@@ -1,29 +1,30 @@
-//! Static lint pass for the COCA workspace — line rules plus an AST
-//! engine with semantic rules (v2).
+//! Static lint pass for the COCA workspace: per-file rules, semantic
+//! rules and interprocedural analyses, all over one parse of each file.
 //!
 //! The build environment has no registry access, so this cannot lean on
-//! syn/quote or an off-the-shelf linter. v1 was a pure line/token pass;
-//! v2 adds a hand-rolled AST layer ([`ast`]: span-tracking lexer with
-//! comment trivia, balanced token trees, a run visitor) and rebuilds the
-//! pass as two cooperating engines over the same sources:
+//! syn/quote or an off-the-shelf linter. [`ast`] is the hand-rolled
+//! substitute: a span-tracking lexer with comment trivia, balanced token
+//! trees, per-line facts (`#[cfg(test)]` code, `audit:hot-path` regions,
+//! `audit:allow` waivers) and a run visitor. Every rule reads the same
+//! [`ast::Ast`]:
 //!
-//! **Line rules** ([`rules`], over [`scan::SourceFile`]):
+//! **Per-file rules** ([`rules`]):
 //!
 //! - [`rules::NO_PANIC`] — no bare `unwrap()` / `expect(` / `panic!` in
 //!   solver hot paths; hot paths must surface typed errors.
 //! - [`rules::FLOAT_EQ`] — no raw f64 `==`/`!=` comparisons in non-test
 //!   code; continuous quantities compare against tolerances.
 //! - [`rules::NAN_GUARD`] — no `ln`/`sqrt`/identifier division in hot
-//!   paths without a nearby guard on the operand.
+//!   paths without a guard on the operand within 12 lines above.
 //! - [`rules::MUST_USE`] — solver result types must carry `#[must_use]`.
-//! - [`rules::HOT_ALLOC`] — no heap allocation inside declared
-//!   `audit:hot-path` regions.
+//! - [`rules::HOT_ALLOC`] — no allocation, locking or IO inside declared
+//!   `audit:hot-path` regions (the `hot-path-reach` sink table).
 //! - [`rules::SLOT_LOOP`] — no hand-rolled per-slot loops outside the
 //!   streaming engine; slots flow through `SimEngine`/`SlotSource`.
 //! - [`rules::NO_PRINT`] — diagnostics go through `coca_obs::logger`, not
 //!   direct prints, outside the designated print surfaces.
 //!
-//! **Semantic rules** ([`semantic`], over [`ast::Ast`]):
+//! **Semantic rules** ([`semantic`]):
 //!
 //! - [`semantic::UNIT_MIX`] — units-of-measure dataflow: terms tagged
 //!   kWh / kW / USD (identifier suffixes, `// audit:unit(<tag>)`
@@ -32,10 +33,6 @@
 //! - [`semantic::ATOMIC_ORDERING`] — every atomic op carries an
 //!   `// audit:atomic(<contract>)` annotation; CAS failure ordering must
 //!   not exceed success ordering; CAS results must not be dropped.
-//! - [`semantic::DEPRECATED_API`] — no internal use of items the
-//!   workspace marks `#[deprecated]`, outside the defining file and
-//!   explicitly waived compat tests. (This rule is cross-file: the
-//!   driver indexes the whole workspace before linting.)
 //!
 //! **Interprocedural rules** ([`dataflow`], over a workspace symbol
 //! table and call graph; multi-file driver only):
@@ -75,14 +72,12 @@ pub mod dataflow;
 pub mod explain;
 pub mod report;
 pub mod rules;
-pub mod scan;
 pub mod schema;
 pub mod semantic;
 
 use std::path::{Path, PathBuf};
 
 pub use report::{Report, Violation};
-pub use scan::SourceFile;
 
 /// Directories under the workspace root whose `src/` trees are linted.
 /// Bench and test harness code is intentionally out of scope: panics are
@@ -112,7 +107,6 @@ pub const ALL_RULES: &[&str] = &[
     rules::NO_PRINT,
     semantic::UNIT_MIX,
     semantic::ATOMIC_ORDERING,
-    semantic::DEPRECATED_API,
     dataflow::UNIT_FLOW,
     dataflow::HOT_PATH_REACH,
     dataflow::SNAPSHOT_COMPLETE,
@@ -171,21 +165,18 @@ pub fn run_lint(workspace_root: &Path) -> std::io::Result<Report> {
 }
 
 /// Lints a set of in-memory sources with the full multi-pass pipeline:
-/// pass 1 parses everything and indexes `#[deprecated]` items across the
-/// set; pass 2 applies every line and semantic rule per file; pass 3 runs
-/// the interprocedural [`dataflow`] analyses (`unit-flow`,
-/// `hot-path-reach`, and finally `stale-waiver` hygiene over the
+/// pass 1 parses every file once; pass 2 applies every per-file and
+/// semantic rule to each; pass 3 runs the interprocedural [`dataflow`]
+/// analyses (`unit-flow`, `hot-path-reach`, `snapshot-complete`,
+/// `nondet-reach`, and finally `stale-waiver` hygiene over the
 /// accumulated findings). The report is sorted by `(file, line, rule)`.
 pub fn lint_sources(sources: &[(String, String)]) -> Report {
-    let parsed: Vec<(SourceFile, ast::Ast)> = sources
-        .iter()
-        .map(|(rel, text)| (SourceFile::parse(rel, text), ast::Ast::parse(rel, text)))
-        .collect();
-    let index = semantic::deprecated::DeprecatedIndex::build(parsed.iter().map(|(_, a)| a));
+    let parsed: Vec<ast::Ast> =
+        sources.iter().map(|(rel, text)| ast::Ast::parse(rel, text)).collect();
     let mut report = Report::default();
-    for (file, ast) in &parsed {
-        rules::apply_all(file, &mut report);
-        semantic::apply_all(file, ast, &index, &mut report);
+    for ast in &parsed {
+        rules::apply_all(ast, &mut report);
+        semantic::apply_all(ast, &mut report);
     }
     dataflow::apply_all(&parsed, &mut report);
     report.sort();
@@ -193,16 +184,13 @@ pub fn lint_sources(sources: &[(String, String)]) -> Report {
 }
 
 /// Lints a single file's contents (entry point shared by the fixture
-/// self-tests and the rule unit tests). Cross-file state degenerates: the
-/// deprecated index covers only this file, uses inside the defining
-/// file are exempt by design, and the interprocedural [`dataflow`]
-/// analyses do not run at all — use [`lint_sources`] to exercise
-/// `deprecated-api`, `unit-flow`, `hot-path-reach`, or `stale-waiver`.
+/// self-tests and the rule unit tests). The interprocedural [`dataflow`]
+/// analyses do not run — use [`lint_sources`] to exercise `unit-flow`,
+/// `hot-path-reach`, `snapshot-complete`, `nondet-reach` or
+/// `stale-waiver`.
 pub fn lint_source(rel_path: &str, text: &str, report: &mut Report) {
-    let file = SourceFile::parse(rel_path, text);
     let ast = ast::Ast::parse(rel_path, text);
-    let index = semantic::deprecated::DeprecatedIndex::build([&ast]);
-    rules::apply_all(&file, report);
-    semantic::apply_all(&file, &ast, &index, report);
+    rules::apply_all(&ast, report);
+    semantic::apply_all(&ast, report);
     report.sort();
 }

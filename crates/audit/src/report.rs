@@ -68,6 +68,28 @@ impl Report {
         self.violations.push(v);
     }
 
+    /// Records a `rule` finding on the 1-based `line` of `ast`, waived when
+    /// an `audit:allow(<rule>)` covers the line. Exact duplicates (same
+    /// file, line, rule and message) are dropped: one line can repeat a
+    /// defect, and tolerant call resolution can reach the same one through
+    /// several candidate edges.
+    pub(crate) fn flag(
+        &mut self,
+        ast: &crate::ast::Ast,
+        line: usize,
+        rule: &'static str,
+        message: String,
+        related: Vec<Related>,
+    ) {
+        let dup = self.violations.iter().any(|v| {
+            v.file == ast.path && v.line == line && v.rule == rule && v.message == message
+        });
+        if !dup {
+            let waived = ast.waived(line, rule);
+            self.push(Violation { file: ast.path.clone(), line, rule, message, waived, related });
+        }
+    }
+
     /// Findings not covered by a waiver comment.
     pub fn unwaived(&self) -> impl Iterator<Item = &Violation> {
         self.violations.iter().filter(|v| !v.waived)

@@ -1,8 +1,11 @@
-//! The lint rules. Each rule walks a [`SourceFile`]'s sanitized lines and
-//! records [`Violation`]s; waiver lookup is shared via [`emit`].
+//! The per-file lint rules. Each rule reads one file's token runs through
+//! the [`crate::ast::visit`] helpers, and test code, hot-path regions and
+//! waivers through the same [`Ast`]'s line facts.
 
-use crate::report::{Report, Violation};
-use crate::scan::SourceFile;
+use crate::ast::visit::{find_macro_calls, find_method_calls, term_after, walk_runs, RunVisitor};
+use crate::ast::{Ast, Delim, Node, TokKind, Token};
+use crate::dataflow::hotreach::body_sinks;
+use crate::report::Report;
 
 /// Rule id: no `unwrap()`/`expect(`/`panic!` in solver hot paths.
 pub const NO_PANIC: &str = "no-panic";
@@ -12,7 +15,8 @@ pub const FLOAT_EQ: &str = "float-eq";
 pub const NAN_GUARD: &str = "nan-guard";
 /// Rule id: solver result types must be `#[must_use]`.
 pub const MUST_USE: &str = "must-use";
-/// Rule id: no heap allocation inside declared `audit:hot-path` regions.
+/// Rule id: no allocation, locking or IO inside declared `audit:hot-path`
+/// regions.
 pub const HOT_ALLOC: &str = "hot-alloc";
 /// Rule id: no hand-rolled slot loops outside the streaming engine.
 pub const SLOT_LOOP: &str = "slot-loop";
@@ -58,354 +62,286 @@ const PRINT_ALLOWED: &[&str] = &[
 /// before a NaN-capable operation.
 const GUARD_WINDOW: usize = 12;
 
-/// Runs every rule applicable to `file`.
-pub fn apply_all(file: &SourceFile, report: &mut Report) {
-    let hot = HOT_PATHS.iter().any(|p| file.path.ends_with(p));
-    if hot {
-        no_panic(file, report);
-        nan_guard(file, report);
-    }
-    float_eq(file, report);
-    hot_alloc(file, report);
-    if !SLOT_LOOP_ALLOWED.iter().any(|p| file.path.contains(p)) {
-        slot_loop(file, report);
-    }
-    if !PRINT_ALLOWED.iter().any(|p| file.path.contains(p)) {
-        no_print(file, report);
-    }
-    if MUST_USE_CRATES.iter().any(|p| file.path.contains(p)) {
-        must_use(file, report);
-    }
-}
-
-fn emit(file: &SourceFile, idx: usize, rule: &'static str, message: String, report: &mut Report) {
-    report.push(Violation {
-        file: file.path.clone(),
-        line: idx + 1,
-        rule,
-        message,
-        waived: file.waived(idx, rule),
-        related: Vec::new(),
-    });
-}
-
-/// `no-panic`: bare `unwrap()`, `expect(...)`, or `panic!` in hot-path
-/// non-test code.
-fn no_panic(file: &SourceFile, report: &mut Report) {
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for (needle, what) in [
-            (".unwrap()", "bare `unwrap()`"),
-            (".expect(", "bare `expect(...)`"),
-            ("panic!", "`panic!`"),
-            ("unreachable!", "`unreachable!`"),
-        ] {
-            if line.code.contains(needle) {
-                emit(
-                    file,
-                    idx,
-                    NO_PANIC,
-                    format!("{what} in solver hot path; return a typed error instead"),
-                    report,
+/// Runs every rule applicable to `ast`'s path.
+pub fn apply_all(ast: &Ast, report: &mut Report) {
+    let path = ast.path.as_str();
+    let hot = HOT_PATHS.iter().any(|p| path.ends_with(p));
+    let mut rules = Rules {
+        guards: if hot { Some(guard_lines(ast)) } else { None },
+        slot_loop: !SLOT_LOOP_ALLOWED.iter().any(|p| path.contains(p)),
+        no_print: !PRINT_ALLOWED.iter().any(|p| path.contains(p)),
+        must_use: MUST_USE_CRATES.iter().any(|p| path.contains(p)),
+        hits: Vec::new(),
+    };
+    walk_runs(&ast.nodes, &mut rules);
+    if ast.lines.iter().any(|l| l.in_hot) {
+        rules.hits.extend(body_sinks(&ast.nodes).into_iter().filter(|s| ast.in_hot(s.line)).map(
+            |s| {
+                let message = format!(
+                    "code that {} sits inside an `audit:hot-path` region; reuse a \
+                     pre-sized scratch buffer and keep locks and IO off the hot path",
+                    s.what
                 );
-            }
+                (s.line, HOT_ALLOC, message)
+            },
+        ));
+    }
+    for (line, rule, message) in rules.hits {
+        if !ast.in_test(line) {
+            report.flag(ast, line, rule, message, Vec::new());
         }
     }
 }
 
-/// True when `segment` contains evidence of a floating-point operand: an
-/// `f64`/`f32` token, or a float literal (`1.0`, `2.`, `1e-6`).
-fn has_float_evidence(segment: &str) -> bool {
-    if segment.contains("f64") || segment.contains("f32") {
-        return true;
-    }
-    let chars: Vec<char> = segment.chars().collect();
-    let mut i = 0;
-    while i < chars.len() {
-        if chars[i].is_ascii_digit()
-            && (i == 0 || !(chars[i - 1].is_alphanumeric() || chars[i - 1] == '_'))
-        {
-            let mut j = i;
-            while j < chars.len() && (chars[j].is_ascii_digit() || chars[j] == '_') {
-                j += 1;
-            }
-            // `12.` or `12.3` is a float literal unless it opens a range
-            // (`12..`) or a method call (`12.max(...)`).
-            if j < chars.len() && chars[j] == '.' {
-                let after = chars.get(j + 1).copied();
-                if after != Some('.') && !after.is_some_and(|c| c.is_alphabetic() || c == '_') {
-                    return true;
-                }
-            }
-            // Exponent form `1e-6` / `3E5`.
-            if j < chars.len() && (chars[j] == 'e' || chars[j] == 'E') {
-                let mut k = j + 1;
-                if matches!(chars.get(k), Some('+' | '-')) {
-                    k += 1;
-                }
-                if chars.get(k).is_some_and(char::is_ascii_digit) {
-                    return true;
-                }
-            }
-            i = j.max(i + 1);
-        } else {
-            i += 1;
-        }
-    }
-    false
+/// The rules that look at one run at a time, with their path gates.
+struct Rules {
+    /// `Some` on solver hot paths, where `no-panic` and `nan-guard` run.
+    guards: Option<Vec<GuardLine>>,
+    slot_loop: bool,
+    no_print: bool,
+    must_use: bool,
+    hits: Hits,
 }
 
-/// Extracts the operand text to the left/right of an operator occurrence,
-/// bounded by expression delimiters.
-fn operand_segments(code: &str, op_start: usize, op_len: usize) -> (String, String) {
-    let bytes = code.as_bytes();
-    let is_boundary = |b: u8| matches!(b, b',' | b';' | b'(' | b')' | b'{' | b'}' | b'[' | b']');
-    let mut l = op_start;
-    while l > 0 {
-        let b = bytes[l - 1];
-        if is_boundary(b) || (b == b'&' && l >= 2 && bytes[l - 2] == b'&') {
-            break;
+/// `(line, rule, message)` findings in discovery order; those on test lines
+/// are dropped when they are reported.
+type Hits = Vec<(usize, &'static str, String)>;
+
+impl RunVisitor for Rules {
+    fn run(&mut self, run: &[Node], _depth: usize) {
+        if let Some(guards) = &self.guards {
+            no_panic(run, &mut self.hits);
+            nan_guard(run, guards, &mut self.hits);
         }
-        // A single `=` (assignment / let binding) bounds the left operand;
-        // without this, type annotations like `Option<f64>` on a binding
-        // would leak float evidence into the comparison.
-        if b == b'=' && (l < 2 || !matches!(bytes[l - 2], b'=' | b'<' | b'>' | b'!')) && bytes.get(l) != Some(&b'=') {
-            break;
+        float_eq(run, &mut self.hits);
+        if self.slot_loop {
+            slot_loop(run, &mut self.hits);
         }
-        l -= 1;
+        if self.no_print {
+            no_print(run, &mut self.hits);
+        }
+        if self.must_use {
+            must_use(run, &mut self.hits);
+        }
     }
-    let mut r = op_start + op_len;
-    while r < bytes.len() {
-        let b = bytes[r];
-        if is_boundary(b) || (b == b'&' && r + 1 < bytes.len() && bytes[r + 1] == b'&') {
-            break;
-        }
-        r += 1;
+}
+
+/// The token at `run[i]`, when it is one of `kind`.
+fn tok_of(run: &[Node], i: usize, kind: TokKind) -> Option<&Token> {
+    run.get(i).and_then(Node::tok).filter(|t| t.kind == kind)
+}
+
+/// `no-panic`: bare `unwrap()`, `expect(...)`, `panic!` or `unreachable!`.
+fn no_panic(run: &[Node], hits: &mut Hits) {
+    let methods = find_method_calls(run).into_iter().filter_map(|c| {
+        let what = match c.name {
+            "unwrap" if c.args.children.is_empty() => "bare `unwrap()`",
+            "expect" => "bare `expect(...)`",
+            _ => return None,
+        };
+        Some((c.line, what))
+    });
+    let macros = find_macro_calls(run).into_iter().filter_map(|t| match t.text.as_str() {
+        "panic" => Some((t.line, "`panic!`")),
+        "unreachable" => Some((t.line, "`unreachable!`")),
+        _ => None,
+    });
+    for (line, what) in methods.chain(macros) {
+        let message = format!("{what} in solver hot path; return a typed error instead");
+        hits.push((line, NO_PANIC, message));
     }
-    (
-        code[l..op_start].trim().to_string(),
-        code[op_start + op_len..r].trim().to_string(),
-    )
+}
+
+/// True when `t` is a float literal (`1.0`, `2.`, `1e-6`, `3f64`) or an
+/// identifier naming a float type (`f64`, `as_f32`).
+fn is_float_evidence(t: &Token) -> bool {
+    match t.kind {
+        TokKind::Ident => t.text.contains("f64") || t.text.contains("f32"),
+        TokKind::Number => {
+            let s = t.text.as_str();
+            if s.starts_with("0x") || s.starts_with("0o") || s.starts_with("0b") {
+                return false;
+            }
+            let exponent = s.find(['e', 'E']).is_some_and(|at| {
+                s[at + 1..].trim_start_matches(['+', '-']).starts_with(|c: char| c.is_ascii_digit())
+            });
+            s.contains('.') || exponent || s.ends_with("f64") || s.ends_with("f32")
+        }
+        _ => false,
+    }
+}
+
+/// The operand tokens on each side of the comparison at `run[op]`. Both
+/// stay on the operator's line and stop at a bracket group, `,`, `;` or
+/// `&&`; the left one also stops at an assignment or `=>`, so a binding's
+/// type annotation (`let m: Option<f64> = …`) is not read as an operand.
+fn operands(run: &[Node], op: usize) -> (Vec<&Token>, Vec<&Token>) {
+    fn leaf(n: &Node, line: usize) -> Option<&Token> {
+        n.tok().filter(|t| t.line == line && ![",", ";", "&&"].iter().any(|p| t.is_punct(p)))
+    }
+    let line = run[op].line();
+    let mut left: Vec<&Token> = run[..op]
+        .iter()
+        .rev()
+        .map_while(|n| leaf(n, line))
+        .take_while(|t| !["=", "+=", "-=", "*=", "/=", "=>"].iter().any(|p| t.is_punct(p)))
+        .collect();
+    left.reverse();
+    (left, run[op + 1..].iter().map_while(|n| leaf(n, line)).collect())
+}
+
+/// Source text of same-line tokens with their original spacing.
+fn render(toks: &[&Token]) -> String {
+    let mut out = String::new();
+    for (k, t) in toks.iter().enumerate() {
+        if k > 0 {
+            out.extend(std::iter::repeat_n(' ', t.col.saturating_sub(toks[k - 1].end_col())));
+        }
+        out.push_str(&t.text);
+    }
+    out
 }
 
 /// `float-eq`: `==` or `!=` where either operand shows float evidence.
-fn float_eq(file: &SourceFile, report: &mut Report) {
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
+fn float_eq(run: &[Node], hits: &mut Hits) {
+    for (i, n) in run.iter().enumerate() {
+        let Some(op) = n.tok().filter(|t| t.is_punct("==") || t.is_punct("!=")) else {
+            continue;
+        };
+        let (left, right) = operands(run, i);
+        if !left.iter().chain(&right).any(|t| is_float_evidence(t)) {
             continue;
         }
-        let code = &line.code;
-        let bytes = code.as_bytes();
-        let mut pos = 0;
-        while pos + 1 < bytes.len() {
-            let two = &bytes[pos..pos + 2];
-            let is_eq = two == b"==";
-            let is_ne = two == b"!=";
-            if !(is_eq || is_ne) {
-                pos += 1;
-                continue;
-            }
-            // Reject `<=`, `>=`, `===`-like runs, `=>`, and `a != =`.
-            let prev = pos.checked_sub(1).map(|p| bytes[p]);
-            let next = bytes.get(pos + 2).copied();
-            if is_eq && matches!(prev, Some(b'<' | b'>' | b'=' | b'!' | b'+' | b'-' | b'*' | b'/')) {
-                pos += 2;
-                continue;
-            }
-            if next == Some(b'=') {
-                pos += 3;
-                continue;
-            }
-            let (left, right) = operand_segments(code, pos, 2);
-            if has_float_evidence(&left) || has_float_evidence(&right) {
-                emit(
-                    file,
-                    idx,
-                    FLOAT_EQ,
-                    format!(
-                        "raw float {} comparison (`{}` {} `{}`); compare against a tolerance",
-                        if is_eq { "equality" } else { "inequality" },
-                        left,
-                        if is_eq { "==" } else { "!=" },
-                        right,
-                    ),
-                    report,
-                );
-            }
-            pos += 2;
-        }
+        let kind = if op.text == "==" { "equality" } else { "inequality" };
+        let message = format!(
+            "raw float {kind} comparison (`{}` {} `{}`); compare against a tolerance",
+            render(&left),
+            op.text,
+            render(&right),
+        );
+        hits.push((op.line, FLOAT_EQ, message));
     }
 }
 
-/// Markers that count as a guard for a NaN-capable operation when found
-/// near the operand: assertions, finiteness checks, clamps to a floor, or
-/// explicit sign/zero checks.
-const GUARD_MARKERS: &[&str] = &[
-    "assert", "is_finite", "is_nan", ".max(", "clamp", "> 0", ">= ", "!= 0", "pos(", "abs()",
-    "is_empty", "min_positive",
-];
-
-/// True when a guard marker appears on `line_idx` or within the preceding
-/// window, mentioning `ident` when one is known.
-fn guarded(file: &SourceFile, line_idx: usize, ident: Option<&str>) -> bool {
-    let lo = line_idx.saturating_sub(GUARD_WINDOW);
-    file.lines[lo..=line_idx].iter().any(|l| {
-        GUARD_MARKERS.iter().any(|m| l.code.contains(m))
-            && ident.is_none_or(|id| l.code.contains(id))
-    })
+/// What `nan-guard` knows about one line: whether it carries a guard
+/// marker, and the identifier, number and lifetime tokens on it.
+#[derive(Default)]
+struct GuardLine {
+    marker: bool,
+    words: Vec<String>,
 }
 
-/// Extracts the trailing simple identifier of the expression ending at
-/// byte `end` (exclusive), e.g. `self.queue.q` → `q`.
-fn trailing_ident(code: &str, end: usize) -> Option<String> {
-    let bytes = code.as_bytes();
-    let mut s = end;
-    while s > 0 && (bytes[s - 1].is_ascii_alphanumeric() || bytes[s - 1] == b'_') {
-        s -= 1;
+/// True when `run[i]` starts a guard for a NaN-capable operation: an
+/// assertion, a finiteness or emptiness check, a clamp or floor
+/// (`.max(…)`, `clamp`, `min_positive`, `abs()`, `…pos(…)`), or a
+/// sign/zero comparison (`> 0`, `>=`, `!= 0`).
+fn guard_marker(run: &[Node], i: usize) -> bool {
+    let next = run.get(i + 1);
+    let call = next.and_then(Node::group).filter(|g| g.delim == Delim::Paren);
+    if let Some(id) = run[i].ident() {
+        return ["assert", "is_finite", "is_nan", "clamp", "is_empty", "min_positive"]
+            .iter()
+            .any(|m| id.contains(m))
+            || (id == "max" && i > 0 && run[i - 1].is_punct(".") && call.is_some())
+            || (id.ends_with("pos") && call.is_some())
+            || (id.ends_with("abs") && call.is_some_and(|g| g.children.is_empty()));
     }
-    if s == end || bytes[s].is_ascii_digit() {
-        return None;
-    }
-    Some(code[s..end].to_string())
+    let zero = next
+        .and_then(Node::tok)
+        .is_some_and(|t| t.kind == TokKind::Number && t.text.starts_with('0'));
+    run[i].is_punct(">=") || ((run[i].is_punct(">") || run[i].is_punct("!=")) && zero)
 }
 
-/// Leading simple identifier starting at byte `start`.
-fn leading_ident(code: &str, start: usize) -> Option<String> {
-    let bytes = code.as_bytes();
-    if start >= bytes.len() || !(bytes[start].is_ascii_alphabetic() || bytes[start] == b'_') {
-        return None;
-    }
-    let mut e = start;
-    while e < bytes.len() && (bytes[e].is_ascii_alphanumeric() || bytes[e] == b'_') {
-        e += 1;
-    }
-    Some(code[start..e].to_string())
-}
-
-/// `nan-guard`: `ln()`/`sqrt()` calls and identifier divisions in hot-path
-/// non-test code must have a nearby guard on the operand.
-fn nan_guard(file: &SourceFile, report: &mut Report) {
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        let code = &line.code;
-        for method in [".ln()", ".sqrt()"] {
-            let mut from = 0;
-            while let Some(off) = code[from..].find(method) {
-                let at = from + off;
-                let ident = trailing_ident(code, at);
-                if !guarded(file, idx, ident.as_deref()) {
-                    emit(
-                        file,
-                        idx,
-                        NAN_GUARD,
-                        format!(
-                            "`{}{method}` without a nearby guard on the operand",
-                            ident.as_deref().unwrap_or("<expr>")
-                        ),
-                        report,
-                    );
+/// Indexes guard markers and words by line (index 0 = line 1).
+fn guard_lines(ast: &Ast) -> Vec<GuardLine> {
+    struct Index(Vec<GuardLine>);
+    impl RunVisitor for Index {
+        fn run(&mut self, run: &[Node], _depth: usize) {
+            for (i, n) in run.iter().enumerate() {
+                let line = n.line();
+                if self.0.len() < line {
+                    self.0.resize_with(line, GuardLine::default);
                 }
-                from = at + method.len();
-            }
-        }
-        // Identifier divisions: `a / b` where the divisor is a plain
-        // identifier (a literal divisor cannot be zero at runtime).
-        let bytes = code.as_bytes();
-        for (pos, &b) in bytes.iter().enumerate() {
-            if b != b'/' {
-                continue;
-            }
-            // Not `//` (stripped anyway), `/=`, or a closing `*/`.
-            if matches!(bytes.get(pos + 1), Some(b'/' | b'=')) || matches!(prev_byte(bytes, pos), Some(b'/' | b'*')) {
-                continue;
-            }
-            let mut d = pos + 1;
-            while d < bytes.len() && bytes[d] == b' ' {
-                d += 1;
-            }
-            let Some(div) = leading_ident(code, d) else { continue };
-            // A path like `std::f64::EPSILON` or a call `f(x)` is treated
-            // as a complex divisor; only flag plain value identifiers.
-            let after = d + div.len();
-            if matches!(bytes.get(after), Some(b':' | b'(' | b'!')) {
-                continue;
-            }
-            // Constants by convention (SCREAMING_SNAKE) are not runtime
-            // zeros; skip them.
-            if div.chars().all(|c| c.is_ascii_uppercase() || c == '_' || c.is_ascii_digit()) {
-                continue;
-            }
-            // Dotted divisor `a / x.len()`-style: use the full receiver's
-            // last segment after the dot chain.
-            let divisor_end = {
-                let mut e = after;
-                while e < bytes.len()
-                    && (bytes[e].is_ascii_alphanumeric() || bytes[e] == b'_' || bytes[e] == b'.')
-                {
-                    e += 1;
+                let entry = &mut self.0[line - 1];
+                entry.marker |= guard_marker(run, i);
+                if let Some(t) = n.tok().filter(|t| {
+                    matches!(t.kind, TokKind::Ident | TokKind::Number | TokKind::Lifetime)
+                }) {
+                    entry.words.push(t.text.clone());
                 }
-                e
-            };
-            let full = &code[d..divisor_end];
-            let key = full.rsplit('.').next().unwrap_or(full).to_string();
-            if !guarded(file, idx, Some(key.as_str())) {
-                emit(
-                    file,
-                    idx,
-                    NAN_GUARD,
-                    format!("division by `{full}` without a nearby guard"),
-                    report,
-                );
             }
         }
     }
+    let mut index = Index(Vec::new());
+    walk_runs(&ast.nodes, &mut index);
+    index.0
 }
 
-fn prev_byte(bytes: &[u8], pos: usize) -> Option<u8> {
-    pos.checked_sub(1).map(|p| bytes[p])
+/// True when a guard marker appears on `line` or the [`GUARD_WINDOW`]
+/// source lines before it (by the tokens' line numbers, so blank and
+/// comment lines count), on a line that mentions `ident` when one is known.
+fn guarded(guards: &[GuardLine], line: usize, ident: Option<&str>) -> bool {
+    let lo = line.saturating_sub(GUARD_WINDOW).max(1);
+    guards
+        .get(lo - 1..line.min(guards.len()))
+        .unwrap_or_default()
+        .iter()
+        .any(|g| g.marker && ident.is_none_or(|id| g.words.iter().any(|w| w.contains(id))))
 }
 
-/// Allocation keywords that must not appear inside an `audit:hot-path`
-/// region: a per-proposal delta update runs ~500× per slot, and a hidden
-/// allocation there silently erodes the O(1) contract the incremental
-/// engine's speedup rests on. Reusing pre-sized scratch buffers
-/// (`clear()` + `push` into retained capacity) is fine; *acquiring* fresh
-/// heap memory is not.
-const ALLOC_KEYWORDS: &[(&str, &str)] = &[
-    ("Vec::new", "`Vec::new()`"),
-    ("vec![", "`vec![...]`"),
-    (".to_vec(", "`.to_vec()`"),
-    (".clone()", "`.clone()`"),
-    (".collect(", "`.collect()`"),
-    ("Box::new", "`Box::new(...)`"),
-    ("format!", "`format!`"),
-    ("String::new", "`String::new()`"),
-    ("with_capacity", "`with_capacity`"),
-    (".to_string(", "`.to_string()`"),
-];
-
-/// `hot-alloc`: no heap-allocating keyword inside a declared
-/// `// audit:hot-path: begin` / `end` region (any file — the regions are
-/// opt-in markers) without an `audit:allow(hot-alloc)` waiver.
-fn hot_alloc(file: &SourceFile, report: &mut Report) {
-    for (idx, line) in file.lines.iter().enumerate() {
-        if !line.in_hot || line.in_test {
+/// `nan-guard`: `ln()`/`sqrt()` calls and identifier divisions must have a
+/// nearby guard on the operand.
+fn nan_guard(run: &[Node], guards: &[GuardLine], hits: &mut Hits) {
+    for call in find_method_calls(run) {
+        if !matches!(call.name, "ln" | "sqrt") || !call.args.children.is_empty() {
             continue;
         }
-        for (needle, what) in ALLOC_KEYWORDS {
-            if line.code.contains(needle) {
-                emit(
-                    file,
-                    idx,
-                    HOT_ALLOC,
-                    format!("{what} allocates inside an `audit:hot-path` region; reuse a scratch buffer instead"),
-                    report,
-                );
-            }
+        let ident =
+            tok_of(run, call.dot_idx.wrapping_sub(1), TokKind::Ident).map(|t| t.text.as_str());
+        if !guarded(guards, call.line, ident) {
+            let message = format!(
+                "`{}.{}()` without a nearby guard on the operand",
+                ident.unwrap_or("<expr>"),
+                call.name
+            );
+            hits.push((call.line, NAN_GUARD, message));
+        }
+    }
+    // Identifier divisions: `a / b` where the divisor is a plain value
+    // identifier or field chain (a literal divisor cannot be zero at
+    // runtime; a call, path or macro divisor is left alone).
+    for (i, n) in run.iter().enumerate() {
+        if !n.is_punct("/") {
+            continue;
+        }
+        let Some(first) = tok_of(run, i + 1, TokKind::Ident) else {
+            continue;
+        };
+        let after = run.get(i + 2);
+        if after.is_some_and(|a| {
+            a.is_punct("::")
+                || a.is_punct("!")
+                || a.group().is_some_and(|g| g.delim == Delim::Paren)
+        }) {
+            continue;
+        }
+        // Constants by convention (SCREAMING_SNAKE) are not runtime zeros.
+        if first.text.chars().all(|c| c.is_ascii_uppercase() || c == '_' || c.is_ascii_digit()) {
+            continue;
+        }
+        let chain: Vec<&Token> = run[i + 1..]
+            .iter()
+            .map_while(Node::tok)
+            .take_while(|t| matches!(t.kind, TokKind::Ident | TokKind::Number) || t.is_punct("."))
+            .collect();
+        let key = chain.iter().rev().find(|t| !t.is_punct(".")).map_or("", |t| t.text.as_str());
+        if !guarded(guards, n.line(), Some(key)) {
+            let full: String = chain.iter().map(|t| t.text.as_str()).collect();
+            hits.push((
+                n.line(),
+                NAN_GUARD,
+                format!("division by `{full}` without a nearby guard"),
+            ));
         }
     }
 }
@@ -419,133 +355,93 @@ fn hot_alloc(file: &SourceFile, report: &mut Report) {
 /// A loop is "slotty" when it ranges over `0..bound` and either the loop
 /// variable is `t`/`slot`, or the bound mentions a trace/env/slot-named
 /// quantity. Plain index loops (`for pi in 0..parts.len()`) are untouched.
-fn slot_loop(file: &SourceFile, report: &mut Report) {
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
+fn slot_loop(run: &[Node], hits: &mut Hits) {
+    for (i, n) in run.iter().enumerate() {
+        if !n.is_ident("for") {
             continue;
         }
-        let code = &line.code;
-        let mut from = 0;
-        while let Some(off) = code[from..].find("for ") {
-            let at = from + off;
-            from = at + 4;
-            // Word boundary: don't fire inside identifiers like `wait_for `.
-            if at > 0 {
-                let b = code.as_bytes()[at - 1];
-                if b.is_ascii_alphanumeric() || b == b'_' {
-                    continue;
-                }
-            }
-            let Some(var) = leading_ident(code, at + 4) else { continue };
-            let rest = &code[at + 4 + var.len()..];
-            let Some(range) = rest.strip_prefix(" in 0..") else { continue };
-            let range = range.strip_prefix('=').unwrap_or(range);
-            let bound: String = range
-                .chars()
-                .take_while(|c| c.is_alphanumeric() || matches!(c, '_' | '.' | '(' | ')'))
-                .collect();
-            if bound.is_empty() {
-                continue;
-            }
-            let slotty_var = var == "t" || var == "slot";
-            let receiver = bound.strip_suffix(".len()").unwrap_or(&bound);
-            let recv_key = receiver.rsplit('.').next().unwrap_or(receiver).to_lowercase();
-            let slotty_bound =
-                recv_key.contains("trace") || recv_key.contains("env") || recv_key.contains("slot");
-            let over_len = bound.ends_with(".len()");
-            if (over_len && (slotty_var || slotty_bound)) || (slotty_var && slotty_bound) {
-                emit(
-                    file,
-                    idx,
-                    SLOT_LOOP,
-                    format!(
-                        "hand-rolled slot loop `for {var} in 0..{bound}`; \
-                         drive slots through `SimEngine`/`SlotSource` instead"
-                    ),
-                    report,
-                );
-            }
-        }
-    }
-}
-
-/// True when `name` occurs in `code` at a position not preceded by an
-/// identifier character — so `println!` does not also match inside
-/// `eprintln!`.
-fn macro_site(code: &str, name: &str) -> bool {
-    let mut from = 0;
-    while let Some(off) = code[from..].find(name) {
-        let at = from + off;
-        let boundary = at == 0 || {
-            let b = code.as_bytes()[at - 1];
-            !(b.is_ascii_alphanumeric() || b == b'_')
+        let Some(var) = tok_of(run, i + 1, TokKind::Ident) else {
+            continue;
         };
-        if boundary {
-            return true;
+        let from_zero = run.get(i + 2).is_some_and(|n| n.is_ident("in"))
+            && tok_of(run, i + 3, TokKind::Number).is_some_and(|t| t.text == "0")
+            && run.get(i + 4).is_some_and(|n| n.is_punct("..") || n.is_punct("..="));
+        if !from_zero {
+            continue;
         }
-        from = at + name.len();
+        let bound: Vec<&Node> = run[i + 5..]
+            .iter()
+            .take_while(|n| {
+                n.tok().is_some_and(|t| {
+                    matches!(t.kind, TokKind::Ident | TokKind::Number) || t.is_punct(".")
+                }) || n.group().is_some_and(|g| g.delim == Delim::Paren)
+            })
+            .collect();
+        let over_len = matches!(
+            bound.as_slice(),
+            [.., dot, len, Node::Group(g)] if dot.is_punct(".") && len.is_ident("len") && g.children.is_empty()
+        );
+        let receiver = &bound[..bound.len() - if over_len { 3 } else { 0 }];
+        let last_segment = receiver.rsplit(|n| n.is_punct(".")).next().unwrap_or_default();
+        let slotty_bound = last_segment.iter().filter_map(|n| n.ident()).any(|id| {
+            let id = id.to_lowercase();
+            id.contains("trace") || id.contains("env") || id.contains("slot")
+        });
+        let slotty_var = var.text == "t" || var.text == "slot";
+        if (over_len && (slotty_var || slotty_bound)) || (slotty_var && slotty_bound) {
+            let bound = term_after(run, i + 5).map(|t| t.text).unwrap_or_default();
+            let message = format!(
+                "hand-rolled slot loop `for {} in 0..{bound}`; \
+                 drive slots through `SimEngine`/`SlotSource` instead",
+                var.text
+            );
+            hits.push((n.line(), SLOT_LOOP, message));
+        }
     }
-    false
 }
 
 /// `no-print`: no `println!`/`eprintln!`/`print!`/`eprint!`/`dbg!` in
 /// non-test code outside the designated print surfaces. Library and
 /// harness diagnostics must go through `coca_obs::logger` (span context,
 /// `--quiet` gating) so CI-parsed stdout/stderr stays structured.
-fn no_print(file: &SourceFile, report: &mut Report) {
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for (needle, what) in [
-            ("eprintln!", "`eprintln!`"),
-            ("println!", "`println!`"),
-            ("eprint!", "`eprint!`"),
-            ("print!", "`print!`"),
-            ("dbg!", "`dbg!`"),
-        ] {
-            if macro_site(&line.code, needle) {
-                emit(
-                    file,
-                    idx,
-                    NO_PRINT,
-                    format!("{what} in library code; route diagnostics through `coca_obs::logger`"),
-                    report,
-                );
-                break; // one finding per line: eprintln! must not double-report as print!
-            }
+fn no_print(run: &[Node], hits: &mut Hits) {
+    for t in find_macro_calls(run) {
+        if ["eprintln", "println", "eprint", "print", "dbg"].contains(&t.text.as_str()) {
+            let message = format!(
+                "`{}!` in library code; route diagnostics through `coca_obs::logger`",
+                t.text
+            );
+            hits.push((t.line, NO_PRINT, message));
         }
     }
 }
 
 /// `must-use`: `pub struct Foo{Solution,Outcome,Result}` must carry
-/// `#[must_use]` among its attributes.
-fn must_use(file: &SourceFile, report: &mut Report) {
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
+/// `#[must_use]` among its own attributes.
+fn must_use(run: &[Node], hits: &mut Hits) {
+    for (i, n) in run.iter().enumerate() {
+        if !(n.is_ident("pub") && run.get(i + 1).is_some_and(|s| s.is_ident("struct"))) {
             continue;
         }
-        let code = line.code.trim_start();
-        let Some(rest) = code.strip_prefix("pub struct ") else { continue };
-        let name: String = rest
-            .chars()
-            .take_while(|c| c.is_alphanumeric() || *c == '_')
-            .collect();
-        if !(name.ends_with("Solution") || name.ends_with("Outcome") || name.ends_with("Result")) {
+        let Some(name) = run.get(i + 2).and_then(Node::ident) else {
+            continue;
+        };
+        if !["Solution", "Outcome", "Result"].iter().any(|s| name.ends_with(s)) {
             continue;
         }
-        let lo = idx.saturating_sub(8);
-        let annotated = file.lines[lo..idx]
-            .iter()
-            .any(|l| l.code.contains("#[must_use]"));
+        // Walk back over the attributes directly in front of the item.
+        let mut at = i;
+        let mut annotated = false;
+        while at >= 2 && run[at - 2].is_punct("#") {
+            let Some(attr) = run[at - 1].group().filter(|g| g.delim == Delim::Bracket) else {
+                break;
+            };
+            annotated |= attr.children.first().is_some_and(|c| c.is_ident("must_use"));
+            at -= 2;
+        }
         if !annotated {
-            emit(
-                file,
-                idx,
-                MUST_USE,
-                format!("solver result type `{name}` lacks `#[must_use]`"),
-                report,
-            );
+            let message = format!("solver result type `{name}` lacks `#[must_use]`");
+            hits.push((n.line(), MUST_USE, message));
         }
     }
 }
@@ -590,6 +486,7 @@ mod tests {
     fn float_eq_detects_literal_comparisons() {
         let r = lint("crates/dcsim/src/metrics.rs", "fn f(x: f64) -> bool { x == 0.0 }\n");
         assert_eq!(r.unwaived().filter(|v| v.rule == FLOAT_EQ).count(), 1);
+        assert!(r.violations[0].message.contains("(`x` == `0.0`)"), "{r}");
         let ok = lint(
             "crates/dcsim/src/metrics.rs",
             "fn f(x: f64) -> bool { (x - 0.5).abs() < 1e-9 }\nfn g(n: usize) -> bool { n == 0 }\n",
@@ -616,13 +513,24 @@ mod tests {
     }
 
     #[test]
+    fn nan_guard_window_is_twelve_lines() {
+        let at = |gap: usize| {
+            let src = format!(
+                "fn f(x: f64) -> f64 {{\n    assert!(x > 0.0);\n{}    x.ln()\n}}\n",
+                "\n".repeat(gap)
+            );
+            lint("crates/opt/src/dual.rs", &src).unwaived_count()
+        };
+        assert_eq!(at(11), 0, "guard 12 lines above still counts");
+        assert_eq!(at(12), 1, "guard 13 lines above is out of the window");
+    }
+
+    #[test]
     fn nan_guard_division_by_identifier() {
         let bad = lint("crates/core/src/solver.rs", "fn f(a: f64, b: f64) -> f64 { a / b }\n");
         assert_eq!(bad.unwaived().filter(|v| v.rule == NAN_GUARD).count(), 1);
-        let clamped = lint(
-            "crates/core/src/solver.rs",
-            "fn f(a: f64, b: f64) -> f64 { a / b.max(1e-12) }\n",
-        );
+        let clamped =
+            lint("crates/core/src/solver.rs", "fn f(a: f64, b: f64) -> f64 { a / b.max(1e-12) }\n");
         assert_eq!(clamped.unwaived_count(), 0, "{clamped}");
         let literal = lint("crates/core/src/solver.rs", "fn f(a: f64) -> f64 { a / 2.0 }\n");
         assert_eq!(literal.unwaived_count(), 0, "{literal}");
@@ -635,7 +543,7 @@ mod tests {
         let bad = "/// Doc.\npub struct FooSolution {\n    pub x: f64,\n}\n";
         let r = lint("crates/opt/src/foo.rs", bad);
         assert_eq!(r.unwaived().filter(|v| v.rule == MUST_USE).count(), 1);
-        let good = "/// Doc.\n#[must_use]\npub struct FooSolution {\n    pub x: f64,\n}\n";
+        let good = "/// Doc.\n#[must_use]\n#[derive(Debug)]\npub struct FooSolution {\n    pub x: f64,\n}\n";
         let r = lint("crates/opt/src/foo.rs", good);
         assert_eq!(r.unwaived().filter(|v| v.rule == MUST_USE).count(), 0);
         let other_crate = lint("crates/traces/src/foo.rs", bad);
@@ -656,11 +564,8 @@ fn delta(&mut self, xs: &[usize]) {
 fn teardown() -> Vec<f64> { vec![0.0] }
 ";
         let r = lint("crates/dcsim/src/engine.rs", src);
-        let hits: Vec<usize> = r
-            .unwaived()
-            .filter(|v| v.rule == HOT_ALLOC)
-            .map(|v| v.line)
-            .collect();
+        let hits: Vec<usize> =
+            r.unwaived().filter(|v| v.rule == HOT_ALLOC).map(|v| v.line).collect();
         assert_eq!(hits, vec![4], "{r}");
     }
 
@@ -681,7 +586,8 @@ fn delta(&mut self) {
 
     #[test]
     fn float_eq_not_fooled_by_binding_type_annotations() {
-        let src = "fn f(w: usize) { let m: Option<f64> = if w == 0 { Some(0.5) } else { None }; }\n";
+        let src =
+            "fn f(w: usize) { let m: Option<f64> = if w == 0 { Some(0.5) } else { None }; }\n";
         let r = lint("crates/dcsim/src/engine.rs", src);
         assert_eq!(r.unwaived_count(), 0, "{r}");
     }
@@ -691,6 +597,7 @@ fn delta(&mut self) {
         let bad = "fn f(trace: &[f64]) { for t in 0..trace.len() { g(t); } }\n";
         let r = lint("crates/experiments/src/figures.rs", bad);
         assert_eq!(r.unwaived().filter(|v| v.rule == SLOT_LOOP).count(), 1, "{r}");
+        assert!(r.violations[0].message.contains("`for t in 0..trace.len()`"), "{r}");
         let planner = "fn f(num_slots: usize) { for t in 0..num_slots { g(t); } }\n";
         let r = lint("crates/baselines/src/offline.rs", planner);
         assert_eq!(r.unwaived().filter(|v| v.rule == SLOT_LOOP).count(), 1, "{r}");
@@ -734,13 +641,17 @@ fn delta(&mut self) {
 
     #[test]
     fn float_evidence_heuristics() {
-        assert!(has_float_evidence("0.0"));
-        assert!(has_float_evidence("x as f64"));
-        assert!(has_float_evidence("1e-9"));
-        assert!(has_float_evidence("2."));
-        assert!(!has_float_evidence("n"));
-        assert!(!has_float_evidence("vec[0]"));
-        assert!(!has_float_evidence("0..10"));
-        assert!(!has_float_evidence("3.max(k)"));
+        let evidence = |src: &str| crate::ast::lexer::lex(src).0.iter().any(is_float_evidence);
+        assert!(evidence("0.0"));
+        assert!(evidence("x as f64"));
+        assert!(evidence("1e-9"));
+        assert!(evidence("2."));
+        assert!(evidence("3f32"));
+        assert!(!evidence("n"));
+        assert!(!evidence("vec[0]"));
+        assert!(!evidence("0..10"));
+        assert!(!evidence("3.max(k)"));
+        assert!(!evidence("0x1e5"));
+        assert!(!evidence("\"1.0 f64\""));
     }
 }

@@ -22,11 +22,10 @@
 //! backed dynamically: `crates/obs/tests/loom.rs` model-checks the
 //! annotated primitives under every interleaving (`--cfg loom`).
 
-use super::{emit, in_test, ATOMIC_ORDERING};
+use super::ATOMIC_ORDERING;
 use crate::ast::visit::{find_method_calls, split_commas, stmt_start, RunVisitor};
 use crate::ast::{Ast, Node};
 use crate::report::Report;
-use crate::scan::SourceFile;
 
 /// The atomic method vocabulary.
 const ATOMIC_METHODS: &[&str] = &[
@@ -81,7 +80,6 @@ fn arg_ordering(arg: &[Node]) -> Option<(&str, u8)> {
 }
 
 struct Atomics<'a> {
-    file: &'a SourceFile,
     ast: &'a Ast,
     findings: Vec<(usize, String)>,
 }
@@ -95,7 +93,7 @@ impl RunVisitor for Atomics<'_> {
             if !mentions_ordering(&call.args.children) {
                 continue; // not an atomic: no Ordering in the call
             }
-            if in_test(self.file, call.line) {
+            if self.ast.in_test(call.line) {
                 continue;
             }
 
@@ -189,11 +187,11 @@ pub(crate) fn op_lines(ast: &Ast) -> Vec<usize> {
 }
 
 /// Runs the rule over one parsed file.
-pub fn check(file: &SourceFile, ast: &Ast, report: &mut Report) {
-    let mut v = Atomics { file, ast, findings: Vec::new() };
+pub fn check(ast: &Ast, report: &mut Report) {
+    let mut v = Atomics { ast, findings: Vec::new() };
     crate::ast::visit::walk_runs(&ast.nodes, &mut v);
     for (line, msg) in v.findings {
-        emit(file, line, ATOMIC_ORDERING, msg, report);
+        report.flag(ast, line, ATOMIC_ORDERING, msg, Vec::new());
     }
 }
 
@@ -202,10 +200,9 @@ mod tests {
     use super::*;
 
     fn lint(src: &str) -> Report {
-        let file = SourceFile::parse("crates/obs/src/x.rs", src);
         let ast = Ast::parse("crates/obs/src/x.rs", src);
         let mut r = Report::default();
-        check(&file, &ast, &mut r);
+        check(&ast, &mut r);
         r
     }
 

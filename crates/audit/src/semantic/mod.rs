@@ -1,9 +1,8 @@
 //! Semantic (AST-backed) lint rules.
 //!
-//! These rules run against the token-tree layer in [`crate::ast`] rather
-//! than sanitized lines, which lets them see expression structure: operand
-//! chains, argument lists spanning lines, attribute/item shapes. Three
-//! families:
+//! These rules read expression structure from the token trees in
+//! [`crate::ast`]: operand chains, argument lists spanning lines,
+//! attribute/item shapes. Two families:
 //!
 //! - [`units`] (`unit-mix`) — a units-of-measure dataflow lint. Identifier
 //!   suffixes (`_kwh`, `_kw`, `_usd`), `// audit:unit(<tag>)` annotations,
@@ -18,63 +17,22 @@
 //!   `// audit:atomic(<contract>)` annotation stating its ordering
 //!   contract; CAS calls must not use a failure ordering stronger than
 //!   the success ordering, and must not silently drop their `Result`.
-//! - [`deprecated`] (`deprecated-api`) — internal code must not use items
-//!   the workspace itself marks `#[deprecated]`; the only tolerated uses
-//!   are the defining file's own mirror writes and explicitly waived
-//!   compat tests.
 //!
-//! All three honor the same `// audit:allow(<rule>)` waiver convention as
-//! the line rules, resolved through the shared [`SourceFile`] line data.
+//! Both honor the same `// audit:allow(<rule>)` waiver convention as
+//! every other rule, resolved through the [`Ast`]'s line facts.
 
 pub mod atomic;
-pub mod deprecated;
 pub mod units;
 
 use crate::ast::Ast;
-use crate::report::{Report, Violation};
-use crate::scan::SourceFile;
+use crate::report::Report;
 
 /// Rule id: arithmetic/comparison across different units of measure.
 pub const UNIT_MIX: &str = "unit-mix";
 /// Rule id: undocumented or contradictory atomic-ordering usage.
 pub const ATOMIC_ORDERING: &str = "atomic-ordering";
-/// Rule id: internal use of a workspace-`#[deprecated]` item.
-pub const DEPRECATED_API: &str = "deprecated-api";
-
-/// Runs every semantic rule over one parsed file. `index` is the
-/// workspace-wide deprecated-item index (built by the two-pass driver in
-/// [`crate::lint_files`]).
-pub fn apply_all(
-    file: &SourceFile,
-    ast: &Ast,
-    index: &deprecated::DeprecatedIndex,
-    report: &mut Report,
-) {
-    units::check(file, ast, report);
-    atomic::check(file, ast, report);
-    deprecated::check(file, ast, index, report);
-}
-
-/// Records a finding at a 1-based `line`, resolving waiver status through
-/// the shared line data.
-pub(crate) fn emit(
-    file: &SourceFile,
-    line: usize,
-    rule: &'static str,
-    message: String,
-    report: &mut Report,
-) {
-    report.push(Violation {
-        file: file.path.clone(),
-        line,
-        rule,
-        message,
-        waived: file.waived(line.saturating_sub(1), rule),
-        related: Vec::new(),
-    });
-}
-
-/// True when the 1-based `line` sits inside a `#[cfg(test)]` region.
-pub(crate) fn in_test(file: &SourceFile, line: usize) -> bool {
-    file.lines.get(line.saturating_sub(1)).is_some_and(|l| l.in_test)
+/// Runs every semantic rule over one parsed file.
+pub fn apply_all(ast: &Ast, report: &mut Report) {
+    units::check(ast, report);
+    atomic::check(ast, report);
 }

@@ -26,11 +26,10 @@
 
 use std::collections::HashMap;
 
-use super::{emit, in_test, UNIT_MIX};
+use super::UNIT_MIX;
 use crate::ast::visit::{term_after, term_before, RunVisitor};
 use crate::ast::{Ast, Node, TokKind};
 use crate::report::Report;
-use crate::scan::SourceFile;
 
 /// A physical dimension the lint tracks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,7 +196,7 @@ pub(crate) fn build_env(ast: &Ast) -> (Env, Vec<EnvIssue>) {
 
 /// Visitor that flags mixed-unit same-dimension operators in every run.
 struct Mix<'a> {
-    file: &'a SourceFile,
+    ast: &'a Ast,
     env: &'a Env,
     findings: Vec<(usize, String)>,
 }
@@ -209,7 +208,7 @@ impl RunVisitor for Mix<'_> {
             if !SAME_DIM_OPS.contains(&op.text.as_str()) {
                 continue;
             }
-            if in_test(self.file, op.line) {
+            if self.ast.in_test(op.line) {
                 continue;
             }
             // Bare `<` / `>` double as generic brackets; require spacing
@@ -254,11 +253,11 @@ impl RunVisitor for Mix<'_> {
 }
 
 /// Runs the rule over one parsed file.
-pub fn check(file: &SourceFile, ast: &Ast, report: &mut Report) {
+pub fn check(ast: &Ast, report: &mut Report) {
     let (env, issues) = build_env(ast);
     for i in issues.iter().filter(|i| i.unknown_tag) {
-        emit(
-            file,
+        report.flag(
+            ast,
             i.line,
             UNIT_MIX,
             format!(
@@ -266,13 +265,13 @@ pub fn check(file: &SourceFile, ast: &Ast, report: &mut Report) {
                  expected kwh, kw, usd, or dimensionless",
                 i.tag
             ),
-            report,
+            Vec::new(),
         );
     }
-    let mut v = Mix { file, env: &env, findings: Vec::new() };
+    let mut v = Mix { ast, env: &env, findings: Vec::new() };
     crate::ast::visit::walk_runs(&ast.nodes, &mut v);
     for (line, msg) in v.findings {
-        emit(file, line, UNIT_MIX, msg, report);
+        report.flag(ast, line, UNIT_MIX, msg, Vec::new());
     }
 }
 
@@ -281,10 +280,9 @@ mod tests {
     use super::*;
 
     fn lint(src: &str) -> Report {
-        let file = SourceFile::parse("crates/core/src/x.rs", src);
         let ast = Ast::parse("crates/core/src/x.rs", src);
         let mut r = Report::default();
-        check(&file, &ast, &mut r);
+        check(&ast, &mut r);
         r
     }
 

@@ -10,7 +10,7 @@
 
 use std::path::Path;
 
-use coca_audit::{lint_source, lint_sources, run_lint, Report};
+use coca_audit::{lint_source, run_lint, Report};
 
 /// Lints fixture `text` as if it lived at `pretend_path`.
 fn lint_fixture(pretend_path: &str, text: &str) -> Report {
@@ -99,6 +99,7 @@ fn must_use_fixture_flags_unannotated_result_types() {
         vec![
             ("must-use", 6, false), // FixtureSolution lacks #[must_use]
             ("must-use", 26, true), // waived via audit:allow(must-use)
+            ("must-use", 38, false), // FixtureBOutcome: the attribute above is AOutcome's
         ],
         "{r}"
     );
@@ -116,6 +117,23 @@ fn hot_alloc_fixture_flags_allocations_in_declared_regions_only() {
             ("hot-alloc", 10, false), // `.to_vec()` in the delta-update path
             ("hot-alloc", 12, false), // `format!` in the delta-update path
             ("hot-alloc", 24, true),  // waived via audit:allow(hot-alloc)
+            ("hot-alloc", 34, false), // `.lock()` written directly in a region
+        ],
+        "{r}"
+    );
+}
+
+#[test]
+fn cfg_test_on_a_braceless_item_covers_that_item_only() {
+    let r = lint_fixture(
+        "crates/core/src/gsd.rs",
+        include_str!("../fixtures/cfg_test_item.rs"),
+    );
+    assert_eq!(
+        triples(&r),
+        vec![
+            ("float-eq", 8, false), // the real fn after a `#[cfg(test)] use`
+            ("no-panic", 8, false),
         ],
         "{r}"
     );
@@ -217,39 +235,6 @@ fn atomic_ordering_fixture_flags_each_contract_gap() {
             ("atomic-ordering", 28, false), // CAS result silently dropped
             ("atomic-ordering", 37, true),  // waived via audit:allow(atomic-ordering)
             ("atomic-ordering", 42, false), // no-print waiver does not cover atomic-ordering
-        ],
-        "{r}"
-    );
-}
-
-#[test]
-fn deprecated_api_fixture_flags_cross_file_uses_only() {
-    let sources = vec![
-        (
-            "crates/dcsim/src/fixture_old.rs".to_string(),
-            include_str!("../fixtures/deprecated_def.rs").to_string(),
-        ),
-        (
-            "crates/dcsim/src/fixture_new.rs".to_string(),
-            include_str!("../fixtures/deprecated_use.rs").to_string(),
-        ),
-    ];
-    let r = lint_sources(&sources);
-    let dep: Vec<_> = r
-        .violations
-        .iter()
-        .filter(|v| v.rule == "deprecated-api")
-        .map(|v| (v.file.as_str(), v.line, v.waived))
-        .collect();
-    assert_eq!(
-        dep,
-        vec![
-            // The defining file's own mirror writes never appear here.
-            ("crates/dcsim/src/fixture_new.rs", 5, false),  // OldFacade in a signature
-            ("crates/dcsim/src/fixture_new.rs", 6, false),  // OldFacade constructed
-            ("crates/dcsim/src/fixture_new.rs", 10, false), // deprecated mirror field read
-            ("crates/dcsim/src/fixture_new.rs", 18, true),  // waived compat test
-            ("crates/dcsim/src/fixture_new.rs", 25, false), // unit-mix waiver does not cover it
         ],
         "{r}"
     );

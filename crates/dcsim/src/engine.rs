@@ -48,12 +48,12 @@
 //!
 //! ## Observability
 //!
-//! An [`EngineObserver`](coca_obs::EngineObserver) can be attached — via
+//! An [`EngineObserver`] can be attached — via
 //! [`EngineBuilder::observer`] or [`SimEngine::set_observer`] — to watch
 //! the slot loop: `on_slot_start` / `on_slot_end` around every step,
 //! per-phase wall-clock (`EnvPrep` / `Solve` / `Record`) when the observer
 //! opts into timing, and `on_checkpoint` at serialization points. The
-//! default observer is [`NoopObserver`](coca_obs::NoopObserver) and the
+//! default observer is [`NoopObserver`] and the
 //! engine gates every `Instant::now()` on
 //! [`timing_enabled`](coca_obs::EngineObserver::timing_enabled), so the
 //! unobserved hot path pays only a virtual call to an empty method per

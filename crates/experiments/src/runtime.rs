@@ -1,7 +1,7 @@
 //! Checkpointed lockstep runs for long reproductions.
 //!
-//! Drives a [`SimEngine`] slot by slot and persists its serializable
-//! [`EngineState`] to disk every `every` slots (the caller passes a frame
+//! Drives a [`SimEngine`](coca_dcsim::SimEngine) slot by slot and persists its serializable
+//! [`EngineState`](coca_dcsim::EngineState) to disk every `every` slots (the caller passes a frame
 //! length), so an interrupted `repro` invocation can restart from the last
 //! frame boundary with `--resume` instead of recomputing the whole year.
 //!

@@ -22,7 +22,7 @@
 //!
 //! 1. **No check-then-act across atomics.** Read-modify-write is always a
 //!    single `fetch_*` or a `compare_exchange_weak` retry loop on *one*
-//!    cell ([`atomic_f64_add`]); nothing loads cell A to guard a store to
+//!    cell (`atomic_f64_add`); nothing loads cell A to guard a store to
 //!    cell B.
 //! 2. **Snapshot reads order `count` before `buckets`.** The one
 //!    cross-cell *consistency* (not ordering) guarantee we expose is
@@ -33,7 +33,7 @@
 //! the primitives under every interleaving (`RUSTFLAGS="--cfg loom"`), and
 //! the `atomic-ordering` audit lint statically requires the
 //! `// audit:atomic(<contract>)` annotations below on every atomic op.
-//! The atomics come from [`crate::sync`], which swaps in loom's
+//! The atomics come from the private `sync` module, which swaps in loom's
 //! instrumented mocks under `--cfg loom`.
 
 use std::sync::Arc;

@@ -39,7 +39,7 @@ impl Phase {
 /// Summary of one P3 solve, emitted by a solver to its
 /// [`SolverObserver`] right after the solve completes.
 ///
-/// The counter fields mirror [`SolveStats`] in `coca-core` (the solver's
+/// The counter fields mirror `coca_core::SolveStats` (the solver's
 /// own by-reference stats view); GSD chains report proposal/acceptance and
 /// kernel work, the symmetric solver reports its descent rounds as
 /// `iterations` and leaves the chain-specific fields zero.

@@ -3,8 +3,9 @@
 //!
 //! [`run_stream`] is the resident path: it restores from a checkpoint when
 //! asked, spawns the reader thread, and drives
-//! [`SimEngine::run_service`] until the stream closes or the stop flag is
-//! raised (SIGTERM), checkpointing durably through
+//! [`SimEngine::run_service`](coca_dcsim::SimEngine::run_service) until
+//! the stream closes or the stop flag is raised (SIGTERM), checkpointing
+//! durably through
 //! [`coca_dcsim::checkpoint`] on the configured cadence and always once at
 //! exit. Checkpoints hold controller state only — the decisions already
 //! went out on the wire — so their size does not grow with uptime.

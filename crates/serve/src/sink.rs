@@ -3,7 +3,7 @@
 //!
 //! It overrides [`RecordSink::record_decision`] — the context-carrying
 //! hook added for exactly this purpose — to publish a
-//! [`DecisionMsg`](crate::proto::DecisionMsg) per slot: record fields for
+//! [`DecisionMsg`] per slot: record fields for
 //! the realized costs, [`DecisionContext`] for the speed vector and the
 //! actually-dispatched load split, and the policy's
 //! [`telemetry`](coca_dcsim::Policy::telemetry) for controller internals.
