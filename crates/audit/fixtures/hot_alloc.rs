@@ -35,3 +35,11 @@ pub fn publish(&self) -> usize {
     guard.len() + helper(&self.m)
 }
 // audit:hot-path: end
+
+// audit:hot-path: begin — turbofish and map allocations
+pub fn regroup(xs: &[f64]) -> usize {
+    let owned = xs.iter().copied().collect::<Vec<_>>();
+    let index: HashMap<u64, usize> = HashMap::with_capacity(owned.len());
+    owned.len() + index.len()
+}
+// audit:hot-path: end

@@ -34,3 +34,21 @@ pub fn hot_step(n: usize) -> usize {
     ping(n) + scratch.len() + direct.len()
 }
 // audit:hot-path: end
+
+/// A turbofish allocation, one call from the hot region.
+fn gather(xs: &[f64]) -> Vec<f64> {
+    xs.iter().copied().collect::<Vec<_>>()
+}
+
+/// A map allocation by path, one call from the hot region.
+fn index(n: usize) -> HashMap<u64, usize> {
+    HashMap::with_capacity(n)
+}
+
+// audit:hot-path: begin — fixture regroup
+pub fn hot_regroup(xs: &[f64]) -> usize {
+    let owned = gather(xs);
+    let map = index(xs.len());
+    owned.len() + map.len()
+}
+// audit:hot-path: end

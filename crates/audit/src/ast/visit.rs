@@ -47,9 +47,10 @@ pub struct MethodCall<'a> {
     pub after_idx: usize,
 }
 
-/// Finds every `recv . name ( … )` pattern in one run. The receiver chain
-/// extends left over identifiers, `.`/`::` separators, and postfix groups
-/// (`xs[i].load(…)`, `f().store(…)`).
+/// Finds every `recv . name ( … )` pattern in one run, with or without a
+/// turbofish before the arguments. The receiver chain extends left over
+/// identifiers, `.`/`::` separators, and postfix groups (`xs[i].load(…)`,
+/// `f().store(…)`).
 pub fn find_method_calls<'a>(run: &'a [Node]) -> Vec<MethodCall<'a>> {
     let mut out = Vec::new();
     for i in 0..run.len() {
@@ -60,7 +61,8 @@ pub fn find_method_calls<'a>(run: &'a [Node]) -> Vec<MethodCall<'a>> {
         if name_tok.kind != TokKind::Ident {
             continue;
         }
-        let Some(args) = run.get(i + 2).and_then(Node::group) else { continue };
+        let args_idx = after_turbofish(run, i + 2);
+        let Some(args) = run.get(args_idx).and_then(Node::group) else { continue };
         if args.delim != Delim::Paren {
             continue;
         }
@@ -83,10 +85,30 @@ pub fn find_method_calls<'a>(run: &'a [Node]) -> Vec<MethodCall<'a>> {
             name: &name_tok.text,
             line: name_tok.line,
             args,
-            after_idx: i + 3,
+            after_idx: args_idx + 1,
         });
     }
     out
+}
+
+/// Index just past an optional turbofish `::<…>` starting at `idx` (`idx`
+/// itself when there is none), so `.collect::<Vec<_>>()` is a call like
+/// `.collect()`. `->` lexes as one token, so `Fn(A) -> B` arguments do not
+/// unbalance the angle count.
+fn after_turbofish(run: &[Node], idx: usize) -> usize {
+    if !(run.get(idx).is_some_and(|n| n.is_punct("::"))
+        && run.get(idx + 1).is_some_and(|n| n.is_punct("<")))
+    {
+        return idx;
+    }
+    let mut depth = 0i32;
+    for (k, n) in run.iter().enumerate().skip(idx + 1) {
+        depth += i32::from(n.is_punct("<")) - i32::from(n.is_punct(">"));
+        if depth == 0 {
+            return k + 1;
+        }
+    }
+    run.len()
 }
 
 /// Finds every `name!(…)` / `name![…]` / `name!{…}` macro call in one run,

@@ -36,8 +36,8 @@ use crate::ast::{Ast, Node};
 use crate::report::Related;
 use crate::Report;
 
-/// Method-call sinks: `(name, what)` flagged when called with no
-/// turbofish directly as `.name(…)`.
+/// Method-call sinks: `(name, what)` flagged when called as `.name(…)` or
+/// `.name::<…>(…)`.
 const METHOD_SINKS: &[(&str, &str)] = &[
     ("clone", "allocates (`.clone()`)"),
     ("to_vec", "allocates (`.to_vec()`)"),
@@ -62,6 +62,7 @@ const PATH_SINKS: &[(&str, &str, &str)] = &[
     ("String", "with_capacity", "allocates (`String::with_capacity`)"),
     ("Box", "new", "allocates (`Box::new`)"),
     ("HashMap", "new", "allocates (`HashMap::new`)"),
+    ("HashMap", "with_capacity", "allocates (`HashMap::with_capacity`)"),
     ("BTreeMap", "new", "allocates (`BTreeMap::new`)"),
     ("VecDeque", "new", "allocates (`VecDeque::new`)"),
     ("File", "open", "performs IO (`File::open`)"),

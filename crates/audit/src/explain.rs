@@ -47,7 +47,9 @@ const ENTRIES: &[Entry] = &[
         rule: "must-use",
         contract: "Solver result types carry `#[must_use]` so a dropped result (a \
                    forgotten `?`, an ignored decision) is a compile-time warning.",
-        waiver: "Not waivable in place — add the attribute to the type.",
+        waiver: "// audit:allow(must-use) on the type's line or the line above, \
+                 for a type deliberately left unannotated; prefer adding the \
+                 attribute.",
         example: "pub struct SolveOutcome { … } // fires: add #[must_use]",
     },
     Entry {
@@ -214,6 +216,13 @@ mod tests {
         for e in ENTRIES {
             assert!(crate::ALL_RULES.contains(&e.rule), "orphan explain entry `{}`", e.rule);
         }
+    }
+
+    #[test]
+    fn must_use_names_its_in_place_waiver() {
+        // fixtures/must_use.rs line 26 is reported waived by the rule.
+        let text = explain("must-use").expect("entry");
+        assert!(text.contains("// audit:allow(must-use)"), "{text}");
     }
 
     #[test]

@@ -94,6 +94,8 @@ fn hot_reach_fixture_flags_hidden_sinks_and_defers_direct_ones() {
             // never double-reports a direct hot-region site.
             ("hot-alloc", HOT_FIX, 33, false),
             ("hot-path-reach", HOT_FIX, 34, false), // ping → pong → to_string (cycle terminates)
+            ("hot-path-reach", HOT_FIX, 50, false), // gather → `.collect::<Vec<_>>()`
+            ("hot-path-reach", HOT_FIX, 51, false), // index → `HashMap::with_capacity`
         ],
         "{r}"
     );

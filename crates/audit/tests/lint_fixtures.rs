@@ -118,6 +118,8 @@ fn hot_alloc_fixture_flags_allocations_in_declared_regions_only() {
             ("hot-alloc", 12, false), // `format!` in the delta-update path
             ("hot-alloc", 24, true),  // waived via audit:allow(hot-alloc)
             ("hot-alloc", 34, false), // `.lock()` written directly in a region
+            ("hot-alloc", 41, false), // turbofish `.collect::<Vec<_>>()`
+            ("hot-alloc", 42, false), // `HashMap::with_capacity`
         ],
         "{r}"
     );

@@ -33,6 +33,10 @@
 //!
 //! A typical chain makes ~400 candidate batches and ~4.3 water-filling
 //! evaluations per solve.
+//!
+//! It also times [`SymmetricSolver`], the solver every figure, baseline and
+//! `coca-serve` runs, warm on the same instance, and prints its ns/solve
+//! beside the GSD rows. That row is informational: no threshold gates it.
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -40,6 +44,7 @@ use std::time::{Duration, Instant};
 use coca_bench::ColdGsd;
 use coca_core::gsd::{GsdOptions, GsdSolver};
 use coca_core::solver::P3Solver;
+use coca_core::symmetric::SymmetricSolver;
 use coca_dcsim::dispatch::SlotProblem;
 use coca_dcsim::Cluster;
 use coca_opt::schedule::TemperatureSchedule;
@@ -87,12 +92,18 @@ fn main() -> ExitCode {
     let mut cold = ColdGsd::new(&opts);
     let (cold_time, cold_levels) = time_solves(|| cold.solve(&p));
 
+    let mut symmetric = SymmetricSolver::new();
+    let (symmetric_time, _) =
+        time_solves(|| symmetric.solve(&p).expect("symmetric solve").levels);
+
     let kernel_ns = kernel_time.as_nanos() as f64 / ROUNDS as f64;
     let cold_ns = cold_time.as_nanos() as f64 / ROUNDS as f64;
+    let symmetric_ns = symmetric_time.as_nanos() as f64 / ROUNDS as f64;
     let speedup = cold_ns / kernel_ns;
     println!("p3_gsd500_paper_scale ({ROUNDS} solves averaged):");
     println!("  gsd500_cold_oracle : {cold_ns:>12.0} ns/solve");
     println!("  gsd500_kernel      : {kernel_ns:>12.0} ns/solve  ({speedup:.2}x)");
+    println!("  symmetric_warm     : {symmetric_ns:>12.0} ns/solve  (informational)");
 
     if let Some(slot) = (0..kernel_levels.len()).find(|&i| kernel_levels[i] != cold_levels[i]) {
         eprintln!("FAIL: kernel chain diverged from the cold reference chain at solve {slot}");

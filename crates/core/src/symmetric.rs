@@ -10,19 +10,39 @@
 //! `Π_c (K_c · G_c)`, which coordinate descent with integer ternary search
 //! explores in a few hundred cost evaluations.
 //!
-//! This solver is the workhorse for the year-long experiment sweeps; GSD
-//! remains the reference algorithm (and the subject of Fig. 4).
+//! Every descent step prices its partition state on the same
+//! struct-of-arrays kernel as GSD (DESIGN §10). A [`QueueBank`] holds one
+//! row per (partition, speed level ≥ 1) — capacity, γ·capacity, slope·PUE,
+//! static·PUE — and is built once per fleet. A state `(ℓ, n)` sets the
+//! multiplicity of its partition's row `ℓ` to `n` and zeroes the
+//! partition's other rows; capped capacity and base power are summed from
+//! the state (`active · static · pue`), and one warm-started
+//! [`SoaWaterfill`] solve prices it. The water-filling and its ν/μ brackets
+//! live for one descent, so no slot-dependent state outlives a solve or
+//! enters a checkpoint. The chosen levels are dispatched by the cold
+//! [`optimal_dispatch`], so published loads and costs do not carry the
+//! kernel's ≤ 1e-9 tolerance.
+//!
+//! This solver is the workhorse for the year-long experiment sweeps and
+//! `coca-serve`; GSD remains the reference algorithm (and the subject of
+//! Fig. 4).
 
 use std::sync::Arc;
 
 use coca_dcsim::dispatch::{optimal_dispatch, SlotProblem};
-use coca_dcsim::{Cluster, SimError};
+use coca_dcsim::incremental::SlotContextSeed;
+use coca_dcsim::SimError;
 use coca_obs::SolverObserver;
+use coca_opt::waterfill::{BankProblem, QueueBank, SoaWaterfill};
 
 use crate::solver::{P3Solution, P3Solver, SolveStats};
 
+/// Coordinate-descent rounds per descent (each round sweeps all
+/// partitions).
+const MAX_ROUNDS: usize = 6;
+
 /// Per-partition decision: `active` groups at speed `level`, rest off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct PartState {
     level: usize,
     active: usize,
@@ -38,35 +58,159 @@ struct Partition {
     /// Pooled capacity of one member group per positive level
     /// (`cap_at[ℓ-1]`).
     cap_at: Vec<f64>,
-    /// Marginal power per unit load per positive level (kW per req/s).
-    slope_at: Vec<f64>,
-    /// Static power of one member group when on (kW).
+    /// Static power of one member group when on (kW, before PUE).
     static_power: f64,
+    /// Bank row of level 1; level `ℓ ≥ 1` is row `row0 + ℓ − 1`.
+    row0: usize,
+}
+
+/// Receives each priced state, expanded to a per-group speed vector, with
+/// its cost (see [`SymmetricSolver::solve_visiting`]).
+type Visitor<'v> = Option<&'v mut dyn FnMut(&[usize], f64)>;
+
+/// The partitions and bank rows of one fleet, reused across solves while
+/// the fleet stays the same.
+#[derive(Debug, Default)]
+struct FleetTables {
+    /// The GSD kernel's fleet key. Groups with equal per-level type ids
+    /// form a partition, and its exact key compare detects a changed fleet,
+    /// γ, or PUE-scaled row.
+    seed: SlotContextSeed,
+    /// PUE bits the base power is scaled by.
+    pue: u64,
+    parts: Vec<Partition>,
+    /// One row per (partition, level ≥ 1). Between prices the
+    /// multiplicities encode the last priced state, `applied`.
+    bank: QueueBank,
+    applied: Vec<PartState>,
+}
+
+impl FleetTables {
+    /// Rebuilds the tables unless they were built for `problem`'s fleet,
+    /// γ and PUE. The seed pins capacities and the PUE-scaled rows bit for
+    /// bit; the raw static power the base power is summed from is checked
+    /// on each partition's first member.
+    fn refresh(&mut self, problem: &SlotProblem<'_>) {
+        let groups = problem.cluster.groups();
+        let current = !self.seed.refresh(problem)
+            && self.pue == problem.pue.to_bits()
+            && self
+                .parts
+                .iter()
+                .all(|p| groups[p.members[0]].static_power(1).to_bits() == p.static_power.to_bits());
+        if current {
+            return;
+        }
+        self.pue = problem.pue.to_bits();
+        self.parts.clear();
+        self.bank.clear();
+        'groups: for (i, g) in groups.iter().enumerate() {
+            for part in self.parts.iter_mut() {
+                if self.seed.group_types(part.members[0]) == self.seed.group_types(i) {
+                    part.members.push(i);
+                    continue 'groups;
+                }
+            }
+            self.parts.push(Partition {
+                members: vec![i],
+                choices: g.num_choices(),
+                cap_at: (1..g.num_choices()).map(|c| g.capacity(c)).collect(),
+                static_power: g.static_power(1),
+                row0: 0,
+            });
+        }
+        for part in &mut self.parts {
+            let g = &groups[part.members[0]];
+            part.row0 = self.bank.len();
+            for c in 1..part.choices {
+                let capacity = g.capacity(c);
+                self.bank.push_type(
+                    capacity,
+                    problem.gamma * capacity,
+                    g.energy_slope(c) * problem.pue,
+                    g.static_power(c) * problem.pue,
+                    0.0,
+                );
+            }
+        }
+        debug_assert!(self.bank.validate().is_ok(), "cluster-derived rows satisfy the bank contract");
+        self.applied.clear();
+        self.applied.resize(self.parts.len(), PartState::default());
+    }
+
+    fn levels_of(&self, state: &[PartState], n_groups: usize) -> Vec<usize> {
+        let mut levels = vec![0usize; n_groups];
+        for (p, s) in self.parts.iter().zip(state) {
+            for &gi in p.members.iter().take(s.active) {
+                levels[gi] = s.level;
+            }
+        }
+        levels
+    }
+
+    /// P3 objective of `state` at its optimal load distribution, or
+    /// `f64::INFINITY` when the state cannot carry the load.
+    fn price(
+        &mut self,
+        problem: &SlotProblem<'_>,
+        soa: &mut SoaWaterfill,
+        state: &[PartState],
+        visit: &mut Visitor<'_>,
+    ) -> f64 {
+        let mut cap = 0.0;
+        let mut base_power = 0.0;
+        // Runs once per priced state and must stay allocation-free.
+        // audit:hot-path: begin
+        for ((p, s), applied) in self.parts.iter().zip(state).zip(&mut self.applied) {
+            if applied != s {
+                if applied.level > 0 {
+                    self.bank.set_multiplicity(p.row0 + applied.level - 1, 0.0);
+                }
+                if s.level > 0 {
+                    self.bank.set_multiplicity(p.row0 + s.level - 1, s.active as f64);
+                }
+                *applied = *s;
+            }
+            if s.active == 0 || s.level == 0 {
+                continue;
+            }
+            cap += s.active as f64 * self.bank.util_cap_of(p.row0 + s.level - 1);
+            base_power += s.active as f64 * p.static_power * problem.pue;
+        }
+        // audit:hot-path: end
+        let bp = BankProblem {
+            bank: &self.bank,
+            total_load: problem.arrival_rate,
+            energy_weight: problem.energy_weight,
+            delay_weight: problem.delay_weight,
+            base_power,
+            capped_capacity: cap,
+            renewable: problem.onsite,
+        };
+        let cost = soa.solve(&bp).map_or(f64::INFINITY, |out| out.objective);
+        if let Some(v) = visit {
+            v(&self.levels_of(state, problem.cluster.num_groups()), cost);
+        }
+        cost
+    }
 }
 
 /// Deterministic coordinate-descent solver over per-class (level, count).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SymmetricSolver {
-    /// Maximum coordinate-descent rounds (each round sweeps all partitions).
-    // audit:transient(construction config, not run state; the host rebuilds the solver before restore)
-    pub max_rounds: usize,
     warm: Option<Vec<PartState>>,
+    // audit:transient(fleet-derived cache, rebuilt whenever it no longer matches the problem)
+    tables: FleetTables,
     // audit:transient(per-solve diagnostics, overwritten by the next solve)
     stats: SolveStats,
     // audit:transient(host-injected callback, re-attached via with_observer)
     observer: Option<Arc<dyn SolverObserver + Send + Sync>>,
 }
 
-impl Default for SymmetricSolver {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl SymmetricSolver {
-    /// Creates the solver with the default round budget.
+    /// Creates the solver.
     pub fn new() -> Self {
-        Self { max_rounds: 6, warm: None, stats: SolveStats::default(), observer: None }
+        Self::default()
     }
 
     /// Work counters of the most recent solve (`iterations` counts descent
@@ -81,40 +225,20 @@ impl SymmetricSolver {
         self.observer = Some(observer);
     }
 
-    fn partitions(cluster: &Cluster) -> Vec<Partition> {
-        let mut parts: Vec<(usize, Partition)> = Vec::new(); // (rep index, partition)
-        'groups: for (i, g) in cluster.groups().iter().enumerate() {
-            for (rep, part) in parts.iter_mut() {
-                let r = &cluster.groups()[*rep];
-                if r.count == g.count && r.class == g.class {
-                    part.members.push(i);
-                    continue 'groups;
-                }
-            }
-            let cap_at = (1..g.num_choices()).map(|c| g.capacity(c)).collect();
-            let slope_at = (1..g.num_choices()).map(|c| g.energy_slope(c)).collect();
-            parts.push((
-                i,
-                Partition {
-                    members: vec![i],
-                    choices: g.num_choices(),
-                    cap_at,
-                    slope_at,
-                    static_power: g.static_power(1),
-                },
-            ));
-        }
-        parts.into_iter().map(|(_, p)| p).collect()
-    }
-
-    fn levels_of(parts: &[Partition], state: &[PartState], n_groups: usize) -> Vec<usize> {
-        let mut levels = vec![0usize; n_groups];
-        for (p, s) in parts.iter().zip(state) {
-            for &gi in p.members.iter().take(s.active) {
-                levels[gi] = s.level;
-            }
-        }
-        levels
+    /// [`P3Solver::solve`] that also hands every partition state the
+    /// descent prices to `visit`, expanded to a per-group speed vector,
+    /// with the kernel's cost for it (`f64::INFINITY` when infeasible).
+    /// The differential tests check each one against the cold
+    /// [`optimal_dispatch`].
+    ///
+    /// # Errors
+    /// Same as [`P3Solver::solve`].
+    pub fn solve_visiting(
+        &mut self,
+        problem: &SlotProblem<'_>,
+        visit: &mut dyn FnMut(&[usize], f64),
+    ) -> Result<P3Solution, SimError> {
+        self.solve_with(problem, &mut Some(visit))
     }
 
     /// Capacity contributed by a partition in a given state.
@@ -125,35 +249,35 @@ impl SymmetricSolver {
             s.active as f64 * p.cap_at[s.level - 1]
         }
     }
-}
 
-impl P3Solver for SymmetricSolver {
-    fn solve(&mut self, problem: &SlotProblem<'_>) -> Result<P3Solution, SimError> {
+    fn solve_with(
+        &mut self,
+        problem: &SlotProblem<'_>,
+        visit: &mut Visitor<'_>,
+    ) -> Result<P3Solution, SimError> {
+        problem.validate()?;
         let cluster = problem.cluster;
         let n_groups = cluster.num_groups();
-        let parts = Self::partitions(cluster);
+        self.tables.refresh(problem);
+        let parts = &self.tables.parts;
         let full: Vec<PartState> =
             parts.iter().map(|p| PartState { level: p.choices - 1, active: p.members.len() }).collect();
 
         // Overload check against the all-max configuration.
-        {
-            let levels = Self::levels_of(&parts, &full, n_groups);
-            if !problem.is_feasible(&levels) {
-                return Err(SimError::Overload {
-                    slot: 0,
-                    arrival_rate: problem.arrival_rate,
-                    max_capacity: problem.gamma * cluster.max_capacity(),
-                });
-            }
+        if !problem.is_feasible(&self.tables.levels_of(&full, n_groups)) {
+            return Err(SimError::Overload {
+                slot: 0,
+                arrival_rate: problem.arrival_rate,
+                max_capacity: problem.gamma * cluster.max_capacity(),
+            });
         }
 
         let warm_state = match self.warm.take() {
             Some(w) if w.len() == parts.len() => {
-                let ok = w.iter().zip(&parts).all(|(s, p)| {
+                let ok = w.iter().zip(parts).all(|(s, p)| {
                     s.level < p.choices && s.active <= p.members.len()
                 });
-                let levels = Self::levels_of(&parts, &w, n_groups);
-                if ok && problem.is_feasible(&levels) {
+                if ok && problem.is_feasible(&self.tables.levels_of(&w, n_groups)) {
                     Some(w)
                 } else {
                     None
@@ -169,16 +293,16 @@ impl P3Solver for SymmetricSolver {
         // state keeps the solver honest; the better result wins.
         let (state, _cost, rounds) = match warm_state {
             Some(w) => {
-                let a = self.descend(problem, &parts, w, n_groups);
-                let b = self.descend(problem, &parts, full, n_groups);
+                let a = self.descend(problem, w, visit);
+                let b = self.descend(problem, full, visit);
                 let rounds = a.2 + b.2;
                 let (s, c, _) = if a.1 <= b.1 { a } else { b };
                 (s, c, rounds)
             }
-            None => self.descend(problem, &parts, full, n_groups),
+            None => self.descend(problem, full, visit),
         };
 
-        let levels = Self::levels_of(&parts, &state, n_groups);
+        let levels = self.tables.levels_of(&state, n_groups);
         let out = optimal_dispatch(problem, &levels)?;
         self.warm = Some(state);
         self.stats = SolveStats { iterations: rounds, ..SolveStats::default() };
@@ -186,6 +310,12 @@ impl P3Solver for SymmetricSolver {
             o.on_solve(&self.stats.to_event("symmetric"));
         }
         Ok(P3Solution { loads: out.loads.clone(), levels, outcome: out })
+    }
+}
+
+impl P3Solver for SymmetricSolver {
+    fn solve(&mut self, problem: &SlotProblem<'_>) -> Result<P3Solution, SimError> {
+        self.solve_with(problem, &mut None)
     }
 
     fn reset(&mut self) {
@@ -259,71 +389,38 @@ impl SymmetricSolver {
     /// Coordinate descent from a feasible starting state; returns the final
     /// state, its objective, and the number of rounds executed.
     fn descend(
-        &self,
+        &mut self,
         problem: &SlotProblem<'_>,
-        parts: &[Partition],
         mut state: Vec<PartState>,
-        _n_groups: usize,
+        visit: &mut Visitor<'_>,
     ) -> (Vec<PartState>, f64, usize) {
-        // Fast objective evaluation: each partition in state (ℓ, n) is one
-        // weighted queue type, so the inner water-filling runs over at most
-        // one spec per partition instead of one per group. This is the hot
-        // path of every year-long sweep.
-        let mut specs: Vec<coca_opt::waterfill::QueueSpec> = Vec::with_capacity(parts.len());
-        let eval = |state: &[PartState],
-                    specs: &mut Vec<coca_opt::waterfill::QueueSpec>|
-         -> f64 {
-            specs.clear();
-            let mut base_power = 0.0;
-            for (p, s) in parts.iter().zip(state) {
-                if s.active == 0 || s.level == 0 {
-                    continue;
-                }
-                let cap = p.cap_at[s.level - 1];
-                specs.push(coca_opt::waterfill::QueueSpec {
-                    capacity: cap,
-                    util_cap: problem.gamma * cap,
-                    energy_slope: p.slope_at[s.level - 1] * problem.pue,
-                    multiplicity: s.active as f64,
-                });
-                base_power += s.active as f64 * p.static_power * problem.pue;
-            }
-            let lp = coca_opt::waterfill::LoadDistProblem {
-                queues: specs,
-                total_load: problem.arrival_rate,
-                energy_weight: problem.energy_weight,
-                delay_weight: problem.delay_weight,
-                base_power,
-                renewable: problem.onsite,
-            };
-            match coca_opt::waterfill::solve(&lp) {
-                Ok(sol) => sol.objective,
-                Err(_) => f64::INFINITY,
-            }
-        };
-
-        let mut best_cost = eval(&state, &mut specs);
+        let tables = &mut self.tables;
+        let mut soa = SoaWaterfill::new();
+        // Costs of one (partition, level) by active count, reused across
+        // levels and rounds; NaN marks a count not priced yet.
+        let mut memo: Vec<f64> = Vec::new();
+        let mut best_cost = tables.price(problem, &mut soa, &state, visit);
         debug_assert!(best_cost.is_finite());
 
         debug_assert!(problem.gamma > 0.0, "gamma validated by SlotProblem::validate");
         let required_capacity = problem.arrival_rate / problem.gamma;
         let mut rounds = 0;
-        for _round in 0..self.max_rounds {
+        for _round in 0..MAX_ROUNDS {
             rounds += 1;
             let mut improved = false;
-            for pi in 0..parts.len() {
-                let p = &parts[pi];
+            for pi in 0..tables.parts.len() {
                 let others_capacity: f64 = state
                     .iter()
-                    .zip(parts)
+                    .zip(&tables.parts)
                     .enumerate()
                     .filter(|(j, _)| *j != pi)
                     .map(|(_, (s, q))| Self::part_capacity(q, *s))
                     .sum();
+                let (choices, n_max) = (tables.parts[pi].choices, tables.parts[pi].members.len());
                 let mut local_best = state[pi];
                 let mut local_cost = best_cost;
-                for level in 1..p.choices {
-                    let cap1 = p.cap_at[level - 1];
+                for level in 1..choices {
+                    let cap1 = tables.parts[pi].cap_at[level - 1];
                     debug_assert!(cap1 > 0.0, "speed ladder capacities are positive");
                     let deficit = required_capacity - others_capacity;
                     let n_min = if deficit <= 0.0 {
@@ -331,23 +428,20 @@ impl SymmetricSolver {
                     } else {
                         (deficit / cap1).ceil() as usize
                     };
-                    let n_max = p.members.len();
                     if n_min > n_max {
                         continue;
                     }
-                    let mut memo: std::collections::HashMap<usize, f64> = std::collections::HashMap::new();
-                    let mut cost_at = |n: usize,
-                                       state: &mut Vec<PartState>,
-                                       specs: &mut Vec<coca_opt::waterfill::QueueSpec>|
-                     -> f64 {
-                        if let Some(&c) = memo.get(&n) {
-                            return c;
+                    memo.clear();
+                    memo.resize(n_max + 1, f64::NAN);
+                    let mut cost_at = |n: usize, state: &mut Vec<PartState>| -> f64 {
+                        if !memo[n].is_nan() {
+                            return memo[n];
                         }
                         let saved = state[pi];
                         state[pi] = PartState { level, active: n };
-                        let c = eval(state, specs);
+                        let c = tables.price(problem, &mut soa, state, visit);
                         state[pi] = saved;
-                        memo.insert(n, c);
+                        memo[n] = c;
                         c
                     };
                     // Integer ternary search on the (practically unimodal)
@@ -356,22 +450,19 @@ impl SymmetricSolver {
                     while hi - lo > 2 {
                         let m1 = lo + (hi - lo) / 3;
                         let m2 = hi - (hi - lo) / 3;
-                        if cost_at(m1, &mut state, &mut specs) < cost_at(m2, &mut state, &mut specs) {
+                        if cost_at(m1, &mut state) < cost_at(m2, &mut state) {
                             hi = m2 - 1;
                         } else {
                             lo = m1 + 1;
                         }
                     }
                     let center = (lo..=hi)
-                        .min_by(|&a, &b| {
-                            cost_at(a, &mut state, &mut specs)
-                                .total_cmp(&cost_at(b, &mut state, &mut specs))
-                        })
+                        .min_by(|&a, &b| cost_at(a, &mut state).total_cmp(&cost_at(b, &mut state)))
                         .unwrap_or(lo);
                     let scan_lo = center.saturating_sub(2).max(n_min);
                     let scan_hi = (center + 2).min(n_max);
                     for n in scan_lo..=scan_hi {
-                        let c = cost_at(n, &mut state, &mut specs);
+                        let c = cost_at(n, &mut state);
                         if c < local_cost * (1.0 - 1e-12) {
                             local_cost = c;
                             local_best = PartState { level, active: n };
@@ -395,6 +486,7 @@ impl SymmetricSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coca_dcsim::Cluster;
     use crate::solver::ExhaustiveSolver;
 
     fn problem(cluster: &Cluster, lam: f64, a: f64, w: f64) -> SlotProblem<'_> {
@@ -432,20 +524,55 @@ mod tests {
         }
     }
 
+    fn tables_for(p: &SlotProblem<'_>) -> FleetTables {
+        let mut tables = FleetTables::default();
+        tables.refresh(p);
+        tables
+    }
+
     #[test]
     fn partitions_group_identical_classes() {
         let cluster = Cluster::scaled_paper_datacenter(8, 3);
-        let parts = SymmetricSolver::partitions(&cluster);
-        assert_eq!(parts.len(), 4, "four heterogeneous classes");
-        assert!(parts.iter().all(|p| p.members.len() == 2));
+        let tables = tables_for(&problem(&cluster, 10.0, 1.0, 1.0));
+        assert_eq!(tables.parts.len(), 4, "four heterogeneous classes");
+        assert!(tables.parts.iter().all(|p| p.members.len() == 2));
+        // One bank row per (partition, positive level), partition-major.
+        let rows: usize = tables.parts.iter().map(|p| p.choices - 1).sum();
+        assert_eq!(tables.bank.len(), rows);
+        assert!(tables.parts.windows(2).all(|w| w[1].row0 == w[0].row0 + w[0].choices - 1));
     }
 
     #[test]
     fn homogeneous_cluster_is_one_partition() {
         let cluster = Cluster::homogeneous(7, 2);
-        let parts = SymmetricSolver::partitions(&cluster);
-        assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0].members.len(), 7);
+        let tables = tables_for(&problem(&cluster, 10.0, 1.0, 1.0));
+        assert_eq!(tables.parts.len(), 1);
+        assert_eq!(tables.parts[0].members.len(), 7);
+    }
+
+    #[test]
+    fn tables_are_rebuilt_only_for_a_new_fleet_gamma_or_pue() {
+        let small = Cluster::homogeneous(3, 4);
+        let large = Cluster::homogeneous(5, 4);
+        let p = problem(&small, 10.0, 1.0, 1.0);
+        let mut tables = tables_for(&p);
+        tables.bank.set_multiplicity(0, 2.0); // marks this build
+        tables.applied[0] = PartState { level: 1, active: 2 };
+        tables.refresh(&SlotProblem { arrival_rate: 20.0, onsite: 3.0, ..p });
+        assert_eq!(tables.bank.multiplicity_of(0), 2.0, "slot inputs keep the tables");
+        for other in [
+            SlotProblem { gamma: 0.9, ..p },
+            SlotProblem { pue: 1.3, ..p },
+            problem(&large, 10.0, 1.0, 1.0),
+        ] {
+            tables.refresh(&other);
+            assert_eq!(tables.bank.multiplicity_of(0), 0.0, "rebuilt for {other:?}");
+            assert_eq!(tables.bank.util_cap_of(0), other.gamma * other.cluster.groups()[0].capacity(1));
+            let members: usize = tables.parts.iter().map(|q| q.members.len()).sum();
+            assert_eq!(members, other.cluster.num_groups());
+            tables.bank.set_multiplicity(0, 2.0);
+            tables.applied[0] = PartState { level: 1, active: 2 };
+        }
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //! single slot context, so the agreement holds across regime
 //! *transitions*, not just within one regime.
 //!
+//! The same differential covers `SymmetricSolver`, which prices partition
+//! states on the kernel: every state a descent prices must match the cold
+//! dispatch of its expanded speed vector, in all three regimes, and the
+//! chosen per-partition `(level, active)` is pinned on six instances.
+//!
 //! Runs strict: every test calls [`coca_core::invariant::force_strict`]
 //! before the first solve, so the load-conservation and KKT checks fire as
 //! hard panics on every kernel solve. Strict mode is a process-wide
@@ -19,13 +24,15 @@
 //! runs it with `COCA_STRICT_INVARIANTS=1`).
 
 use coca_core::invariant;
+use coca_core::solver::P3Solver;
+use coca_core::symmetric::SymmetricSolver;
 use coca_dcsim::dispatch::{optimal_dispatch, SlotProblem};
 use coca_dcsim::incremental::SlotEvalContext;
 use coca_dcsim::{Cluster, ServerClass};
 use proptest::prelude::*;
 
-/// Puts the process-wide invariant checker into strict mode. Both tests in
-/// this binary call this first, so whichever runs first wins the
+/// Puts the process-wide invariant checker into strict mode. Every test in
+/// this binary calls this first, so whichever runs first wins the
 /// `OnceLock` set and the other just observes strict mode.
 fn ensure_strict() {
     let _ = invariant::force_strict();
@@ -125,8 +132,94 @@ fn check_state(
     Ok(())
 }
 
+/// Water-filling regime of a feasible speed vector's cold optimum:
+/// 0 electricity-active (p > r), 1 renewable-slack (p < r), 2 the `[p−r]⁺`
+/// boundary.
+fn regime(p: &SlotProblem<'_>, facility_power: f64) -> usize {
+    if facility_power > p.onsite * (1.0 + 1e-6) {
+        0
+    } else if facility_power < p.onsite * (1.0 - 1e-6) {
+        1
+    } else {
+        2
+    }
+}
+
+/// Solves `p` with `solver`, checking every partition state the descent
+/// prices against the cold dispatch of its expanded speed vector. Returns
+/// which regimes the priced states' cold optima fell in.
+fn check_symmetric_solve(
+    solver: &mut SymmetricSolver,
+    p: &SlotProblem<'_>,
+) -> Result<[bool; 3], String> {
+    let mut seen = [false; 3];
+    let mut priced = 0usize;
+    let mut failure: Option<String> = None;
+    let _ = solver
+        .solve_visiting(p, &mut |levels, cost| {
+            priced += 1;
+            let cold = if p.is_feasible(levels) { optimal_dispatch(p, levels).ok() } else { None };
+            let err = match &cold {
+                Some(c) if !close(cost, c.objective) => {
+                    Some(format!("kernel {cost} vs cold {} at {levels:?}", c.objective))
+                }
+                None if cost.is_finite() => Some(format!("infeasible {levels:?} priced {cost}")),
+                _ => None,
+            };
+            if let Some(c) = cold {
+                seen[regime(p, c.facility_power)] = true;
+            }
+            if failure.is_none() {
+                failure = err;
+            }
+        })
+        .map_err(|e| e.to_string())?;
+    match failure {
+        Some(msg) => Err(msg),
+        None if priced == 0 => Err("the descent priced no state".into()),
+        None => Ok(seen),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn symmetric_pricing_matches_cold_dispatch(
+        groups in 2usize..10,
+        servers in 1usize..25,
+        classes in 1usize..4,
+        load_frac in 0.05..0.9_f64,
+        next_frac in 0.05..0.9_f64,
+        onsite_frac in 0.0..1.4_f64,
+        a in 0.0..80.0_f64,
+        w in 0.01..50.0_f64,
+        pue in 1.0..1.5_f64,
+    ) {
+        ensure_strict();
+        let cluster = random_cluster(groups, servers, classes);
+        let full = cluster.full_speed_vector();
+        let gamma = 0.95;
+        let probe = SlotProblem {
+            cluster: &cluster,
+            arrival_rate: load_frac * gamma * cluster.capacity_of(&full),
+            onsite: 0.0,
+            energy_weight: a,
+            delay_weight: w,
+            gamma,
+            pue,
+        };
+        let ref_power = optimal_dispatch(&probe, &full).unwrap().facility_power;
+        let p = SlotProblem { onsite: onsite_frac * ref_power, ..probe };
+        // A second slot on the same solver runs the warm two-start descent.
+        let next = SlotProblem { arrival_rate: next_frac * gamma * cluster.capacity_of(&full), ..p };
+        let mut solver = SymmetricSolver::new();
+        for slot in [&p, &next] {
+            if let Err(msg) = check_symmetric_solve(&mut solver, slot) {
+                return Err(TestCaseError::fail(msg));
+            }
+        }
+    }
 
     #[test]
     fn kernel_matches_cold_along_random_flip_walks(
@@ -265,4 +358,94 @@ fn flip_walk_crosses_all_three_regimes() {
     assert!(seen[0], "walk never hit the electricity-active regime");
     assert!(seen[1], "walk never hit the renewable-slack regime");
     assert!(seen[2], "walk never hit the [p−r]⁺ boundary regime");
+}
+
+/// The heterogeneous fleet and slot of the regime cases, with the renewable
+/// supply of each regime: none (electricity-active), twice the peak
+/// facility power (renewable-slack), and the middle of the full-speed
+/// state's `[p_active, p_slack]` band, so the descent's first state sits on
+/// the kink.
+fn regime_cases(cluster: &Cluster) -> [SlotProblem<'_>; 3] {
+    let full = cluster.full_speed_vector();
+    let p = SlotProblem {
+        cluster,
+        arrival_rate: 0.35 * 0.95 * cluster.capacity_of(&full),
+        onsite: 0.0,
+        energy_weight: 40.0,
+        delay_weight: 2.0,
+        gamma: 0.95,
+        pue: 1.2,
+    };
+    let p_active = optimal_dispatch(&p, &full).unwrap().facility_power;
+    let p_slack =
+        optimal_dispatch(&SlotProblem { energy_weight: 0.0, ..p }, &full).unwrap().facility_power;
+    assert!(p_active < p_slack, "kink band must have width: {p_active} vs {p_slack}");
+    [
+        p,
+        SlotProblem { onsite: 2.0 * p.pue * cluster.peak_power(), ..p },
+        SlotProblem { onsite: 0.5 * (p_active + p_slack), ..p },
+    ]
+}
+
+#[test]
+fn symmetric_pricing_covers_all_three_regimes() {
+    ensure_strict();
+    let cluster = random_cluster(12, 40, 3);
+    for (want, p) in regime_cases(&cluster).iter().enumerate() {
+        let seen = check_symmetric_solve(&mut SymmetricSolver::new(), p).unwrap();
+        assert!(seen[want], "regime {want} never priced: {seen:?}");
+    }
+}
+
+/// The chosen `(level, active)` per partition, as the solver snapshots it.
+fn chosen(solver: &mut SymmetricSolver, p: &SlotProblem<'_>) -> Vec<[i64; 2]> {
+    let _ = solver.solve(p).unwrap();
+    let snap = solver.snapshot_state().unwrap();
+    snap.as_seq()
+        .unwrap()
+        .iter()
+        .map(|pair| match pair.as_seq().unwrap() {
+            [serde::Value::Int(level), serde::Value::Int(active)] => [*level, *active],
+            other => panic!("malformed snapshot pair {other:?}"),
+        })
+        .collect()
+}
+
+/// The paper-scale slot of `p3_smoke` and the `p3_paper_scale` benches.
+fn paper_slot(cluster: &Cluster) -> SlotProblem<'_> {
+    SlotProblem {
+        cluster,
+        arrival_rate: 0.5 * cluster.max_capacity(),
+        onsite: 0.05 * cluster.peak_power(),
+        energy_weight: 300.0,
+        delay_weight: 1000.0,
+        gamma: 0.95,
+        pue: 1.0,
+    }
+}
+
+#[test]
+fn symmetric_choices_are_pinned() {
+    ensure_strict();
+    // Expected values are the choices of the cold-evaluator solver this
+    // kernel replaced; the kernel must not move a single decision.
+    let homogeneous = Cluster::homogeneous(200, 1080);
+    assert_eq!(chosen(&mut SymmetricSolver::new(), &paper_slot(&homogeneous)), [[4, 115]]);
+
+    let paper = Cluster::paper_datacenter();
+    let mut solver = SymmetricSolver::new();
+    assert_eq!(chosen(&mut solver, &paper_slot(&paper)), [[4, 9], [1, 0], [4, 50], [4, 50]]);
+    // A second, lighter slot on the same solver: the warm two-start path.
+    let lighter = SlotProblem {
+        arrival_rate: 0.3 * paper.max_capacity(),
+        onsite: 0.0,
+        ..paper_slot(&paper)
+    };
+    assert_eq!(chosen(&mut solver, &lighter), [[1, 0], [1, 0], [4, 20], [4, 50]]);
+
+    let cluster = random_cluster(12, 40, 3);
+    let [active, slack, kink] = regime_cases(&cluster);
+    assert_eq!(chosen(&mut SymmetricSolver::new(), &active), [[1, 0], [1, 0], [4, 4]]);
+    assert_eq!(chosen(&mut SymmetricSolver::new(), &slack), [[4, 4], [4, 4], [4, 4]]);
+    assert_eq!(chosen(&mut SymmetricSolver::new(), &kink), [[4, 4], [4, 4], [4, 4]]);
 }

@@ -124,6 +124,26 @@ impl SlotContextSeed {
         idx == self.keys.len()
     }
 
+    /// Brings the tables up to date for `problem`: a no-op when they
+    /// still match it exactly, a rebuild otherwise. Returns `true` when it
+    /// rebuilt them.
+    pub fn refresh(&mut self, problem: &SlotProblem<'_>) -> bool {
+        if self.matches(problem) {
+            return false;
+        }
+        self.rebuild(problem);
+        true
+    }
+
+    /// Type ids of group `g`'s positive levels (level `ℓ` at index
+    /// `ℓ − 1`) as of the last [`Self::refresh`]. Two groups with equal
+    /// slices have bit-identical rows at every level, so they are
+    /// interchangeable in P3.
+    pub fn group_types(&self, g: usize) -> &[usize] {
+        let end = self.type_offsets.get(g + 1).copied().unwrap_or(self.type_ids.len());
+        &self.type_ids[self.type_offsets[g]..end]
+    }
+
     /// Re-derives every table from `problem` (the slow path `matches`
     /// guards; it runs once per fleet, so a std map is fine).
     fn rebuild(&mut self, problem: &SlotProblem<'_>) {
@@ -249,9 +269,7 @@ impl<'a> SlotEvalContext<'a> {
     ) -> crate::Result<Self> {
         problem.validate()?;
         problem.cluster.validate_levels(initial)?;
-        if !seed.matches(&problem) {
-            seed.rebuild(&problem);
-        }
+        seed.refresh(&problem);
         // One bank row per type, all retracted (m = 0) until the seeding
         // below raises the counts. Rows are validated once here — the SoA
         // solver relies on that instead of per-solve re-validation.
