@@ -67,6 +67,34 @@ pub struct CappedSlot {
     pub budget_abandoned: bool,
 }
 
+/// The penalized solves of one slot, remembering the most recent one.
+///
+/// A second solve at the μ of the solve just before it starts from the
+/// warm state that solve left and returns the same answer, so
+/// [`Self::at`] reuses it instead. Only the immediately preceding solve
+/// qualifies: an earlier solve at the same μ was made from a different
+/// warm state, and reusing it moves results.
+struct SlotProbes<'a, S> {
+    solver: &'a mut S,
+    cluster: &'a Cluster,
+    cost: &'a CostParams,
+    obs: &'a SlotObservation,
+    /// The most recent solve and its μ; `None` when unknown.
+    last: Option<(f64, (P3Solution, f64, f64))>,
+}
+
+impl<S: P3Solver> SlotProbes<'_, S> {
+    /// [`solve_penalized`] at `mu`, or the most recent solve when it was
+    /// at the same μ.
+    fn at(&mut self, mu: f64) -> Result<&(P3Solution, f64, f64), SimError> {
+        let out = match self.last.take() {
+            Some((at, out)) if at.to_bits() == mu.to_bits() => out,
+            _ => solve_penalized(self.solver, self.cluster, self.cost, self.obs, mu)?,
+        };
+        Ok(&self.last.insert((mu, out)).1)
+    }
+}
+
 /// Minimizes the slot cost subject to `y ≤ budget` (within `rel_tol`).
 pub fn solve_capped<S: P3Solver>(
     solver: &mut S,
@@ -82,11 +110,12 @@ pub fn solve_capped<S: P3Solver>(
     if y0 <= budget * (1.0 + rel_tol) {
         return Ok(CappedSlot { solution: sol0, cost: g0, brown: y0, mu: 0.0, budget_abandoned: false });
     }
+    let mut probes = SlotProbes { solver, cluster, cost, obs, last: None };
     // Grow an upper bracket for μ; if even extreme μ cannot meet the cap
     // (static power floor), abandon the budget for this hour.
     let mut probe = |mu: f64| -> f64 {
-        match solve_penalized(solver, cluster, cost, obs, mu) {
-            Ok((_, _, y)) => budget - y,
+        match probes.at(mu) {
+            Ok(&(_, _, y)) => budget - y,
             Err(_) => f64::NAN,
         }
     };
@@ -108,17 +137,24 @@ pub fn solve_capped<S: P3Solver>(
         max_iter: 60,
     };
     let mu = bisect_increasing(0.0, mu_hi, &mut probe, opts).map_err(SimError::Opt)?;
-    // Land on the feasible side of the discrete jump.
+    // Land on the feasible side of the discrete jump. When the bisection
+    // stopped on a probe, `mu` is the μ just solved and is not solved again.
     for candidate in [mu, mu * (1.0 + 1e-6) + 1e-12, mu_hi] {
-        let (sol, g, y) = solve_penalized(solver, cluster, cost, obs, candidate)?;
-        if y <= budget * (1.0 + 10.0 * rel_tol) {
-            return Ok(CappedSlot { solution: sol, cost: g, brown: y, mu: candidate, budget_abandoned: false });
+        let (sol, g, y) = probes.at(candidate)?;
+        if *y <= budget * (1.0 + 10.0 * rel_tol) {
+            return Ok(CappedSlot {
+                solution: sol.clone(),
+                cost: *g,
+                brown: *y,
+                mu: candidate,
+                budget_abandoned: false,
+            });
         }
     }
     // Discrete speed sets can leave a small residual violation; report the
-    // best effort at the bracket top.
-    let (sol, g, y) = solve_penalized(solver, cluster, cost, obs, mu_hi)?;
-    Ok(CappedSlot { solution: sol, cost: g, brown: y, mu: mu_hi, budget_abandoned: false })
+    // best effort at the bracket top, which the loop just solved.
+    let (sol, g, y) = probes.at(mu_hi)?;
+    Ok(CappedSlot { solution: sol.clone(), cost: *g, brown: *y, mu: mu_hi, budget_abandoned: false })
 }
 
 #[cfg(test)]
@@ -181,6 +217,51 @@ mod tests {
             capped.brown
         );
         assert!(capped.cost >= unconstrained.cost - 1e-9, "capping cannot reduce cost");
+    }
+
+    /// A [`SymmetricSolver`] that records the energy weight (price + μ)
+    /// of every solve.
+    #[derive(Default)]
+    struct Recording {
+        inner: SymmetricSolver,
+        weights: Vec<f64>,
+    }
+
+    impl P3Solver for Recording {
+        fn solve(&mut self, problem: &SlotProblem<'_>) -> Result<P3Solution, SimError> {
+            self.weights.push(problem.energy_weight);
+            self.inner.solve(problem)
+        }
+        fn name(&self) -> &'static str {
+            "recording"
+        }
+    }
+
+    #[test]
+    fn no_two_consecutive_solves_share_a_multiplier() {
+        // On this fleet and load the μ bisection of each budget below stops
+        // on a probe (or lands on `mu_hi`), so the landing asks for a μ the
+        // solver has just solved.
+        let cluster = Cluster::scaled_paper_datacenter(8, 200);
+        let cost = CostParams::default();
+        let obs = SlotObservation {
+            t: 0,
+            arrival_rate: 0.6 * cluster.max_capacity(),
+            onsite: 0.0,
+            price: 0.05,
+        };
+        let unconstrained =
+            solve_capped(&mut SymmetricSolver::new(), &cluster, &cost, &obs, 1e9, 1e-6).unwrap().brown;
+        for share in [0.88, 0.8, 0.72] {
+            let mut solver = Recording::default();
+            let capped =
+                solve_capped(&mut solver, &cluster, &cost, &obs, share * unconstrained, 1e-6).unwrap();
+            assert!(!capped.budget_abandoned);
+            let weights = &solver.weights;
+            for pair in weights.windows(2) {
+                assert_ne!(pair[0].to_bits(), pair[1].to_bits(), "μ solved twice in a row: {weights:?}");
+            }
+        }
     }
 
     #[test]

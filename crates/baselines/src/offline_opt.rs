@@ -124,8 +124,9 @@ impl OfflineOpt {
                     }
                 };
                 // Each dual sweep re-solves the whole frame; a per-mille
-                // budget tolerance keeps the sweep count ~20 while staying
-                // far below the discrete-speed quantization error.
+                // budget tolerance keeps the sweep count near 10 (6–11 per
+                // binding budget point at small scale) while staying far
+                // below the discrete-speed quantization error.
                 let opts = DualOptions { budget_rel_tol: 2e-3, max_iter: 22, max_doublings: 40 };
                 solve_budget_dual(&mut slot_fn, end - start, frame_budget, opts)
             };

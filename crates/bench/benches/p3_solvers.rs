@@ -84,15 +84,20 @@ fn bench_cold_vs_kernel(c: &mut Criterion) {
         b.iter(|| black_box(s.solve(&p).expect("solve")))
     });
     // One cold dispatch of a single-flip proposal, the unit of work the
-    // kernel's `single_candidate_batched` row replaces.
+    // kernel's `single_candidate_batched` row replaces. A long walk can
+    // slow the fleet below the load; it restarts from full speed then.
     group.bench_function("single_proposal_cold_dispatch", |b| {
-        let mut state = cluster.full_speed_vector();
+        let full = cluster.full_speed_vector();
+        let mut state = full.clone();
         let mut level = 0usize;
         let mut g = 0usize;
         b.iter(|| {
             state[g] = 1 + (state[g] + level) % 4;
             g = (g + 1) % state.len();
             level = (level + 1) % 3;
+            if !p.is_feasible(&state) {
+                state.copy_from_slice(&full);
+            }
             black_box(optimal_dispatch(&p, &state).expect("dispatch"))
         })
     });

@@ -32,10 +32,13 @@
 //! | `candidate_sweep_one_group` | 1.33 µs | 2.44 µs |
 //!
 //! A typical chain makes ~400 candidate batches and ~4.3 water-filling
-//! evaluations per solve.
+//! evaluations per solve. The shim has since moved from that mean to the
+//! median of 11 timed batches after a warm-up; DESIGN.md §10.4 has rows
+//! measured both ways.
 //!
 //! It also times [`SymmetricSolver`], the solver every figure, baseline and
 //! `coca-serve` runs, warm on the same instance, and prints its ns/solve
+//! and its kernel prices per solve (each distinct partition state once)
 //! beside the GSD rows. That row is informational: no threshold gates it.
 
 use std::process::ExitCode;
@@ -93,8 +96,12 @@ fn main() -> ExitCode {
     let (cold_time, cold_levels) = time_solves(|| cold.solve(&p));
 
     let mut symmetric = SymmetricSolver::new();
-    let (symmetric_time, _) =
-        time_solves(|| symmetric.solve(&p).expect("symmetric solve").levels);
+    let mut symmetric_prices = 0u64;
+    let (symmetric_time, symmetric_levels) = time_solves(|| {
+        let levels = symmetric.solve(&p).expect("symmetric solve").levels;
+        symmetric_prices += symmetric.stats().batched_candidates;
+        levels
+    });
 
     let kernel_ns = kernel_time.as_nanos() as f64 / ROUNDS as f64;
     let cold_ns = cold_time.as_nanos() as f64 / ROUNDS as f64;
@@ -103,7 +110,11 @@ fn main() -> ExitCode {
     println!("p3_gsd500_paper_scale ({ROUNDS} solves averaged):");
     println!("  gsd500_cold_oracle : {cold_ns:>12.0} ns/solve");
     println!("  gsd500_kernel      : {kernel_ns:>12.0} ns/solve  ({speedup:.2}x)");
-    println!("  symmetric_warm     : {symmetric_ns:>12.0} ns/solve  (informational)");
+    let prices_per_solve = symmetric_prices as f64 / symmetric_levels.len() as f64;
+    println!(
+        "  symmetric_warm     : {symmetric_ns:>12.0} ns/solve  \
+         ({prices_per_solve:.1} kernel prices/solve, informational)"
+    );
 
     if let Some(slot) = (0..kernel_levels.len()).find(|&i| kernel_levels[i] != cold_levels[i]) {
         eprintln!("FAIL: kernel chain diverged from the cold reference chain at solve {slot}");

@@ -23,6 +23,13 @@
 //! [`optimal_dispatch`], so published loads and costs do not carry the
 //! kernel's ≤ 1e-9 tolerance.
 //!
+//! Each distinct state is priced once per solve. The warm and full-speed
+//! descents and their confirming last rounds revisit many states; a
+//! solve-scoped memo keyed by the exact per-partition `(ℓ, n)` vector
+//! (with every "all off" spelling written `(0, 0)`) answers those from the
+//! first price. It is cleared by every solve, so it never carries a cost
+//! across slots or problems and never enters a checkpoint (DESIGN §10.3).
+//!
 //! This solver is the workhorse for the year-long experiment sweeps and
 //! `coca-serve`; GSD remains the reference algorithm (and the subject of
 //! Fig. 4).
@@ -48,6 +55,19 @@ struct PartState {
     active: usize,
 }
 
+impl PartState {
+    /// The state with every "all off" spelling (`active == 0` at any
+    /// level, or level 0) written as `(0, 0)`: equal exactly when the
+    /// states run the same groups at the same speeds.
+    fn canonical(self) -> Self {
+        if self.level == 0 || self.active == 0 {
+            Self::default()
+        } else {
+            self
+        }
+    }
+}
+
 /// A set of interchangeable groups.
 #[derive(Debug, Clone)]
 struct Partition {
@@ -68,6 +88,100 @@ struct Partition {
 /// its cost (see [`SymmetricSolver::solve_visiting`]).
 type Visitor<'v> = Option<&'v mut dyn FnMut(&[usize], f64)>;
 
+/// Kernel costs of the states priced in the current solve, keyed by the
+/// exact per-partition state vector in canonical form (any number of
+/// partitions), so states that run the same speed vector share an entry.
+///
+/// An open-addressed table over flat entry arrays: the hash only picks the
+/// slot to probe, and an entry matches when its stored key equals the state
+/// element by element. Capacity is kept across solves, so lookups and
+/// inserts allocate nothing once the table has grown to a solve's size.
+#[derive(Debug, Default)]
+struct StateMemo {
+    /// States per key (the partition count of the solve).
+    stride: usize,
+    /// Power-of-two slot table: 0 is empty, `i + 1` names entry `i`.
+    slots: Vec<u32>,
+    /// Per entry: the key's hash, checked before the key itself.
+    hashes: Vec<u64>,
+    /// Per entry: the canonical key, `stride` states each.
+    keys: Vec<PartState>,
+    /// Per entry: the priced cost (`f64::INFINITY` when infeasible).
+    costs: Vec<f64>,
+}
+
+impl StateMemo {
+    /// Forgets every entry; keys of the next solve have `stride` states.
+    fn clear(&mut self, stride: usize) {
+        self.stride = stride;
+        self.slots.fill(0);
+        self.hashes.clear();
+        self.keys.clear();
+        self.costs.clear();
+    }
+
+    fn hash(state: &[PartState]) -> u64 {
+        state.iter().fold(0, |h: u64, s| {
+            let s = s.canonical();
+            (h.rotate_left(5) ^ ((s.level as u64) << 32 | s.active as u64))
+                .wrapping_mul(0x517c_c1b7_2722_0a95)
+        })
+    }
+
+    /// The slot holding `state`, or the empty slot where it would go.
+    /// Requires a non-empty table with at least one empty slot.
+    fn slot_of(&self, state: &[PartState], hash: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = (hash >> 32) as usize & mask;
+        loop {
+            let entry = self.slots[i] as usize;
+            if entry == 0 {
+                return i;
+            }
+            let e = entry - 1;
+            if self.hashes[e] == hash
+                && self.keys[e * self.stride..(e + 1) * self.stride]
+                    .iter()
+                    .zip(state)
+                    .all(|(k, s)| *k == s.canonical())
+            {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn get(&self, state: &[PartState], hash: u64) -> Option<f64> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        match self.slots[self.slot_of(state, hash)] as usize {
+            0 => None,
+            entry => Some(self.costs[entry - 1]),
+        }
+    }
+
+    /// Records the cost of a state that [`Self::get`] just missed.
+    fn insert(&mut self, state: &[PartState], hash: u64, cost: f64) {
+        debug_assert_eq!(state.len(), self.stride);
+        // Keep the load factor at or below one half.
+        if 2 * (self.costs.len() + 1) > self.slots.len() {
+            let len = (2 * self.slots.len()).max(64);
+            self.slots.clear();
+            self.slots.resize(len, 0);
+            for e in 0..self.costs.len() {
+                let i = self.slot_of(&self.keys[e * self.stride..(e + 1) * self.stride], self.hashes[e]);
+                self.slots[i] = e as u32 + 1;
+            }
+        }
+        let i = self.slot_of(state, hash);
+        self.hashes.push(hash);
+        self.keys.extend(state.iter().map(|s| s.canonical()));
+        self.costs.push(cost);
+        self.slots[i] = self.costs.len() as u32;
+    }
+}
+
 /// The partitions and bank rows of one fleet, reused across solves while
 /// the fleet stays the same.
 #[derive(Debug, Default)]
@@ -83,6 +197,12 @@ struct FleetTables {
     /// multiplicities encode the last priced state, `applied`.
     bank: QueueBank,
     applied: Vec<PartState>,
+    /// Costs of the states the current solve has priced.
+    memo: StateMemo,
+    /// Kernel prices (memo misses) in the current solve.
+    prices: u64,
+    /// Water-level evaluations those prices spent.
+    evals: u64,
 }
 
 impl FleetTables {
@@ -138,6 +258,13 @@ impl FleetTables {
         self.applied.resize(self.parts.len(), PartState::default());
     }
 
+    /// Forgets the previous solve's priced states and work counters.
+    fn begin_solve(&mut self) {
+        self.memo.clear(self.parts.len());
+        self.prices = 0;
+        self.evals = 0;
+    }
+
     fn levels_of(&self, state: &[PartState], n_groups: usize) -> Vec<usize> {
         let mut levels = vec![0usize; n_groups];
         for (p, s) in self.parts.iter().zip(state) {
@@ -149,7 +276,9 @@ impl FleetTables {
     }
 
     /// P3 objective of `state` at its optimal load distribution, or
-    /// `f64::INFINITY` when the state cannot carry the load.
+    /// `f64::INFINITY` when the state cannot carry the load. A state this
+    /// solve already priced is answered from the memo, without a kernel
+    /// solve or a visit.
     fn price(
         &mut self,
         problem: &SlotProblem<'_>,
@@ -159,8 +288,12 @@ impl FleetTables {
     ) -> f64 {
         let mut cap = 0.0;
         let mut base_power = 0.0;
-        // Runs once per priced state and must stay allocation-free.
+        // Runs once per descent step and must stay allocation-free.
         // audit:hot-path: begin
+        let hash = StateMemo::hash(state);
+        if let Some(cost) = self.memo.get(state, hash) {
+            return cost;
+        }
         for ((p, s), applied) in self.parts.iter().zip(state).zip(&mut self.applied) {
             if applied != s {
                 if applied.level > 0 {
@@ -188,6 +321,11 @@ impl FleetTables {
             renewable: problem.onsite,
         };
         let cost = soa.solve(&bp).map_or(f64::INFINITY, |out| out.objective);
+        // audit:hot-path: begin
+        self.prices += 1;
+        self.evals += soa.last_evals;
+        self.memo.insert(state, hash, cost);
+        // audit:hot-path: end
         if let Some(v) = visit {
             v(&self.levels_of(state, problem.cluster.num_groups()), cost);
         }
@@ -213,8 +351,11 @@ impl SymmetricSolver {
         Self::default()
     }
 
-    /// Work counters of the most recent solve (`iterations` counts descent
-    /// rounds across both starts; the chain-specific fields stay zero).
+    /// Work counters of the most recent solve: `iterations` counts descent
+    /// rounds across both starts, `batched_candidates` the states priced on
+    /// the kernel (each distinct state once), and `bisection_evals` the
+    /// water-level evaluations those prices spent. `accepted` and
+    /// `candidate_batches` stay zero.
     pub fn stats(&self) -> &SolveStats {
         &self.stats
     }
@@ -225,11 +366,11 @@ impl SymmetricSolver {
         self.observer = Some(observer);
     }
 
-    /// [`P3Solver::solve`] that also hands every partition state the
-    /// descent prices to `visit`, expanded to a per-group speed vector,
-    /// with the kernel's cost for it (`f64::INFINITY` when infeasible).
-    /// The differential tests check each one against the cold
-    /// [`optimal_dispatch`].
+    /// [`P3Solver::solve`] that also hands each distinct partition state
+    /// the solve prices to `visit`, once per solve, expanded to a
+    /// per-group speed vector, with the kernel's cost for it
+    /// (`f64::INFINITY` when infeasible). The differential tests check
+    /// each one against the cold [`optimal_dispatch`].
     ///
     /// # Errors
     /// Same as [`P3Solver::solve`].
@@ -259,6 +400,7 @@ impl SymmetricSolver {
         let cluster = problem.cluster;
         let n_groups = cluster.num_groups();
         self.tables.refresh(problem);
+        self.tables.begin_solve();
         let parts = &self.tables.parts;
         let full: Vec<PartState> =
             parts.iter().map(|p| PartState { level: p.choices - 1, active: p.members.len() }).collect();
@@ -305,7 +447,12 @@ impl SymmetricSolver {
         let levels = self.tables.levels_of(&state, n_groups);
         let out = optimal_dispatch(problem, &levels)?;
         self.warm = Some(state);
-        self.stats = SolveStats { iterations: rounds, ..SolveStats::default() };
+        self.stats = SolveStats {
+            iterations: rounds,
+            bisection_evals: self.tables.evals,
+            batched_candidates: self.tables.prices,
+            ..SolveStats::default()
+        };
         if let Some(o) = &self.observer {
             o.on_solve(&self.stats.to_event("symmetric"));
         }
@@ -396,9 +543,6 @@ impl SymmetricSolver {
     ) -> (Vec<PartState>, f64, usize) {
         let tables = &mut self.tables;
         let mut soa = SoaWaterfill::new();
-        // Costs of one (partition, level) by active count, reused across
-        // levels and rounds; NaN marks a count not priced yet.
-        let mut memo: Vec<f64> = Vec::new();
         let mut best_cost = tables.price(problem, &mut soa, &state, visit);
         debug_assert!(best_cost.is_finite());
 
@@ -431,17 +575,11 @@ impl SymmetricSolver {
                     if n_min > n_max {
                         continue;
                     }
-                    memo.clear();
-                    memo.resize(n_max + 1, f64::NAN);
                     let mut cost_at = |n: usize, state: &mut Vec<PartState>| -> f64 {
-                        if !memo[n].is_nan() {
-                            return memo[n];
-                        }
                         let saved = state[pi];
                         state[pi] = PartState { level, active: n };
                         let c = tables.price(problem, &mut soa, state, visit);
                         state[pi] = saved;
-                        memo[n] = c;
                         c
                     };
                     // Integer ternary search on the (practically unimodal)
@@ -638,6 +776,44 @@ mod tests {
         assert!(clone
             .restore_state(&serde::Value::Seq(vec![serde::Value::Int(1)]))
             .is_err());
+    }
+
+    #[test]
+    fn memo_matches_keys_exactly_not_by_hash() {
+        let st = |level, active| PartState { level, active };
+        let mut memo = StateMemo::default();
+        memo.clear(2);
+        // Every key below shares one hash: only the key compare tells them
+        // apart, along one probe chain that also survives the table's
+        // growth past 32 entries.
+        let keys: Vec<[PartState; 2]> = (1..=40).map(|n| [st(1, n), st(2, 40 - n)]).collect();
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(memo.get(k, 7), None);
+            memo.insert(k, 7, i as f64);
+        }
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(memo.get(k, 7), Some(i as f64));
+        }
+        // "All off" is one state whatever level it names.
+        assert_eq!(memo.get(&[st(1, 0), st(2, 40)], StateMemo::hash(&[st(1, 0), st(2, 40)])), None);
+        memo.insert(&[st(3, 0), st(2, 40)], StateMemo::hash(&[st(3, 0), st(2, 40)]), -1.0);
+        assert_eq!(memo.get(&[st(1, 0), st(2, 40)], StateMemo::hash(&[st(1, 0), st(2, 40)])), Some(-1.0));
+        memo.clear(2);
+        assert_eq!(memo.get(&keys[0], 7), None, "clear forgets every entry");
+    }
+
+    #[test]
+    fn every_solve_prices_afresh_and_counts_its_work() {
+        let cluster = Cluster::scaled_paper_datacenter(8, 3);
+        let p = problem(&cluster, 30.0, 5.0, 5.0);
+        let mut s = SymmetricSolver::new();
+        for _ in 0..2 {
+            let _ = s.solve(&p).unwrap();
+            // The second solve is warm but must not reuse the first one's
+            // prices: each solve prices at least its starting states.
+            assert!(s.stats().batched_candidates >= 1);
+            assert!(s.stats().bisection_evals >= s.stats().batched_candidates);
+        }
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! The same differential covers `SymmetricSolver`, which prices partition
 //! states on the kernel: every state a descent prices must match the cold
 //! dispatch of its expanded speed vector, in all three regimes, and the
-//! chosen per-partition `(level, active)` is pinned on six instances.
+//! chosen per-partition `(level, active)` is pinned on six instances. Its
+//! solve-scoped state memo is held to its contract: a solve prices each
+//! distinct state at most once, on fleets of up to six partitions.
 //!
 //! Runs strict: every test calls [`coca_core::invariant::force_strict`]
 //! before the first solve, so the load-conservation and KKT checks fire as
@@ -181,8 +183,101 @@ fn check_symmetric_solve(
     }
 }
 
+/// Solves `p` and fails if the solve priced one speed vector twice, or
+/// if its stats count a different number of kernel prices than it visited.
+fn check_prices_once(solver: &mut SymmetricSolver, p: &SlotProblem<'_>) -> Result<(), String> {
+    let mut seen = std::collections::HashSet::new();
+    let mut repeat: Option<Vec<usize>> = None;
+    let _ = solver
+        .solve_visiting(p, &mut |levels, _| {
+            if !seen.insert(levels.to_vec()) && repeat.is_none() {
+                repeat = Some(levels.to_vec());
+            }
+        })
+        .map_err(|e| e.to_string())?;
+    if let Some(levels) = repeat {
+        return Err(format!("state {levels:?} priced twice in one solve"));
+    }
+    let prices = solver.stats().batched_candidates;
+    if prices != seen.len() as u64 {
+        return Err(format!("stats count {prices} prices, the solve visited {}", seen.len()));
+    }
+    if solver.stats().bisection_evals == 0 {
+        return Err("stats count no water-level evaluations".into());
+    }
+    Ok(())
+}
+
+#[test]
+fn symmetric_prices_each_state_once_on_many_partitions() {
+    ensure_strict();
+    // Six partitions: the memo key must hold any number of partitions,
+    // not a fixed-width packing of a few.
+    let cluster = random_cluster(12, 300, 6);
+    let full = cluster.full_speed_vector();
+    let mut solver = SymmetricSolver::new();
+    for frac in [0.6, 0.2, 0.45, 0.45] {
+        let p = SlotProblem {
+            cluster: &cluster,
+            arrival_rate: frac * 0.95 * cluster.capacity_of(&full),
+            onsite: 0.0,
+            energy_weight: 20.0,
+            delay_weight: 5.0,
+            gamma: 0.95,
+            pue: 1.2,
+        };
+        check_prices_once(&mut solver, &p).unwrap();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn symmetric_prices_each_state_once_per_solve(
+        groups in 2usize..14,
+        servers in 1usize..25,
+        classes in 1usize..7,
+        fracs in proptest::collection::vec(0.05..0.9_f64, 1..4),
+        onsite_frac in 0.0..1.4_f64,
+        a in 0.0..80.0_f64,
+        w in 0.01..50.0_f64,
+    ) {
+        ensure_strict();
+        let cluster = random_cluster(groups, servers, classes);
+        let full = cluster.full_speed_vector();
+        let gamma = 0.95;
+        let ref_power = optimal_dispatch(
+            &SlotProblem {
+                cluster: &cluster,
+                arrival_rate: 0.5 * gamma * cluster.capacity_of(&full),
+                onsite: 0.0,
+                energy_weight: a,
+                delay_weight: w,
+                gamma,
+                pue: 1.0,
+            },
+            &full,
+        )
+        .unwrap()
+        .facility_power;
+        // Later slots on the same solver run the warm two-start descent.
+        let mut solver = SymmetricSolver::new();
+        for frac in fracs {
+            let p = SlotProblem {
+                cluster: &cluster,
+                arrival_rate: frac * gamma * cluster.capacity_of(&full),
+                onsite: onsite_frac * ref_power,
+                energy_weight: a,
+                delay_weight: w,
+                gamma,
+                pue: 1.0,
+            };
+            if let Err(msg) = check_prices_once(&mut solver, &p) {
+                return Err(TestCaseError::fail(msg));
+            }
+        }
+    }
 
     #[test]
     fn symmetric_pricing_matches_cold_dispatch(

@@ -30,7 +30,8 @@ pub struct DualOutcome {
     pub total_cost: f64,
     /// Total budgeted usage `Σ y(t)` at μ*.
     pub total_usage: f64,
-    /// Number of full-horizon sweeps performed.
+    /// Number of full-horizon sweeps performed (a repeat of the previous
+    /// sweep's μ is answered without one).
     pub sweeps: usize,
 }
 
@@ -51,14 +52,52 @@ impl Default for DualOptions {
     }
 }
 
+/// The full-horizon sweeps of one dual search, remembering the most
+/// recent one.
+struct Sweeps<F> {
+    slot: F,
+    num_slots: usize,
+    /// Sweeps run so far.
+    count: usize,
+    /// `(μ, Σ cost, Σ usage)` of the most recent sweep.
+    last: Option<(f64, f64, f64)>,
+}
+
+impl<F: FnMut(usize, f64) -> (f64, f64)> Sweeps<F> {
+    /// Total `(cost, usage)` at `mu`. A sweep at the μ of the sweep just
+    /// before it is not run again: its totals are returned, and the slot
+    /// callback keeps what it saw in that sweep.
+    fn at(&mut self, mu: f64) -> (f64, f64) {
+        if let Some((at, cost, usage)) = self.last {
+            if at.to_bits() == mu.to_bits() {
+                return (cost, usage);
+            }
+        }
+        self.count += 1;
+        let mut cost = 0.0;
+        let mut usage = 0.0;
+        // Offline dual sweep: evaluates the full horizon per μ probe, by
+        // design not a streaming simulation pass. audit:allow(slot-loop)
+        for t in 0..self.num_slots {
+            let (c, y) = (self.slot)(t, mu);
+            cost += c;
+            usage += y;
+        }
+        self.last = Some((mu, cost, usage));
+        (cost, usage)
+    }
+}
+
 /// Solves `min Σₜ cost(t)` s.t. `Σₜ usage(t) ≤ budget` by dual bisection.
 ///
 /// `slot` maps `(t, μ)` to the per-slot `(cost, usage)` pair obtained by
 /// minimizing `cost + μ·usage` over the slot's feasible decisions. It must
 /// produce usage non-increasing in μ for fixed `t` (true for any exact slot
-/// minimizer).
+/// minimizer). Consecutive sweeps never share a μ: when the bisection stops
+/// on a probe, that probe's sweep is the final one, so a caller recording
+/// per-slot decisions ends with those of the returned μ.
 pub fn solve_budget_dual<F>(
-    mut slot: F,
+    slot: F,
     num_slots: usize,
     budget: f64,
     opts: DualOptions,
@@ -72,68 +111,41 @@ where
     if !(budget.is_finite() && budget >= 0.0) {
         return Err(OptError::InvalidInput(format!("budget must be ≥ 0, got {budget}")));
     }
-    let mut sweeps = 0usize;
-    let mut sweep = |mu: f64, sweeps: &mut usize| -> (f64, f64) {
-        *sweeps += 1;
-        let mut cost = 0.0;
-        let mut usage = 0.0;
-        // Offline dual sweep: evaluates the full horizon per μ probe, by
-        // design not a streaming simulation pass. audit:allow(slot-loop)
-        for t in 0..num_slots {
-            let (c, y) = slot(t, mu);
-            cost += c;
-            usage += y;
-        }
-        (cost, usage)
-    };
+    let mut sweeps = Sweeps { slot, num_slots, count: 0, last: None };
 
     // μ = 0: if the unconstrained optimum already fits the budget we are done.
-    let (c0, u0) = sweep(0.0, &mut sweeps);
+    let (c0, u0) = sweeps.at(0.0);
     if u0 <= budget * (1.0 + opts.budget_rel_tol) {
-        return Ok(DualOutcome { mu: 0.0, total_cost: c0, total_usage: u0, sweeps });
+        return Ok(DualOutcome { mu: 0.0, total_cost: c0, total_usage: u0, sweeps: sweeps.count });
     }
 
     // Grow an upper bracket where usage drops to (or below) the budget.
-    let mu_hi = grow_upper_bracket(
-        1.0,
-        |mu| {
-            let (_, u) = sweep(mu, &mut sweeps);
-            budget - u
-        },
-        opts.max_doublings,
-    )
-    .map_err(|e| match e {
-        OptError::NoConvergence { iterations, residual } => OptError::Infeasible(format!(
-            "budget unattainable even at extreme multiplier ({iterations} doublings, residual {residual:.3e}); \
-             the mandatory static/processing power exceeds the budget"
-        )),
-        other => other,
-    })?;
+    let mu_hi = grow_upper_bracket(1.0, |mu| budget - sweeps.at(mu).1, opts.max_doublings)
+        .map_err(|e| match e {
+            OptError::NoConvergence { iterations, residual } => OptError::Infeasible(format!(
+                "budget unattainable even at extreme multiplier ({iterations} doublings, residual {residual:.3e}); \
+                 the mandatory static/processing power exceeds the budget"
+            )),
+            other => other,
+        })?;
 
     let bis = BisectOptions {
         x_tol: 1e-12 * mu_hi.max(1.0),
         f_tol: budget.abs().max(1.0) * opts.budget_rel_tol,
         max_iter: opts.max_iter,
     };
-    let mu = bisect_increasing(
-        0.0,
-        mu_hi,
-        |mu| {
-            let (_, u) = sweep(mu, &mut sweeps);
-            budget - u
-        },
-        bis,
-    )?;
+    let mu = bisect_increasing(0.0, mu_hi, |mu| budget - sweeps.at(mu).1, bis)?;
 
-    // Final sweep at the located multiplier; prefer the feasible side.
-    let (c, u) = sweep(mu, &mut sweeps);
+    // Final sweep at the located multiplier (the last probe's, when the
+    // bisection stopped on one); prefer the feasible side.
+    let (c, u) = sweeps.at(mu);
     if u <= budget * (1.0 + 10.0 * opts.budget_rel_tol) {
-        return Ok(DualOutcome { mu, total_cost: c, total_usage: u, sweeps });
+        return Ok(DualOutcome { mu, total_cost: c, total_usage: u, sweeps: sweeps.count });
     }
     // Nudge up once if the midpoint landed on the infeasible side.
     let mu_up = mu * (1.0 + 1e-6) + 1e-12;
-    let (c2, u2) = sweep(mu_up, &mut sweeps);
-    Ok(DualOutcome { mu: mu_up, total_cost: c2, total_usage: u2, sweeps })
+    let (c2, u2) = sweeps.at(mu_up);
+    Ok(DualOutcome { mu: mu_up, total_cost: c2, total_usage: u2, sweeps: sweeps.count })
 }
 
 #[cfg(test)]
@@ -169,6 +181,31 @@ mod tests {
         assert!((out.mu - 2.0).abs() < 1e-3, "mu = {}", out.mu);
         // Optimal cost = 3 · (μ/2)² = 3.
         assert!((out.total_cost - 3.0).abs() < 1e-3, "cost = {}", out.total_cost);
+    }
+
+    #[test]
+    fn slot_callback_never_sees_one_multiplier_twice_in_a_row() {
+        let a = [1.0, 2.0, 3.0];
+        for budget in [0.5, 1.0, 3.0, 4.5] {
+            let mut mus: Vec<f64> = Vec::new();
+            let out = {
+                let mut slot = quad_slot(&a);
+                let recorder = |t: usize, mu: f64| {
+                    if t == 0 {
+                        mus.push(mu);
+                    }
+                    slot(t, mu)
+                };
+                solve_budget_dual(recorder, 3, budget, DualOptions::default()).unwrap()
+            };
+            for pair in mus.windows(2) {
+                assert_ne!(pair[0].to_bits(), pair[1].to_bits(), "budget {budget}: {mus:?}");
+            }
+            assert_eq!(out.sweeps, mus.len());
+            // The returned μ is the last one swept: the callback's last
+            // view of every slot is the returned plan.
+            assert_eq!(mus.last().map(|m| m.to_bits()), Some(out.mu.to_bits()));
+        }
     }
 
     #[test]

@@ -606,11 +606,13 @@ fn execute_run(
 // ---- the run queue ---------------------------------------------------------
 
 /// Queue-order weight of a `perfect_hp` lane per slot, in COCA lane-slots
-/// (measured at small scale: a PerfectHP lane-slot costs 25–30 COCA ones).
+/// (measured at small scale with the solve-scoped state memo: a PerfectHP
+/// lane-slot costs 25–32 COCA ones, as before it).
 const PERFECT_HP_LANE_SLOTS: u64 = 25;
 
 /// Queue-order weight of a budget point's offline OPT plan, in
-/// whole-horizon COCA passes (measured at small scale: up to ~8).
+/// whole-horizon COCA passes (measured at small scale with the
+/// solve-scoped state memo: 6–11 dual sweeps, costing up to ~8 passes).
 const OPT_PLAN_PASSES: u64 = 8;
 
 /// Whole-horizon passes a calibrated lane's V\* bisection costs: the two

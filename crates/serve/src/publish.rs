@@ -40,7 +40,17 @@ impl Publisher {
         self.publish_line(&msg.to_line());
     }
 
-    /// Publishes a pre-encoded line (without trailing newline).
+    /// Publishes a pre-encoded line (without trailing newline), then
+    /// yields the CPU.
+    ///
+    /// A pipe or socket write wakes its reader with a hint that the writer
+    /// is about to sleep, so the kernel may queue the reader on the
+    /// publishing thread's CPU. An engine catching up on queued slots never
+    /// sleeps, and a reader queued there waited until the engine had
+    /// drained the ingest queue: with a 64-slot queue the first decision of
+    /// a resumed backfill reached its reader after ~3 ms instead of ~1 ms
+    /// in about half the sessions. Yielding lets a woken reader run at once;
+    /// with nothing else runnable it returns immediately.
     pub fn publish_line(&self, line: &str) {
         let mut subs = self.lock();
         subs.retain_mut(|w| {
@@ -49,6 +59,8 @@ impl Publisher {
                 .and_then(|()| w.flush())
                 .is_ok()
         });
+        drop(subs);
+        std::thread::yield_now();
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Box<dyn Write + Send>>> {
