@@ -141,6 +141,8 @@ fn open_ingest(listen: &Option<String>) -> Result<Box<dyn BufRead + Send>, Strin
 }
 
 fn cmd_run(args: RunArgs) -> Result<(), String> {
+    // Before any listener binds or ingest is awaited.
+    args.cfg.validate()?;
     let registry = Arc::new(MetricsRegistry::new());
     let publisher = Publisher::new();
     if !args.quiet {

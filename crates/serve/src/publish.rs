@@ -36,12 +36,18 @@ impl Publisher {
 
     /// Publishes one message to every subscriber, appending the newline.
     /// Subscribers whose write or flush fails are dropped.
+    ///
+    /// # Panics
+    /// On a non-finite number in `msg` (see [`OutMsg::to_line`]).
     pub fn publish(&self, msg: &OutMsg) {
-        self.publish_line(&msg.to_line());
+        let mut line = msg.to_line();
+        line.push('\n');
+        self.publish_encoded(&line);
     }
 
-    /// Publishes a pre-encoded line (without trailing newline), then
-    /// yields the CPU.
+    /// Publishes one encoded line, which ends in its `\n`, as a single
+    /// write per subscriber (a subscriber never sees a line without its
+    /// newline), then yields the CPU.
     ///
     /// A pipe or socket write wakes its reader with a hint that the writer
     /// is about to sleep, so the kernel may queue the reader on the
@@ -51,14 +57,10 @@ impl Publisher {
     /// a resumed backfill reached its reader after ~3 ms instead of ~1 ms
     /// in about half the sessions. Yielding lets a woken reader run at once;
     /// with nothing else runnable it returns immediately.
-    pub fn publish_line(&self, line: &str) {
+    pub fn publish_encoded(&self, line: &str) {
+        debug_assert!(line.ends_with('\n'), "a published line ends in its newline");
         let mut subs = self.lock();
-        subs.retain_mut(|w| {
-            w.write_all(line.as_bytes())
-                .and_then(|()| w.write_all(b"\n"))
-                .and_then(|()| w.flush())
-                .is_ok()
-        });
+        subs.retain_mut(|w| w.write_all(line.as_bytes()).and_then(|()| w.flush()).is_ok());
         drop(subs);
         std::thread::yield_now();
     }
@@ -79,16 +81,14 @@ pub fn spawn_acceptor(
     publisher: Arc<Publisher>,
     hello: OutMsg,
 ) -> JoinHandle<()> {
-    let banner = hello.to_line();
+    let mut banner = hello.to_line();
+    banner.push('\n');
     std::thread::spawn(move || {
         for conn in listener.incoming() {
             let Ok(mut stream) = conn else { break };
             let mut subscribers = publisher.lock();
-            let greeted = stream
-                .write_all(banner.as_bytes())
-                .and_then(|()| stream.write_all(b"\n"))
-                .and_then(|()| stream.flush())
-                .is_ok();
+            let greeted =
+                stream.write_all(banner.as_bytes()).and_then(|()| stream.flush()).is_ok();
             if greeted {
                 subscribers.push(Box::new(stream));
             }

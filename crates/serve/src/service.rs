@@ -100,6 +100,29 @@ pub struct ServeReport {
 }
 
 impl ServeConfig {
+    /// Checks the fleet, the COCA configuration (frame length divides the
+    /// horizon, α, Z, V) and the cost model, so a bad flag is an error
+    /// naming the problem rather than a panic in the controller.
+    /// [`run_stream`] and [`run_batch`] call it before doing anything else.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.groups == 0 || self.servers_per_group == 0 {
+            return Err("fleet must have at least one group and one server".into());
+        }
+        self.coca_config().validate()?;
+        self.cost.validate().map_err(|e| e.to_string())
+    }
+
+    fn coca_config(&self) -> CocaConfig {
+        CocaConfig {
+            v: VSchedule::Constant(self.v),
+            frame_length: self.frame_length,
+            horizon: self.horizon,
+            alpha: self.alpha,
+            rec_total: self.rec_total,
+        }
+    }
+
+    /// The controller for a [validated](Self::validate) configuration.
     fn controller(
         &self,
         cluster: &Arc<Cluster>,
@@ -107,24 +130,14 @@ impl ServeConfig {
     ) -> CocaController<SymmetricSolver> {
         let mut solver = SymmetricSolver::new();
         solver.set_observer(Arc::clone(observer) as _);
-        let cfg = CocaConfig {
-            v: VSchedule::Constant(self.v),
-            frame_length: self.frame_length,
-            horizon: self.horizon,
-            alpha: self.alpha,
-            rec_total: self.rec_total,
-        };
         let mut controller =
-            CocaController::new(Arc::clone(cluster), self.cost, cfg, solver);
+            CocaController::new(Arc::clone(cluster), self.cost, self.coca_config(), solver);
         controller.set_observer(Arc::clone(observer) as _);
         controller
     }
 
-    fn cluster(&self) -> Result<Arc<Cluster>, String> {
-        if self.groups == 0 || self.servers_per_group == 0 {
-            return Err("fleet must have at least one group and one server".into());
-        }
-        Ok(Arc::new(Cluster::homogeneous(self.groups, self.servers_per_group)))
+    fn cluster(&self) -> Arc<Cluster> {
+        Arc::new(Cluster::homogeneous(self.groups, self.servers_per_group))
     }
 }
 
@@ -156,7 +169,8 @@ pub fn run_stream(
     registry: Arc<MetricsRegistry>,
     stop: Arc<AtomicBool>,
 ) -> Result<ServeReport, String> {
-    let cluster = cfg.cluster()?;
+    cfg.validate()?;
+    let cluster = cfg.cluster();
     let observer = Arc::new(MetricsObserver::new(Arc::clone(&registry)));
     let controller = cfg.controller(&cluster, &observer);
 
@@ -228,11 +242,12 @@ pub fn run_batch(
     publisher: Arc<Publisher>,
     registry: Arc<MetricsRegistry>,
 ) -> Result<ServeReport, String> {
+    cfg.validate()?;
     if cfg.resume {
         return Err("batch mode does not support --resume".into());
     }
     let trace = read_trace_ndjson(input)?;
-    let cluster = cfg.cluster()?;
+    let cluster = cfg.cluster();
     let observer = Arc::new(MetricsObserver::new(Arc::clone(&registry)));
     let controller = cfg.controller(&cluster, &observer);
     let mut engine = EngineBuilder::new(Arc::clone(&cluster), cfg.cost)
@@ -513,6 +528,80 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("version 2"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn paper_fleet_batch_stream_matches_the_value_tree_oracle() {
+        // The paper fleet (200 groups × 1080 servers): full-length levels
+        // and loads lines, with runs of equal values across each partition.
+        let cfg = ServeConfig {
+            groups: 200,
+            servers_per_group: 1080,
+            rec_total: 5000.0,
+            ..Default::default()
+        };
+        let cluster = Cluster::homogeneous(cfg.groups, cfg.servers_per_group);
+        let trace = TraceConfig {
+            hours: 24,
+            peak_arrival_rate: 0.5 * cluster.max_capacity(),
+            onsite_energy_kwh: 500.0,
+            offsite_energy_kwh: 500.0,
+            ..Default::default()
+        }
+        .generate();
+        let (publisher, buf) = capture();
+        run_batch(
+            &cfg,
+            Box::new(std::io::Cursor::new(ndjson(&trace))),
+            publisher,
+            Arc::new(MetricsRegistry::new()),
+        )
+        .unwrap();
+        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 25, "24 decisions and the end line");
+        for line in lines {
+            let msg = OutMsg::parse(line).unwrap();
+            if let OutMsg::Decision(d) = &msg {
+                assert_eq!(d.levels.len(), 200);
+                assert_eq!(d.loads.len(), 200);
+            }
+            assert_eq!(line, crate::proto::tests::oracle_out(&msg));
+        }
+    }
+
+    #[test]
+    fn invalid_configs_are_errors_before_any_work() {
+        let horizon = ServeConfig { horizon: 200, ..test_cfg() };
+        let err = horizon.validate().unwrap_err();
+        assert!(err.contains("horizon 200") && err.contains("frame length 24"), "{err}");
+        let mut cost = test_cfg();
+        cost.cost.gamma = 1.5;
+        assert!(cost.validate().unwrap_err().contains("gamma"));
+        let alpha = ServeConfig { alpha: 0.0, ..test_cfg() };
+        assert!(alpha.validate().is_err());
+        let fleet = ServeConfig { groups: 0, ..test_cfg() };
+        assert!(fleet.validate().is_err());
+        assert!(test_cfg().validate().is_ok());
+
+        // The service entry points refuse it without reading the input.
+        let err = run_stream(
+            &horizon,
+            Box::new(std::io::Cursor::new(Vec::new())),
+            Publisher::new(),
+            Arc::new(MetricsRegistry::new()),
+            Arc::new(AtomicBool::new(false)),
+        )
+        .unwrap_err();
+        assert!(err.contains("horizon 200"), "{err}");
+        let err = run_batch(
+            &horizon,
+            Box::new(std::io::Cursor::new(Vec::new())),
+            Publisher::new(),
+            Arc::new(MetricsRegistry::new()),
+        )
+        .unwrap_err();
+        assert!(err.contains("horizon 200"), "{err}");
     }
 
     #[test]

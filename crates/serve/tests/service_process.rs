@@ -305,3 +305,23 @@ fn committed_trace_fixtures_replay_through_the_service() {
         assert!(stream.contains(&format!("\"slots\":{}", slots.len())));
     }
 }
+
+#[test]
+fn invalid_config_exits_non_zero_with_the_validation_message() {
+    for mode in ["serve", "batch"] {
+        let out = Command::new(SERVE)
+            .args(["run", "--mode", mode, "--horizon", "200"])
+            .args(FLEET)
+            .stdin(Stdio::null())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{mode}: {stderr}");
+        assert!(
+            stderr.contains("horizon 200 must be a multiple of the frame length 24"),
+            "{mode}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{mode}: {stderr}");
+        assert!(out.stdout.is_empty(), "{mode}: no decision stream");
+    }
+}
