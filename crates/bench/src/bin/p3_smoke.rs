@@ -37,9 +37,12 @@
 //! measured both ways.
 //!
 //! It also times [`SymmetricSolver`], the solver every figure, baseline and
-//! `coca-serve` runs, warm on the same instance, and prints its ns/solve
-//! and its kernel prices per solve (each distinct partition state once)
-//! beside the GSD rows. That row is informational: no threshold gates it.
+//! `coca-serve` runs, warm on the same instance and on the fleet of the
+//! small-scale figure batch (`Cluster::scaled_paper_datacenter(8, 200)`,
+//! where that batch's solves happen), and prints its ns/solve, its kernel
+//! prices per solve (each distinct partition state once) and its
+//! water-level evaluations per price beside the GSD rows. Those rows are
+//! informational: no threshold gates them.
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -72,18 +75,43 @@ fn time_solves(mut solve: impl FnMut() -> Vec<usize>) -> (Duration, Vec<Vec<usiz
     (t0.elapsed(), levels)
 }
 
-fn main() -> ExitCode {
-    let cluster = Cluster::paper_datacenter();
-    // Identical instance to the `p3_gsd500_paper_scale` criterion group.
-    let p = SlotProblem {
-        cluster: &cluster,
+/// The slot of the `p3_gsd500_paper_scale` criterion group on `cluster`.
+fn slot(cluster: &Cluster) -> SlotProblem<'_> {
+    SlotProblem {
+        cluster,
         arrival_rate: 0.5 * cluster.max_capacity(),
         onsite: 0.05 * cluster.peak_power(),
         energy_weight: 300.0,
         delay_weight: 1000.0,
         gamma: 0.95,
         pue: 1.0,
-    };
+    }
+}
+
+/// Times warm [`SymmetricSolver`] solves of `p` and prints the row: ns per
+/// solve, kernel prices per solve and water-level evaluations per price.
+fn symmetric_row(name: &str, p: &SlotProblem<'_>) {
+    let mut symmetric = SymmetricSolver::new();
+    let (mut prices, mut evals) = (0u64, 0u64);
+    let (time, levels) = time_solves(|| {
+        let levels = symmetric.solve(p).expect("symmetric solve").levels;
+        prices += symmetric.stats().batched_candidates;
+        evals += symmetric.stats().bisection_evals;
+        levels
+    });
+    let ns = time.as_nanos() as f64 / ROUNDS as f64;
+    let prices_per_solve = prices as f64 / levels.len() as f64;
+    let evals_per_price = evals as f64 / prices.max(1) as f64;
+    println!(
+        "  {name:<19}: {ns:>12.0} ns/solve  ({prices_per_solve:.1} kernel prices/solve, \
+         {evals_per_price:.2} evals/price, informational)"
+    );
+}
+
+fn main() -> ExitCode {
+    let cluster = Cluster::paper_datacenter();
+    // Identical instance to the `p3_gsd500_paper_scale` criterion group.
+    let p = slot(&cluster);
     let opts = GsdOptions {
         iterations: 500,
         schedule: TemperatureSchedule::Constant(1e6),
@@ -95,26 +123,16 @@ fn main() -> ExitCode {
     let mut cold = ColdGsd::new(&opts);
     let (cold_time, cold_levels) = time_solves(|| cold.solve(&p));
 
-    let mut symmetric = SymmetricSolver::new();
-    let mut symmetric_prices = 0u64;
-    let (symmetric_time, symmetric_levels) = time_solves(|| {
-        let levels = symmetric.solve(&p).expect("symmetric solve").levels;
-        symmetric_prices += symmetric.stats().batched_candidates;
-        levels
-    });
 
     let kernel_ns = kernel_time.as_nanos() as f64 / ROUNDS as f64;
     let cold_ns = cold_time.as_nanos() as f64 / ROUNDS as f64;
-    let symmetric_ns = symmetric_time.as_nanos() as f64 / ROUNDS as f64;
     let speedup = cold_ns / kernel_ns;
     println!("p3_gsd500_paper_scale ({ROUNDS} solves averaged):");
     println!("  gsd500_cold_oracle : {cold_ns:>12.0} ns/solve");
     println!("  gsd500_kernel      : {kernel_ns:>12.0} ns/solve  ({speedup:.2}x)");
-    let prices_per_solve = symmetric_prices as f64 / symmetric_levels.len() as f64;
-    println!(
-        "  symmetric_warm     : {symmetric_ns:>12.0} ns/solve  \
-         ({prices_per_solve:.1} kernel prices/solve, informational)"
-    );
+    symmetric_row("symmetric_warm", &p);
+    let batch_fleet = Cluster::scaled_paper_datacenter(8, 200);
+    symmetric_row("symmetric_8x200", &slot(&batch_fleet));
 
     if let Some(slot) = (0..kernel_levels.len()).find(|&i| kernel_levels[i] != cold_levels[i]) {
         eprintln!("FAIL: kernel chain diverged from the cold reference chain at solve {slot}");

@@ -17,11 +17,12 @@
 //! multiplicity of its partition's row `ℓ` to `n` and zeroes the
 //! partition's other rows; capped capacity and base power are summed from
 //! the state (`active · static · pue`), and one warm-started
-//! [`SoaWaterfill`] solve prices it. The water-filling and its ν/μ brackets
-//! live for one descent, so no slot-dependent state outlives a solve or
-//! enters a checkpoint. The chosen levels are dispatched by the cold
-//! [`optimal_dispatch`], so published loads and costs do not carry the
-//! kernel's ≤ 1e-9 tolerance.
+//! [`SoaWaterfill`] solve prices it on the state's live rows (at most one
+//! per partition). The fleet keeps one water-filling solver, `reset()` at
+//! the start of every descent, so its ν/μ brackets live for one descent and
+//! no slot-dependent state outlives a solve or enters a checkpoint. The
+//! chosen levels are dispatched by the cold [`optimal_dispatch`], so
+//! published loads and costs do not carry the kernel's ≤ 1e-9 tolerance.
 //!
 //! Each distinct state is priced once per solve. The warm and full-speed
 //! descents and their confirming last rounds revisit many states; a
@@ -29,6 +30,9 @@
 //! (with every "all off" spelling written `(0, 0)`) answers those from the
 //! first price. It is cleared by every solve, so it never carries a cost
 //! across slots or problems and never enters a checkpoint (DESIGN §10.3).
+//! Within one count line of a descent step the costs are also kept in a
+//! per-line buffer, so the line search reads a count it already asked for
+//! without hashing the state again (DESIGN §10.5).
 //!
 //! This solver is the workhorse for the year-long experiment sweeps and
 //! `coca-serve`; GSD remains the reference algorithm (and the subject of
@@ -199,6 +203,14 @@ struct FleetTables {
     applied: Vec<PartState>,
     /// Costs of the states the current solve has priced.
     memo: StateMemo,
+    /// The water-filling every price runs on, `reset()` at the start of
+    /// each descent so no ν/μ bracket crosses one; its buffers outlive
+    /// the descent.
+    soa: SoaWaterfill,
+    /// Costs of the counts `n_min..=n_max` of the (partition, level) line
+    /// a descent step is searching, `NAN` until priced (see
+    /// [`SymmetricSolver::descend`]).
+    line: Vec<f64>,
     /// Kernel prices (memo misses) in the current solve.
     prices: u64,
     /// Water-level evaluations those prices spent.
@@ -282,7 +294,6 @@ impl FleetTables {
     fn price(
         &mut self,
         problem: &SlotProblem<'_>,
-        soa: &mut SoaWaterfill,
         state: &[PartState],
         visit: &mut Visitor<'_>,
     ) -> f64 {
@@ -320,10 +331,10 @@ impl FleetTables {
             capped_capacity: cap,
             renewable: problem.onsite,
         };
-        let cost = soa.solve(&bp).map_or(f64::INFINITY, |out| out.objective);
+        let cost = self.soa.solve(&bp).map_or(f64::INFINITY, |out| out.objective);
         // audit:hot-path: begin
         self.prices += 1;
-        self.evals += soa.last_evals;
+        self.evals += self.soa.last_evals;
         self.memo.insert(state, hash, cost);
         // audit:hot-path: end
         if let Some(v) = visit {
@@ -542,8 +553,10 @@ impl SymmetricSolver {
         visit: &mut Visitor<'_>,
     ) -> (Vec<PartState>, f64, usize) {
         let tables = &mut self.tables;
-        let mut soa = SoaWaterfill::new();
-        let mut best_cost = tables.price(problem, &mut soa, &state, visit);
+        // audit:hot-path: begin
+        tables.soa.reset();
+        // audit:hot-path: end
+        let mut best_cost = tables.price(problem, &state, visit);
         debug_assert!(best_cost.is_finite());
 
         debug_assert!(problem.gamma > 0.0, "gamma validated by SlotProblem::validate");
@@ -575,11 +588,24 @@ impl SymmetricSolver {
                     if n_min > n_max {
                         continue;
                     }
+                    // Only `state[pi]` moves along this line, so a count's
+                    // cost is read back from the line buffer when the
+                    // search asks for it again. A repeat would be a memo
+                    // hit, so misses, visits and stats are unchanged.
+                    // audit:hot-path: begin
+                    tables.line.clear();
+                    tables.line.resize(n_max - n_min + 1, f64::NAN);
+                    // audit:hot-path: end
                     let mut cost_at = |n: usize, state: &mut Vec<PartState>| -> f64 {
+                        let known = tables.line[n - n_min];
+                        if !known.is_nan() {
+                            return known;
+                        }
                         let saved = state[pi];
                         state[pi] = PartState { level, active: n };
-                        let c = tables.price(problem, &mut soa, state, visit);
+                        let c = tables.price(problem, state, visit);
                         state[pi] = saved;
+                        tables.line[n - n_min] = c;
                         c
                     };
                     // Integer ternary search on the (practically unimodal)

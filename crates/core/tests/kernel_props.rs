@@ -544,3 +544,65 @@ fn symmetric_choices_are_pinned() {
     assert_eq!(chosen(&mut SymmetricSolver::new(), &slack), [[4, 4], [4, 4], [4, 4]]);
     assert_eq!(chosen(&mut SymmetricSolver::new(), &kink), [[4, 4], [4, 4], [4, 4]]);
 }
+
+/// One solve's visit sequence and work counters: the number of visits, an
+/// FNV-1a digest over every visited speed vector and the bits of its cost,
+/// then the descent rounds, kernel prices and water-level evaluations.
+fn visits_and_work(solver: &mut SymmetricSolver, p: &SlotProblem<'_>) -> [u64; 5] {
+    let mut visits = 0u64;
+    let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+    let mut mix = |word: u64| {
+        for byte in word.to_le_bytes() {
+            digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let _ = solver
+        .solve_visiting(p, &mut |levels, cost| {
+            visits += 1;
+            for &level in levels {
+                mix(level as u64);
+            }
+            mix(cost.to_bits());
+        })
+        .unwrap();
+    let stats = solver.stats();
+    [visits, digest, stats.iterations as u64, stats.batched_candidates, stats.bisection_evals]
+}
+
+#[test]
+fn symmetric_visits_and_work_are_pinned() {
+    ensure_strict();
+    // The instances of `symmetric_choices_are_pinned`. A faster kernel or
+    // descent must visit the same states in the same order, price each to
+    // the same bits, and spend the same kernel prices and water-level
+    // evaluations.
+    let homogeneous = Cluster::homogeneous(200, 1080);
+    let paper = Cluster::paper_datacenter();
+    let lighter = SlotProblem {
+        arrival_rate: 0.3 * paper.max_capacity(),
+        onsite: 0.0,
+        ..paper_slot(&paper)
+    };
+    let cluster = random_cluster(12, 40, 3);
+    let [active, slack, kink] = regime_cases(&cluster);
+    let mut warm = SymmetricSolver::new();
+    let got = [
+        visits_and_work(&mut SymmetricSolver::new(), &paper_slot(&homogeneous)),
+        visits_and_work(&mut warm, &paper_slot(&paper)),
+        visits_and_work(&mut warm, &lighter),
+        visits_and_work(&mut SymmetricSolver::new(), &active),
+        visits_and_work(&mut SymmetricSolver::new(), &slack),
+        visits_and_work(&mut SymmetricSolver::new(), &kink),
+    ];
+    // Values recorded before the live-row kernel passes, the per-line
+    // price reuse and the reused water-filling solver went in.
+    let want: [[u64; 5]; 6] = [
+        [27, 0xa930b673edb0e4a7, 2, 27, 252],
+        [494, 0x3be58d5161f7ad34, 6, 494, 3400],
+        [259, 0x1075327f024e12ad, 4, 259, 1169],
+        [39, 0x6c8a5d9b61eb30a1, 2, 39, 279],
+        [47, 0x2c89c746115c1b3f, 1, 47, 355],
+        [47, 0x2e7c6e2e8691b263, 1, 47, 594],
+    ];
+    assert_eq!(got, want);
+}

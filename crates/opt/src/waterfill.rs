@@ -524,12 +524,12 @@ pub struct SoaOutcome {
 // Struct-of-arrays batched kernel
 // ---------------------------------------------------------------------------
 
-/// Fixed lane width of the chunked SoA kernels: rows are processed in
-/// `[f64; LANE_WIDTH]` blocks with a scalar tail. Eight doubles span one
-/// AVX-512 register (two AVX2 / four NEON), which is the portable-SIMD
-/// sweet spot on stable Rust — wide enough that LLVM autovectorizes the
-/// branch-free row math, narrow enough that the tail stays cheap for the
-/// collapsed type multisets (≤ 16 rows at paper scale).
+/// Fixed lane width of the SoA kernels: row `k` of a full
+/// `[f64; LANE_WIDTH]` chunk accumulates into lane `k % LANE_WIDTH`, and
+/// the rows past the last full chunk form a scalar tail. Eight doubles
+/// span one AVX-512 register (two AVX2 / four NEON); the lane count fixes
+/// the summation tree, so totals do not depend on how the compiler
+/// schedules a pass.
 pub const LANE_WIDTH: usize = 8;
 
 /// Struct-of-arrays twin of a `[QueueSpec]` slice, plus a static-power lane:
@@ -743,35 +743,13 @@ impl BankProblem<'_> {
         }
         Ok(())
     }
-
-    /// Total dispatched load `Σ mᵢ·λᵢ`.
-    pub fn dispatched(&self, lambdas: &[f64]) -> f64 {
-        bank_dispatched(self.bank, lambdas)
-    }
-
-    /// Total power `P₀ + Σ mᵢ·cᵢ·λᵢ`.
-    pub fn power(&self, lambdas: &[f64]) -> f64 {
-        bank_power(self.bank, self.base_power, lambdas)
-    }
-
-    /// Total unweighted delay cost `Σ mᵢ·λᵢ/(Xᵢ − λᵢ)`.
-    pub fn delay(&self, lambdas: &[f64]) -> f64 {
-        bank_delay(self.bank, lambdas)
-    }
-
-    /// True (kinked) objective value for a distribution.
-    pub fn objective(&self, lambdas: &[f64]) -> f64 {
-        self.energy_weight * pos(self.power(lambdas) - self.renewable)
-            + self.delay_weight * self.delay(lambdas)
-    }
 }
 
-// The bank kernels below are the data-parallel counterparts of `lambda_at`
-// and `rescale_interior`: every per-row branch is turned
-// into a select so the `[f64; LANE_WIDTH]` chunks autovectorize, and all
-// results land in caller-provided slices. They run once per water-level
-// evaluation inside the batched Gibbs candidate sweep and must stay
-// allocation-free.
+// The bank kernels below are the lane counterparts of `lambda_at` and
+// `rescale_interior`. They walk the live rows of one solve (`LiveRows`),
+// keep each row's lane, and write into caller-provided slices. They run
+// once per water-level evaluation of every P3 price (GSD candidates and
+// `SymmetricSolver` states alike) and must stay allocation-free.
 // audit:hot-path: begin
 
 /// Branch-free twin of [`lambda_at`]: identical arithmetic, with the
@@ -817,70 +795,93 @@ fn bank_row_load_slope(x: f64, u: f64, c: f64, nu: f64, a_eff: f64, wox: f64, wx
     if raw < u { (raw, 0.5 * root * inv_gap) } else { (u, 0.0) }
 }
 
-/// Chunked aggregate load `Σ mᵢ·λᵢ(ν)` — the water-filling residual's
-/// workhorse, evaluating every row in `[f64; LANE_WIDTH]` blocks with a
-/// scalar tail. Lane accumulators change the summation *order* relative to
-/// the cold path, so totals agree to rounding (≪ the 1e-12·λ stopping
-/// tolerance), not bit-for-bit.
-fn bank_total_at(bank: &QueueBank, nu: f64, a_eff: f64, wox: &[f64], wx: &[f64]) -> f64 {
-    let n = bank.capacity.len();
-    let xs = &bank.capacity[..n];
-    let us = &bank.util_cap[..n];
-    let cs = &bank.energy_slope[..n];
+/// The rows of a bank with `m > 0`, ascending, split where the bank's last
+/// full `[f64; LANE_WIDTH]` chunk ends. [`SoaWaterfill`] builds it once per
+/// solve, and every per-price pass below walks it instead of the whole
+/// bank.
+///
+/// A live row `k` inside the chunks accumulates into lane
+/// `k % LANE_WIDTH`, exactly the lane the full-bank chunk loop gives it,
+/// and the rows past the last chunk are added after the lane sum, as that
+/// loop does. A dead row adds `0·λ = +0.0` there, and `x + 0.0 = x` for
+/// every sum these passes can hold (they start at `+0.0` and only add
+/// non-negative terms), so skipping dead rows leaves every total
+/// bit-identical to the full-bank pass (DESIGN §10.5).
+#[derive(Debug, Clone, Copy)]
+struct LiveRows<'a> {
+    /// Live row indices, ascending.
+    rows: &'a [usize],
+    /// How many of `rows` lie inside the full lane chunks.
+    chunked: usize,
+}
+
+impl LiveRows<'_> {
+    /// Live rows inside the full lane chunks.
+    fn chunked(&self) -> &[usize] {
+        &self.rows[..self.chunked]
+    }
+
+    /// Live rows of the scalar tail.
+    fn tail(&self) -> &[usize] {
+        &self.rows[self.chunked..]
+    }
+}
+
+/// Aggregate load `Σ mᵢ·λᵢ(ν)` over the live rows — the water-filling
+/// residual's workhorse. Lane accumulators change the summation *order*
+/// relative to the cold path, so totals agree with it to rounding
+/// (≪ the 1e-12·λ stopping tolerance), not bit-for-bit.
+fn bank_total_at(
+    bank: &QueueBank,
+    live: LiveRows<'_>,
+    nu: f64,
+    a_eff: f64,
+    wox: &[f64],
+    wx: &[f64],
+) -> f64 {
+    // Lanes re-sliced to one length, so one bounds check covers a row.
+    let n = bank.len();
+    let (xs, us, cs) = (&bank.capacity[..n], &bank.util_cap[..n], &bank.energy_slope[..n]);
     let ms = &bank.multiplicity[..n];
     let (wox, wx) = (&wox[..n], &wx[..n]);
     let mut acc = [0.0_f64; LANE_WIDTH];
-    let split = n - n % LANE_WIDTH;
-    for base in (0..split).step_by(LANE_WIDTH) {
-        for (j, a) in acc.iter_mut().enumerate() {
-            let k = base + j;
-            *a += ms[k] * bank_row_load(xs[k], us[k], cs[k], nu, a_eff, wox[k], wx[k]);
-        }
+    for &k in live.chunked() {
+        acc[k % LANE_WIDTH] += ms[k] * bank_row_load(xs[k], us[k], cs[k], nu, a_eff, wox[k], wx[k]);
     }
     let mut total = acc.iter().sum::<f64>();
-    for k in split..n {
+    for &k in live.tail() {
         total += ms[k] * bank_row_load(xs[k], us[k], cs[k], nu, a_eff, wox[k], wx[k]);
     }
     total
 }
 
-/// Chunked aggregate load and ν-slope in one pass, writing each row's load
-/// into `out` (the accepting Newton evaluation doubles as the final fill).
+/// Aggregate load and ν-slope over the live rows in one pass, writing each
+/// live row's load into `out` (the accepting Newton evaluation doubles as
+/// the final fill).
 fn bank_total_slope_into(
     bank: &QueueBank,
+    live: LiveRows<'_>,
     nu: f64,
     a_eff: f64,
     wox: &[f64],
     wx: &[f64],
     out: &mut [f64],
 ) -> (f64, f64) {
-    let n = bank.capacity.len();
-    let xs = &bank.capacity[..n];
-    let us = &bank.util_cap[..n];
-    let cs = &bank.energy_slope[..n];
+    let n = bank.len();
+    let (xs, us, cs) = (&bank.capacity[..n], &bank.util_cap[..n], &bank.energy_slope[..n]);
     let ms = &bank.multiplicity[..n];
-    let (wox, wx) = (&wox[..n], &wx[..n]);
-    // Re-slicing `out` (not just asserting) removes the bounds-check panic
-    // path from the chunk loop, which would otherwise block vectorization.
-    let out = &mut out[..n];
+    let (wox, wx, out) = (&wox[..n], &wx[..n], &mut out[..n]);
     let mut acc_t = [0.0_f64; LANE_WIDTH];
     let mut acc_s = [0.0_f64; LANE_WIDTH];
-    let split = n - n % LANE_WIDTH;
-    // Per-lane accumulators fix the summation tree (stable totals however
-    // the compiler unrolls the chunk), and the re-sliced inputs keep the
-    // body free of bounds checks.
-    for base in (0..split).step_by(LANE_WIDTH) {
-        for (j, (t, s)) in acc_t.iter_mut().zip(acc_s.iter_mut()).enumerate() {
-            let k = base + j;
-            let (l, ds) = bank_row_load_slope(xs[k], us[k], cs[k], nu, a_eff, wox[k], wx[k]);
-            out[k] = l;
-            *t += ms[k] * l;
-            *s += ms[k] * ds;
-        }
+    for &k in live.chunked() {
+        let (l, ds) = bank_row_load_slope(xs[k], us[k], cs[k], nu, a_eff, wox[k], wx[k]);
+        out[k] = l;
+        acc_t[k % LANE_WIDTH] += ms[k] * l;
+        acc_s[k % LANE_WIDTH] += ms[k] * ds;
     }
     let mut total = acc_t.iter().sum::<f64>();
     let mut slope = acc_s.iter().sum::<f64>();
-    for k in split..n {
+    for &k in live.tail() {
         let (l, ds) = bank_row_load_slope(xs[k], us[k], cs[k], nu, a_eff, wox[k], wx[k]);
         out[k] = l;
         total += ms[k] * l;
@@ -889,119 +890,96 @@ fn bank_total_slope_into(
     (total, slope)
 }
 
-/// Writes every row's clipped load at water level `nu` into `out` (the
+/// Writes each live row's clipped load at water level `nu` into `out` (the
 /// batched [`lambda_at`] fill pass).
-fn bank_fill_into(bank: &QueueBank, nu: f64, a_eff: f64, wox: &[f64], wx: &[f64], out: &mut [f64]) {
-    let n = bank.capacity.len();
-    debug_assert_eq!(out.len(), n, "out must be pre-sized to the bank");
-    for (((((o, &x), &u), &c), &ox), &px) in out
-        .iter_mut()
-        .zip(&bank.capacity)
-        .zip(&bank.util_cap)
-        .zip(&bank.energy_slope)
-        .zip(wox)
-        .zip(wx)
-    {
-        *o = bank_row_load(x, u, c, nu, a_eff, ox, px);
+fn bank_fill_into(
+    bank: &QueueBank,
+    live: LiveRows<'_>,
+    nu: f64,
+    a_eff: f64,
+    wox: &[f64],
+    wx: &[f64],
+    out: &mut [f64],
+) {
+    for &k in live.rows {
+        let (x, u, c) = (bank.capacity[k], bank.util_cap[k], bank.energy_slope[k]);
+        out[k] = bank_row_load(x, u, c, nu, a_eff, wox[k], wx[k]);
     }
 }
 
-/// Total dispatched load `Σ mᵢ·λᵢ`.
-fn bank_dispatched(bank: &QueueBank, lambdas: &[f64]) -> f64 {
-    lambdas.iter().zip(&bank.multiplicity).map(|(&l, &m)| m * l).sum()
-}
-
-/// Total power `base + Σ mᵢ·cᵢ·λᵢ`.
-fn bank_power(bank: &QueueBank, base_power: f64, lambdas: &[f64]) -> f64 {
+/// Total power `base + Σ mᵢ·cᵢ·λᵢ` over the live rows — the kink
+/// search's per-trial pass.
+fn bank_power(bank: &QueueBank, live: LiveRows<'_>, base_power: f64, lambdas: &[f64]) -> f64 {
     let mut p = base_power;
-    for ((&l, &m), &c) in lambdas.iter().zip(&bank.multiplicity).zip(&bank.energy_slope) {
-        p += m * c * l;
+    for &k in live.rows {
+        p += bank.multiplicity[k] * bank.energy_slope[k] * lambdas[k];
     }
     p
 }
 
-/// [`bank_power`] and [`bank_delay`] in one pass — the regime selection
-/// always consumes both (the kink test needs the power, the objective the
-/// delay), so the separate walks would just re-stream the same lanes.
-fn bank_power_delay(bank: &QueueBank, base_power: f64, lambdas: &[f64]) -> (f64, f64) {
+/// Total power and delay over the live rows in one pass — the regime
+/// selection always consumes both (the kink test needs the power, the
+/// objective the delay).
+fn bank_power_delay(
+    bank: &QueueBank,
+    live: LiveRows<'_>,
+    base_power: f64,
+    lambdas: &[f64],
+) -> (f64, f64) {
     let mut p = base_power;
     let mut d = 0.0;
-    for (((&l, &m), &c), &x) in lambdas
-        .iter()
-        .zip(&bank.multiplicity)
-        .zip(&bank.energy_slope)
-        .zip(&bank.capacity)
-    {
-        p += m * c * l;
-        d += if l > 0.0 { m * l / (x - l) } else { 0.0 };
+    for &k in live.rows {
+        let (l, m) = (lambdas[k], bank.multiplicity[k]);
+        p += m * bank.energy_slope[k] * l;
+        d += if l > 0.0 { m * l / (bank.capacity[k] - l) } else { 0.0 };
     }
     (p, d)
 }
 
-/// Total unweighted delay cost `Σ mᵢ·λᵢ/(Xᵢ − λᵢ)` (zero-load rows and
-/// retracted rows contribute nothing).
-fn bank_delay(bank: &QueueBank, lambdas: &[f64]) -> f64 {
-    let mut d = 0.0;
-    for ((&l, &m), &x) in lambdas.iter().zip(&bank.multiplicity).zip(&bank.capacity) {
-        d += if l > 0.0 { m * l / (x - l) } else { 0.0 };
-    }
-    d
+/// Lower bisection bracket over the live rows (retracted `m = 0` rows must
+/// not pull the bracket — their marginal cost is meaningless).
+fn bank_nu_lower_bound(bank: &QueueBank, live: LiveRows<'_>, a_eff: f64, wox: &[f64]) -> f64 {
+    live.rows
+        .iter()
+        .fold(f64::INFINITY, |lo, &k| lo.min(a_eff * bank.energy_slope[k] + wox[k]))
 }
 
-/// Lower bisection bracket over the *live* rows (retracted `m = 0` rows
-/// must not pull the bracket — their marginal cost is meaningless).
-fn bank_nu_lower_bound(bank: &QueueBank, a_eff: f64, wox: &[f64]) -> f64 {
-    let mut lo = f64::INFINITY;
-    for ((&m, &c), &ox) in bank.multiplicity.iter().zip(&bank.energy_slope).zip(wox) {
-        let t = if m > 0.0 { a_eff * c + ox } else { f64::INFINITY };
-        lo = lo.min(t);
-    }
-    lo
-}
-
-/// Batched [`rescale_interior`]: interior rows absorb the bisection slack
-/// in proportion to their load. Retracted rows carry zero weight, so they
-/// neither contribute to nor consume the slack.
-fn bank_rescale_interior(lambdas: &mut [f64], bank: &QueueBank, lam: f64) {
+/// Batched [`rescale_interior`]: interior live rows absorb the bisection
+/// slack in proportion to their load; when none is interior, a positive
+/// remainder fills the live rows' headroom in row order (the batched
+/// [`distribute_remainder`]).
+fn bank_rescale_interior(lambdas: &mut [f64], bank: &QueueBank, live: LiveRows<'_>, lam: f64) {
     // One fused pass for the dispatched total and the interior mass — the
-    // slack test needs both, and separate walks would re-stream the lanes.
+    // slack test needs both.
     let mut total = 0.0;
     let mut interior = 0.0;
-    for ((&l, &u), &m) in lambdas.iter().zip(&bank.util_cap).zip(&bank.multiplicity) {
+    for &k in live.rows {
+        let (l, m) = (lambdas[k], bank.multiplicity[k]);
         total += m * l;
-        if l > 0.0 && l < u {
+        if l > 0.0 && l < bank.util_cap[k] {
             interior += m * l;
         }
     }
-    let slack = lam - total;
+    let mut slack = lam - total;
     if slack.abs() > 0.0 {
         if interior > 0.0 {
-            for (l, &u) in lambdas.iter_mut().zip(&bank.util_cap) {
+            for &k in live.rows {
+                let (l, u) = (&mut lambdas[k], bank.util_cap[k]);
                 if *l > 0.0 && *l < u {
                     *l = (*l + (slack / interior) * *l).clamp(0.0, u);
                 }
             }
         } else if slack > 0.0 {
-            bank_distribute_remainder(lambdas, bank, slack);
+            for &k in live.rows {
+                if slack <= 0.0 {
+                    break;
+                }
+                let m = bank.multiplicity[k];
+                let take = ((bank.util_cap[k] - lambdas[k]) * m).min(slack);
+                lambdas[k] += take / m;
+                slack -= take;
+            }
         }
-    }
-}
-
-/// Batched [`distribute_remainder`] (retracted rows skipped: they have no
-/// headroom and dividing the zero take by `m = 0` would poison the row).
-fn bank_distribute_remainder(lambdas: &mut [f64], bank: &QueueBank, mut slack: f64) {
-    for ((l, &u), &m) in lambdas.iter_mut().zip(&bank.util_cap).zip(&bank.multiplicity) {
-        if slack <= 0.0 {
-            break;
-        }
-        if m <= 0.0 {
-            continue;
-        }
-        let headroom = (u - *l) * m;
-        let take = headroom.min(slack);
-        debug_assert!(m > 0.0, "retracted rows are skipped above");
-        *l += take / m;
-        slack -= take;
     }
 }
 
@@ -1023,9 +1001,11 @@ fn bank_distribute_remainder(lambdas: &mut [f64], bank: &QueueBank, mut slack: f
 ///   the bracket, a warm bracket is only used after verifying
 ///   `f(lo) ≤ 0 ≤ f(hi)`; on a miss the solver falls back to the cold
 ///   bracket (lower bound + [`grow_upper_bracket`]).
-/// * **Lane passes.** Every residual evaluation is one chunked pass over
-///   the bank lanes instead of a per-`QueueSpec` branchy loop, and the
-///   per-row loads live in reusable buffers, so the steady-state solve
+/// * **Live-row lane passes.** Every residual evaluation is one pass over
+///   the bank's live rows (`m > 0`, collected once per solve), each
+///   accumulated in its own lane, instead of a per-`QueueSpec` loop; the
+///   totals are bit-identical to a pass over every row (see `LiveRows`).
+///   The per-row loads live in reusable buffers, so the steady-state solve
 ///   performs no heap allocation.
 ///
 /// Invariant hooks: load conservation fires on every solve, exactly like
@@ -1053,6 +1033,11 @@ pub struct SoaWaterfill {
     aos_specs: Vec<QueueSpec>,
     /// Loads matching `aos_specs` row-for-row.
     aos_lambdas: Vec<f64>,
+    /// The bank's live rows (`m > 0`) for the current solve, ascending;
+    /// every per-price pass walks these only.
+    live: Vec<usize>,
+    /// How many of `live` lie inside the bank's full lane chunks.
+    live_chunked: usize,
     /// Per-row activation thresholds `W/xᵢ`, derived once per (delay
     /// weight, capacity-lane) pair and reused by every residual evaluation
     /// — the per-row divides were a measurable share of the Newton pass.
@@ -1086,8 +1071,7 @@ impl SoaWaterfill {
     }
 
     /// Per-row loads of the most recent [`Self::solve`] (same order as the
-    /// bank rows; retracted rows may hold phantom values — weigh by the
-    /// multiplicity lane when aggregating).
+    /// bank rows; retracted `m = 0` rows hold 0).
     pub fn lambdas(&self) -> &[f64] {
         &self.lambdas
     }
@@ -1102,7 +1086,9 @@ impl SoaWaterfill {
         self.last_evals = 0;
         let out = self.solve_inner(problem)?;
         let inv = crate::invariant::global();
-        inv.load_conserved(bank_dispatched(problem.bank, &self.lambdas), problem.total_load);
+        let dispatched: f64 =
+            self.live.iter().map(|&k| problem.bank.multiplicity[k] * self.lambdas[k]).sum();
+        inv.load_conserved(dispatched, problem.total_load);
         if cfg!(debug_assertions) || inv.is_strict() {
             self.check_kkt(problem);
         }
@@ -1125,28 +1111,60 @@ impl SoaWaterfill {
         crate::invariant::global().kkt(&view, &self.aos_lambdas);
     }
 
-    /// Rebuilds `aos_specs`/`aos_lambdas` from the bank's `m > 0` rows.
+    /// Rebuilds `aos_specs`/`aos_lambdas` from the live rows.
     fn compact_live_rows(&mut self, bank: &QueueBank) {
-        self.aos_specs.clear();
+        self.compact_live_specs(bank);
         self.aos_lambdas.clear();
-        for row in 0..bank.len() {
-            let m = bank.multiplicity[row];
+        self.aos_lambdas.extend(self.live.iter().map(|&row| self.lambdas[row]));
+    }
+
+    /// Rebuilds `aos_specs` from the live rows.
+    fn compact_live_specs(&mut self, bank: &QueueBank) {
+        self.aos_specs.clear();
+        self.aos_specs.extend(self.live.iter().map(|&row| QueueSpec {
+            capacity: bank.capacity[row],
+            util_cap: bank.util_cap[row],
+            energy_slope: bank.energy_slope[row],
+            multiplicity: bank.multiplicity[row],
+        }));
+    }
+
+    /// Collects the bank's live rows (`m > 0`, ascending) and their lane
+    /// split, and zeroes the dead rows' loads in both buffers: every pass
+    /// of the solve reads and writes the live rows only. The buffers are
+    /// resized only when the bank's row count changes, and nothing
+    /// allocates once they have grown to it.
+    fn collect_live_rows(&mut self, bank: &QueueBank) {
+        let n = bank.len();
+        // audit:hot-path: begin
+        if self.lambdas.len() != n {
+            self.lambdas.resize(n, 0.0);
+            self.scratch.resize(n, 0.0);
+        }
+        self.live.clear();
+        let rows = bank.multiplicity.iter().zip(&mut self.lambdas).zip(&mut self.scratch);
+        for (row, ((&m, l), s)) in rows.enumerate() {
             if m > 0.0 {
-                self.aos_specs.push(QueueSpec {
-                    capacity: bank.capacity[row],
-                    util_cap: bank.util_cap[row],
-                    energy_slope: bank.energy_slope[row],
-                    multiplicity: m,
-                });
-                self.aos_lambdas.push(self.lambdas[row]);
+                self.live.push(row);
+            } else {
+                (*l, *s) = (0.0, 0.0);
             }
         }
+        let split = n - n % LANE_WIDTH;
+        self.live_chunked = self.live.partition_point(|&row| row < split);
+        // audit:hot-path: end
+    }
+
+    /// The live rows of the current solve.
+    fn live_rows(&self) -> LiveRows<'_> {
+        LiveRows { rows: &self.live, chunked: self.live_chunked }
     }
 
     /// Scalar summary of the loads currently held in `self.lambdas` (one
     /// fused power+delay pass).
     fn outcome_of(&self, problem: &BankProblem<'_>, water_level: Option<f64>) -> SoaOutcome {
-        let (power, delay) = bank_power_delay(problem.bank, problem.base_power, &self.lambdas);
+        let (power, delay) =
+            bank_power_delay(problem.bank, self.live_rows(), problem.base_power, &self.lambdas);
         Self::outcome_parts(problem, power, delay, water_level)
     }
 
@@ -1170,15 +1188,7 @@ impl SoaWaterfill {
         let bank = problem.bank;
         let n = bank.len();
         let lam = problem.total_load;
-        // Both buffers are fully overwritten by every path below that
-        // reads them, so resizing (a memset) only happens when the bank
-        // grows or shrinks — not once per candidate solve.
-        if self.lambdas.len() != n {
-            self.lambdas.resize(n, 0.0);
-        }
-        if self.scratch.len() != n {
-            self.scratch.resize(n, 0.0);
-        }
+        self.collect_live_rows(bank);
         // validate() guarantees lam >= 0, so `<=` is the exact-zero test.
         if lam <= 0.0 {
             self.lambdas.fill(0.0);
@@ -1193,10 +1203,10 @@ impl SoaWaterfill {
                 "total load {lam} exceeds capped capacity {cap}"
             )));
         }
-        // Saturated case: every row pinned at (a fraction of) its cap.
+        // Saturated case: every live row pinned at (a fraction of) its cap.
         if lam >= cap * (1.0 - 1e-12) {
-            for (l, &u) in self.lambdas.iter_mut().zip(&bank.util_cap) {
-                *l = u * (lam / cap);
+            for &row in &self.live {
+                self.lambdas[row] = bank.util_cap[row] * (lam / cap);
             }
             return Ok(self.outcome_of(problem, None));
         }
@@ -1215,7 +1225,8 @@ impl SoaWaterfill {
             self.penalty_into_scratch(problem, problem.energy_weight, self.nu_active)?;
         self.nu_active = Some(nu_active);
         std::mem::swap(&mut self.lambdas, &mut self.scratch);
-        let (p_active, d_active) = bank_power_delay(bank, problem.base_power, &self.lambdas);
+        let (p_active, d_active) =
+            bank_power_delay(bank, self.live_rows(), problem.base_power, &self.lambdas);
         if p_active >= r * (1.0 - KINK_TOL) || problem.energy_weight <= 0.0 {
             return Ok(Self::outcome_parts(problem, p_active, d_active, Some(nu_active)));
         }
@@ -1226,7 +1237,8 @@ impl SoaWaterfill {
         // Regime 2: renewable-slack (penalty weight = 0).
         let nu_slack = self.penalty_into_scratch(problem, 0.0, self.nu_slack)?;
         self.nu_slack = Some(nu_slack);
-        let (p_slack, d_slack) = bank_power_delay(bank, problem.base_power, &self.scratch);
+        let (p_slack, d_slack) =
+            bank_power_delay(bank, self.live_rows(), problem.base_power, &self.scratch);
         if p_slack <= r * (1.0 + KINK_TOL) {
             std::mem::swap(&mut self.lambdas, &mut self.scratch);
             return Ok(Self::outcome_parts(problem, p_slack, d_slack, Some(nu_slack)));
@@ -1245,7 +1257,8 @@ impl SoaWaterfill {
         self.mu = Some(mu);
         let nu_kink = self.penalty_into_scratch(problem, mu, self.nu_kink)?;
         self.nu_kink = Some(nu_kink);
-        let (p_kink, d_kink) = bank_power_delay(bank, problem.base_power, &self.scratch);
+        let (p_kink, d_kink) =
+            bank_power_delay(bank, self.live_rows(), problem.base_power, &self.scratch);
         let obj_kink =
             problem.energy_weight * pos(p_kink - r) + problem.delay_weight * d_kink;
         if !best_obj.is_finite() || !obj_kink.is_finite() {
@@ -1265,19 +1278,7 @@ impl SoaWaterfill {
     /// Cold `W = 0` greedy delegation over a compact AoS view, scattering
     /// the result back to bank row order.
     fn solve_greedy_cold(&mut self, problem: &BankProblem<'_>) -> Result<SoaOutcome> {
-        let bank = problem.bank;
-        self.aos_specs.clear();
-        for row in 0..bank.len() {
-            let m = bank.multiplicity[row];
-            if m > 0.0 {
-                self.aos_specs.push(QueueSpec {
-                    capacity: bank.capacity[row],
-                    util_cap: bank.util_cap[row],
-                    energy_slope: bank.energy_slope[row],
-                    multiplicity: m,
-                });
-            }
-        }
+        self.compact_live_specs(problem.bank);
         let view = LoadDistProblem {
             queues: &self.aos_specs,
             total_load: problem.total_load,
@@ -1287,14 +1288,8 @@ impl SoaWaterfill {
             renewable: problem.renewable,
         };
         let sol = solve_linear_greedy(&view)?;
-        let mut live = 0;
-        for row in 0..bank.len() {
-            if bank.multiplicity[row] > 0.0 {
-                self.lambdas[row] = sol.lambdas[live];
-                live += 1;
-            } else {
-                self.lambdas[row] = 0.0;
-            }
+        for (&row, &l) in self.live.iter().zip(&sol.lambdas) {
+            self.lambdas[row] = l;
         }
         Ok(SoaOutcome {
             objective: sol.objective,
@@ -1315,7 +1310,8 @@ impl SoaWaterfill {
             match this.penalty_into_scratch(problem, mu, this.nu_kink) {
                 Ok(nu) => {
                     this.nu_kink = Some(nu);
-                    r - bank_power(problem.bank, problem.base_power, &this.scratch)
+                    let live = this.live_rows();
+                    r - bank_power(problem.bank, live, problem.base_power, &this.scratch)
                 }
                 Err(_) => f64::NAN,
             }
@@ -1404,7 +1400,7 @@ impl SoaWaterfill {
     /// Warm-bracketed water-level search for a fixed linear energy weight
     /// `a_eff` (the bank form of the cold `solve_linear_penalty`): the loads
     /// land in `self.scratch`, and every residual evaluation is a single
-    /// chunked [`bank_total_at`] / [`bank_total_slope_into`] pass.
+    /// live-row [`bank_total_at`] / [`bank_total_slope_into`] pass.
     fn penalty_into_scratch(
         &mut self,
         problem: &BankProblem<'_>,
@@ -1414,14 +1410,15 @@ impl SoaWaterfill {
         let lam = problem.total_load;
         let bank = problem.bank;
         let (wox, wx) = (self.wox.as_slice(), self.wx.as_slice());
+        let live = LiveRows { rows: &self.live, chunked: self.live_chunked };
         let evals = std::cell::Cell::new(0u64);
 
         // audit:hot-path: begin
         let total_of = |nu: f64| -> f64 {
             evals.set(evals.get() + 1);
-            bank_total_at(bank, nu, a_eff, wox, wx)
+            bank_total_at(bank, live, nu, a_eff, wox, wx)
         };
-        let nu_lo = bank_nu_lower_bound(bank, a_eff, wox);
+        let nu_lo = bank_nu_lower_bound(bank, live, a_eff, wox);
         let opts = nu_bisect_options(lam);
         // Newton from the previous water level: `g` is piecewise concave and
         // increasing, so from a warm start the iteration typically lands
@@ -1438,13 +1435,13 @@ impl SoaWaterfill {
                 for _ in 0..8 {
                     evals.set(evals.get() + 1);
                     let (total, slope) =
-                        bank_total_slope_into(bank, nu, a_eff, wox, wx, &mut self.scratch);
+                        bank_total_slope_into(bank, live, nu, a_eff, wox, wx, &mut self.scratch);
                     let g = total - lam;
                     if !g.is_finite() {
                         break;
                     }
                     if g.abs() <= opts.f_tol {
-                        bank_rescale_interior(&mut self.scratch, bank, lam);
+                        bank_rescale_interior(&mut self.scratch, bank, live, lam);
                         self.last_evals += evals.get();
                         return Ok(nu);
                     }
@@ -1518,8 +1515,8 @@ impl SoaWaterfill {
             illinois_increasing(nu_lo, nu_hi, |nu| total_of(nu) - lam, opts)?
         };
 
-        bank_fill_into(bank, nu, a_eff, wox, wx, &mut self.scratch);
-        bank_rescale_interior(&mut self.scratch, bank, lam);
+        bank_fill_into(bank, live, nu, a_eff, wox, wx, &mut self.scratch);
+        bank_rescale_interior(&mut self.scratch, bank, live, lam);
         // audit:hot-path: end
         self.last_evals += evals.get();
         Ok(nu)
@@ -2008,8 +2005,11 @@ mod tests {
                 cold.objective
             );
             // Load conservation must hold with the retracted rows carrying
-            // zero weight.
-            assert!((p_soa.dispatched(soa.lambdas()) - lam).abs() <= 1e-6 * lam.max(1.0));
+            // zero weight, and the retracted rows hold load 0.
+            let dispatched: f64 =
+                soa.lambdas().iter().zip(&bank.multiplicity).map(|(l, m)| m * l).sum();
+            assert!((dispatched - lam).abs() <= 1e-6 * lam.max(1.0));
+            assert_eq!((soa.lambdas()[mid], soa.lambdas()[end]), (0.0, 0.0));
         }
     }
 
@@ -2112,6 +2112,323 @@ mod tests {
                 panic!("both paths should report a water level");
             };
             assert!((sn - cn).abs() <= 1e-6 * cn.abs().max(1.0), "ν soa {sn} vs cold {cn}");
+        }
+    }
+
+    /// The full-bank passes the live-row passes replaced, kept verbatim as
+    /// the bit-exactness oracle: every row, dead ones included, walked in
+    /// `[f64; LANE_WIDTH]` chunks plus a scalar tail.
+    mod full_row {
+        use super::super::{bank_row_load, bank_row_load_slope, QueueBank, LANE_WIDTH};
+
+        pub(super) fn total_at(
+            bank: &QueueBank,
+            nu: f64,
+            a_eff: f64,
+            wox: &[f64],
+            wx: &[f64],
+        ) -> f64 {
+            let n = bank.capacity.len();
+            let xs = &bank.capacity[..n];
+            let us = &bank.util_cap[..n];
+            let cs = &bank.energy_slope[..n];
+            let ms = &bank.multiplicity[..n];
+            let (wox, wx) = (&wox[..n], &wx[..n]);
+            let mut acc = [0.0_f64; LANE_WIDTH];
+            let split = n - n % LANE_WIDTH;
+            for base in (0..split).step_by(LANE_WIDTH) {
+                for (j, a) in acc.iter_mut().enumerate() {
+                    let k = base + j;
+                    *a += ms[k] * bank_row_load(xs[k], us[k], cs[k], nu, a_eff, wox[k], wx[k]);
+                }
+            }
+            let mut total = acc.iter().sum::<f64>();
+            for k in split..n {
+                total += ms[k] * bank_row_load(xs[k], us[k], cs[k], nu, a_eff, wox[k], wx[k]);
+            }
+            total
+        }
+
+        pub(super) fn total_slope_into(
+            bank: &QueueBank,
+            nu: f64,
+            a_eff: f64,
+            wox: &[f64],
+            wx: &[f64],
+            out: &mut [f64],
+        ) -> (f64, f64) {
+            let n = bank.capacity.len();
+            let xs = &bank.capacity[..n];
+            let us = &bank.util_cap[..n];
+            let cs = &bank.energy_slope[..n];
+            let ms = &bank.multiplicity[..n];
+            let (wox, wx) = (&wox[..n], &wx[..n]);
+            // Re-slicing `out` (not just asserting) removes the bounds-check panic
+            // path from the chunk loop, which would otherwise block vectorization.
+            let out = &mut out[..n];
+            let mut acc_t = [0.0_f64; LANE_WIDTH];
+            let mut acc_s = [0.0_f64; LANE_WIDTH];
+            let split = n - n % LANE_WIDTH;
+            // Per-lane accumulators fix the summation tree (stable totals however
+            // the compiler unrolls the chunk), and the re-sliced inputs keep the
+            // body free of bounds checks.
+            for base in (0..split).step_by(LANE_WIDTH) {
+                for (j, (t, s)) in acc_t.iter_mut().zip(acc_s.iter_mut()).enumerate() {
+                    let k = base + j;
+                    let (l, ds) =
+                        bank_row_load_slope(xs[k], us[k], cs[k], nu, a_eff, wox[k], wx[k]);
+                    out[k] = l;
+                    *t += ms[k] * l;
+                    *s += ms[k] * ds;
+                }
+            }
+            let mut total = acc_t.iter().sum::<f64>();
+            let mut slope = acc_s.iter().sum::<f64>();
+            for k in split..n {
+                let (l, ds) = bank_row_load_slope(xs[k], us[k], cs[k], nu, a_eff, wox[k], wx[k]);
+                out[k] = l;
+                total += ms[k] * l;
+                slope += ms[k] * ds;
+            }
+            (total, slope)
+        }
+
+        pub(super) fn fill_into(
+            bank: &QueueBank,
+            nu: f64,
+            a_eff: f64,
+            wox: &[f64],
+            wx: &[f64],
+            out: &mut [f64],
+        ) {
+            let n = bank.capacity.len();
+            debug_assert_eq!(out.len(), n, "out must be pre-sized to the bank");
+            for (((((o, &x), &u), &c), &ox), &px) in out
+                .iter_mut()
+                .zip(&bank.capacity)
+                .zip(&bank.util_cap)
+                .zip(&bank.energy_slope)
+                .zip(wox)
+                .zip(wx)
+            {
+                *o = bank_row_load(x, u, c, nu, a_eff, ox, px);
+            }
+        }
+
+        pub(super) fn power_delay(
+            bank: &QueueBank,
+            base_power: f64,
+            lambdas: &[f64],
+        ) -> (f64, f64) {
+            let mut p = base_power;
+            let mut d = 0.0;
+            for (((&l, &m), &c), &x) in lambdas
+                .iter()
+                .zip(&bank.multiplicity)
+                .zip(&bank.energy_slope)
+                .zip(&bank.capacity)
+            {
+                p += m * c * l;
+                d += if l > 0.0 { m * l / (x - l) } else { 0.0 };
+            }
+            (p, d)
+        }
+
+        pub(super) fn nu_lower_bound(bank: &QueueBank, a_eff: f64, wox: &[f64]) -> f64 {
+            let mut lo = f64::INFINITY;
+            for ((&m, &c), &ox) in bank.multiplicity.iter().zip(&bank.energy_slope).zip(wox) {
+                let t = if m > 0.0 { a_eff * c + ox } else { f64::INFINITY };
+                lo = lo.min(t);
+            }
+            lo
+        }
+
+        pub(super) fn rescale_interior(lambdas: &mut [f64], bank: &QueueBank, lam: f64) {
+            // One fused pass for the dispatched total and the interior mass — the
+            // slack test needs both, and separate walks would re-stream the lanes.
+            let mut total = 0.0;
+            let mut interior = 0.0;
+            for ((&l, &u), &m) in lambdas.iter().zip(&bank.util_cap).zip(&bank.multiplicity) {
+                total += m * l;
+                if l > 0.0 && l < u {
+                    interior += m * l;
+                }
+            }
+            let slack = lam - total;
+            if slack.abs() > 0.0 {
+                if interior > 0.0 {
+                    for (l, &u) in lambdas.iter_mut().zip(&bank.util_cap) {
+                        if *l > 0.0 && *l < u {
+                            *l = (*l + (slack / interior) * *l).clamp(0.0, u);
+                        }
+                    }
+                } else if slack > 0.0 {
+                    distribute_remainder(lambdas, bank, slack);
+                }
+            }
+        }
+
+        fn distribute_remainder(lambdas: &mut [f64], bank: &QueueBank, mut slack: f64) {
+            for ((l, &u), &m) in lambdas.iter_mut().zip(&bank.util_cap).zip(&bank.multiplicity) {
+                if slack <= 0.0 {
+                    break;
+                }
+                if m <= 0.0 {
+                    continue;
+                }
+                let headroom = (u - *l) * m;
+                let take = headroom.min(slack);
+                debug_assert!(m > 0.0, "retracted rows are skipped above");
+                *l += take / m;
+                slack -= take;
+            }
+        }
+    }
+
+    /// One random bank row: capacity, utilization fraction, energy slope,
+    /// a multiplicity choice (see [`MULTIPLICITIES`]), and a load fraction
+    /// and kind for the loads the power/delay and rescale passes read.
+    type RowDraw = (f64, f64, f64, usize, f64, usize);
+
+    /// Multiplicities a random row draws from: a third of the rows are dead.
+    const MULTIPLICITIES: [f64; 6] = [0.0, 0.0, 1.0, 2.0, 3.5, 40.0];
+
+    /// Builds the bank and a load per row (0, the cap, or interior) from
+    /// `rows`; `all_dead` retracts every row.
+    fn drawn_bank(rows: &[RowDraw], all_dead: bool) -> (QueueBank, Vec<f64>) {
+        let mut bank = QueueBank::new();
+        let mut loads = Vec::new();
+        for &(x, frac, c, mi, load, kind) in rows {
+            let u = x * frac;
+            let m = if all_dead { 0.0 } else { MULTIPLICITIES[mi] };
+            bank.push_type(x, u, c, 0.0, m);
+            loads.push(match kind {
+                0 => 0.0,
+                1 => u,
+                _ => load * u,
+            });
+        }
+        bank.validate().unwrap();
+        (bank, loads)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Every live-row pass returns totals with the same bits as the
+        /// full-bank pass it replaced, and writes the same bits into every
+        /// live row: banks of 0–20 rows (shorter than a lane chunk, whole
+        /// chunks, and tails past the last one), a third of the rows dead,
+        /// and some banks entirely dead.
+        #[test]
+        fn live_row_passes_match_the_full_row_oracle_bit_for_bit(
+            rows in proptest::collection::vec(
+                (1.0..20.0_f64, 0.5..0.99_f64, 0.0..2.0_f64, 0..6_usize, 0.0..1.0_f64, 0..3_usize),
+                0..21,
+            ),
+            nu in 0.0..300.0_f64,
+            a_eff in 0.0..50.0_f64,
+            w in 0.01..10.0_f64,
+            lam_scale in 0.8..1.2_f64,
+            dead_draw in 0..6_usize,
+        ) {
+            // One bank in six is entirely dead.
+            let (bank, loads) = drawn_bank(&rows, dead_draw == 0);
+            let n = bank.len();
+            let wox: Vec<f64> = bank.capacity.iter().map(|&x| w / x).collect();
+            let wx: Vec<f64> = bank.capacity.iter().map(|&x| w * x).collect();
+            let mut soa = SoaWaterfill::new();
+            soa.collect_live_rows(&bank);
+            let live = soa.live_rows();
+            proptest::prop_assert!(live.rows.iter().all(|&k| bank.multiplicity[k] > 0.0));
+            proptest::prop_assert_eq!(
+                live.rows.len(),
+                bank.multiplicity.iter().filter(|&&m| m > 0.0).count()
+            );
+            let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
+
+            let t = bank_total_at(&bank, live, nu, a_eff, &wox, &wx);
+            let o = full_row::total_at(&bank, nu, a_eff, &wox, &wx);
+            proptest::prop_assert!(same(t, o), "total {t} vs {o}");
+
+            let (mut out, mut oracle_out) = (vec![0.0; n], vec![0.0; n]);
+            let (t, s) = bank_total_slope_into(&bank, live, nu, a_eff, &wox, &wx, &mut out);
+            let (ot, os) = full_row::total_slope_into(&bank, nu, a_eff, &wox, &wx, &mut oracle_out);
+            proptest::prop_assert!(same(t, ot) && same(s, os), "({t}, {s}) vs ({ot}, {os})");
+            proptest::prop_assert!(live.rows.iter().all(|&k| same(out[k], oracle_out[k])));
+
+            let (mut fill, mut oracle_fill) = (vec![0.0; n], vec![0.0; n]);
+            bank_fill_into(&bank, live, nu, a_eff, &wox, &wx, &mut fill);
+            full_row::fill_into(&bank, nu, a_eff, &wox, &wx, &mut oracle_fill);
+            proptest::prop_assert!(live.rows.iter().all(|&k| same(fill[k], oracle_fill[k])));
+
+            // The dead rows' loads are arbitrary here: the oracle weighs
+            // them by m = 0, the live pass never reads them.
+            let (p, d) = bank_power_delay(&bank, live, 3.25, &loads);
+            let (op, od) = full_row::power_delay(&bank, 3.25, &loads);
+            proptest::prop_assert!(same(p, op) && same(d, od), "({p}, {d}) vs ({op}, {od})");
+            let power = bank_power(&bank, live, 3.25, &loads);
+            proptest::prop_assert!(same(power, op), "power {power} vs {op}");
+
+            let lo = bank_nu_lower_bound(&bank, live, a_eff, &wox);
+            let olo = full_row::nu_lower_bound(&bank, a_eff, &wox);
+            proptest::prop_assert!(same(lo, olo), "ν lower bound {lo} vs {olo}");
+
+            // A target off the loads' total exercises both the interior
+            // rescale and (when no row is interior) the remainder fill.
+            let dispatched: f64 = loads.iter().zip(&bank.multiplicity).map(|(l, m)| m * l).sum();
+            let lam = dispatched * lam_scale;
+            let (mut rescaled, mut oracle_rescaled) = (loads.clone(), loads.clone());
+            bank_rescale_interior(&mut rescaled, &bank, live, lam);
+            full_row::rescale_interior(&mut oracle_rescaled, &bank, lam);
+            proptest::prop_assert!(
+                live.rows.iter().all(|&k| same(rescaled[k], oracle_rescaled[k]))
+            );
+        }
+    }
+
+    /// A solver `reset()` between solves returns the same bits as a fresh
+    /// one on every solve of a sequence over banks of different sizes and
+    /// dead rows, across all three regimes: no warm state or stale buffer
+    /// survives the reset.
+    #[test]
+    fn reset_solver_matches_a_fresh_one_bit_for_bit() {
+        let mut reused = SoaWaterfill::new();
+        for &(n, dead_every) in &[(5usize, 2usize), (17, 3), (3, 7), (9, 2), (17, 4)] {
+            let specs = varied_specs(n);
+            let mut bank = bank_of(&specs);
+            for row in (0..n).step_by(dead_every) {
+                bank.set_multiplicity(row, 0.0);
+            }
+            if bank.aggregates().0 <= 0.0 {
+                bank.set_multiplicity(n - 1, 1.0);
+            }
+            let cap = bank.aggregates().0;
+            for &(frac, a, w, r) in &[
+                (0.45, 20.0, 1.0, 0.0),
+                (0.6, 20.0, 1.0, 0.35 * cap),
+                (0.5, 20.0, 1.0, 1e6),
+                (1.0, 5.0, 2.0, 0.0),
+            ] {
+                let p = bank_problem(&bank, cap * frac, a, w, r);
+                reused.reset();
+                let got = reused.solve(&p).unwrap();
+                let mut fresh = SoaWaterfill::new();
+                let want = fresh.solve(&p).unwrap();
+                let bits = |o: &SoaOutcome| {
+                    let level = o.water_level.unwrap_or(f64::NAN);
+                    [o.objective, o.power, o.delay, level].map(f64::to_bits)
+                };
+                assert_eq!(bits(&got), bits(&want), "n={n}, frac={frac}, r={r}");
+                assert_eq!(reused.last_evals, fresh.last_evals);
+                let lambda_bits =
+                    |s: &SoaWaterfill| s.lambdas().iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+                assert_eq!(lambda_bits(&reused), lambda_bits(&fresh), "n={n}, frac={frac}, r={r}");
+                for row in (0..n).filter(|&row| bank.multiplicity_of(row) == 0.0) {
+                    let bits = reused.lambdas()[row].to_bits();
+                    assert_eq!(bits, 0.0_f64.to_bits(), "dead row {row} holds 0");
+                }
+            }
         }
     }
 }
