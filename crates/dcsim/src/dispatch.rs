@@ -149,46 +149,6 @@ pub fn optimal_dispatch(problem: &SlotProblem<'_>, levels: &[usize]) -> crate::R
     })
 }
 
-/// Like [`optimal_dispatch`], but with a **peak facility-power cap** (kW):
-/// the dispatched power `PUE·p` may not exceed `power_cap` — the paper's
-/// Sec. 3.1 remark that additional constraints such as peak power can be
-/// incorporated. Errors with `Infeasible` when the speed vector cannot
-/// serve the load under the cap.
-pub fn optimal_dispatch_capped(
-    problem: &SlotProblem<'_>,
-    levels: &[usize],
-    power_cap: f64,
-) -> crate::Result<DispatchOutcome> {
-    problem.validate()?;
-    problem.cluster.validate_levels(levels)?;
-    let (specs, base_power, active) = problem.cluster.active_queues(levels, problem.gamma, problem.pue);
-    let lp = LoadDistProblem {
-        queues: &specs,
-        total_load: problem.arrival_rate,
-        energy_weight: problem.energy_weight,
-        delay_weight: problem.delay_weight,
-        base_power,
-        renewable: problem.onsite,
-    };
-    let sol = waterfill::solve_with_power_cap(&lp, power_cap)?;
-    let mut loads = vec![0.0; problem.cluster.num_groups()];
-    for (k, &gi) in active.iter().enumerate() {
-        loads[gi] = sol.lambdas[k];
-    }
-    let facility_power = sol.power;
-    let it_power = facility_power / problem.pue;
-    let brown = (facility_power - problem.onsite).max(0.0);
-    Ok(DispatchOutcome {
-        loads,
-        objective: sol.objective,
-        it_power,
-        facility_power,
-        delay: sol.delay,
-        brown,
-        water_level: sol.water_level,
-    })
-}
-
 /// Evaluates the outcome metrics for *given* loads (no optimization), e.g.
 /// when the simulator re-dispatches planned loads onto the realized arrival
 /// rate. Loads must respect the utilization caps.
@@ -351,35 +311,6 @@ mod tests {
         let mut p = small_problem(&cluster);
         p.energy_weight = -1.0;
         assert!(p.validate().is_err());
-    }
-
-    #[test]
-    fn capped_dispatch_respects_facility_power_cap() {
-        // Four heterogeneous classes: energy slopes differ, so shifting
-        // load between classes trades power for delay and a cap can bind.
-        let cluster = Cluster::scaled_paper_datacenter(4, 10);
-        let mut p = small_problem(&cluster);
-        p.pue = 1.2;
-        // Strong delay weight so the unconstrained optimum spreads load.
-        p.delay_weight = 100.0;
-        p.energy_weight = 0.1;
-        let levels = cluster.full_speed_vector();
-        let unc = optimal_dispatch(&p, &levels).unwrap();
-        let floor = {
-            // Power-minimal dispatch: crank the energy weight.
-            let mut q = p;
-            q.energy_weight = 1e9;
-            optimal_dispatch(&q, &levels).unwrap().facility_power
-        };
-        assert!(floor < unc.facility_power, "test setup needs slack between floor and optimum");
-        let cap = 0.5 * (floor + unc.facility_power);
-        let capped = optimal_dispatch_capped(&p, &levels, cap).unwrap();
-        assert!(capped.facility_power <= cap * (1.0 + 1e-6));
-        assert!(capped.objective >= unc.objective - 1e-9);
-        let total: f64 = capped.loads.iter().sum();
-        assert!((total - p.arrival_rate).abs() < 1e-6);
-        // Far-too-small cap: infeasible.
-        assert!(optimal_dispatch_capped(&p, &levels, 0.01).is_err());
     }
 
     #[test]

@@ -402,11 +402,6 @@ impl<'p, Src: SlotSource> SimEngine<'p, Src> {
         self.t
     }
 
-    /// Number of registered lanes.
-    pub fn num_lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// The managed fleet.
     pub fn cluster(&self) -> &Arc<Cluster> {
         &self.cluster

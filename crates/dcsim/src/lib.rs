@@ -38,13 +38,9 @@
 //!   scale; this is the "event-based simulation" of Sec. 5.1.
 //! * [`metrics`] — per-slot records, totals, and the derived series
 //!   (cumulative / moving averages) the figures plot.
-//! * [`batch`] — the deferrable batch-workload tier the paper isolates in
-//!   Sec. 2.3: EDF and renewable-aware scheduling of batch jobs into the
-//!   interactive tier's headroom.
 
 #![deny(missing_docs, unsafe_code)]
 
-pub mod batch;
 pub mod checkpoint;
 pub mod cluster;
 pub mod cost;

@@ -97,7 +97,6 @@ pub struct PushHandle {
 #[derive(Debug)]
 pub struct PushSource {
     shared: Arc<Shared>,
-    len_hint: Option<usize>,
 }
 
 /// Creates a bounded push channel with room for `capacity` undrained slots.
@@ -128,7 +127,7 @@ pub fn push_source_at(capacity: usize, first_slot: usize) -> (PushHandle, PushSo
         can_push: Condvar::new(),
         can_poll: Condvar::new(),
     });
-    (PushHandle { shared: Arc::clone(&shared) }, PushSource { shared, len_hint: None })
+    (PushHandle { shared: Arc::clone(&shared) }, PushSource { shared })
 }
 
 fn validate_env(env: &SlotEnv) -> Result<(), PushError> {
@@ -219,13 +218,6 @@ impl Drop for PushSource {
 }
 
 impl PushSource {
-    /// Declares an expected total slot count, used only for preallocation
-    /// hints ([`SlotSource::len_hint`]).
-    pub fn with_len_hint(mut self, len: usize) -> Self {
-        self.len_hint = Some(len);
-        self
-    }
-
     /// Number of slots currently queued and undrained.
     pub fn queued(&self) -> usize {
         self.shared.lock().queue.len()
@@ -278,10 +270,6 @@ impl SlotSource for PushSource {
                 }
             }
         }
-    }
-
-    fn len_hint(&self) -> Option<usize> {
-        self.len_hint
     }
 }
 

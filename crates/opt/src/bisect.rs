@@ -200,16 +200,6 @@ pub fn illinois_seeded<F: FnMut(f64) -> f64>(
     Ok(0.5 * (lo + hi))
 }
 
-/// Finds a root of a **non-increasing** function by negation.
-pub fn bisect_decreasing<F: FnMut(f64) -> f64>(
-    lo: f64,
-    hi: f64,
-    mut f: F,
-    opts: BisectOptions,
-) -> Result<f64> {
-    bisect_increasing(lo, hi, |x| -f(x), opts)
-}
-
 /// Expands `hi` geometrically (doubling, starting from `start`) until
 /// `f(hi) >= 0` or `max_doublings` is reached, then returns the bracketing
 /// upper bound. Used when no a-priori upper bound on a multiplier is known.
@@ -339,12 +329,6 @@ mod tests {
             illinois_increasing(-1.0, 1.0, |_| f64::NAN, opts),
             Err(OptError::NonFiniteEval { .. })
         ));
-    }
-
-    #[test]
-    fn decreasing_variant() {
-        let x = bisect_decreasing(0.0, 10.0, |x| 4.0 - x, BisectOptions::default()).unwrap();
-        assert!((x - 4.0).abs() < 1e-10);
     }
 
     #[test]

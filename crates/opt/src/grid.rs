@@ -5,8 +5,6 @@
 //! is lazy, so callers can enumerate spaces that are large-ish but still
 //! tractable without materializing every state.
 
-use crate::{OptError, Result};
-
 /// Lazy iterator over all states of a product space with the given per-site
 /// choice counts, in lexicographic order (site 0 is the most significant).
 #[derive(Debug, Clone)]
@@ -55,27 +53,6 @@ pub fn cartesian_states(counts: &[usize]) -> Vec<Vec<usize>> {
     CartesianIter::new(counts).collect()
 }
 
-/// Exhaustively minimizes `cost` over the product space, returning the
-/// argmin and its value. Errors if the space is empty or the cost is
-/// non-finite anywhere.
-pub fn argmin_exhaustive<C: FnMut(&[usize]) -> f64>(
-    counts: &[usize],
-    mut cost: C,
-) -> Result<(Vec<usize>, f64)> {
-    let mut best: Option<(Vec<usize>, f64)> = None;
-    for state in CartesianIter::new(counts) {
-        let c = cost(&state);
-        if !c.is_finite() {
-            return Err(OptError::NonFinite(format!("cost({state:?}) = {c}")));
-        }
-        match &best {
-            Some((_, bc)) if *bc <= c => {}
-            _ => best = Some((state, c)),
-        }
-    }
-    best.ok_or_else(|| OptError::InvalidInput("empty state space".into()))
-}
-
 /// Number of states in the product space (saturating).
 pub fn space_size(counts: &[usize]) -> usize {
     if counts.is_empty() {
@@ -113,35 +90,6 @@ mod tests {
         assert_eq!(space_size(&[]), 0);
         assert_eq!(space_size(&[3, 0]), 0);
         assert_eq!(space_size(&[4, 5]), 20);
-    }
-
-    #[test]
-    fn argmin_finds_unique_minimum() {
-        let (state, value) =
-            argmin_exhaustive(&[4, 4], |s| ((s[0] as f64 - 2.0).powi(2) + (s[1] as f64 - 1.0).powi(2)) + 1.0)
-                .unwrap();
-        assert_eq!(state, vec![2, 1]);
-        assert_eq!(value, 1.0);
-    }
-
-    #[test]
-    fn argmin_prefers_first_of_ties() {
-        let (state, value) = argmin_exhaustive(&[2, 2], |_| 1.0).unwrap();
-        assert_eq!(state, vec![0, 0]);
-        assert_eq!(value, 1.0);
-    }
-
-    #[test]
-    fn argmin_rejects_empty_space() {
-        assert!(argmin_exhaustive(&[], |_| 1.0).is_err());
-    }
-
-    #[test]
-    fn argmin_rejects_nan_cost() {
-        assert!(matches!(
-            argmin_exhaustive(&[2], |_| f64::NAN),
-            Err(OptError::NonFinite(_))
-        ));
     }
 
     #[test]

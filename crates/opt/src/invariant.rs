@@ -223,8 +223,10 @@ pub fn force_strict() -> bool {
 /// (smallest) among those whose side condition holds:
 ///
 /// * power ≥ r: stationarity with the full energy weight `A` — all interior
-///   coordinates share one marginal cost `A·cᵢ + W·Xᵢ/(Xᵢ−λᵢ)²`;
-/// * power ≤ r: stationarity with energy weight 0;
+///   coordinates share one marginal cost `A·cᵢ + W·Xᵢ/(Xᵢ−λᵢ)²` (the water
+///   level), no queue at 0 has a zero-load marginal below it, and no queue
+///   at its cap has a marginal above it;
+/// * power ≤ r: the same conditions with energy weight 0;
 /// * always: complementary slackness at the kink, `|power − r|` small (an
 ///   effective weight `μ ∈ [0, A]` exists by continuity).
 ///
@@ -242,36 +244,38 @@ pub fn kkt_residual(problem: &LoadDistProblem<'_>, lambdas: &[f64]) -> f64 {
     let kink_scale = power.abs().max(r.abs()).max(1.0);
     let kink_residual = (power - r).abs() / kink_scale;
 
-    // Stationarity: spread of marginal costs over interior coordinates.
-    let spread = |a_eff: f64| -> f64 {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
+    // Stationarity with energy weight `a_eff`: one water level ν must equal
+    // the marginal cost of every interior coordinate, lie at or below the
+    // zero-load marginal `a_eff·cᵢ + W/Xᵢ` of every queue at 0, and at or
+    // above the marginal of every queue at its cap. `floor` is the largest
+    // marginal ν must reach (loaded queues), `ceil` the smallest it may not
+    // exceed (queues below their cap); the residual is how far they cross.
+    let stationarity = |a_eff: f64| -> f64 {
+        let mut floor = f64::NEG_INFINITY;
+        let mut ceil = f64::INFINITY;
         for (q, &l) in problem.queues.iter().zip(lambdas) {
-            // Pinned coordinates (λᵢ ≈ 0 or λᵢ ≈ uᵢ) satisfy inequality
-            // conditions instead; only interior ones must equalize.
-            let interior = l > 1e-9 * q.util_cap && l < q.util_cap * (1.0 - 1e-9);
-            if !interior {
-                continue;
-            }
             let gap = q.capacity - l;
-            debug_assert!(gap > 0.0, "interior load is below util_cap < capacity");
             let marginal = a_eff * q.energy_slope + problem.delay_weight * q.capacity / (gap * gap);
-            lo = lo.min(marginal);
-            hi = hi.max(marginal);
+            if l > 1e-9 * q.util_cap {
+                floor = floor.max(marginal);
+            }
+            if l < q.util_cap * (1.0 - 1e-9) {
+                ceil = ceil.min(marginal);
+            }
         }
-        if lo > hi {
-            return 0.0; // no interior coordinates: nothing to equalize
+        if floor <= ceil {
+            return 0.0; // some water level satisfies every condition
         }
-        (hi - lo) / hi.abs().max(lo.abs()).max(1.0)
+        (floor - ceil) / floor.abs().max(ceil.abs()).max(1.0)
     };
 
     let slack_tol = 1e-7 * kink_scale;
     let mut best = kink_residual;
     if power >= r - slack_tol {
-        best = best.min(spread(problem.energy_weight));
+        best = best.min(stationarity(problem.energy_weight));
     }
     if power <= r + slack_tol {
-        best = best.min(spread(0.0));
+        best = best.min(stationarity(0.0));
     }
     best
 }
@@ -338,20 +342,27 @@ mod tests {
         InvariantSet::strict().acceptance_probability(1.5);
     }
 
-    #[test]
-    fn kkt_residual_small_at_optimum_large_off_optimum() {
-        let qs = vec![
-            QueueSpec::single(10.0, 9.0, 0.05),
-            QueueSpec::single(14.0, 12.6, 0.30),
-        ];
-        let p = LoadDistProblem {
-            queues: &qs,
-            total_load: 11.0,
+    /// A cheap queue and a dear one.
+    fn cheap_and_dear() -> [QueueSpec; 2] {
+        [QueueSpec::single(10.0, 9.0, 0.05), QueueSpec::single(14.0, 12.6, 0.30)]
+    }
+
+    /// `queues` sharing `load` at A = 2, W = 1, base power 0.2 and r = 0.
+    fn sharing(queues: &[QueueSpec], load: f64) -> LoadDistProblem<'_> {
+        LoadDistProblem {
+            queues,
+            total_load: load,
             energy_weight: 2.0,
             delay_weight: 1.0,
             base_power: 0.2,
             renewable: 0.0,
-        };
+        }
+    }
+
+    #[test]
+    fn kkt_residual_small_at_optimum_large_off_optimum() {
+        let qs = cheap_and_dear();
+        let p = sharing(&qs, 11.0);
         let sol = solve(&p).expect("solvable");
         let at_opt = kkt_residual(&p, &sol.lambdas);
         assert!(at_opt <= 1e-5, "optimal residual {at_opt}");
@@ -359,6 +370,23 @@ mod tests {
         let skew = [2.0, (11.0 - 2.0) / 1.0];
         let off_opt = kkt_residual(&p, &skew);
         assert!(off_opt > 1e-3, "skewed residual {off_opt} should be large");
+    }
+
+    #[test]
+    fn kkt_residual_checks_queues_at_their_bounds() {
+        // Each wrong split has one interior coordinate, hence no spread;
+        // only the bound conditions reject it. Load parked on the dear
+        // queue while the cheap one idles (objective 3.96 against 1.90),
+        // and the dear queue saturated while the cheap one has headroom.
+        let qs = cheap_and_dear();
+        for (load, wrong) in [(5.0, [0.0, 5.0]), (15.0, [15.0 - 12.6, 12.6])] {
+            let p = sharing(&qs, load);
+            let sol = solve(&p).expect("solvable");
+            assert!(kkt_residual(&p, &sol.lambdas) <= 1e-5);
+            assert!(p.objective(&wrong) > p.objective(&sol.lambdas));
+            let res = kkt_residual(&p, &wrong);
+            assert!(res > 1e-3, "{wrong:?}: residual {res} should be large");
+        }
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //!
 //! * [`bisect`] — monotone scalar root finding, the workhorse behind every
 //!   Lagrange-multiplier search in the system.
-//! * [`golden`] — golden-section minimization of unimodal scalar functions.
 //! * [`waterfill`] — the exact inner **load-distribution** solver: given fixed
 //!   server speeds, distributes the total arrival rate across servers to
 //!   minimize `A·[power − r]⁺ + W·Σ λᵢ/(Xᵢ−λᵢ)` (the P3 objective for fixed
@@ -19,10 +18,11 @@
 //! * [`invariant`] — runtime paper-invariant checks (load conservation,
 //!   KKT residual, Gibbs acceptance range, …) hooked from the solvers, the
 //!   simulator, and every policy; re-exported as `coca_core::invariant`.
-//! * [`simplex`] — projection onto the capped simplex, used by the
-//!   projected-gradient fallback solver.
-//! * [`pgd`] — projected-gradient descent fallback for the load-distribution
-//!   problem, retained as an independent cross-check of the exact solver.
+//! * [`simplex`] — projection onto the capped simplex, the feasibility step
+//!   of [`pgd`].
+//! * [`pgd`] — projected-gradient descent for the load-distribution problem:
+//!   the exact solver's test oracle (an independent solver the water-filling
+//!   is checked against on random instances), not a production path.
 //! * [`schedule`] — temperature schedules for the annealer.
 //!
 //! All solvers are deterministic given their inputs (and an explicit RNG where
@@ -34,7 +34,6 @@
 pub mod bisect;
 pub mod dual;
 pub mod gibbs;
-pub mod golden;
 pub mod grid;
 pub mod invariant;
 pub mod pgd;

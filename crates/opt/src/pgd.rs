@@ -1,4 +1,5 @@
-//! Projected-gradient fallback solver for the load-distribution problem.
+//! Projected-gradient solver for the load-distribution problem, the exact
+//! solver's test oracle.
 //!
 //! This is an *independent* (slower, iterative) solver for the same convex
 //! program handled exactly by [`crate::waterfill`]. It exists for two

@@ -1,9 +1,8 @@
 //! Euclidean projection onto the capped simplex
 //! `{ x : Σᵢ xᵢ = s, 0 ≤ xᵢ ≤ uᵢ }`.
 //!
-//! Used by the projected-gradient fallback solver ([`crate::pgd`]) and
-//! useful on its own for repairing slightly-infeasible load vectors coming
-//! out of distributed iterations.
+//! The feasibility step of the projected-gradient test oracle
+//! ([`crate::pgd`]).
 
 use crate::bisect::{bisect_increasing, BisectOptions};
 use crate::{OptError, Result};

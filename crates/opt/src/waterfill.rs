@@ -320,91 +320,11 @@ fn solve_unchecked(problem: &LoadDistProblem<'_>) -> Result<LoadDistSolution> {
     Ok(problem.solution_from(best, Some(nu)))
 }
 
-/// Solves the load-distribution problem with an additional **peak-power
-/// constraint** `P₀ + Σ mᵢcᵢλᵢ ≤ power_cap` (the paper's Sec. 3.1 remark
-/// that "additional constraints, such as peak power … can also be
-/// incorporated").
-///
-/// If the unconstrained optimum already satisfies the cap it is returned
-/// unchanged; otherwise the optimum pins total power to the cap, found by
-/// bisecting an effective energy weight (power is non-increasing in it).
-/// Errors with [`OptError::Infeasible`] when even the power-minimal
-/// distribution exceeds the cap.
-pub fn solve_with_power_cap(
-    problem: &LoadDistProblem<'_>,
-    power_cap: f64,
-) -> Result<LoadDistSolution> {
-    if !(power_cap.is_finite() && power_cap >= 0.0) {
-        return Err(OptError::InvalidInput(format!("power_cap must be ≥ 0, got {power_cap}")));
-    }
-    let unconstrained = solve(problem)?;
-    if unconstrained.power <= power_cap * (1.0 + 1e-12) {
-        return Ok(unconstrained);
-    }
-    // Power floor: the power-minimal feasible dispatch is the W = 0 greedy
-    // fill by ascending energy slope (computed exactly — the water-filling
-    // with an extreme energy weight would lose the slope differences to
-    // floating-point cancellation).
-    let floor_problem = LoadDistProblem {
-        queues: problem.queues,
-        total_load: problem.total_load,
-        energy_weight: 1.0,
-        delay_weight: 0.0,
-        base_power: problem.base_power,
-        renewable: problem.renewable,
-    };
-    let floor_sol = solve(&floor_problem)?;
-    let floor_power = problem.power(&floor_sol.lambdas);
-    if floor_power > power_cap * (1.0 + 1e-9) {
-        return Err(OptError::Infeasible(format!(
-            "power floor {floor_power} exceeds cap {power_cap}"
-        )));
-    }
-    // validate() guarantees the weight is non-negative.
-    if problem.delay_weight <= 0.0 {
-        return Ok(problem.solution_from(floor_sol.lambdas, None));
-    }
-    // Bisect the effective weight so that power == cap. Power is
-    // non-increasing in a_eff, so (power_cap − power(a_eff)) is increasing.
-    let lo = problem.energy_weight;
-    let power_at = |a: f64| -> f64 {
-        match solve_linear_penalty(problem, a) {
-            Ok((l, _)) => problem.power(&l),
-            Err(_) => f64::NAN,
-        }
-    };
-    let hi = match grow_upper_bracket(lo.max(1.0) * 2.0, |a| power_cap - power_at(a), 80) {
-        Ok(hi) => hi,
-        // The bracket may fail to close when the cap sits within a whisker
-        // of the floor (the required multiplier is astronomically large);
-        // the θ-blend below still produces the exact boundary point.
-        Err(_) => lo.max(1.0) * 2.0_f64.powi(80),
-    };
-    let opts = BisectOptions { x_tol: 0.0, f_tol: power_cap.max(1.0) * 1e-10, max_iter: 200 };
-    let a_star = bisect_increasing(lo, hi, |a| power_cap - power_at(a), opts)?;
-    let (lambdas, nu_star) = solve_linear_penalty(problem, a_star)?;
-    let sol = problem.solution_from(lambdas, Some(nu_star));
-    if sol.power <= power_cap * (1.0 + 1e-9) {
-        return Ok(sol);
-    }
-    // Feasibility repair: power is affine in λ⃗ and the feasible set is
-    // convex, so the blend θ·floor + (1−θ)·current with
-    // θ = (P_cur − cap)/(P_cur − P_floor) lands exactly on the cap while
-    // staying feasible (and near-optimal: the objective is convex, both
-    // endpoints bracket the optimum's active face).
-    let theta = ((sol.power - power_cap) / (sol.power - floor_power)).clamp(0.0, 1.0);
-    let blended: Vec<f64> = sol
-        .lambdas
-        .iter()
-        .zip(&floor_sol.lambdas)
-        .map(|(a, b)| (1.0 - theta) * a + theta * b)
-        .collect();
-    Ok(problem.solution_from(blended, None))
-}
-
-// The helpers below run once per water-level evaluation of the cold solver,
-// which `SymmetricSolver` calls for every coordinate-descent step: they
-// must stay allocation-free.
+// The helpers below run once per water-level evaluation of the cold solver.
+// `SymmetricSolver` prices its descent steps on the SoA kernel
+// (`SoaWaterfill`); the cold solver runs for each solve's final
+// `optimal_dispatch`, for GSD's cold fallback and in tests. They must stay
+// allocation-free.
 // audit:hot-path: begin
 
 /// Closed-form per-queue load at water level `nu` for a fixed linear energy
@@ -425,7 +345,7 @@ fn lambda_at(q: &QueueSpec, nu: f64, a_eff: f64, w: f64) -> f64 {
 
 /// Removes the residual bisection error by rescaling the interior
 /// coordinates (those strictly between the bounds absorb the slack).
-fn rescale_interior(lambdas: &mut [f64], queues: &[QueueSpec], lam: f64) {
+fn rescale_interior(lambdas: &mut [f64], queues: &[QueueSpec], lam: f64, a_eff: f64, w: f64) {
     let total: f64 = lambdas.iter().zip(queues).map(|(l, q)| l * q.multiplicity).sum();
     let slack = lam - total;
     if slack.abs() > 0.0 {
@@ -442,11 +362,23 @@ fn rescale_interior(lambdas: &mut [f64], queues: &[QueueSpec], lam: f64) {
                 }
             }
         } else if slack > 0.0 {
-            // All active coordinates are pinned; spread the remainder over
-            // queues with headroom (rare: only when bisection stopped early).
-            distribute_remainder(lambdas, queues, slack);
+            // All active coordinates are pinned; the remainder goes where a
+            // rising water level would put it (rare: only when bisection
+            // stopped early, or when `a_eff·cᵢ` is so large that one ULP of
+            // ν spans a queue's whole fill).
+            distribute_remainder(lambdas, queues, slack, a_eff, w);
         }
     }
+}
+
+/// The smallest `(key, row)` pair above `after`, ordered by key and then
+/// by row: one step of an allocation-free walk over rows by ascending key.
+fn next_by_key(
+    rows: impl Iterator<Item = (f64, usize)>,
+    after: Option<(f64, usize)>,
+) -> Option<(f64, usize)> {
+    let order = |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+    rows.filter(|r| after.is_none_or(|a| order(r, &a).is_gt())).min_by(order)
 }
 
 // audit:hot-path: end
@@ -492,7 +424,7 @@ fn solve_linear_penalty(problem: &LoadDistProblem<'_>, a_eff: f64) -> Result<(Ve
 
     let nu = bisect_increasing(nu_lo, nu_hi, |nu| total_of(nu) - lam, nu_bisect_options(lam))?;
     let mut lambdas: Vec<f64> = queues.iter().map(|q| lambda_at(q, nu, a_eff, w)).collect();
-    rescale_interior(&mut lambdas, queues, lam);
+    rescale_interior(&mut lambdas, queues, lam, a_eff, w);
     Ok((lambdas, nu))
 }
 
@@ -614,11 +546,6 @@ impl QueueBank {
     /// Utilization cap `uᵢ` of row `row`.
     pub fn util_cap_of(&self, row: usize) -> f64 {
         self.util_cap[row]
-    }
-
-    /// Energy slope `cᵢ` of row `row`.
-    pub fn energy_slope_of(&self, row: usize) -> f64 {
-        self.energy_slope[row]
     }
 
     /// Static power of row `row` (per queue).
@@ -946,9 +873,16 @@ fn bank_nu_lower_bound(bank: &QueueBank, live: LiveRows<'_>, a_eff: f64, wox: &[
 
 /// Batched [`rescale_interior`]: interior live rows absorb the bisection
 /// slack in proportion to their load; when none is interior, a positive
-/// remainder fills the live rows' headroom in row order (the batched
-/// [`distribute_remainder`]).
-fn bank_rescale_interior(lambdas: &mut [f64], bank: &QueueBank, live: LiveRows<'_>, lam: f64) {
+/// remainder fills the live rows' headroom by ascending zero-load marginal
+/// `a_eff·cᵢ + W/xᵢ` (the batched [`distribute_remainder`]).
+fn bank_rescale_interior(
+    lambdas: &mut [f64],
+    bank: &QueueBank,
+    live: LiveRows<'_>,
+    lam: f64,
+    a_eff: f64,
+    wox: &[f64],
+) {
     // One fused pass for the dispatched total and the interior mass — the
     // slack test needs both.
     let mut total = 0.0;
@@ -970,10 +904,12 @@ fn bank_rescale_interior(lambdas: &mut [f64], bank: &QueueBank, live: LiveRows<'
                 }
             }
         } else if slack > 0.0 {
-            for &k in live.rows {
-                if slack <= 0.0 {
-                    break;
-                }
+            let keys = || live.rows.iter().map(|&k| (a_eff * bank.energy_slope[k] + wox[k], k));
+            let mut last = None;
+            while slack > 0.0 {
+                let Some(next) = next_by_key(keys(), last) else { break };
+                last = Some(next);
+                let k = next.1;
                 let m = bank.multiplicity[k];
                 let take = ((bank.util_cap[k] - lambdas[k]) * m).min(slack);
                 lambdas[k] += take / m;
@@ -1441,7 +1377,7 @@ impl SoaWaterfill {
                         break;
                     }
                     if g.abs() <= opts.f_tol {
-                        bank_rescale_interior(&mut self.scratch, bank, live, lam);
+                        bank_rescale_interior(&mut self.scratch, bank, live, lam, a_eff, wox);
                         self.last_evals += evals.get();
                         return Ok(nu);
                     }
@@ -1516,7 +1452,7 @@ impl SoaWaterfill {
         };
 
         bank_fill_into(bank, live, nu, a_eff, wox, wx, &mut self.scratch);
-        bank_rescale_interior(&mut self.scratch, bank, live, lam);
+        bank_rescale_interior(&mut self.scratch, bank, live, lam, a_eff, wox);
         // audit:hot-path: end
         self.last_evals += evals.get();
         Ok(nu)
@@ -1555,11 +1491,23 @@ fn solve_linear_greedy(problem: &LoadDistProblem<'_>) -> Result<LoadDistSolution
     Ok(problem.solution_from(lambdas, None))
 }
 
-fn distribute_remainder(lambdas: &mut [f64], queues: &[QueueSpec], mut slack: f64) {
-    for (l, q) in lambdas.iter_mut().zip(queues) {
-        if slack <= 0.0 {
-            break;
-        }
+/// Fills `slack` into the queues' headroom in ascending order of their
+/// zero-load marginal cost `a_eff·cᵢ + W/Xᵢ` (ties in index order), the
+/// order in which a rising water level activates them.
+fn distribute_remainder(
+    lambdas: &mut [f64],
+    queues: &[QueueSpec],
+    mut slack: f64,
+    a_eff: f64,
+    w: f64,
+) {
+    debug_assert!(queues.iter().all(|q| q.capacity > 0.0), "validated at entry");
+    let keys = || queues.iter().enumerate().map(|(i, q)| (a_eff * q.energy_slope + w / q.capacity, i));
+    let mut last = None;
+    while slack > 0.0 {
+        let Some(next) = next_by_key(keys(), last) else { break };
+        last = Some(next);
+        let (l, q) = (&mut lambdas[next.1], &queues[next.1]);
         debug_assert!(q.multiplicity >= 1.0, "validated at entry");
         let headroom = (q.util_cap - *l) * q.multiplicity;
         let take = headroom.min(slack);
@@ -1847,51 +1795,6 @@ mod tests {
         assert!(matches!(solve(&p), Err(OptError::Infeasible(_))));
     }
 
-    #[test]
-    fn power_cap_slack_returns_unconstrained() {
-        let qs = homogeneous(3, 10.0, 0.9, 0.5);
-        let p = problem(&qs, 12.0, 1.0, 2.0, 0.0);
-        let unc = solve(&p).unwrap();
-        let capped = solve_with_power_cap(&p, unc.power * 2.0).unwrap();
-        assert!((capped.objective - unc.objective).abs() < 1e-12);
-    }
-
-    #[test]
-    fn power_cap_pins_power_to_cap() {
-        // Heterogeneous slopes so the unconstrained optimum spreads load
-        // and uses more power than necessary.
-        let qs = vec![
-            QueueSpec::single(10.0, 9.0, 0.2),
-            QueueSpec::single(10.0, 9.0, 1.0),
-        ];
-        let p = problem(&qs, 12.0, 0.1, 5.0, 0.0);
-        let unc = solve(&p).unwrap();
-        let cap = unc.power * 0.9;
-        let capped = solve_with_power_cap(&p, cap).unwrap();
-        assert!(capped.power <= cap * (1.0 + 1e-6), "power {} vs cap {cap}", capped.power);
-        assert!((capped.power - cap).abs() < cap * 1e-4, "cap should bind");
-        assert!(capped.objective >= unc.objective - 1e-9, "capping cannot help");
-        // The solution is still load-conserving.
-        assert!((p.dispatched(&capped.lambdas) - 12.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn power_cap_below_floor_is_infeasible() {
-        let qs = homogeneous(2, 10.0, 0.9, 0.5);
-        // Serving 10 load units takes at least 10·(min slope load share)…
-        let p = problem(&qs, 10.0, 1.0, 1.0, 0.0);
-        let r = solve_with_power_cap(&p, 0.1);
-        assert!(matches!(r, Err(OptError::Infeasible(_))));
-    }
-
-    #[test]
-    fn power_cap_rejects_bad_input() {
-        let qs = homogeneous(1, 10.0, 0.9, 0.1);
-        let p = problem(&qs, 1.0, 1.0, 1.0, 0.0);
-        assert!(solve_with_power_cap(&p, f64::NAN).is_err());
-        assert!(solve_with_power_cap(&p, -1.0).is_err());
-    }
-
     // --- SoA bank kernels -------------------------------------------------
 
     /// `n` heterogeneous queue types with deterministic parameter spread.
@@ -1933,6 +1836,27 @@ mod tests {
             capped_capacity: bank.aggregates().0,
             renewable: r,
         }
+    }
+
+    /// At an energy weight of ~1e17 one ULP of the water level (~0.125)
+    /// is wider than the band in which the cheapest queue takes its whole
+    /// share, so the bisection ends with every queue at 0. The remainder
+    /// then belongs on the cheapest queue (row 2), not on the first row.
+    #[test]
+    fn unresolved_water_level_fills_the_cheapest_queue() {
+        let specs = [
+            QueueSpec::single(250.0, 237.5, 0.0091),
+            QueueSpec::single(212.5, 201.875, 0.011776470588235296),
+            QueueSpec::single(287.5, 273.125, 0.007517391304347826),
+            QueueSpec::single(225.0, 213.75, 0.008088888888888889),
+        ];
+        let (lam, a, w) = (91.47892714302873, 1.2582377022619213e17, 10.0);
+        let want = [0.0, 0.0, lam, 0.0];
+        assert_eq!(solve(&problem(&specs, lam, a, w, 0.0)).unwrap().lambdas, want);
+        let bank = bank_of(&specs);
+        let mut soa = SoaWaterfill::new();
+        let _ = soa.solve(&bank_problem(&bank, lam, a, w, 0.0)).unwrap();
+        assert_eq!(soa.lambdas(), want);
     }
 
     /// Lane-remainder coverage: type counts around the `[f64; 8]` chunk
@@ -2243,7 +2167,13 @@ mod tests {
             lo
         }
 
-        pub(super) fn rescale_interior(lambdas: &mut [f64], bank: &QueueBank, lam: f64) {
+        pub(super) fn rescale_interior(
+            lambdas: &mut [f64],
+            bank: &QueueBank,
+            lam: f64,
+            a_eff: f64,
+            wox: &[f64],
+        ) {
             // One fused pass for the dispatched total and the interior mass — the
             // slack test needs both, and separate walks would re-stream the lanes.
             let mut total = 0.0;
@@ -2263,23 +2193,30 @@ mod tests {
                         }
                     }
                 } else if slack > 0.0 {
-                    distribute_remainder(lambdas, bank, slack);
+                    distribute_remainder(lambdas, bank, slack, a_eff, wox);
                 }
             }
         }
 
-        fn distribute_remainder(lambdas: &mut [f64], bank: &QueueBank, mut slack: f64) {
-            for ((l, &u), &m) in lambdas.iter_mut().zip(&bank.util_cap).zip(&bank.multiplicity) {
+        fn distribute_remainder(
+            lambdas: &mut [f64],
+            bank: &QueueBank,
+            mut slack: f64,
+            a_eff: f64,
+            wox: &[f64],
+        ) {
+            // Rows sorted once by (zero-load marginal, row); retracted rows
+            // take no load.
+            let mut order: Vec<usize> = (0..bank.len()).filter(|&k| bank.multiplicity[k] > 0.0).collect();
+            let key = |k: usize| a_eff * bank.energy_slope[k] + wox[k];
+            order.sort_by(|&a, &b| key(a).total_cmp(&key(b)).then(a.cmp(&b)));
+            for k in order {
                 if slack <= 0.0 {
                     break;
                 }
-                if m <= 0.0 {
-                    continue;
-                }
-                let headroom = (u - *l) * m;
-                let take = headroom.min(slack);
-                debug_assert!(m > 0.0, "retracted rows are skipped above");
-                *l += take / m;
+                let m = bank.multiplicity[k];
+                let take = ((bank.util_cap[k] - lambdas[k]) * m).min(slack);
+                lambdas[k] += take / m;
                 slack -= take;
             }
         }
@@ -2379,8 +2316,8 @@ mod tests {
             let dispatched: f64 = loads.iter().zip(&bank.multiplicity).map(|(l, m)| m * l).sum();
             let lam = dispatched * lam_scale;
             let (mut rescaled, mut oracle_rescaled) = (loads.clone(), loads.clone());
-            bank_rescale_interior(&mut rescaled, &bank, live, lam);
-            full_row::rescale_interior(&mut oracle_rescaled, &bank, lam);
+            bank_rescale_interior(&mut rescaled, &bank, live, lam, a_eff, &wox);
+            full_row::rescale_interior(&mut oracle_rescaled, &bank, lam, a_eff, &wox);
             proptest::prop_assert!(
                 live.rows.iter().all(|&k| same(rescaled[k], oracle_rescaled[k]))
             );

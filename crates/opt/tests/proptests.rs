@@ -1,10 +1,9 @@
 //! Property-based tests for the scalar solvers: bisection against random
-//! monotone functions, golden-section against grid scans, and budget duals
-//! against analytically solvable quadratic slot families.
+//! monotone functions, capped-simplex projection, and budget duals against
+//! analytically solvable quadratic slot families.
 
 use coca_opt::bisect::{bisect_increasing, BisectOptions};
 use coca_opt::dual::{solve_budget_dual, DualOptions};
-use coca_opt::golden::golden_min;
 use coca_opt::simplex::project_capped_simplex;
 use proptest::prelude::*;
 
@@ -23,25 +22,6 @@ proptest! {
         };
         let x = bisect_increasing(-100.0, 100.0, f, BisectOptions::default()).unwrap();
         prop_assert!((x - root).abs() < 1e-6, "found {x}, expected {root}");
-    }
-
-    #[test]
-    fn golden_section_matches_grid_scan(
-        center in -10.0..10.0_f64,
-        width in 0.1..5.0_f64,
-        quartic in proptest::bool::ANY,
-    ) {
-        let f = move |x: f64| {
-            let d = x - center;
-            if quartic { d.powi(4) + 0.5 * d * d } else { d * d }
-        };
-        let r = golden_min(-20.0, 20.0, f, 1e-9, 300).unwrap();
-        let grid_best = (0..40_000)
-            .map(|i| -20.0 + 40.0 * i as f64 / 39_999.0)
-            .map(f)
-            .fold(f64::INFINITY, f64::min);
-        prop_assert!(r.value <= grid_best + 1e-6,
-            "golden {} worse than grid {}", r.value, grid_best);
     }
 
     #[test]
