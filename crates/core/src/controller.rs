@@ -19,8 +19,8 @@ use std::sync::Arc;
 
 use coca_dcsim::dispatch::SlotProblem;
 use coca_dcsim::{
-    Cluster, CostParams, Decision, Policy, PolicyTelemetry, SimError, SlotFeedback,
-    SlotObservation,
+    CheckpointError, Cluster, CostParams, Decision, Policy, PolicyTelemetry, SimError,
+    SlotFeedback, SlotObservation,
 };
 use coca_obs::SolverObserver;
 use serde::{Deserialize, Serialize, Value};
@@ -99,6 +99,9 @@ pub struct CocaController<S> {
     /// Slot index of the most recent decision (backs [`Policy::telemetry`]).
     // audit:transient(overwritten by the next observe() before any read)
     last_t: usize,
+    /// Set by `restore` until a decision has checked the restored queue
+    /// against the slot the run resumes at.
+    resumed: bool,
 }
 
 impl<S: P3Solver> CocaController<S> {
@@ -109,7 +112,7 @@ impl<S: P3Solver> CocaController<S> {
         cfg.validate().expect("valid CocaConfig");
         cost.validate().expect("valid CostParams");
         let deficit = DeficitQueue::new(cfg.alpha, cfg.rec_total, cfg.horizon);
-        Self { cluster, cost, cfg, solver, deficit, observer: None, last_t: 0 }
+        Self { cluster, cost, cfg, solver, deficit, observer: None, last_t: 0, resumed: false }
     }
 
     /// Attaches a solver observer: the controller reports frame resets and
@@ -160,6 +163,22 @@ impl<S: P3Solver> Policy for CocaController<S> {
     }
 
     fn decide(&mut self, obs: &SlotObservation) -> coca_dcsim::Result<Decision> {
+        if self.resumed {
+            // A checkpoint is taken between slots, so a restored queue has
+            // absorbed every slot of the current frame before `t`. One that
+            // disagrees came with a damaged or foreign slot index.
+            let (frame, seen) = (self.cfg.frame_length, self.deficit.updates_since_reset());
+            let want = if obs.t == 0 { 0 } else { (obs.t - 1) % frame + 1 };
+            if seen != want {
+                return Err(CheckpointError::Malformed(format!(
+                    "restored deficit queue has absorbed {seen} slots of its frame, \
+                     but resuming at slot {} needs {want}",
+                    obs.t
+                ))
+                .into());
+            }
+            self.resumed = false;
+        }
         self.last_t = obs.t;
         // Frame boundary: reset the queue so V can be retuned without the
         // previous frame's deficit bleeding over (Algorithm 1 lines 2–4).
@@ -206,6 +225,7 @@ impl<S: P3Solver> Policy for CocaController<S> {
     fn reset(&mut self) {
         self.deficit = DeficitQueue::new(self.cfg.alpha, self.cfg.rec_total, self.cfg.horizon);
         self.last_t = 0;
+        self.resumed = false;
         self.solver.reset();
     }
 
@@ -246,6 +266,7 @@ impl<S: P3Solver> Policy for CocaController<S> {
             .map_err(|e| SimError::InvalidConfig(format!("coca snapshot deficit: {e}")))?;
         self.solver.restore_state(field("solver")?)?;
         self.deficit = deficit;
+        self.resumed = true;
         Ok(())
     }
 }

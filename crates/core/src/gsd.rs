@@ -116,10 +116,9 @@ impl CandidateOracle for ContextOracle<'_, '_> {
 /// ([`SlotEvalContext::evaluate_candidate`]): a ±1 delta on the shared
 /// multiset aggregates plus one warm water-filling solve, with no restore
 /// pass on rejection. [`Self::state_cost`] is the cold reference for the
-/// same costs; a chain driven by it through
-/// [`coca_opt::gibbs::run_gibbs`] with the same seed and initial state
-/// visits the same states, because the two agree to ≤ 1e-9 and share the
-/// RNG stream.
+/// same costs; a chain that prices every proposal with it through the
+/// same driver, seed and initial state visits the same states, because
+/// the two agree to ≤ 1e-9 and share the RNG stream.
 #[derive(Debug)]
 pub struct GsdSolver {
     opts: GsdOptions,
@@ -270,7 +269,32 @@ impl P3Solver for GsdSolver {
     }
 }
 
-/// The cold reference chain: [`coca_opt::gibbs::run_gibbs`] over
+/// Prices every proposal from scratch with [`GsdSolver::state_cost`].
+#[cfg(test)]
+struct ColdOracle<'a> {
+    problem: &'a SlotProblem<'a>,
+    state: Vec<usize>,
+}
+
+#[cfg(test)]
+impl CandidateOracle for ColdOracle<'_> {
+    fn current_cost(&mut self) -> f64 {
+        GsdSolver::state_cost(self.problem, &self.state)
+    }
+
+    fn candidate_cost(&mut self, site: usize, level: usize) -> f64 {
+        let kept = std::mem::replace(&mut self.state[site], level);
+        let cost = GsdSolver::state_cost(self.problem, &self.state);
+        self.state[site] = kept;
+        cost
+    }
+
+    fn commit(&mut self, site: usize, level: usize) {
+        self.state[site] = level;
+    }
+}
+
+/// The cold reference chain: [`run_gibbs_batched`] over
 /// [`GsdSolver::state_cost`], for tests that pin the kernel's chain to it.
 #[cfg(test)]
 pub(crate) fn cold_chain(
@@ -280,14 +304,8 @@ pub(crate) fn cold_chain(
     rng: &mut StdRng,
 ) -> coca_opt::gibbs::GibbsOutcome {
     let counts = problem.cluster.choice_counts();
-    coca_opt::gibbs::run_gibbs(
-        &counts,
-        initial,
-        |state| GsdSolver::state_cost(problem, state),
-        &opts.gibbs(),
-        rng,
-    )
-    .unwrap()
+    let mut oracle = ColdOracle { problem, state: initial.to_vec() };
+    run_gibbs_batched(&counts, initial, &mut oracle, &opts.gibbs(), rng).unwrap()
 }
 
 #[cfg(test)]

@@ -21,8 +21,9 @@
 //! per partition). The fleet keeps one water-filling solver, `reset()` at
 //! the start of every descent, so its ν/μ brackets live for one descent and
 //! no slot-dependent state outlives a solve or enters a checkpoint. The
-//! chosen levels are dispatched by the cold [`optimal_dispatch`], so
-//! published loads and costs do not carry the kernel's ≤ 1e-9 tolerance.
+//! chosen levels are dispatched by [`optimal_dispatch`], a cold start of
+//! the same kernel, so published loads and costs do not depend on the
+//! brackets the descent left behind.
 //!
 //! Each distinct state is priced once per solve. The warm and full-speed
 //! descents and their confirming last rounds revisit many states; a

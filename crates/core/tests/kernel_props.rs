@@ -1,10 +1,13 @@
-//! Differential property tests for the P3 evaluation kernel: along random
-//! single-flip walks over random heterogeneous fleets, the slot-scoped
-//! struct-of-arrays context ([`SlotEvalContext`]) must agree with the cold
-//! [`optimal_dispatch`] to ≤ 1e-9 relative error — the current state's
-//! cost, every candidate of a [`SlotEvalContext::evaluate_candidates`]
-//! sweep, and the per-group loads of [`SlotEvalContext::extract_outcome`] —
-//! and reproduce the cold water level, with warm ν/μ brackets engaged.
+//! Differential property tests for the P3 evaluation kernel, warm start
+//! against cold start: along random single-flip walks over random
+//! heterogeneous fleets, the slot-scoped struct-of-arrays context
+//! ([`SlotEvalContext`]), whose water-filling solver carries its ν/μ
+//! brackets from price to price, must agree with [`optimal_dispatch`], a
+//! fresh solver of the same kernel, to ≤ 1e-9 relative error — the
+//! current state's cost, every candidate of a
+//! [`SlotEvalContext::evaluate_candidates`] sweep, and the per-group loads
+//! of [`SlotEvalContext::extract_outcome`] — and reproduce the cold water
+//! level, with warm ν/μ brackets engaged.
 //!
 //! A deterministic companion walk pins the coverage claim: it crosses all
 //! three regimes of the water-filling analysis — electricity-active

@@ -32,10 +32,11 @@
 //! `r(t)`, and the weights `A = V·w(t) + q(t)` / `W = V·β` — so the engines
 //! build a fresh context per `solve()` call and drop it with the slot.
 //!
-//! Correctness: the kernel answers the *same* water-filling problems with
-//! the same stopping tolerances as the cold path, so results agree with
-//! [`crate::dispatch::optimal_dispatch`] to ≤ 1e-9 relative error (pinned
-//! by the differential property test in `coca-core`), and the
+//! Correctness: [`crate::dispatch::optimal_dispatch`] solves the *same*
+//! water-filling problems on the same kernel from a cold start, and warm
+//! starts change only where a search begins, never its stopping rule, so
+//! the two agree to ≤ 1e-9 relative error (pinned by the differential
+//! property test in `coca-core`), and the
 //! `coca_opt::invariant` hooks (load conservation, plus the KKT residual in
 //! debug and strict builds) fire on every solve.
 

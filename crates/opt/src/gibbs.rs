@@ -2,7 +2,8 @@
 //!
 //! This is the engine behind **GSD** (paper Algorithm 2), kept generic: a
 //! *state* is one discrete choice per site (server / server group), a *cost
-//! oracle* maps states to strictly positive costs, and each iteration
+//! oracle* ([`CandidateOracle`]) prices single-site moves with strictly
+//! positive costs, and each iteration of [`run_gibbs_batched`]
 //!
 //! 1. picks a site uniformly at random and a uniformly random alternative
 //!    choice for it (paper line 7),
@@ -66,108 +67,14 @@ pub struct GibbsOutcome {
     pub trace: Vec<f64>,
 }
 
-/// Runs the annealed Gibbs sampler.
+/// Incremental cost oracle for the Gibbs driver.
 ///
-/// * `choice_counts[i]` — number of discrete choices at site `i` (must be
-///   ≥ 1; single-choice sites are legal and never mutated).
-/// * `initial` — starting state; each entry must index a valid choice.
-/// * `cost` — strictly positive cost oracle. Returning a non-positive or
-///   non-finite value aborts the run with an error (the acceptance rule
-///   `δ/g` requires `g > 0`, paper Appendix A).
-pub fn run_gibbs<C, R>(
-    choice_counts: &[usize],
-    initial: &[usize],
-    mut cost: C,
-    opts: &GibbsOptions,
-    rng: &mut R,
-) -> Result<GibbsOutcome>
-where
-    C: FnMut(&[usize]) -> f64,
-    R: Rng + ?Sized,
-{
-    validate_state(choice_counts, initial)?;
-    let mutable_sites: Vec<usize> =
-        (0..choice_counts.len()).filter(|&i| choice_counts[i] > 1).collect();
-
-    let mut kept = initial.to_vec();
-    let mut kept_cost = eval_cost(&mut cost, &kept)?;
-    let mut best = kept.clone();
-    let mut best_cost = kept_cost;
-    let mut accepted = 0;
-    let mut stagnant = 0;
-    let mut trace = Vec::with_capacity(if opts.record_trace { opts.iterations } else { 0 });
-    let mut iterations_run = 0;
-
-    for k in 0..opts.iterations {
-        iterations_run = k + 1;
-        if mutable_sites.is_empty() {
-            break;
-        }
-        let delta = opts.schedule.delta_at(k, opts.iterations);
-        let site = mutable_sites[rng.gen_range(0..mutable_sites.len())];
-        let old_choice = kept[site];
-        // Uniform proposal over the site's choices, including re-proposing
-        // the current one (paper line 7: "randomly selects a processing
-        // speed x'ᵢ ∈ Sᵢ"). Re-proposals are cheap no-ops.
-        let proposal = rng.gen_range(0..choice_counts[site]);
-        if proposal == old_choice {
-            if opts.record_trace {
-                trace.push(kept_cost);
-            }
-            continue;
-        }
-        kept[site] = proposal;
-        let explored_cost = eval_cost(&mut cost, &kept)?;
-        debug_assert!(
-            explored_cost > 0.0 && kept_cost > 0.0,
-            "eval_cost rejects non-positive objectives"
-        );
-        let u = sigmoid(delta * (1.0 / explored_cost - 1.0 / kept_cost));
-        crate::invariant::global().acceptance_probability(u);
-        if rng.gen::<f64>() < u {
-            kept_cost = explored_cost;
-            accepted += 1;
-            if kept_cost < best_cost {
-                best_cost = kept_cost;
-                best.copy_from_slice(&kept);
-                stagnant = 0;
-            } else {
-                stagnant += 1;
-            }
-        } else {
-            kept[site] = old_choice;
-            stagnant += 1;
-        }
-        if opts.record_trace {
-            trace.push(kept_cost);
-        }
-        if let Some(p) = opts.patience {
-            if stagnant >= p {
-                break;
-            }
-        }
-    }
-
-    Ok(GibbsOutcome {
-        best_state: best,
-        best_cost,
-        final_state: kept,
-        final_cost: kept_cost,
-        iterations_run,
-        accepted,
-        trace,
-    })
-}
-
-/// Incremental cost oracle for the batched Gibbs driver.
-///
-/// Unlike the closure oracle of [`run_gibbs`] — which receives the full
-/// mutated state and must internally diff it against its own copy — a
-/// `CandidateOracle` holds the committed state itself and prices single-site
-/// deviations directly. This is the contract the struct-of-arrays batched
-/// kernel exposes (`SlotEvalContext::evaluate_candidate`): the candidate is
-/// scored by delta-adjusting shared multiset aggregates, with no state
-/// vector round-trip, no hash probe, and no restore pass on rejection.
+/// A `CandidateOracle` holds the committed state itself and prices
+/// single-site deviations directly. This is the contract the
+/// struct-of-arrays batched kernel exposes
+/// (`SlotEvalContext::evaluate_candidate`): the candidate is scored by
+/// delta-adjusting shared multiset aggregates, with no state vector
+/// round-trip, no hash probe, and no restore pass on rejection.
 ///
 /// Contract:
 /// * [`current_cost`](CandidateOracle::current_cost) prices the committed
@@ -179,7 +86,9 @@ where
 /// * [`commit`](CandidateOracle::commit) makes `site = level` the committed
 ///   state; the driver calls it exactly on acceptance.
 ///
-/// All costs must be strictly positive and finite, as in [`run_gibbs`].
+/// All costs must be strictly positive and finite: the acceptance rule
+/// `δ/g` requires `g > 0` (paper Appendix A), so a non-positive or
+/// non-finite cost aborts the run with an error.
 pub trait CandidateOracle {
     /// Cost of the currently committed state.
     fn current_cost(&mut self) -> f64;
@@ -192,13 +101,16 @@ pub trait CandidateOracle {
 
 /// Runs the annealed Gibbs sampler against a [`CandidateOracle`].
 ///
-/// Semantically identical to [`run_gibbs`] — same proposal law, same
-/// acceptance rule, and the **same RNG consumption order** (site draw,
-/// proposal draw, acceptance draw only for non-self proposals), so a batched
-/// run with the same seed visits the same chain of states as the closure
-/// driver whenever the two oracles agree on costs. The difference is purely
-/// mechanical: rejected proposals never touch the committed state, so there
-/// is no mutate/restore round-trip per iteration.
+/// * `choice_counts[i]` — number of discrete choices at site `i` (must be
+///   ≥ 1; single-choice sites are legal and never mutated).
+/// * `initial` — starting state; each entry must index a valid choice, and
+///   the oracle must already hold it as its committed state.
+///
+/// The RNG is consumed in a fixed order — site draw, proposal draw, and an
+/// acceptance draw only for non-self proposals — so two runs with the same
+/// seed visit the same chain of states whenever their oracles agree on
+/// costs. Rejected proposals never touch the committed state, so there is
+/// no mutate/restore round-trip per iteration.
 pub fn run_gibbs_batched<O, R>(
     choice_counts: &[usize],
     initial: &[usize],
@@ -231,8 +143,10 @@ where
         let delta = opts.schedule.delta_at(k, opts.iterations);
         let site = mutable_sites[rng.gen_range(0..mutable_sites.len())];
         let old_choice = kept[site];
-        // Same proposal law as `run_gibbs`: uniform over the site's choices,
-        // re-proposals included (and skipped without an acceptance draw).
+        // Uniform proposal over the site's choices, including re-proposing
+        // the current one (paper line 7: "randomly selects a processing
+        // speed x'ᵢ ∈ Sᵢ"); re-proposals are skipped without an acceptance
+        // draw.
         let proposal = rng.gen_range(0..choice_counts[site]);
         if proposal == old_choice {
             if opts.record_trace {
@@ -304,22 +218,9 @@ fn validate_state(choice_counts: &[usize], state: &[usize]) -> Result<()> {
     Ok(())
 }
 
-fn eval_cost<C: FnMut(&[usize]) -> f64>(cost: &mut C, state: &[usize]) -> Result<f64> {
-    let g = cost(state);
-    if !g.is_finite() {
-        return Err(OptError::NonFinite(format!("cost({state:?}) = {g}")));
-    }
-    if g <= 0.0 {
-        return Err(OptError::InvalidInput(format!(
-            "Gibbs cost must be strictly positive (got {g}); shift the objective if needed"
-        )));
-    }
-    Ok(g)
-}
-
 fn check_cost(g: f64, what: &str) -> Result<f64> {
     if !g.is_finite() {
-        return Err(OptError::NonFinite(format!("batched oracle cost of {what} = {g}")));
+        return Err(OptError::NonFinite(format!("Gibbs cost of {what} = {g}")));
     }
     if g <= 0.0 {
         return Err(OptError::InvalidInput(format!(
@@ -342,8 +243,8 @@ pub fn gibbs_stationary<C: FnMut(&[usize]) -> f64>(
     // Stabilize the exponentials by factoring out the maximum exponent.
     let mut exponents = Vec::with_capacity(states.len());
     for s in &states {
-        let g = eval_cost(&mut cost, s)?;
-        debug_assert!(g > 0.0, "eval_cost rejects non-positive objectives");
+        let g = check_cost(cost(s), "an enumerated state")?;
+        debug_assert!(g > 0.0, "check_cost rejects non-positive objectives");
         exponents.push(delta / g);
     }
     let m = exponents.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -365,16 +266,59 @@ mod tests {
         table[state[0]][state[1]]
     }
 
+    /// Table-backed [`CandidateOracle`] over the toy cost surface.
+    struct ToyOracle {
+        state: Vec<usize>,
+        evals: usize,
+    }
+
+    impl CandidateOracle for ToyOracle {
+        fn current_cost(&mut self) -> f64 {
+            toy_cost(&self.state)
+        }
+        fn candidate_cost(&mut self, site: usize, level: usize) -> f64 {
+            self.evals += 1;
+            let old = self.state[site];
+            self.state[site] = level;
+            let c = toy_cost(&self.state);
+            self.state[site] = old;
+            c
+        }
+        fn commit(&mut self, site: usize, level: usize) {
+            self.state[site] = level;
+        }
+    }
+
+    /// A chain over the toy surface from `(0, 0)`; returns the oracle too.
+    fn toy_chain(opts: &GibbsOptions, seed: u64) -> (GibbsOutcome, ToyOracle) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut oracle = ToyOracle { state: vec![0, 0], evals: 0 };
+        let out = run_gibbs_batched(&[3, 3], &[0, 0], &mut oracle, opts, &mut rng).unwrap();
+        (out, oracle)
+    }
+
+    /// Prices every state at the same cost.
+    struct Flat(f64);
+
+    impl CandidateOracle for Flat {
+        fn current_cost(&mut self) -> f64 {
+            self.0
+        }
+        fn candidate_cost(&mut self, _site: usize, _level: usize) -> f64 {
+            self.0
+        }
+        fn commit(&mut self, _site: usize, _level: usize) {}
+    }
+
     #[test]
     fn finds_global_optimum_with_high_delta() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let opts = GibbsOptions {
             iterations: 3000,
             schedule: TemperatureSchedule::Constant(200.0),
             patience: None,
             record_trace: false,
         };
-        let out = run_gibbs(&[3, 3], &[0, 0], toy_cost, &opts, &mut rng).unwrap();
+        let (out, _) = toy_chain(&opts, 7);
         assert_eq!(out.best_state, vec![2, 1]);
         assert_eq!(out.best_cost, 1.0);
     }
@@ -443,80 +387,30 @@ mod tests {
 
     #[test]
     fn patience_stops_early() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let opts = GibbsOptions {
             iterations: 100_000,
             schedule: TemperatureSchedule::Constant(1e9),
             patience: Some(50),
             record_trace: false,
         };
-        let out = run_gibbs(&[3, 3], &[0, 0], toy_cost, &opts, &mut rng).unwrap();
+        let (out, _) = toy_chain(&opts, 5);
         assert!(out.iterations_run < 100_000, "patience should truncate the run");
         assert_eq!(out.best_state, vec![2, 1]);
     }
 
     #[test]
     fn trace_records_kept_cost() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let opts = GibbsOptions {
             iterations: 100,
             schedule: TemperatureSchedule::Constant(50.0),
             patience: None,
             record_trace: true,
         };
-        let out = run_gibbs(&[3, 3], &[0, 0], toy_cost, &opts, &mut rng).unwrap();
+        let (out, oracle) = toy_chain(&opts, 11);
         assert_eq!(out.trace.len(), 100);
         assert_eq!(*out.trace.last().unwrap(), out.final_cost);
-    }
-
-    /// Table-backed [`CandidateOracle`] over the same toy cost surface.
-    struct ToyOracle {
-        state: Vec<usize>,
-        evals: usize,
-    }
-
-    impl CandidateOracle for ToyOracle {
-        fn current_cost(&mut self) -> f64 {
-            toy_cost(&self.state)
-        }
-        fn candidate_cost(&mut self, site: usize, level: usize) -> f64 {
-            self.evals += 1;
-            let old = self.state[site];
-            self.state[site] = level;
-            let c = toy_cost(&self.state);
-            self.state[site] = old;
-            c
-        }
-        fn commit(&mut self, site: usize, level: usize) {
-            self.state[site] = level;
-        }
-    }
-
-    #[test]
-    fn batched_driver_replays_the_closure_chain() {
-        // Same seed + agreeing oracles ⇒ the batched driver must consume the
-        // RNG identically and visit the exact same chain of states.
-        for seed in [7u64, 11, 123] {
-            let opts = GibbsOptions {
-                iterations: 2000,
-                schedule: TemperatureSchedule::Constant(25.0),
-                patience: None,
-                record_trace: true,
-            };
-            let mut rng_a = rand::rngs::StdRng::seed_from_u64(seed);
-            let scalar = run_gibbs(&[3, 3], &[0, 0], toy_cost, &opts, &mut rng_a).unwrap();
-            let mut rng_b = rand::rngs::StdRng::seed_from_u64(seed);
-            let mut oracle = ToyOracle { state: vec![0, 0], evals: 0 };
-            let batched =
-                run_gibbs_batched(&[3, 3], &[0, 0], &mut oracle, &opts, &mut rng_b).unwrap();
-            assert_eq!(batched.final_state, scalar.final_state);
-            assert_eq!(batched.best_state, scalar.best_state);
-            assert_eq!(batched.best_cost, scalar.best_cost);
-            assert_eq!(batched.accepted, scalar.accepted);
-            assert_eq!(batched.trace, scalar.trace);
-            assert_eq!(oracle.state, batched.final_state, "commits track the kept state");
-            assert!(oracle.evals <= opts.iterations, "one candidate eval per proposal at most");
-        }
+        assert_eq!(oracle.state, out.final_state, "commits track the kept state");
+        assert!(oracle.evals <= opts.iterations, "one candidate eval per proposal at most");
     }
 
     #[test]
@@ -541,7 +435,7 @@ mod tests {
     fn single_choice_sites_never_mutate() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let opts = GibbsOptions::default();
-        let out = run_gibbs(&[1, 1], &[0, 0], |_| 2.0, &opts, &mut rng).unwrap();
+        let out = run_gibbs_batched(&[1, 1], &[0, 0], &mut Flat(2.0), &opts, &mut rng).unwrap();
         assert_eq!(out.final_state, vec![0, 0]);
         assert_eq!(out.accepted, 0);
     }
@@ -549,14 +443,14 @@ mod tests {
     #[test]
     fn rejects_invalid_initial_state() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let r = run_gibbs(&[2], &[5], |_| 1.0, &GibbsOptions::default(), &mut rng);
+        let r = run_gibbs_batched(&[2], &[5], &mut Flat(1.0), &GibbsOptions::default(), &mut rng);
         assert!(matches!(r, Err(OptError::InvalidInput(_))));
     }
 
     #[test]
     fn rejects_non_positive_cost() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let r = run_gibbs(&[2], &[0], |_| 0.0, &GibbsOptions::default(), &mut rng);
+        let r = run_gibbs_batched(&[2], &[0], &mut Flat(0.0), &GibbsOptions::default(), &mut rng);
         assert!(matches!(r, Err(OptError::InvalidInput(_))));
     }
 

@@ -37,9 +37,7 @@
 //! Degenerate delay weight `W = 0` turns the problem into a linear program
 //! solved greedily by ascending marginal energy cost.
 
-use crate::bisect::{
-    bisect_increasing, grow_upper_bracket, illinois_increasing, illinois_seeded, BisectOptions,
-};
+use crate::bisect::{grow_upper_bracket, illinois_increasing, illinois_seeded, BisectOptions};
 use crate::{pos, OptError, Result};
 
 /// One M/G/1/PS queue type: `multiplicity` identical queues (servers, or
@@ -197,17 +195,11 @@ impl LoadDistProblem<'_> {
         self.energy_weight * pos(self.power(lambdas) - self.renewable)
             + self.delay_weight * self.delay(lambdas)
     }
-
-    fn solution_from(&self, lambdas: Vec<f64>, water_level: Option<f64>) -> LoadDistSolution {
-        let power = self.power(&lambdas);
-        let delay = self.delay(&lambdas);
-        let objective = self.energy_weight * pos(power - self.renewable) + self.delay_weight * delay;
-        LoadDistSolution { lambdas, objective, power, delay, water_level }
-    }
 }
 
 /// Solves the load-distribution problem exactly. See the module docs for the
-/// three-regime strategy.
+/// three-regime strategy: this is a cold [`SoaWaterfill`] solve over a
+/// [`QueueBank`] with one row per queue type.
 ///
 /// ```
 /// use coca_opt::waterfill::{solve, LoadDistProblem, QueueSpec};
@@ -225,207 +217,38 @@ impl LoadDistProblem<'_> {
 /// assert!((sol.lambdas[1] - 4.0).abs() < 1e-6);
 /// ```
 pub fn solve(problem: &LoadDistProblem<'_>) -> Result<LoadDistSolution> {
-    let sol = solve_unchecked(problem)?;
-    // Paper-invariant hooks: constraint (8) conservation and the KKT
-    // certificate of the three-regime analysis (free in release builds
-    // unless strict mode is on).
-    let inv = crate::invariant::global();
-    inv.load_conserved(problem.dispatched(&sol.lambdas), problem.total_load);
-    inv.kkt(problem, &sol.lambdas);
-    Ok(sol)
-}
-
-fn solve_unchecked(problem: &LoadDistProblem<'_>) -> Result<LoadDistSolution> {
     problem.validate()?;
-    let n = problem.queues.len();
-    let lam = problem.total_load;
-    // validate() guarantees lam >= 0, so `<=` is the exact-zero test.
-    if lam <= 0.0 {
-        return Ok(problem.solution_from(vec![0.0; n], None));
+    let mut bank = QueueBank::new();
+    for q in problem.queues {
+        bank.push_type(q.capacity, q.util_cap, q.energy_slope, 0.0, q.multiplicity);
     }
-    if n == 0 {
-        return Err(OptError::Infeasible("positive load but no active queues".into()));
-    }
-    let cap = problem.capped_capacity();
-    if lam > cap * (1.0 + 1e-12) {
-        return Err(OptError::Infeasible(format!(
-            "total load {lam} exceeds capped capacity {cap}"
-        )));
-    }
-    // Saturated case: every queue pinned at (a uniform fraction of) its cap.
-    if lam >= cap * (1.0 - 1e-12) {
-        let lambdas = problem.queues.iter().map(|q| q.util_cap * (lam / cap)).collect();
-        return Ok(problem.solution_from(lambdas, None));
-    }
-
-    // validate() guarantees the weight is non-negative.
-    if problem.delay_weight <= 0.0 {
-        return solve_linear_greedy(problem);
-    }
-
-    // Regime 1: electricity-active (penalty weight = A everywhere).
-    let (cand_active, nu_active) = solve_linear_penalty(problem, problem.energy_weight)?;
-    let p_active = problem.power(&cand_active);
-    let r = problem.renewable;
-    if p_active >= r * (1.0 - KINK_TOL) || problem.energy_weight <= 0.0 {
-        return Ok(problem.solution_from(cand_active, Some(nu_active)));
-    }
-
-    // Regime 2: renewable-slack (penalty weight = 0).
-    let (cand_slack, nu_slack) = solve_linear_penalty(problem, 0.0)?;
-    let p_slack = problem.power(&cand_slack);
-    if p_slack <= r * (1.0 + KINK_TOL) {
-        return Ok(problem.solution_from(cand_slack, Some(nu_slack)));
-    }
-
-    // Regime 3: optimum sits on the kink (total power = r). Power is
-    // non-increasing in the effective energy weight μ; bisect μ ∈ [0, A].
-    // The f_tol must be tight: at the kink the objective depends
-    // first-order on the stopping power gap (error ≈ A·|power − r|), so a
-    // loose tolerance here leaks straight into the objective and breaks the
-    // 1e-9 cold-vs-incremental differential guarantee. The interval guard
-    // in the search caps the extra iterations near machine precision.
-    let opts = BisectOptions { x_tol: 0.0, f_tol: r.abs().max(1.0) * 1e-13, max_iter: 200 };
-    let mu = bisect_increasing(
-        0.0,
-        problem.energy_weight,
-        |mu| {
-            // increasing in μ: r − power(μ) (power decreases with μ)
-            match solve_linear_penalty(problem, mu) {
-                Ok((l, _)) => r - problem.power(&l),
-                Err(_) => f64::NAN,
-            }
-        },
-        opts,
-    )?;
-    let (cand_kink, nu_kink) = solve_linear_penalty(problem, mu)?;
-
-    // Defensive: the regime analysis is exact in theory; numerically we pick
-    // the best of the three candidates under the true objective.
-    let mut best: Option<(Vec<f64>, f64, f64)> = None;
-    for (cand, nu) in [(cand_active, nu_active), (cand_slack, nu_slack), (cand_kink, nu_kink)] {
-        let obj = problem.objective(&cand);
-        if !obj.is_finite() {
-            return Err(OptError::NonFinite(format!(
-                "candidate objective {obj} in water-filling regime selection"
-            )));
-        }
-        if best.as_ref().is_none_or(|(_, _, b)| obj < *b) {
-            best = Some((cand, nu, obj));
-        }
-    }
-    let (best, nu, _) = best.ok_or_else(|| {
-        OptError::Infeasible("no water-filling candidate produced".into())
+    let mut soa = SoaWaterfill::new();
+    let SoaOutcome { objective, power, delay, water_level } = soa.solve_inner(&BankProblem {
+        bank: &bank,
+        total_load: problem.total_load,
+        energy_weight: problem.energy_weight,
+        delay_weight: problem.delay_weight,
+        base_power: problem.base_power,
+        capped_capacity: problem.capped_capacity(),
+        renewable: problem.renewable,
     })?;
-    Ok(problem.solution_from(best, Some(nu)))
-}
-
-// The helpers below run once per water-level evaluation of the cold solver.
-// `SymmetricSolver` prices its descent steps on the SoA kernel
-// (`SoaWaterfill`); the cold solver runs for each solve's final
-// `optimal_dispatch`, for GSD's cold fallback and in tests. They must stay
-// allocation-free.
-// audit:hot-path: begin
-
-/// Closed-form per-queue load at water level `nu` for a fixed linear energy
-/// weight `a_eff` — the KKT stationarity condition
-/// `λᵢ(ν) = clip(Xᵢ − √(W·Xᵢ/(ν − a_eff·cᵢ)), 0, uᵢ)`. [`bank_row_load`] is
-/// its struct-of-arrays twin.
-#[inline]
-fn lambda_at(q: &QueueSpec, nu: f64, a_eff: f64, w: f64) -> f64 {
-    debug_assert!(q.capacity > 0.0, "validated at entry");
-    let gap = nu - a_eff * q.energy_slope;
-    if gap <= w / q.capacity {
-        // marginal cost at λᵢ=0 already exceeds the water level
-        0.0
-    } else {
-        (q.capacity - (w * q.capacity / gap).sqrt()).clamp(0.0, q.util_cap)
-    }
-}
-
-/// Removes the residual bisection error by rescaling the interior
-/// coordinates (those strictly between the bounds absorb the slack).
-fn rescale_interior(lambdas: &mut [f64], queues: &[QueueSpec], lam: f64, a_eff: f64, w: f64) {
-    let total: f64 = lambdas.iter().zip(queues).map(|(l, q)| l * q.multiplicity).sum();
-    let slack = lam - total;
-    if slack.abs() > 0.0 {
-        let interior: f64 = lambdas
-            .iter()
-            .zip(queues)
-            .filter(|(l, q)| **l > 0.0 && **l < q.util_cap)
-            .map(|(l, q)| *l * q.multiplicity)
-            .sum();
-        if interior > 0.0 {
-            for (l, q) in lambdas.iter_mut().zip(queues) {
-                if *l > 0.0 && *l < q.util_cap {
-                    *l = (*l + (slack / interior) * *l).clamp(0.0, q.util_cap);
-                }
-            }
-        } else if slack > 0.0 {
-            // All active coordinates are pinned; the remainder goes where a
-            // rising water level would put it (rare: only when bisection
-            // stopped early, or when `a_eff·cᵢ` is so large that one ULP of
-            // ν spans a queue's whole fill).
-            distribute_remainder(lambdas, queues, slack, a_eff, w);
-        }
-    }
-}
-
-/// The smallest `(key, row)` pair above `after`, ordered by key and then
-/// by row: one step of an allocation-free walk over rows by ascending key.
-fn next_by_key(
-    rows: impl Iterator<Item = (f64, usize)>,
-    after: Option<(f64, usize)>,
-) -> Option<(f64, usize)> {
-    let order = |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
-    rows.filter(|r| after.is_none_or(|a| order(r, &a).is_gt())).min_by(order)
-}
-
-// audit:hot-path: end
-
-/// Lower bisection bracket: the smallest marginal cost at zero load. The
-/// aggregate load is exactly zero at this water level, so it always sits
-/// weakly below the root.
-fn nu_lower_bound(queues: &[QueueSpec], a_eff: f64, w: f64) -> f64 {
-    debug_assert!(queues.iter().all(|q| q.capacity > 0.0), "validated at entry");
-    queues
-        .iter()
-        .map(|q| a_eff * q.energy_slope + w / q.capacity)
-        .fold(f64::INFINITY, f64::min)
+    // Every row is live (multiplicity ≥ 1), so the bank's loads are the
+    // per-type loads in input order.
+    let lambdas = std::mem::take(&mut soa.lambdas);
+    // Paper-invariant hooks: constraint (8) conservation and the KKT
+    // certificate, once per cold solve in every build; a violation panics
+    // in debug builds and in strict mode.
+    let inv = crate::invariant::global();
+    inv.load_conserved(problem.dispatched(&lambdas), problem.total_load);
+    inv.kkt(problem, &lambdas);
+    Ok(LoadDistSolution { lambdas, objective, power, delay, water_level })
 }
 
 /// Shared bisection tolerances for the water-level search (identical for
-/// the cold and warm paths — warm starting changes the bracket, never the
+/// cold and warm solves — warm starting changes the bracket, never the
 /// stopping rule, so the two agree to bisection tolerance).
 fn nu_bisect_options(lam: f64) -> BisectOptions {
     BisectOptions { x_tol: 0.0, f_tol: lam * 1e-12, max_iter: 200 }
-}
-
-/// Water-filling for the smooth relaxation with a fixed linear energy weight
-/// `a_eff` (the `[·]⁺` replaced by identity):
-/// `min Σ mᵢ(a_eff·cᵢ·λᵢ + W·λᵢ/(Xᵢ−λᵢ))` s.t. `Σ mᵢλᵢ = λ`, `0 ≤ λᵢ ≤ uᵢ`.
-///
-/// The per-queue load [`lambda_at`] is non-decreasing in the multiplier ν,
-/// so the coupling constraint is met by bisection. Returns the loads and
-/// the water level ν they were generated from.
-fn solve_linear_penalty(problem: &LoadDistProblem<'_>, a_eff: f64) -> Result<(Vec<f64>, f64)> {
-    let w = problem.delay_weight;
-    let lam = problem.total_load;
-    let queues = problem.queues;
-
-    let total_of = |nu: f64| -> f64 {
-        queues.iter().map(|q| q.multiplicity * lambda_at(q, nu, a_eff, w)).sum()
-    };
-
-    let nu_lo = nu_lower_bound(queues, a_eff, w);
-    // Upper bracket: grow until the water level covers the demand.
-    let start = (nu_lo.abs().max(1.0)) * 2.0;
-    let nu_hi = grow_upper_bracket(start, |nu| total_of(nu) - lam, 200)?;
-
-    let nu = bisect_increasing(nu_lo, nu_hi, |nu| total_of(nu) - lam, nu_bisect_options(lam))?;
-    let mut lambdas: Vec<f64> = queues.iter().map(|q| lambda_at(q, nu, a_eff, w)).collect();
-    rescale_interior(&mut lambdas, queues, lam, a_eff, w);
-    Ok((lambdas, nu))
 }
 
 /// Relative half-width of the warm bisection bracket seeded from the
@@ -471,8 +294,7 @@ pub const LANE_WIDTH: usize = 8;
 /// Two properties distinguish it from the AoS `QueueSpec` layout:
 ///
 /// * **Vector shape.** The water-filling residual `g(ν)` touches one lane
-///   per operand, so the chunked kernels below stream contiguous doubles —
-///   the autovectorizable form the scalar `lambda_at` loop is not.
+///   per operand, so the chunked kernels below stream contiguous doubles.
 /// * **Retractable rows.** `multiplicity` may be **zero**: a row whose type
 ///   is currently unused stays in place (keeping row indices stable across
 ///   Gibbs flips, so a candidate evaluation is a ±1.0 multiplicity delta,
@@ -672,16 +494,18 @@ impl BankProblem<'_> {
     }
 }
 
-// The bank kernels below are the lane counterparts of `lambda_at` and
-// `rescale_interior`. They walk the live rows of one solve (`LiveRows`),
+// The bank kernels below walk the live rows of one solve (`LiveRows`),
 // keep each row's lane, and write into caller-provided slices. They run
-// once per water-level evaluation of every P3 price (GSD candidates and
-// `SymmetricSolver` states alike) and must stay allocation-free.
+// once per water-level evaluation of every P3 price (GSD candidates,
+// `SymmetricSolver` states and the cold `solve` alike) and must stay
+// allocation-free.
 // audit:hot-path: begin
 
-/// Branch-free twin of [`lambda_at`]: identical arithmetic, with the
-/// activation branch expressed as a select (`safe_gap` keeps the inactive
-/// lanes' division well-defined) so lanes stay independent.
+/// Closed-form load of one queue at water level `nu` for a fixed linear
+/// energy weight `a_eff` — the KKT stationarity condition
+/// `λᵢ(ν) = clip(Xᵢ − √(W·Xᵢ/(ν − a_eff·cᵢ)), 0, uᵢ)`, with the row's
+/// `W/Xᵢ` and `W·Xᵢ` precomputed (`wox`, `wx`). A row whose zero-load
+/// marginal `a_eff·cᵢ + W/Xᵢ` is not below the water level takes no load.
 #[inline(always)]
 fn bank_row_load(x: f64, u: f64, c: f64, nu: f64, a_eff: f64, wox: f64, wx: f64) -> f64 {
     let gap = nu - a_eff * c;
@@ -755,9 +579,8 @@ impl LiveRows<'_> {
 }
 
 /// Aggregate load `Σ mᵢ·λᵢ(ν)` over the live rows — the water-filling
-/// residual's workhorse. Lane accumulators change the summation *order*
-/// relative to the cold path, so totals agree with it to rounding
-/// (≪ the 1e-12·λ stopping tolerance), not bit-for-bit.
+/// residual's workhorse. Lane accumulators fix the summation *order* (see
+/// [`LANE_WIDTH`]).
 fn bank_total_at(
     bank: &QueueBank,
     live: LiveRows<'_>,
@@ -817,8 +640,7 @@ fn bank_total_slope_into(
     (total, slope)
 }
 
-/// Writes each live row's clipped load at water level `nu` into `out` (the
-/// batched [`lambda_at`] fill pass).
+/// Writes each live row's clipped load at water level `nu` into `out`.
 fn bank_fill_into(
     bank: &QueueBank,
     live: LiveRows<'_>,
@@ -871,10 +693,22 @@ fn bank_nu_lower_bound(bank: &QueueBank, live: LiveRows<'_>, a_eff: f64, wox: &[
         .fold(f64::INFINITY, |lo, &k| lo.min(a_eff * bank.energy_slope[k] + wox[k]))
 }
 
-/// Batched [`rescale_interior`]: interior live rows absorb the bisection
-/// slack in proportion to their load; when none is interior, a positive
+/// The smallest `(key, row)` pair above `after`, ordered by key and then
+/// by row: one step of an allocation-free walk over rows by ascending key.
+fn next_by_key(
+    rows: impl Iterator<Item = (f64, usize)>,
+    after: Option<(f64, usize)>,
+) -> Option<(f64, usize)> {
+    let order = |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+    rows.filter(|r| after.is_none_or(|a| order(r, &a).is_gt())).min_by(order)
+}
+
+/// Removes the residual bisection error: interior live rows absorb the
+/// slack in proportion to their load. When none is interior, a positive
 /// remainder fills the live rows' headroom by ascending zero-load marginal
-/// `a_eff·cᵢ + W/xᵢ` (the batched [`distribute_remainder`]).
+/// `a_eff·cᵢ + W/xᵢ`, ties by row — the order in which a rising water
+/// level activates them (rare: only when the search stopped early, or when
+/// `a_eff·cᵢ` is so large that one ULP of ν spans a queue's whole fill).
 fn bank_rescale_interior(
     lambdas: &mut [f64],
     bank: &QueueBank,
@@ -921,14 +755,12 @@ fn bank_rescale_interior(
 
 // audit:hot-path: end
 
-/// Warm-started batched solver over a [`QueueBank`] — the P3 evaluation
-/// kernel behind both GSD engines' Gibbs candidate sweeps, where each
-/// proposal flips one group's speed level and the optimal water level
-/// drifts only slightly. Same three-regime analysis and same stopping
-/// tolerances as the cold [`solve`] (`nu_bisect_options`, the `1e-13`
-/// kink `f_tol`, `KINK_TOL`), so its objectives agree with it to the
-/// ≤ 1e-9 band — pinned by the differential property test in `coca-core`.
-/// What differs from the cold path:
+/// The water-filling solver over a [`QueueBank`]: the three-regime analysis
+/// of the module docs, and the one implementation of it. The cold
+/// [`solve`] runs it on a fresh solver; both GSD engines' Gibbs candidate
+/// sweeps and `SymmetricSolver`'s descent steps reuse one solver, where
+/// each price moves one row's multiplicity and the optimal water level
+/// drifts only slightly. Two things make a reused solve cheap:
 ///
 /// * **Warm brackets.** The previous water level ν (one slot per penalty
 ///   regime) and boundary weight μ seed the next search: a few Newton
@@ -936,20 +768,22 @@ fn bank_rescale_interior(
 ///   bracketed searches clamp to an endpoint when the root lies outside
 ///   the bracket, a warm bracket is only used after verifying
 ///   `f(lo) ≤ 0 ≤ f(hi)`; on a miss the solver falls back to the cold
-///   bracket (lower bound + [`grow_upper_bracket`]).
+///   bracket (lower bound + [`grow_upper_bracket`]). Warm and cold starts
+///   share the stopping rules (`nu_bisect_options`, the `1e-13` kink
+///   `f_tol`, `KINK_TOL`), so their objectives agree to the ≤ 1e-9 band —
+///   pinned by the differential property test in `coca-core`.
 /// * **Live-row lane passes.** Every residual evaluation is one pass over
 ///   the bank's live rows (`m > 0`, collected once per solve), each
-///   accumulated in its own lane, instead of a per-`QueueSpec` loop; the
-///   totals are bit-identical to a pass over every row (see `LiveRows`).
-///   The per-row loads live in reusable buffers, so the steady-state solve
-///   performs no heap allocation.
+///   accumulated in its own lane; the totals are bit-identical to a pass
+///   over every row (see `LiveRows`). The per-row loads live in reusable
+///   buffers, so the steady-state solve performs no heap allocation.
 ///
-/// Invariant hooks: load conservation fires on every solve, exactly like
-/// the cold path. The O(n) KKT certificate is recomputed in debug builds
-/// and in strict mode (`COCA_STRICT_INVARIANTS=1`) via a compact AoS view
-/// of the live rows; plain release builds skip it — that re-derivation is
-/// a measurable share of the per-solve cost and is covered by the
-/// differential tests.
+/// Invariant hooks: load conservation fires on every solve. The O(n) KKT
+/// certificate runs on every cold [`solve`]; on [`Self::solve`] it is
+/// recomputed in debug builds and in strict mode
+/// (`COCA_STRICT_INVARIANTS=1`) via a compact AoS view of the live rows,
+/// and plain release builds skip it — that re-derivation is a measurable
+/// share of the per-price cost and is covered by the differential tests.
 #[derive(Debug, Default)]
 pub struct SoaWaterfill {
     /// Previous water level of the electricity-active regime (`a_eff = A`).
@@ -965,7 +799,7 @@ pub struct SoaWaterfill {
     /// Candidate buffer for the regime comparison (swapped, never cloned).
     scratch: Vec<f64>,
     /// Compact AoS mirror of the live rows for the debug/strict KKT
-    /// certificate and the cold `W = 0` greedy delegation.
+    /// certificate.
     aos_specs: Vec<QueueSpec>,
     /// Loads matching `aos_specs` row-for-row.
     aos_lambdas: Vec<f64>,
@@ -1035,7 +869,16 @@ impl SoaWaterfill {
     /// rows (debug/strict only — see the type docs).
     #[cold]
     fn check_kkt(&mut self, problem: &BankProblem<'_>) {
-        self.compact_live_rows(problem.bank);
+        let bank = problem.bank;
+        self.aos_specs.clear();
+        self.aos_specs.extend(self.live.iter().map(|&row| QueueSpec {
+            capacity: bank.capacity[row],
+            util_cap: bank.util_cap[row],
+            energy_slope: bank.energy_slope[row],
+            multiplicity: bank.multiplicity[row],
+        }));
+        self.aos_lambdas.clear();
+        self.aos_lambdas.extend(self.live.iter().map(|&row| self.lambdas[row]));
         let view = LoadDistProblem {
             queues: &self.aos_specs,
             total_load: problem.total_load,
@@ -1045,24 +888,6 @@ impl SoaWaterfill {
             renewable: problem.renewable,
         };
         crate::invariant::global().kkt(&view, &self.aos_lambdas);
-    }
-
-    /// Rebuilds `aos_specs`/`aos_lambdas` from the live rows.
-    fn compact_live_rows(&mut self, bank: &QueueBank) {
-        self.compact_live_specs(bank);
-        self.aos_lambdas.clear();
-        self.aos_lambdas.extend(self.live.iter().map(|&row| self.lambdas[row]));
-    }
-
-    /// Rebuilds `aos_specs` from the live rows.
-    fn compact_live_specs(&mut self, bank: &QueueBank) {
-        self.aos_specs.clear();
-        self.aos_specs.extend(self.live.iter().map(|&row| QueueSpec {
-            capacity: bank.capacity[row],
-            util_cap: bank.util_cap[row],
-            energy_slope: bank.energy_slope[row],
-            multiplicity: bank.multiplicity[row],
-        }));
     }
 
     /// Collects the bank's live rows (`m > 0`, ascending) and their lane
@@ -1117,8 +942,9 @@ impl SoaWaterfill {
         SoaOutcome { objective, power, delay, water_level }
     }
 
-    /// Mirrors [`solve_unchecked`] branch for branch on the bank lanes;
-    /// only the bracket seeding and the buffer management differ.
+    /// The three-regime analysis of the module docs on the bank lanes,
+    /// without the invariant hooks (the cold [`solve`] and [`Self::solve`]
+    /// run their own).
     fn solve_inner(&mut self, problem: &BankProblem<'_>) -> Result<SoaOutcome> {
         problem.validate()?;
         let bank = problem.bank;
@@ -1146,11 +972,9 @@ impl SoaWaterfill {
             }
             return Ok(self.outcome_of(problem, None));
         }
-        // W = 0 degenerates to the greedy LP; it needs a sort permutation,
-        // so delegate to the cold path over a compact AoS view (the per-slot
-        // oracle always has W = V·β > 0, so this never runs per candidate).
+        // W = 0 degenerates to a linear program.
         if problem.delay_weight <= 0.0 {
-            return self.solve_greedy_cold(problem);
+            return self.solve_greedy(problem);
         }
         self.ensure_aux(bank, problem.delay_weight);
 
@@ -1211,28 +1035,29 @@ impl SoaWaterfill {
         Ok(Self::outcome_parts(problem, best.0, best.1, Some(best.2)))
     }
 
-    /// Cold `W = 0` greedy delegation over a compact AoS view, scattering
-    /// the result back to bank row order.
-    fn solve_greedy_cold(&mut self, problem: &BankProblem<'_>) -> Result<SoaOutcome> {
-        self.compact_live_specs(problem.bank);
-        let view = LoadDistProblem {
-            queues: &self.aos_specs,
-            total_load: problem.total_load,
-            energy_weight: problem.energy_weight,
-            delay_weight: problem.delay_weight,
-            base_power: problem.base_power,
-            renewable: problem.renewable,
-        };
-        let sol = solve_linear_greedy(&view)?;
-        for (&row, &l) in self.live.iter().zip(&sol.lambdas) {
-            self.lambdas[row] = l;
+    /// The `W = 0` linear program: fills the live rows greedily by
+    /// ascending energy slope, ties by row. Every live row's load is zeroed
+    /// first, since a reused solver still holds the previous solve's.
+    fn solve_greedy(&mut self, problem: &BankProblem<'_>) -> Result<SoaOutcome> {
+        let bank = problem.bank;
+        for &row in &self.live {
+            self.lambdas[row] = 0.0;
         }
-        Ok(SoaOutcome {
-            objective: sol.objective,
-            power: sol.power,
-            delay: sol.delay,
-            water_level: None,
-        })
+        let keys = || self.live.iter().map(|&row| (bank.energy_slope[row], row));
+        let mut remaining = problem.total_load;
+        let mut last = None;
+        while remaining > 0.0 {
+            let Some(next) = next_by_key(keys(), last) else { break };
+            last = Some(next);
+            let (row, m) = (next.1, bank.multiplicity[next.1]);
+            let take = remaining.min(bank.util_cap[row] * m);
+            self.lambdas[row] = take / m;
+            remaining -= take;
+        }
+        if remaining > problem.total_load * 1e-12 {
+            return Err(OptError::Infeasible(format!("greedy fill left {remaining} unassigned")));
+        }
+        Ok(self.outcome_of(problem, None))
     }
 
     /// Kink-regime μ-search: `g(μ) = r − power(μ)` is increasing in μ. The
@@ -1333,10 +1158,15 @@ impl SoaWaterfill {
         self.aux_w = w;
     }
 
-    /// Warm-bracketed water-level search for a fixed linear energy weight
-    /// `a_eff` (the bank form of the cold `solve_linear_penalty`): the loads
+    /// Water-filling for the smooth relaxation with a fixed linear energy
+    /// weight `a_eff` (the `[·]⁺` replaced by identity):
+    /// `min Σ mᵢ(a_eff·cᵢ·λᵢ + W·λᵢ/(Xᵢ−λᵢ))` s.t. `Σ mᵢλᵢ = λ`,
+    /// `0 ≤ λᵢ ≤ uᵢ`. Each row's load [`bank_row_load`] is non-decreasing
+    /// in the multiplier ν, so a root search on ν (warm-bracketed when a
+    /// previous level is known) meets the coupling constraint. The loads
     /// land in `self.scratch`, and every residual evaluation is a single
-    /// live-row [`bank_total_at`] / [`bank_total_slope_into`] pass.
+    /// live-row [`bank_total_at`] / [`bank_total_slope_into`] pass. Returns
+    /// the water level.
     fn penalty_into_scratch(
         &mut self,
         problem: &BankProblem<'_>,
@@ -1445,7 +1275,7 @@ impl SoaWaterfill {
                 }
             }
             // Cold path (no usable previous level): grow the upper bracket
-            // by doubling, exactly like `solve_linear_penalty`.
+            // by doubling from the lower one.
             let start = (nu_lo.abs().max(1.0)) * 2.0;
             let nu_hi = grow_upper_bracket(start, |nu| total_of(nu) - lam, 200)?;
             illinois_increasing(nu_lo, nu_hi, |nu| total_of(nu) - lam, opts)?
@@ -1456,63 +1286,6 @@ impl SoaWaterfill {
         // audit:hot-path: end
         self.last_evals += evals.get();
         Ok(nu)
-    }
-}
-
-/// Greedy fill by ascending marginal energy cost for the `W = 0` LP.
-fn solve_linear_greedy(problem: &LoadDistProblem<'_>) -> Result<LoadDistSolution> {
-    if let Some(q) = problem.queues.iter().find(|q| !q.energy_slope.is_finite()) {
-        return Err(OptError::NonFinite(format!(
-            "energy slope {} in greedy fill",
-            q.energy_slope
-        )));
-    }
-    let mut order: Vec<usize> = (0..problem.queues.len()).collect();
-    order.sort_by(|&a, &b| {
-        problem.queues[a]
-            .energy_slope
-            .total_cmp(&problem.queues[b].energy_slope)
-    });
-    let mut lambdas = vec![0.0; problem.queues.len()];
-    let mut remaining = problem.total_load;
-    for idx in order {
-        if remaining <= 0.0 {
-            break;
-        }
-        let q = &problem.queues[idx];
-        debug_assert!(q.multiplicity >= 1.0, "validated at entry");
-        let take = remaining.min(q.util_cap * q.multiplicity);
-        lambdas[idx] = take / q.multiplicity;
-        remaining -= take;
-    }
-    if remaining > problem.total_load * 1e-12 {
-        return Err(OptError::Infeasible(format!("greedy fill left {remaining} unassigned")));
-    }
-    Ok(problem.solution_from(lambdas, None))
-}
-
-/// Fills `slack` into the queues' headroom in ascending order of their
-/// zero-load marginal cost `a_eff·cᵢ + W/Xᵢ` (ties in index order), the
-/// order in which a rising water level activates them.
-fn distribute_remainder(
-    lambdas: &mut [f64],
-    queues: &[QueueSpec],
-    mut slack: f64,
-    a_eff: f64,
-    w: f64,
-) {
-    debug_assert!(queues.iter().all(|q| q.capacity > 0.0), "validated at entry");
-    let keys = || queues.iter().enumerate().map(|(i, q)| (a_eff * q.energy_slope + w / q.capacity, i));
-    let mut last = None;
-    while slack > 0.0 {
-        let Some(next) = next_by_key(keys(), last) else { break };
-        last = Some(next);
-        let (l, q) = (&mut lambdas[next.1], &queues[next.1]);
-        debug_assert!(q.multiplicity >= 1.0, "validated at entry");
-        let headroom = (q.util_cap - *l) * q.multiplicity;
-        let take = headroom.min(slack);
-        *l += take / q.multiplicity;
-        slack -= take;
     }
 }
 
@@ -1861,7 +1634,8 @@ mod tests {
 
     /// Lane-remainder coverage: type counts around the `[f64; 8]` chunk
     /// boundary (1, 7, 8, 9, 17 → 0/0/1/1/2 full chunks plus 1/7/0/1/1
-    /// tail rows) must all agree with the cold AoS solver.
+    /// tail rows); a reused, warm-started solver must agree with the cold
+    /// `solve` on every one.
     #[test]
     fn bank_matches_cold_across_lane_remainders() {
         for &n in &[1usize, 7, 8, 9, 17] {
@@ -1968,7 +1742,7 @@ mod tests {
         // Saturated.
         let _ = soa.solve(&bank_problem(&bank, 27.0, 1.0, 1.0, 0.0)).unwrap();
         assert!(soa.lambdas().iter().all(|&l| (l - 9.0).abs() < 1e-9));
-        // W = 0 greedy delegation matches the cold path.
+        // W = 0 greedy matches the cold solve.
         let p_aos = problem(&specs, 6.0, 1.0, 0.0, 0.0);
         let out_greedy = soa.solve(&bank_problem(&bank, 6.0, 1.0, 0.0, 0.0)).unwrap();
         let cold = solve(&p_aos).unwrap();
@@ -1982,6 +1756,28 @@ mod tests {
         let mut p = bank_problem(&bank, 1.0, 1.0, 1.0, 0.0);
         p.renewable = -1.0;
         assert!(matches!(soa.solve(&p), Err(OptError::InvalidInput(_))));
+    }
+
+    /// The `W = 0` greedy on a solver that just solved a `W > 0` problem on
+    /// the same bank: it fills by `(slope, row)` — the tied rows 1 and 2 in
+    /// row order, row 1 standing for two queues — and the dear row 0, which
+    /// the previous solve loaded, is left empty.
+    #[test]
+    fn greedy_on_a_reused_solver_fills_by_slope_then_row() {
+        let specs = [
+            QueueSpec::single(10.0, 5.0, 0.5),
+            QueueSpec { capacity: 10.0, util_cap: 5.0, energy_slope: 0.1, multiplicity: 2.0 },
+            QueueSpec::single(10.0, 5.0, 0.1),
+        ];
+        let bank = bank_of(&specs);
+        let mut soa = SoaWaterfill::new();
+        let _ = soa.solve(&bank_problem(&bank, 12.0, 0.1, 1.0, 0.0)).unwrap();
+        assert!(soa.lambdas()[0] > 0.0, "the W > 0 solve loads row 0");
+        let out = soa.solve(&bank_problem(&bank, 12.0, 0.1, 0.0, 0.0)).unwrap();
+        assert_eq!(soa.lambdas(), [0.0, 5.0, 2.0]);
+        let dispatched: f64 = soa.lambdas().iter().zip(&bank.multiplicity).map(|(l, m)| m * l).sum();
+        assert_eq!(dispatched, 12.0);
+        assert!((out.power - 1.2).abs() < 1e-12 && out.water_level.is_none());
     }
 
     #[test]
@@ -2002,8 +1798,8 @@ mod tests {
         assert!(bank.validate().is_ok());
     }
 
-    /// Warm-started SoA resolves across regime transitions, mirroring
-    /// `warm_solver_matches_cold_across_regime_transitions`.
+    /// Warm-started resolves across regime transitions agree with cold
+    /// solves of the same problems.
     #[test]
     fn soa_solver_matches_cold_across_regime_transitions() {
         let specs = vec![
@@ -2158,7 +1954,7 @@ mod tests {
             (p, d)
         }
 
-        pub(super) fn nu_lower_bound(bank: &QueueBank, a_eff: f64, wox: &[f64]) -> f64 {
+        pub(super) fn lower_bound(bank: &QueueBank, a_eff: f64, wox: &[f64]) -> f64 {
             let mut lo = f64::INFINITY;
             for ((&m, &c), &ox) in bank.multiplicity.iter().zip(&bank.energy_slope).zip(wox) {
                 let t = if m > 0.0 { a_eff * c + ox } else { f64::INFINITY };
@@ -2167,7 +1963,7 @@ mod tests {
             lo
         }
 
-        pub(super) fn rescale_interior(
+        pub(super) fn rescale(
             lambdas: &mut [f64],
             bank: &QueueBank,
             lam: f64,
@@ -2308,7 +2104,7 @@ mod tests {
             proptest::prop_assert!(same(power, op), "power {power} vs {op}");
 
             let lo = bank_nu_lower_bound(&bank, live, a_eff, &wox);
-            let olo = full_row::nu_lower_bound(&bank, a_eff, &wox);
+            let olo = full_row::lower_bound(&bank, a_eff, &wox);
             proptest::prop_assert!(same(lo, olo), "ν lower bound {lo} vs {olo}");
 
             // A target off the loads' total exercises both the interior
@@ -2317,7 +2113,7 @@ mod tests {
             let lam = dispatched * lam_scale;
             let (mut rescaled, mut oracle_rescaled) = (loads.clone(), loads.clone());
             bank_rescale_interior(&mut rescaled, &bank, live, lam, a_eff, &wox);
-            full_row::rescale_interior(&mut oracle_rescaled, &bank, lam, a_eff, &wox);
+            full_row::rescale(&mut oracle_rescaled, &bank, lam, a_eff, &wox);
             proptest::prop_assert!(
                 live.rows.iter().all(|&k| same(rescaled[k], oracle_rescaled[k]))
             );

@@ -1,9 +1,10 @@
 //! Damaged engine checkpoints have defined behaviour. A real checkpoint
 //! (one COCA lane, 24 slots in) is truncated at every byte offset and,
 //! separately, has single bytes overwritten; each variant goes through
-//! `read_checkpoint` and `SimEngine::restore`. Every variant must be
-//! restored or rejected with a typed error, never a panic, and every
-//! strict truncation must be rejected. A state-only lane (the resident
+//! `read_checkpoint` and `SimEngine::restore`, and one `step` when it
+//! restores. Every variant must be restored and stepped or rejected with a
+//! typed error, never a panic, and every strict truncation must be
+//! rejected. A state-only lane (the resident
 //! service's checkpoint, a few hundred bytes) gets every overwrite byte at
 //! every offset; a lane that keeps its record history (the batch runner's,
 //! ~9 KB) gets one per offset, rotating through the set.
@@ -78,11 +79,13 @@ impl Fixture {
         engine
     }
 
-    /// Reads the checkpoint at `path` into a fresh engine; `Err` carries
-    /// the typed error's message.
+    /// Reads the checkpoint at `path` into a fresh engine and steps it
+    /// once; `Err` carries the typed error's message.
     fn load(&self, path: &Path) -> Result<(), String> {
         let state = read_checkpoint(path).map_err(|e| e.to_string())?;
-        self.engine().restore(&state).map_err(|e| e.to_string())
+        let mut engine = self.engine();
+        engine.restore(&state).map_err(|e| e.to_string())?;
+        engine.step().map(drop).map_err(|e| e.to_string())
     }
 
     /// Loads `bytes` as a checkpoint file; a panic fails the test naming
@@ -91,7 +94,7 @@ impl Fixture {
         let path = self.dir.join("variant.ckpt");
         std::fs::write(&path, bytes).expect("variant written");
         catch_unwind(AssertUnwindSafe(|| self.load(&path)))
-            .unwrap_or_else(|_| panic!("{}: read_checkpoint + restore panicked", what()))
+            .unwrap_or_else(|_| panic!("{}: read_checkpoint + restore + step panicked", what()))
     }
 }
 
@@ -105,7 +108,7 @@ fn sweep(fx: &Fixture, per_offset: usize) -> (usize, usize) {
     }
     let path = fx.dir.join("engine.ckpt");
     write_checkpoint(&path, &engine.checkpoint().expect("checkpoint")).expect("written");
-    assert_eq!(fx.load(&path), Ok(()), "the undamaged checkpoint restores");
+    assert_eq!(fx.load(&path), Ok(()), "the undamaged checkpoint restores and steps");
     let bytes = std::fs::read(&path).expect("checkpoint reads");
 
     for len in 0..bytes.len() {

@@ -73,7 +73,7 @@ fn stationary_distribution_matches_gibbs_law_on_p3() {
     let cost = |state: &[usize]| GsdSolver::state_cost(&p, state);
     let stationary = gibbs_stationary(&counts, cost, delta).expect("stationary");
 
-    // Drive the chain manually (same dynamics as run_gibbs) and count.
+    // Drive the chain manually (same dynamics as run_gibbs_batched) and count.
     use rand::{Rng, SeedableRng};
     let mut rng = rand::rngs::StdRng::seed_from_u64(9);
     let mut kept: Vec<usize> = cluster.full_speed_vector();
