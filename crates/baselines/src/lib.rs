@@ -12,9 +12,9 @@
 //!   trace knowledge, long-term budget enforced via Lagrangian dual
 //!   bisection (and a T-step lookahead variant implementing the paper's
 //!   **P2** family).
-//! * [`budgeted`] — the shared building block: exactly solve
-//!   "minimize g(t) subject to a per-slot brown-energy cap" by searching
-//!   the cap's multiplier.
+//! * [`budgeted`] — the shared building block: the slot problem
+//!   "minimize g(t) + μ·y(t)" that both budgeted baselines hand to the one
+//!   multiplier search, [`coca_opt::dual::solve_budget_dual`].
 
 #![deny(missing_docs, unsafe_code)]
 

@@ -5,11 +5,16 @@
 //! under carbon neutrality". The long-term constraint
 //! `Σ y(t) ≤ budget` is dualized with a multiplier μ ≥ 0; the horizon then
 //! decouples into per-slot problems `min g(t) + μ·y(t)` with exactly the
-//! P3 shape, and the optimal μ is found by bisection
-//! ([`coca_opt::dual::solve_budget_dual`]). For the continuous relaxation
-//! this is the exact optimum; with discrete speed ladders the duality gap
-//! is tiny (one slot's quantization at the crossover), and the solution is
-//! feasible by construction.
+//! P3 shape, and the multiplier is found by bisection
+//! ([`coca_opt::dual::solve_budget_dual`], the search PerfectHP runs per
+//! hour). For the continuous relaxation this is the exact optimum. With
+//! discrete speed ladders the duality gap is one slot's quantization at the
+//! crossover, and the plan is not feasible by construction: the search
+//! takes the first multiplier within 10× its budget tolerance, else the top
+//! of its bracket, and the P3 solver's brown energy is not monotone in μ,
+//! so a re-solve there can come back above the budget.
+//! [`OfflineOpt::total_planned_brown`] reports what the plan uses; a budget
+//! that no multiplier meets is an `Infeasible` error.
 //!
 //! [`OfflineOpt::plan_lookahead`] plans each frame of `T` slots separately
 //! against the frame budget `Σ_frame f(t) + Z/R` — the paper's **P2**
@@ -18,6 +23,7 @@
 use coca_core::solver::P3Solver;
 use coca_dcsim::{Cluster, CostParams, Decision, Policy, SimError, SlotObservation};
 use coca_opt::dual::{solve_budget_dual, DualOptions};
+use coca_opt::OptError;
 use coca_traces::EnvironmentTrace;
 use serde::{Deserialize as _, Serialize as _, Value};
 
@@ -84,9 +90,9 @@ impl OfflineOpt {
         let total_offsite = trace.total_offsite();
         let rec_part = (budget - total_offsite).max(0.0);
 
-        let mut decisions: Vec<Option<Decision>> = vec![None; j];
-        let mut planned_costs = vec![0.0; j];
-        let mut planned_brown = vec![0.0; j];
+        let mut decisions = Vec::with_capacity(j);
+        let mut planned_costs = Vec::with_capacity(j);
+        let mut planned_brown = Vec::with_capacity(j);
         let mut multipliers = Vec::new();
 
         let mut start = 0;
@@ -99,56 +105,46 @@ impl OfflineOpt {
                 frame_offsite + rec_part * (end - start) as f64 / j as f64
             };
 
-            // Per-slot dual subproblem: minimize g + μ·y.
-            let mut err: Option<SimError> = None;
-            let outcome = {
-                let mut slot_fn = |slot: usize, mu: f64| -> (f64, f64) {
-                    let t = start + slot;
+            // One probe sweeps the frame: every slot minimizes g + μ·y.
+            let sweep = |mu: f64| -> Result<_, SimError> {
+                let mut plan = Vec::with_capacity(end - start);
+                let (mut frame_cost, mut frame_brown) = (0.0, 0.0);
+                for t in start..end {
                     let obs = SlotObservation {
                         t,
                         arrival_rate: trace.workload[t],
                         onsite: trace.onsite[t],
                         price: trace.price[t],
                     };
-                    match solve_penalized(solver, cluster, &cost, &obs, mu) {
-                        Ok((sol, g, y)) => {
-                            decisions[t] = Some(Decision { levels: sol.levels, loads: sol.loads });
-                            planned_costs[t] = g;
-                            planned_brown[t] = y;
-                            (g, y)
-                        }
-                        Err(e) => {
-                            err = Some(e);
-                            (f64::NAN, f64::NAN)
-                        }
-                    }
-                };
-                // Each dual sweep re-solves the whole frame; a per-mille
-                // budget tolerance keeps the sweep count near 10 (6–11 per
-                // binding budget point at small scale) while staying far
-                // below the discrete-speed quantization error.
-                let opts = DualOptions { budget_rel_tol: 2e-3, max_iter: 22, max_doublings: 40 };
-                solve_budget_dual(&mut slot_fn, end - start, frame_budget, opts)
+                    let (sol, g, y) = solve_penalized(solver, cluster, &cost, &obs, mu)?;
+                    plan.push((Decision { levels: sol.levels, loads: sol.loads }, g, y));
+                    frame_cost += g;
+                    frame_brown += y;
+                }
+                Ok((plan, frame_cost, frame_brown))
             };
-            if let Some(e) = err {
-                return Err(e);
+            // Each probe re-solves the whole frame; a per-mille budget
+            // tolerance keeps the probe count near 10 (6–11 per binding
+            // budget point at small scale) while staying far below the
+            // discrete-speed quantization error.
+            let opts = DualOptions { budget_rel_tol: 2e-3, max_iter: 22, max_doublings: 40 };
+            let outcome = solve_budget_dual(sweep, frame_budget, 1.0, opts)?;
+            if !outcome.attainable {
+                return Err(SimError::Opt(OptError::Infeasible(format!(
+                    "budget unattainable even at extreme multiplier (slots {start}..{end}, \
+                     budget {frame_budget:.3e} kWh); the mandatory static/processing power \
+                     exceeds the budget"
+                ))));
             }
-            let outcome = outcome.map_err(SimError::Opt)?;
             multipliers.push(outcome.mu);
+            for (decision, g, y) in outcome.plan {
+                decisions.push(decision);
+                planned_costs.push(g);
+                planned_brown.push(y);
+            }
             start = end;
         }
 
-        // The final dual sweep plans every slot; a gap would be a solver
-        // bug, surfaced as a typed error rather than a panic.
-        let decisions = decisions
-            .into_iter()
-            .enumerate()
-            .map(|(t, d)| {
-                d.ok_or_else(|| {
-                    SimError::Internal(format!("slot {t} left unplanned by the final dual sweep"))
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
             decisions,
             choice_counts: cluster.choice_counts(),

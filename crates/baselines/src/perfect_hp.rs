@@ -18,12 +18,13 @@
 
 use std::sync::Arc;
 
-use coca_core::solver::P3Solver;
+use coca_core::solver::{P3Solution, P3Solver};
 use coca_dcsim::{Cluster, CostParams, Decision, Policy, SimError, SlotObservation};
+use coca_opt::dual::{solve_budget_dual, DualOptions, DualOutcome};
 use coca_traces::EnvironmentTrace;
 use serde::{Deserialize as _, Serialize as _, Value};
 
-use crate::budgeted::solve_capped;
+use crate::budgeted::solve_penalized;
 
 /// The PerfectHP policy.
 pub struct PerfectHp<S> {
@@ -35,9 +36,6 @@ pub struct PerfectHp<S> {
     /// Per-hour carbon budgets, precomputed for the whole horizon.
     // audit:transient(precomputed from the trace at construction, never mutated)
     hourly_budget: Vec<f64>,
-    /// Window length (48 h in the paper).
-    // audit:transient(construction config, never mutated)
-    window: usize,
     /// Hours whose budget had to be abandoned (diagnostics).
     pub abandoned_hours: usize,
 }
@@ -89,18 +87,31 @@ impl<S: P3Solver> PerfectHp<S> {
             }
             start = end;
         }
-        Ok(Self { cluster, cost, solver, hourly_budget, window, abandoned_hours: 0 })
+        Ok(Self { cluster, cost, solver, hourly_budget, abandoned_hours: 0 })
     }
 
     /// The hourly budget series (kWh).
     pub fn budgets(&self) -> &[f64] {
         &self.hourly_budget
     }
+}
 
-    /// The prediction window length.
-    pub fn window(&self) -> usize {
-        self.window
-    }
+/// Minimizes the hour's cost subject to its brown-energy budget; an
+/// unattainable budget comes back flagged with the μ = 0 (uncapped)
+/// solution, the paper's rule for an hour with no feasible solution.
+fn cap_hour<S: P3Solver>(
+    solver: &mut S,
+    cluster: &Cluster,
+    cost: &CostParams,
+    obs: &SlotObservation,
+    budget: f64,
+) -> Result<DualOutcome<P3Solution>, SimError> {
+    solve_budget_dual(
+        |mu| solve_penalized(solver, cluster, cost, obs, mu),
+        budget.max(0.0),
+        obs.price.max(1e-3),
+        DualOptions { budget_rel_tol: 1e-6, max_iter: 60, max_doublings: 60 },
+    )
 }
 
 impl<S: P3Solver> Policy for PerfectHp<S> {
@@ -116,18 +127,19 @@ impl<S: P3Solver> Policy for PerfectHp<S> {
                 self.hourly_budget.len()
             ))
         })?;
-        let capped = solve_capped(&mut self.solver, &self.cluster, &self.cost, obs, budget, 1e-6)?;
-        if capped.budget_abandoned {
+        let DualOutcome { plan, attainable, .. } =
+            cap_hour(&mut self.solver, &self.cluster, &self.cost, obs, budget)?;
+        if !attainable {
             self.abandoned_hours += 1;
         }
         // Paper-invariant hooks: constraints (8)–(9) hold for baselines too.
         coca_core::invariant::global().decision(
-            &capped.solution.levels,
-            &capped.solution.loads,
+            &plan.levels,
+            &plan.loads,
             &self.cluster.choice_counts(),
             obs.arrival_rate,
         );
-        Ok(Decision { levels: capped.solution.levels, loads: capped.solution.loads })
+        Ok(Decision { levels: plan.levels, loads: plan.loads })
     }
 
     fn reset(&mut self) {
@@ -166,6 +178,7 @@ impl<S: P3Solver> Policy for PerfectHp<S> {
 mod tests {
     use super::*;
     use coca_core::symmetric::SymmetricSolver;
+    use coca_dcsim::dispatch::SlotProblem;
     use coca_dcsim::run_lockstep;
     use coca_traces::TraceConfig;
 
@@ -252,6 +265,92 @@ mod tests {
             "slack budget ⇒ unconstrained behaviour"
         );
         assert_eq!(hp.abandoned_hours, 0);
+    }
+
+    fn cap(onsite: f64, budget: f64) -> DualOutcome<P3Solution> {
+        let cluster = Cluster::homogeneous(6, 10);
+        let obs = SlotObservation { t: 0, arrival_rate: 200.0, onsite, price: 0.05 };
+        cap_hour(&mut SymmetricSolver::new(), &cluster, &CostParams::default(), &obs, budget).unwrap()
+    }
+
+    #[test]
+    fn hour_caps_bind_when_attainable_and_drop_when_not() {
+        let free = cap(0.0, 1e9);
+        assert_eq!((free.mu, free.sweeps, free.attainable), (0.0, 1, true));
+        // A tight cap binds; discrete speeds allow a 5% quantization overshoot.
+        let budget = free.total_usage * 0.7;
+        let tight = cap(0.0, budget);
+        assert!(tight.attainable && tight.mu > 0.0);
+        assert!(tight.total_usage <= budget * 1.05, "brown {} over {budget}", tight.total_usage);
+        assert!(tight.total_cost >= free.total_cost - 1e-9, "capping cannot reduce cost");
+        // Serving 200 req/s needs servers on; their static power floor can
+        // never fit a near-zero budget, so the hour runs uncapped.
+        let floor = cap(0.0, 1e-6);
+        assert!(!floor.attainable);
+        assert_eq!((floor.mu, floor.total_usage.to_bits()), (0.0, free.total_usage.to_bits()));
+        // On-site renewables that cover everything make a zero budget attainable.
+        let covered = cap(1e6, 0.0);
+        assert!(covered.attainable);
+        assert_eq!(covered.total_usage, 0.0);
+    }
+
+    /// A [`SymmetricSolver`] that records the energy weight (price + μ) of
+    /// every solve, and fails every solve above `fail_above` when set.
+    #[derive(Default)]
+    struct Recording {
+        inner: SymmetricSolver,
+        weights: Vec<f64>,
+        fail_above: Option<f64>,
+    }
+
+    impl P3Solver for Recording {
+        fn solve(&mut self, problem: &SlotProblem<'_>) -> Result<P3Solution, SimError> {
+            self.weights.push(problem.energy_weight);
+            match self.fail_above {
+                Some(w) if problem.energy_weight > w => Err(SimError::Internal("no solve".into())),
+                _ => self.inner.solve(problem),
+            }
+        }
+        fn name(&self) -> &'static str {
+            "recording"
+        }
+    }
+
+    #[test]
+    fn no_two_consecutive_solves_share_a_multiplier() {
+        // On this fleet and load the μ bisection of each budget below stops
+        // on a probe (or lands on `mu_hi`), so the landing asks for a μ the
+        // solver has just solved.
+        let cluster = Cluster::scaled_paper_datacenter(8, 200);
+        let cost = CostParams::default();
+        let obs =
+            SlotObservation { t: 0, arrival_rate: 0.6 * cluster.max_capacity(), onsite: 0.0, price: 0.05 };
+        let free = cap_hour(&mut SymmetricSolver::new(), &cluster, &cost, &obs, 1e9).unwrap();
+        for share in [0.88, 0.8, 0.72] {
+            let mut solver = Recording::default();
+            let capped = cap_hour(&mut solver, &cluster, &cost, &obs, share * free.total_usage).unwrap();
+            let weights = &solver.weights;
+            assert!(capped.attainable);
+            assert_eq!(capped.sweeps, weights.len());
+            for pair in weights.windows(2) {
+                assert_ne!(pair[0].to_bits(), pair[1].to_bits(), "μ solved twice in a row: {weights:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_failing_solve_is_returned_not_taken_for_an_abandoned_hour() {
+        let (cluster, trace) = setup(24);
+        let price = trace.price[0];
+        let solver = Recording { fail_above: Some(price), ..Recording::default() };
+        let mut hp = PerfectHp::with_solver(cluster, CostParams::default(), &trace, 0.0, 24, solver)
+            .unwrap();
+        // The μ = 0 solve exceeds a zero budget, so the search probes μ > 0.
+        hp.hourly_budget[0] = 0.0;
+        let obs = SlotObservation { t: 0, arrival_rate: trace.workload[0], onsite: 0.0, price };
+        let err = hp.decide(&obs).unwrap_err();
+        assert!(matches!(&err, SimError::Internal(msg) if msg == "no solve"), "{err}");
+        assert_eq!((hp.abandoned_hours, hp.solver.weights.len()), (0, 2));
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! The `--strict` invariant run (ISSUE acceptance criterion): promote every
-//! runtime paper-invariant check to an unconditional panic, drive the COCA
-//! controller and all four baselines through the simulator, and then assert
-//! that every check actually fired at least once.
+//! The `--strict` invariant run: promote every runtime paper-invariant
+//! check to an unconditional panic, drive the COCA controller and the three
+//! baselines through the simulator, and then assert that every check
+//! actually fired at least once.
 //!
 //! This lives in its own integration-test binary because strict mode is a
 //! process-wide switch ([`coca_core::invariant::force_strict`] /
@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use coca_baselines::budgeted::solve_capped;
+use coca_baselines::budgeted::solve_penalized;
 use coca_baselines::{CarbonUnaware, OfflineOpt, PerfectHp};
 use coca_core::gsd::{GsdOptions, GsdSolver};
 use coca_core::invariant;
@@ -74,8 +74,8 @@ fn strict_run_exercises_every_invariant_check() {
     let _ = run_single(Arc::clone(&cluster), &short, cost, 5.0, 1.0, Box::new(&mut gsd_coca))
         .expect("strict GSD run");
 
-    // All four baselines: carbon-unaware, PerfectHP, OPT, and the budgeted
-    // primitive they share. The carbon-unaware reference consumption now
+    // The three baselines, carbon-unaware, PerfectHP and OPT, then the
+    // penalized slot solve PerfectHP and OPT share. The carbon-unaware reference consumption now
     // comes from a plain engine run (the bespoke `annual_consumption`
     // shortcut was removed with the `SimEngine` refactor).
     let mut unaware = CarbonUnaware::new(Arc::clone(&cluster), cost, SymmetricSolver::new());
@@ -97,9 +97,9 @@ fn strict_run_exercises_every_invariant_check() {
         .expect("strict OPT run");
 
     let obs = SlotObservation { t: 0, arrival_rate: 300.0, onsite: 2.0, price: 0.08 };
-    let capped = solve_capped(&mut solver, &cluster, &cost, &obs, 10.0, 1e-6)
+    let (_, g, y) = solve_penalized(&mut solver, &cluster, &cost, &obs, 0.5)
         .expect("budgeted primitive solves");
-    assert!(capped.brown.is_finite());
+    assert!(g.is_finite() && y.is_finite());
 
     // Every paper-invariant check must have fired at least once.
     for (name, count) in invariant::counts() {

@@ -1,9 +1,10 @@
 //! Monotone scalar root finding by bisection.
 //!
 //! Every Lagrange-multiplier search in the COCA system — the water-filling
-//! multiplier ν, the power-cap multiplier μ, and the offline carbon-budget
-//! multiplier — reduces to finding the root (or the crossing point) of a
-//! monotone function of one variable. Bisection is the right tool: it is
+//! multiplier ν and the carbon-budget multiplier μ of the budgeted
+//! baselines ([`crate::dual`]) — reduces to finding the root (or the
+//! crossing point) of a function of one variable that is monotone for an
+//! exact inner solver. Bisection is the right tool: it is
 //! derivative-free, unconditionally convergent on a bracketing interval, and
 //! tolerant of the piecewise-smooth, clipped functions that arise from KKT
 //! conditions with box constraints.

@@ -11,8 +11,9 @@
 //!   speeds). Handles the `[·]⁺` kink exactly via a three-regime KKT analysis.
 //! * [`gibbs`] — the annealed Gibbs sampler underlying GSD (Algorithm 2),
 //!   generic over decision spaces and cost oracles.
-//! * [`dual`] — Lagrangian dual bisection for long-term budget constraints,
-//!   used by the offline benchmark OPT and the T-step lookahead policy.
+//! * [`dual`] — the Lagrangian multiplier search for brown-energy budgets,
+//!   used by PerfectHP's hourly caps and by the offline benchmark OPT and
+//!   its T-step lookahead variant.
 //! * [`grid`] — exhaustive enumeration over small discrete spaces, used as a
 //!   ground-truth oracle in tests.
 //! * [`invariant`] — runtime paper-invariant checks (load conservation,
