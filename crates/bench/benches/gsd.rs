@@ -33,7 +33,6 @@ fn opts(iterations: usize, seed: u64) -> GsdOptions {
     GsdOptions {
         iterations,
         schedule: TemperatureSchedule::Constant(1e6),
-        patience: None,
         record_trace: false,
         seed,
         warm_start: false,

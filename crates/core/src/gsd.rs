@@ -44,8 +44,6 @@ pub struct GsdOptions {
     /// Temperature schedule for δ (paper Fig. 4 uses constants around
     /// 10⁵–10⁶; Sec. 4.2 advises annealing upward in practice).
     pub schedule: TemperatureSchedule,
-    /// Early stop after this many non-improving iterations.
-    pub patience: Option<usize>,
     /// Record the kept-state cost trace (paper Fig. 4).
     pub record_trace: bool,
     /// RNG seed (the chain is deterministic given the seed).
@@ -61,7 +59,6 @@ impl Default for GsdOptions {
         Self {
             iterations: 500,
             schedule: TemperatureSchedule::Constant(1e6),
-            patience: None,
             record_trace: false,
             seed: 0xC0CA,
             warm_start: true,
@@ -76,7 +73,6 @@ impl GsdOptions {
         GibbsOptions {
             iterations: self.iterations,
             schedule: self.schedule,
-            patience: self.patience,
             record_trace: self.record_trace,
         }
     }
@@ -382,7 +378,6 @@ mod tests {
                         seed,
                         warm_start: false,
                         record_trace: true,
-                        ..Default::default()
                     });
                     let _ = gsd.solve(&p).unwrap();
                     *gsd.last_trace.last().expect("trace recorded")
@@ -405,14 +400,9 @@ mod tests {
         let p = problem(&cluster, 40.0, 5.0, 5.0);
         let mut gsd = GsdSolver::new(GsdOptions { iterations: 1500, seed: 7, ..Default::default() });
         let first = gsd.solve(&p).unwrap();
-        // Second solve on the same instance starts at the previous optimum:
-        // with patience it terminates quickly and can only match or improve.
-        let mut gsd2 = GsdSolver::new(GsdOptions {
-            iterations: 1500,
-            seed: 8,
-            patience: Some(100),
-            ..Default::default()
-        });
+        // Second solve on the same instance starts at the previous optimum
+        // and can only match or improve it.
+        let mut gsd2 = GsdSolver::new(GsdOptions { iterations: 1500, seed: 8, ..Default::default() });
         gsd2.set_initial(first.levels.clone());
         let second = gsd2.solve(&p).unwrap();
         assert!(second.outcome.objective <= first.outcome.objective + 1e-9);

@@ -4,8 +4,8 @@
 //! ([`SlotEvalContext`]), whose water-filling solver carries its ν/μ
 //! brackets from price to price, must agree with [`optimal_dispatch`], a
 //! fresh solver of the same kernel, to ≤ 1e-9 relative error — the
-//! current state's cost, every candidate of a
-//! [`SlotEvalContext::evaluate_candidates`] sweep, and the per-group loads
+//! current state's cost, every level of a group priced by
+//! [`SlotEvalContext::evaluate_candidate`], and the per-group loads
 //! of [`SlotEvalContext::extract_outcome`] — and reproduce the cold water
 //! level, with warm ν/μ brackets engaged.
 //!
@@ -63,9 +63,9 @@ fn close(kernel: f64, cold: f64) -> bool {
 }
 
 /// Checks the context's current state against the cold dispatch: the
-/// current cost, then every candidate of a sweep over `group` (feasible
-/// ones against the cold objective of the deviated state, infeasible ones
-/// priced `INFINITY`), then the extracted outcome's objective, per-group
+/// current cost, then every level of `group` priced as a candidate
+/// (feasible ones against the cold objective of the deviated state,
+/// infeasible ones priced `INFINITY`), then the extracted outcome's objective, per-group
 /// loads and water level.
 fn check_state(
     ctx: &mut SlotEvalContext<'_>,
@@ -84,10 +84,9 @@ fn check_state(
         _ => {}
     }
 
-    ctx.evaluate_candidates(group, costs);
-    if costs.len() != p.cluster.groups()[group].num_choices() {
-        return Err(format!("sweep of group {group} returned {} costs", costs.len()));
-    }
+    costs.clear();
+    let choices = p.cluster.groups()[group].num_choices();
+    costs.extend((0..choices).map(|level| ctx.evaluate_candidate(group, level)));
     let mut cand = state.clone();
     for (level, &kernel) in costs.iter().enumerate() {
         cand[group] = level;

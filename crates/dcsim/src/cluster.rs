@@ -8,8 +8,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use coca_opt::waterfill::QueueSpec;
-
 use crate::group::ServerGroup;
 use crate::server::ServerClass;
 use crate::SimError;
@@ -153,41 +151,6 @@ impl Cluster {
         }
         Ok(())
     }
-
-    /// Builds the water-filling queue specs for the *active* groups of a
-    /// speed vector, under utilization cap `gamma` and facility overhead
-    /// `pue` (which scales power terms so that `[PUE·p − r]⁺` is expressed
-    /// directly in the solver's units).
-    ///
-    /// Returns `(specs, base_power, active_indices)` where
-    /// `active_indices[k]` is the group behind `specs[k]`.
-    pub fn active_queues(
-        &self,
-        levels: &[usize],
-        gamma: f64,
-        pue: f64,
-    ) -> (Vec<QueueSpec>, f64, Vec<usize>) {
-        debug_assert!(gamma > 0.0 && gamma < 1.0);
-        debug_assert!(pue >= 1.0);
-        let mut specs = Vec::new();
-        let mut idx = Vec::new();
-        let mut base_power = 0.0;
-        for (i, (g, &c)) in self.groups.iter().zip(levels).enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let capacity = g.capacity(c);
-            specs.push(QueueSpec {
-                capacity,
-                util_cap: gamma * capacity,
-                energy_slope: g.energy_slope(c) * pue,
-                multiplicity: 1.0,
-            });
-            base_power += g.static_power(c) * pue;
-            idx.push(i);
-        }
-        (specs, base_power, idx)
-    }
 }
 
 /// Fluent builder for custom clusters.
@@ -282,20 +245,6 @@ mod tests {
         assert!(c.validate_levels(&[0, 4]).is_ok());
         assert!(c.validate_levels(&[0]).is_err());
         assert!(c.validate_levels(&[0, 5]).is_err());
-    }
-
-    #[test]
-    fn active_queues_skips_off_groups_and_applies_pue() {
-        let c = Cluster::homogeneous(3, 10);
-        let (specs, base, idx) = c.active_queues(&[0, 4, 2], 0.9, 1.2);
-        assert_eq!(specs.len(), 2);
-        assert_eq!(idx, vec![1, 2]);
-        // Group 1 at top speed: capacity 100, cap 90, slope 0.0091·1.2.
-        assert!((specs[0].capacity - 100.0).abs() < 1e-9);
-        assert!((specs[0].util_cap - 90.0).abs() < 1e-9);
-        assert!((specs[0].energy_slope - 0.0091 * 1.2).abs() < 1e-9);
-        // Base power: two on groups × 10 servers × 0.140 × 1.2.
-        assert!((base - 2.0 * 10.0 * 0.140 * 1.2).abs() < 1e-9);
     }
 
     #[test]

@@ -8,12 +8,16 @@
 //!
 //! * `A = V·w(t) + q(t)` (the electricity weight; baselines use `A = w`),
 //! * `W = V·β` (the delay weight; baselines use `W = β`),
-//! * queue specs, base power and PUE taken from the cluster.
+//! * the bank rows, base power and PUE taken from the cluster.
 //!
-//! [`optimal_dispatch`] returns both the optimal loads and the decomposed
-//! cost/power/delay terms that the simulator and the GSD cost oracle need.
+//! [`optimal_dispatch`] builds the [`QueueBank`] straight from the cluster,
+//! runs the cold [`waterfill::solve`] on it, and returns both the optimal
+//! loads and the decomposed cost/power/delay terms that the simulator and
+//! the GSD cost oracle need.
 
-use coca_opt::waterfill::{self, LoadDistProblem};
+use std::collections::HashMap;
+
+use coca_opt::waterfill::{self, BankProblem, QueueBank};
 
 use crate::cluster::Cluster;
 use crate::SimError;
@@ -93,50 +97,55 @@ impl SlotProblem<'_> {
 /// evaluates the decomposed outcome. Errors if the speed vector cannot carry
 /// the load.
 ///
-/// Identical active queues (same pooled capacity and energy slope — i.e.
-/// same server class, group size and speed level) are compressed into one
-/// weighted queue type before solving: by symmetry and strict convexity they
-/// carry equal load at the optimum, and the water-filling cost drops from
+/// Identical active queues (same pooled capacity and PUE-scaled energy
+/// slope, bit for bit — i.e. same server class, group size and speed level)
+/// share one weighted bank row: by symmetry and strict convexity they carry
+/// equal load at the optimum, and the water-filling cost drops from
 /// O(#groups) to O(#distinct types) per bisection step. With the paper's
 /// 200-group four-class fleet this is a ~15× speedup on the hot path.
+///
+/// Rows appear in the order their first group does, each with static
+/// power 0; the groups' PUE-scaled static power is summed in group order
+/// into `P₀` instead, so groups that differ only in static power still
+/// share a row.
 pub fn optimal_dispatch(problem: &SlotProblem<'_>, levels: &[usize]) -> crate::Result<DispatchOutcome> {
     problem.validate()?;
     problem.cluster.validate_levels(levels)?;
-    let (specs, base_power, active) = problem.cluster.active_queues(levels, problem.gamma, problem.pue);
-
-    // Compress identical queues into weighted types.
-    let mut key_to_type: std::collections::HashMap<(u64, u64), usize> = std::collections::HashMap::new();
-    let mut types: Vec<waterfill::QueueSpec> = Vec::new();
-    let mut members: Vec<Vec<usize>> = Vec::new();
-    for (k, spec) in specs.iter().enumerate() {
-        let key = (spec.capacity.to_bits(), spec.energy_slope.to_bits());
-        let idx = *key_to_type.entry(key).or_insert_with(|| {
-            types.push(waterfill::QueueSpec { multiplicity: 0.0, ..*spec });
-            members.push(Vec::new());
-            types.len() - 1
-        });
-        types[idx].multiplicity += 1.0;
-        members[idx].push(active[k]);
+    let pue = problem.pue;
+    let mut bank = QueueBank::new();
+    let mut row_of_key: HashMap<(u64, u64), usize> = HashMap::new();
+    // Bank row of each group (`None` for an off group).
+    let mut rows = vec![None; levels.len()];
+    let mut base_power = 0.0;
+    for ((g, &c), row) in problem.cluster.groups().iter().zip(levels).zip(&mut rows) {
+        if c == 0 {
+            continue;
+        }
+        let capacity = g.capacity(c);
+        let slope = g.energy_slope(c) * pue;
+        let r = *row_of_key
+            .entry((capacity.to_bits(), slope.to_bits()))
+            .or_insert_with(|| bank.push_type(capacity, problem.gamma * capacity, slope, 0.0, 0.0));
+        bank.add_multiplicity(r, 1.0);
+        base_power += g.static_power(c) * pue;
+        *row = Some(r);
     }
+    let capped_capacity =
+        (0..bank.len()).map(|r| bank.multiplicity_of(r) * bank.util_cap_of(r)).sum();
 
-    let lp = LoadDistProblem {
-        queues: &types,
+    let (sol, lambdas) = waterfill::solve(&BankProblem {
+        bank: &bank,
         total_load: problem.arrival_rate,
         energy_weight: problem.energy_weight,
         delay_weight: problem.delay_weight,
         base_power,
+        capped_capacity,
         renewable: problem.onsite,
-    };
-    let sol = waterfill::solve(&lp)?;
-    let mut loads = vec![0.0; problem.cluster.num_groups()];
-    for (ty, group_indices) in members.iter().enumerate() {
-        for &gi in group_indices {
-            loads[gi] = sol.lambdas[ty];
-        }
-    }
-    // `sol.power` already includes PUE (the specs were pre-scaled).
+    })?;
+    let loads = rows.iter().map(|row| row.map_or(0.0, |r| lambdas[r])).collect();
+    // `sol.power` already includes PUE (the rows were pre-scaled).
     let facility_power = sol.power;
-    let it_power = facility_power / problem.pue;
+    let it_power = facility_power / pue;
     let brown = (facility_power - problem.onsite).max(0.0);
     Ok(DispatchOutcome {
         loads,
@@ -237,6 +246,16 @@ mod tests {
         let out = optimal_dispatch(&p, &[0, 4, 4]).unwrap();
         assert_eq!(out.loads[0], 0.0);
         assert!(out.loads[1] > 0.0 && out.loads[2] > 0.0);
+    }
+
+    #[test]
+    fn zero_load_pays_the_pue_scaled_static_power_of_on_groups() {
+        let cluster = Cluster::homogeneous(3, 10);
+        let p = SlotProblem { arrival_rate: 0.0, pue: 1.2, ..small_problem(&cluster) };
+        let out = optimal_dispatch(&p, &[0, 4, 2]).unwrap();
+        // Two on groups × 10 servers × 0.140 kW, times PUE.
+        assert!((out.facility_power - 2.0 * 10.0 * 0.140 * 1.2).abs() < 1e-9);
+        assert_eq!(out.loads, vec![0.0; 3]);
     }
 
     #[test]

@@ -138,43 +138,14 @@ impl SlotSource for &EnvironmentTrace {
     }
 }
 
-/// An owned, shareable materialized trace source.
-#[derive(Debug, Clone)]
-pub struct TraceSource {
-    trace: Arc<EnvironmentTrace>,
-}
-
-impl TraceSource {
-    /// Wraps a shared trace.
-    pub fn new(trace: Arc<EnvironmentTrace>) -> Self {
-        Self { trace }
-    }
-}
-
-impl SlotSource for TraceSource {
-    fn poll_slot(&mut self, t: usize) -> PollSlot {
-        if t < self.trace.len() {
-            PollSlot::Ready(self.trace.slot(t))
-        } else {
-            PollSlot::Closed
-        }
-    }
-    fn len_hint(&self) -> Option<usize> {
-        Some(self.trace.len())
-    }
-    fn validate(&self) -> crate::Result<()> {
-        self.trace.validate().map_err(SimError::InvalidConfig)
-    }
-}
-
 /// A generator-backed source: slots are produced on demand by a closure,
 /// so arbitrarily long synthetic traces run in O(1) memory (pair with
 /// [`crate::metrics::SummarySink`] to keep the whole run O(1)).
 ///
 /// The closure returns `Option<SlotEnv>`; `None` maps to the *typed*
 /// end-of-stream outcome [`PollSlot::Closed`]. A generator that needs to
-/// signal "not yet available" should instead return [`PollSlot`] directly
-/// via [`PollFnSource`].
+/// signal "not yet available" should implement [`SlotSource`] and answer
+/// [`PollSlot::Pending`] itself.
 pub struct FnSource<F> {
     generate: F,
     len: Option<usize>,
@@ -205,26 +176,6 @@ impl<F: FnMut(usize) -> Option<SlotEnv>> SlotSource for FnSource<F> {
     }
     fn len_hint(&self) -> Option<usize> {
         self.len
-    }
-}
-
-/// A generator source whose closure answers with the full typed
-/// [`PollSlot`] — for generators that distinguish "not yet available"
-/// from "ended" (e.g. adapters over a partially-downloaded feed).
-pub struct PollFnSource<F> {
-    generate: F,
-}
-
-impl<F: FnMut(usize) -> PollSlot> PollFnSource<F> {
-    /// Wraps the generator closure.
-    pub fn new(generate: F) -> Self {
-        Self { generate }
-    }
-}
-
-impl<F: FnMut(usize) -> PollSlot> SlotSource for PollFnSource<F> {
-    fn poll_slot(&mut self, t: usize) -> PollSlot {
-        (self.generate)(t)
     }
 }
 
@@ -1143,12 +1094,22 @@ mod tests {
         drop(handle);
     }
 
+    /// A source whose closure answers every poll with the full typed
+    /// [`PollSlot`].
+    struct PollFnSource<F>(F);
+
+    impl<F: FnMut(usize) -> PollSlot> SlotSource for PollFnSource<F> {
+        fn poll_slot(&mut self, t: usize) -> PollSlot {
+            (self.0)(t)
+        }
+    }
+
     #[test]
     fn run_to_end_rejects_nonblocking_pending_source() {
         let (cluster, _, cost) = small();
-        // A PollFnSource that answers Pending cannot block, so an
-        // unbounded wait would spin; the engine reports it instead.
-        let source = PollFnSource::new(|_| PollSlot::Pending);
+        // A source that answers Pending cannot block, so an unbounded wait
+        // would spin; the engine reports it instead.
+        let source = PollFnSource(|_| PollSlot::Pending);
         let mut engine = SimEngine::new(Arc::clone(&cluster), source, cost, 0.0).unwrap();
         engine.add_policy(Box::new(StaticLevels::full_speed(Arc::clone(&cluster), cost)));
         assert!(matches!(engine.run_to_end(), Err(SimError::InvalidConfig(_))));

@@ -17,11 +17,10 @@
 //! * The multiset is mirrored into a struct-of-arrays
 //!   [`coca_opt::waterfill::QueueBank`] (parallel capacity / util_cap /
 //!   energy_slope / static_power / multiplicity lanes), and
-//!   [`SlotEvalContext::evaluate_candidates`] scores **every** level choice
-//!   of a sampled group in one call: each candidate is a ±1.0 multiplicity
-//!   delta on two bank rows (exact on integer-valued lanes) plus a chunked
-//!   [`coca_opt::waterfill::SoaWaterfill`] solve whose ν/μ brackets are
-//!   warm-started from the previous proposal.
+//!   [`SlotEvalContext::evaluate_candidate`] prices a proposal as a ±1.0
+//!   multiplicity delta on two bank rows (exact on integer-valued lanes)
+//!   plus a [`coca_opt::waterfill::SoaWaterfill`] solve whose ν/μ brackets
+//!   are warm-started from the previous proposal.
 //!
 //! There is no state-cost cache: Gibbs chains rarely re-propose an exact
 //! earlier state (3 hits per 404 lookups on a 500-iteration paper-scale
@@ -33,12 +32,16 @@
 //! build a fresh context per `solve()` call and drop it with the slot.
 //!
 //! Correctness: [`crate::dispatch::optimal_dispatch`] solves the *same*
-//! water-filling problems on the same kernel from a cold start, and warm
-//! starts change only where a search begins, never its stopping rule, so
-//! the two agree to ≤ 1e-9 relative error (pinned by the differential
-//! property test in `coca-core`), and the
-//! `coca_opt::invariant` hooks (load conservation, plus the KKT residual in
-//! debug and strict builds) fire on every solve.
+//! water-filling problems — a [`BankProblem`] over a [`QueueBank`] — on the
+//! same kernel from a cold start, and warm starts change only where a
+//! search begins, never its stopping rule, so the two agree to ≤ 1e-9
+//! relative error (pinned by the differential property test in
+//! `coca-core`). Their banks differ in layout: this context keeps one row
+//! per distinct `(capacity, slope, static power)` type with static power in
+//! the lane, the cold dispatch one row per active `(capacity, slope)` with
+//! `P₀` summed per group. The `coca_opt::invariant` hooks (load
+//! conservation, plus the bank's KKT certificate in debug and strict
+//! builds) fire on every solve.
 
 use std::collections::HashMap;
 
@@ -47,8 +50,8 @@ use coca_opt::waterfill::{BankProblem, QueueBank, SoaWaterfill};
 use crate::dispatch::{DispatchOutcome, SlotProblem};
 
 /// One distinct per-level queue row: everything the oracle needs to know
-/// about a `(group, speed level)` pair, PUE- and γ-scaled exactly like
-/// [`crate::cluster::Cluster::active_queues`]. Groups whose rows are
+/// about a `(group, speed level)` pair, PUE- and γ-scaled exactly like the
+/// rows of [`crate::dispatch::optimal_dispatch`]. Groups whose rows are
 /// bit-identical share a type (static power is part of the identity so the
 /// base-power aggregate stays exact).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -196,19 +199,18 @@ pub struct EvalStats {
     pub bisection_evals: u64,
     /// Single-group O(1) delta updates applied to the type multiset.
     pub delta_updates: u64,
-    /// Candidate-sweep kernel calls ([`SlotEvalContext::evaluate_candidates`]
-    /// or [`SlotEvalContext::evaluate_candidate`]).
+    /// Candidate-pricing calls ([`SlotEvalContext::evaluate_candidate`]).
     pub candidate_batches: u64,
-    /// Candidates scored inside those sweeps (each is a ±1.0 multiplicity
-    /// delta plus one SoA water-filling solve).
+    /// Candidates scored by those calls (each is a ±1.0 multiplicity delta
+    /// plus one SoA water-filling solve; one per call).
     pub batched_candidates: u64,
 }
 
 /// Slot-scoped evaluator for the P3 cost oracle.
 ///
 /// Build once per slot with the initial speed vector, then price proposals
-/// with [`Self::evaluate_candidate`] / [`Self::evaluate_candidates`] and
-/// commit the accepted ones with [`Self::set_level`]. See the module docs
+/// with [`Self::evaluate_candidate`] and commit the accepted ones with
+/// [`Self::set_level`]. See the module docs
 /// for the scope rules.
 #[derive(Debug)]
 pub struct SlotEvalContext<'a> {
@@ -368,34 +370,18 @@ impl<'a> SlotEvalContext<'a> {
         self.bank_cost(cap, base_power)
     }
 
-    /// Scores **every** level choice of `group` in one kernel call, writing
-    /// `costs[level]` for `level ∈ 0..num_choices(group)` (`f64::INFINITY`
-    /// marks an infeasible candidate). The current level's cost is
-    /// included, so a caller reads both sides of an acceptance test from
-    /// one sweep.
+    /// Cost of flipping `group` to `level` (`f64::INFINITY` when
+    /// infeasible), without committing the flip — the Gibbs driver's
+    /// proposal oracle. `level` may be the current level, which prices the
+    /// current state.
     ///
-    /// Each candidate delta-adjusts the shared multiset aggregates — two
+    /// The candidate delta-adjusts the shared multiset aggregates — two
     /// ±1.0 multiplicity-lane writes plus capped-capacity / base-power
-    /// deltas — runs a warm chunked [`SoaWaterfill`] solve, and restores
-    /// the lanes; nothing is committed. Costs agree with the cold dispatch
-    /// to the water-filling stopping tolerance (≤ 1e-9 relative — pinned by
-    /// the differential property test in `coca-core`), though not
-    /// bit-for-bit: the chunked kernel sums lanes in a different order.
-    pub fn evaluate_candidates(&mut self, group: usize, costs: &mut Vec<f64>) {
-        let choices = self.problem.cluster.groups()[group].num_choices();
-        costs.clear();
-        costs.resize(choices, 0.0);
-        let (cap, base_power) = (self.agg_cap, self.agg_base);
-        self.stats.candidate_batches += 1;
-        self.stats.batched_candidates += choices as u64;
-        for (level, cost) in costs.iter_mut().enumerate() {
-            *cost = self.candidate_cost(group, level, cap, base_power);
-        }
-    }
-
-    /// Cost of flipping `group` to `level`, without committing the flip.
-    /// Single-candidate form of [`Self::evaluate_candidates`] (same delta
-    /// math, one candidate per batch) — the Gibbs driver's proposal oracle.
+    /// deltas — runs a warm [`SoaWaterfill`] solve, and restores the lanes.
+    /// Costs agree with the cold dispatch to the water-filling stopping
+    /// tolerance (≤ 1e-9 relative — pinned by the differential property
+    /// test in `coca-core`), though not bit-for-bit: the two banks hold
+    /// different rows and the warm search starts elsewhere.
     pub fn evaluate_candidate(&mut self, group: usize, level: usize) -> f64 {
         let (cap, base_power) = (self.agg_cap, self.agg_base);
         self.stats.candidate_batches += 1;
@@ -404,7 +390,7 @@ impl<'a> SlotEvalContext<'a> {
     }
 
     /// Candidate scoring core: ±1.0 multiplicity deltas on the (≤ 2) bank
-    /// rows the flip touches, aggregate deltas on top of the batch-level
+    /// rows the flip touches, aggregate deltas on top of the committed
     /// `(cap, base_power)`, one SoA solve, then an exact restore.
     fn candidate_cost(&mut self, group: usize, level: usize, cap: f64, base_power: f64) -> f64 {
         let old = self.levels[group];
@@ -629,11 +615,11 @@ mod tests {
         let p = slot(&cluster);
         let levels = cluster.full_speed_vector();
         let mut ctx = SlotEvalContext::new(p, &levels).unwrap();
-        let mut costs = Vec::new();
+        let mut priced = 0;
         for group in 0..levels.len() {
-            ctx.evaluate_candidates(group, &mut costs);
-            assert_eq!(costs.len(), cluster.groups()[group].num_choices());
-            for (level, &kernel) in costs.iter().enumerate() {
+            for level in 0..cluster.groups()[group].num_choices() {
+                let kernel = ctx.evaluate_candidate(group, level);
+                priced += 1;
                 let mut probe = levels.clone();
                 probe[group] = level;
                 if p.is_feasible(&probe) {
@@ -643,11 +629,11 @@ mod tests {
                     assert!(kernel.is_infinite(), "group {group} level {level}");
                 }
             }
-            // The sweep must not commit anything.
+            // Pricing must not commit anything.
             assert_eq!(ctx.levels(), &levels[..]);
         }
-        assert_eq!(ctx.stats.candidate_batches, levels.len() as u64);
-        assert!(ctx.stats.batched_candidates >= levels.len() as u64);
+        assert_eq!(ctx.stats.candidate_batches, priced);
+        assert_eq!(ctx.stats.batched_candidates, priced);
     }
 
     #[test]
@@ -672,9 +658,7 @@ mod tests {
         p.arrival_rate = 1.5 * p.gamma * cluster.groups()[0].capacity(full[0]);
         let mut ctx = SlotEvalContext::new(p, &full).unwrap();
         assert!(ctx.evaluate_current().is_finite());
-        let mut costs = Vec::new();
-        ctx.evaluate_candidates(0, &mut costs);
-        assert!(costs[0].is_infinite(), "turning group 0 off must overload");
-        assert!(costs[full[0]].is_finite(), "keeping full speed stays feasible");
+        assert!(ctx.evaluate_candidate(0, 0).is_infinite(), "turning group 0 off must overload");
+        assert!(ctx.evaluate_candidate(0, full[0]).is_finite(), "keeping full speed stays feasible");
     }
 }

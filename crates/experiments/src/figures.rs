@@ -152,7 +152,6 @@ pub fn gsd_trace_point(
         record_trace: true,
         warm_start: false,
         seed: 1500,
-        ..Default::default()
     });
     if let Some(init) = initial {
         gsd.set_initial(init);

@@ -40,7 +40,11 @@ pub struct DualOutcome<T> {
     /// Total budgeted usage `Σ y(t)` of the plan.
     pub total_usage: f64,
     /// False when no multiplier brought the usage within the budget; the
-    /// plan is then the μ = 0 one.
+    /// plan is then the μ = 0 one. True means some probe met the budget —
+    /// not that this plan does: a search that lands on μ_hi returns a
+    /// fresh probe there, which a solver with warm state can answer above
+    /// the budget (see [`solve_budget_dual`]). Compare `total_usage` with
+    /// the budget to know.
     pub attainable: bool,
     /// Number of probes run (a repeat of the previous probe's μ is answered
     /// without one).
@@ -134,6 +138,13 @@ impl<T, E: From<OptError>, P: FnMut(f64) -> Result<(T, f64, f64), E>> Probes<P, 
 /// only a repeat of the previous probe's μ is answered from memory.
 /// Consecutive probes never share a μ, and on an attainable budget the
 /// returned μ is the last one probed.
+///
+/// The μ_hi landing is not checked against the budget. Bracket growth saw
+/// the budget met at μ_hi, but the plan returned there comes from a later
+/// probe, and with warm state that probe can come back over budget: the
+/// outcome then reads `attainable: true` with `total_usage` above the
+/// budget. This happened on 16 of the 486 PerfectHP hours of the
+/// small-scale figure batch, by 0.04% to 18.4%.
 ///
 /// A probe error is returned as it is; the search's own errors (a negative
 /// or non-finite budget, a `mu_start` that is not positive, a non-finite
@@ -229,6 +240,29 @@ mod tests {
         assert_eq!((out.mu, out.plan, out.total_usage), (0.0, 0.0, 6.0));
         // μ = 0 and eight doublings, plus the residual at the last bracket.
         assert_eq!(out.sweeps, 10);
+    }
+
+    /// A probe with warm state that meets the budget at μ_hi = 4 during
+    /// bracket growth and misses it on every later probe there: the search
+    /// lands on μ_hi and returns the over-budget re-probe as attainable.
+    #[test]
+    fn mu_hi_landing_can_return_a_plan_over_budget() {
+        let mut seen_mu_hi = 0;
+        let probe = |mu: f64| {
+            // Usage 2 everywhere except the first probe at μ = 4.
+            let first_at_mu_hi = mu.to_bits() == 4.0_f64.to_bits() && {
+                seen_mu_hi += 1;
+                seen_mu_hi == 1
+            };
+            Ok::<_, OptError>((mu, 0.0, if first_at_mu_hi { 0.5 } else { 2.0 }))
+        };
+        let out = solve_budget_dual(probe, 1.0, 1.0, DualOptions::default()).unwrap();
+        assert!(out.attainable);
+        assert_eq!((out.mu, out.plan, out.total_usage), (4.0, 4.0, 2.0));
+        // μ = 0; growth at 1, 2, 4; the bisection's re-probes of 0 and 4;
+        // μ⁺; and the landing's re-probe of μ_hi.
+        assert_eq!(out.sweeps, 8);
+        assert_eq!(seen_mu_hi, 3);
     }
 
     #[test]

@@ -29,9 +29,6 @@ pub struct GibbsOptions {
     pub iterations: usize,
     /// Temperature (δ) schedule.
     pub schedule: TemperatureSchedule,
-    /// If set, the run stops early after this many consecutive iterations
-    /// without improvement of the best cost.
-    pub patience: Option<usize>,
     /// Record the kept-state cost after every iteration (paper Fig. 4).
     pub record_trace: bool,
 }
@@ -41,7 +38,6 @@ impl Default for GibbsOptions {
         Self {
             iterations: 500,
             schedule: TemperatureSchedule::Constant(1e6),
-            patience: None,
             record_trace: false,
         }
     }
@@ -59,7 +55,8 @@ pub struct GibbsOutcome {
     pub final_state: Vec<usize>,
     /// Cost of the kept state at the end.
     pub final_cost: f64,
-    /// Iterations actually performed (≤ `options.iterations`).
+    /// Iterations performed: `options.iterations`, or 1 when no site has
+    /// a second choice to propose (0 when `options.iterations` is 0).
     pub iterations_run: usize,
     /// Number of accepted proposals.
     pub accepted: usize,
@@ -131,7 +128,6 @@ where
     let mut best = kept.clone();
     let mut best_cost = kept_cost;
     let mut accepted = 0;
-    let mut stagnant = 0;
     let mut trace = Vec::with_capacity(if opts.record_trace { opts.iterations } else { 0 });
     let mut iterations_run = 0;
 
@@ -169,20 +165,10 @@ where
             if kept_cost < best_cost {
                 best_cost = kept_cost;
                 best.copy_from_slice(&kept);
-                stagnant = 0;
-            } else {
-                stagnant += 1;
             }
-        } else {
-            stagnant += 1;
         }
         if opts.record_trace {
             trace.push(kept_cost);
-        }
-        if let Some(p) = opts.patience {
-            if stagnant >= p {
-                break;
-            }
         }
     }
 
@@ -315,7 +301,6 @@ mod tests {
         let opts = GibbsOptions {
             iterations: 3000,
             schedule: TemperatureSchedule::Constant(200.0),
-            patience: None,
             record_trace: false,
         };
         let (out, _) = toy_chain(&opts, 7);
@@ -351,7 +336,6 @@ mod tests {
         let opts = GibbsOptions {
             iterations: 200_000,
             schedule: TemperatureSchedule::Constant(delta),
-            patience: None,
             record_trace: false,
         };
         // Count visits through the cost oracle trace of kept states: easier
@@ -386,24 +370,10 @@ mod tests {
     }
 
     #[test]
-    fn patience_stops_early() {
-        let opts = GibbsOptions {
-            iterations: 100_000,
-            schedule: TemperatureSchedule::Constant(1e9),
-            patience: Some(50),
-            record_trace: false,
-        };
-        let (out, _) = toy_chain(&opts, 5);
-        assert!(out.iterations_run < 100_000, "patience should truncate the run");
-        assert_eq!(out.best_state, vec![2, 1]);
-    }
-
-    #[test]
     fn trace_records_kept_cost() {
         let opts = GibbsOptions {
             iterations: 100,
             schedule: TemperatureSchedule::Constant(50.0),
-            patience: None,
             record_trace: true,
         };
         let (out, oracle) = toy_chain(&opts, 11);

@@ -24,6 +24,10 @@
 //!   `COCA_STRICT_INVARIANTS=1` (or calling [`force_strict`] before first
 //!   use); the `repro` experiment binary exposes it as `--strict`.
 //!
+//! The water-filling checks read the solver's own problem type, a
+//! [`BankProblem`] over a [`crate::waterfill::QueueBank`], with per-row
+//! loads in bank row order; retracted `m = 0` rows are skipped.
+//!
 //! Every check increments a global counter regardless of outcome, so a test
 //! can assert that a scenario actually *exercised* the checks it claims to
 //! (see [`counts`]).
@@ -31,7 +35,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use crate::waterfill::LoadDistProblem;
+use crate::waterfill::BankProblem;
 
 /// The individual invariant checks, used to index [`counts`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,9 +187,10 @@ impl InvariantSet {
         });
     }
 
-    /// Checks the KKT conditions of a water-filling solution via
-    /// [`kkt_residual`]; the residual must not exceed `max(tol, 1e-5)`.
-    pub fn kkt(&self, problem: &LoadDistProblem<'_>, lambdas: &[f64]) {
+    /// Checks the KKT conditions of a water-filling solution (per-row
+    /// loads in bank row order) via [`kkt_residual`]; the residual must not
+    /// exceed `max(tol, 1e-5)`.
+    pub fn kkt(&self, problem: &BankProblem<'_>, lambdas: &[f64]) {
         let residual = kkt_residual(problem, lambdas);
         let eps = self.tol.max(1e-5);
         self.enforce(Check::KktResidual, residual <= eps, || {
@@ -215,8 +220,10 @@ pub fn force_strict() -> bool {
     GLOBAL.set(InvariantSet::strict()).is_ok()
 }
 
-/// Normalized KKT residual of a load distribution for the water-filling
-/// problem (module docs of [`crate::waterfill`]).
+/// Normalized KKT residual of per-row loads `lambdas` (bank row order) for
+/// the water-filling problem (module docs of [`crate::waterfill`]). It
+/// reads the bank directly; retracted `m = 0` rows carry no queue and are
+/// skipped.
 ///
 /// The objective has a kink where total power crosses the renewable supply
 /// `r`, so optimality admits three certificates; the residual is the best
@@ -232,11 +239,14 @@ pub fn force_strict() -> bool {
 ///
 /// All three are normalized to be scale-free. Returns `+∞` for non-finite
 /// inputs.
-pub fn kkt_residual(problem: &LoadDistProblem<'_>, lambdas: &[f64]) -> f64 {
-    if lambdas.iter().any(|l| !l.is_finite()) {
+pub fn kkt_residual(problem: &BankProblem<'_>, lambdas: &[f64]) -> f64 {
+    let bank = problem.bank;
+    let live = || (0..bank.len()).zip(lambdas).filter(|&(k, _)| bank.multiplicity_of(k) > 0.0);
+    if live().any(|(_, l)| !l.is_finite()) {
         return f64::INFINITY;
     }
-    let power = problem.power(lambdas);
+    let power = problem.base_power
+        + live().map(|(k, &l)| bank.multiplicity_of(k) * bank.energy_slope_of(k) * l).sum::<f64>();
     let r = problem.renewable;
     if !power.is_finite() {
         return f64::INFINITY;
@@ -253,13 +263,14 @@ pub fn kkt_residual(problem: &LoadDistProblem<'_>, lambdas: &[f64]) -> f64 {
     let stationarity = |a_eff: f64| -> f64 {
         let mut floor = f64::NEG_INFINITY;
         let mut ceil = f64::INFINITY;
-        for (q, &l) in problem.queues.iter().zip(lambdas) {
-            let gap = q.capacity - l;
-            let marginal = a_eff * q.energy_slope + problem.delay_weight * q.capacity / (gap * gap);
-            if l > 1e-9 * q.util_cap {
+        for (k, &l) in live() {
+            let (x, u) = (bank.capacity_of(k), bank.util_cap_of(k));
+            let gap = x - l;
+            let marginal = a_eff * bank.energy_slope_of(k) + problem.delay_weight * x / (gap * gap);
+            if l > 1e-9 * u {
                 floor = floor.max(marginal);
             }
-            if l < q.util_cap * (1.0 - 1e-9) {
+            if l < u * (1.0 - 1e-9) {
                 ceil = ceil.min(marginal);
             }
         }
@@ -283,7 +294,7 @@ pub fn kkt_residual(problem: &LoadDistProblem<'_>, lambdas: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::waterfill::{solve, QueueSpec};
+    use crate::waterfill::{solve, QueueBank};
 
     fn lenient() -> InvariantSet {
         InvariantSet::new(false)
@@ -342,29 +353,40 @@ mod tests {
         InvariantSet::strict().acceptance_probability(1.5);
     }
 
-    /// A cheap queue and a dear one.
-    fn cheap_and_dear() -> [QueueSpec; 2] {
-        [QueueSpec::single(10.0, 9.0, 0.05), QueueSpec::single(14.0, 12.6, 0.30)]
+    /// A bank of single queues `(capacity, util_cap, energy_slope)`.
+    fn bank_of(rows: &[(f64, f64, f64)]) -> QueueBank {
+        let mut bank = QueueBank::new();
+        for &(x, u, c) in rows {
+            bank.push_type(x, u, c, 0.0, 1.0);
+        }
+        bank
     }
 
-    /// `queues` sharing `load` at A = 2, W = 1, base power 0.2 and r = 0.
-    fn sharing(queues: &[QueueSpec], load: f64) -> LoadDistProblem<'_> {
-        LoadDistProblem {
-            queues,
+    /// The queues of `bank` sharing `load` at A = 2, W = 1, base power 0.2
+    /// and r = 0.
+    fn sharing(bank: &QueueBank, load: f64) -> BankProblem<'_> {
+        BankProblem {
+            bank,
             total_load: load,
             energy_weight: 2.0,
             delay_weight: 1.0,
             base_power: 0.2,
+            capped_capacity: bank.aggregates().0,
             renewable: 0.0,
         }
     }
 
+    /// A cheap queue and a dear one.
+    fn cheap_and_dear() -> QueueBank {
+        bank_of(&[(10.0, 9.0, 0.05), (14.0, 12.6, 0.30)])
+    }
+
     #[test]
     fn kkt_residual_small_at_optimum_large_off_optimum() {
-        let qs = cheap_and_dear();
-        let p = sharing(&qs, 11.0);
-        let sol = solve(&p).expect("solvable");
-        let at_opt = kkt_residual(&p, &sol.lambdas);
+        let bank = cheap_and_dear();
+        let p = sharing(&bank, 11.0);
+        let (_, lambdas) = solve(&p).expect("solvable");
+        let at_opt = kkt_residual(&p, &lambdas);
         assert!(at_opt <= 1e-5, "optimal residual {at_opt}");
         // A skewed feasible point conserves load but violates stationarity.
         let skew = [2.0, (11.0 - 2.0) / 1.0];
@@ -378,48 +400,55 @@ mod tests {
         // only the bound conditions reject it. Load parked on the dear
         // queue while the cheap one idles (objective 3.96 against 1.90),
         // and the dear queue saturated while the cheap one has headroom.
-        let qs = cheap_and_dear();
+        let bank = cheap_and_dear();
         for (load, wrong) in [(5.0, [0.0, 5.0]), (15.0, [15.0 - 12.6, 12.6])] {
-            let p = sharing(&qs, load);
-            let sol = solve(&p).expect("solvable");
-            assert!(kkt_residual(&p, &sol.lambdas) <= 1e-5);
-            assert!(p.objective(&wrong) > p.objective(&sol.lambdas));
+            let p = sharing(&bank, load);
+            let (_, lambdas) = solve(&p).expect("solvable");
+            assert!(kkt_residual(&p, &lambdas) <= 1e-5);
+            assert!(p.objective(&wrong) > p.objective(&lambdas));
             let res = kkt_residual(&p, &wrong);
             assert!(res > 1e-3, "{wrong:?}: residual {res} should be large");
         }
     }
 
     #[test]
+    fn kkt_residual_skips_retracted_rows() {
+        // A retracted row holding a load that would break every condition
+        // (above its cap, and NaN) changes nothing.
+        let mut bank = cheap_and_dear();
+        let p = sharing(&bank, 11.0);
+        let (_, lambdas) = solve(&p).expect("solvable");
+        let want = kkt_residual(&p, &lambdas);
+        bank.push_type(5.0, 4.5, 0.01, 0.0, 0.0);
+        let p = sharing(&bank, 11.0);
+        for dead in [100.0, f64::NAN] {
+            let got = kkt_residual(&p, &[lambdas[0], lambdas[1], dead]);
+            assert_eq!(got.to_bits(), want.to_bits(), "dead-row load {dead}");
+        }
+    }
+
+    #[test]
     fn kkt_residual_accepts_kink_solutions() {
         // The kink instance from the waterfill tests: optimum pins power=r.
-        let qs = vec![
-            QueueSpec::single(10.0, 9.0, 1.0),
-            QueueSpec::single(10.0, 9.0, 3.0),
-        ];
-        let p = LoadDistProblem {
-            queues: &qs,
+        let bank = bank_of(&[(10.0, 9.0, 1.0), (10.0, 9.0, 3.0)]);
+        let p = BankProblem {
+            bank: &bank,
             total_load: 10.0,
             energy_weight: 50.0,
             delay_weight: 1.0,
             base_power: 0.0,
+            capped_capacity: 18.0,
             renewable: 16.0,
         };
-        let sol = solve(&p).expect("solvable");
-        let res = kkt_residual(&p, &sol.lambdas);
+        let (_, lambdas) = solve(&p).expect("solvable");
+        let res = kkt_residual(&p, &lambdas);
         assert!(res <= 1e-5, "kink residual {res}");
     }
 
     #[test]
     fn kkt_residual_infinite_on_nan() {
-        let qs = vec![QueueSpec::single(10.0, 9.0, 0.1)];
-        let p = LoadDistProblem {
-            queues: &qs,
-            total_load: 1.0,
-            energy_weight: 1.0,
-            delay_weight: 1.0,
-            base_power: 0.0,
-            renewable: 0.0,
-        };
+        let bank = bank_of(&[(10.0, 9.0, 0.1)]);
+        let p = BankProblem { renewable: 0.0, ..sharing(&bank, 1.0) };
         assert!(kkt_residual(&p, &[f64::NAN]).is_infinite());
     }
 

@@ -36,212 +36,56 @@
 //!
 //! Degenerate delay weight `W = 0` turns the problem into a linear program
 //! solved greedily by ascending marginal energy cost.
+//!
+//! The problem has one description, a [`BankProblem`] over the
+//! struct-of-arrays [`QueueBank`], and one solver, [`SoaWaterfill`].
+//! [`solve`] is the cold entry: a fresh solver, rows validated, and the
+//! load-conservation and KKT certificates on every solve. The GSD
+//! evaluation context and `SymmetricSolver` reuse one solver across prices.
 
 use crate::bisect::{grow_upper_bracket, illinois_increasing, illinois_seeded, BisectOptions};
 use crate::{pos, OptError, Result};
-
-/// One M/G/1/PS queue type: `multiplicity` identical queues (servers, or
-/// pooled homogeneous server groups) as seen by the solver.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QueueSpec {
-    /// Service capacity `Xᵢ` of **each** queue of this type (requests/s).
-    /// Must be positive; fully idle (speed-zero) servers must be filtered
-    /// out by the caller.
-    pub capacity: f64,
-    /// Utilization cap `uᵢ = γ·Xᵢ`, strictly below `capacity` so the delay
-    /// cost stays finite (paper constraint 7).
-    pub util_cap: f64,
-    /// Marginal power per unit of load, `cᵢ = p_{i,c}(xᵢ)/xᵢ` (kW per
-    /// req/s), per queue.
-    pub energy_slope: f64,
-    /// Number of identical queues this type stands for (≥ 1; need not be an
-    /// integer, though it always is in practice).
-    pub multiplicity: f64,
-}
-
-impl QueueSpec {
-    /// Single queue (multiplicity 1).
-    pub fn single(capacity: f64, util_cap: f64, energy_slope: f64) -> Self {
-        Self { capacity, util_cap, energy_slope, multiplicity: 1.0 }
-    }
-
-    /// Validates the invariants documented on the fields.
-    pub fn validate(&self) -> Result<()> {
-        if !(self.capacity.is_finite() && self.capacity > 0.0) {
-            return Err(OptError::InvalidInput(format!(
-                "capacity must be positive, got {}",
-                self.capacity
-            )));
-        }
-        if !(self.util_cap.is_finite() && self.util_cap > 0.0 && self.util_cap < self.capacity) {
-            return Err(OptError::InvalidInput(format!(
-                "util_cap must lie in (0, capacity={}), got {}",
-                self.capacity, self.util_cap
-            )));
-        }
-        if !(self.energy_slope.is_finite() && self.energy_slope >= 0.0) {
-            return Err(OptError::InvalidInput(format!(
-                "energy_slope must be non-negative, got {}",
-                self.energy_slope
-            )));
-        }
-        if !(self.multiplicity.is_finite() && self.multiplicity >= 1.0) {
-            return Err(OptError::InvalidInput(format!(
-                "multiplicity must be ≥ 1, got {}",
-                self.multiplicity
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// Full problem instance for the load-distribution solver.
-#[derive(Debug, Clone)]
-pub struct LoadDistProblem<'a> {
-    /// Active queue types (speed-zero servers excluded).
-    pub queues: &'a [QueueSpec],
-    /// Total arrival rate `λ` to distribute across all queues.
-    pub total_load: f64,
-    /// Electricity weight `A = V·w + q ≥ 0`.
-    pub energy_weight: f64,
-    /// Delay weight `W = V·β ≥ 0`.
-    pub delay_weight: f64,
-    /// Static power of all active servers, `P₀ ≥ 0`.
-    pub base_power: f64,
-    /// On-site renewable supply `r ≥ 0`.
-    pub renewable: f64,
-}
-
-/// Solution of the load-distribution problem.
-#[derive(Debug, Clone, PartialEq)]
-#[must_use]
-pub struct LoadDistSolution {
-    /// Per-queue arrival rates `λᵢ` — the load of **each** queue of type `i`
-    /// (same order as the input types). Total dispatched load is
-    /// `Σ mᵢ·λᵢ`.
-    pub lambdas: Vec<f64>,
-    /// Objective value `A·[power − r]⁺ + W·Σ mᵢ dᵢ`.
-    pub objective: f64,
-    /// Total power `P₀ + Σ mᵢ cᵢ λᵢ`.
-    pub power: f64,
-    /// Total (unweighted) delay cost `Σ mᵢ λᵢ/(Xᵢ − λᵢ)`.
-    pub delay: f64,
-    /// Water level ν of the winning KKT regime, when the solution came out
-    /// of a bisection (`None` on the closed-form paths: zero load,
-    /// saturated caps, and the `W = 0` greedy fill). Exposed so warm-started
-    /// re-solves can seed their bracket from it and so differential tests
-    /// can compare incremental against cold water levels.
-    pub water_level: Option<f64>,
-}
 
 /// Relative slack used when classifying which side of the `[·]⁺` kink a
 /// candidate falls on.
 const KINK_TOL: f64 = 1e-9;
 
-impl LoadDistProblem<'_> {
-    /// Validates the whole problem instance.
-    pub fn validate(&self) -> Result<()> {
-        for q in self.queues {
-            q.validate()?;
-        }
-        for (name, v) in [
-            ("total_load", self.total_load),
-            ("energy_weight", self.energy_weight),
-            ("delay_weight", self.delay_weight),
-            ("base_power", self.base_power),
-            ("renewable", self.renewable),
-        ] {
-            if !(v.is_finite() && v >= 0.0) {
-                return Err(OptError::InvalidInput(format!(
-                    "{name} must be finite and non-negative, got {v}"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Aggregate utilization-capped capacity `Σ mᵢ uᵢ`.
-    pub fn capped_capacity(&self) -> f64 {
-        self.queues.iter().map(|q| q.multiplicity * q.util_cap).sum()
-    }
-
-    /// Total dispatched load `Σ mᵢ λᵢ` for per-queue loads `lambdas`.
-    pub fn dispatched(&self, lambdas: &[f64]) -> f64 {
-        self.queues.iter().zip(lambdas).map(|(q, &l)| q.multiplicity * l).sum()
-    }
-
-    /// Total power for a given distribution.
-    pub fn power(&self, lambdas: &[f64]) -> f64 {
-        self.base_power
-            + self
-                .queues
-                .iter()
-                .zip(lambdas)
-                .map(|(q, &l)| q.multiplicity * q.energy_slope * l)
-                .sum::<f64>()
-    }
-
-    /// Total unweighted delay cost `Σ mᵢ λᵢ/(Xᵢ − λᵢ)` for a distribution.
-    pub fn delay(&self, lambdas: &[f64]) -> f64 {
-        self.queues
-            .iter()
-            .zip(lambdas)
-            .map(|(q, &l)| if l <= 0.0 { 0.0 } else { q.multiplicity * l / (q.capacity - l) })
-            .sum()
-    }
-
-    /// True (kinked) objective value for a distribution.
-    pub fn objective(&self, lambdas: &[f64]) -> f64 {
-        self.energy_weight * pos(self.power(lambdas) - self.renewable)
-            + self.delay_weight * self.delay(lambdas)
-    }
-}
-
-/// Solves the load-distribution problem exactly. See the module docs for the
-/// three-regime strategy: this is a cold [`SoaWaterfill`] solve over a
-/// [`QueueBank`] with one row per queue type.
+/// Solves the load-distribution problem on `problem.bank` exactly with a
+/// fresh [`SoaWaterfill`] — the cold solve. See the module docs for the
+/// three-regime strategy. Returns the outcome and the per-row loads `λᵢ`
+/// (bank row order, the load of **each** queue of the row; retracted
+/// `m = 0` rows hold 0).
+///
+/// Unlike [`SoaWaterfill::solve`], it validates the bank rows first
+/// ([`QueueBank::validate`]) and runs the KKT certificate in every build.
 ///
 /// ```
-/// use coca_opt::waterfill::{solve, LoadDistProblem, QueueSpec};
+/// use coca_opt::waterfill::{solve, BankProblem, QueueBank};
 /// // Two identical queues: by symmetry the load splits evenly.
-/// let queues = vec![QueueSpec::single(10.0, 9.0, 0.1); 2];
-/// let sol = solve(&LoadDistProblem {
-///     queues: &queues,
+/// let mut bank = QueueBank::new();
+/// bank.push_type(10.0, 9.0, 0.1, 0.0, 1.0);
+/// bank.push_type(10.0, 9.0, 0.1, 0.0, 1.0);
+/// let (_, lambdas) = solve(&BankProblem {
+///     bank: &bank,
 ///     total_load: 8.0,
 ///     energy_weight: 1.0,
 ///     delay_weight: 1.0,
 ///     base_power: 0.0,
+///     capped_capacity: 18.0,
 ///     renewable: 0.0,
 /// }).unwrap();
-/// assert!((sol.lambdas[0] - 4.0).abs() < 1e-6);
-/// assert!((sol.lambdas[1] - 4.0).abs() < 1e-6);
+/// assert!((lambdas[0] - 4.0).abs() < 1e-6);
+/// assert!((lambdas[1] - 4.0).abs() < 1e-6);
 /// ```
-pub fn solve(problem: &LoadDistProblem<'_>) -> Result<LoadDistSolution> {
-    problem.validate()?;
-    let mut bank = QueueBank::new();
-    for q in problem.queues {
-        bank.push_type(q.capacity, q.util_cap, q.energy_slope, 0.0, q.multiplicity);
-    }
+///
+/// # Errors
+/// Invalid rows or scalars, infeasible load, or a bisection that fails to
+/// converge.
+pub fn solve(problem: &BankProblem<'_>) -> Result<(SoaOutcome, Vec<f64>)> {
+    problem.bank.validate()?;
     let mut soa = SoaWaterfill::new();
-    let SoaOutcome { objective, power, delay, water_level } = soa.solve_inner(&BankProblem {
-        bank: &bank,
-        total_load: problem.total_load,
-        energy_weight: problem.energy_weight,
-        delay_weight: problem.delay_weight,
-        base_power: problem.base_power,
-        capped_capacity: problem.capped_capacity(),
-        renewable: problem.renewable,
-    })?;
-    // Every row is live (multiplicity ≥ 1), so the bank's loads are the
-    // per-type loads in input order.
-    let lambdas = std::mem::take(&mut soa.lambdas);
-    // Paper-invariant hooks: constraint (8) conservation and the KKT
-    // certificate, once per cold solve in every build; a violation panics
-    // in debug builds and in strict mode.
-    let inv = crate::invariant::global();
-    inv.load_conserved(problem.dispatched(&lambdas), problem.total_load);
-    inv.kkt(problem, &lambdas);
-    Ok(LoadDistSolution { lambdas, objective, power, delay, water_level })
+    let out = soa.solve_certified(problem, true)?;
+    Ok((out, soa.lambdas))
 }
 
 /// Shared bisection tolerances for the water-level search (identical for
@@ -258,9 +102,10 @@ fn nu_bisect_options(lam: f64) -> BisectOptions {
 /// applies the identical warm-bracket/fallback rule as [`SoaWaterfill`].
 pub const WARM_BRACKET_SPAN: f64 = 0.05;
 
-/// Scalar outcome of a [`SoaWaterfill::solve`]. The per-row loads stay in
-/// the solver's scratch buffer — read them via [`SoaWaterfill::lambdas`] —
-/// so the hot loop never allocates a result vector.
+/// Scalar outcome of a water-filling solve. [`SoaWaterfill::solve`] keeps
+/// the per-row loads in the solver's buffer — read them via
+/// [`SoaWaterfill::lambdas`] — so the hot loop never allocates a result
+/// vector; the cold [`solve`] returns them beside the outcome.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[must_use]
 pub struct SoaOutcome {
@@ -287,11 +132,13 @@ pub struct SoaOutcome {
 /// schedules a pass.
 pub const LANE_WIDTH: usize = 8;
 
-/// Struct-of-arrays twin of a `[QueueSpec]` slice, plus a static-power lane:
-/// each queue type is a row across five parallel `f64` lanes
-/// (capacity / util_cap / energy_slope / static_power / multiplicity).
+/// The queue types of a load-distribution problem in struct-of-arrays
+/// form: each type is a row across five parallel `f64` lanes
+/// (capacity / util_cap / energy_slope / static_power / multiplicity). It
+/// is the one description of the problem's queues, for the cold [`solve`]
+/// and the reused [`SoaWaterfill`] alike.
 ///
-/// Two properties distinguish it from the AoS `QueueSpec` layout:
+/// Two properties shape it:
 ///
 /// * **Vector shape.** The water-filling residual `g(ν)` touches one lane
 ///   per operand, so the chunked kernels below stream contiguous doubles.
@@ -370,6 +217,11 @@ impl QueueBank {
         self.util_cap[row]
     }
 
+    /// Marginal power `cᵢ` of row `row` (per queue).
+    pub fn energy_slope_of(&self, row: usize) -> f64 {
+        self.energy_slope[row]
+    }
+
     /// Static power of row `row` (per queue).
     pub fn static_power_of(&self, row: usize) -> f64 {
         self.static_power[row]
@@ -404,39 +256,41 @@ impl QueueBank {
         (cap, base)
     }
 
-    /// Validates every row's invariants (same rules as
-    /// [`QueueSpec::validate`], except `multiplicity ≥ 0` — zero marks a
-    /// retracted row). Run once at construction; the batched solver relies
-    /// on it instead of re-validating per solve.
+    /// Validates every row's invariants: `0 < uᵢ < Xᵢ` (paper constraint
+    /// 7, so the delay cost stays finite), `cᵢ ≥ 0`, static power `≥ 0` and
+    /// `mᵢ ≥ 0` — zero marks a retracted row — all finite. The reused
+    /// [`SoaWaterfill`] relies on a bank validated once at construction
+    /// instead of re-validating per solve; the cold [`solve`] runs it
+    /// every time.
     pub fn validate(&self) -> Result<()> {
         for row in 0..self.len() {
-            let spec = QueueSpec {
-                capacity: self.capacity[row],
-                util_cap: self.util_cap[row],
-                energy_slope: self.energy_slope[row],
-                multiplicity: 1.0,
-            };
-            spec.validate()?;
-            let (s, m) = (self.static_power[row], self.multiplicity[row]);
-            if !(s.is_finite() && s >= 0.0) {
-                return Err(OptError::InvalidInput(format!(
-                    "static_power must be non-negative, got {s} at row {row}"
-                )));
+            let (x, u) = (self.capacity[row], self.util_cap[row]);
+            let (c, st, m) = (self.energy_slope[row], self.static_power[row], self.multiplicity[row]);
+            let bad = |what: String| Err(OptError::InvalidInput(format!("{what} at row {row}")));
+            if !(x.is_finite() && x > 0.0) {
+                return bad(format!("capacity must be positive, got {x}"));
+            }
+            if !(u.is_finite() && u > 0.0 && u < x) {
+                return bad(format!("util_cap must lie in (0, capacity={x}), got {u}"));
+            }
+            if !(c.is_finite() && c >= 0.0) {
+                return bad(format!("energy_slope must be non-negative, got {c}"));
+            }
+            if !(st.is_finite() && st >= 0.0) {
+                return bad(format!("static_power must be non-negative, got {st}"));
             }
             if !(m.is_finite() && m >= 0.0) {
-                return Err(OptError::InvalidInput(format!(
-                    "multiplicity must be ≥ 0, got {m} at row {row}"
-                )));
+                return bad(format!("multiplicity must be ≥ 0, got {m}"));
             }
         }
         Ok(())
     }
 }
 
-/// Load-distribution problem over a [`QueueBank`] — the SoA counterpart of
-/// [`LoadDistProblem`]. `base_power` is passed in (the GSD evaluation
-/// context maintains it by delta) rather than derived from the static-power lane,
-/// mirroring how the AoS problem carries `P₀` separately.
+/// The load-distribution problem of the module docs over a [`QueueBank`].
+/// `base_power` is passed in (the GSD evaluation context maintains it by
+/// delta, the cold dispatch sums it per group) rather than derived from the
+/// static-power lane.
 #[derive(Debug, Clone, Copy)]
 pub struct BankProblem<'a> {
     /// Queue-type rows (retracted `m = 0` rows allowed and inert).
@@ -491,6 +345,23 @@ impl BankProblem<'_> {
             }
         }
         Ok(())
+    }
+
+    /// True (kinked) objective `A·[P₀ + Σ mᵢcᵢλᵢ − r]⁺ + W·Σ mᵢλᵢ/(Xᵢ − λᵢ)`
+    /// of per-row loads `lambdas` (bank row order); retracted `m = 0` rows
+    /// are skipped.
+    pub fn objective(&self, lambdas: &[f64]) -> f64 {
+        let bank = self.bank;
+        let mut power = self.base_power;
+        let mut delay = 0.0;
+        for (row, &l) in lambdas.iter().enumerate().take(bank.len()) {
+            let m = bank.multiplicity[row];
+            if m > 0.0 {
+                power += m * bank.energy_slope[row] * l;
+                delay += if l > 0.0 { m * l / (bank.capacity[row] - l) } else { 0.0 };
+            }
+        }
+        self.energy_weight * pos(power - self.renewable) + self.delay_weight * delay
     }
 }
 
@@ -779,11 +650,11 @@ fn bank_rescale_interior(
 ///   buffers, so the steady-state solve performs no heap allocation.
 ///
 /// Invariant hooks: load conservation fires on every solve. The O(n) KKT
-/// certificate runs on every cold [`solve`]; on [`Self::solve`] it is
-/// recomputed in debug builds and in strict mode
-/// (`COCA_STRICT_INVARIANTS=1`) via a compact AoS view of the live rows,
-/// and plain release builds skip it — that re-derivation is a measurable
-/// share of the per-price cost and is covered by the differential tests.
+/// certificate ([`crate::invariant::kkt_residual`], read straight off the
+/// bank) runs on every cold [`solve`]; on [`Self::solve`] it runs in debug
+/// builds and in strict mode (`COCA_STRICT_INVARIANTS=1`), and plain
+/// release builds skip it — it is a measurable share of the per-price cost
+/// and is covered by the differential tests.
 #[derive(Debug, Default)]
 pub struct SoaWaterfill {
     /// Previous water level of the electricity-active regime (`a_eff = A`).
@@ -798,11 +669,6 @@ pub struct SoaWaterfill {
     lambdas: Vec<f64>,
     /// Candidate buffer for the regime comparison (swapped, never cloned).
     scratch: Vec<f64>,
-    /// Compact AoS mirror of the live rows for the debug/strict KKT
-    /// certificate.
-    aos_specs: Vec<QueueSpec>,
-    /// Loads matching `aos_specs` row-for-row.
-    aos_lambdas: Vec<f64>,
     /// The bank's live rows (`m > 0`) for the current solve, ascending;
     /// every per-price pass walks these only.
     live: Vec<usize>,
@@ -850,44 +716,27 @@ impl SoaWaterfill {
     /// from the previous call.
     ///
     /// # Errors
-    /// Same contract as [`solve`]: invalid scalars, infeasible load, or a
-    /// bisection that fails to converge.
+    /// Same contract as [`solve`] — invalid scalars, infeasible load, or a
+    /// bisection that fails to converge — except that the bank rows are
+    /// not re-validated.
     pub fn solve(&mut self, problem: &BankProblem<'_>) -> Result<SoaOutcome> {
+        let certify = cfg!(debug_assertions) || crate::invariant::global().is_strict();
+        self.solve_certified(problem, certify)
+    }
+
+    /// One solve with its invariant hooks: load conservation always, the
+    /// KKT certificate when `certify` is set.
+    fn solve_certified(&mut self, problem: &BankProblem<'_>, certify: bool) -> Result<SoaOutcome> {
         self.last_evals = 0;
         let out = self.solve_inner(problem)?;
         let inv = crate::invariant::global();
         let dispatched: f64 =
             self.live.iter().map(|&k| problem.bank.multiplicity[k] * self.lambdas[k]).sum();
         inv.load_conserved(dispatched, problem.total_load);
-        if cfg!(debug_assertions) || inv.is_strict() {
-            self.check_kkt(problem);
+        if certify {
+            inv.kkt(problem, &self.lambdas);
         }
         Ok(out)
-    }
-
-    /// Recomputes the KKT certificate on a compact AoS view of the live
-    /// rows (debug/strict only — see the type docs).
-    #[cold]
-    fn check_kkt(&mut self, problem: &BankProblem<'_>) {
-        let bank = problem.bank;
-        self.aos_specs.clear();
-        self.aos_specs.extend(self.live.iter().map(|&row| QueueSpec {
-            capacity: bank.capacity[row],
-            util_cap: bank.util_cap[row],
-            energy_slope: bank.energy_slope[row],
-            multiplicity: bank.multiplicity[row],
-        }));
-        self.aos_lambdas.clear();
-        self.aos_lambdas.extend(self.live.iter().map(|&row| self.lambdas[row]));
-        let view = LoadDistProblem {
-            queues: &self.aos_specs,
-            total_load: problem.total_load,
-            energy_weight: problem.energy_weight,
-            delay_weight: problem.delay_weight,
-            base_power: problem.base_power,
-            renewable: problem.renewable,
-        };
-        crate::invariant::global().kkt(&view, &self.aos_lambdas);
     }
 
     /// Collects the bank's live rows (`m > 0`, ascending) and their lane
@@ -943,8 +792,7 @@ impl SoaWaterfill {
     }
 
     /// The three-regime analysis of the module docs on the bank lanes,
-    /// without the invariant hooks (the cold [`solve`] and [`Self::solve`]
-    /// run their own).
+    /// without the invariant hooks.
     fn solve_inner(&mut self, problem: &BankProblem<'_>) -> Result<SoaOutcome> {
         problem.validate()?;
         let bank = problem.bank;
@@ -1293,83 +1141,87 @@ impl SoaWaterfill {
 mod tests {
     use super::*;
 
-    fn homogeneous(n: usize, capacity: f64, gamma: f64, slope: f64) -> Vec<QueueSpec> {
-        (0..n).map(|_| QueueSpec::single(capacity, gamma * capacity, slope)).collect()
+    /// One queue type: `(capacity, util_cap, energy_slope, multiplicity)`.
+    type Row = (f64, f64, f64, f64);
+
+    fn single(capacity: f64, util_cap: f64, slope: f64) -> Row {
+        (capacity, util_cap, slope, 1.0)
     }
 
-    fn problem<'a>(queues: &'a [QueueSpec], lam: f64, a: f64, w: f64, r: f64) -> LoadDistProblem<'a> {
-        LoadDistProblem {
-            queues,
+    fn homogeneous(n: usize, capacity: f64, gamma: f64, slope: f64) -> Vec<Row> {
+        vec![single(capacity, gamma * capacity, slope); n]
+    }
+
+    /// A bank with one row per type and no static power.
+    fn bank_of(rows: &[Row]) -> QueueBank {
+        let mut b = QueueBank::new();
+        for &(x, u, c, m) in rows {
+            b.push_type(x, u, c, 0.0, m);
+        }
+        b
+    }
+
+    fn problem(bank: &QueueBank, lam: f64, a: f64, w: f64, r: f64) -> BankProblem<'_> {
+        BankProblem {
+            bank,
             total_load: lam,
             energy_weight: a,
             delay_weight: w,
             base_power: 0.0,
+            capped_capacity: bank.aggregates().0,
             renewable: r,
         }
     }
 
+    /// Total dispatched load `Σ mᵢ·λᵢ`.
+    fn dispatched(bank: &QueueBank, lambdas: &[f64]) -> f64 {
+        lambdas.iter().zip(&bank.multiplicity).map(|(l, m)| m * l).sum()
+    }
+
     #[test]
     fn zero_load_gives_zero_everything() {
-        let qs = homogeneous(4, 10.0, 0.9, 0.1);
-        let p = problem(&qs, 0.0, 1.0, 1.0, 0.0);
-        let s = solve(&p).unwrap();
-        assert_eq!(s.lambdas, vec![0.0; 4]);
+        let bank = bank_of(&homogeneous(4, 10.0, 0.9, 0.1));
+        let (s, lambdas) = solve(&problem(&bank, 0.0, 1.0, 1.0, 0.0)).unwrap();
+        assert_eq!(lambdas, vec![0.0; 4]);
         assert_eq!(s.objective, 0.0);
     }
 
     #[test]
     fn homogeneous_split_is_even() {
-        let qs = homogeneous(5, 10.0, 0.9, 0.1);
-        let p = problem(&qs, 20.0, 2.0, 3.0, 0.0);
-        let s = solve(&p).unwrap();
-        for &l in &s.lambdas {
-            assert!((l - 4.0).abs() < 1e-7, "expected even split, got {:?}", s.lambdas);
+        let bank = bank_of(&homogeneous(5, 10.0, 0.9, 0.1));
+        let (_, lambdas) = solve(&problem(&bank, 20.0, 2.0, 3.0, 0.0)).unwrap();
+        for &l in &lambdas {
+            assert!((l - 4.0).abs() < 1e-7, "expected even split, got {lambdas:?}");
         }
-        let sum: f64 = s.lambdas.iter().sum();
-        assert!((sum - 20.0).abs() < 1e-9);
+        assert!((lambdas.iter().sum::<f64>() - 20.0).abs() < 1e-9);
     }
 
     #[test]
     fn favors_energy_cheap_queue() {
-        let qs = vec![
-            QueueSpec::single(10.0, 9.0, 0.05),
-            QueueSpec::single(10.0, 9.0, 0.50),
-        ];
-        let p = problem(&qs, 8.0, 10.0, 1.0, 0.0);
-        let s = solve(&p).unwrap();
-        assert!(
-            s.lambdas[0] > s.lambdas[1],
-            "cheap queue should carry more load: {:?}",
-            s.lambdas
-        );
+        let bank = bank_of(&[single(10.0, 9.0, 0.05), single(10.0, 9.0, 0.50)]);
+        let (_, lambdas) = solve(&problem(&bank, 8.0, 10.0, 1.0, 0.0)).unwrap();
+        assert!(lambdas[0] > lambdas[1], "cheap queue should carry more load: {lambdas:?}");
     }
 
     #[test]
     fn respects_utilization_caps() {
-        let qs = vec![
-            QueueSpec::single(10.0, 2.0, 0.0),
-            QueueSpec::single(10.0, 9.5, 0.0),
-        ];
-        let p = problem(&qs, 10.0, 1.0, 1.0, 0.0);
-        let s = solve(&p).unwrap();
-        assert!(s.lambdas[0] <= 2.0 + 1e-9);
-        let sum: f64 = s.lambdas.iter().sum();
-        assert!((sum - 10.0).abs() < 1e-9);
+        let bank = bank_of(&[single(10.0, 2.0, 0.0), single(10.0, 9.5, 0.0)]);
+        let (_, lambdas) = solve(&problem(&bank, 10.0, 1.0, 1.0, 0.0)).unwrap();
+        assert!(lambdas[0] <= 2.0 + 1e-9);
+        assert!((lambdas.iter().sum::<f64>() - 10.0).abs() < 1e-9);
     }
 
     #[test]
     fn infeasible_load_rejected() {
-        let qs = homogeneous(2, 10.0, 0.9, 0.1);
-        let p = problem(&qs, 18.5, 1.0, 1.0, 0.0);
-        assert!(matches!(solve(&p), Err(OptError::Infeasible(_))));
+        let bank = bank_of(&homogeneous(2, 10.0, 0.9, 0.1));
+        assert!(matches!(solve(&problem(&bank, 18.5, 1.0, 1.0, 0.0)), Err(OptError::Infeasible(_))));
     }
 
     #[test]
     fn saturated_load_pins_all_caps() {
-        let qs = homogeneous(3, 10.0, 0.9, 0.1);
-        let p = problem(&qs, 27.0, 1.0, 1.0, 0.0);
-        let s = solve(&p).unwrap();
-        for &l in &s.lambdas {
+        let bank = bank_of(&homogeneous(3, 10.0, 0.9, 0.1));
+        let (_, lambdas) = solve(&problem(&bank, 27.0, 1.0, 1.0, 0.0)).unwrap();
+        for &l in &lambdas {
             assert!((l - 9.0).abs() < 1e-9);
         }
     }
@@ -1378,16 +1230,11 @@ mod tests {
     fn renewable_slack_regime_ignores_energy_weight() {
         // Huge renewable supply: the [·]⁺ term is dead, the optimum is the
         // delay-only water-filling regardless of A.
-        let qs = vec![
-            QueueSpec::single(10.0, 9.0, 0.05),
-            QueueSpec::single(20.0, 18.0, 0.50),
-        ];
-        let p_slack = problem(&qs, 9.0, 1000.0, 1.0, 1e9);
-        let p_delay_only = problem(&qs, 9.0, 0.0, 1.0, 0.0);
-        let s1 = solve(&p_slack).unwrap();
-        let s2 = solve(&p_delay_only).unwrap();
-        for (a, b) in s1.lambdas.iter().zip(&s2.lambdas) {
-            assert!((a - b).abs() < 1e-6, "{:?} vs {:?}", s1.lambdas, s2.lambdas);
+        let bank = bank_of(&[single(10.0, 9.0, 0.05), single(20.0, 18.0, 0.50)]);
+        let (s1, l1) = solve(&problem(&bank, 9.0, 1000.0, 1.0, 1e9)).unwrap();
+        let (s2, l2) = solve(&problem(&bank, 9.0, 0.0, 1.0, 0.0)).unwrap();
+        for (a, b) in l1.iter().zip(&l2) {
+            assert!((a - b).abs() < 1e-6, "{l1:?} vs {l2:?}");
         }
         assert!(s1.objective <= s2.objective + 1e-9, "slack objective drops the A term");
     }
@@ -1397,10 +1244,7 @@ mod tests {
         // Construct an instance where the electricity-active optimum uses
         // less power than r, but the delay-only optimum uses more: the true
         // optimum must sit at power == r.
-        let qs = vec![
-            QueueSpec::single(10.0, 9.0, 1.0),
-            QueueSpec::single(10.0, 9.0, 3.0),
-        ];
+        let bank = bank_of(&[single(10.0, 9.0, 1.0), single(10.0, 9.0, 3.0)]);
         // With a strong energy weight, load piles onto queue 0 (cheap), using
         // little total power; with A=0 the split is even, using more power.
         let lam = 10.0;
@@ -1408,10 +1252,9 @@ mod tests {
         let w = 1.0;
         // Even split power = 5*1 + 5*3 = 20. Skewed split power < 20.
         let r = 16.0;
-        let p = problem(&qs, lam, a, w, r);
-        let s = solve(&p).unwrap();
-        let active = solve(&problem(&qs, lam, a, w, 0.0)).unwrap();
-        let slack = solve(&problem(&qs, lam, 0.0, w, 0.0)).unwrap();
+        let (s, _) = solve(&problem(&bank, lam, a, w, r)).unwrap();
+        let (active, _) = solve(&problem(&bank, lam, a, w, 0.0)).unwrap();
+        let (slack, _) = solve(&problem(&bank, lam, 0.0, w, 0.0)).unwrap();
         assert!(active.power < r && slack.power > r, "test setup must straddle the kink");
         assert!(
             (s.power - r).abs() < 1e-5,
@@ -1423,62 +1266,40 @@ mod tests {
 
     #[test]
     fn zero_delay_weight_greedy_fill() {
-        let qs = vec![
-            QueueSpec::single(10.0, 5.0, 0.9),
-            QueueSpec::single(10.0, 5.0, 0.1),
-        ];
-        let p = problem(&qs, 6.0, 1.0, 0.0, 0.0);
-        let s = solve(&p).unwrap();
-        assert!((s.lambdas[1] - 5.0).abs() < 1e-12, "cheap queue filled first");
-        assert!((s.lambdas[0] - 1.0).abs() < 1e-12);
+        let bank = bank_of(&[single(10.0, 5.0, 0.9), single(10.0, 5.0, 0.1)]);
+        let (_, lambdas) = solve(&problem(&bank, 6.0, 1.0, 0.0, 0.0)).unwrap();
+        assert!((lambdas[1] - 5.0).abs() < 1e-12, "cheap queue filled first");
+        assert!((lambdas[0] - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn zero_delay_weight_greedy_respects_multiplicity() {
-        let qs = vec![
-            QueueSpec { capacity: 10.0, util_cap: 5.0, energy_slope: 0.1, multiplicity: 3.0 },
-            QueueSpec::single(10.0, 5.0, 0.9),
-        ];
-        let p = problem(&qs, 16.0, 1.0, 0.0, 0.0);
-        let s = solve(&p).unwrap();
+        let bank = bank_of(&[(10.0, 5.0, 0.1, 3.0), single(10.0, 5.0, 0.9)]);
+        let (_, lambdas) = solve(&problem(&bank, 16.0, 1.0, 0.0, 0.0)).unwrap();
         // Cheap type holds 3 queues × 5 = 15; remaining 1 on the other.
-        assert!((s.lambdas[0] - 5.0).abs() < 1e-12);
-        assert!((s.lambdas[1] - 1.0).abs() < 1e-12);
-        assert!((p.dispatched(&s.lambdas) - 16.0).abs() < 1e-9);
+        assert!((lambdas[0] - 5.0).abs() < 1e-12);
+        assert!((lambdas[1] - 1.0).abs() < 1e-12);
+        assert!((dispatched(&bank, &lambdas) - 16.0).abs() < 1e-9);
     }
 
     #[test]
     fn objective_matches_components() {
-        let qs = homogeneous(3, 12.0, 0.95, 0.2);
-        let p = LoadDistProblem {
-            queues: &qs,
-            total_load: 15.0,
-            energy_weight: 4.0,
-            delay_weight: 2.0,
-            base_power: 1.5,
-            renewable: 2.0,
-        };
-        let s = solve(&p).unwrap();
+        let bank = bank_of(&homogeneous(3, 12.0, 0.95, 0.2));
+        let p = BankProblem { base_power: 1.5, ..problem(&bank, 15.0, 4.0, 2.0, 2.0) };
+        let (s, lambdas) = solve(&p).unwrap();
         let expected = 4.0 * pos(s.power - 2.0) + 2.0 * s.delay;
         assert!((s.objective - expected).abs() < 1e-12);
-        assert!((s.power - p.power(&s.lambdas)).abs() < 1e-12);
+        assert!((s.objective - p.objective(&lambdas)).abs() < 1e-12);
     }
 
     #[test]
     fn multiplicity_equals_expanded_copies() {
         // One type with multiplicity 4 must match four explicit copies.
-        let compact = vec![QueueSpec {
-            capacity: 12.0,
-            util_cap: 10.0,
-            energy_slope: 0.3,
-            multiplicity: 4.0,
-        }];
-        let expanded = homogeneous(4, 12.0, 10.0 / 12.0, 0.3);
+        let compact = bank_of(&[(12.0, 10.0, 0.3, 4.0)]);
+        let expanded = bank_of(&homogeneous(4, 12.0, 10.0 / 12.0, 0.3));
         for &(lam, a, w, r) in &[(20.0, 2.0, 1.0, 0.0), (35.0, 0.7, 3.0, 5.0), (8.0, 5.0, 0.5, 2.0)] {
-            let pc = problem(&compact, lam, a, w, r);
-            let pe = problem(&expanded, lam, a, w, r);
-            let sc = solve(&pc).unwrap();
-            let se = solve(&pe).unwrap();
+            let (sc, lc) = solve(&problem(&compact, lam, a, w, r)).unwrap();
+            let (se, le) = solve(&problem(&expanded, lam, a, w, r)).unwrap();
             assert!(
                 (sc.objective - se.objective).abs() < 1e-6 * se.objective.max(1.0),
                 "objective: compact {} vs expanded {}",
@@ -1487,48 +1308,41 @@ mod tests {
             );
             assert!((sc.power - se.power).abs() < 1e-6 * se.power.max(1.0));
             // Per-queue load of the compact type equals each expanded load.
-            for &l in &se.lambdas {
-                assert!((l - sc.lambdas[0]).abs() < 1e-6, "{l} vs {}", sc.lambdas[0]);
+            for &l in &le {
+                assert!((l - lc[0]).abs() < 1e-6, "{l} vs {}", lc[0]);
             }
         }
     }
 
     #[test]
     fn mixed_multiplicities_conserve_load() {
-        let qs = vec![
-            QueueSpec { capacity: 10.0, util_cap: 9.0, energy_slope: 0.1, multiplicity: 7.0 },
-            QueueSpec { capacity: 20.0, util_cap: 18.0, energy_slope: 0.3, multiplicity: 2.0 },
-            QueueSpec::single(15.0, 13.0, 0.2),
-        ];
-        let p = problem(&qs, 70.0, 3.0, 2.0, 4.0);
-        let s = solve(&p).unwrap();
-        assert!((p.dispatched(&s.lambdas) - 70.0).abs() < 1e-7);
-        for (l, q) in s.lambdas.iter().zip(&qs) {
-            assert!(*l >= 0.0 && *l <= q.util_cap + 1e-9);
+        let rows = [(10.0, 9.0, 0.1, 7.0), (20.0, 18.0, 0.3, 2.0), single(15.0, 13.0, 0.2)];
+        let bank = bank_of(&rows);
+        let (_, lambdas) = solve(&problem(&bank, 70.0, 3.0, 2.0, 4.0)).unwrap();
+        assert!((dispatched(&bank, &lambdas) - 70.0).abs() < 1e-7);
+        for (l, &(_, u, _, _)) in lambdas.iter().zip(&rows) {
+            assert!(*l >= 0.0 && *l <= u + 1e-9);
         }
     }
 
     #[test]
     fn matches_dense_grid_on_two_queues() {
         // Brute-force the 2-queue problem on a fine grid and compare.
-        let qs = vec![
-            QueueSpec::single(8.0, 7.0, 0.3),
-            QueueSpec::single(14.0, 12.0, 0.1),
-        ];
+        let bank = bank_of(&[single(8.0, 7.0, 0.3), single(14.0, 12.0, 0.1)]);
         for &(lam, a, w, r) in &[
             (5.0, 2.0, 1.0, 0.0),
             (10.0, 0.5, 3.0, 1.0),
             (15.0, 5.0, 0.5, 2.5),
             (18.0, 1.0, 1.0, 0.0),
         ] {
-            let p = problem(&qs, lam, a, w, r);
-            let s = solve(&p).unwrap();
+            let p = problem(&bank, lam, a, w, r);
+            let (s, _) = solve(&p).unwrap();
             let mut best = f64::INFINITY;
             let steps = 40_000;
             for k in 0..=steps {
                 let l0 = lam * (k as f64 / steps as f64);
                 let l1 = lam - l0;
-                if l0 > qs[0].util_cap || l1 > qs[1].util_cap {
+                if l0 > bank.util_cap_of(0) || l1 > bank.util_cap_of(1) {
                     continue;
                 }
                 best = best.min(p.objective(&[l0, l1]));
@@ -1543,71 +1357,49 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_bad_queue() {
-        let q = QueueSpec::single(0.0, 0.0, 0.1);
-        assert!(q.validate().is_err());
-        let q = QueueSpec::single(10.0, 10.0, 0.1);
-        assert!(q.validate().is_err(), "util_cap must be < capacity");
-        let q = QueueSpec::single(10.0, 9.0, -1.0);
-        assert!(q.validate().is_err());
-        let q = QueueSpec { capacity: 10.0, util_cap: 9.0, energy_slope: 0.1, multiplicity: 0.5 };
-        assert!(q.validate().is_err(), "multiplicity below 1 rejected");
-    }
-
-    #[test]
-    fn validate_rejects_negative_scalars() {
-        let qs = homogeneous(1, 10.0, 0.9, 0.1);
-        let mut p = problem(&qs, 1.0, 1.0, 1.0, 0.0);
-        p.renewable = -1.0;
-        assert!(p.validate().is_err());
+    fn cold_solve_rejects_bad_rows_and_scalars() {
+        for row in [single(0.0, 0.0, 0.1), single(10.0, 10.0, 0.1), single(10.0, 9.0, -1.0)] {
+            let bank = bank_of(&[row]);
+            let p = BankProblem { capped_capacity: 1.0, ..problem(&bank, 0.5, 1.0, 1.0, 0.0) };
+            assert!(matches!(solve(&p), Err(OptError::InvalidInput(_))), "{row:?}");
+        }
+        let bank = bank_of(&homogeneous(1, 10.0, 0.9, 0.1));
+        let p = problem(&bank, 1.0, 1.0, 1.0, -1.0);
+        assert!(matches!(solve(&p), Err(OptError::InvalidInput(_))));
     }
 
     #[test]
     fn positive_load_with_no_queues_is_infeasible() {
-        let p = problem(&[], 1.0, 1.0, 1.0, 0.0);
-        assert!(matches!(solve(&p), Err(OptError::Infeasible(_))));
+        let bank = QueueBank::new();
+        assert!(matches!(solve(&problem(&bank, 1.0, 1.0, 1.0, 0.0)), Err(OptError::Infeasible(_))));
     }
 
-    // --- SoA bank kernels -------------------------------------------------
+    // --- Warm solver against the cold solve -------------------------------
 
     /// `n` heterogeneous queue types with deterministic parameter spread.
-    fn varied_specs(n: usize) -> Vec<QueueSpec> {
+    fn varied_rows(n: usize) -> Vec<Row> {
         (0..n)
             .map(|i| {
                 let f = i as f64;
-                QueueSpec {
-                    capacity: 8.0 + 1.5 * (f % 5.0),
-                    util_cap: (8.0 + 1.5 * (f % 5.0)) * 0.9,
-                    energy_slope: 0.1 + 0.35 * (f % 4.0),
-                    multiplicity: 1.0 + (f % 3.0),
-                }
+                let x = 8.0 + 1.5 * (f % 5.0);
+                (x, x * 0.9, 0.1 + 0.35 * (f % 4.0), 1.0 + (f % 3.0))
             })
             .collect()
     }
 
-    fn bank_of(specs: &[QueueSpec]) -> QueueBank {
-        let mut b = QueueBank::new();
-        for q in specs {
-            b.push_type(q.capacity, q.util_cap, q.energy_slope, 0.0, q.multiplicity);
-        }
-        b
-    }
-
-    fn bank_problem<'a>(
-        bank: &'a QueueBank,
-        lam: f64,
-        a: f64,
-        w: f64,
-        r: f64,
-    ) -> BankProblem<'a> {
-        BankProblem {
-            bank,
-            total_load: lam,
-            energy_weight: a,
-            delay_weight: w,
-            base_power: 0.0,
-            capped_capacity: bank.aggregates().0,
-            renewable: r,
+    /// Asserts a reused solver's outcome and loads agree with the cold
+    /// solve to 1e-9 relative.
+    fn assert_matches_cold(soa: &SoaWaterfill, out: &SoaOutcome, p: &BankProblem<'_>, at: &str) {
+        let (cold, cold_lambdas) = solve(p).unwrap();
+        let scale = cold.objective.abs().max(1.0);
+        assert!(
+            (out.objective - cold.objective).abs() <= 1e-9 * scale,
+            "{at}: objective soa {} vs cold {}",
+            out.objective,
+            cold.objective
+        );
+        for (sl, cl) in soa.lambdas().iter().zip(&cold_lambdas) {
+            assert!((sl - cl).abs() <= 1e-9 * cl.abs().max(1.0), "{at}: λ soa {sl} vs cold {cl}");
         }
     }
 
@@ -1617,18 +1409,17 @@ mod tests {
     /// then belongs on the cheapest queue (row 2), not on the first row.
     #[test]
     fn unresolved_water_level_fills_the_cheapest_queue() {
-        let specs = [
-            QueueSpec::single(250.0, 237.5, 0.0091),
-            QueueSpec::single(212.5, 201.875, 0.011776470588235296),
-            QueueSpec::single(287.5, 273.125, 0.007517391304347826),
-            QueueSpec::single(225.0, 213.75, 0.008088888888888889),
-        ];
+        let bank = bank_of(&[
+            single(250.0, 237.5, 0.0091),
+            single(212.5, 201.875, 0.011776470588235296),
+            single(287.5, 273.125, 0.007517391304347826),
+            single(225.0, 213.75, 0.008088888888888889),
+        ]);
         let (lam, a, w) = (91.47892714302873, 1.2582377022619213e17, 10.0);
         let want = [0.0, 0.0, lam, 0.0];
-        assert_eq!(solve(&problem(&specs, lam, a, w, 0.0)).unwrap().lambdas, want);
-        let bank = bank_of(&specs);
+        assert_eq!(solve(&problem(&bank, lam, a, w, 0.0)).unwrap().1, want);
         let mut soa = SoaWaterfill::new();
-        let _ = soa.solve(&bank_problem(&bank, lam, a, w, 0.0)).unwrap();
+        let _ = soa.solve(&problem(&bank, lam, a, w, 0.0)).unwrap();
         assert_eq!(soa.lambdas(), want);
     }
 
@@ -1639,10 +1430,9 @@ mod tests {
     #[test]
     fn bank_matches_cold_across_lane_remainders() {
         for &n in &[1usize, 7, 8, 9, 17] {
-            let specs = varied_specs(n);
-            let bank = bank_of(&specs);
+            let bank = bank_of(&varied_rows(n));
             bank.validate().unwrap();
-            let cap: f64 = specs.iter().map(|q| q.multiplicity * q.util_cap).sum();
+            let cap = bank.aggregates().0;
             let mut soa = SoaWaterfill::new();
             // Load fractions and renewable settings that exercise all
             // three regimes (r = 0 active, huge r slack, mid r kink).
@@ -1654,23 +1444,9 @@ mod tests {
             ] {
                 let lam = cap * frac;
                 let r = if r_frac > 1.0 { r_frac } else { cap * r_frac };
-                let p_aos = problem(&specs, lam, a, w, r);
-                let p_soa = bank_problem(&bank, lam, a, w, r);
-                let cold = solve(&p_aos).unwrap();
-                let out = soa.solve(&p_soa).unwrap();
-                let scale = cold.objective.abs().max(1.0);
-                assert!(
-                    (out.objective - cold.objective).abs() <= 1e-9 * scale,
-                    "n={n}: objective soa {} vs cold {} at (λ={lam}, A={a}, W={w}, r={r})",
-                    out.objective,
-                    cold.objective
-                );
-                for (sl, cl) in soa.lambdas().iter().zip(&cold.lambdas) {
-                    assert!(
-                        (sl - cl).abs() <= 1e-9 * cl.abs().max(1.0),
-                        "n={n}: λ soa {sl} vs cold {cl}"
-                    );
-                }
+                let p = problem(&bank, lam, a, w, r);
+                let out = soa.solve(&p).unwrap();
+                assert_matches_cold(&soa, &out, &p, &format!("n={n}, (λ={lam}, A={a}, W={w}, r={r})"));
             }
         }
     }
@@ -1679,34 +1455,24 @@ mod tests {
     /// matches the same problem with the row absent entirely.
     #[test]
     fn bank_retracted_rows_are_inert() {
-        let live = varied_specs(5);
-        let mut bank = bank_of(&live);
+        let live_rows = varied_rows(5);
+        let live = bank_of(&live_rows);
+        let mut bank = bank_of(&live_rows);
         // Interleave two retracted rows (one mid-bank, one at the end).
         let mid = bank.push_type(9.0, 8.1, 0.7, 0.0, 0.0);
         let end = bank.push_type(11.0, 9.9, 0.2, 0.0, 0.0);
         assert_eq!(bank.multiplicity_of(mid), 0.0);
         assert_eq!(bank.multiplicity_of(end), 0.0);
-        let cap: f64 = live.iter().map(|q| q.multiplicity * q.util_cap).sum();
+        let cap = live.aggregates().0;
         let mut soa = SoaWaterfill::new();
         for &(frac, r_frac) in &[(0.5, 0.0), (0.65, 0.4), (0.5, 1e6_f64)] {
             let lam = cap * frac;
             let r = if r_frac > 1.0 { r_frac } else { cap * r_frac };
-            let p_aos = problem(&live, lam, 20.0, 1.0, r);
-            let p_soa = bank_problem(&bank, lam, 20.0, 1.0, r);
-            let cold = solve(&p_aos).unwrap();
-            let out = soa.solve(&p_soa).unwrap();
-            let scale = cold.objective.abs().max(1.0);
-            assert!(
-                (out.objective - cold.objective).abs() <= 1e-9 * scale,
-                "objective soa {} vs cold {} (r={r})",
-                out.objective,
-                cold.objective
-            );
+            let out = soa.solve(&problem(&bank, lam, 20.0, 1.0, r)).unwrap();
+            assert_matches_cold(&soa, &out, &problem(&live, lam, 20.0, 1.0, r), &format!("r={r}"));
             // Load conservation must hold with the retracted rows carrying
             // zero weight, and the retracted rows hold load 0.
-            let dispatched: f64 =
-                soa.lambdas().iter().zip(&bank.multiplicity).map(|(l, m)| m * l).sum();
-            assert!((dispatched - lam).abs() <= 1e-6 * lam.max(1.0));
+            assert!((dispatched(&bank, soa.lambdas()) - lam).abs() <= 1e-6 * lam.max(1.0));
             assert_eq!((soa.lambdas()[mid], soa.lambdas()[end]), (0.0, 0.0));
         }
     }
@@ -1715,8 +1481,7 @@ mod tests {
     /// integer-valued lanes) and the aggregates follow.
     #[test]
     fn bank_multiplicity_deltas_are_exact() {
-        let specs = varied_specs(4);
-        let mut bank = bank_of(&specs);
+        let mut bank = bank_of(&varied_rows(4));
         let (cap0, base0) = bank.aggregates();
         bank.add_multiplicity(2, 1.0);
         bank.add_multiplicity(2, -1.0);
@@ -1731,29 +1496,28 @@ mod tests {
 
     #[test]
     fn soa_solver_handles_degenerate_paths() {
-        let specs = homogeneous(3, 10.0, 0.9, 0.1);
-        let bank = bank_of(&specs);
+        let bank = bank_of(&homogeneous(3, 10.0, 0.9, 0.1));
         let mut soa = SoaWaterfill::new();
         // Zero load.
-        let out = soa.solve(&bank_problem(&bank, 0.0, 1.0, 1.0, 0.0)).unwrap();
+        let out = soa.solve(&problem(&bank, 0.0, 1.0, 1.0, 0.0)).unwrap();
         assert_eq!(out.objective, 0.0);
         assert!(soa.lambdas().iter().all(|&l| l == 0.0));
         assert!(out.water_level.is_none());
         // Saturated.
-        let _ = soa.solve(&bank_problem(&bank, 27.0, 1.0, 1.0, 0.0)).unwrap();
+        let _ = soa.solve(&problem(&bank, 27.0, 1.0, 1.0, 0.0)).unwrap();
         assert!(soa.lambdas().iter().all(|&l| (l - 9.0).abs() < 1e-9));
         // W = 0 greedy matches the cold solve.
-        let p_aos = problem(&specs, 6.0, 1.0, 0.0, 0.0);
-        let out_greedy = soa.solve(&bank_problem(&bank, 6.0, 1.0, 0.0, 0.0)).unwrap();
-        let cold = solve(&p_aos).unwrap();
+        let p = problem(&bank, 6.0, 1.0, 0.0, 0.0);
+        let out_greedy = soa.solve(&p).unwrap();
+        let (cold, _) = solve(&p).unwrap();
         assert!((out_greedy.objective - cold.objective).abs() < 1e-12);
         // Infeasible load.
         assert!(matches!(
-            soa.solve(&bank_problem(&bank, 28.0, 1.0, 1.0, 0.0)),
+            soa.solve(&problem(&bank, 28.0, 1.0, 1.0, 0.0)),
             Err(OptError::Infeasible(_))
         ));
         // Bad scalar rejected.
-        let mut p = bank_problem(&bank, 1.0, 1.0, 1.0, 0.0);
+        let mut p = problem(&bank, 1.0, 1.0, 1.0, 0.0);
         p.renewable = -1.0;
         assert!(matches!(soa.solve(&p), Err(OptError::InvalidInput(_))));
     }
@@ -1764,19 +1528,13 @@ mod tests {
     /// the previous solve loaded, is left empty.
     #[test]
     fn greedy_on_a_reused_solver_fills_by_slope_then_row() {
-        let specs = [
-            QueueSpec::single(10.0, 5.0, 0.5),
-            QueueSpec { capacity: 10.0, util_cap: 5.0, energy_slope: 0.1, multiplicity: 2.0 },
-            QueueSpec::single(10.0, 5.0, 0.1),
-        ];
-        let bank = bank_of(&specs);
+        let bank = bank_of(&[single(10.0, 5.0, 0.5), (10.0, 5.0, 0.1, 2.0), single(10.0, 5.0, 0.1)]);
         let mut soa = SoaWaterfill::new();
-        let _ = soa.solve(&bank_problem(&bank, 12.0, 0.1, 1.0, 0.0)).unwrap();
+        let _ = soa.solve(&problem(&bank, 12.0, 0.1, 1.0, 0.0)).unwrap();
         assert!(soa.lambdas()[0] > 0.0, "the W > 0 solve loads row 0");
-        let out = soa.solve(&bank_problem(&bank, 12.0, 0.1, 0.0, 0.0)).unwrap();
+        let out = soa.solve(&problem(&bank, 12.0, 0.1, 0.0, 0.0)).unwrap();
         assert_eq!(soa.lambdas(), [0.0, 5.0, 2.0]);
-        let dispatched: f64 = soa.lambdas().iter().zip(&bank.multiplicity).map(|(l, m)| m * l).sum();
-        assert_eq!(dispatched, 12.0);
+        assert_eq!(dispatched(&bank, soa.lambdas()), 12.0);
         assert!((out.power - 1.2).abs() < 1e-12 && out.water_level.is_none());
     }
 
@@ -1787,12 +1545,16 @@ mod tests {
         assert!(bank.validate().is_ok());
         bank.push_type(10.0, 10.0, 0.1, 1.0, 1.0); // util_cap == capacity
         assert!(bank.validate().is_err());
-        bank.clear();
-        bank.push_type(10.0, 9.0, 0.1, -1.0, 1.0); // negative static power
-        assert!(bank.validate().is_err());
-        bank.clear();
-        bank.push_type(10.0, 9.0, 0.1, 1.0, -1.0); // negative multiplicity
-        assert!(bank.validate().is_err());
+        for (x, u, c, st, m) in [
+            (0.0, 0.0, 0.1, 1.0, 1.0),  // zero capacity
+            (10.0, 9.0, -1.0, 1.0, 1.0), // negative energy slope
+            (10.0, 9.0, 0.1, -1.0, 1.0), // negative static power
+            (10.0, 9.0, 0.1, 1.0, -1.0), // negative multiplicity
+        ] {
+            bank.clear();
+            bank.push_type(x, u, c, st, m);
+            assert!(bank.validate().is_err(), "({x}, {u}, {c}, {st}, {m})");
+        }
         bank.clear();
         bank.push_type(10.0, 9.0, 0.1, 1.0, 0.0); // retracted row is fine
         assert!(bank.validate().is_ok());
@@ -1802,11 +1564,7 @@ mod tests {
     /// solves of the same problems.
     #[test]
     fn soa_solver_matches_cold_across_regime_transitions() {
-        let specs = vec![
-            QueueSpec::single(10.0, 9.0, 1.0),
-            QueueSpec { capacity: 10.0, util_cap: 9.0, energy_slope: 3.0, multiplicity: 2.0 },
-        ];
-        let bank = bank_of(&specs);
+        let bank = bank_of(&[single(10.0, 9.0, 1.0), (10.0, 9.0, 3.0, 2.0)]);
         let mut soa = SoaWaterfill::new();
         for &(lam, a, w, r) in &[
             (10.0, 50.0, 1.0, 0.0),  // electricity-active
@@ -1815,20 +1573,10 @@ mod tests {
             (16.5, 50.0, 1.0, 16.0), // kink revisited with drifted load
             (10.1, 50.0, 1.0, 0.0),  // back to active
         ] {
-            let p_aos = problem(&specs, lam, a, w, r);
-            let cold = solve(&p_aos).unwrap();
-            let out = soa.solve(&bank_problem(&bank, lam, a, w, r)).unwrap();
-            let scale = cold.objective.abs().max(1.0);
-            assert!(
-                (out.objective - cold.objective).abs() <= 1e-9 * scale,
-                "objective soa {} vs cold {} at (λ={lam}, A={a}, W={w}, r={r})",
-                out.objective,
-                cold.objective
-            );
-            for (sl, cl) in soa.lambdas().iter().zip(&cold.lambdas) {
-                assert!((sl - cl).abs() <= 1e-9 * cl.abs().max(1.0), "{sl} vs {cl}");
-            }
-            let (Some(sn), Some(cn)) = (out.water_level, cold.water_level) else {
+            let p = problem(&bank, lam, a, w, r);
+            let out = soa.solve(&p).unwrap();
+            assert_matches_cold(&soa, &out, &p, &format!("(λ={lam}, A={a}, W={w}, r={r})"));
+            let (Some(sn), Some(cn)) = (out.water_level, solve(&p).unwrap().0.water_level) else {
                 panic!("both paths should report a water level");
             };
             assert!((sn - cn).abs() <= 1e-6 * cn.abs().max(1.0), "ν soa {sn} vs cold {cn}");
@@ -2128,8 +1876,7 @@ mod tests {
     fn reset_solver_matches_a_fresh_one_bit_for_bit() {
         let mut reused = SoaWaterfill::new();
         for &(n, dead_every) in &[(5usize, 2usize), (17, 3), (3, 7), (9, 2), (17, 4)] {
-            let specs = varied_specs(n);
-            let mut bank = bank_of(&specs);
+            let mut bank = bank_of(&varied_rows(n));
             for row in (0..n).step_by(dead_every) {
                 bank.set_multiplicity(row, 0.0);
             }
@@ -2143,7 +1890,7 @@ mod tests {
                 (0.5, 20.0, 1.0, 1e6),
                 (1.0, 5.0, 2.0, 0.0),
             ] {
-                let p = bank_problem(&bank, cap * frac, a, w, r);
+                let p = problem(&bank, cap * frac, a, w, r);
                 reused.reset();
                 let got = reused.solve(&p).unwrap();
                 let mut fresh = SoaWaterfill::new();

@@ -44,7 +44,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             record_trace: true,
             warm_start: false,
             seed: 7,
-            ..Default::default()
         });
         let sol = gsd.solve(&problem)?;
         println!(

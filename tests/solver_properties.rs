@@ -10,12 +10,33 @@ use coca::dcsim::dispatch::{optimal_dispatch, SlotProblem};
 use coca::dcsim::Cluster;
 use coca::opt::pgd::{solve_pgd, PgdOptions};
 use coca::opt::schedule::TemperatureSchedule;
-use coca::opt::waterfill::{solve, LoadDistProblem, QueueSpec};
+use coca::opt::waterfill::{solve, BankProblem, QueueBank};
 use proptest::prelude::*;
 
-fn queue_strategy() -> impl Strategy<Value = QueueSpec> {
-    (1.0..50.0_f64, 0.5..0.99_f64, 0.0..2.0_f64)
-        .prop_map(|(cap, gamma, slope)| QueueSpec::single(cap, gamma * cap, slope))
+/// One single queue: `(capacity, util_cap, energy_slope)`.
+fn queue_strategy() -> impl Strategy<Value = (f64, f64, f64)> {
+    (1.0..50.0_f64, 0.5..0.99_f64, 0.0..2.0_f64).prop_map(|(cap, gamma, slope)| (cap, gamma * cap, slope))
+}
+
+/// A bank of the given queues, each of multiplicity `m`.
+fn bank_of(queues: &[(f64, f64, f64)], m: f64) -> QueueBank {
+    let mut bank = QueueBank::new();
+    for &(x, u, c) in queues {
+        bank.push_type(x, u, c, 0.0, m);
+    }
+    bank
+}
+
+fn problem(bank: &QueueBank, load: f64, a: f64, w: f64, base: f64, r: f64) -> BankProblem<'_> {
+    BankProblem {
+        bank,
+        total_load: load,
+        energy_weight: a,
+        delay_weight: w,
+        base_power: base,
+        capped_capacity: bank.aggregates().0,
+        renewable: r,
+    }
 }
 
 proptest! {
@@ -29,16 +50,9 @@ proptest! {
         w in 0.01..20.0_f64,
         r in 0.0..30.0_f64,
     ) {
-        let capped: f64 = queues.iter().map(|q| q.util_cap).sum();
-        let p = LoadDistProblem {
-            queues: &queues,
-            total_load: load_frac * capped,
-            energy_weight: a,
-            delay_weight: w,
-            base_power: 0.5,
-            renewable: r,
-        };
-        let exact = solve(&p).unwrap();
+        let bank = bank_of(&queues, 1.0);
+        let p = problem(&bank, load_frac * bank.aggregates().0, a, w, 0.5, r);
+        let (exact, _) = solve(&p).unwrap();
         let approx = solve_pgd(&p, PgdOptions::default()).unwrap();
         let v_pgd = p.objective(&approx);
         // PGD is approximate: it must not beat the exact optimum by more
@@ -57,21 +71,14 @@ proptest! {
         w in 0.0..50.0_f64,
         r in 0.0..100.0_f64,
     ) {
-        let capped: f64 = queues.iter().map(|q| q.util_cap).sum();
-        let p = LoadDistProblem {
-            queues: &queues,
-            total_load: load_frac * capped,
-            energy_weight: a,
-            delay_weight: w,
-            base_power: 0.0,
-            renewable: r,
-        };
-        let sol = solve(&p).unwrap();
-        let total = p.dispatched(&sol.lambdas);
+        let bank = bank_of(&queues, 1.0);
+        let p = problem(&bank, load_frac * bank.aggregates().0, a, w, 0.0, r);
+        let (sol, lambdas) = solve(&p).unwrap();
+        let total: f64 = lambdas.iter().sum();
         prop_assert!((total - p.total_load).abs() <= p.total_load * 1e-6 + 1e-9,
             "load not conserved: {} vs {}", total, p.total_load);
-        for (l, q) in sol.lambdas.iter().zip(&queues) {
-            prop_assert!(*l >= -1e-12 && *l <= q.util_cap * (1.0 + 1e-9));
+        for (l, &(_, u, _)) in lambdas.iter().zip(&queues) {
+            prop_assert!(*l >= -1e-12 && *l <= u * (1.0 + 1e-9));
         }
         prop_assert!(sol.objective >= 0.0);
         prop_assert!(sol.power >= 0.0 && sol.delay >= 0.0);
@@ -87,21 +94,12 @@ proptest! {
         a in 0.0..10.0_f64,
         w in 0.1..10.0_f64,
     ) {
-        let compact = vec![QueueSpec { capacity: cap, util_cap: gamma * cap, energy_slope: slope, multiplicity: m as f64 }];
-        let expanded: Vec<QueueSpec> = (0..m).map(|_| QueueSpec::single(cap, gamma * cap, slope)).collect();
+        let queue = (cap, gamma * cap, slope);
+        let compact = bank_of(&[queue], m as f64);
+        let expanded = bank_of(&vec![queue; m], 1.0);
         let load = load_frac * (m as f64) * gamma * cap;
-        fn mk<'a>(qs: &'a [QueueSpec], load: f64, a: f64, w: f64) -> LoadDistProblem<'a> {
-            LoadDistProblem {
-                queues: qs,
-                total_load: load,
-                energy_weight: a,
-                delay_weight: w,
-                base_power: 0.0,
-                renewable: 0.0,
-            }
-        }
-        let sc = solve(&mk(&compact, load, a, w)).unwrap();
-        let se = solve(&mk(&expanded, load, a, w)).unwrap();
+        let (sc, _) = solve(&problem(&compact, load, a, w, 0.0, 0.0)).unwrap();
+        let (se, _) = solve(&problem(&expanded, load, a, w, 0.0, 0.0)).unwrap();
         prop_assert!((sc.objective - se.objective).abs() <= se.objective.abs() * 1e-6 + 1e-9,
             "compression changed the optimum: {} vs {}", sc.objective, se.objective);
     }

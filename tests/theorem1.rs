@@ -37,7 +37,6 @@ fn probability_of_finding_optimum_increases_with_delta() {
                 warm_start: false,
                 record_trace: true,
                 seed,
-                ..Default::default()
             });
             let _ = gsd.solve(&p).expect("gsd");
             // Theorem 1 is about the *kept* state concentrating on the
