@@ -17,7 +17,7 @@ use coca_core::gsd::{GsdOptions, GsdSolver};
 use coca_core::invariant;
 use coca_core::symmetric::SymmetricSolver;
 use coca_core::{CocaConfig, CocaController, VSchedule};
-use coca_dcsim::{run_single, Cluster, CostParams, SlotObservation};
+use coca_dcsim::{run_lockstep, Cluster, CostParams, SlotObservation};
 use coca_opt::schedule::TemperatureSchedule;
 use coca_traces::{EnvironmentTrace, TraceConfig, WorkloadKind};
 
@@ -51,8 +51,8 @@ fn strict_run_exercises_every_invariant_check() {
         alpha: 1.0,
         rec_total: 10.0,
     };
-    let mut coca = CocaController::new(Arc::clone(&cluster), cost, cfg, SymmetricSolver::new());
-    let _ = run_single(Arc::clone(&cluster), &env, cost, 10.0, 1.0, Box::new(&mut coca))
+    let coca = CocaController::new(Arc::clone(&cluster), cost, cfg, SymmetricSolver::new());
+    let _ = run_lockstep(Arc::clone(&cluster), &env, cost, 10.0, vec![Box::new(coca)])
         .expect("strict COCA run");
 
     // A GSD-backed controller: Gibbs acceptance probabilities.
@@ -70,30 +70,30 @@ fn strict_run_exercises_every_invariant_check() {
         seed: 17,
         ..Default::default()
     });
-    let mut gsd_coca = CocaController::new(Arc::clone(&cluster), cost, gsd_cfg, gsd);
-    let _ = run_single(Arc::clone(&cluster), &short, cost, 5.0, 1.0, Box::new(&mut gsd_coca))
+    let gsd_coca = CocaController::new(Arc::clone(&cluster), cost, gsd_cfg, gsd);
+    let _ = run_lockstep(Arc::clone(&cluster), &short, cost, 5.0, vec![Box::new(gsd_coca)])
         .expect("strict GSD run");
 
     // The three baselines, carbon-unaware, PerfectHP and OPT, then the
     // penalized slot solve PerfectHP and OPT share. The carbon-unaware reference consumption now
     // comes from a plain engine run (the bespoke `annual_consumption`
     // shortcut was removed with the `SimEngine` refactor).
-    let mut unaware = CarbonUnaware::new(Arc::clone(&cluster), cost, SymmetricSolver::new());
+    let unaware = CarbonUnaware::new(Arc::clone(&cluster), cost, SymmetricSolver::new());
     let unaware_out =
-        run_single(Arc::clone(&cluster), &env, cost, 10.0, 1.0, Box::new(&mut unaware))
+        run_lockstep(Arc::clone(&cluster), &env, cost, 10.0, vec![Box::new(unaware)])
             .expect("strict carbon-unaware run");
-    let brown = unaware_out.total_brown_energy();
+    let brown = unaware_out[0].total_brown_energy();
 
-    let mut hp =
+    let hp =
         PerfectHp::<SymmetricSolver>::new(Arc::clone(&cluster), cost, &env, brown * 0.8, 48)
             .expect("PerfectHP plans");
-    let _ = run_single(Arc::clone(&cluster), &env, cost, 10.0, 1.0, Box::new(&mut hp))
+    let _ = run_lockstep(Arc::clone(&cluster), &env, cost, 10.0, vec![Box::new(hp)])
         .expect("strict PerfectHP run");
 
     let mut solver = SymmetricSolver::new();
-    let mut opt =
+    let opt =
         OfflineOpt::plan(&cluster, cost, &env, brown * 0.9, &mut solver).expect("OPT plans");
-    let _ = run_single(Arc::clone(&cluster), &env, cost, 10.0, 1.0, Box::new(&mut opt))
+    let _ = run_lockstep(Arc::clone(&cluster), &env, cost, 10.0, vec![Box::new(opt)])
         .expect("strict OPT run");
 
     let obs = SlotObservation { t: 0, arrival_rate: 300.0, onsite: 2.0, price: 0.08 };

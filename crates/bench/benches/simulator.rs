@@ -8,7 +8,7 @@ use std::sync::Arc;
 use coca_baselines::CarbonUnaware;
 use coca_core::symmetric::SymmetricSolver;
 use coca_core::{CocaConfig, CocaController, VSchedule};
-use coca_dcsim::{run_single, Cluster, CostParams};
+use coca_dcsim::{run_lockstep, Cluster, CostParams};
 use coca_traces::{TraceConfig, WorkloadKind};
 
 fn setup(hours: usize, groups: usize) -> (Arc<Cluster>, coca_traces::EnvironmentTrace) {
@@ -42,20 +42,19 @@ fn bench_coca_month(c: &mut Criterion) {
                 alpha: 1.0,
                 rec_total: 5_000.0,
             };
-            let mut coca =
+            let coca =
                 CocaController::new(Arc::clone(&cluster), cost, cfg, SymmetricSolver::new());
             black_box(
-                run_single(Arc::clone(&cluster), &trace, cost, 5_000.0, 1.0, Box::new(&mut coca))
+                run_lockstep(Arc::clone(&cluster), &trace, cost, 5_000.0, vec![Box::new(coca)])
                     .expect("run"),
             )
         })
     });
     group.bench_function("carbon_unaware_month_40groups", |b| {
         b.iter(|| {
-            let mut unaware =
-                CarbonUnaware::new(Arc::clone(&cluster), cost, SymmetricSolver::new());
+            let unaware = CarbonUnaware::new(Arc::clone(&cluster), cost, SymmetricSolver::new());
             black_box(
-                run_single(Arc::clone(&cluster), &trace, cost, 0.0, 1.0, Box::new(&mut unaware))
+                run_lockstep(Arc::clone(&cluster), &trace, cost, 0.0, vec![Box::new(unaware)])
                     .expect("run"),
             )
         })
@@ -81,18 +80,11 @@ fn bench_switching_accounting(c: &mut Criterion) {
                     alpha: 1.0,
                     rec_total: 1_000.0,
                 };
-                let mut coca =
+                let coca =
                     CocaController::new(Arc::clone(&cluster), cost, cfg, SymmetricSolver::new());
                 black_box(
-                    run_single(
-                        Arc::clone(&cluster),
-                        &trace,
-                        cost,
-                        1_000.0,
-                        1.0,
-                        Box::new(&mut coca),
-                    )
-                    .expect("run"),
+                    run_lockstep(Arc::clone(&cluster), &trace, cost, 1_000.0, vec![Box::new(coca)])
+                        .expect("run"),
                 )
             })
         });

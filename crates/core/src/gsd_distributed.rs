@@ -429,7 +429,6 @@ impl<'a> Coordinator<'a> {
                 self.pool.set_level(gi, new);
                 self.agg_dirty[self.pool.owner[gi].0] = true;
                 self.mirror[gi] = new;
-                self.stats.delta_updates += 1;
             }
         }
     }
@@ -439,7 +438,6 @@ impl<'a> Coordinator<'a> {
     /// warm-started distributed evaluation.
     fn cost(&mut self, state: &[usize]) -> f64 {
         self.sync(state);
-        self.stats.evaluations += 1;
         self.evaluate_current()
     }
 
@@ -582,7 +580,6 @@ impl CandidateOracle for CoordinatorOracle<'_, '_> {
     }
 
     fn candidate_cost(&mut self, site: usize, level: usize) -> f64 {
-        self.coord.stats.candidate_batches += 1;
         self.coord.stats.batched_candidates += 1;
         let old = self.state[site];
         self.state[site] = level;
@@ -717,7 +714,6 @@ impl P3Solver for DistributedGsdSolver {
             iterations: result.iterations_run,
             accepted: result.accepted,
             bisection_evals: stats.bisection_evals,
-            candidate_batches: stats.candidate_batches,
             batched_candidates: stats.batched_candidates,
         });
 
@@ -847,7 +843,6 @@ mod tests {
                     assert_eq!(coord.cost(&state), INFEASIBLE_COST);
                 }
             }
-            assert!(coord.stats.delta_updates > 0);
             assert!(coord.stats.bisection_evals > 0);
         });
     }
@@ -862,16 +857,11 @@ mod tests {
         );
         let sol = solver.solve(&p).unwrap();
         assert!(p.is_feasible(&sol.levels));
-        assert!(solver.stats().candidate_batches > 0);
-        assert_eq!(
-            solver.stats().candidate_batches,
-            solver.stats().batched_candidates,
-            "one candidate per batch in the single-proposal driver"
-        );
+        assert!(solver.stats().batched_candidates > 0);
         assert!(solver.stats().bisection_evals > 0);
         assert!(solver.stats().iterations > 0);
         solver.reset();
-        assert_eq!(solver.stats().candidate_batches, 0);
+        assert_eq!(solver.stats().batched_candidates, 0);
     }
 
     #[test]

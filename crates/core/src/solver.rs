@@ -45,11 +45,9 @@ pub struct SolveStats {
     pub accepted: usize,
     /// Water-level evaluations spent inside bisections.
     pub bisection_evals: u64,
-    /// Candidate batches priced by the struct-of-arrays kernel (one per
-    /// `evaluate_candidates` / `evaluate_candidate` call; 0 for solvers
-    /// that do not run it).
-    pub candidate_batches: u64,
-    /// Individual candidates priced across those batches.
+    /// States priced on the struct-of-arrays kernel (one per
+    /// `evaluate_candidate` call or memo miss; 0 for solvers that do not
+    /// run it).
     pub batched_candidates: u64,
 }
 
@@ -61,7 +59,6 @@ impl SolveStats {
             iterations: self.iterations,
             accepted: self.accepted,
             bisection_evals: self.bisection_evals,
-            candidate_batches: self.candidate_batches,
             batched_candidates: self.batched_candidates,
         }
     }

@@ -369,8 +369,7 @@ impl SymmetricSolver {
     /// Work counters of the most recent solve: `iterations` counts descent
     /// rounds across both starts, `batched_candidates` the states priced on
     /// the kernel (each distinct state once), and `bisection_evals` the
-    /// water-level evaluations those prices spent. `accepted` and
-    /// `candidate_batches` stay zero.
+    /// water-level evaluations those prices spent. `accepted` stays zero.
     pub fn stats(&self) -> &SolveStats {
         &self.stats
     }

@@ -358,10 +358,8 @@ proptest! {
                 return Err(TestCaseError::fail(format!("{msg} at state {:?}", ctx.levels())));
             }
         }
-        // The walk must actually have exercised the delta-update path.
-        prop_assert!(ctx.stats.delta_updates > 0);
-        prop_assert!(ctx.stats.candidate_batches > 0);
-        prop_assert!(ctx.stats.batched_candidates >= ctx.stats.candidate_batches);
+        // The walk must actually have priced candidates on the kernel.
+        prop_assert!(ctx.stats.batched_candidates > 0);
     }
 }
 

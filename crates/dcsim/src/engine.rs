@@ -5,22 +5,24 @@
 //! Three composable pieces:
 //!
 //! * [`SlotSource`] — where slots come from. A materialized
-//!   [`EnvironmentTrace`] is one impl; [`FnSource`] generates slots on the
-//!   fly so unbounded synthetic traces never have to be materialized; a
+//!   [`EnvironmentTrace`] is one impl; a
 //!   [`PushSource`](crate::push::PushSource) receives slots pushed by
-//!   ingestion threads (sockets, replay drivers). Sources answer a poll
-//!   with a typed [`PollSlot`]: `Ready` (here is slot `t`), `Pending` (not
-//!   arrived *yet*), or `Closed` (the stream has ended) — so "no more
-//!   slots" and "not yet available" are distinct outcomes.
-//! * [`SimEngine`] — advances slot-by-slot via [`SimEngine::step`] (or
-//!   [`SimEngine::step_wait`], which parks on the source instead of
-//!   busy-waiting). Each step prepares the slot environment once
-//!   (overestimation, overload check, observation) and then runs every
-//!   registered policy lane over it, so an N-policy comparison costs one
-//!   pass. For resident processes, [`SimEngine::run_service`] is the
-//!   run-forever loop: it drains the source until closed, honors an
-//!   external stop flag (e.g. a SIGTERM handler), and emits checkpoints on
-//!   a slot cadence and at shutdown.
+//!   ingestion threads (sockets, replay drivers, a generator that never
+//!   materializes its trace). Sources answer a poll with a typed
+//!   [`PollSlot`]: `Ready` (here is slot `t`), `Pending` (not arrived
+//!   *yet*), or `Closed` (the stream has ended) — so "no more slots" and
+//!   "not yet available" are distinct outcomes.
+//! * [`SimEngine`] — assembled by [`EngineBuilder::build`], its only
+//!   constructor, from the fleet, the cost model, the run configuration
+//!   (RECs, φ, observer) and the policy lanes. It advances slot-by-slot
+//!   via [`SimEngine::step`] (or [`SimEngine::step_wait`], which parks on
+//!   the source instead of busy-waiting). Each step prepares the slot
+//!   environment once (overestimation, overload check, observation) and
+//!   then runs every registered policy lane over it, so an N-policy
+//!   comparison costs one pass. For resident processes,
+//!   [`SimEngine::run_service`] is the run-forever loop: it drains the
+//!   source until closed, honors an external stop flag (e.g. a SIGTERM
+//!   handler), and emits checkpoints on a slot cadence and at shutdown.
 //! * [`RecordSink`] — where per-slot records go (one stream per lane).
 //!   Sinks that need the control decision itself — the wire protocol
 //!   served by `coca-serve` — implement
@@ -48,13 +50,12 @@
 //!
 //! ## Observability
 //!
-//! An [`EngineObserver`] can be attached — via
-//! [`EngineBuilder::observer`] or [`SimEngine::set_observer`] — to watch
-//! the slot loop: `on_slot_start` / `on_slot_end` around every step,
-//! per-phase wall-clock (`EnvPrep` / `Solve` / `Record`) when the observer
-//! opts into timing, and `on_checkpoint` at serialization points. The
-//! default observer is [`NoopObserver`] and the
-//! engine gates every `Instant::now()` on
+//! An [`EngineObserver`] can be attached through
+//! [`EngineBuilder::observer`] to watch the slot loop: `on_slot_start` /
+//! `on_slot_end` around every step, per-phase wall-clock (`EnvPrep` /
+//! `Solve` / `Record`) when the observer opts into timing, and
+//! `on_checkpoint` at serialization points. The default observer is
+//! [`NoopObserver`] and the engine gates every `Instant::now()` on
 //! [`timing_enabled`](coca_obs::EngineObserver::timing_enabled), so the
 //! unobserved hot path pays only a virtual call to an empty method per
 //! event (the zero-allocation test pins that it allocates nothing).
@@ -116,7 +117,7 @@ pub trait SlotSource {
     }
 
     /// Validates the source before the run starts. Default: nothing to
-    /// check (generator sources validate per-slot instead).
+    /// check (push sources check each slot as it arrives instead).
     fn validate(&self) -> crate::Result<()> {
         Ok(())
     }
@@ -135,47 +136,6 @@ impl SlotSource for &EnvironmentTrace {
     }
     fn validate(&self) -> crate::Result<()> {
         EnvironmentTrace::validate(self).map_err(SimError::InvalidConfig)
-    }
-}
-
-/// A generator-backed source: slots are produced on demand by a closure,
-/// so arbitrarily long synthetic traces run in O(1) memory (pair with
-/// [`crate::metrics::SummarySink`] to keep the whole run O(1)).
-///
-/// The closure returns `Option<SlotEnv>`; `None` maps to the *typed*
-/// end-of-stream outcome [`PollSlot::Closed`]. A generator that needs to
-/// signal "not yet available" should implement [`SlotSource`] and answer
-/// [`PollSlot::Pending`] itself.
-pub struct FnSource<F> {
-    generate: F,
-    len: Option<usize>,
-}
-
-impl<F: FnMut(usize) -> Option<SlotEnv>> FnSource<F> {
-    /// Unbounded source; the closure signals the end by returning `None`.
-    pub fn new(generate: F) -> Self {
-        Self { generate, len: None }
-    }
-
-    /// Source truncated to `len` slots (the closure is still consulted and
-    /// may end the stream earlier).
-    pub fn with_len(generate: F, len: usize) -> Self {
-        Self { generate, len: Some(len) }
-    }
-}
-
-impl<F: FnMut(usize) -> Option<SlotEnv>> SlotSource for FnSource<F> {
-    fn poll_slot(&mut self, t: usize) -> PollSlot {
-        if self.len.is_some_and(|n| t >= n) {
-            return PollSlot::Closed;
-        }
-        match (self.generate)(t) {
-            Some(env) => PollSlot::Ready(env),
-            None => PollSlot::Closed,
-        }
-    }
-    fn len_hint(&self) -> Option<usize> {
-        self.len
     }
 }
 
@@ -256,8 +216,8 @@ pub enum ServiceExit {
 
 /// The streaming multi-policy slot engine.
 ///
-/// Construction fixes the fleet, the source, and the cost model; lanes are
-/// then added with [`SimEngine::add_policy`] and the run advances with
+/// [`EngineBuilder::build`] fixes the fleet, the source, the cost model,
+/// the run configuration and the lanes; the run then advances with
 /// [`SimEngine::step`] / [`SimEngine::run_to_end`] (batch) or
 /// [`SimEngine::run_service`] (resident). Lanes see identical
 /// observations, so one engine pass replaces N single-policy passes.
@@ -278,76 +238,11 @@ pub struct SimEngine<'p, Src> {
     observer: Arc<dyn EngineObserver + Send + Sync>,
     /// Cached `observer.timing_enabled()` so the hot path checks a bool
     /// instead of making a virtual call before every `Instant::now()`.
-    // audit:transient(cache of an observer flag; recomputed when the observer is attached)
+    // audit:transient(cache of an observer flag; derived from the observer at build)
     timing: bool,
 }
 
 impl<'p, Src: SlotSource> SimEngine<'p, Src> {
-    /// Creates an engine with no lanes and φ = 1.
-    pub fn new(
-        cluster: Arc<Cluster>,
-        source: Src,
-        cost: CostParams,
-        rec_total: f64,
-    ) -> crate::Result<Self> {
-        cost.validate()?;
-        if !(rec_total.is_finite() && rec_total >= 0.0) {
-            return Err(SimError::InvalidConfig(format!("rec_total {rec_total} invalid")));
-        }
-        source.validate()?;
-        let max_servable = cost.gamma * cluster.max_capacity();
-        let choice_counts = cluster.choice_counts();
-        Ok(Self {
-            cluster,
-            source,
-            cost,
-            rec_total,
-            overestimation: 1.0,
-            max_servable,
-            choice_counts,
-            t: 0,
-            lanes: Vec::new(),
-            observer: Arc::new(NoopObserver),
-            timing: false,
-        })
-    }
-
-    /// Attaches an engine observer (replacing the default no-op one). The
-    /// observer's [`timing_enabled`](EngineObserver::timing_enabled)
-    /// answer is cached here, so it must be constant per observer.
-    pub fn set_observer(&mut self, observer: Arc<dyn EngineObserver + Send + Sync>) {
-        self.timing = observer.timing_enabled();
-        self.observer = observer;
-    }
-
-    /// Sets the workload overestimation factor φ ≥ 1 (paper Fig. 5(c)).
-    pub fn set_overestimation(&mut self, phi: f64) -> crate::Result<()> {
-        if !(phi.is_finite() && phi >= 1.0) {
-            return Err(SimError::InvalidConfig(format!(
-                "overestimation factor {phi} must be ≥ 1"
-            )));
-        }
-        self.overestimation = phi;
-        Ok(())
-    }
-
-    /// Registers a policy lane with the default materializing sink.
-    /// Returns the lane index.
-    pub fn add_policy(&mut self, policy: Box<dyn Policy + 'p>) -> usize {
-        self.add_policy_with_sink(policy, Box::new(VecSink::new()))
-    }
-
-    /// Registers a policy lane with a custom record sink.
-    pub fn add_policy_with_sink(
-        &mut self,
-        policy: Box<dyn Policy + 'p>,
-        sink: Box<dyn RecordSink + 'p>,
-    ) -> usize {
-        let prev_levels = self.cluster.all_off_vector();
-        self.lanes.push(Lane { policy, prev_levels, sink });
-        self.lanes.len() - 1
-    }
-
     /// Next slot index to be simulated.
     pub fn t(&self) -> usize {
         self.t
@@ -653,7 +548,7 @@ impl<'p, Src: SlotSource> SimEngine<'p, Src> {
     }
 
     /// Restores a checkpoint into this engine. The engine must have been
-    /// constructed with the same cluster/source/cost configuration and the
+    /// built with the same cluster/source/cost configuration and the
     /// same lanes (same policies, same order) as the checkpointed one.
     ///
     /// Lanes whose sink persists its history ([`RecordSink::collected`])
@@ -662,7 +557,7 @@ impl<'p, Src: SlotSource> SimEngine<'p, Src> {
     /// is rejected with [`CheckpointError::HistoryLength`] rather than
     /// resumed with a silently missing prefix. Every shape check runs
     /// before any lane is touched.
-    // audit:allow(snapshot-complete) checkpoint only *notifies* self.observer; it is injected at construction, not restored state
+    // audit:allow(snapshot-complete) checkpoint only *notifies* self.observer; it is injected by the builder, not restored state
     pub fn restore(&mut self, state: &EngineState) -> crate::Result<()> {
         if state.lanes.len() != self.lanes.len() {
             return Err(SimError::InvalidConfig(format!(
@@ -714,11 +609,10 @@ impl<'p, Src: SlotSource> SimEngine<'p, Src> {
     }
 }
 
-/// Fluent constructor for [`SimEngine`]: collects the run configuration
+/// The one constructor of [`SimEngine`]: collects the run configuration
 /// (φ, RECs, observer, lanes) and assembles the engine in one
-/// [`build`](EngineBuilder::build) call, so adding a knob never grows the
-/// positional `SimEngine::new` signature again. The same builder serves
-/// batch runs (`build(&trace)` + `run_to_end`) and resident services
+/// [`build`](EngineBuilder::build) call. The same builder serves batch
+/// runs (`build(&trace)` + `run_to_end`) and resident services
 /// (`build(push_source)` + `run_service`).
 ///
 /// ```
@@ -743,20 +637,20 @@ pub struct EngineBuilder<'p> {
     cost: CostParams,
     rec_total: f64,
     overestimation: f64,
-    observer: Option<Arc<dyn EngineObserver + Send + Sync>>,
+    observer: Arc<dyn EngineObserver + Send + Sync>,
     lanes: Vec<(Box<dyn Policy + 'p>, Box<dyn RecordSink + 'p>)>,
 }
 
 impl<'p> EngineBuilder<'p> {
     /// Starts a builder for `cluster` under `cost`; defaults are
-    /// `rec_total = 0`, `φ = 1`, no observer, no lanes.
+    /// `rec_total = 0`, `φ = 1`, the [`NoopObserver`], no lanes.
     pub fn new(cluster: Arc<Cluster>, cost: CostParams) -> Self {
         Self {
             cluster,
             cost,
             rec_total: 0.0,
             overestimation: 1.0,
-            observer: None,
+            observer: Arc::new(NoopObserver),
             lanes: Vec::new(),
         }
     }
@@ -767,15 +661,18 @@ impl<'p> EngineBuilder<'p> {
         self
     }
 
-    /// Workload overestimation factor φ ≥ 1; validated by `build`.
+    /// Workload overestimation factor φ ≥ 1 (paper Fig. 5(c)); validated
+    /// by `build`.
     pub fn overestimation(mut self, phi: f64) -> Self {
         self.overestimation = phi;
         self
     }
 
-    /// Attaches an engine observer (see [`SimEngine::set_observer`]).
+    /// Attaches an engine observer, replacing the default no-op one. The
+    /// engine caches its [`timing_enabled`](EngineObserver::timing_enabled)
+    /// answer at `build`, so it must be constant per observer.
     pub fn observer(mut self, observer: Arc<dyn EngineObserver + Send + Sync>) -> Self {
-        self.observer = Some(observer);
+        self.observer = observer;
         self
     }
 
@@ -794,17 +691,38 @@ impl<'p> EngineBuilder<'p> {
         self
     }
 
-    /// Validates the configuration and assembles the engine over `source`.
+    /// Validates the configuration — the cost model, RECs, the source and
+    /// φ, in that order, each failure a [`SimError::InvalidConfig`] — and
+    /// assembles the engine over `source`.
     pub fn build<Src: SlotSource>(self, source: Src) -> crate::Result<SimEngine<'p, Src>> {
-        let mut engine = SimEngine::new(self.cluster, source, self.cost, self.rec_total)?;
-        engine.set_overestimation(self.overestimation)?;
-        if let Some(observer) = self.observer {
-            engine.set_observer(observer);
+        let Self { cluster, cost, rec_total, overestimation, observer, lanes } = self;
+        cost.validate()?;
+        if !(rec_total.is_finite() && rec_total >= 0.0) {
+            return Err(SimError::InvalidConfig(format!("rec_total {rec_total} invalid")));
         }
-        for (policy, sink) in self.lanes {
-            engine.add_policy_with_sink(policy, sink);
+        source.validate()?;
+        if !(overestimation.is_finite() && overestimation >= 1.0) {
+            return Err(SimError::InvalidConfig(format!(
+                "overestimation factor {overestimation} must be ≥ 1"
+            )));
         }
-        Ok(engine)
+        let lanes = lanes
+            .into_iter()
+            .map(|(policy, sink)| Lane { policy, prev_levels: cluster.all_off_vector(), sink })
+            .collect();
+        Ok(SimEngine {
+            max_servable: cost.gamma * cluster.max_capacity(),
+            choice_counts: cluster.choice_counts(),
+            cluster,
+            source,
+            cost,
+            rec_total,
+            overestimation,
+            t: 0,
+            lanes,
+            timing: observer.timing_enabled(),
+            observer,
+        })
     }
 }
 
@@ -817,32 +735,11 @@ pub fn run_lockstep<'p>(
     rec_total: f64,
     policies: Vec<Box<dyn Policy + 'p>>,
 ) -> crate::Result<Vec<SimOutcome>> {
-    let mut engine = SimEngine::new(cluster, trace, cost, rec_total)?;
-    for p in policies {
-        engine.add_policy(p);
-    }
-    engine.run_to_end()?;
-    engine.into_outcomes()
-}
-
-/// Convenience: runs one policy over a trace with an overestimation factor
-/// and returns its outcome (the old single-policy simulator's semantics).
-pub fn run_single<'p>(
-    cluster: Arc<Cluster>,
-    trace: &EnvironmentTrace,
-    cost: CostParams,
-    rec_total: f64,
-    overestimation: f64,
-    policy: Box<dyn Policy + 'p>,
-) -> crate::Result<SimOutcome> {
-    let mut engine = SimEngine::new(cluster, trace, cost, rec_total)?;
-    engine.set_overestimation(overestimation)?;
-    engine.add_policy(policy);
-    engine.run_to_end()?;
-    engine
-        .into_outcomes()?
-        .pop()
-        .ok_or_else(|| SimError::Internal("engine produced no outcome".to_string()))
+    policies
+        .into_iter()
+        .fold(EngineBuilder::new(cluster, cost).rec_total(rec_total), EngineBuilder::policy)
+        .build(trace)?
+        .run_and_finish()
 }
 
 #[cfg(test)]
@@ -864,6 +761,28 @@ mod tests {
         }
         .generate();
         (cluster, trace, CostParams::default())
+    }
+
+    /// A builder with one full-speed static lane on `sink`.
+    fn full_speed<'p>(
+        cluster: &Arc<Cluster>,
+        cost: CostParams,
+        rec_total: f64,
+        sink: Box<dyn RecordSink + 'p>,
+    ) -> EngineBuilder<'p> {
+        EngineBuilder::new(Arc::clone(cluster), cost)
+            .rec_total(rec_total)
+            .policy_with_sink(Box::new(StaticLevels::full_speed(Arc::clone(cluster), cost)), sink)
+    }
+
+    /// One full-speed lane over `trace`, through [`run_lockstep`].
+    fn run_full_speed(
+        cluster: &Arc<Cluster>,
+        trace: &EnvironmentTrace,
+        cost: CostParams,
+    ) -> crate::Result<SimOutcome> {
+        let policy = Box::new(StaticLevels::full_speed(Arc::clone(cluster), cost));
+        Ok(run_lockstep(Arc::clone(cluster), trace, cost, 10.0, vec![policy])?.remove(0))
     }
 
     #[test]
@@ -898,8 +817,7 @@ mod tests {
     fn step_reports_finished_at_end() {
         let (cluster, trace, cost) = small();
         let mut engine =
-            SimEngine::new(Arc::clone(&cluster), &trace, cost, 0.0).unwrap();
-        engine.add_policy(Box::new(StaticLevels::full_speed(Arc::clone(&cluster), cost)));
+            full_speed(&cluster, cost, 0.0, Box::new(VecSink::new())).build(&trace).unwrap();
         let n = engine.run_to_end().unwrap();
         assert_eq!(n, 48);
         assert_eq!(engine.t(), 48);
@@ -911,35 +829,30 @@ mod tests {
     #[test]
     fn generator_source_streams_without_materialization() {
         let (cluster, _, cost) = small();
-        let source = || {
-            FnSource::with_len(
-                |t| {
-                    Some(SlotEnv {
-                        t,
-                        arrival_rate: 200.0 + 100.0 * (t as f64 * 0.3).sin(),
-                        onsite: 20.0,
-                        price: 0.05,
-                        offsite: 30.0,
-                    })
-                },
-                1000,
-            )
-        };
-        let mut engine = SimEngine::new(Arc::clone(&cluster), source(), cost, 0.0).unwrap();
-        engine.add_policy_with_sink(
-            Box::new(StaticLevels::full_speed(Arc::clone(&cluster), cost)),
-            Box::new(SummarySink::new()),
-        );
+        // A generator thread pushes synthetic slots through a bounded
+        // queue, so the trace never exists in memory.
+        let (handle, source) = push_source(8);
+        let feeder = std::thread::spawn(move || {
+            for t in 0..1000 {
+                let env = SlotEnv {
+                    t,
+                    arrival_rate: 200.0 + 100.0 * (t as f64 * 0.3).sin(),
+                    onsite: 20.0,
+                    price: 0.05,
+                    offsite: 30.0,
+                };
+                handle.push(env).unwrap();
+            }
+        });
+        let summary = || full_speed(&cluster, cost, 0.0, Box::new(SummarySink::new()));
+        let mut engine = summary().build(source).unwrap();
         assert_eq!(engine.run_to_end().unwrap(), 1000);
+        feeder.join().unwrap();
         // A summary lane checkpoints its controller state only, and the
         // state restores into a fresh summary lane.
         let state = engine.checkpoint().unwrap();
         assert!(state.lanes[0].records.is_empty());
-        let mut resumed = SimEngine::new(Arc::clone(&cluster), source(), cost, 0.0).unwrap();
-        resumed.add_policy_with_sink(
-            Box::new(StaticLevels::full_speed(Arc::clone(&cluster), cost)),
-            Box::new(SummarySink::new()),
-        );
+        let mut resumed = summary().build(push_source(1).1).unwrap();
         resumed.restore(&state).unwrap();
         assert_eq!(resumed.t(), 1000);
         assert_eq!(resumed.checkpoint().unwrap(), state);
@@ -952,16 +865,15 @@ mod tests {
     #[test]
     fn collecting_lane_rejects_a_records_less_state() {
         let (cluster, trace, cost) = small();
-        let mk = || Box::new(StaticLevels::full_speed(Arc::clone(&cluster), cost));
-        let mut summary = SimEngine::new(Arc::clone(&cluster), &trace, cost, 0.0).unwrap();
-        summary.add_policy_with_sink(mk(), Box::new(SummarySink::new()));
+        let mut summary =
+            full_speed(&cluster, cost, 0.0, Box::new(SummarySink::new())).build(&trace).unwrap();
         for _ in 0..10 {
             assert_eq!(summary.step().unwrap(), StepStatus::Advanced);
         }
         let state = summary.checkpoint().unwrap();
 
-        let mut batch = SimEngine::new(Arc::clone(&cluster), &trace, cost, 0.0).unwrap();
-        batch.add_policy(mk());
+        let mut batch =
+            full_speed(&cluster, cost, 0.0, Box::new(VecSink::new())).build(&trace).unwrap();
         match batch.restore(&state) {
             Err(SimError::Checkpoint(CheckpointError::HistoryLength { records, t, .. })) => {
                 assert_eq!((records, t), (0, 10));
@@ -978,8 +890,8 @@ mod tests {
     fn pending_source_is_not_end_of_stream() {
         let (cluster, trace, cost) = small();
         let (handle, source) = push_source(8);
-        let mut engine = SimEngine::new(Arc::clone(&cluster), source, cost, 0.0).unwrap();
-        engine.add_policy(Box::new(StaticLevels::full_speed(Arc::clone(&cluster), cost)));
+        let mut engine =
+            full_speed(&cluster, cost, 0.0, Box::new(VecSink::new())).build(source).unwrap();
 
         // Empty-but-open: Pending, no advance — repeatedly.
         assert_eq!(engine.step().unwrap(), StepStatus::Pending);
@@ -1000,18 +912,11 @@ mod tests {
     #[test]
     fn pushed_slots_match_batch_run_bit_exact() {
         let (cluster, trace, cost) = small();
-        let reference = run_lockstep(
-            Arc::clone(&cluster),
-            &trace,
-            cost,
-            10.0,
-            vec![Box::new(StaticLevels::full_speed(Arc::clone(&cluster), cost))],
-        )
-        .unwrap();
+        let reference = run_full_speed(&cluster, &trace, cost).unwrap();
 
         let (handle, source) = push_source(4);
-        let mut engine = SimEngine::new(Arc::clone(&cluster), source, cost, 10.0).unwrap();
-        engine.add_policy(Box::new(StaticLevels::full_speed(Arc::clone(&cluster), cost)));
+        let mut engine =
+            full_speed(&cluster, cost, 10.0, Box::new(VecSink::new())).build(source).unwrap();
         let feeder = {
             let trace = trace.clone();
             std::thread::spawn(move || {
@@ -1024,15 +929,15 @@ mod tests {
         engine.run_to_end().unwrap();
         feeder.join().unwrap();
         let outs = engine.into_outcomes().unwrap();
-        assert_eq!(outs[0], reference[0], "pushed run must equal the batch run");
+        assert_eq!(outs[0], reference, "pushed run must equal the batch run");
     }
 
     #[test]
     fn run_service_checkpoints_on_cadence_and_exits_on_close() {
         let (cluster, trace, cost) = small();
         let (handle, source) = push_source(64);
-        let mut engine = SimEngine::new(Arc::clone(&cluster), source, cost, 0.0).unwrap();
-        engine.add_policy(Box::new(StaticLevels::full_speed(Arc::clone(&cluster), cost)));
+        let mut engine =
+            full_speed(&cluster, cost, 0.0, Box::new(VecSink::new())).build(source).unwrap();
         for t in 0..10 {
             handle.push(trace.slot(t)).unwrap();
         }
@@ -1055,7 +960,7 @@ mod tests {
         // Zero cadence is rejected.
         let bad = ServiceConfig { checkpoint_every: Some(0), ..Default::default() };
         let (_h, source) = push_source(1);
-        let mut engine = SimEngine::new(Arc::clone(&cluster), source, cost, 0.0).unwrap();
+        let mut engine = EngineBuilder::new(Arc::clone(&cluster), cost).build(source).unwrap();
         assert!(engine.run_service(&bad, &stop, |_| Ok(())).is_err());
     }
 
@@ -1063,8 +968,8 @@ mod tests {
     fn run_service_stop_flag_halts_at_boundary_with_checkpoint() {
         let (cluster, trace, cost) = small();
         let (handle, source) = push_source(64);
-        let mut engine = SimEngine::new(Arc::clone(&cluster), source, cost, 0.0).unwrap();
-        engine.add_policy(Box::new(StaticLevels::full_speed(Arc::clone(&cluster), cost)));
+        let mut engine =
+            full_speed(&cluster, cost, 0.0, Box::new(VecSink::new())).build(source).unwrap();
         for t in 0..5 {
             handle.push(trace.slot(t)).unwrap();
         }
@@ -1072,10 +977,7 @@ mod tests {
         // forever on the quiet source.
         let stop = AtomicBool::new(false);
         let mut final_state = None;
-        let cfg = ServiceConfig {
-            poll_timeout: Duration::from_millis(5),
-            ..Default::default()
-        };
+        let cfg = ServiceConfig { poll_timeout: Duration::from_millis(5), ..Default::default() };
         let exit = std::thread::scope(|s| {
             s.spawn(|| {
                 std::thread::sleep(Duration::from_millis(50));
@@ -1110,8 +1012,8 @@ mod tests {
         // A source that answers Pending cannot block, so an unbounded wait
         // would spin; the engine reports it instead.
         let source = PollFnSource(|_| PollSlot::Pending);
-        let mut engine = SimEngine::new(Arc::clone(&cluster), source, cost, 0.0).unwrap();
-        engine.add_policy(Box::new(StaticLevels::full_speed(Arc::clone(&cluster), cost)));
+        let mut engine =
+            full_speed(&cluster, cost, 0.0, Box::new(VecSink::new())).build(source).unwrap();
         assert!(matches!(engine.run_to_end(), Err(SimError::InvalidConfig(_))));
     }
 
@@ -1119,39 +1021,33 @@ mod tests {
     fn checkpoint_restore_is_exact() {
         let (cluster, trace, cost) = small();
         let cost = CostParams { switch_energy_kwh: 0.0231, ..cost };
-        let mk = || {
-            Box::new(StaticLevels::full_speed(Arc::clone(&cluster), cost)) as Box<dyn Policy>
-        };
+        let engine = || full_speed(&cluster, cost, 10.0, Box::new(VecSink::new())).build(&trace);
 
         // Uninterrupted reference run.
-        let reference =
-            run_lockstep(Arc::clone(&cluster), &trace, cost, 5.0, vec![mk()]).unwrap();
+        let reference = run_full_speed(&cluster, &trace, cost).unwrap();
 
         // Run to slot 20, checkpoint, round-trip through JSON, resume in a
         // brand-new engine.
-        let mut engine = SimEngine::new(Arc::clone(&cluster), &trace, cost, 5.0).unwrap();
-        engine.add_policy(mk());
+        let mut first = engine().unwrap();
         for _ in 0..20 {
-            assert_eq!(engine.step().unwrap(), StepStatus::Advanced);
+            assert_eq!(first.step().unwrap(), StepStatus::Advanced);
         }
-        let json = serde_json::to_string(&engine.checkpoint().unwrap()).unwrap();
-        drop(engine);
+        let json = serde_json::to_string(&first.checkpoint().unwrap()).unwrap();
+        drop(first);
 
         let state: EngineState = serde_json::from_str(&json).unwrap();
-        let mut resumed = SimEngine::new(Arc::clone(&cluster), &trace, cost, 5.0).unwrap();
-        resumed.add_policy(mk());
+        let mut resumed = engine().unwrap();
         resumed.restore(&state).unwrap();
         assert_eq!(resumed.t(), 20);
-        resumed.run_to_end().unwrap();
-        let outs = resumed.into_outcomes().unwrap();
-        assert_eq!(outs[0], reference[0], "resumed run must be byte-identical");
+        let outs = resumed.run_and_finish().unwrap();
+        assert_eq!(outs[0], reference, "resumed run must be byte-identical");
     }
 
     #[test]
     fn restore_rejects_mismatched_shapes() {
         let (cluster, trace, cost) = small();
-        let mut engine = SimEngine::new(Arc::clone(&cluster), &trace, cost, 0.0).unwrap();
-        engine.add_policy(Box::new(StaticLevels::full_speed(Arc::clone(&cluster), cost)));
+        let mut engine =
+            full_speed(&cluster, cost, 0.0, Box::new(VecSink::new())).build(&trace).unwrap();
         let mut state = engine.checkpoint().unwrap();
         state.lanes.clear();
         assert!(engine.restore(&state).is_err(), "lane-count mismatch");
@@ -1164,44 +1060,31 @@ mod tests {
     }
 
     #[test]
-    fn builder_assembles_a_configured_engine() {
-        let (cluster, trace, cost) = small();
-        let built = EngineBuilder::new(Arc::clone(&cluster), cost)
-            .rec_total(10.0)
-            .policy(Box::new(StaticLevels::full_speed(Arc::clone(&cluster), cost)))
-            .build(&trace)
-            .unwrap()
-            .run_and_finish()
-            .unwrap();
-        let direct = run_lockstep(
-            Arc::clone(&cluster),
-            &trace,
-            cost,
-            10.0,
-            vec![Box::new(StaticLevels::full_speed(Arc::clone(&cluster), cost))],
-        )
-        .unwrap();
-        assert_eq!(built, direct);
-
-        // Builder validation mirrors the setters'.
-        assert!(EngineBuilder::new(Arc::clone(&cluster), cost)
-            .overestimation(0.5)
-            .build(&trace)
-            .is_err());
-    }
-
-    #[test]
     fn engine_validates_configuration() {
-        let (cluster, trace, _) = small();
-        let bad = CostParams { gamma: 1.5, ..Default::default() };
-        assert!(SimEngine::new(Arc::clone(&cluster), &trace, bad, 0.0).is_err());
-        assert!(
-            SimEngine::new(Arc::clone(&cluster), &trace, CostParams::default(), -1.0).is_err()
-        );
-        let mut ok =
-            SimEngine::new(Arc::clone(&cluster), &trace, CostParams::default(), 0.0).unwrap();
-        assert!(ok.set_overestimation(0.5).is_err());
-        assert!(ok.set_overestimation(1.2).is_ok());
+        let (cluster, trace, cost) = small();
+        let builder = || EngineBuilder::new(Arc::clone(&cluster), cost);
+        let cases = [
+            (
+                "gamma 1.5",
+                EngineBuilder::new(Arc::clone(&cluster), CostParams { gamma: 1.5, ..cost }),
+            ),
+            ("rec_total -1", builder().rec_total(-1.0)),
+            ("rec_total NaN", builder().rec_total(f64::NAN)),
+            ("phi 0.5", builder().overestimation(0.5)),
+            ("phi NaN", builder().overestimation(f64::NAN)),
+            ("phi inf", builder().overestimation(f64::INFINITY)),
+        ];
+        for (case, bad) in cases {
+            assert!(matches!(bad.build(&trace), Err(SimError::InvalidConfig(_))), "{case}");
+        }
+        let ragged = EnvironmentTrace {
+            workload: vec![1.0],
+            onsite: vec![],
+            offsite: vec![],
+            price: vec![],
+        };
+        assert!(matches!(builder().build(&ragged), Err(SimError::InvalidConfig(_))), "source");
+        assert!(builder().rec_total(0.0).overestimation(1.2).build(&trace).is_ok());
     }
 
     // ——— ported from the retired `SlotSimulator` facade ———
@@ -1209,15 +1092,7 @@ mod tests {
     #[test]
     fn run_produces_one_record_per_slot() {
         let (cluster, trace, cost) = small();
-        let out = run_single(
-            Arc::clone(&cluster),
-            &trace,
-            cost,
-            10.0,
-            1.0,
-            Box::new(StaticLevels::full_speed(Arc::clone(&cluster), cost)),
-        )
-        .unwrap();
+        let out = run_full_speed(&cluster, &trace, cost).unwrap();
         assert_eq!(out.len(), 48);
         assert_eq!(out.policy, "static-levels");
         for r in &out.records {
@@ -1232,15 +1107,7 @@ mod tests {
     fn switching_cost_charged_on_power_up() {
         let (cluster, trace, _) = small();
         let cost = CostParams { switch_energy_kwh: 0.0231, ..Default::default() };
-        let out = run_single(
-            Arc::clone(&cluster),
-            &trace,
-            cost,
-            10.0,
-            1.0,
-            Box::new(StaticLevels::full_speed(Arc::clone(&cluster), cost)),
-        )
-        .unwrap();
+        let out = run_full_speed(&cluster, &trace, cost).unwrap();
         // All 80 servers power on in slot 0, then stay on.
         assert!((out.records[0].switching_energy - 80.0 * 0.0231).abs() < 1e-9);
         assert_eq!(out.records[1].switching_energy, 0.0);
@@ -1265,16 +1132,15 @@ mod tests {
         }
         let mut policy =
             Probe { inner: StaticLevels::full_speed(Arc::clone(&cluster), cost), seen: vec![] };
-        let out = run_single(
-            Arc::clone(&cluster),
-            &trace,
-            cost,
-            10.0,
-            1.2,
-            Box::new(&mut policy as &mut dyn Policy),
-        )
-        .unwrap();
-        for (seen, r) in policy.seen.iter().zip(&out.records) {
+        let outs = EngineBuilder::new(Arc::clone(&cluster), cost)
+            .rec_total(10.0)
+            .overestimation(1.2)
+            .policy(Box::new(&mut policy as &mut dyn Policy))
+            .build(&trace)
+            .unwrap()
+            .run_and_finish()
+            .unwrap();
+        for (seen, r) in policy.seen.iter().zip(&outs[0].records) {
             assert!((seen - r.arrival_rate * 1.2).abs() < 1e-6, "observation inflated by φ");
         }
     }
@@ -1292,7 +1158,7 @@ mod tests {
                 Ok(Decision { levels: vec![4; 4], loads: vec![obs.arrival_rate / 8.0; 4] })
             }
         }
-        let got = run_single(Arc::clone(&cluster), &trace, cost, 10.0, 1.0, Box::new(Dropper));
+        let got = run_lockstep(Arc::clone(&cluster), &trace, cost, 10.0, vec![Box::new(Dropper)]);
         assert!(matches!(got, Err(SimError::InvalidDecision(_))));
     }
 
@@ -1316,13 +1182,12 @@ mod tests {
                 unreachable!("engine must detect overload before asking")
             }
         }
-        let got = run_single(
+        let got = run_lockstep(
             Arc::clone(&cluster),
             &trace,
             CostParams::default(),
             0.0,
-            1.0,
-            Box::new(Any),
+            vec![Box::new(Any)],
         );
         assert!(matches!(got, Err(SimError::Overload { .. })));
     }

@@ -191,18 +191,11 @@ impl SlotContextSeed {
 /// Work counters accumulated over a context's lifetime (one slot).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EvalStats {
-    /// Cost-oracle calls (one SoA water-filling solve each, or an
-    /// infeasibility short-circuit).
-    pub evaluations: u64,
     /// Water-level function evaluations spent inside bisections (each is
     /// an O(#types) pass — the dominant arithmetic of a solve).
     pub bisection_evals: u64,
-    /// Single-group O(1) delta updates applied to the type multiset.
-    pub delta_updates: u64,
-    /// Candidate-pricing calls ([`SlotEvalContext::evaluate_candidate`]).
-    pub candidate_batches: u64,
-    /// Candidates scored by those calls (each is a ±1.0 multiplicity delta
-    /// plus one SoA water-filling solve; one per call).
+    /// Candidates priced by [`SlotEvalContext::evaluate_candidate`] (each
+    /// is a ±1.0 multiplicity delta plus one SoA water-filling solve).
     pub batched_candidates: u64,
 }
 
@@ -296,8 +289,6 @@ impl<'a> SlotEvalContext<'a> {
         for (g, &c) in initial.iter().enumerate() {
             ctx.set_level(g, c);
         }
-        // Seeding is setup work, not proposal work.
-        ctx.stats.delta_updates = 0;
         Ok(ctx)
     }
 
@@ -346,7 +337,6 @@ impl<'a> SlotEvalContext<'a> {
             self.agg_base += self.bank.static_power_of(t);
         }
         self.levels[group] = level;
-        self.stats.delta_updates += 1;
     }
 
     /// Diff-syncs the multiset to `levels`: one O(1) [`Self::set_level`]
@@ -384,7 +374,6 @@ impl<'a> SlotEvalContext<'a> {
     /// different rows and the warm search starts elsewhere.
     pub fn evaluate_candidate(&mut self, group: usize, level: usize) -> f64 {
         let (cap, base_power) = (self.agg_cap, self.agg_base);
-        self.stats.candidate_batches += 1;
         self.stats.batched_candidates += 1;
         self.candidate_cost(group, level, cap, base_power)
     }
@@ -433,7 +422,6 @@ impl<'a> SlotEvalContext<'a> {
     /// (same tolerance as [`SlotProblem::is_feasible`]), then a warm SoA
     /// solve. Infeasible or failed solves price to `f64::INFINITY`.
     fn bank_cost(&mut self, cap: f64, base_power: f64) -> f64 {
-        self.stats.evaluations += 1;
         let lam = self.problem.arrival_rate;
         if lam > cap * (1.0 + 1e-12) {
             return f64::INFINITY;
@@ -632,7 +620,6 @@ mod tests {
             // Pricing must not commit anything.
             assert_eq!(ctx.levels(), &levels[..]);
         }
-        assert_eq!(ctx.stats.candidate_batches, priced);
         assert_eq!(ctx.stats.batched_candidates, priced);
     }
 

@@ -62,8 +62,8 @@ pub use cluster::{Cluster, ClusterBuilder};
 pub use dispatch::{optimal_dispatch, DispatchOutcome, SlotProblem};
 pub use cost::CostParams;
 pub use engine::{
-    run_lockstep, run_single, EngineBuilder, EngineState, FnSource, LaneState, PollSlot,
-    ServiceConfig, ServiceExit, SimEngine, SlotSource, StepStatus,
+    run_lockstep, EngineBuilder, EngineState, LaneState, PollSlot, ServiceConfig, ServiceExit,
+    SimEngine, SlotSource, StepStatus,
 };
 pub use error::SimError;
 pub use group::ServerGroup;

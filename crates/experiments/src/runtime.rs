@@ -1,9 +1,11 @@
 //! Checkpointed lockstep runs for long reproductions.
 //!
-//! Drives a [`SimEngine`](coca_dcsim::SimEngine) slot by slot and persists its serializable
-//! [`EngineState`](coca_dcsim::EngineState) to disk every `every` slots (the caller passes a frame
-//! length), so an interrupted `repro` invocation can restart from the last
-//! frame boundary with `--resume` instead of recomputing the whole year.
+//! Builds a [`SimEngine`](coca_dcsim::SimEngine) from the run's
+//! [`EngineBuilder`] (lanes, RECs, φ, observer), drives it slot by slot
+//! and persists its serializable [`EngineState`](coca_dcsim::EngineState)
+//! to disk every `every` slots (the caller passes a frame length), so an
+//! interrupted `repro` invocation can restart from the last frame boundary
+//! with `--resume` instead of recomputing the whole year.
 //!
 //! The checkpoint file is [`coca_dcsim::checkpoint`]'s versioned codec
 //! over the engine's `EngineState`, written durably (temp file, `fsync`,
@@ -15,14 +17,11 @@
 //! is ignored with a logged error — the run then starts from slot 0.
 
 use std::path::Path;
-use std::sync::Arc;
 
 use coca_dcsim::{
-    read_checkpoint, write_checkpoint, Cluster, CostParams, EngineBuilder, Policy, SimError,
-    SimOutcome, StepStatus,
+    read_checkpoint, write_checkpoint, EngineBuilder, SimError, SimOutcome, StepStatus,
 };
 use coca_obs::logger::{self, Span};
-use coca_obs::EngineObserver;
 use coca_traces::EnvironmentTrace;
 
 /// Where and how often to checkpoint a [`run_lockstep_checkpointed`] call.
@@ -56,89 +55,51 @@ impl<'a> Checkpointing<'a> {
 /// crash (callers match on it to tell a drill from a real failure).
 pub const SIMULATED_CRASH: &str = "simulated crash: abort_at_slot reached";
 
-/// Optional knobs for [`run_lockstep_checkpointed`]: checkpoint policy,
-/// engine observer, and the workload overestimation factor φ (Fig. 5(c));
-/// `RunOptions::default()` means no checkpointing, no observer, φ = 1.
-pub struct RunOptions<'a> {
-    /// Checkpoint location/cadence, or `None` to run unpersisted.
-    pub ckpt: Option<Checkpointing<'a>>,
-    /// Engine observer (e.g. a [`coca_obs::MetricsObserver`]).
-    pub observer: Option<Arc<dyn EngineObserver + Send + Sync>>,
-    /// Workload overestimation factor φ ≥ 1 applied to the shared env prep.
-    pub overestimation: f64,
-}
-
-impl Default for RunOptions<'_> {
-    fn default() -> Self {
-        Self { ckpt: None, observer: None, overestimation: 1.0 }
-    }
-}
-
-/// Runs `policies` in lockstep over `trace`, checkpointing at frame
-/// boundaries when `ckpt` is given. Semantically identical to
-/// [`coca_dcsim::run_lockstep`] — same outcomes, slot for slot — plus the
-/// persistence side effects described in the module docs.
+/// Builds the engine `builder` describes over `trace` and runs it to the
+/// end, checkpointing every `ckpt.every` slots. Semantically identical to
+/// `builder.build(trace)?.run_and_finish()` — same outcomes, slot for
+/// slot — plus the persistence side effects described in the module docs.
 ///
 /// Resume/checkpoint diagnostics go through [`coca_obs::logger`] (so
-/// `repro --quiet` silences the informational ones), and an optional
-/// [`EngineObserver`] — e.g. a [`coca_obs::MetricsObserver`] — can watch
-/// the run's slots, phases and checkpoints.
-pub fn run_lockstep_checkpointed<'p>(
-    cluster: Arc<Cluster>,
+/// `repro --quiet` silences the informational ones); an observer set on
+/// the builder sees the run's slots, phases and checkpoints.
+pub fn run_lockstep_checkpointed(
+    builder: EngineBuilder<'_>,
     trace: &EnvironmentTrace,
-    cost: CostParams,
-    rec_total: f64,
-    policies: Vec<Box<dyn Policy + 'p>>,
-    opts: RunOptions<'_>,
+    ckpt: Checkpointing<'_>,
 ) -> Result<Vec<SimOutcome>, SimError> {
-    let RunOptions { ckpt, observer, overestimation } = opts;
-    let mut builder =
-        EngineBuilder::new(cluster, cost).rec_total(rec_total).overestimation(overestimation);
-    if let Some(obs) = observer {
-        builder = builder.observer(obs);
-    }
-    for policy in policies {
-        builder = builder.policy(policy);
-    }
+    let every = ckpt.every.max(1);
     let mut engine = builder.build(trace)?;
-    if let Some(c) = &ckpt {
-        if c.resume && c.path.exists() {
-            let every = c.every.max(1);
-            match read_checkpoint(c.path).map_err(SimError::from).and_then(|state| {
-                engine.restore(&state)?;
-                Ok(state.t)
-            }) {
-                Ok(t) => logger::info(
-                    &Span::new("resume").slot(t).frame(t / every),
-                    &format!("continuing from checkpoint {}", c.path.display()),
-                ),
-                Err(e) => logger::error(
-                    &Span::new("resume"),
-                    &format!("ignoring checkpoint {}: {e}", c.path.display()),
-                ),
-            }
+    if ckpt.resume && ckpt.path.exists() {
+        match read_checkpoint(ckpt.path).map_err(SimError::from).and_then(|state| {
+            engine.restore(&state)?;
+            Ok(state.t)
+        }) {
+            Ok(t) => logger::info(
+                &Span::new("resume").slot(t).frame(t / every),
+                &format!("continuing from checkpoint {}", ckpt.path.display()),
+            ),
+            Err(e) => logger::error(
+                &Span::new("resume"),
+                &format!("ignoring checkpoint {}: {e}", ckpt.path.display()),
+            ),
         }
     }
     while engine.step()? == StepStatus::Advanced {
-        if let Some(c) = &ckpt {
-            let every = c.every.max(1);
-            if engine.t() % every == 0 {
-                write_checkpoint(c.path, &engine.checkpoint()?)?;
-                logger::debug(
-                    &Span::new("checkpoint").slot(engine.t()).frame(engine.t() / every),
-                    &format!("state written to {}", c.path.display()),
-                );
-            }
-            if c.abort_at_slot.is_some_and(|at| engine.t() >= at) {
-                // Leave the last boundary checkpoint in place, like a crash.
-                return Err(SimError::Internal(SIMULATED_CRASH.into()));
-            }
+        if engine.t() % every == 0 {
+            write_checkpoint(ckpt.path, &engine.checkpoint()?)?;
+            logger::debug(
+                &Span::new("checkpoint").slot(engine.t()).frame(engine.t() / every),
+                &format!("state written to {}", ckpt.path.display()),
+            );
+        }
+        if ckpt.abort_at_slot.is_some_and(|at| engine.t() >= at) {
+            // Leave the last boundary checkpoint in place, like a crash.
+            return Err(SimError::Internal(SIMULATED_CRASH.into()));
         }
     }
-    if let Some(c) = &ckpt {
-        // The run completed; a stale checkpoint would hijack the next one.
-        let _ = std::fs::remove_file(c.path);
-    }
+    // The run completed; a stale checkpoint would hijack the next one.
+    let _ = std::fs::remove_file(ckpt.path);
     engine.into_outcomes()
 }
 
@@ -148,8 +109,8 @@ mod tests {
     use crate::figures::coca_policy;
     use crate::setup::{ExperimentScale, PaperSetup};
     use coca_core::VSchedule;
-    use coca_dcsim::{run_lockstep, SimEngine};
     use coca_traces::WorkloadKind;
+    use std::sync::Arc;
 
     fn small_setup() -> PaperSetup {
         let mut scale = ExperimentScale::small();
@@ -157,8 +118,16 @@ mod tests {
         PaperSetup::build(scale, WorkloadKind::Fiu, 0.92).unwrap()
     }
 
-    fn lanes(setup: &PaperSetup) -> Vec<Box<dyn Policy + '_>> {
-        vec![Box::new(coca_policy(setup, VSchedule::Constant(50.0), 24))]
+    /// One COCA lane over the setup's fleet and RECs.
+    fn builder(setup: &PaperSetup) -> EngineBuilder<'_> {
+        EngineBuilder::new(Arc::clone(&setup.cluster), setup.cost)
+            .rec_total(setup.rec_total)
+            .policy(Box::new(coca_policy(setup, VSchedule::Constant(50.0), 24)))
+    }
+
+    /// The same run without checkpointing.
+    fn uninterrupted(builder: EngineBuilder<'_>, setup: &PaperSetup) -> Vec<SimOutcome> {
+        builder.build(&setup.trace).unwrap().run_and_finish().unwrap()
     }
 
     #[test]
@@ -167,23 +136,8 @@ mod tests {
         let dir = std::env::temp_dir().join("coca_runtime_test_clean");
         let path = dir.join("ckpt.json");
         let ckpt = Checkpointing::new(&path, 24, false);
-        let out = run_lockstep_checkpointed(
-            Arc::clone(&setup.cluster),
-            &setup.trace,
-            setup.cost,
-            setup.rec_total,
-            lanes(&setup),
-            RunOptions { ckpt: Some(ckpt), ..RunOptions::default() },
-        )
-        .unwrap();
-        let reference = run_lockstep(
-            Arc::clone(&setup.cluster),
-            &setup.trace,
-            setup.cost,
-            setup.rec_total,
-            lanes(&setup),
-        )
-        .unwrap();
+        let out = run_lockstep_checkpointed(builder(&setup), &setup.trace, ckpt).unwrap();
+        let reference = uninterrupted(builder(&setup), &setup);
         assert_eq!(out, reference, "checkpointing must not change results");
         assert!(!path.exists(), "checkpoint removed after completion");
     }
@@ -196,43 +150,17 @@ mod tests {
 
         // Simulate an interrupted run: advance 24 slots (one frame), write
         // the checkpoint exactly as the runner would, then drop the engine.
-        let mut engine = SimEngine::new(
-            Arc::clone(&setup.cluster),
-            &setup.trace,
-            setup.cost,
-            setup.rec_total,
-        )
-        .unwrap();
-        for policy in lanes(&setup) {
-            let _ = engine.add_policy(policy);
-        }
+        let mut engine = builder(&setup).build(&setup.trace).unwrap();
         for _ in 0..24 {
             assert_eq!(engine.step().unwrap(), StepStatus::Advanced);
         }
         write_checkpoint(&path, &engine.checkpoint().unwrap()).unwrap();
         drop(engine);
 
-        let resumed = run_lockstep_checkpointed(
-            Arc::clone(&setup.cluster),
-            &setup.trace,
-            setup.cost,
-            setup.rec_total,
-            lanes(&setup),
-            RunOptions {
-                ckpt: Some(Checkpointing::new(&path, 24, true)),
-                ..RunOptions::default()
-            },
-        )
-        .unwrap();
-        let uninterrupted = run_lockstep(
-            Arc::clone(&setup.cluster),
-            &setup.trace,
-            setup.cost,
-            setup.rec_total,
-            lanes(&setup),
-        )
-        .unwrap();
-        assert_eq!(resumed, uninterrupted, "resume must reproduce the full run exactly");
+        let ckpt = Checkpointing::new(&path, 24, true);
+        let resumed = run_lockstep_checkpointed(builder(&setup), &setup.trace, ckpt).unwrap();
+        let reference = uninterrupted(builder(&setup), &setup);
+        assert_eq!(resumed, reference, "resume must reproduce the full run exactly");
         assert!(!path.exists());
     }
 
@@ -244,16 +172,9 @@ mod tests {
         let registry = Arc::new(coca_obs::MetricsRegistry::new());
         let observer = Arc::new(coca_obs::MetricsObserver::new(Arc::clone(&registry)));
         let _ = run_lockstep_checkpointed(
-            Arc::clone(&setup.cluster),
+            builder(&setup).observer(observer),
             &setup.trace,
-            setup.cost,
-            setup.rec_total,
-            lanes(&setup),
-            RunOptions {
-                ckpt: Some(Checkpointing::new(&path, 24, false)),
-                observer: Some(observer),
-                ..RunOptions::default()
-            },
+            Checkpointing::new(&path, 24, false),
         )
         .unwrap();
         let snap = registry.snapshot();
@@ -271,76 +192,41 @@ mod tests {
         let path = dir.join("ckpt.json");
         let _ = std::fs::remove_file(&path);
         let crash = run_lockstep_checkpointed(
-            Arc::clone(&setup.cluster),
+            builder(&setup),
             &setup.trace,
-            setup.cost,
-            setup.rec_total,
-            lanes(&setup),
-            RunOptions {
-                ckpt: Some(Checkpointing {
-                    path: &path,
-                    every: 24,
-                    resume: false,
-                    abort_at_slot: Some(36),
-                }),
-                ..RunOptions::default()
-            },
+            Checkpointing { path: &path, every: 24, resume: false, abort_at_slot: Some(36) },
         );
         match crash {
             Err(SimError::Internal(msg)) => assert_eq!(msg, SIMULATED_CRASH),
             other => panic!("expected a simulated crash, got {other:?}"),
         }
         assert!(path.exists(), "crash leaves the boundary checkpoint behind");
-        let resumed = run_lockstep_checkpointed(
-            Arc::clone(&setup.cluster),
-            &setup.trace,
-            setup.cost,
-            setup.rec_total,
-            lanes(&setup),
-            RunOptions {
-                ckpt: Some(Checkpointing::new(&path, 24, true)),
-                ..RunOptions::default()
-            },
-        )
-        .unwrap();
-        let uninterrupted = run_lockstep(
-            Arc::clone(&setup.cluster),
-            &setup.trace,
-            setup.cost,
-            setup.rec_total,
-            lanes(&setup),
-        )
-        .unwrap();
-        assert_eq!(resumed, uninterrupted, "post-crash resume must be exact");
+        let ckpt = Checkpointing::new(&path, 24, true);
+        let resumed = run_lockstep_checkpointed(builder(&setup), &setup.trace, ckpt).unwrap();
+        let reference = uninterrupted(builder(&setup), &setup);
+        assert_eq!(resumed, reference, "post-crash resume must be exact");
         assert!(!path.exists());
     }
 
+    /// φ rides in the builder and in the checkpoint: a crashed φ = 1.2 run
+    /// resumes into the uninterrupted φ = 1.2 run, not the φ = 1 one.
     #[test]
-    fn overestimation_option_matches_engine_setting() {
+    fn resumed_run_keeps_the_builders_overestimation() {
         let setup = small_setup();
-        let with_opts = run_lockstep_checkpointed(
-            Arc::clone(&setup.cluster),
+        let dir = std::env::temp_dir().join("coca_runtime_test_phi");
+        let path = dir.join("ckpt.json");
+        let _ = std::fs::remove_file(&path);
+        let phi = || builder(&setup).overestimation(1.2);
+        let crash = run_lockstep_checkpointed(
+            phi(),
             &setup.trace,
-            setup.cost,
-            setup.rec_total,
-            lanes(&setup),
-            RunOptions { overestimation: 1.2, ..RunOptions::default() },
-        )
-        .unwrap();
-        let mut engine = SimEngine::new(
-            Arc::clone(&setup.cluster),
-            &setup.trace,
-            setup.cost,
-            setup.rec_total,
-        )
-        .unwrap();
-        engine.set_overestimation(1.2).unwrap();
-        for policy in lanes(&setup) {
-            let _ = engine.add_policy(policy);
-        }
-        let _ = engine.run_to_end().unwrap();
-        let reference = engine.into_outcomes().unwrap();
-        assert_eq!(with_opts, reference, "RunOptions φ must equal set_overestimation");
+            Checkpointing { path: &path, every: 24, resume: false, abort_at_slot: Some(36) },
+        );
+        assert!(crash.is_err());
+        let ckpt = Checkpointing::new(&path, 24, true);
+        let resumed = run_lockstep_checkpointed(phi(), &setup.trace, ckpt).unwrap();
+        assert_eq!(resumed, uninterrupted(phi(), &setup));
+        assert_ne!(resumed, uninterrupted(builder(&setup), &setup), "φ changes the run");
     }
 
     #[test]
@@ -350,18 +236,8 @@ mod tests {
         let path = dir.join("ckpt.json");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(&path, "{not json").unwrap();
-        let out = run_lockstep_checkpointed(
-            Arc::clone(&setup.cluster),
-            &setup.trace,
-            setup.cost,
-            setup.rec_total,
-            lanes(&setup),
-            RunOptions {
-                ckpt: Some(Checkpointing::new(&path, 24, true)),
-                ..RunOptions::default()
-            },
-        )
-        .unwrap();
+        let ckpt = Checkpointing::new(&path, 24, true);
+        let out = run_lockstep_checkpointed(builder(&setup), &setup.trace, ckpt).unwrap();
         assert_eq!(out.len(), 1, "run falls back to a fresh start");
     }
 
@@ -372,16 +248,7 @@ mod tests {
         let path = dir.join("ckpt.json");
         std::fs::create_dir_all(&dir).unwrap();
         // The unmarked format: a bare EngineState, here taken at slot 24.
-        let mut engine = SimEngine::new(
-            Arc::clone(&setup.cluster),
-            &setup.trace,
-            setup.cost,
-            setup.rec_total,
-        )
-        .unwrap();
-        for policy in lanes(&setup) {
-            let _ = engine.add_policy(policy);
-        }
+        let mut engine = builder(&setup).build(&setup.trace).unwrap();
         for _ in 0..24 {
             assert_eq!(engine.step().unwrap(), StepStatus::Advanced);
         }
@@ -391,26 +258,9 @@ mod tests {
             read_checkpoint(&path),
             Err(coca_dcsim::CheckpointError::UnsupportedVersion { found: None, expected: 2 })
         ));
-        let out = run_lockstep_checkpointed(
-            Arc::clone(&setup.cluster),
-            &setup.trace,
-            setup.cost,
-            setup.rec_total,
-            lanes(&setup),
-            RunOptions {
-                ckpt: Some(Checkpointing::new(&path, 24, true)),
-                ..RunOptions::default()
-            },
-        )
-        .unwrap();
-        let fresh = run_lockstep(
-            Arc::clone(&setup.cluster),
-            &setup.trace,
-            setup.cost,
-            setup.rec_total,
-            lanes(&setup),
-        )
-        .unwrap();
+        let ckpt = Checkpointing::new(&path, 24, true);
+        let out = run_lockstep_checkpointed(builder(&setup), &setup.trace, ckpt).unwrap();
+        let fresh = uninterrupted(builder(&setup), &setup);
         assert_eq!(out, fresh, "the fallback is a full fresh run");
         assert!(!path.exists());
     }

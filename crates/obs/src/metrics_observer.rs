@@ -26,7 +26,6 @@ const RATIO_BOUNDS: &[f64] = &[0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9
 /// | `engine_phase_record_seconds` | histogram | `on_phase(Record)` |
 /// | `solver_solves_total` | counter | `on_solve` |
 /// | `gsd_bisection_evals_total` | counter | `on_solve` |
-/// | `gsd_candidate_batches_total` | counter | `on_solve` |
 /// | `gsd_batched_candidates_total` | counter | `on_solve` |
 /// | `gsd_acceptance_ratio` | histogram | `on_solve` (accepted/iterations) |
 /// | `coca_deficit_queue_kwh` | gauge + trajectory | `on_deficit` |
@@ -46,7 +45,6 @@ pub struct MetricsObserver {
     checkpoints: Arc<Counter>,
     solves: Arc<Counter>,
     bisection_evals: Arc<Counter>,
-    candidate_batches: Arc<Counter>,
     batched_candidates: Arc<Counter>,
     frame_resets: Arc<Counter>,
     acceptance: Arc<Histogram>,
@@ -70,7 +68,6 @@ impl MetricsObserver {
             checkpoints: registry.counter("engine_checkpoints_total"),
             solves: registry.counter("solver_solves_total"),
             bisection_evals: registry.counter("gsd_bisection_evals_total"),
-            candidate_batches: registry.counter("gsd_candidate_batches_total"),
             batched_candidates: registry.counter("gsd_batched_candidates_total"),
             frame_resets: registry.counter("coca_frame_resets_total"),
             acceptance: hist("gsd_acceptance_ratio", RATIO_BOUNDS),
@@ -115,7 +112,6 @@ impl SolverObserver for MetricsObserver {
     fn on_solve(&self, ev: &SolveEvent) {
         self.solves.inc();
         self.bisection_evals.add(ev.bisection_evals);
-        self.candidate_batches.add(ev.candidate_batches);
         self.batched_candidates.add(ev.batched_candidates);
         // Acceptance ratios are a Markov-chain concept; only sampling
         // solvers report non-degenerate (accepted, iterations) pairs.
@@ -155,7 +151,6 @@ mod tests {
             iterations: 500,
             accepted: 125,
             bisection_evals: 2000,
-            candidate_batches: 420,
             batched_candidates: 420,
         });
         obs.on_solve(&SolveEvent {
@@ -163,7 +158,6 @@ mod tests {
             iterations: 400,
             accepted: 100,
             bisection_evals: 1600,
-            candidate_batches: 380,
             batched_candidates: 380,
         });
         obs.on_solve(&SolveEvent {
@@ -171,7 +165,6 @@ mod tests {
             iterations: 3,
             accepted: 0,
             bisection_evals: 0,
-            candidate_batches: 0,
             batched_candidates: 0,
         });
         obs.on_deficit(0, 0.0);
@@ -183,7 +176,6 @@ mod tests {
         assert_eq!(snap.counter("engine_checkpoints_total"), Some(1));
         assert_eq!(snap.counter("solver_solves_total"), Some(3));
         assert_eq!(snap.counter("gsd_bisection_evals_total"), Some(3600));
-        assert_eq!(snap.counter("gsd_candidate_batches_total"), Some(800));
         assert_eq!(snap.counter("gsd_batched_candidates_total"), Some(800));
         assert_eq!(snap.counter("coca_frame_resets_total"), Some(1));
         // Only the GSD solves contribute acceptance ratios (0.25 each).

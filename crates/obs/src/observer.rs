@@ -53,10 +53,8 @@ pub struct SolveEvent {
     pub accepted: usize,
     /// Water-level evaluations spent inside bisections.
     pub bisection_evals: u64,
-    /// Candidate batches priced by the struct-of-arrays kernel (0 for
-    /// solvers that do not run it).
-    pub candidate_batches: u64,
-    /// Individual candidates priced across those batches.
+    /// States priced on the struct-of-arrays kernel (0 for solvers that
+    /// do not run it).
     pub batched_candidates: u64,
 }
 
@@ -135,7 +133,6 @@ mod tests {
             iterations: 10,
             accepted: 3,
             bisection_evals: 40,
-            candidate_batches: 0,
             batched_candidates: 0,
         };
         SolverObserver::on_solve(&o, &ev);

@@ -225,7 +225,7 @@ mod tests {
 
     fn sample() -> MetricsSnapshot {
         let reg = MetricsRegistry::new();
-        reg.counter("gsd_candidate_batches_total").add(42);
+        reg.counter("gsd_batched_candidates_total").add(42);
         reg.counter("gsd_bisection_evals_total").add(7);
         let g = reg.gauge("coca_deficit_queue_kwh");
         g.record(0, 0.0);
@@ -242,7 +242,7 @@ mod tests {
         let json = snap.to_json().unwrap();
         let back = MetricsSnapshot::from_json(&json).unwrap();
         assert_eq!(back, snap);
-        assert_eq!(back.counter("gsd_candidate_batches_total"), Some(42));
+        assert_eq!(back.counter("gsd_batched_candidates_total"), Some(42));
         assert_eq!(
             back.gauge("coca_deficit_queue_kwh").unwrap().trajectory,
             vec![(0, 0.0), (1, 3.25)]
@@ -253,8 +253,8 @@ mod tests {
     #[test]
     fn prometheus_rendering_is_cumulative() {
         let text = sample().to_prometheus();
-        assert!(text.contains("# TYPE gsd_candidate_batches_total counter"));
-        assert!(text.contains("gsd_candidate_batches_total 42"));
+        assert!(text.contains("# TYPE gsd_batched_candidates_total counter"));
+        assert!(text.contains("gsd_batched_candidates_total 42"));
         assert!(text.contains("coca_deficit_queue_kwh 3.25"));
         // 0.4 → le=0.5; cumulative counts: 0, 1, 1, 2, 2.
         assert!(text.contains("gsd_acceptance_ratio_bucket{le=\"0.5\"} 1"));
@@ -268,7 +268,7 @@ mod tests {
         let snap = sample();
         let schema = MetricsSchema::from_json(
             r#"{
-                "counters": [{"name": "gsd_candidate_batches_total", "min": 1}],
+                "counters": [{"name": "gsd_batched_candidates_total", "min": 1}],
                 "gauges": [{"name": "coca_deficit_queue_kwh", "min_trajectory_len": 2}],
                 "histograms": [{"name": "gsd_acceptance_ratio", "min_count": 2}]
             }"#,

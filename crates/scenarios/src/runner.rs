@@ -46,10 +46,10 @@ use std::time::Instant;
 use coca_baselines::{CarbonUnaware, PerfectHp};
 use coca_core::symmetric::SymmetricSolver;
 use coca_core::{CocaController, VSchedule};
-use coca_dcsim::{checkpoint, Policy};
+use coca_dcsim::{checkpoint, EngineBuilder, Policy};
 use coca_experiments::figures;
 use coca_experiments::parallel;
-use coca_experiments::runtime::{run_lockstep_checkpointed, Checkpointing, RunOptions};
+use coca_experiments::runtime::{run_lockstep_checkpointed, Checkpointing};
 use coca_experiments::setup::{unaware_reference, ExperimentScale, PaperSetup};
 use coca_obs::logger::{self, Span};
 use coca_obs::{BatchMetrics, MetricsRegistry};
@@ -423,25 +423,22 @@ fn run_lockstep_kind(
     // otherwise 8 snapshots across the horizon (the old `repro summary`
     // cadence).
     let every = if trim_frames > 1 { frame } else { (horizon / 8).max(1) };
-    let policies: Vec<Box<dyn Policy + '_>> = lanes
-        .iter_mut()
-        .map(|l| match &mut l.policy {
-            LanePolicy::Coca(c) => Box::new(c.as_mut()) as Box<dyn Policy + '_>,
-            LanePolicy::Unaware(u) => Box::new(u.as_mut()) as Box<dyn Policy + '_>,
-            LanePolicy::PerfectHp(h) => Box::new(h.as_mut()) as Box<dyn Policy + '_>,
-        })
-        .collect();
-    let outcomes = run_lockstep_checkpointed(
-        Arc::clone(&s.cluster),
-        &s.trace,
-        s.cost,
-        s.rec_total,
-        policies,
-        RunOptions {
-            ckpt: Some(Checkpointing { path: ckpt_path, every, resume, abort_at_slot }),
-            observer: None,
-            overestimation: phi,
+    let builder = lanes.iter_mut().fold(
+        EngineBuilder::new(Arc::clone(&s.cluster), s.cost)
+            .rec_total(s.rec_total)
+            .overestimation(phi),
+        |b, l| {
+            b.policy(match &mut l.policy {
+                LanePolicy::Coca(c) => Box::new(c.as_mut()) as Box<dyn Policy + '_>,
+                LanePolicy::Unaware(u) => Box::new(u.as_mut()),
+                LanePolicy::PerfectHp(h) => Box::new(h.as_mut()),
+            })
         },
+    );
+    let outcomes = run_lockstep_checkpointed(
+        builder,
+        &s.trace,
+        Checkpointing { path: ckpt_path, every, resume, abort_at_slot },
     )
     .map_err(|e| format!("lockstep run: {e}"))?;
 

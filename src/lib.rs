@@ -39,11 +39,11 @@ pub use coca_traces as traces;
 /// Commonly used items, importable with `use coca::prelude::*`.
 ///
 /// The canonical run surface is the streaming engine —
-/// [`EngineBuilder`](coca_dcsim::EngineBuilder) →
+/// [`EngineBuilder`](coca_dcsim::EngineBuilder), its only constructor, →
 /// [`SimEngine`](coca_dcsim::SimEngine) → [`SimOutcome`](coca_dcsim::SimOutcome)
-/// — driven either from a batch trace ([`run_single`](coca_dcsim::run_single),
-/// [`run_lockstep`](coca_dcsim::run_lockstep)) or from a live stream through
-/// the push-capable source API ([`push_source`](coca_dcsim::push_source) →
+/// — driven either from a batch trace
+/// ([`run_lockstep`](coca_dcsim::run_lockstep) for one or many policies) or
+/// from a live stream through the push-capable source API ([`push_source`](coca_dcsim::push_source) →
 /// [`PollSlot`](coca_dcsim::PollSlot) →
 /// [`SimEngine::run_service`](coca_dcsim::SimEngine::run_service)).
 /// Observability attaches through the [`coca_obs`] metrics types; solver-level
@@ -56,10 +56,10 @@ pub mod prelude {
         SymmetricSolver, VSchedule,
     };
     pub use coca_dcsim::{
-        push_source, run_lockstep, run_single, Cluster, ClusterBuilder, CostParams,
-        DecisionContext, EngineBuilder, EngineState, Policy, PolicyTelemetry, PollSlot, PushError,
-        PushHandle, PushSource, RecordSink, ServerClass, ServiceConfig, ServiceExit, SimEngine,
-        SimOutcome, SlotObservation, SlotRecord, SlotSource, StepStatus, SummarySink, VecSink,
+        push_source, run_lockstep, Cluster, ClusterBuilder, CostParams, DecisionContext,
+        EngineBuilder, EngineState, Policy, PolicyTelemetry, PollSlot, PushError, PushHandle,
+        PushSource, RecordSink, ServerClass, ServiceConfig, ServiceExit, SimEngine, SimOutcome,
+        SlotObservation, SlotRecord, SlotSource, StepStatus, SummarySink, VecSink,
     };
     pub use coca_obs::{
         EngineObserver, MetricsObserver, MetricsRegistry, MetricsSnapshot, NoopObserver,

@@ -16,7 +16,8 @@ use std::sync::Arc;
 use coca::core::symmetric::SymmetricSolver;
 use coca::core::{CocaConfig, CocaController, VSchedule};
 use coca::dcsim::{
-    read_checkpoint, write_checkpoint, Cluster, CostParams, SimEngine, SummarySink, VecSink,
+    read_checkpoint, write_checkpoint, Cluster, CostParams, EngineBuilder, RecordSink, SimEngine,
+    SummarySink, VecSink,
 };
 use coca::traces::{EnvironmentTrace, TraceConfig, WorkloadKind};
 
@@ -56,8 +57,6 @@ impl Fixture {
 
     fn engine(&self) -> SimEngine<'_, &EnvironmentTrace> {
         let cost = CostParams::default();
-        let mut engine = SimEngine::new(Arc::clone(&self.cluster), &self.env, cost, REC_TOTAL)
-            .expect("engine builds");
         let cfg = CocaConfig {
             v: VSchedule::Constant(100.0),
             frame_length: SLOTS,
@@ -71,12 +70,16 @@ impl Fixture {
             cfg,
             SymmetricSolver::new(),
         ));
-        let _ = if self.keep_history {
-            engine.add_policy_with_sink(coca, Box::new(VecSink::new()))
+        let sink: Box<dyn RecordSink> = if self.keep_history {
+            Box::new(VecSink::new())
         } else {
-            engine.add_policy_with_sink(coca, Box::new(SummarySink::new()))
+            Box::new(SummarySink::new())
         };
-        engine
+        EngineBuilder::new(Arc::clone(&self.cluster), cost)
+            .rec_total(REC_TOTAL)
+            .policy_with_sink(coca, sink)
+            .build(&self.env)
+            .expect("engine builds")
     }
 
     /// Reads the checkpoint at `path` into a fresh engine and steps it

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use coca::baselines::{OfflineOpt, PerfectHp};
 use coca::core::symmetric::SymmetricSolver;
 use coca::core::VSchedule;
-use coca::dcsim::run_single;
+use coca::dcsim::run_lockstep;
 use coca::traces::WorkloadKind;
 use coca_experiments::figures::{calibrate_v, run_coca};
 use coca_experiments::setup::{unaware_reference, ExperimentScale, PaperSetup};
@@ -75,15 +75,15 @@ fn coca_beats_perfect_hp_while_being_more_neutral() {
     let mut hp: PerfectHp<SymmetricSolver> =
         PerfectHp::new(Arc::clone(&setup.cluster), setup.cost, &setup.trace, setup.rec_total, 48)
             .expect("perfect-hp");
-    let hp_out = run_single(
+    let hp_out = run_lockstep(
         Arc::clone(&setup.cluster),
         &setup.trace,
         setup.cost,
         setup.rec_total,
-        1.0,
-        Box::new(&mut hp),
+        vec![Box::new(&mut hp)],
     )
-    .expect("hp run");
+    .expect("hp run")
+    .remove(0);
     // The paper's headline: COCA is cheaper (Fig. 3(a)) — at this reduced
     // scale we only require a strict win, the magnitude is recorded in
     // EXPERIMENTS.md at the full scale.

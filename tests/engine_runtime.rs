@@ -9,8 +9,8 @@ use coca::baselines::{CarbonUnaware, PerfectHp};
 use coca::core::symmetric::SymmetricSolver;
 use coca::core::{CocaConfig, CocaController, VSchedule};
 use coca::dcsim::{
-    run_lockstep, Cluster, CostParams, FnSource, Policy, SimEngine, SimOutcome, StepStatus,
-    SummarySink,
+    push_source, run_lockstep, Cluster, CostParams, EngineBuilder, Policy, SimOutcome,
+    StepStatus, SummarySink,
 };
 use coca::traces::{EnvironmentTrace, TraceConfig, WorkloadKind};
 
@@ -138,11 +138,18 @@ fn checkpoint_at_frame_boundary_then_resume_is_exact() {
     )
     .expect("reference run");
 
+    let engine = || {
+        policy_set(&cluster, cost, &env, rec_total)
+            .into_iter()
+            .fold(EngineBuilder::new(Arc::clone(&cluster), cost).rec_total(rec_total), |b, p| {
+                b.policy(p)
+            })
+            .build(&env)
+            .expect("engine")
+    };
+
     // Interrupted run: advance two frames, checkpoint, drop the engine.
-    let mut first = SimEngine::new(Arc::clone(&cluster), &env, cost, rec_total).expect("engine");
-    for policy in policy_set(&cluster, cost, &env, rec_total) {
-        let _ = first.add_policy(policy);
-    }
+    let mut first = engine();
     for _ in 0..(2 * frame) {
         assert_eq!(first.step().expect("step"), StepStatus::Advanced);
     }
@@ -154,43 +161,48 @@ fn checkpoint_at_frame_boundary_then_resume_is_exact() {
     drop(first);
 
     // Resume in a fresh engine with freshly-built policies.
-    let mut second = SimEngine::new(Arc::clone(&cluster), &env, cost, rec_total).expect("engine");
-    for policy in policy_set(&cluster, cost, &env, rec_total) {
-        let _ = second.add_policy(policy);
-    }
+    let mut second = engine();
     second.restore(&state).expect("restore");
     assert_eq!(second.t(), 2 * frame);
-    let _ = second.run_to_end().expect("resume run");
-    let resumed = second.into_outcomes().expect("outcomes");
+    let resumed = second.run_and_finish().expect("resume run");
 
     assert_eq!(resumed, reference, "resumed run must equal the uninterrupted run exactly");
 }
 
 #[test]
 fn generator_source_streams_unbounded_synthetic_slots() {
-    // A synthetic slot generator with no materialized trace: the engine
-    // pulls slots on demand and a SummarySink keeps memory flat.
+    // A synthetic slot generator with no materialized trace: a thread
+    // pushes slots through a bounded queue as the engine drains it, and a
+    // SummarySink keeps the lane's history flat.
     let cluster = cluster();
     let cost = CostParams::default();
     let horizon = 500;
     let peak = 0.4 * cluster.max_capacity();
-    let source = FnSource::with_len(
-        move |t| {
-            (t < horizon).then(|| coca::traces::SlotEnv {
+    let (handle, source) = push_source(4);
+    let generator = std::thread::spawn(move || {
+        for t in 0..horizon {
+            let hour = (t % 24) as f64 / 23.0;
+            let env = coca::traces::SlotEnv {
                 t,
-                arrival_rate: peak * (0.6 + 0.4 * ((t % 24) as f64 / 23.0)),
+                arrival_rate: peak * (0.6 + 0.4 * hour),
                 onsite: 5.0,
-                price: 0.04 + 0.02 * ((t % 24) as f64 / 23.0),
+                price: 0.04 + 0.02 * hour,
                 offsite: 8.0,
-            })
-        },
-        horizon,
-    );
-    let mut engine = SimEngine::new(Arc::clone(&cluster), source, cost, 100.0).expect("engine");
-    let _ = engine.add_policy_with_sink(
-        Box::new(CarbonUnaware::new(Arc::clone(&cluster), cost, SymmetricSolver::new())),
-        Box::new(SummarySink::new()),
-    );
+            };
+            handle.push(env).expect("push");
+        }
+    });
+    let mut engine = EngineBuilder::new(Arc::clone(&cluster), cost)
+        .rec_total(100.0)
+        .policy_with_sink(
+            Box::new(CarbonUnaware::new(Arc::clone(&cluster), cost, SymmetricSolver::new())),
+            Box::new(SummarySink::new()),
+        )
+        .build(source)
+        .expect("engine");
     let steps = engine.run_to_end().expect("run");
+    generator.join().expect("generator");
     assert_eq!(steps, horizon);
+    let state = engine.checkpoint().expect("checkpoint");
+    assert!(state.lanes[0].records.is_empty(), "a summary lane keeps no history");
 }

@@ -77,9 +77,9 @@ fn prelude_covers_the_whole_pipeline() {
 }
 
 #[test]
-fn run_single_replaces_the_old_facade() {
-    // run_single is the one-policy batch entry point; it must produce the
-    // same numbers as a single-lane lockstep pass.
+fn borrowed_policy_lane_matches_an_owned_one() {
+    // A lane may borrow a policy the caller keeps inspecting after the run;
+    // it must produce the same numbers as a lane that owns its policy.
     let cluster = Arc::new(Cluster::homogeneous(2, 5));
     let trace = TraceConfig {
         hours: 12,
@@ -91,8 +91,10 @@ fn run_single_replaces_the_old_facade() {
     .generate();
     let cost = CostParams::default();
     let mut policy = CarbonUnaware::new(Arc::clone(&cluster), cost, SymmetricSolver::new());
-    let single = run_single(Arc::clone(&cluster), &trace, cost, 10.0, 1.0, Box::new(&mut policy))
-        .expect("run_single");
+    let borrowed =
+        run_lockstep(Arc::clone(&cluster), &trace, cost, 10.0, vec![Box::new(&mut policy)])
+            .expect("borrowed lane");
+    assert_eq!(policy.name(), "carbon-unaware");
 
     let lockstep = run_lockstep(
         Arc::clone(&cluster),
@@ -103,13 +105,13 @@ fn run_single_replaces_the_old_facade() {
             as Box<dyn Policy>],
     )
     .expect("lockstep");
-    assert_eq!(single, lockstep[0]);
+    assert_eq!(borrowed, lockstep);
 }
 
 #[test]
 fn engine_api_reachable_from_prelude() {
-    // The streaming engine surface: SimEngine, SlotSource, sinks,
-    // run_lockstep, EngineState are all prelude items.
+    // The streaming engine surface: EngineBuilder, SimEngine, SlotSource,
+    // sinks, run_lockstep, EngineState are all prelude items.
     let cluster = Arc::new(Cluster::homogeneous(2, 5));
     let trace = TraceConfig {
         hours: 12,
@@ -120,14 +122,17 @@ fn engine_api_reachable_from_prelude() {
     }
     .generate();
     let cost = CostParams::default();
-    let mut engine =
-        SimEngine::new(Arc::clone(&cluster), &trace, cost, 10.0).expect("engine");
-    engine.set_observer(Arc::new(NoopObserver));
-    let _lane = engine.add_policy(Box::new(CarbonUnaware::new(
-        Arc::clone(&cluster),
-        cost,
-        SymmetricSolver::new(),
-    )));
+    let mut engine: SimEngine<'_, &EnvironmentTrace> =
+        EngineBuilder::new(Arc::clone(&cluster), cost)
+            .rec_total(10.0)
+            .observer(Arc::new(NoopObserver))
+            .policy(Box::new(CarbonUnaware::new(
+                Arc::clone(&cluster),
+                cost,
+                SymmetricSolver::new(),
+            )))
+            .build(&trace)
+            .expect("engine");
     assert_eq!(engine.step().expect("step"), StepStatus::Advanced);
     let _slots = engine.run_to_end().expect("run");
     let state: EngineState = engine.checkpoint().expect("checkpoint");
@@ -176,13 +181,11 @@ fn push_api_reachable_from_prelude() {
     assert!(matches!(handle.push(trace.slots().next().unwrap()), Err(PushError::OutOfOrder { .. })));
     handle.close();
 
-    let mut engine =
-        SimEngine::new(Arc::clone(&cluster), source, cost, 10.0).expect("engine");
-    engine.add_policy(Box::new(CarbonUnaware::new(
-        Arc::clone(&cluster),
-        cost,
-        SymmetricSolver::new(),
-    )));
+    let mut engine = EngineBuilder::new(Arc::clone(&cluster), cost)
+        .rec_total(10.0)
+        .policy(Box::new(CarbonUnaware::new(Arc::clone(&cluster), cost, SymmetricSolver::new())))
+        .build(source)
+        .expect("engine");
     let stop = std::sync::atomic::AtomicBool::new(false);
     let mut checkpoints: Vec<EngineState> = Vec::new();
     let exit = engine

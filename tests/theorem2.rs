@@ -7,7 +7,7 @@ use coca::core::lyapunov::{
 use coca::core::symmetric::SymmetricSolver;
 use coca::core::{CocaConfig, CocaController, VSchedule};
 use coca::baselines::OfflineOpt;
-use coca::dcsim::run_single;
+use coca::dcsim::run_lockstep;
 use coca::traces::WorkloadKind;
 use coca_experiments::setup::{ExperimentScale, PaperSetup};
 
@@ -34,15 +34,15 @@ fn run(s: &PaperSetup, v: f64, frame: usize) -> (f64, f64, f64) {
     };
     let mut coca =
         CocaController::new(std::sync::Arc::clone(&s.cluster), s.cost, cfg, SymmetricSolver::new());
-    let out = run_single(
+    let out = run_lockstep(
         std::sync::Arc::clone(&s.cluster),
         &s.trace,
         s.cost,
         s.rec_total,
-        1.0,
-        Box::new(&mut coca),
+        vec![Box::new(&mut coca)],
     )
-    .expect("run");
+    .expect("run")
+    .remove(0);
     (
         out.avg_hourly_cost(),
         out.total_brown_energy() / out.len() as f64,
@@ -154,15 +154,15 @@ fn frame_resets_bound_each_frame_independently() {
     let trace = s.trace.window(0, t * 4);
     let mut coca =
         CocaController::new(std::sync::Arc::clone(&s.cluster), s.cost, cfg, SymmetricSolver::new());
-    let out = run_single(
+    let out = run_lockstep(
         std::sync::Arc::clone(&s.cluster),
         &trace,
         s.cost,
         rec_per_slot * (t * 4) as f64,
-        1.0,
-        Box::new(&mut coca),
+        vec![Box::new(&mut coca)],
     )
-    .expect("run");
+    .expect("run")
+    .remove(0);
     // Reconstruct per-frame totals and verify the telescoped inequality
     // using the recorded queue history (q at each decision epoch).
     for r in 0..4 {
