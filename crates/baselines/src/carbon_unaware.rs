@@ -54,7 +54,7 @@ impl<S: P3Solver> Policy for CarbonUnaware<S> {
         coca_core::invariant::global().decision(
             &sol.levels,
             &sol.loads,
-            &self.cluster.choice_counts(),
+            self.cluster.choice_counts(),
             obs.arrival_rate,
         );
         Ok(Decision { levels: sol.levels, loads: sol.loads })

@@ -147,7 +147,7 @@ impl OfflineOpt {
 
         Ok(Self {
             decisions,
-            choice_counts: cluster.choice_counts(),
+            choice_counts: cluster.choice_counts().to_vec(),
             multipliers,
             planned_costs,
             planned_brown,

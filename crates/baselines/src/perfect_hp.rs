@@ -136,7 +136,7 @@ impl<S: P3Solver> Policy for PerfectHp<S> {
         coca_core::invariant::global().decision(
             &plan.levels,
             &plan.loads,
-            &self.cluster.choice_counts(),
+            self.cluster.choice_counts(),
             obs.arrival_rate,
         );
         Ok(Decision { levels: plan.levels, loads: plan.loads })

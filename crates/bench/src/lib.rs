@@ -44,7 +44,7 @@ impl ColdGsd {
         };
         let counts = problem.cluster.choice_counts();
         let mut oracle = ColdOracle { problem, state: initial.clone() };
-        let outcome = run_gibbs_batched(&counts, &initial, &mut oracle, &self.opts, &mut self.rng)
+        let outcome = run_gibbs_batched(counts, &initial, &mut oracle, &self.opts, &mut self.rng)
             .expect("cold chain");
         let levels = outcome.best_state;
         let _ = std::hint::black_box(optimal_dispatch(problem, &levels).expect("cold dispatch"));

@@ -214,7 +214,7 @@ impl<S: P3Solver> Policy for CocaController<S> {
         let sol = self.solver.solve(&problem)?;
         // Constraints (8)–(9) on the solver's output before it leaves the
         // controller.
-        inv.decision(&sol.levels, &sol.loads, &self.cluster.choice_counts(), obs.arrival_rate);
+        inv.decision(&sol.levels, &sol.loads, self.cluster.choice_counts(), obs.arrival_rate);
         Ok(Decision { levels: sol.levels, loads: sol.loads })
     }
 

@@ -220,7 +220,7 @@ impl P3Solver for GsdSolver {
         let mut ctx = SlotEvalContext::new_seeded(*problem, &initial, &mut self.seed)?;
         let outcome = {
             let mut oracle = ContextOracle { ctx: &mut ctx };
-            run_gibbs_batched(&counts, &initial, &mut oracle, &gibbs_opts, &mut self.rng)
+            run_gibbs_batched(counts, &initial, &mut oracle, &gibbs_opts, &mut self.rng)
                 .map_err(SimError::Opt)?
         };
         self.last_trace = outcome.trace;
@@ -300,7 +300,7 @@ pub(crate) fn cold_chain(
 ) -> coca_opt::gibbs::GibbsOutcome {
     let counts = problem.cluster.choice_counts();
     let mut oracle = ColdOracle { problem, state: initial.to_vec() };
-    run_gibbs_batched(&counts, initial, &mut oracle, &opts.gibbs(), rng).unwrap()
+    run_gibbs_batched(counts, initial, &mut oracle, &opts.gibbs(), rng).unwrap()
 }
 
 #[cfg(test)]

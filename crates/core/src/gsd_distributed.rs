@@ -699,7 +699,7 @@ impl P3Solver for DistributedGsdSolver {
             let mut coord = Coordinator::new(pool, *problem, initial.clone());
 
             let mut oracle = CoordinatorOracle { coord: &mut coord, state: initial.clone() };
-            let outcome = run_gibbs_batched(&counts, &initial, &mut oracle, &opts, rng)
+            let outcome = run_gibbs_batched(counts, &initial, &mut oracle, &opts, rng)
                 .map_err(SimError::Opt);
             for tx in &coord.pool.txs {
                 let _ = tx.send(Request::Stop);

@@ -132,7 +132,7 @@ pub struct ExhaustiveSolver;
 impl P3Solver for ExhaustiveSolver {
     fn solve(&mut self, problem: &SlotProblem<'_>) -> Result<P3Solution, SimError> {
         let counts = problem.cluster.choice_counts();
-        let size = coca_opt::grid::space_size(&counts);
+        let size = coca_opt::grid::space_size(counts);
         if size == 0 {
             return Err(SimError::InvalidConfig("empty decision space".into()));
         }
@@ -142,7 +142,7 @@ impl P3Solver for ExhaustiveSolver {
             )));
         }
         let mut best: Option<P3Solution> = None;
-        for levels in coca_opt::grid::CartesianIter::new(&counts) {
+        for levels in coca_opt::grid::CartesianIter::new(counts) {
             if !problem.is_feasible(&levels) {
                 continue;
             }

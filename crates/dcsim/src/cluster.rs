@@ -6,16 +6,22 @@
 //! evaluation setup: ≈216 K servers with a ≈50 MW peak, organized into 200
 //! groups of four heterogeneous classes ("different purchase dates").
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::group::ServerGroup;
 use crate::server::ServerClass;
 use crate::SimError;
 
 /// An ordered collection of server groups.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Serializes as `{"groups": [...]}`; the per-group choice counts are
+/// derived from the groups, not stored.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     groups: Vec<ServerGroup>,
+    /// `groups[i].num_choices()`, computed once so every decision's
+    /// invariant check borrows it instead of collecting a fresh `Vec`.
+    choice_counts: Vec<usize>,
 }
 
 impl Cluster {
@@ -24,7 +30,12 @@ impl Cluster {
         if groups.is_empty() {
             return Err(SimError::InvalidConfig("cluster must have at least one group".into()));
         }
-        Ok(Self { groups })
+        Ok(Self::from_groups(groups))
+    }
+
+    fn from_groups(groups: Vec<ServerGroup>) -> Self {
+        let choice_counts = groups.iter().map(ServerGroup::num_choices).collect();
+        Self { groups, choice_counts }
     }
 
     /// The paper's reference data center: 200 groups × 1 080 servers
@@ -58,18 +69,18 @@ impl Cluster {
                 out.push(ServerGroup { class: class.clone(), count: servers_per_group });
             }
         }
-        Self { groups: out }
+        Self::from_groups(out)
     }
 
     /// A small homogeneous cluster, convenient for tests and examples.
     pub fn homogeneous(groups: usize, servers_per_group: usize) -> Self {
         assert!(groups >= 1);
         let class = ServerClass::amd_opteron_2380();
-        Self {
-            groups: (0..groups)
+        Self::from_groups(
+            (0..groups)
                 .map(|_| ServerGroup { class: class.clone(), count: servers_per_group })
                 .collect(),
-        }
+        )
     }
 
     /// Group accessors.
@@ -88,8 +99,8 @@ impl Cluster {
     }
 
     /// Per-group decision-space sizes (off + ladder), as consumed by GSD.
-    pub fn choice_counts(&self) -> Vec<usize> {
-        self.groups.iter().map(|g| g.num_choices()).collect()
+    pub fn choice_counts(&self) -> &[usize] {
+        &self.choice_counts
     }
 
     /// Aggregate capacity at the top speed of every group (req/s).
@@ -150,6 +161,22 @@ impl Cluster {
             }
         }
         Ok(())
+    }
+}
+
+impl Serialize for Cluster {
+    fn serialize_value(&self) -> Result<Value, serde::Error> {
+        Ok(Value::Map(vec![("groups".to_string(), self.groups.serialize_value()?)]))
+    }
+}
+
+impl Deserialize for Cluster {
+    fn deserialize_value(v: &Value) -> Result<Self, serde::Error> {
+        if v.as_map().is_none() {
+            return Err(serde::Error::custom("expected map for struct Cluster"));
+        }
+        let groups = Vec::deserialize_value(serde::field(v, "Cluster", "groups")?)?;
+        Ok(Self::from_groups(groups))
     }
 }
 
@@ -264,5 +291,20 @@ mod tests {
         let c = Cluster::paper_datacenter();
         let counts = c.choice_counts();
         assert!(counts.iter().all(|&k| k == 5));
+    }
+
+    #[test]
+    fn serializes_groups_only_and_rederives_choice_counts() {
+        let c = ClusterBuilder::new()
+            .add_groups(ServerClass::amd_opteron_2380(), 2, 5)
+            .add_group(ServerGroup { class: ServerClass::amd_opteron_2380(), count: 7 })
+            .build()
+            .unwrap();
+        let value = c.serialize_value().unwrap();
+        let keys: Vec<&str> = value.as_map().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["groups"]);
+        let back = Cluster::deserialize_value(&value).unwrap();
+        assert_eq!(back, c);
+        assert_eq!(back.choice_counts(), c.choice_counts());
     }
 }

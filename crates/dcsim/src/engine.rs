@@ -231,8 +231,6 @@ pub struct SimEngine<'p, Src> {
     overestimation: f64,
     // audit:transient(derived once from the cluster at construction)
     max_servable: f64,
-    // audit:transient(derived once from the cluster at construction)
-    choice_counts: Vec<usize>,
     t: usize,
     lanes: Vec<Lane<'p>>,
     observer: Arc<dyn EngineObserver + Send + Sync>,
@@ -346,7 +344,7 @@ impl<'p, Src: SlotSource> SimEngine<'p, Src> {
             coca_opt::invariant::global().decision(
                 &decision.levels,
                 &decision.loads,
-                &self.choice_counts,
+                self.cluster.choice_counts(),
                 planned_rate,
             );
 
@@ -712,7 +710,6 @@ impl<'p> EngineBuilder<'p> {
             .collect();
         Ok(SimEngine {
             max_servable: cost.gamma * cluster.max_capacity(),
-            choice_counts: cluster.choice_counts(),
             cluster,
             source,
             cost,

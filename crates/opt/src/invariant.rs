@@ -28,12 +28,15 @@
 //! [`BankProblem`] over a [`crate::waterfill::QueueBank`], with per-row
 //! loads in bank row order; retracted `m = 0` rows are skipped.
 //!
-//! Every check increments a global counter regardless of outcome, so a test
-//! can assert that a scenario actually *exercised* the checks it claims to
-//! (see [`counts`]).
+//! Every check is tallied regardless of outcome, so a test can assert that
+//! a scenario actually *exercised* the checks it claims to (see
+//! [`counts`]). The tally is per thread: each thread counts into its own
+//! cache-line-aligned block, which only that thread writes, so parallel
+//! batch workers never contend for one counter's cache line. [`counts`]
+//! sums the live blocks with the totals of threads that have exited.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::waterfill::BankProblem;
 
@@ -67,24 +70,93 @@ const CHECK_NAMES: [&str; NUM_CHECKS] = [
     "acceptance-probability",
 ];
 
-static COUNTS: [AtomicU64; NUM_CHECKS] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
+/// One thread's check tally. Only the owning thread writes it, so an
+/// increment is a relaxed load and store, never a read-modify-write; the
+/// alignment keeps it off every other thread's cache lines (128 bytes,
+/// because adjacent-line prefetchers pull 64-byte lines in pairs).
+#[repr(align(128))]
+struct Tally([AtomicU64; NUM_CHECKS]);
+
+impl Tally {
+    fn add_to(&self, totals: &mut [u64; NUM_CHECKS]) {
+        for (total, cell) in totals.iter_mut().zip(&self.0) {
+            // audit:atomic(relaxed read of a tally; the registry lock or a prior join orders it after the owner's stores)
+            *total += cell.load(Ordering::Relaxed);
+        }
+    }
+}
+
+/// The tallies of every thread that has run a check and is still alive,
+/// and the summed tallies of those that have exited.
+struct Registry {
+    live: Vec<Arc<Tally>>,
+    retired: [u64; NUM_CHECKS],
+}
+
+static REGISTRY: Mutex<Registry> =
+    Mutex::new(Registry { live: Vec::new(), retired: [0; NUM_CHECKS] });
+
+/// The registry, also after a panic elsewhere poisoned its lock: every
+/// update under it is a single push, removal or sum, so it never tears.
+fn registry() -> MutexGuard<'static, Registry> {
+    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A thread's registered tally: listed in the registry at the thread's
+/// first check, folded into the retired totals when the thread exits, so
+/// short-lived threads do not grow the live list.
+struct LocalTally(Arc<Tally>);
+
+impl LocalTally {
+    fn register() -> Self {
+        let tally = Arc::new(Tally(std::array::from_fn(|_| AtomicU64::new(0))));
+        registry().live.push(Arc::clone(&tally));
+        Self(tally)
+    }
+}
+
+impl Drop for LocalTally {
+    fn drop(&mut self) {
+        let mut reg = registry();
+        let Registry { live, retired } = &mut *reg;
+        self.0.add_to(retired);
+        live.retain(|t| !Arc::ptr_eq(t, &self.0));
+    }
+}
+
+thread_local! {
+    static LOCAL: LocalTally = LocalTally::register();
+}
+
+/// Counts one run of `check` on the calling thread.
+fn tally(check: Check) {
+    let counted = LOCAL.try_with(|local| {
+        let cell = &local.0 .0[check as usize];
+        // audit:atomic(owner-only tally: relaxed load and store, no RMW — no other thread writes this cell)
+        cell.store(cell.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    });
+    if counted.is_err() {
+        // The thread's tally is already torn down (a check run from another
+        // thread-local destructor): count straight into the retired totals.
+        registry().retired[check as usize] += 1;
+    }
+}
 
 /// How many times each check has run in this process (any [`InvariantSet`],
-/// pass or fail). Returns `(name, count)` pairs.
+/// pass or fail, on any thread). Returns `(name, count)` pairs.
+///
+/// The counts sum the tallies of the live threads and of every thread that
+/// has exited. They are exact for the checks that happen-before the call —
+/// those of the calling thread, of joined threads, and of threads that
+/// synchronized with the caller afterwards; checks racing with the call
+/// may or may not be included.
 pub fn counts() -> [(&'static str, u64); NUM_CHECKS] {
-    let mut out = [("", 0); NUM_CHECKS];
-    for (i, slot) in out.iter_mut().enumerate() {
-        // audit:atomic(statistical counter read; relaxed, no ordering with check outcomes)
-        *slot = (CHECK_NAMES[i], COUNTS[i].load(Ordering::Relaxed));
+    let reg = registry();
+    let mut totals = reg.retired;
+    for tally in &reg.live {
+        tally.add_to(&mut totals);
     }
-    out
+    std::array::from_fn(|i| (CHECK_NAMES[i], totals[i]))
 }
 
 /// A configured set of invariant checks.
@@ -116,8 +188,7 @@ impl InvariantSet {
 
     /// Records that `check` ran and reacts to the outcome per the mode.
     fn enforce(&self, check: Check, ok: bool, msg: impl FnOnce() -> String) {
-        // audit:atomic(lossless tally; relaxed RMW, no cross-cell ordering needed)
-        COUNTS[check as usize].fetch_add(1, Ordering::Relaxed);
+        tally(check);
         if ok {
             return;
         }
@@ -300,8 +371,75 @@ mod tests {
         InvariantSet::new(false)
     }
 
+    /// Serializes the tests that run the deficit, frame-reset and
+    /// speed-membership checks, which no other test of this crate runs, so
+    /// [`tallies_are_exact_across_threads`] can assert exact deltas on
+    /// them. A strict test panics holding it; the poison is ignored.
+    fn serial() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The deficit, frame-reset and speed-membership counts.
+    fn exact_counts() -> [u64; 3] {
+        let c = counts();
+        [
+            c[Check::DeficitNonNegative as usize].1,
+            c[Check::FrameReset as usize].1,
+            c[Check::SpeedMembership as usize].1,
+        ]
+    }
+
+    #[test]
+    fn tallies_are_exact_across_threads() {
+        use std::sync::mpsc;
+        use std::thread;
+
+        const THREADS: u64 = 4;
+        // Thread k runs 1000·(k+1) rounds of three checks.
+        fn rounds(k: u64) -> u64 {
+            1000 * (k + 1)
+        }
+        fn run(k: u64) {
+            let inv = InvariantSet::new(false);
+            for r in 0..rounds(k) {
+                inv.deficit_nonnegative(r as f64);
+                inv.frame_reset(r as usize, 24, r as usize % 24);
+                inv.speed_in_set(0, 5, k as usize);
+            }
+        }
+
+        let _serial = serial();
+        let before = exact_counts();
+        let (done_tx, done_rx) = mpsc::channel();
+        let (exit_tx, exit_rx) = mpsc::channel::<()>();
+        // Thread 0 stays alive until told to exit, so its tally is live
+        // when the others have been joined and retired.
+        let lingering = thread::spawn(move || {
+            run(0);
+            done_tx.send(()).expect("main thread listens");
+            exit_rx.recv().expect("main thread signals exit");
+        });
+        let others: Vec<_> = (1..THREADS).map(|k| thread::spawn(move || run(k))).collect();
+        for t in others {
+            t.join().expect("tally thread");
+        }
+        done_rx.recv().expect("lingering thread ran its checks");
+        let live = exact_counts();
+        exit_tx.send(()).expect("lingering thread waits");
+        lingering.join().expect("lingering thread");
+        let retired = exact_counts();
+
+        let total: u64 = (0..THREADS).map(rounds).sum();
+        for ((b, l), r) in before.iter().zip(live).zip(retired) {
+            assert_eq!(l - b, total, "one thread live, the others retired");
+            assert_eq!(r - b, total, "every thread retired");
+        }
+    }
+
     #[test]
     fn passing_checks_do_not_panic_and_are_counted() {
+        let _serial = serial();
         let inv = lenient();
         let before = counts();
         inv.deficit_nonnegative(0.0);
@@ -324,12 +462,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "DeficitNonNegative")]
     fn strict_mode_panics_on_negative_deficit() {
+        let _serial = serial();
         InvariantSet::strict().deficit_nonnegative(-1e-9);
     }
 
     #[test]
     #[should_panic(expected = "FrameReset")]
     fn strict_mode_panics_on_missed_reset() {
+        let _serial = serial();
         // Slot 24 with frame length 24 but 24 updates since reset: the
         // boundary reset was skipped.
         InvariantSet::strict().frame_reset(24, 24, 24);
@@ -344,6 +484,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "SpeedMembership")]
     fn strict_mode_panics_on_out_of_set_speed() {
+        let _serial = serial();
         InvariantSet::strict().speed_in_set(5, 5, 3);
     }
 

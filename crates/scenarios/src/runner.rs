@@ -20,8 +20,11 @@
 //! sorted costliest first by a deterministic estimate from each run's kind
 //! and configuration (lanes, `perfect_hp` lanes, calibration probes,
 //! trimmed horizon), so the long runs start early and the short ones fill
-//! the tail. Result files do not depend on the order, and the order does
-//! not depend on the worker count or on wall times.
+//! the tail. The run right behind the first one needing a context's V\*
+//! is the costliest that does not need it, so a second worker starts on
+//! it instead of waiting out the calibration. Result files do not depend
+//! on the order, and the order does not depend on the worker count or on
+//! wall times.
 //!
 //! **Resume semantics** (DESIGN.md §16): a run whose result file exists and
 //! parses is skipped outright (run IDs hash the resolved configuration, so
@@ -612,40 +615,53 @@ const PERFECT_HP_LANE_SLOTS: u64 = 25;
 /// solve-scoped state memo: 6–11 dual sweeps, costing up to ~8 passes).
 const OPT_PLAN_PASSES: u64 = 8;
 
-/// Whole-horizon passes a calibrated lane's V\* bisection costs: the two
-/// bracket endpoints plus one pass per probe.
-fn calibration_slots(lane: &Value, cfg: &Value, hours: u64) -> u64 {
-    match p_str(lane, "v_mode") {
-        Ok(Some("calibrated")) => {
-            (lane_uint(lane, cfg, "calib_probes", 7).unwrap_or(7) as u64 + 2) * hours
-        }
-        _ => 0,
-    }
+/// The probe counts of the context V\* a run needs ([`Ctx::vstar`]), one
+/// per calibrated COCA lane; a `frame_reset` run is its own lane.
+fn vstar_probes(entry: &RunEntry) -> Vec<usize> {
+    let cfg = &entry.config;
+    let lanes = match entry.kind.as_str() {
+        "lockstep" => cfg.get_field("lanes").and_then(Value::as_seq).unwrap_or(&[]),
+        "frame_reset" => std::slice::from_ref(cfg),
+        _ => &[],
+    };
+    lanes
+        .iter()
+        .filter(|lane| {
+            matches!(p_str(lane, "policy"), Ok(None | Some("coca")))
+                && matches!(p_str(lane, "v_mode"), Ok(Some("calibrated")))
+        })
+        .map(|lane| lane_uint(lane, cfg, "calib_probes", 7).unwrap_or(7))
+        .collect()
 }
 
 /// A deterministic estimate of what a run costs, in COCA lane-slots (one
 /// controller stepping one slot), computed from the run's kind and
 /// configuration alone. The queue runs the costliest runs first; wall
 /// times never enter, so the order — and with it every result and status
-/// file — is the same at any worker count. Calibration is charged to every
-/// run that needs V\*, although only the first one pays it.
+/// file — is the same at any worker count. Every run that needs V\* is
+/// charged its bisection (the two bracket endpoints plus one pass per
+/// probe), which keeps those runs at the head of the queue; only the first
+/// one pays it, and [`BatchRunner::queue`] puts a run that does not need
+/// it right behind that one.
 fn run_cost(entry: &RunEntry, hours: usize) -> u64 {
     let cfg = &entry.config;
     let h = hours as u64;
+    let calibration: u64 = vstar_probes(entry).iter().map(|&p| (p as u64 + 2) * h).sum();
     match entry.kind.as_str() {
         "lockstep" => {
             let frames = p_uint(cfg, "trim_frames", 1).unwrap_or(1).max(1);
             let horizon = ((hours / frames).max(1) * frames) as u64;
             let lanes = cfg.get_field("lanes").and_then(Value::as_seq).unwrap_or(&[]);
-            lanes
+            let lane_slots: u64 = lanes
                 .iter()
                 .map(|lane| match p_str(lane, "policy") {
                     Ok(Some("perfect_hp")) => PERFECT_HP_LANE_SLOTS * horizon,
-                    _ => horizon + calibration_slots(lane, cfg, h),
+                    _ => horizon,
                 })
-                .sum()
+                .sum();
+            lane_slots + calibration
         }
-        "frame_reset" => h + calibration_slots(cfg, cfg, h),
+        "frame_reset" => h + calibration,
         "budget_point" => {
             // Its own V bisection (probes + 2 passes), one COCA pass, the plan.
             let probes = p_uint(cfg, "calib_probes", 5).unwrap_or(5) as u64;
@@ -810,8 +826,13 @@ impl<'m> BatchRunner<'m> {
     }
 
     /// Every run as `(manifest index, run index)`, in queue order: costliest
-    /// first by [`run_cost`], ties in manifest order then run order.
-    fn queue(&self) -> Vec<(usize, usize)> {
+    /// first by [`run_cost`], ties in manifest order then run order, except
+    /// that the run right behind the first one needing a context's V\* is
+    /// the costliest that does not need it. That first run calibrates V\*
+    /// while every other run needing it blocks on the context's cache, so
+    /// the next free worker gets work it can start. `ctx_of` maps each job
+    /// to its context (see [`contexts`]).
+    fn queue(&self, ctx_of: &[usize]) -> Vec<(usize, usize)> {
         let mut order: Vec<(u64, usize, usize)> = self
             .jobs
             .iter()
@@ -822,7 +843,31 @@ impl<'m> BatchRunner<'m> {
             })
             .collect();
         order.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-        order.into_iter().map(|(_, j, i)| (j, i)).collect()
+        let mut order: Vec<(usize, usize)> = order.into_iter().map(|(_, j, i)| (j, i)).collect();
+
+        // V* keys as (context, probe count).
+        let needs = |&(j, i): &(usize, usize)| -> Vec<(usize, usize)> {
+            vstar_probes(&self.jobs[j].manifest.runs[i])
+                .into_iter()
+                .map(|p| (ctx_of[j], p))
+                .collect()
+        };
+        let mut calibrated: Vec<(usize, usize)> = Vec::new();
+        for k in 0..order.len() {
+            let fresh: Vec<_> =
+                needs(&order[k]).into_iter().filter(|key| !calibrated.contains(key)).collect();
+            if fresh.is_empty() {
+                continue;
+            }
+            calibrated.extend(&fresh);
+            let rest = &mut order[k + 1..];
+            if let Some(n) =
+                rest.iter().position(|run| !needs(run).iter().any(|key| fresh.contains(key)))
+            {
+                rest[..=n].rotate_right(1);
+            }
+        }
+        order
     }
 
     /// Runs every manifest to completion (or until `kill_after`), returning
@@ -870,7 +915,7 @@ impl<'m> BatchRunner<'m> {
             metrics: self.opts.registry.as_ref().map(BatchMetrics::new),
             completed: AtomicUsize::new(0),
         };
-        let queue = self.queue();
+        let queue = self.queue(&shared.ctx_of);
         let states =
             parallel::sweep(queue.clone(), self.opts.workers, |(j, i)| self.run_one(&shared, j, i));
 
@@ -1034,7 +1079,9 @@ mod tests {
     #[test]
     fn queue_is_total_deterministic_and_longest_kinds_first() {
         let manifests = committed_small_manifests();
-        let queue = BatchRunner::batch(&manifests, BatchOptions::default()).queue();
+        let runner = BatchRunner::batch(&manifests, BatchOptions::default());
+        let (_, ctx_of) = contexts(&runner.jobs).expect("contexts");
+        let queue = runner.queue(&ctx_of);
         let total: usize = manifests.iter().map(|m| m.runs.len()).sum();
         let mut distinct = queue.clone();
         distinct.sort_unstable();
@@ -1042,8 +1089,31 @@ mod tests {
         assert_eq!((queue.len(), distinct.len()), (total, total), "every run queued exactly once");
         for workers in [1, 2, 4] {
             let opts = BatchOptions { workers, ..BatchOptions::default() };
-            assert_eq!(BatchRunner::batch(&manifests, opts).queue(), queue, "workers {workers}");
+            let runner = BatchRunner::batch(&manifests, opts);
+            assert_eq!(runner.queue(&ctx_of), queue, "workers {workers}");
         }
+
+        // The run behind the first one needing a context's V* (the one that
+        // calibrates it) must not need that V*, or a second worker would
+        // wait out the calibration.
+        let vstar_keys = |(j, i): (usize, usize)| -> Vec<(usize, usize)> {
+            vstar_probes(&manifests[j].runs[i]).into_iter().map(|p| (ctx_of[j], p)).collect()
+        };
+        let mut seen: Vec<(usize, usize)> = Vec::new();
+        for (k, &run) in queue.iter().enumerate() {
+            for key in vstar_keys(run) {
+                if seen.contains(&key) {
+                    continue;
+                }
+                seen.push(key);
+                let next = queue.get(k + 1).copied();
+                assert!(
+                    next.is_some_and(|n| !vstar_keys(n).contains(&key)),
+                    "run {k} calibrates V* {key:?}; the run behind it, {next:?}, needs it too"
+                );
+            }
+        }
+        assert!(!seen.is_empty(), "the committed specs calibrate V*");
 
         let entries: Vec<&RunEntry> = queue.iter().map(|&(j, i)| &manifests[j].runs[i]).collect();
         let first: Vec<usize> = (0..entries.len())

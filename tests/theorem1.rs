@@ -70,7 +70,7 @@ fn stationary_distribution_matches_gibbs_law_on_p3() {
     let delta = 200.0;
 
     let cost = |state: &[usize]| GsdSolver::state_cost(&p, state);
-    let stationary = gibbs_stationary(&counts, cost, delta).expect("stationary");
+    let stationary = gibbs_stationary(counts, cost, delta).expect("stationary");
 
     // Drive the chain manually (same dynamics as run_gibbs_batched) and count.
     use rand::{Rng, SeedableRng};
