@@ -80,23 +80,29 @@ pub fn run_coca(
 /// scenario's characteristic V. If even the top of the range stays within
 /// budget (the queue can enforce neutrality for any V on a long horizon),
 /// the top is returned.
-pub fn calibrate_v(setup: &PaperSetup, probes: usize) -> Result<f64, SimError> {
-    let brown_at = |v: f64| -> Result<f64, SimError> {
-        Ok(run_coca(setup, VSchedule::Constant(v), setup.trace.len())?.total_brown_energy())
-    };
+///
+/// Returns the V together with the outcome of the probe run made at it,
+/// which is [`run_coca`] at that V over the whole horizon as one frame, so
+/// a caller that wants COCA at V\* need not simulate it again.
+pub fn calibrate_v(setup: &PaperSetup, probes: usize) -> Result<(f64, SimOutcome), SimError> {
+    let run_at = |v: f64| run_coca(setup, VSchedule::Constant(v), setup.trace.len());
     let v0 = setup.characteristic_v();
     let mut lo = v0 / 300.0;
     let mut hi = v0 * 300.0;
-    if brown_at(lo)? > setup.budget_kwh {
-        return Ok(lo); // best effort: maximally conservative
+    let mut lo_out = run_at(lo)?;
+    if lo_out.total_brown_energy() > setup.budget_kwh {
+        return Ok((lo, lo_out)); // best effort: maximally conservative
     }
-    if brown_at(hi)? <= setup.budget_kwh {
-        return Ok(hi);
+    let hi_out = run_at(hi)?;
+    if hi_out.total_brown_energy() <= setup.budget_kwh {
+        return Ok((hi, hi_out));
     }
     for _ in 0..probes {
         let mid = (lo * hi).sqrt();
-        if brown_at(mid)? <= setup.budget_kwh {
+        let mid_out = run_at(mid)?;
+        if mid_out.total_brown_energy() <= setup.budget_kwh {
             lo = mid;
+            lo_out = mid_out;
         } else {
             hi = mid;
         }
@@ -104,7 +110,7 @@ pub fn calibrate_v(setup: &PaperSetup, probes: usize) -> Result<f64, SimError> {
             break;
         }
     }
-    Ok(lo)
+    Ok((lo, lo_out))
 }
 
 /// Trims the setup's trace to `frames` whole frames (J = R·T like the
@@ -216,9 +222,10 @@ pub struct BudgetSweepRow {
 }
 
 /// One Fig. 5(a)/(b) budget point: re-calibrates V against the rescaled
-/// budget, runs COCA and the OPT plan, and normalizes both by the
-/// caller-supplied carbon-unaware reference cost (computed once per sweep
-/// via [`unaware_reference`](crate::setup::unaware_reference) on the base
+/// budget, takes COCA's run at that V from the calibration, plans OPT,
+/// and normalizes both by the caller-supplied carbon-unaware reference
+/// cost (computed once per sweep via
+/// [`unaware_reference`](crate::setup::unaware_reference) on the base
 /// setup).
 pub fn budget_point(
     base: &PaperSetup,
@@ -227,8 +234,7 @@ pub fn budget_point(
     unaware_cost: f64,
 ) -> Result<BudgetSweepRow, SimError> {
     let setup = base.with_budget_fraction(frac);
-    let v = calibrate_v(&setup, calib_probes)?;
-    let coca_out = run_coca(&setup, VSchedule::Constant(v), setup.trace.len())?;
+    let (v, coca_out) = calibrate_v(&setup, calib_probes)?;
     let mut solver = SymmetricSolver::new();
     let opt =
         OfflineOpt::plan(&setup.cluster, setup.cost, &setup.trace, setup.budget_kwh, &mut solver)?;
@@ -324,16 +330,44 @@ mod tests {
     use crate::setup::ExperimentScale;
     use coca_traces::WorkloadKind;
 
+    fn small_setup() -> PaperSetup {
+        PaperSetup::build(ExperimentScale::small(), WorkloadKind::Fiu, 0.92).unwrap()
+    }
+
     #[test]
     fn calibrated_v_meets_budget() {
-        let setup = PaperSetup::build(ExperimentScale::small(), WorkloadKind::Fiu, 0.92).unwrap();
-        let v = calibrate_v(&setup, 6).unwrap();
-        let out = run_coca(&setup, VSchedule::Constant(v), setup.trace.len()).unwrap();
+        let setup = small_setup();
+        let (_, out) = calibrate_v(&setup, 6).unwrap();
         assert!(
             out.total_brown_energy() <= setup.budget_kwh * 1.01,
             "brown {} vs budget {}",
             out.total_brown_energy(),
             setup.budget_kwh
         );
+    }
+
+    /// The kept outcome must be the run at the returned V, not the run of
+    /// the last probe or of a bracket end: budget points report it as
+    /// COCA's run. At small scale the Fiu bisection at 92% accepts its
+    /// last probe, the one at 90% rejects its last two, and at 100% the
+    /// top of the range is returned.
+    #[test]
+    fn calibration_hands_back_the_run_at_its_v() {
+        let base = small_setup();
+        for (frac, probes) in [(0.92, 7), (0.9, 5), (1.0, 3)] {
+            let setup = base.with_budget_fraction(frac);
+            let (v, kept) = calibrate_v(&setup, probes).unwrap();
+            let fresh = run_coca(&setup, VSchedule::Constant(v), setup.trace.len()).unwrap();
+            let bits = |series: Vec<f64>| series.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            let brown =
+                |out: &SimOutcome| out.records.iter().map(|r| r.brown_energy).collect::<Vec<_>>();
+            assert!(bits(kept.cost_series()) == bits(fresh.cost_series()), "{frac}: cost series");
+            assert!(bits(brown(&kept)) == bits(brown(&fresh)), "{frac}: brown series");
+            assert_eq!(
+                kept.total_brown_energy().to_bits(),
+                fresh.total_brown_energy().to_bits(),
+                "{frac}: total brown"
+            );
+        }
     }
 }

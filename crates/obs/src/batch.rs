@@ -11,7 +11,7 @@
 //! | `batch_runs_failed_total` | counter | runs that returned an error |
 //! | `batch_runs_resumed_total` | counter | runs restored from a checkpoint |
 //! | `batch_runs_skipped_total` | counter | runs already completed on disk |
-//! | `batch_run_seconds` | histogram | wall-clock per completed run |
+//! | `batch_run_seconds` | histogram | wall-clock per executed simulation (runs sharing one observe it once) |
 //!
 //! Like [`MetricsObserver`](crate::MetricsObserver), handles are resolved
 //! once at construction; updates afterwards are lock-free atomics.
@@ -40,7 +40,8 @@ pub struct BatchMetrics {
     pub resumed: Arc<Counter>,
     /// Runs already completed on disk and skipped (`batch_runs_skipped_total`).
     pub skipped: Arc<Counter>,
-    /// Wall-clock seconds per completed run (`batch_run_seconds`).
+    /// Wall-clock seconds per executed simulation, observed once however
+    /// many runs share it (`batch_run_seconds`).
     pub run_seconds: Arc<Histogram>,
 }
 

@@ -16,15 +16,24 @@
 //! calibrated once per probe count, and the carbon-unaware reference cost
 //! and typical slot objectives are computed once.
 //!
-//! **Run order.** The queue is FIFO and holds the runs of every manifest,
-//! sorted costliest first by a deterministic estimate from each run's kind
-//! and configuration (lanes, `perfect_hp` lanes, calibration probes,
-//! trimmed horizon), so the long runs start early and the short ones fill
-//! the tail. The run right behind the first one needing a context's V\*
-//! is the costliest that does not need it, so a second worker starts on
-//! it instead of waiting out the calibration. Result files do not depend
-//! on the order, and the order does not depend on the worker count or on
-//! wall times.
+//! **Shared runs.** Runs with the same simulation identity — context,
+//! kind and resolved config, less a lockstep run's report-only `record`
+//! and `movavg_window` — are simulated once, under the checkpoint path of
+//! the first one still pending. Each then writes its own result file from
+//! the shared outcomes, with its own `id`, `record` and `movavg_window`,
+//! byte-identical to the file it would have written alone. In the
+//! committed specs, Fig. 3's duel and the summary's headline duel are one
+//! simulation.
+//!
+//! **Run order.** The queue is FIFO and holds the simulations of every
+//! manifest, sorted costliest first by a deterministic estimate from each
+//! run's kind and configuration (lanes, `perfect_hp` lanes, calibration
+//! probes, trimmed horizon), so the long runs start early and the short
+//! ones fill the tail. The simulation right behind the first one needing
+//! a context's V\* is the costliest that does not need it, so a second
+//! worker starts on it instead of waiting out the calibration. Result
+//! files do not depend on the order, and the order does not depend on the
+//! worker count or on wall times.
 //!
 //! **Resume semantics** (DESIGN.md §16): a run whose result file exists and
 //! parses is skipped outright (run IDs hash the resolved configuration, so
@@ -49,7 +58,7 @@ use std::time::Instant;
 use coca_baselines::{CarbonUnaware, PerfectHp};
 use coca_core::symmetric::SymmetricSolver;
 use coca_core::{CocaController, VSchedule};
-use coca_dcsim::{checkpoint, EngineBuilder, Policy};
+use coca_dcsim::{checkpoint, EngineBuilder, Policy, SimOutcome};
 use coca_experiments::figures;
 use coca_experiments::parallel;
 use coca_experiments::runtime::{run_lockstep_checkpointed, Checkpointing};
@@ -75,9 +84,11 @@ pub struct BatchOptions {
     /// Skip completed runs and restore in-flight lockstep runs from their
     /// checkpoints.
     pub resume: bool,
-    /// Smoke-gate hook: stop scheduling new runs once this many have
-    /// completed in this invocation, counted across every manifest of the
-    /// runner (remaining runs report `pending`).
+    /// Smoke-gate hook: stop once this many runs have completed in this
+    /// invocation, counted across every manifest of the runner (remaining
+    /// runs report `pending`). Checked before each simulation starts and
+    /// between the result writes of runs sharing one, so the kill point can
+    /// fall inside a shared simulation.
     pub kill_after: Option<usize>,
     /// Test hook forwarded to every lockstep run's [`Checkpointing`]: crash
     /// the run once it reaches this slot, leaving its checkpoint behind.
@@ -174,7 +185,7 @@ impl Ctx {
         }
         // audit:ordered(timing-only: the duration feeds a log line, never results or run identity)
         let t0 = Instant::now();
-        let v = figures::calibrate_v(&setup, probes).map_err(|e| format!("calibrate: {e}"))?;
+        let (v, _) = figures::calibrate_v(&setup, probes).map_err(|e| format!("calibrate: {e}"))?;
         logger::info(
             &Span::new("calibrate"),
             &format!("V* = {v:.1} (probes {probes}, {:.1?})", t0.elapsed()),
@@ -356,15 +367,25 @@ fn resolve_v(
     }
 }
 
-#[allow(clippy::too_many_lines)]
-fn run_lockstep_kind(
+/// A finished lockstep simulation, before any run reports it.
+struct LockstepRun {
+    lanes: Vec<ResolvedLane>,
+    /// One per lane, in lane order.
+    outcomes: Vec<SimOutcome>,
+    /// The carbon budget prorated to the (trimmed) horizon.
+    budget: f64,
+    /// Hours of the untrimmed context trace (the default moving-average
+    /// window scales with it).
+    base_len: usize,
+}
+
+fn simulate_lockstep(
     ctx: &Ctx,
-    entry: &RunEntry,
+    cfg: &Value,
     ckpt_path: &Path,
     resume: bool,
     abort_at_slot: Option<usize>,
-) -> Result<Value, String> {
-    let cfg = &entry.config;
+) -> Result<LockstepRun, String> {
     let base = ctx.setup()?;
     let base_len = base.trace.len();
     let v0 = base.characteristic_v();
@@ -444,7 +465,13 @@ fn run_lockstep_kind(
         Checkpointing { path: ckpt_path, every, resume, abort_at_slot },
     )
     .map_err(|e| format!("lockstep run: {e}"))?;
+    Ok(LockstepRun { lanes, outcomes, budget, base_len })
+}
 
+/// The lanes of run `cfg`'s result file from the lockstep simulation it
+/// shares: the scalars, plus the series its `record` names, smoothed by
+/// its `movavg_window`.
+fn report_lockstep(cfg: &Value, run: &LockstepRun) -> Result<Vec<Value>, String> {
     let record: Vec<&str> = match cfg.get_field("record") {
         None => Vec::new(),
         Some(r) => r
@@ -454,18 +481,18 @@ fn run_lockstep_kind(
             .map(|v| str_of(v).ok_or_else(|| "record entries must be strings".to_string()))
             .collect::<Result<_, _>>()?,
     };
-    let window = p_uint(cfg, "movavg_window", figures::movavg_window(base_len))?;
+    let window = p_uint(cfg, "movavg_window", figures::movavg_window(run.base_len))?;
 
-    let mut lane_values = Vec::with_capacity(lanes.len());
-    for (lane, out) in lanes.iter().zip(outcomes.iter()) {
+    let mut lane_values = Vec::with_capacity(run.lanes.len());
+    for (lane, out) in run.lanes.iter().zip(&run.outcomes) {
         let brown = out.total_brown_energy();
         let mut scalars = vec![
             ("avg_hourly_cost".to_string(), out.avg_hourly_cost()),
             ("avg_hourly_deficit".to_string(), out.avg_hourly_deficit()),
-            ("brown_over_budget".to_string(), brown / budget),
+            ("brown_over_budget".to_string(), brown / run.budget),
             (
                 "carbon_neutral".to_string(),
-                f64::from(u8::from(out.is_carbon_neutral() || brown <= budget)),
+                f64::from(u8::from(out.is_carbon_neutral() || brown <= run.budget)),
             ),
             ("total_brown_energy".to_string(), brown),
         ];
@@ -490,11 +517,10 @@ fn run_lockstep_kind(
         }
         lane_values.push(lane_value(&lane.label, false, scalar_map(scalars), series_map(series)));
     }
-    Ok(run_value(entry, lane_values))
+    Ok(lane_values)
 }
 
-fn run_workloads_kind(ctx: &Ctx, entry: &RunEntry) -> Result<Value, String> {
-    let cfg = &entry.config;
+fn run_workloads_kind(ctx: &Ctx, cfg: &Value) -> Result<Vec<Value>, String> {
     let name = p_str(cfg, "workload")?.ok_or("workloads run needs a workload param")?;
     let kind = workload_kind(name)?;
     let hours = p_uint(cfg, "hours", 0)?;
@@ -502,17 +528,15 @@ fn run_workloads_kind(ctx: &Ctx, entry: &RunEntry) -> Result<Value, String> {
         return Err("workloads run needs hours > 0".into());
     }
     let trace = WorkloadTrace::generate(kind, hours, 1.0, ctx.scale.seed);
-    let lanes = vec![lane_value(
+    Ok(vec![lane_value(
         name,
         false,
         scalar_map(Vec::new()),
         series_map(vec![("trace".to_string(), trace.normalized())]),
-    )];
-    Ok(run_value(entry, lanes))
+    )])
 }
 
-fn run_frame_reset_kind(ctx: &Ctx, entry: &RunEntry) -> Result<Value, String> {
-    let cfg = &entry.config;
+fn run_frame_reset_kind(ctx: &Ctx, cfg: &Value) -> Result<Vec<Value>, String> {
     let base = ctx.setup()?;
     let v0 = base.characteristic_v();
     let (vsched, v_used) = resolve_v(ctx, cfg, cfg, v0)?;
@@ -533,11 +557,10 @@ fn run_frame_reset_kind(ctx: &Ctx, entry: &RunEntry) -> Result<Value, String> {
         ("peak_queue".to_string(), row.peak_queue),
         ("v_used".to_string(), v),
     ];
-    Ok(run_value(entry, vec![lane_value("coca", false, scalar_map(scalars), series_map(Vec::new()))]))
+    Ok(vec![lane_value("coca", false, scalar_map(scalars), series_map(Vec::new()))])
 }
 
-fn run_budget_point_kind(ctx: &Ctx, entry: &RunEntry) -> Result<Value, String> {
-    let cfg = &entry.config;
+fn run_budget_point_kind(ctx: &Ctx, cfg: &Value) -> Result<Vec<Value>, String> {
     let base = ctx.setup()?;
     let frac = p_num_opt(cfg, "budget_frac")?.ok_or("budget_point needs budget_frac")?;
     let probes = p_uint(cfg, "calib_probes", 5)?;
@@ -551,11 +574,10 @@ fn run_budget_point_kind(ctx: &Ctx, entry: &RunEntry) -> Result<Value, String> {
         ("opt_norm".to_string(), row.opt),
         ("v_used".to_string(), row.v_used),
     ];
-    Ok(run_value(entry, vec![lane_value("point", false, scalar_map(scalars), series_map(Vec::new()))]))
+    Ok(vec![lane_value("point", false, scalar_map(scalars), series_map(Vec::new()))])
 }
 
-fn run_gsd_trace_kind(ctx: &Ctx, entry: &RunEntry) -> Result<Value, String> {
-    let cfg = &entry.config;
+fn run_gsd_trace_kind(ctx: &Ctx, cfg: &Value) -> Result<Vec<Value>, String> {
     let base = ctx.setup()?;
     let slot = p_uint(cfg, "slot", 1500)? % base.trace.len();
     let v = p_num(cfg, "v_mult", 1.0)? * base.characteristic_v();
@@ -583,24 +605,73 @@ fn run_gsd_trace_kind(ctx: &Ctx, entry: &RunEntry) -> Result<Value, String> {
         // curve Fig. 4(b) drops.
         None => lane_value("gsd", true, scalar_map(scalars), series_map(Vec::new())),
     };
-    Ok(run_value(entry, vec![lane]))
+    Ok(vec![lane])
 }
 
-fn execute_run(
+/// What one executed simulation leaves for the result files of the runs
+/// sharing it (see [`simulation_key`]).
+enum Simulated {
+    /// A lockstep run's lane outcomes; each run reports its own series.
+    Lockstep(LockstepRun),
+    /// A point kind's finished lanes, the same for every run sharing them.
+    Lanes(Vec<Value>),
+}
+
+fn simulate(
     ctx: &Ctx,
     entry: &RunEntry,
     ckpt_path: &Path,
     resume: bool,
     abort_at_slot: Option<usize>,
-) -> Result<Value, String> {
-    match entry.kind.as_str() {
-        "lockstep" => run_lockstep_kind(ctx, entry, ckpt_path, resume, abort_at_slot),
-        "workloads" => run_workloads_kind(ctx, entry),
-        "frame_reset" => run_frame_reset_kind(ctx, entry),
-        "budget_point" => run_budget_point_kind(ctx, entry),
-        "gsd_trace" => run_gsd_trace_kind(ctx, entry),
+) -> Result<Simulated, String> {
+    let cfg = &entry.config;
+    let lanes = match entry.kind.as_str() {
+        "lockstep" => {
+            return simulate_lockstep(ctx, cfg, ckpt_path, resume, abort_at_slot)
+                .map(Simulated::Lockstep)
+        }
+        "workloads" => run_workloads_kind(ctx, cfg),
+        "frame_reset" => run_frame_reset_kind(ctx, cfg),
+        "budget_point" => run_budget_point_kind(ctx, cfg),
+        "gsd_trace" => run_gsd_trace_kind(ctx, cfg),
         other => Err(format!("unknown run kind {other:?}")),
-    }
+    }?;
+    Ok(Simulated::Lanes(lanes))
+}
+
+/// The result file of run `entry` from the simulation it shares.
+fn report(entry: &RunEntry, sim: &Simulated) -> Result<Value, String> {
+    let lanes = match sim {
+        Simulated::Lockstep(run) => report_lockstep(&entry.config, run)?,
+        Simulated::Lanes(lanes) => lanes.clone(),
+    };
+    Ok(run_value(entry, lanes))
+}
+
+/// The keys of a lockstep run's config that shape only its result file:
+/// runs whose configs differ in nothing else share one simulation.
+const REPORT_ONLY_KEYS: [&str; 2] = ["movavg_window", "record"];
+
+/// A run's simulation identity: its context (an index into
+/// [`contexts`]), kind and resolved config, less a lockstep run's
+/// [`REPORT_ONLY_KEYS`]. Runs with equal keys produce the same outcomes,
+/// so the batch simulates each key once.
+fn simulation_key(entry: &RunEntry, ctx: usize) -> Result<String, String> {
+    let config = match (&entry.config, entry.kind.as_str()) {
+        (Value::Map(fields), "lockstep") => Value::Map(
+            fields
+                .iter()
+                .filter(|(k, _)| !REPORT_ONLY_KEYS.contains(&k.as_str()))
+                .cloned()
+                .collect(),
+        ),
+        (config, _) => config.clone(),
+    };
+    canonical_json(&Value::Map(vec![
+        ("config".to_string(), config),
+        ("context".to_string(), Value::Int(ctx as i64)),
+        ("kind".to_string(), Value::Str(entry.kind.clone())),
+    ]))
 }
 
 // ---- the run queue ---------------------------------------------------------
@@ -663,9 +734,10 @@ fn run_cost(entry: &RunEntry, hours: usize) -> u64 {
         }
         "frame_reset" => h + calibration,
         "budget_point" => {
-            // Its own V bisection (probes + 2 passes), one COCA pass, the plan.
+            // Its own V bisection (probes + 2 passes, one of which is the
+            // COCA run it reports) and the OPT plan.
             let probes = p_uint(cfg, "calib_probes", 5).unwrap_or(5) as u64;
-            (probes + 3 + OPT_PLAN_PASSES) * h
+            (probes + 2 + OPT_PLAN_PASSES) * h
         }
         "gsd_trace" => p_uint(cfg, "iterations", 500).unwrap_or(500) as u64 / 250,
         "workloads" => p_uint(cfg, "hours", 0).unwrap_or(0) as u64 / 1000,
@@ -684,6 +756,10 @@ struct Job<'m> {
 impl Job<'_> {
     fn runs_dir(&self) -> PathBuf {
         self.dir.join("runs")
+    }
+
+    fn result_path(&self, entry: &RunEntry) -> PathBuf {
+        self.runs_dir().join(format!("{}.json", entry.id))
     }
 
     fn status_json(&self, states: &[(String, String)]) -> Result<String, String> {
@@ -825,49 +901,63 @@ impl<'m> BatchRunner<'m> {
         self.jobs.first().map_or_else(|| self.opts.dir.join("runs"), Job::runs_dir)
     }
 
-    /// Every run as `(manifest index, run index)`, in queue order: costliest
-    /// first by [`run_cost`], ties in manifest order then run order, except
-    /// that the run right behind the first one needing a context's V\* is
-    /// the costliest that does not need it. That first run calibrates V\*
-    /// while every other run needing it blocks on the context's cache, so
-    /// the next free worker gets work it can start. `ctx_of` maps each job
-    /// to its context (see [`contexts`]).
-    fn queue(&self, ctx_of: &[usize]) -> Vec<(usize, usize)> {
-        let mut order: Vec<(u64, usize, usize)> = self
-            .jobs
-            .iter()
-            .enumerate()
-            .flat_map(|(j, job)| {
-                let hours = job.manifest.scale.hours;
-                job.manifest.runs.iter().enumerate().map(move |(i, r)| (run_cost(r, hours), j, i))
+    /// Every run as `(manifest index, run index)`, grouped by simulation
+    /// ([`simulation_key`]; each group in manifest then run order) and
+    /// the groups in queue order: costliest first by [`run_cost`], ties in
+    /// the order of each group's first run, except that the group right
+    /// behind the first one needing a context's V\* is the costliest that
+    /// does not need it. That first group calibrates V\* while every other
+    /// one needing it blocks on the context's cache, so the next free
+    /// worker gets work it can start. `ctx_of` maps each job to its
+    /// context (see [`contexts`]).
+    fn queue(&self, ctx_of: &[usize]) -> Result<Vec<Vec<(usize, usize)>>, String> {
+        let mut sim_of_key: HashMap<String, usize> = HashMap::new();
+        let mut sims: Vec<Vec<(usize, usize)>> = Vec::new();
+        for (j, job) in self.jobs.iter().enumerate() {
+            for (i, entry) in job.manifest.runs.iter().enumerate() {
+                let next = sims.len();
+                let k = *sim_of_key.entry(simulation_key(entry, ctx_of[j])?).or_insert(next);
+                if k == next {
+                    sims.push(Vec::new());
+                }
+                sims[k].push((j, i));
+            }
+        }
+        // Each group's first run, with its job index.
+        let lead = |k: usize| -> (usize, &RunEntry) {
+            let (j, i) = sims[k][0];
+            (j, &self.jobs[j].manifest.runs[i])
+        };
+        let mut order: Vec<(u64, usize)> = (0..sims.len())
+            .map(|k| {
+                let (j, entry) = lead(k);
+                (run_cost(entry, self.jobs[j].manifest.scale.hours), k)
             })
             .collect();
-        order.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-        let mut order: Vec<(usize, usize)> = order.into_iter().map(|(_, j, i)| (j, i)).collect();
+        order.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        let mut order: Vec<usize> = order.into_iter().map(|(_, k)| k).collect();
 
         // V* keys as (context, probe count).
-        let needs = |&(j, i): &(usize, usize)| -> Vec<(usize, usize)> {
-            vstar_probes(&self.jobs[j].manifest.runs[i])
-                .into_iter()
-                .map(|p| (ctx_of[j], p))
-                .collect()
+        let needs = |&k: &usize| -> Vec<(usize, usize)> {
+            let (j, entry) = lead(k);
+            vstar_probes(entry).into_iter().map(|p| (ctx_of[j], p)).collect()
         };
         let mut calibrated: Vec<(usize, usize)> = Vec::new();
-        for k in 0..order.len() {
+        for pos in 0..order.len() {
             let fresh: Vec<_> =
-                needs(&order[k]).into_iter().filter(|key| !calibrated.contains(key)).collect();
+                needs(&order[pos]).into_iter().filter(|key| !calibrated.contains(key)).collect();
             if fresh.is_empty() {
                 continue;
             }
             calibrated.extend(&fresh);
-            let rest = &mut order[k + 1..];
+            let rest = &mut order[pos + 1..];
             if let Some(n) =
-                rest.iter().position(|run| !needs(run).iter().any(|key| fresh.contains(key)))
+                rest.iter().position(|sim| !needs(sim).iter().any(|key| fresh.contains(key)))
             {
                 rest[..=n].rotate_right(1);
             }
         }
-        order
+        Ok(order.into_iter().map(|k| std::mem::take(&mut sims[k])).collect())
     }
 
     /// Runs every manifest to completion (or until `kill_after`), returning
@@ -889,7 +979,8 @@ impl<'m> BatchRunner<'m> {
     /// Runs every manifest to completion (or until `kill_after`) through
     /// one worker queue, returning one summary per manifest in order.
     /// Manifests with the same (scale, workload, budget fraction) share one
-    /// context, so its setup is built and V\* calibrated once.
+    /// context, so its setup is built and V\* calibrated once, and runs
+    /// with the same simulation key share one simulation.
     pub fn run_each(&self) -> Result<Vec<BatchSummary>, String> {
         for (j, job) in self.jobs.iter().enumerate() {
             if self.jobs[..j].iter().any(|other| other.dir == job.dir) {
@@ -915,17 +1006,21 @@ impl<'m> BatchRunner<'m> {
             metrics: self.opts.registry.as_ref().map(BatchMetrics::new),
             completed: AtomicUsize::new(0),
         };
-        let queue = self.queue(&shared.ctx_of);
+        let queue = self.queue(&shared.ctx_of)?;
         let states =
-            parallel::sweep(queue.clone(), self.opts.workers, |(j, i)| self.run_one(&shared, j, i));
+            parallel::sweep(queue.iter().map(Vec::as_slice).collect(), self.opts.workers, |sim| {
+                self.run_shared(&shared, sim)
+            });
 
         let mut by_run: Vec<Vec<RunState>> = self
             .jobs
             .iter()
             .map(|job| job.manifest.runs.iter().map(|_| RunState::Pending).collect())
             .collect();
-        for ((j, i), state) in queue.into_iter().zip(states) {
-            by_run[j][i] = state;
+        for (sim, states) in queue.into_iter().zip(states) {
+            for ((j, i), state) in sim.into_iter().zip(states) {
+                by_run[j][i] = state;
+            }
         }
         let summaries = self
             .jobs
@@ -951,67 +1046,113 @@ impl<'m> BatchRunner<'m> {
         Ok(summaries)
     }
 
-    /// Executes (or skips) run `i` of manifest `j`.
-    fn run_one(&self, shared: &Shared, j: usize, i: usize) -> RunState {
-        let job = &self.jobs[j];
-        let entry = &job.manifest.runs[i];
-        let metrics = shared.metrics.as_ref();
-        if let Some(m) = metrics {
-            m.runs.inc();
-        }
-        let result_path = job.runs_dir().join(format!("{}.json", entry.id));
-        if result_complete(&result_path, &entry.id) {
-            if let Some(m) = metrics {
-                m.skipped.inc();
-            }
-            shared.record_state(job, j, i, "skipped".into());
-            return RunState::Skipped;
-        }
+    /// `true` once `kill_after` runs have completed in this invocation.
+    fn killed(&self, shared: &Shared) -> bool {
         // audit:atomic(SeqCst; crash-injection test hook counting completed runs — monotonic counter, an off-by-one kill point is harmless)
-        if self.opts.kill_after.is_some_and(|k| shared.completed.load(Ordering::SeqCst) >= k) {
-            shared.record_state(job, j, i, "pending".into());
-            return RunState::Pending;
-        }
-        let ckpt_path = job.dir.join("ckpt").join(format!("{}.json", entry.id));
-        let resumed = self.opts.resume && ckpt_path.exists();
-        if resumed {
+        self.opts.kill_after.is_some_and(|k| shared.completed.load(Ordering::SeqCst) >= k)
+    }
+
+    /// Executes the simulation of `sim`, a group of runs sharing one
+    /// simulation key, once, and writes every pending run's result file
+    /// from it; runs whose result file exists are skipped. The first
+    /// pending run lends its checkpoint path and its log line carries the
+    /// duration. Returns each run's state, in `sim` order.
+    fn run_shared(&self, shared: &Shared, sim: &[(usize, usize)]) -> Vec<RunState> {
+        let metrics = shared.metrics.as_ref();
+        let mut states = Vec::with_capacity(sim.len());
+        let mut pending = Vec::new();
+        for &(j, i) in sim {
+            let (job, entry) = self.member((j, i));
             if let Some(m) = metrics {
-                m.resumed.inc();
+                m.runs.inc();
+            }
+            if result_complete(&job.result_path(entry), &entry.id) {
+                if let Some(m) = metrics {
+                    m.skipped.inc();
+                }
+                shared.record_state(job, j, i, "skipped".into());
+                states.push(RunState::Skipped);
+            } else {
+                pending.push(states.len());
+                states.push(RunState::Pending);
             }
         }
-        let span = Span::new("run").lane(&entry.group);
+        let Some(&lead) = pending.first() else {
+            return states;
+        };
+        let pend = |k: usize| {
+            let (j, i) = sim[k];
+            shared.record_state(&self.jobs[j], j, i, "pending".into());
+        };
+        if self.killed(shared) {
+            pending.into_iter().for_each(pend);
+            return states;
+        }
+        let (lead_job, lead_entry) = self.member(sim[lead]);
+        let ckpt_path = lead_job.dir.join("ckpt").join(format!("{}.json", lead_entry.id));
+        let resumed = self.opts.resume && ckpt_path.exists();
         // audit:ordered(timing-only: the duration feeds logs and prometheus metrics, never result files)
         let t0 = Instant::now();
-        let outcome = execute_run(
-            &shared.ctxs[shared.ctx_of[j]],
-            entry,
+        let simulated = simulate(
+            &shared.ctxs[shared.ctx_of[sim[lead].0]],
+            lead_entry,
             &ckpt_path,
             self.opts.resume,
             self.opts.abort_runs_at_slot,
-        )
-        .and_then(|value| write_atomic(&result_path, &canonical_json(&value)?));
-        match outcome {
-            Ok(()) => {
-                if let Some(m) = metrics {
-                    m.completed.inc();
-                    m.run_seconds.observe(t0.elapsed().as_secs_f64());
-                }
-                // audit:atomic(SeqCst; crash-injection test hook counting completed runs — monotonic counter, an off-by-one kill point is harmless)
-                shared.completed.fetch_add(1, Ordering::SeqCst);
-                logger::info(&span, &format!("{} done ({:.1?})", entry.id, t0.elapsed()));
-                let state = if resumed { "resumed" } else { "completed" };
-                shared.record_state(job, j, i, state.into());
-                RunState::Completed { resumed }
-            }
-            Err(e) => {
-                if let Some(m) = metrics {
-                    m.failed.inc();
-                }
-                logger::error(&span, &format!("{} failed: {e}", entry.id));
-                shared.record_state(job, j, i, format!("failed: {e}"));
-                RunState::Failed(e)
-            }
+        );
+        if let (Some(m), Ok(_)) = (metrics, &simulated) {
+            m.run_seconds.observe(t0.elapsed().as_secs_f64());
         }
+        for k in pending {
+            // The kill point may also fall between the result writes of
+            // runs sharing one simulation.
+            if k != lead && self.killed(shared) {
+                pend(k);
+                continue;
+            }
+            let (j, i) = sim[k];
+            let (job, entry) = self.member(sim[k]);
+            let written = simulated.as_ref().map_err(Clone::clone).and_then(|run| {
+                write_atomic(&job.result_path(entry), &canonical_json(&report(entry, run)?)?)
+            });
+            let span = Span::new("run").lane(&entry.group);
+            states[k] = match written {
+                Ok(()) => {
+                    if let Some(m) = metrics {
+                        m.completed.inc();
+                        if resumed {
+                            m.resumed.inc();
+                        }
+                    }
+                    // audit:atomic(SeqCst; crash-injection test hook counting completed runs — monotonic counter, an off-by-one kill point is harmless)
+                    shared.completed.fetch_add(1, Ordering::SeqCst);
+                    let took = if k == lead {
+                        format!("{:.1?}", t0.elapsed())
+                    } else {
+                        format!("shares {}", lead_entry.id)
+                    };
+                    logger::info(&span, &format!("{} done ({took})", entry.id));
+                    let state = if resumed { "resumed" } else { "completed" };
+                    shared.record_state(job, j, i, state.into());
+                    RunState::Completed { resumed }
+                }
+                Err(e) => {
+                    if let Some(m) = metrics {
+                        m.failed.inc();
+                    }
+                    logger::error(&span, &format!("{} failed: {e}", entry.id));
+                    shared.record_state(job, j, i, format!("failed: {e}"));
+                    RunState::Failed(e)
+                }
+            };
+        }
+        states
+    }
+
+    /// The job and run entry of `(manifest index, run index)`.
+    fn member(&self, (j, i): (usize, usize)) -> (&Job<'m>, &RunEntry) {
+        let job = &self.jobs[j];
+        (job, &job.manifest.runs[i])
     }
 
     /// Loads every completed run result of every manifest from `runs/`,
@@ -1029,10 +1170,9 @@ impl<'m> BatchRunner<'m> {
     /// the order the runner was given them), keyed by run ID.
     pub fn spec_results(&self, spec: usize) -> Result<HashMap<String, Value>, String> {
         let job = self.jobs.get(spec).ok_or_else(|| format!("no manifest #{spec} in this batch"))?;
-        let runs_dir = job.runs_dir();
         let mut results = HashMap::new();
         for entry in &job.manifest.runs {
-            let path = runs_dir.join(format!("{}.json", entry.id));
+            let path = job.result_path(entry);
             if !path.exists() {
                 continue;
             }
@@ -1081,41 +1221,60 @@ mod tests {
         let manifests = committed_small_manifests();
         let runner = BatchRunner::batch(&manifests, BatchOptions::default());
         let (_, ctx_of) = contexts(&runner.jobs).expect("contexts");
-        let queue = runner.queue(&ctx_of);
+        let queue = runner.queue(&ctx_of).expect("queue");
         let total: usize = manifests.iter().map(|m| m.runs.len()).sum();
-        let mut distinct = queue.clone();
+        let mut distinct: Vec<(usize, usize)> = queue.concat();
         distinct.sort_unstable();
         distinct.dedup();
-        assert_eq!((queue.len(), distinct.len()), (total, total), "every run queued exactly once");
+        assert_eq!(
+            (queue.concat().len(), distinct.len()),
+            (total, total),
+            "every run queued exactly once"
+        );
         for workers in [1, 2, 4] {
             let opts = BatchOptions { workers, ..BatchOptions::default() };
             let runner = BatchRunner::batch(&manifests, opts);
-            assert_eq!(runner.queue(&ctx_of), queue, "workers {workers}");
+            assert_eq!(runner.queue(&ctx_of).expect("queue"), queue, "workers {workers}");
+        }
+
+        // The one simulation two committed specs share: the Fig. 3 duel is
+        // the headline duel, recorded.
+        let entry = |(j, i): (usize, usize)| (&manifests[j].spec, &manifests[j].runs[i]);
+        let shared: Vec<Vec<&String>> = queue
+            .iter()
+            .filter(|sim| sim.len() > 1)
+            .map(|sim| sim.iter().map(|&run| entry(run).0).collect())
+            .collect();
+        assert_eq!(shared, [["fig3_perfect_hp", "summary"]], "one shared simulation");
+        for sim in &queue {
+            let key = |&run: &(usize, usize)| simulation_key(entry(run).1, ctx_of[run.0]).unwrap();
+            assert!(sim.iter().all(|run| key(run) == key(&sim[0])), "one key per group");
         }
 
         // The run behind the first one needing a context's V* (the one that
         // calibrates it) must not need that V*, or a second worker would
         // wait out the calibration.
-        let vstar_keys = |(j, i): (usize, usize)| -> Vec<(usize, usize)> {
+        let vstar_keys = |sim: &[(usize, usize)]| -> Vec<(usize, usize)> {
+            let (j, i) = sim[0];
             vstar_probes(&manifests[j].runs[i]).into_iter().map(|p| (ctx_of[j], p)).collect()
         };
         let mut seen: Vec<(usize, usize)> = Vec::new();
-        for (k, &run) in queue.iter().enumerate() {
-            for key in vstar_keys(run) {
+        for (k, sim) in queue.iter().enumerate() {
+            for key in vstar_keys(sim) {
                 if seen.contains(&key) {
                     continue;
                 }
                 seen.push(key);
-                let next = queue.get(k + 1).copied();
+                let next = queue.get(k + 1);
                 assert!(
                     next.is_some_and(|n| !vstar_keys(n).contains(&key)),
-                    "run {k} calibrates V* {key:?}; the run behind it, {next:?}, needs it too"
+                    "simulation {k} calibrates V* {key:?}; the one behind it, {next:?}, needs it too"
                 );
             }
         }
         assert!(!seen.is_empty(), "the committed specs calibrate V*");
 
-        let entries: Vec<&RunEntry> = queue.iter().map(|&(j, i)| &manifests[j].runs[i]).collect();
+        let entries: Vec<&RunEntry> = queue.iter().map(|sim| entry(sim[0]).1).collect();
         let first: Vec<usize> = (0..entries.len())
             .filter(|&k| {
                 let e = entries[k];
@@ -1128,11 +1287,11 @@ mod tests {
                 e.kind == "gsd_trace" || e.kind == "workloads" || single_coca_lane(e)
             })
             .collect();
-        assert_eq!(first.len(), 12, "two perfect_hp duels and ten budget points");
+        assert_eq!(first.len(), 11, "one perfect_hp duel and ten budget points");
         assert!(!last.is_empty());
         assert!(
             first.iter().max() < last.iter().min(),
-            "long runs must be queued before every short one: {first:?} vs {last:?}"
+            "long simulations must be queued before every short one: {first:?} vs {last:?}"
         );
     }
 

@@ -1,18 +1,22 @@
 //! One queue for several manifests changes nothing on disk: specs run
-//! together through `BatchRunner::batch` — sharing one context and one
-//! worker pool — leave every `manifest.json`, `status.json` and
+//! together through `BatchRunner::batch` — sharing one context, one
+//! worker pool and, where two runs differ only in what they report, one
+//! simulation — leave every `manifest.json`, `status.json` and
 //! `runs/*.json` byte-identical to the same specs run one at a time
 //! through `BatchRunner::new`, at one worker and at two.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use coca_experiments::ExperimentScale;
+use coca_obs::MetricsRegistry;
 use coca_scenarios::{manifest, BatchOptions, BatchRunner, Manifest, Spec};
 
-/// Two cheap specs on the same (small, fiu, 0.92) context: constant-V
-/// lockstep runs, and GSD traces plus a workload trace.
-const SPECS: [&str; 2] = [
+/// Three cheap specs on the same (small, fiu, 0.92) context: constant-V
+/// lockstep runs, GSD traces plus a workload trace, and a recorded copy
+/// of the first spec's `ref` run, which the queue simulates once for both.
+const SPECS: [&str; 3] = [
     r#"{
       "name": "queue_lockstep",
       "groups": [
@@ -30,6 +34,14 @@ const SPECS: [&str; 2] = [
          "params": {"slot": 100, "v_mult": 1.0, "iterations": 50},
          "sweep": {"delta_mult": [2.0, 50.0]}},
         {"id": "trace", "kind": "workloads", "params": {"workload": "fiu", "hours": 168}}
+      ]
+    }"#,
+    r#"{
+      "name": "queue_shared",
+      "groups": [
+        {"id": "ref_recorded", "kind": "lockstep",
+         "params": {"record": ["cost", "movavg_cost"], "movavg_window": 24},
+         "lanes": [{"label": "carbon-unaware", "policy": "unaware"}]}
       ]
     }"#,
 ];
@@ -84,11 +96,18 @@ fn one_queue_matches_per_spec_runs_byte_for_byte() {
         "one status file per spec"
     );
 
+    let runs: usize = manifests.iter().map(|m| m.runs.len()).sum();
     for workers in [1, 2] {
         let dir = fresh_dir(&format!("batch_w{workers}"));
+        let registry = Arc::new(MetricsRegistry::new());
         let runner = BatchRunner::batch(
             &manifests,
-            BatchOptions { dir: dir.clone(), workers, ..Default::default() },
+            BatchOptions {
+                dir: dir.clone(),
+                workers,
+                registry: Some(Arc::clone(&registry)),
+                ..Default::default()
+            },
         );
         let summaries = runner.run_each().expect("batch runs");
         assert_eq!(summaries.len(), manifests.len());
@@ -104,6 +123,12 @@ fn one_queue_matches_per_spec_runs_byte_for_byte() {
         for (k, m) in manifests.iter().enumerate() {
             assert_eq!(runner.spec_results(k).expect("results load").len(), m.runs.len());
         }
+        // `batch_run_seconds` observes each executed simulation once: the
+        // recorded `ref` run shares its simulation with the plain one.
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("batch_runs_completed_total"), Some(runs as u64));
+        let simulations = snap.histogram("batch_run_seconds").map(|h| h.count);
+        assert_eq!(simulations, Some(runs as u64 - 1), "workers {workers}: one shared simulation");
         let _ = std::fs::remove_dir_all(&dir);
     }
     let _ = std::fs::remove_dir_all(&reference);

@@ -241,6 +241,6 @@ fn summary_headline_matches_fig3_saving() {
 
     let setup =
         PaperSetup::build(ExperimentScale::small(), WorkloadKind::Fiu, 0.92).expect("setup");
-    let vstar = figures::calibrate_v(&setup, 7).expect("calibration");
+    let (vstar, _) = figures::calibrate_v(&setup, 7).expect("calibration");
     assert_eq!(scalar("coca", "v_used"), vstar);
 }

@@ -6,10 +6,9 @@ use std::sync::Arc;
 
 use coca::baselines::{OfflineOpt, PerfectHp};
 use coca::core::symmetric::SymmetricSolver;
-use coca::core::VSchedule;
 use coca::dcsim::run_lockstep;
 use coca::traces::WorkloadKind;
-use coca_experiments::figures::{calibrate_v, run_coca};
+use coca_experiments::figures::calibrate_v;
 use coca_experiments::setup::{unaware_reference, ExperimentScale, PaperSetup};
 
 fn small_setup() -> PaperSetup {
@@ -19,8 +18,7 @@ fn small_setup() -> PaperSetup {
 #[test]
 fn calibrated_coca_is_carbon_neutral_and_near_unaware_cost() {
     let setup = small_setup();
-    let v = calibrate_v(&setup, 6).expect("calibration");
-    let coca = run_coca(&setup, VSchedule::Constant(v), setup.trace.len()).expect("run");
+    let (_, coca) = calibrate_v(&setup, 6).expect("calibration");
     assert!(
         coca.total_brown_energy() <= setup.budget_kwh * 1.01,
         "COCA must satisfy the budget: {} vs {}",
@@ -55,8 +53,7 @@ fn policy_cost_ordering_holds() {
         "constrained OPT cannot beat the unconstrained minimum"
     );
 
-    let v = calibrate_v(&setup, 6).expect("calibration");
-    let coca = run_coca(&setup, VSchedule::Constant(v), setup.trace.len()).expect("coca");
+    let (_, coca) = calibrate_v(&setup, 6).expect("calibration");
     // OPT has full future knowledge; COCA is online. Allow a small slack for
     // the dual's budget tolerance.
     assert!(
@@ -70,8 +67,7 @@ fn policy_cost_ordering_holds() {
 #[test]
 fn coca_beats_perfect_hp_while_being_more_neutral() {
     let setup = small_setup();
-    let v = calibrate_v(&setup, 6).expect("calibration");
-    let coca = run_coca(&setup, VSchedule::Constant(v), setup.trace.len()).expect("coca");
+    let (_, coca) = calibrate_v(&setup, 6).expect("calibration");
     let mut hp: PerfectHp<SymmetricSolver> =
         PerfectHp::new(Arc::clone(&setup.cluster), setup.cost, &setup.trace, setup.rec_total, 48)
             .expect("perfect-hp");
@@ -107,8 +103,7 @@ fn coca_beats_perfect_hp_while_being_more_neutral() {
 #[test]
 fn msr_workload_pipeline_works() {
     let setup = PaperSetup::build(ExperimentScale::small(), WorkloadKind::Msr, 0.9).expect("setup");
-    let v = calibrate_v(&setup, 5).expect("calibration");
-    let coca = run_coca(&setup, VSchedule::Constant(v), setup.trace.len()).expect("run");
+    let (_, coca) = calibrate_v(&setup, 5).expect("calibration");
     assert!(coca.total_brown_energy() <= setup.budget_kwh * 1.02);
     assert!(coca.avg_hourly_cost().is_finite());
 }
