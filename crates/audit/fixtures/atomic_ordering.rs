@@ -38,6 +38,6 @@ fn honored_waiver(c: &AtomicU64) {
 }
 
 fn mismatched_waiver_stays_unwaived(c: &AtomicU64) -> u64 {
-    // audit:allow(no-print)
+    // audit:allow(nan-guard)
     c.load(Ordering::Acquire)
 }

@@ -6,9 +6,9 @@ pub fn live(a: f64) -> bool {
     a == 0.0 // audit:allow(float-eq)
 }
 
-/// Stale: nothing here fires `no-panic` (wrong file for that rule).
+/// Stale: nothing here fires `nan-guard` (wrong file for that rule).
 pub fn stale(n: usize) -> usize {
-    n + 1 // audit:allow(no-panic)
+    n + 1 // audit:allow(nan-guard)
 }
 
 /// Unknown rule id in the waiver list.

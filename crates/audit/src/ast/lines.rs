@@ -274,26 +274,26 @@ fn later() {}
     fn waivers_parsed_from_comments() {
         let ast = Ast::parse(
             "x.rs",
-            "// audit:allow(no-panic, float-eq)\nlet x = y.unwrap();\nlet z = 1; // audit:allow(nan-guard)\n",
+            "// audit:allow(hot-alloc, float-eq)\nlet x = y.to_vec();\nlet z = 1; // audit:allow(nan-guard)\n",
         );
-        assert_eq!(ast.lines[0].waivers, vec!["no-panic", "float-eq"]);
-        assert!(ast.waived(2, "no-panic"), "waiver on preceding line applies");
+        assert_eq!(ast.lines[0].waivers, vec!["hot-alloc", "float-eq"]);
+        assert!(ast.waived(2, "hot-alloc"), "waiver on preceding line applies");
         assert!(ast.waived(2, "float-eq"));
         assert!(!ast.waived(2, "nan-guard"));
         assert!(ast.waived(3, "nan-guard"), "same-line waiver applies");
         assert_eq!(ast.waiver_line(3, "nan-guard"), Some(3));
-        assert_eq!(ast.waiver_line(2, "no-panic"), Some(1));
+        assert_eq!(ast.waiver_line(2, "hot-alloc"), Some(1));
     }
 
     #[test]
     fn doc_comments_do_not_declare_waivers() {
         let src = "\
-/// Findings can be waived with `audit:allow(no-panic)` comments.
+/// Findings can be waived with `audit:allow(hot-alloc)` comments.
 //! Module prose mentioning audit:allow(float-eq) is not a waiver.
 /** Block doc
     audit:allow(nan-guard) on a continuation line is still prose. */
 fn f() {}
-let x = y.unwrap(); // audit:allow(no-panic)
+let x = y.to_vec(); // audit:allow(hot-alloc)
 /* plain block
    audit:allow(hot-alloc) */
 ";
@@ -301,7 +301,7 @@ let x = y.unwrap(); // audit:allow(no-panic)
         for line in 0..4 {
             assert!(ast.lines[line].waivers.is_empty(), "doc line {}", line + 1);
         }
-        assert_eq!(ast.lines[5].waivers, vec!["no-panic"], "plain comments still waive");
+        assert_eq!(ast.lines[5].waivers, vec!["hot-alloc"], "plain comments still waive");
         assert_eq!(ast.lines[7].waivers, vec!["hot-alloc"], "on the line that names it");
     }
 

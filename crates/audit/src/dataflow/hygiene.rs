@@ -1,7 +1,7 @@
 //! `stale-waiver`: waiver and annotation hygiene.
 //!
 //! Waivers and annotations are load-bearing documentation — a
-//! `// audit:allow(no-panic)` that no longer suppresses anything, or an
+//! `// audit:allow(float-eq)` that no longer suppresses anything, or an
 //! `// audit:atomic(…)` next to code that stopped being atomic, is a lie
 //! waiting to mislead the next reader. This pass runs *after* every other
 //! rule and flags:

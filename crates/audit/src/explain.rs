@@ -18,15 +18,6 @@ struct Entry {
 
 const ENTRIES: &[Entry] = &[
     Entry {
-        rule: "no-panic",
-        contract: "Solver hot paths must surface typed errors, never `unwrap()`, \
-                   `expect(`, or `panic!`: a data-dependent panic in the decision \
-                   loop kills a whole batch run.",
-        waiver: "// audit:allow(no-panic) on the line or the line above, with a \
-                 short justification after the closing paren.",
-        example: "fn solve(&self) -> f64 {\n    self.inner.lock().unwrap().best // fires here\n}",
-    },
-    Entry {
         rule: "float-eq",
         contract: "Continuous quantities never compare with raw `==`/`!=`; use a \
                    tolerance. Exact sentinel comparisons (0.0/1.0 flags, \
@@ -72,15 +63,6 @@ const ENTRIES: &[Entry] = &[
         waiver: "// audit:allow(slot-loop) for planners that legitimately scan a \
                  horizon (e.g. offline optimal).",
         example: "for t in 0..num_slots { step(t); } // fires",
-    },
-    Entry {
-        rule: "no-print",
-        contract: "Diagnostics go through `coca_obs::logger`, not `println!`/\
-                   `eprintln!`, outside the designated print surfaces (CLI mains, \
-                   report writers) — direct prints bypass log levels and spans.",
-        waiver: "// audit:allow(no-print) on intentional user-facing output in a \
-                 non-designated file.",
-        example: "println!(\"solved {v}\"); // fires: use logger::info",
     },
     Entry {
         rule: "unit-mix",
@@ -160,7 +142,7 @@ const ENTRIES: &[Entry] = &[
                    to mislead and must be deleted.",
         waiver: "// audit:allow(stale-waiver) on a waiver kept deliberately (e.g. \
                  platform-dependent findings).",
-        example: "// audit:allow(no-panic) leftover after the unwrap was removed\nlet v = compute(); // fires on the waiver line above",
+        example: "// audit:allow(float-eq) leftover after the comparison was removed\nlet v = compute(); // fires on the waiver line above",
     },
 ];
 

@@ -1,17 +1,22 @@
 //! Static lint pass for the COCA workspace: per-file rules, semantic
 //! rules and interprocedural analyses, all over one parse of each file.
 //!
-//! The build environment has no registry access, so this cannot lean on
-//! syn/quote or an off-the-shelf linter. [`ast`] is the hand-rolled
-//! substitute: a span-tracking lexer with comment trivia, balanced token
-//! trees, per-line facts (`#[cfg(test)]` code, `audit:hot-path` regions,
-//! `audit:allow` waivers) and a run visitor. Every rule reads the same
-//! [`ast::Ast`]:
+//! The pass holds only the project-specific rules. Generic ones belong to
+//! clippy: the solver hot paths deny its panic lints (`unwrap_used`,
+//! `expect_used`, `panic`, `unreachable`) in a module-level `#![deny]`,
+//! and every library crate root except `coca-obs` denies `print_stdout` and
+//! `print_stderr`, so diagnostics go through `coca_obs::logger` and only
+//! binaries print. A test here keeps that scoping in step with
+//! [`rules`]' hot-path list and the linted crates.
+//!
+//! The build environment has no registry access, so the pass cannot lean
+//! on syn/quote. [`ast`] is the hand-rolled substitute: a span-tracking
+//! lexer with comment trivia, balanced token trees, per-line facts
+//! (`#[cfg(test)]` code, `audit:hot-path` regions, `audit:allow` waivers)
+//! and a run visitor. Every rule reads the same [`ast::Ast`]:
 //!
 //! **Per-file rules** ([`rules`]):
 //!
-//! - [`rules::NO_PANIC`] — no bare `unwrap()` / `expect(` / `panic!` in
-//!   solver hot paths; hot paths must surface typed errors.
 //! - [`rules::FLOAT_EQ`] — no raw f64 `==`/`!=` comparisons in non-test
 //!   code; continuous quantities compare against tolerances.
 //! - [`rules::NAN_GUARD`] — no `ln`/`sqrt`/identifier division in hot
@@ -21,8 +26,6 @@
 //!   `audit:hot-path` regions (the `hot-path-reach` sink table).
 //! - [`rules::SLOT_LOOP`] — no hand-rolled per-slot loops outside the
 //!   streaming engine; slots flow through `SimEngine`/`SlotSource`.
-//! - [`rules::NO_PRINT`] — diagnostics go through `coca_obs::logger`, not
-//!   direct prints, outside the designated print surfaces.
 //!
 //! **Semantic rules** ([`semantic`]):
 //!
@@ -66,6 +69,8 @@
 //! the workspace's vendored serde/serde_json shims.
 
 #![deny(missing_docs, unsafe_code)]
+// Diagnostics go through `coca_obs::logger`; only the binaries print.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod ast;
 pub mod dataflow;
@@ -98,13 +103,11 @@ const LINTED_CRATES: &[&str] = &[
 /// Every rule id the pass can emit, in stable order (used by the SARIF
 /// driver metadata and the JSON schema's enum).
 pub const ALL_RULES: &[&str] = &[
-    rules::NO_PANIC,
     rules::FLOAT_EQ,
     rules::NAN_GUARD,
     rules::MUST_USE,
     rules::HOT_ALLOC,
     rules::SLOT_LOOP,
-    rules::NO_PRINT,
     semantic::UNIT_MIX,
     semantic::ATOMIC_ORDERING,
     dataflow::UNIT_FLOW,
@@ -193,4 +196,51 @@ pub fn lint_source(rel_path: &str, text: &str, report: &mut Report) {
     rules::apply_all(&ast, report);
     semantic::apply_all(&ast, report);
     report.sort();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ast::{Ast, Delim, Node};
+
+    /// The lint paths (`clippy::panic`, …) that the file's top-level
+    /// `#![deny(...)]` attributes name.
+    fn inner_denies(path: &str) -> Vec<String> {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let text = std::fs::read_to_string(root.join(path)).expect("readable workspace source");
+        let mut lints = Vec::new();
+        for w in Ast::parse(path, &text).nodes.windows(3) {
+            let inner = w[0].is_punct("#") && w[1].is_punct("!");
+            let attr = w[2].group().filter(|g| inner && g.delim == Delim::Bracket);
+            if let Some([deny, Node::Group(list)]) = attr.map(|g| g.children.as_slice()) {
+                if deny.is_ident("deny") {
+                    lints.extend(list.children.split(|n| n.is_punct(",")).map(|lint| {
+                        lint.iter().filter_map(Node::tok).map(|t| t.text.as_str()).collect()
+                    }));
+                }
+            }
+        }
+        lints
+    }
+
+    /// `cargo test` does not run clippy, so this is what notices a hot path
+    /// or library crate that lost its `#![deny]`.
+    #[test]
+    fn clippy_scoping_covers_hot_paths_and_library_crates() {
+        let panics =
+            ["clippy::unwrap_used", "clippy::expect_used", "clippy::panic", "clippy::unreachable"];
+        let prints = ["clippy::print_stdout", "clippy::print_stderr"];
+        // `coca-obs` owns the logger's stderr emitter; binaries are crate
+        // roots of their own and stay free to print.
+        let libs = LINTED_CRATES.iter().filter(|&&k| k != "crates/obs");
+        let libs = libs.map(|k| (format!("{k}/src/lib.rs"), &prints[..]));
+        let wanted = rules::HOT_PATHS.iter().map(|p| (p.to_string(), &panics[..]));
+        for (path, lints) in wanted.chain(libs) {
+            let denied = inner_denies(&path);
+            for lint in lints {
+                let found = denied.iter().any(|d| d == lint);
+                assert!(found, "{path} lacks `#![deny({lint})]`: {denied:?}");
+            }
+        }
+    }
 }

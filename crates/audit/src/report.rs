@@ -26,7 +26,7 @@ pub struct Violation {
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// Rule id (e.g. `no-panic`).
+    /// Rule id (e.g. `float-eq`).
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -283,8 +283,8 @@ mod tests {
         r.push(Violation {
             file: "a.rs".into(),
             line: 3,
-            rule: "no-panic",
-            message: "bare unwrap".into(),
+            rule: "float-eq",
+            message: "raw float equality".into(),
             waived: false,
             related: Vec::new(),
         });
@@ -300,7 +300,7 @@ mod tests {
         assert_eq!(r.waived_count(), 1);
         assert!(!r.is_clean());
         let text = r.to_string();
-        assert!(text.contains("a.rs:3: [no-panic] bare unwrap"));
+        assert!(text.contains("a.rs:3: [float-eq] raw float equality"));
         assert!(text.contains("(waived)"));
         assert!(text.contains("2 violation(s), 1 waived, 1 unwaived"));
     }
@@ -318,8 +318,8 @@ mod tests {
         r.push(Violation {
             file: "a.rs".into(),
             line: 3,
-            rule: "no-panic",
-            message: "bare unwrap".into(),
+            rule: "float-eq",
+            message: "raw float equality".into(),
             waived: false,
             related: vec![Related {
                 file: "c.rs".into(),
@@ -349,7 +349,7 @@ mod tests {
         assert_eq!(summary.get_field("unwaived"), Some(&Value::Int(1)));
         let violations = v.get_field("violations").unwrap().as_seq().unwrap();
         assert_eq!(violations.len(), 2);
-        assert_eq!(violations[0].get_field("rule"), Some(&Value::Str("no-panic".into())));
+        assert_eq!(violations[0].get_field("rule"), Some(&Value::Str("float-eq".into())));
         assert_eq!(violations[0].get_field("waived"), Some(&Value::Bool(false)));
         let related = violations[0].get_field("related").unwrap().as_seq().unwrap();
         assert_eq!(related.len(), 1);
@@ -361,7 +361,7 @@ mod tests {
     #[test]
     fn sarif_rendering_levels_and_locations() {
         let r = sample();
-        let v: serde::Value = serde_json::from_str(&r.to_sarif(&["no-panic", "unit-mix"])).unwrap();
+        let v: serde::Value = serde_json::from_str(&r.to_sarif(&["float-eq", "unit-mix"])).unwrap();
         assert_eq!(v.get_field("version"), Some(&Value::Str("2.1.0".into())));
         let runs = v.get_field("runs").unwrap().as_seq().unwrap();
         let results = runs[0].get_field("results").unwrap().as_seq().unwrap();
@@ -379,7 +379,7 @@ mod tests {
             loc.get_field("region").unwrap().get_field("startLine"),
             Some(&Value::Int(3))
         );
-        // The no-panic finding carries one related location; the waived
+        // The float-eq finding carries one related location; the waived
         // unit-mix one carries none (field omitted entirely).
         let rel = results[0].get_field("relatedLocations").unwrap().as_seq().unwrap();
         assert_eq!(rel.len(), 1);

@@ -2,13 +2,11 @@
 //! the [`crate::ast::visit`] helpers, and test code, hot-path regions and
 //! waivers through the same [`Ast`]'s line facts.
 
-use crate::ast::visit::{find_macro_calls, find_method_calls, term_after, walk_runs, RunVisitor};
+use crate::ast::visit::{find_method_calls, term_after, walk_runs, RunVisitor};
 use crate::ast::{Ast, Delim, Node, TokKind, Token};
 use crate::dataflow::hotreach::body_sinks;
 use crate::report::Report;
 
-/// Rule id: no `unwrap()`/`expect(`/`panic!` in solver hot paths.
-pub const NO_PANIC: &str = "no-panic";
 /// Rule id: no raw f64 `==`/`!=` comparisons.
 pub const FLOAT_EQ: &str = "float-eq";
 /// Rule id: no unguarded `ln`/`sqrt`/identifier division in hot paths.
@@ -20,13 +18,12 @@ pub const MUST_USE: &str = "must-use";
 pub const HOT_ALLOC: &str = "hot-alloc";
 /// Rule id: no hand-rolled slot loops outside the streaming engine.
 pub const SLOT_LOOP: &str = "slot-loop";
-/// Rule id: no direct `println!`/`eprintln!`/`dbg!` outside the designated
-/// print surfaces.
-pub const NO_PRINT: &str = "no-print";
 
-/// Solver hot paths: a panic or NaN here aborts or corrupts the per-slot
-/// control loop whose behavior the paper's Theorem 2 bounds.
-const HOT_PATHS: &[&str] = &[
+/// Solver hot paths: a NaN here corrupts the per-slot control loop whose
+/// behavior the paper's Theorem 2 bounds. Each of these files also denies
+/// clippy's panic lints in an inner `#![deny]` (a test keeps the two in
+/// step).
+pub(crate) const HOT_PATHS: &[&str] = &[
     "crates/opt/src/waterfill.rs",
     "crates/opt/src/bisect.rs",
     "crates/opt/src/dual.rs",
@@ -46,18 +43,6 @@ const MUST_USE_CRATES: &[&str] = &["crates/opt/", "crates/core/", "crates/dcsim/
 /// an indexed pass and produces the very data the engine streams).
 const SLOT_LOOP_ALLOWED: &[&str] = &["crates/dcsim/src/engine.rs", "crates/traces/"];
 
-/// Paths allowed to print directly: the repro binary (stdout result tables
-/// are its product), the observability crate (the logger owns the single
-/// stderr emitter), and the audit CLI itself. Everything else must route
-/// diagnostics through `coca_obs::logger`.
-const PRINT_ALLOWED: &[&str] = &[
-    "crates/scenarios/src/bin/",
-    "crates/obs/src/",
-    "crates/audit/src/main.rs",
-    "crates/audit/src/bin/",
-    "crates/serve/src/bin/",
-];
-
 /// How many preceding lines count as "nearby" when looking for a guard
 /// before a NaN-capable operation.
 const GUARD_WINDOW: usize = 12;
@@ -69,7 +54,6 @@ pub fn apply_all(ast: &Ast, report: &mut Report) {
     let mut rules = Rules {
         guards: if hot { Some(guard_lines(ast)) } else { None },
         slot_loop: !SLOT_LOOP_ALLOWED.iter().any(|p| path.contains(p)),
-        no_print: !PRINT_ALLOWED.iter().any(|p| path.contains(p)),
         must_use: MUST_USE_CRATES.iter().any(|p| path.contains(p)),
         hits: Vec::new(),
     };
@@ -95,10 +79,9 @@ pub fn apply_all(ast: &Ast, report: &mut Report) {
 
 /// The rules that look at one run at a time, with their path gates.
 struct Rules {
-    /// `Some` on solver hot paths, where `no-panic` and `nan-guard` run.
+    /// `Some` on solver hot paths, where `nan-guard` runs.
     guards: Option<Vec<GuardLine>>,
     slot_loop: bool,
-    no_print: bool,
     must_use: bool,
     hits: Hits,
 }
@@ -110,15 +93,11 @@ type Hits = Vec<(usize, &'static str, String)>;
 impl RunVisitor for Rules {
     fn run(&mut self, run: &[Node], _depth: usize) {
         if let Some(guards) = &self.guards {
-            no_panic(run, &mut self.hits);
             nan_guard(run, guards, &mut self.hits);
         }
         float_eq(run, &mut self.hits);
         if self.slot_loop {
             slot_loop(run, &mut self.hits);
-        }
-        if self.no_print {
-            no_print(run, &mut self.hits);
         }
         if self.must_use {
             must_use(run, &mut self.hits);
@@ -129,27 +108,6 @@ impl RunVisitor for Rules {
 /// The token at `run[i]`, when it is one of `kind`.
 fn tok_of(run: &[Node], i: usize, kind: TokKind) -> Option<&Token> {
     run.get(i).and_then(Node::tok).filter(|t| t.kind == kind)
-}
-
-/// `no-panic`: bare `unwrap()`, `expect(...)`, `panic!` or `unreachable!`.
-fn no_panic(run: &[Node], hits: &mut Hits) {
-    let methods = find_method_calls(run).into_iter().filter_map(|c| {
-        let what = match c.name {
-            "unwrap" if c.args.children.is_empty() => "bare `unwrap()`",
-            "expect" => "bare `expect(...)`",
-            _ => return None,
-        };
-        Some((c.line, what))
-    });
-    let macros = find_macro_calls(run).into_iter().filter_map(|t| match t.text.as_str() {
-        "panic" => Some((t.line, "`panic!`")),
-        "unreachable" => Some((t.line, "`unreachable!`")),
-        _ => None,
-    });
-    for (line, what) in methods.chain(macros) {
-        let message = format!("{what} in solver hot path; return a typed error instead");
-        hits.push((line, NO_PANIC, message));
-    }
 }
 
 /// True when `t` is a float literal (`1.0`, `2.`, `1e-6`, `3f64`) or an
@@ -400,22 +358,6 @@ fn slot_loop(run: &[Node], hits: &mut Hits) {
     }
 }
 
-/// `no-print`: no `println!`/`eprintln!`/`print!`/`eprint!`/`dbg!` in
-/// non-test code outside the designated print surfaces. Library and
-/// harness diagnostics must go through `coca_obs::logger` (span context,
-/// `--quiet` gating) so CI-parsed stdout/stderr stays structured.
-fn no_print(run: &[Node], hits: &mut Hits) {
-    for t in find_macro_calls(run) {
-        if ["eprintln", "println", "eprint", "print", "dbg"].contains(&t.text.as_str()) {
-            let message = format!(
-                "`{}!` in library code; route diagnostics through `coca_obs::logger`",
-                t.text
-            );
-            hits.push((t.line, NO_PRINT, message));
-        }
-    }
-}
-
 /// `must-use`: `pub struct Foo{Solution,Outcome,Result}` must carry
 /// `#[must_use]` among its own attributes.
 fn must_use(run: &[Node], hits: &mut Hits) {
@@ -454,32 +396,6 @@ mod tests {
         let mut r = Report::default();
         crate::lint_source(path, src, &mut r);
         r
-    }
-
-    #[test]
-    fn no_panic_fires_only_on_hot_paths() {
-        let src = "fn f() { x.unwrap(); }\n";
-        let hot = lint("crates/opt/src/waterfill.rs", src);
-        assert_eq!(hot.unwaived().filter(|v| v.rule == NO_PANIC).count(), 1);
-        let cold = lint("crates/experiments/src/report.rs", src);
-        assert_eq!(cold.unwaived().filter(|v| v.rule == NO_PANIC).count(), 0);
-    }
-
-    #[test]
-    fn no_panic_skips_tests_and_waivers() {
-        let src = "\
-fn f() {
-    // audit:allow(no-panic)
-    x.unwrap();
-}
-#[cfg(test)]
-mod tests {
-    fn t() { y.unwrap(); panic!(); }
-}
-";
-        let r = lint("crates/core/src/gsd.rs", src);
-        assert_eq!(r.unwaived_count(), 0, "{r}");
-        assert_eq!(r.waived_count(), 1);
     }
 
     #[test]
@@ -613,30 +529,6 @@ fn delta(&mut self) {
         let plain = "fn f(parts: &[f64]) { for pi in 0..parts.len() { g(pi); } }\n";
         let r = lint("crates/core/src/symmetric.rs", plain);
         assert_eq!(r.unwaived().filter(|v| v.rule == SLOT_LOOP).count(), 0, "{r}");
-    }
-
-    #[test]
-    fn no_print_fires_outside_allowed_paths_only() {
-        let src = "fn f() { println!(\"x\"); }\n";
-        let lib = lint("crates/experiments/src/runtime.rs", src);
-        assert_eq!(lib.unwaived().filter(|v| v.rule == NO_PRINT).count(), 1);
-        for allowed in [
-            "crates/scenarios/src/bin/repro.rs",
-            "crates/obs/src/logger.rs",
-            "crates/audit/src/main.rs",
-        ] {
-            let r = lint(allowed, src);
-            assert_eq!(r.unwaived().filter(|v| v.rule == NO_PRINT).count(), 0, "{allowed}");
-        }
-    }
-
-    #[test]
-    fn no_print_reports_once_per_line_and_skips_strings() {
-        let r = lint("crates/core/src/gsd.rs", "fn f() { eprintln!(\"println! here\"); }\n");
-        assert_eq!(r.violations.iter().filter(|v| v.rule == NO_PRINT).count(), 1, "{r}");
-        assert!(r.violations.iter().any(|v| v.message.contains("`eprintln!`")), "{r}");
-        let quiet = lint("crates/core/src/gsd.rs", "fn f() { let s = \"println!\"; use_it(s); }\n");
-        assert_eq!(quiet.violations.iter().filter(|v| v.rule == NO_PRINT).count(), 0, "{quiet}");
     }
 
     #[test]

@@ -123,7 +123,7 @@ fn stale_waiver_fixture_flags_each_hygiene_gap() {
         tuples(&r),
         vec![
             ("float-eq", STALE_FIX, 6, true),      // live waiver: stays used
-            ("stale-waiver", STALE_FIX, 11, false), // no-panic waiver suppresses nothing
+            ("stale-waiver", STALE_FIX, 11, false), // nan-guard waiver suppresses nothing
             ("stale-waiver", STALE_FIX, 16, false), // unknown rule id
             ("stale-waiver", STALE_FIX, 21, true),  // kept waiver, waived as such
             ("stale-waiver", STALE_FIX, 24, false), // audit:unit binds nothing

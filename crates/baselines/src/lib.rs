@@ -17,6 +17,8 @@
 //!   multiplier search, [`coca_opt::dual::solve_budget_dual`].
 
 #![deny(missing_docs, unsafe_code)]
+// Diagnostics go through `coca_obs::logger`; only the binaries print.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod budgeted;
 pub mod carbon_unaware;

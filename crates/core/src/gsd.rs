@@ -14,6 +14,9 @@
 //! the test-suite against [`ExhaustiveSolver`](crate::solver::ExhaustiveSolver)
 //! and against the closed-form Gibbs stationary distribution.
 
+// A panic mid-slot aborts the control loop Theorem 2 bounds: return typed errors.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use std::sync::Arc;
 
 use rand::rngs::StdRng;

@@ -44,6 +44,9 @@
 //! reference chain and the sequential engine's chain slot by slot, and
 //! that the solver reaches the exhaustive optimum on small fleets.
 
+// A panic mid-slot aborts the control loop Theorem 2 bounds: return typed errors.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -268,10 +271,12 @@ impl AgentPool {
     // `SimError::Internal` at the solver boundary.
     fn broadcast(&self, req: &Request) -> Vec<Reply> {
         for tx in &self.txs {
-            tx.send(req.clone()).expect("agent alive"); // audit:allow(no-panic) contained by the thread scope in solve()
+            #[expect(clippy::expect_used, reason = "contained by the thread scope in solve()")]
+            tx.send(req.clone()).expect("agent alive");
         }
+        #[expect(clippy::expect_used, reason = "contained by the thread scope in solve()")]
         // audit:ordered(replies drain in shard-index order from dedicated per-shard channels, one reply per request)
-        self.rxs.iter().map(|rx| rx.recv().expect("agent replies")).collect() // audit:allow(no-panic) contained by the thread scope in solve()
+        self.rxs.iter().map(|rx| rx.recv().expect("agent replies")).collect()
     }
 
     fn num_shards(&self) -> usize {
@@ -280,21 +285,27 @@ impl AgentPool {
 
     fn set_level(&self, group: usize, level: usize) {
         let (w, local) = self.owner[group];
-        self.txs[w].send(Request::SetLevel { local, level }).expect("agent alive"); // audit:allow(no-panic) contained by the thread scope in solve()
+        #[expect(clippy::expect_used, reason = "contained by the thread scope in solve()")]
+        self.txs[w].send(Request::SetLevel { local, level }).expect("agent alive");
+        #[expect(clippy::expect_used, reason = "contained by the thread scope in solve()")]
         // audit:ordered(dedicated per-shard channel; strictly paired request/reply, so the ack is the one just requested)
-        match self.rxs[w].recv().expect("ack") { // audit:allow(no-panic) contained by the thread scope in solve()
+        match self.rxs[w].recv().expect("ack") {
             Reply::Ack => {}
-            other => panic!("expected Ack, got {other:?}"), // audit:allow(no-panic) contained by the thread scope in solve()
+            #[expect(clippy::panic, reason = "contained by the thread scope in solve()")]
+            other => panic!("expected Ack, got {other:?}"),
         }
     }
 
     /// Queries a single shard's aggregates (dirty-shard refresh path).
     fn shard_aggregates(&self, w: usize) -> (f64, f64) {
-        self.txs[w].send(Request::Aggregates).expect("agent alive"); // audit:allow(no-panic) contained by the thread scope in solve()
+        #[expect(clippy::expect_used, reason = "contained by the thread scope in solve()")]
+        self.txs[w].send(Request::Aggregates).expect("agent alive");
+        #[expect(clippy::expect_used, reason = "contained by the thread scope in solve()")]
         // audit:ordered(dedicated per-shard channel; strictly paired request/reply, so the reply is the one just requested)
-        match self.rxs[w].recv().expect("agent replies") { // audit:allow(no-panic) contained by the thread scope in solve()
+        match self.rxs[w].recv().expect("agent replies") {
             Reply::Aggregates(c, s) => (c, s),
-            other => panic!("expected Aggregates, got {other:?}"), // audit:allow(no-panic) contained by the thread scope in solve()
+            #[expect(clippy::panic, reason = "contained by the thread scope in solve()")]
+            other => panic!("expected Aggregates, got {other:?}"),
         }
     }
 
@@ -303,7 +314,8 @@ impl AgentPool {
             .into_iter()
             .map(|r| match r {
                 Reply::MinMarginal(m) => m,
-                other => panic!("expected MinMarginal, got {other:?}"), // audit:allow(no-panic) contained by the thread scope in solve()
+                #[expect(clippy::panic, reason = "contained by the thread scope in solve()")]
+                other => panic!("expected MinMarginal, got {other:?}"),
             })
             .fold(f64::INFINITY, f64::min)
     }
@@ -313,7 +325,8 @@ impl AgentPool {
             .into_iter()
             .map(|r| match r {
                 Reply::TotalAt(t) => t,
-                other => panic!("expected TotalAt, got {other:?}"), // audit:allow(no-panic) contained by the thread scope in solve()
+                #[expect(clippy::panic, reason = "contained by the thread scope in solve()")]
+                other => panic!("expected TotalAt, got {other:?}"),
             })
             .sum()
     }
@@ -327,7 +340,8 @@ impl AgentPool {
                     delay += d;
                     load += l;
                 }
-                other => panic!("expected Evaluate, got {other:?}"), // audit:allow(no-panic) contained by the thread scope in solve()
+                #[expect(clippy::panic, reason = "contained by the thread scope in solve()")]
+                other => panic!("expected Evaluate, got {other:?}"),
             }
         }
         (power, delay, load)

@@ -28,6 +28,8 @@
 //!   bounds so the guarantees can be *checked* against simulation.
 
 #![deny(missing_docs, unsafe_code)]
+// Diagnostics go through `coca_obs::logger`; only the binaries print.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod controller;
 pub mod deficit;

@@ -14,6 +14,9 @@
 //!   coordinate descent over per-class (level, active-count) pairs.
 //! * [`ExhaustiveSolver`] — ground truth by enumeration (tiny fleets only).
 
+// A panic mid-slot aborts the control loop Theorem 2 bounds: return typed errors.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use coca_dcsim::dispatch::{optimal_dispatch, DispatchOutcome, SlotProblem};
 use coca_dcsim::SimError;
 

@@ -42,6 +42,9 @@
 //! `coca-serve`; GSD remains the reference algorithm (and the subject of
 //! Fig. 4).
 
+// A panic mid-slot aborts the control loop Theorem 2 bounds: return typed errors.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use std::sync::Arc;
 
 use coca_dcsim::dispatch::{optimal_dispatch, SlotProblem};

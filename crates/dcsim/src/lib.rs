@@ -40,6 +40,8 @@
 //!   (cumulative / moving averages) the figures plot.
 
 #![deny(missing_docs, unsafe_code)]
+// Diagnostics go through `coca_obs::logger`; only the binaries print.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod checkpoint;
 pub mod cluster;

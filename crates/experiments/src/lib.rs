@@ -24,6 +24,8 @@
 //! results.
 
 #![deny(missing_docs, unsafe_code)]
+// Diagnostics go through `coca_obs::logger`; only the binaries print.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod figures;
 pub mod parallel;

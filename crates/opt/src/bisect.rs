@@ -9,6 +9,9 @@
 //! tolerant of the piecewise-smooth, clipped functions that arise from KKT
 //! conditions with box constraints.
 
+// A panic mid-slot aborts the control loop Theorem 2 bounds: return typed errors.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::{OptError, Result};
 
 /// Options controlling a bisection run.

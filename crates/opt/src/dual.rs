@@ -23,6 +23,9 @@
 //! rose with μ somewhere on 113. So the search checks its answer against
 //! the budget rather than trusting the bisection's crossing.
 
+// A panic mid-slot aborts the control loop Theorem 2 bounds: return typed errors.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::bisect::{bisect_increasing, grow_upper_bracket, BisectOptions};
 use crate::OptError;
 

@@ -17,6 +17,9 @@
 //! exact stationary distribution on enumerable spaces, which the test-suite
 //! compares against empirical visit frequencies.
 
+// A panic mid-slot aborts the control loop Theorem 2 bounds: return typed errors.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use rand::Rng;
 
 use crate::schedule::TemperatureSchedule;

@@ -31,6 +31,8 @@
 //! fallible operations return [`OptError`].
 
 #![deny(missing_docs, unsafe_code)]
+// Diagnostics go through `coca_obs::logger`; only the binaries print.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod bisect;
 pub mod dual;

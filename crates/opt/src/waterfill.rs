@@ -43,6 +43,9 @@
 //! load-conservation and KKT certificates on every solve. The GSD
 //! evaluation context and `SymmetricSolver` reuse one solver across prices.
 
+// A panic mid-slot aborts the control loop Theorem 2 bounds: return typed errors.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::bisect::{grow_upper_bracket, illinois_increasing, illinois_seeded, BisectOptions};
 use crate::{pos, OptError, Result};
 

@@ -35,6 +35,8 @@
 //! and the resume soundness caveats.
 
 #![deny(missing_docs, unsafe_code)]
+// Diagnostics go through `coca_obs::logger`; only the binaries print.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod assemble;
 pub mod manifest;

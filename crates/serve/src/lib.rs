@@ -27,6 +27,8 @@
 //! [`SimEngine::run_service`]: coca_dcsim::SimEngine::run_service
 
 #![deny(missing_docs, unsafe_code)]
+// Diagnostics go through `coca_obs::logger`; only the binaries print.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod http;
 pub mod ingest;

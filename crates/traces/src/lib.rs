@@ -24,6 +24,8 @@
 //! * electricity price in $/kWh.
 
 #![deny(missing_docs, unsafe_code)]
+// Diagnostics go through `coca_obs::logger`; only the binaries print.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod adapters;
 pub mod csv;
