@@ -16,12 +16,20 @@
 //! [`OfflineOpt::total_planned_brown`] reports what the plan uses; a budget
 //! that no multiplier meets is an `Infeasible` error.
 //!
+//! Every probe of the search, one μ-sweep of the frame, goes through a
+//! [`PassMemo`] keyed by the frame's inputs, μ and the solver's warm state,
+//! so plans that share a memo run each repeated sweep once and answer the
+//! same; a caller with nothing to share passes an empty memo.
+//!
 //! [`OfflineOpt::plan_lookahead`] plans each frame of `T` slots separately
 //! against the frame budget `Σ_frame f(t) + Z/R` — the paper's **P2**
 //! family of T-step lookahead benchmarks used in Theorem 2.
 
 use coca_core::solver::P3Solver;
-use coca_dcsim::{Cluster, CostParams, Decision, Policy, SimError, SlotObservation};
+use coca_dcsim::{
+    Cluster, CostParams, Decision, PassMemo, Policy, SimError, SlotObservation, SweepFrame,
+    SweepSummary,
+};
 use coca_opt::dual::{solve_budget_dual, DualOptions};
 use coca_opt::OptError;
 use coca_traces::EnvironmentTrace;
@@ -58,8 +66,9 @@ impl OfflineOpt {
         trace: &EnvironmentTrace,
         budget: f64,
         solver: &mut S,
+        memo: &PassMemo,
     ) -> Result<Self, SimError> {
-        Self::plan_lookahead(cluster, cost, trace, budget, trace.len(), solver)
+        Self::plan_lookahead(cluster, cost, trace, budget, trace.len(), solver, memo)
     }
 
     /// Plans frame-by-frame: each frame of `frame_len` slots gets the
@@ -75,6 +84,7 @@ impl OfflineOpt {
         budget: f64,
         frame_len: usize,
         solver: &mut S,
+        memo: &PassMemo,
     ) -> Result<Self, SimError> {
         cost.validate()?;
         if trace.is_empty() {
@@ -106,7 +116,7 @@ impl OfflineOpt {
             };
 
             // One probe sweeps the frame: every slot minimizes g + μ·y.
-            let sweep = |mu: f64| -> Result<_, SimError> {
+            let sweep = |solver: &mut S, mu: f64| -> Result<_, SimError> {
                 let mut plan = Vec::with_capacity(end - start);
                 let (mut frame_cost, mut frame_brown) = (0.0, 0.0);
                 for t in start..end {
@@ -123,12 +133,36 @@ impl OfflineOpt {
                 }
                 Ok((plan, frame_cost, frame_brown))
             };
+            let frame = SweepFrame {
+                cluster,
+                cost,
+                workload: &trace.workload[start..end],
+                onsite: &trace.onsite[start..end],
+                price: &trace.price[start..end],
+            };
+            // Each probe goes through the memo. A sweep this search runs
+            // keeps its plan; a shared one keeps the warm state it started
+            // from, and the solver takes the warm state it left.
+            let probe = |mu: f64| -> Result<_, SimError> {
+                let warm_before = solver.snapshot_state()?;
+                let mut plan = None;
+                let (swept, executed) = memo.opt_sweep(frame, mu, &warm_before, || {
+                    let (p, cost, brown) = sweep(solver, mu)?;
+                    plan = Some(p);
+                    let warm_after = solver.snapshot_state()?;
+                    Ok::<_, SimError>(SweepSummary { cost, brown, warm_after })
+                })?;
+                if !executed {
+                    solver.restore_state(&swept.warm_after)?;
+                }
+                Ok(((plan, warm_before), swept.cost, swept.brown))
+            };
             // Each probe re-solves the whole frame; a per-mille budget
             // tolerance keeps the probe count near 10 (6–11 per binding
             // budget point at small scale) while staying far below the
             // discrete-speed quantization error.
             let opts = DualOptions { budget_rel_tol: 2e-3, max_iter: 22, max_doublings: 40 };
-            let outcome = solve_budget_dual(sweep, frame_budget, 1.0, opts)?;
+            let outcome = solve_budget_dual(probe, frame_budget, 1.0, opts)?;
             if !outcome.attainable {
                 return Err(SimError::Opt(OptError::Infeasible(format!(
                     "budget unattainable even at extreme multiplier (slots {start}..{end}, \
@@ -136,8 +170,28 @@ impl OfflineOpt {
                      exceeds the budget"
                 ))));
             }
+            // The search landed on its last probe, so rebuilding a shared
+            // sweep from its starting warm state also leaves the solver as
+            // the sweep did.
+            let plan = match outcome.plan {
+                (Some(plan), _) => plan,
+                (None, warm_before) => {
+                    memo.opt_sweeps().executed.inc();
+                    solver.restore_state(&warm_before)?;
+                    let (plan, cost, brown) = sweep(solver, outcome.mu)?;
+                    if (cost.to_bits(), brown.to_bits())
+                        != (outcome.total_cost.to_bits(), outcome.total_usage.to_bits())
+                    {
+                        return Err(SimError::Internal(format!(
+                            "OPT sweep at μ = {} rebuilt to a different plan",
+                            outcome.mu
+                        )));
+                    }
+                    plan
+                }
+            };
             multipliers.push(outcome.mu);
-            for (decision, g, y) in outcome.plan {
+            for (decision, g, y) in plan {
                 decisions.push(decision);
                 planned_costs.push(g);
                 planned_brown.push(y);
@@ -258,7 +312,8 @@ mod tests {
         let unaware = unaware_consumption(&cluster, cost, &trace);
         let budget = unaware * 0.85;
         let mut solver = SymmetricSolver::new();
-        let opt = OfflineOpt::plan(&cluster, cost, &trace, budget, &mut solver).unwrap();
+        let memo = PassMemo::new();
+        let opt = OfflineOpt::plan(&cluster, cost, &trace, budget, &mut solver, &memo).unwrap();
         assert!(
             opt.total_planned_brown() <= budget * 1.01,
             "planned brown {} vs budget {budget}",
@@ -268,12 +323,48 @@ mod tests {
         assert!(opt.multipliers[0] > 0.0, "tight budget needs a positive multiplier");
     }
 
+    /// A search shares a sweep only from the same solver warm state: the
+    /// same search from a cold solver shares every sweep, one from a
+    /// warmed solver runs its own, and both plan what they plan alone.
+    #[test]
+    fn sweeps_are_shared_only_from_the_same_warm_state() {
+        let (cluster, trace) = setup(96);
+        let cost = CostParams::default();
+        let budget = unaware_consumption(&cluster, cost, &trace) * 0.85;
+        let plan = |solver: &mut SymmetricSolver, memo: &PassMemo| {
+            let opt = OfflineOpt::plan(&cluster, cost, &trace, budget, solver, memo).unwrap();
+            let both = opt.planned_costs.iter().chain(&opt.planned_brown);
+            both.map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        let warmed = || {
+            let mut solver = SymmetricSolver::new();
+            let obs = SlotObservation { t: 0, arrival_rate: 50.0, onsite: 0.0, price: 0.05 };
+            let _ = solve_penalized(&mut solver, &cluster, &cost, &obs, 3.0).unwrap();
+            solver
+        };
+        let memo = PassMemo::new();
+        let cold = plan(&mut SymmetricSolver::new(), &memo);
+        let sweeps = memo.opt_sweeps();
+        let (executed, shared) = (sweeps.executed.get(), sweeps.shared.get());
+        assert!(shared > 0, "a search repeats some of its own sweeps");
+        // Every probe shared; the landing sweep is rebuilt for its plan.
+        assert_eq!(plan(&mut SymmetricSolver::new(), &memo), cold);
+        let probes = executed + shared;
+        assert_eq!((sweeps.executed.get(), sweeps.shared.get()), (executed + 1, shared + probes));
+
+        let alone = plan(&mut warmed(), &PassMemo::new());
+        let shared = sweeps.shared.get();
+        assert_eq!(plan(&mut warmed(), &memo), alone);
+        assert!(sweeps.shared.get() - shared < probes, "a warmed solver's first sweep is its own");
+    }
+
     #[test]
     fn slack_budget_matches_carbon_unaware() {
         let (cluster, trace) = setup(72);
         let cost = CostParams::default();
         let mut solver = SymmetricSolver::new();
-        let opt = OfflineOpt::plan(&cluster, cost, &trace, 1e12, &mut solver).unwrap();
+        let opt =
+            OfflineOpt::plan(&cluster, cost, &trace, 1e12, &mut solver, &PassMemo::new()).unwrap();
         assert_eq!(opt.multipliers, vec![0.0]);
         let cu = unaware_run(&cluster, cost, &trace);
         assert!(
@@ -290,7 +381,8 @@ mod tests {
         let cost = CostParams::default();
         let mut solver = SymmetricSolver::new();
         let budget = unaware_consumption(&cluster, cost, &trace) * 0.9;
-        let mut opt = OfflineOpt::plan(&cluster, cost, &trace, budget, &mut solver).unwrap();
+        let memo = PassMemo::new();
+        let mut opt = OfflineOpt::plan(&cluster, cost, &trace, budget, &mut solver, &memo).unwrap();
         let out = run_lockstep(Arc::clone(&cluster), &trace, cost, 0.0, vec![Box::new(&mut opt)])
             .unwrap()
             .pop()
@@ -309,9 +401,9 @@ mod tests {
         let unaware = unaware_consumption(&cluster, cost, &trace);
         let mut last = -1.0;
         for frac in [1.0, 0.92, 0.85] {
-            let mut solver = SymmetricSolver::new();
+            let (mut solver, memo) = (SymmetricSolver::new(), PassMemo::new());
             let opt =
-                OfflineOpt::plan(&cluster, cost, &trace, unaware * frac, &mut solver).unwrap();
+                OfflineOpt::plan(&cluster, cost, &trace, unaware * frac, &mut solver, &memo).unwrap();
             assert!(
                 opt.total_planned_cost() >= last - 1e-6,
                 "cost must grow as budget tightens"
@@ -326,8 +418,10 @@ mod tests {
         let cost = CostParams::default();
         let unaware = unaware_consumption(&cluster, cost, &trace);
         let mut solver = SymmetricSolver::new();
-        let opt = OfflineOpt::plan_lookahead(&cluster, cost, &trace, unaware * 0.9, 24, &mut solver)
-            .unwrap();
+        let memo = PassMemo::new();
+        let budget = unaware * 0.9;
+        let opt =
+            OfflineOpt::plan_lookahead(&cluster, cost, &trace, budget, 24, &mut solver, &memo).unwrap();
         assert_eq!(opt.len(), 96);
         assert_eq!(opt.multipliers.len(), 4, "one multiplier per 24-slot frame");
     }
@@ -340,10 +434,11 @@ mod tests {
         let unaware = unaware_consumption(&cluster, cost, &trace);
         let budget = unaware * 0.88;
         let mut s1 = SymmetricSolver::new();
-        let full = OfflineOpt::plan(&cluster, cost, &trace, budget, &mut s1).unwrap();
+        let memo = PassMemo::new();
+        let full = OfflineOpt::plan(&cluster, cost, &trace, budget, &mut s1, &memo).unwrap();
         let mut s2 = SymmetricSolver::new();
         let framed =
-            OfflineOpt::plan_lookahead(&cluster, cost, &trace, budget, 24, &mut s2).unwrap();
+            OfflineOpt::plan_lookahead(&cluster, cost, &trace, budget, 24, &mut s2, &memo).unwrap();
         assert!(
             full.total_planned_cost() <= framed.total_planned_cost() * 1.02,
             "full-horizon OPT {} should not lose to 24-slot lookahead {}",
@@ -357,9 +452,10 @@ mod tests {
         let (cluster, trace) = setup(24);
         let cost = CostParams::default();
         let mut solver = SymmetricSolver::new();
-        assert!(OfflineOpt::plan(&cluster, cost, &trace, f64::NAN, &mut solver).is_err());
+        let memo = PassMemo::new();
+        assert!(OfflineOpt::plan(&cluster, cost, &trace, f64::NAN, &mut solver, &memo).is_err());
         assert!(
-            OfflineOpt::plan_lookahead(&cluster, cost, &trace, 10.0, 0, &mut solver).is_err()
+            OfflineOpt::plan_lookahead(&cluster, cost, &trace, 10.0, 0, &mut solver, &memo).is_err()
         );
         let empty = EnvironmentTrace {
             workload: vec![],
@@ -367,6 +463,6 @@ mod tests {
             offsite: vec![],
             price: vec![],
         };
-        assert!(OfflineOpt::plan(&cluster, cost, &empty, 10.0, &mut solver).is_err());
+        assert!(OfflineOpt::plan(&cluster, cost, &empty, 10.0, &mut solver, &memo).is_err());
     }
 }

@@ -17,7 +17,7 @@ use coca_core::gsd::{GsdOptions, GsdSolver};
 use coca_core::invariant;
 use coca_core::symmetric::SymmetricSolver;
 use coca_core::{CocaConfig, CocaController, VSchedule};
-use coca_dcsim::{run_lockstep, Cluster, CostParams, SlotObservation};
+use coca_dcsim::{run_lockstep, Cluster, CostParams, PassMemo, SlotObservation};
 use coca_opt::schedule::TemperatureSchedule;
 use coca_traces::{EnvironmentTrace, TraceConfig, WorkloadKind};
 
@@ -92,7 +92,8 @@ fn strict_run_exercises_every_invariant_check() {
 
     let mut solver = SymmetricSolver::new();
     let opt =
-        OfflineOpt::plan(&cluster, cost, &env, brown * 0.9, &mut solver).expect("OPT plans");
+        OfflineOpt::plan(&cluster, cost, &env, brown * 0.9, &mut solver, &PassMemo::new())
+            .expect("OPT plans");
     let _ = run_lockstep(Arc::clone(&cluster), &env, cost, 10.0, vec![Box::new(opt)])
         .expect("strict OPT run");
 

@@ -810,6 +810,47 @@ mod tests {
             .is_err());
     }
 
+    /// The premise of the batch's OPT sweep memo (DESIGN §10.3): a solve is
+    /// a pure function of its problem and the warm state. Two solvers with
+    /// different histories, restored from one snapshot, answer a 48-slot
+    /// penalized sweep bit for bit alike.
+    #[test]
+    fn restored_solvers_with_different_histories_sweep_identically() {
+        let cluster = Cluster::scaled_paper_datacenter(8, 3);
+        let other = Cluster::homogeneous(5, 6);
+        let cap = cluster.max_capacity();
+        let slot = |cluster, t: usize, mu: f64| SlotProblem {
+            onsite: 0.4 * (t % 5) as f64,
+            ..problem(
+                cluster,
+                0.5 * cap * (0.3 + 0.6 * (t as f64 / 7.0).sin().abs()),
+                0.05 + 0.03 * (t as f64 / 5.0).cos() + mu,
+                10.0,
+            )
+        };
+        let mut a = SymmetricSolver::new();
+        let _ = a.solve(&slot(&cluster, 0, 0.0)).unwrap();
+        let snap = a.snapshot_state().unwrap();
+        // The other history: another fleet, other multipliers, and a slot
+        // of this fleet far from the snapshot's.
+        let mut b = SymmetricSolver::new();
+        for t in 0..6 {
+            let _ = b.solve(&slot(&other, t, 5.0)).unwrap();
+        }
+        let _ = b.solve(&slot(&cluster, 17, 500.0)).unwrap();
+        assert_ne!(b.snapshot_state().unwrap(), snap, "the histories differ");
+        a.restore_state(&snap).unwrap();
+        b.restore_state(&snap).unwrap();
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for t in 0..48 {
+            let p = slot(&cluster, t, 0.7);
+            let (x, y) = (a.solve(&p).unwrap(), b.solve(&p).unwrap());
+            assert_eq!(x.levels, y.levels, "slot {t}");
+            assert_eq!(bits(&x.loads), bits(&y.loads), "slot {t}");
+            assert_eq!(x.outcome.objective.to_bits(), y.outcome.objective.to_bits(), "slot {t}");
+        }
+    }
+
     #[test]
     fn memo_matches_keys_exactly_not_by_hash() {
         let st = |level, active| PartState { level, active };

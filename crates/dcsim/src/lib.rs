@@ -36,6 +36,8 @@
 //! * [`eventsim`] — a discrete-event M/G/1/PS simulator (virtual-time
 //!   processor sharing) used to validate the analytic delay model at small
 //!   scale; this is the "event-based simulation" of Sec. 5.1.
+//! * [`memo`] — the memo of deterministic passes (COCA runs, OPT μ-sweeps)
+//!   that one batch context runs once and shares.
 //! * [`metrics`] — per-slot records, totals, and the derived series
 //!   (cumulative / moving averages) the figures plot.
 
@@ -51,6 +53,7 @@ pub mod engine;
 pub mod eventsim;
 pub mod group;
 pub mod incremental;
+pub mod memo;
 pub mod metrics;
 pub mod policy;
 pub mod push;
@@ -70,6 +73,7 @@ pub use engine::{
 pub use error::SimError;
 pub use group::ServerGroup;
 pub use incremental::{EvalStats, SlotEvalContext};
+pub use memo::{CocaPass, OnceMap, PassCounts, PassMemo, RunSummary, SweepFrame, SweepSummary};
 pub use metrics::{DecisionContext, RecordSink, SimOutcome, SlotRecord, SummarySink, VecSink};
 pub use policy::{Decision, Policy, PolicyTelemetry, SlotFeedback, SlotObservation, StaticLevels};
 pub use push::{push_source, push_source_at, PushError, PushHandle, PushSource};

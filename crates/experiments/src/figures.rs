@@ -14,7 +14,7 @@ use coca_core::solver::P3Solver;
 use coca_core::symmetric::SymmetricSolver;
 use coca_core::{CocaConfig, CocaController, VSchedule};
 use coca_dcsim::dispatch::SlotProblem;
-use coca_dcsim::{run_lockstep, Policy, SimError, SimOutcome};
+use coca_dcsim::{run_lockstep, CocaPass, PassMemo, Policy, RunSummary, SimError};
 use coca_opt::schedule::TemperatureSchedule;
 
 use crate::report::Series;
@@ -52,23 +52,35 @@ pub fn coca_policy(
     CocaController::new(Arc::clone(&setup.cluster), setup.cost, cfg, SymmetricSolver::new())
 }
 
-/// Runs COCA over the setup's trace with the given V schedule and frame
-/// length, returning the simulation outcome.
-pub fn run_coca(
-    setup: &PaperSetup,
-    v: VSchedule,
-    frame_length: usize,
-) -> Result<SimOutcome, SimError> {
-    let coca = coca_policy(setup, v, frame_length);
-    run_lockstep(
-        Arc::clone(&setup.cluster),
-        &setup.trace,
-        setup.cost,
-        setup.rec_total,
-        vec![Box::new(coca)],
-    )?
-    .pop()
-    .ok_or_else(|| SimError::Internal("engine produced no outcome".into()))
+/// COCA at constant `v` over the setup's whole trace as one frame, run
+/// through `memo`: simulated only when no earlier call of the memo ran the
+/// same inputs. Returns what the searches and reports read of the run.
+fn coca_pass(setup: &PaperSetup, v: f64, memo: &PassMemo) -> Result<RunSummary, SimError> {
+    let frame = setup.trace.len();
+    let pass = CocaPass {
+        cluster: &setup.cluster,
+        cost: setup.cost,
+        trace: &setup.trace,
+        rec_total: setup.rec_total,
+        v,
+        frame,
+        phi: 1.0,
+    };
+    let (summary, _) = memo.coca_run(pass, || {
+        let mut coca = coca_policy(setup, VSchedule::Constant(v), frame);
+        // Borrowed, so the peak deficit stays readable after the run.
+        let out = run_lockstep(
+            Arc::clone(&setup.cluster),
+            &setup.trace,
+            setup.cost,
+            setup.rec_total,
+            vec![Box::new(&mut coca) as Box<dyn Policy + '_>],
+        )?
+        .pop()
+        .ok_or_else(|| SimError::Internal("engine produced no outcome".into()))?;
+        Ok::<_, SimError>(RunSummary::of(&out, Some(coca.max_deficit())))
+    })?;
+    Ok(summary)
 }
 
 /// Finds the largest constant V whose COCA run stays within the carbon
@@ -81,11 +93,16 @@ pub fn run_coca(
 /// budget (the queue can enforce neutrality for any V on a long horizon),
 /// the top is returned.
 ///
-/// Returns the V together with the outcome of the probe run made at it,
-/// which is [`run_coca`] at that V over the whole horizon as one frame, so
-/// a caller that wants COCA at V\* need not simulate it again.
-pub fn calibrate_v(setup: &PaperSetup, probes: usize) -> Result<(f64, SimOutcome), SimError> {
-    let run_at = |v: f64| run_coca(setup, VSchedule::Constant(v), setup.trace.len());
+/// Every probe is a whole-horizon COCA run through `memo`, so a probe some
+/// earlier search of the memo made is not simulated again. Returns the V
+/// together with the summary of the probe made at it, so a caller that
+/// wants COCA at V\* need not simulate it again.
+pub fn calibrate_v(
+    setup: &PaperSetup,
+    probes: usize,
+    memo: &PassMemo,
+) -> Result<(f64, RunSummary), SimError> {
+    let run_at = |v: f64| coca_pass(setup, v, memo);
     let v0 = setup.characteristic_v();
     let mut lo = v0 / 300.0;
     let mut hi = v0 * 300.0;
@@ -226,18 +243,27 @@ pub struct BudgetSweepRow {
 /// and normalizes both by the caller-supplied carbon-unaware reference
 /// cost (computed once per sweep via
 /// [`unaware_reference`](crate::setup::unaware_reference) on the base
-/// setup).
+/// setup). The calibration's COCA runs and OPT's μ-sweeps go through
+/// `memo`, so the points of one sweep share the passes they have in
+/// common; the row does not depend on what the memo already holds.
 pub fn budget_point(
     base: &PaperSetup,
     frac: f64,
     calib_probes: usize,
     unaware_cost: f64,
+    memo: &PassMemo,
 ) -> Result<BudgetSweepRow, SimError> {
     let setup = base.with_budget_fraction(frac);
-    let (v, coca_out) = calibrate_v(&setup, calib_probes)?;
+    let (v, coca_out) = calibrate_v(&setup, calib_probes, memo)?;
     let mut solver = SymmetricSolver::new();
-    let opt =
-        OfflineOpt::plan(&setup.cluster, setup.cost, &setup.trace, setup.budget_kwh, &mut solver)?;
+    let opt = OfflineOpt::plan(
+        &setup.cluster,
+        setup.cost,
+        &setup.trace,
+        setup.budget_kwh,
+        &mut solver,
+        memo,
+    )?;
     let opt_cost = opt.total_planned_cost() / setup.trace.len() as f64;
     Ok(BudgetSweepRow {
         budget_fraction: frac,
@@ -337,7 +363,7 @@ mod tests {
     #[test]
     fn calibrated_v_meets_budget() {
         let setup = small_setup();
-        let (_, out) = calibrate_v(&setup, 6).unwrap();
+        let (_, out) = calibrate_v(&setup, 6, &PassMemo::new()).unwrap();
         assert!(
             out.total_brown_energy() <= setup.budget_kwh * 1.01,
             "brown {} vs budget {}",
@@ -346,7 +372,7 @@ mod tests {
         );
     }
 
-    /// The kept outcome must be the run at the returned V, not the run of
+    /// The kept summary must be the run at the returned V, not the run of
     /// the last probe or of a bracket end: budget points report it as
     /// COCA's run. At small scale the Fiu bisection at 92% accepts its
     /// last probe, the one at 90% rejects its last two, and at 100% the
@@ -356,13 +382,9 @@ mod tests {
         let base = small_setup();
         for (frac, probes) in [(0.92, 7), (0.9, 5), (1.0, 3)] {
             let setup = base.with_budget_fraction(frac);
-            let (v, kept) = calibrate_v(&setup, probes).unwrap();
-            let fresh = run_coca(&setup, VSchedule::Constant(v), setup.trace.len()).unwrap();
-            let bits = |series: Vec<f64>| series.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-            let brown =
-                |out: &SimOutcome| out.records.iter().map(|r| r.brown_energy).collect::<Vec<_>>();
-            assert!(bits(kept.cost_series()) == bits(fresh.cost_series()), "{frac}: cost series");
-            assert!(bits(brown(&kept)) == bits(brown(&fresh)), "{frac}: brown series");
+            let (v, kept) = calibrate_v(&setup, probes, &PassMemo::new()).unwrap();
+            let fresh = coca_pass(&setup, v, &PassMemo::new()).unwrap();
+            assert_eq!(format!("{kept:?}"), format!("{fresh:?}"), "{frac}");
             assert_eq!(
                 kept.total_brown_energy().to_bits(),
                 fresh.total_brown_energy().to_bits(),

@@ -12,6 +12,10 @@
 //! | `batch_runs_resumed_total` | counter | runs restored from a checkpoint |
 //! | `batch_runs_skipped_total` | counter | runs already completed on disk |
 //! | `batch_run_seconds` | histogram | wall-clock per executed simulation (runs sharing one observe it once) |
+//! | `batch_coca_runs_executed_total` | counter | whole COCA runs a context's pass memo simulated |
+//! | `batch_coca_runs_shared_total` | counter | COCA runs it answered from an earlier run |
+//! | `batch_opt_sweeps_executed_total` | counter | OPT μ-sweeps it ran, plan rebuilds included |
+//! | `batch_opt_sweeps_shared_total` | counter | OPT μ-sweeps it answered from an earlier sweep |
 //!
 //! Like [`MetricsObserver`](crate::MetricsObserver), handles are resolved
 //! once at construction; updates afterwards are lock-free atomics.
@@ -43,6 +47,17 @@ pub struct BatchMetrics {
     /// Wall-clock seconds per executed simulation, observed once however
     /// many runs share it (`batch_run_seconds`).
     pub run_seconds: Arc<Histogram>,
+    /// COCA runs a context's pass memo simulated
+    /// (`batch_coca_runs_executed_total`).
+    pub coca_runs_executed: Arc<Counter>,
+    /// COCA runs answered from an earlier run of the same inputs
+    /// (`batch_coca_runs_shared_total`).
+    pub coca_runs_shared: Arc<Counter>,
+    /// OPT μ-sweeps run (`batch_opt_sweeps_executed_total`).
+    pub opt_sweeps_executed: Arc<Counter>,
+    /// OPT μ-sweeps answered from an earlier sweep of the same frame, μ and
+    /// solver warm state (`batch_opt_sweeps_shared_total`).
+    pub opt_sweeps_shared: Arc<Counter>,
 }
 
 impl BatchMetrics {
@@ -58,6 +73,10 @@ impl BatchMetrics {
             run_seconds: registry
                 .histogram("batch_run_seconds", RUN_SECONDS_BOUNDS)
                 .expect("static bucket bounds are valid"),
+            coca_runs_executed: registry.counter("batch_coca_runs_executed_total"),
+            coca_runs_shared: registry.counter("batch_coca_runs_shared_total"),
+            opt_sweeps_executed: registry.counter("batch_opt_sweeps_executed_total"),
+            opt_sweeps_shared: registry.counter("batch_opt_sweeps_shared_total"),
         }
     }
 }
@@ -82,6 +101,9 @@ mod tests {
         assert_eq!(snap.counter("batch_runs_failed_total"), Some(0));
         assert_eq!(snap.counter("batch_runs_resumed_total"), Some(1));
         assert_eq!(snap.counter("batch_runs_skipped_total"), Some(1));
+        m.coca_runs_shared.add(3);
+        assert_eq!(registry.snapshot().counter("batch_coca_runs_shared_total"), Some(3));
+        assert_eq!(registry.snapshot().counter("batch_opt_sweeps_executed_total"), Some(0));
         let hist = snap.histogram("batch_run_seconds").expect("run timer");
         assert_eq!(hist.count, 2);
         assert!(hist.sum > 7.5);

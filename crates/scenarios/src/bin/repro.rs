@@ -28,9 +28,11 @@
 //! at slot T.
 //!
 //! `--metrics PATH` runs the instrumented engine/GSD probe plus a small
-//! crash-and-resume batch so the snapshot carries the batch counter
-//! families, and writes the registry snapshot (JSON) to PATH — CI
-//! validates it against `schemas/metrics.schema.json`.
+//! crash-and-resume batch and a small batch that shares passes, so the
+//! snapshot carries every batch counter family, and writes the registry
+//! snapshot (JSON) to PATH — CI validates it against
+//! `schemas/metrics.schema.json`. The command's own batch tallies into the
+//! same snapshot.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -273,7 +275,11 @@ fn print_narratives(
 /// Materializes every spec, executes all their runs through one batch
 /// queue, then — spec by spec, in the given order — assembles and emits the
 /// figures of each complete spec. Returns `true` when every run completed.
-fn run_specs(args: &Args, paths: &[PathBuf]) -> Result<bool, String> {
+fn run_specs(
+    args: &Args,
+    paths: &[PathBuf],
+    registry: Option<&Arc<MetricsRegistry>>,
+) -> Result<bool, String> {
     let mut specs = Vec::with_capacity(paths.len());
     for path in paths {
         let sp = Spec::load(path)?;
@@ -292,7 +298,7 @@ fn run_specs(args: &Args, paths: &[PathBuf]) -> Result<bool, String> {
             resume: args.resume,
             kill_after: args.kill_after,
             abort_runs_at_slot: args.abort_at_slot,
-            registry: None,
+            registry: registry.cloned(),
         },
     );
     let t0 = Instant::now();
@@ -370,11 +376,16 @@ fn list_scenarios(args: &Args, dir: &Path) -> Result<(), String> {
 /// short window of the scenario, with one [`MetricsObserver`] watching the
 /// engine (slots, checkpoints, phase timers), the GSD solver (kernel work
 /// and acceptance statistics) and the controller (deficit queue, frame
-/// resets), plus a crash-and-resume mini batch so the snapshot also
-/// carries every batch counter family the checked-in schema requires.
-fn metrics_probe(args: &Args, setup: &PaperSetup, path: &Path) -> Result<(), String> {
-    let registry = Arc::new(MetricsRegistry::new());
-    let observer = Arc::new(MetricsObserver::new(Arc::clone(&registry)));
+/// resets), plus a crash-and-resume mini batch and a mini batch that
+/// shares passes, so the snapshot also carries every batch counter family
+/// the checked-in schema requires.
+fn metrics_probe(
+    args: &Args,
+    setup: &PaperSetup,
+    registry: &Arc<MetricsRegistry>,
+    path: &Path,
+) -> Result<(), String> {
+    let observer = Arc::new(MetricsObserver::new(Arc::clone(registry)));
     let hours = setup.trace.len().min(72);
     let frame = 24.min(hours).max(1);
     let trace = setup.trace.window(0, hours);
@@ -430,7 +441,7 @@ fn metrics_probe(args: &Args, setup: &PaperSetup, path: &Path) -> Result<(), Str
             resume,
             kill_after: None,
             abort_runs_at_slot: abort,
-            registry: Some(Arc::clone(&registry)),
+            registry: Some(Arc::clone(registry)),
         };
         let crashed = BatchRunner::new(&m, opts(false, Some(100))).run()?;
         if crashed.failures.is_empty() {
@@ -443,6 +454,34 @@ fn metrics_probe(args: &Args, setup: &PaperSetup, path: &Path) -> Result<(), Str
         let skipped = BatchRunner::new(&m, opts(true, None)).run()?;
         if skipped.skipped != 1 {
             return Err(format!("probe batch: unexpected skip summary {skipped:?}"));
+        }
+    }
+    // Exercise the context's pass memo: the two budget points share their
+    // μ = 0 OPT sweep, and the COCA lane at V* is the calibration's run.
+    {
+        let sp = Spec::from_json(
+            r#"{"name": "metrics_probe_passes", "groups": [
+                {"id": "b", "kind": "budget_point", "params": {"calib_probes": 1},
+                 "sweep": {"budget_frac": [1.0, 1.05]}},
+                {"id": "c", "kind": "lockstep",
+                 "lanes": [{"label": "coca", "policy": "coca", "v_mode": "calibrated",
+                            "calib_probes": 1}]}
+            ]}"#,
+        )?;
+        let m = manifest::materialize(&sp, ExperimentScale::small())?;
+        let dir = args.out.join("batch").join("_metrics_probe_passes");
+        if dir.exists() {
+            std::fs::remove_dir_all(&dir).map_err(|e| format!("probe cleanup: {e}"))?;
+        }
+        let opts = BatchOptions {
+            dir,
+            workers: 1,
+            registry: Some(Arc::clone(registry)),
+            ..BatchOptions::default()
+        };
+        let summary = BatchRunner::new(&m, opts).run()?;
+        if !summary.is_complete() {
+            return Err(format!("probe passes batch: incomplete {summary:?}"));
         }
     }
     let json = registry.snapshot().to_json()?;
@@ -459,6 +498,8 @@ fn metrics_probe(args: &Args, setup: &PaperSetup, path: &Path) -> Result<(), Str
 
 fn run(args: &Args) -> Result<bool, String> {
     let t0 = Instant::now();
+    // With --metrics, the command's own batch tallies into the snapshot too.
+    let registry = args.metrics.as_ref().map(|_| Arc::new(MetricsRegistry::new()));
     let mut all_complete = true;
     match args.command.as_str() {
         "run" => {
@@ -466,7 +507,7 @@ fn run(args: &Args) -> Result<bool, String> {
                 return Err("run needs at least one spec file".into());
             }
             let paths: Vec<PathBuf> = args.operands.iter().map(PathBuf::from).collect();
-            all_complete = run_specs(args, &paths)?;
+            all_complete = run_specs(args, &paths, registry.as_ref())?;
         }
         "batch" => {
             let dir = args.operands.first().map_or_else(|| Path::new("scenarios"), Path::new);
@@ -474,7 +515,7 @@ fn run(args: &Args) -> Result<bool, String> {
             if specs.is_empty() {
                 return Err(format!("no spec files in {}", dir.display()));
             }
-            all_complete = run_specs(args, &specs)?;
+            all_complete = run_specs(args, &specs, registry.as_ref())?;
         }
         "list-scenarios" => {
             let dir = args.operands.first().map_or_else(|| Path::new("scenarios"), Path::new);
@@ -482,10 +523,10 @@ fn run(args: &Args) -> Result<bool, String> {
         }
         other => return Err(format!("unknown command {other:?}")),
     }
-    if let Some(path) = &args.metrics {
+    if let (Some(path), Some(registry)) = (&args.metrics, &registry) {
         let setup = PaperSetup::build(args.scale, WorkloadKind::Fiu, 0.92)
             .map_err(|e| format!("setup: {e}"))?;
-        metrics_probe(args, &setup, path)?;
+        metrics_probe(args, &setup, registry, path)?;
     }
     logger::info(&Span::new("repro"), &format!("done in {:.1?}", t0.elapsed()));
     Ok(all_complete)

@@ -16,6 +16,13 @@
 //! calibrated once per probe count, and the carbon-unaware reference cost
 //! and typical slot objectives are computed once.
 //!
+//! **Shared passes.** A context's [`PassMemo`] runs each COCA run at
+//! constant V and each OPT μ-sweep its runs make once, keyed by their
+//! inputs (and, for a sweep, the solver's warm state): V\* calibrations and
+//! budget points go through it, and so does a lockstep run whose lanes
+//! resolve to one COCA lane at a constant V with no recorded series. Such a
+//! run that the memo serves writes no checkpoint and deletes a stale one.
+//!
 //! **Shared runs.** Runs with the same simulation identity — context,
 //! kind and resolved config, less a lockstep run's report-only `record`
 //! and `movavg_window` — are simulated once, under the checkpoint path of
@@ -58,7 +65,10 @@ use std::time::Instant;
 use coca_baselines::{CarbonUnaware, PerfectHp};
 use coca_core::symmetric::SymmetricSolver;
 use coca_core::{CocaController, VSchedule};
-use coca_dcsim::{checkpoint, EngineBuilder, Policy, SimOutcome};
+use coca_dcsim::{
+    checkpoint, CocaPass, EngineBuilder, OnceMap, PassCounts, PassMemo, Policy, RunSummary,
+    SimOutcome,
+};
 use coca_experiments::figures;
 use coca_experiments::parallel;
 use coca_experiments::runtime::{run_lockstep_checkpointed, Checkpointing};
@@ -136,87 +146,79 @@ pub struct BatchRunner<'m> {
 }
 
 /// Context shared by every run of one (scale, workload, budget fraction)
-/// across all manifests of a batch: the lazily built base setup and
-/// memoized derived quantities (calibrated V* per probe count, the
-/// carbon-unaware reference cost, typical slot objectives). Every cache is
-/// computed under its mutex, so concurrent runs needing the same quantity
-/// block instead of duplicating a year-long calibration.
+/// across all manifests of a batch: the lazily built base setup, the
+/// quantities derived from it (calibrated V\* per probe count, the
+/// carbon-unaware reference cost, typical slot objectives), and the memo of
+/// the COCA runs and OPT μ-sweeps its runs make. Each value is computed
+/// once, under its own key's lock ([`OnceMap`]): concurrent runs needing
+/// the same one wait for it instead of duplicating a year-long
+/// calibration, and runs needing another one do not wait.
 struct Ctx {
     scale: ExperimentScale,
     workload: WorkloadKind,
     budget_fraction: f64,
-    setup: Mutex<Option<Arc<PaperSetup>>>,
-    vstar: Mutex<HashMap<usize, f64>>,
-    unaware: Mutex<Option<f64>>,
-    gtyp: Mutex<HashMap<(usize, u64), f64>>,
+    setup: OnceMap<(), Arc<PaperSetup>>,
+    vstar: OnceMap<usize, f64>,
+    unaware: OnceMap<(), f64>,
+    gtyp: OnceMap<(usize, u64), f64>,
+    passes: PassMemo,
 }
 
 impl Ctx {
     fn setup(&self) -> Result<Arc<PaperSetup>, String> {
-        let mut guard = self.setup.lock().map_err(|_| "setup cache poisoned".to_string())?;
-        if let Some(s) = guard.as_ref() {
-            return Ok(Arc::clone(s));
-        }
-        // audit:ordered(timing-only: the duration feeds a log line, never results or run identity)
-        let t0 = Instant::now();
-        let setup = PaperSetup::build(self.scale, self.workload, self.budget_fraction)
-            .map_err(|e| format!("setup build: {e}"))?;
-        logger::info(
-            &Span::new("setup"),
-            &format!(
-                "{:?}: groups={} servers={} hours={} ({:.1?})",
-                self.workload,
-                setup.cluster.num_groups(),
-                setup.cluster.num_servers(),
-                setup.trace.len(),
-                t0.elapsed()
-            ),
-        );
-        let setup = Arc::new(setup);
-        *guard = Some(Arc::clone(&setup));
+        let (setup, _) = self.setup.get_or_try_init((), || {
+            // audit:ordered(timing-only: the duration feeds a log line, never results or run identity)
+            let t0 = Instant::now();
+            let setup = PaperSetup::build(self.scale, self.workload, self.budget_fraction)
+                .map_err(|e| format!("setup build: {e}"))?;
+            logger::info(
+                &Span::new("setup"),
+                &format!(
+                    "{:?}: groups={} servers={} hours={} ({:.1?})",
+                    self.workload,
+                    setup.cluster.num_groups(),
+                    setup.cluster.num_servers(),
+                    setup.trace.len(),
+                    t0.elapsed()
+                ),
+            );
+            Ok::<_, String>(Arc::new(setup))
+        })?;
         Ok(setup)
     }
 
     fn vstar(&self, probes: usize) -> Result<f64, String> {
         let setup = self.setup()?;
-        let mut guard = self.vstar.lock().map_err(|_| "vstar cache poisoned".to_string())?;
-        if let Some(v) = guard.get(&probes) {
-            return Ok(*v);
-        }
-        // audit:ordered(timing-only: the duration feeds a log line, never results or run identity)
-        let t0 = Instant::now();
-        let (v, _) = figures::calibrate_v(&setup, probes).map_err(|e| format!("calibrate: {e}"))?;
-        logger::info(
-            &Span::new("calibrate"),
-            &format!("V* = {v:.1} (probes {probes}, {:.1?})", t0.elapsed()),
-        );
-        guard.insert(probes, v);
+        let (v, _) = self.vstar.get_or_try_init(probes, || {
+            // audit:ordered(timing-only: the duration feeds a log line, never results or run identity)
+            let t0 = Instant::now();
+            let (v, _) = figures::calibrate_v(&setup, probes, &self.passes)
+                .map_err(|e| format!("calibrate: {e}"))?;
+            logger::info(
+                &Span::new("calibrate"),
+                &format!("V* = {v:.1} (probes {probes}, {:.1?})", t0.elapsed()),
+            );
+            Ok::<_, String>(v)
+        })?;
         Ok(v)
     }
 
     fn unaware_cost(&self) -> Result<f64, String> {
         let setup = self.setup()?;
-        let mut guard = self.unaware.lock().map_err(|_| "unaware cache poisoned".to_string())?;
-        if let Some(c) = guard.as_ref() {
-            return Ok(*c);
-        }
-        let out = unaware_reference(&setup.cluster, setup.cost, &setup.trace, setup.rec_total)
-            .map_err(|e| format!("unaware reference: {e}"))?;
-        let cost = out.avg_hourly_cost();
-        *guard = Some(cost);
+        let (cost, _) = self.unaware.get_or_try_init((), || {
+            let out = unaware_reference(&setup.cluster, setup.cost, &setup.trace, setup.rec_total)
+                .map_err(|e| format!("unaware reference: {e}"))?;
+            Ok::<_, String>(out.avg_hourly_cost())
+        })?;
         Ok(cost)
     }
 
     fn typical_objective(&self, slot: usize, v: f64) -> Result<f64, String> {
         let setup = self.setup()?;
-        let mut guard = self.gtyp.lock().map_err(|_| "gtyp cache poisoned".to_string())?;
-        let key = (slot, v.to_bits());
-        if let Some(g) = guard.get(&key) {
-            return Ok(*g);
-        }
-        let g = figures::typical_slot_objective(&setup, slot, v)
-            .map_err(|e| format!("snapshot objective: {e}"))?;
-        guard.insert(key, g);
+        let (g, _) = self.gtyp.get_or_try_init((slot, v.to_bits()), || {
+            figures::typical_slot_objective(&setup, slot, v)
+                .map_err(|e| format!("snapshot objective: {e}"))
+        })?;
         Ok(g)
     }
 }
@@ -367,21 +369,39 @@ fn resolve_v(
     }
 }
 
+/// One lane of a finished lockstep simulation.
+struct LaneResult {
+    label: String,
+    v_used: Option<f64>,
+    summary: RunSummary,
+    /// The lane's outcome, kept only when a run sharing the simulation
+    /// reports recorded series.
+    outcome: Option<SimOutcome>,
+}
+
 /// A finished lockstep simulation, before any run reports it.
 struct LockstepRun {
-    lanes: Vec<ResolvedLane>,
-    /// One per lane, in lane order.
-    outcomes: Vec<SimOutcome>,
+    lanes: Vec<LaneResult>,
     /// The carbon budget prorated to the (trimmed) horizon.
     budget: f64,
     /// Hours of the untrimmed context trace (the default moving-average
     /// window scales with it).
     base_len: usize,
+    /// True when the context's pass memo answered the run: it was not
+    /// simulated by this call.
+    served: bool,
 }
 
+/// Simulates the lockstep run `cfg`; `series` says whether a run sharing
+/// it reports recorded series. A run whose lanes resolve to one COCA lane
+/// at a constant V, with no series to report, is a COCA pass of the
+/// context's memo: a pass some earlier caller ran is served from the memo,
+/// writes no checkpoint and deletes a stale one, and a crash hook cannot
+/// stop it.
 fn simulate_lockstep(
     ctx: &Ctx,
     cfg: &Value,
+    series: bool,
     ckpt_path: &Path,
     resume: bool,
     abort_at_slot: Option<usize>,
@@ -447,25 +467,69 @@ fn simulate_lockstep(
     // otherwise 8 snapshots across the horizon (the old `repro summary`
     // cadence).
     let every = if trim_frames > 1 { frame } else { (horizon / 8).max(1) };
-    let builder = lanes.iter_mut().fold(
-        EngineBuilder::new(Arc::clone(&s.cluster), s.cost)
-            .rec_total(s.rec_total)
-            .overestimation(phi),
-        |b, l| {
-            b.policy(match &mut l.policy {
-                LanePolicy::Coca(c) => Box::new(c.as_mut()) as Box<dyn Policy + '_>,
-                LanePolicy::Unaware(u) => Box::new(u.as_mut()),
-                LanePolicy::PerfectHp(h) => Box::new(h.as_mut()),
-            })
-        },
-    );
-    let outcomes = run_lockstep_checkpointed(
-        builder,
-        &s.trace,
-        Checkpointing { path: ckpt_path, every, resume, abort_at_slot },
-    )
-    .map_err(|e| format!("lockstep run: {e}"))?;
-    Ok(LockstepRun { lanes, outcomes, budget, base_len })
+    let simulate = |lanes: &mut [ResolvedLane]| -> Result<Vec<SimOutcome>, String> {
+        let builder = lanes.iter_mut().fold(
+            EngineBuilder::new(Arc::clone(&s.cluster), s.cost)
+                .rec_total(s.rec_total)
+                .overestimation(phi),
+            |b, l| {
+                b.policy(match &mut l.policy {
+                    LanePolicy::Coca(c) => Box::new(c.as_mut()) as Box<dyn Policy + '_>,
+                    LanePolicy::Unaware(u) => Box::new(u.as_mut()),
+                    LanePolicy::PerfectHp(h) => Box::new(h.as_mut()),
+                })
+            },
+        );
+        run_lockstep_checkpointed(
+            builder,
+            &s.trace,
+            Checkpointing { path: ckpt_path, every, resume, abort_at_slot },
+        )
+        .map_err(|e| format!("lockstep run: {e}"))
+    };
+    let peak_queue = |lane: &ResolvedLane| match &lane.policy {
+        LanePolicy::Coca(c) => Some(c.max_deficit()),
+        _ => None,
+    };
+
+    if let (false, [lane]) = (series, lanes.as_mut_slice()) {
+        if let (Some(v), LanePolicy::Coca(_)) = (lane.v_used, &lane.policy) {
+            let pass = CocaPass {
+                cluster: &s.cluster,
+                cost: s.cost,
+                trace: &s.trace,
+                rec_total: s.rec_total,
+                v,
+                frame,
+                phi,
+            };
+            let (summary, executed) = ctx.passes.coca_run(pass, || {
+                let outcomes = simulate(std::slice::from_mut(lane))?;
+                let out = outcomes.first().ok_or("lockstep run produced no outcome")?;
+                Ok::<_, String>(RunSummary::of(out, peak_queue(lane)))
+            })?;
+            if !executed {
+                // A stale checkpoint would hijack a later run of these inputs.
+                let _ = std::fs::remove_file(ckpt_path);
+            }
+            let label = lane.label.clone();
+            let lane = LaneResult { label, v_used: Some(v), summary, outcome: None };
+            return Ok(LockstepRun { lanes: vec![lane], budget, base_len, served: !executed });
+        }
+    }
+
+    let outcomes = simulate(&mut lanes)?;
+    let lanes = lanes
+        .iter()
+        .zip(outcomes)
+        .map(|(lane, out)| LaneResult {
+            label: lane.label.clone(),
+            v_used: lane.v_used,
+            summary: RunSummary::of(&out, peak_queue(lane)),
+            outcome: series.then_some(out),
+        })
+        .collect();
+    Ok(LockstepRun { lanes, budget, base_len, served: false })
 }
 
 /// The lanes of run `cfg`'s result file from the lockstep simulation it
@@ -484,7 +548,8 @@ fn report_lockstep(cfg: &Value, run: &LockstepRun) -> Result<Vec<Value>, String>
     let window = p_uint(cfg, "movavg_window", figures::movavg_window(run.base_len))?;
 
     let mut lane_values = Vec::with_capacity(run.lanes.len());
-    for (lane, out) in run.lanes.iter().zip(&run.outcomes) {
+    for lane in &run.lanes {
+        let out = &lane.summary;
         let brown = out.total_brown_energy();
         let mut scalars = vec![
             ("avg_hourly_cost".to_string(), out.avg_hourly_cost()),
@@ -499,11 +564,12 @@ fn report_lockstep(cfg: &Value, run: &LockstepRun) -> Result<Vec<Value>, String>
         if let Some(v) = lane.v_used {
             scalars.push(("v_used".to_string(), v));
         }
-        if let LanePolicy::Coca(c) = &lane.policy {
-            scalars.push(("peak_queue".to_string(), c.max_deficit()));
+        if let Some(q) = out.peak_queue() {
+            scalars.push(("peak_queue".to_string(), q));
         }
         let mut series = Vec::new();
         for name in &record {
+            let out = lane.outcome.as_ref().ok_or("recorded series of an unrecorded lane")?;
             let values = match *name {
                 "movavg_cost" => out.movavg_cost(window),
                 "movavg_deficit" => out.movavg_deficit(window),
@@ -565,7 +631,7 @@ fn run_budget_point_kind(ctx: &Ctx, cfg: &Value) -> Result<Vec<Value>, String> {
     let frac = p_num_opt(cfg, "budget_frac")?.ok_or("budget_point needs budget_frac")?;
     let probes = p_uint(cfg, "calib_probes", 5)?;
     let unaware_cost = ctx.unaware_cost()?;
-    let row = figures::budget_point(&base, frac, probes, unaware_cost)
+    let row = figures::budget_point(&base, frac, probes, unaware_cost, &ctx.passes)
         .map_err(|e| format!("budget point: {e}"))?;
     let scalars = vec![
         ("budget_frac".to_string(), row.budget_fraction),
@@ -617,9 +683,24 @@ enum Simulated {
     Lanes(Vec<Value>),
 }
 
+impl Simulated {
+    /// True when the context's pass memo answered the simulation.
+    fn served(&self) -> bool {
+        matches!(self, Self::Lockstep(LockstepRun { served: true, .. }))
+    }
+}
+
+/// `true` when run config `cfg` records any series.
+fn records_series(cfg: &Value) -> bool {
+    cfg.get_field("record").and_then(Value::as_seq).is_some_and(|r| !r.is_empty())
+}
+
+/// Simulates `entry`; `series` says whether a run sharing the simulation
+/// reports recorded series.
 fn simulate(
     ctx: &Ctx,
     entry: &RunEntry,
+    series: bool,
     ckpt_path: &Path,
     resume: bool,
     abort_at_slot: Option<usize>,
@@ -627,7 +708,7 @@ fn simulate(
     let cfg = &entry.config;
     let lanes = match entry.kind.as_str() {
         "lockstep" => {
-            return simulate_lockstep(ctx, cfg, ckpt_path, resume, abort_at_slot)
+            return simulate_lockstep(ctx, cfg, series, ckpt_path, resume, abort_at_slot)
                 .map(Simulated::Lockstep)
         }
         "workloads" => run_workloads_kind(ctx, cfg),
@@ -817,7 +898,11 @@ fn result_complete(path: &Path, id: &str) -> bool {
 
 /// One shared [`Ctx`] per distinct (scale, workload, budget fraction), in
 /// first-appearance order, and each job's index into them.
-fn contexts(jobs: &[Job<'_>]) -> Result<(Vec<Ctx>, Vec<usize>), String> {
+/// Each context's pass memo tallies into `metrics` when given.
+fn contexts(
+    jobs: &[Job<'_>],
+    metrics: Option<&BatchMetrics>,
+) -> Result<(Vec<Ctx>, Vec<usize>), String> {
     let mut keys: Vec<String> = Vec::new();
     let mut ctxs = Vec::new();
     let mut ctx_of = Vec::with_capacity(jobs.len());
@@ -831,14 +916,27 @@ fn contexts(jobs: &[Job<'_>]) -> Result<(Vec<Ctx>, Vec<usize>), String> {
         let idx = match keys.iter().position(|k| *k == key) {
             Some(idx) => idx,
             None => {
+                let passes = metrics.map_or_else(PassMemo::new, |m| {
+                    PassMemo::counted(
+                        PassCounts {
+                            executed: Arc::clone(&m.coca_runs_executed),
+                            shared: Arc::clone(&m.coca_runs_shared),
+                        },
+                        PassCounts {
+                            executed: Arc::clone(&m.opt_sweeps_executed),
+                            shared: Arc::clone(&m.opt_sweeps_shared),
+                        },
+                    )
+                });
                 ctxs.push(Ctx {
                     scale: m.scale,
                     workload: workload_kind(&m.workload)?,
                     budget_fraction: m.budget_fraction,
-                    setup: Mutex::new(None),
-                    vstar: Mutex::new(HashMap::new()),
-                    unaware: Mutex::new(None),
-                    gtyp: Mutex::new(HashMap::new()),
+                    setup: OnceMap::default(),
+                    vstar: OnceMap::default(),
+                    unaware: OnceMap::default(),
+                    gtyp: OnceMap::default(),
+                    passes,
                 });
                 keys.push(key);
                 keys.len() - 1
@@ -991,7 +1089,8 @@ impl<'m> BatchRunner<'m> {
             }
             job.prepare()?;
         }
-        let (ctxs, ctx_of) = contexts(&self.jobs)?;
+        let metrics = self.opts.registry.as_ref().map(BatchMetrics::new);
+        let (ctxs, ctx_of) = contexts(&self.jobs, metrics.as_ref())?;
         let shared = Shared {
             ctxs,
             ctx_of,
@@ -1003,7 +1102,7 @@ impl<'m> BatchRunner<'m> {
                     Mutex::new(runs.iter().map(|r| (r.id.clone(), "pending".to_string())).collect())
                 })
                 .collect(),
-            metrics: self.opts.registry.as_ref().map(BatchMetrics::new),
+            metrics,
             completed: AtomicUsize::new(0),
         };
         let queue = self.queue(&shared.ctx_of)?;
@@ -1090,16 +1189,20 @@ impl<'m> BatchRunner<'m> {
         }
         let (lead_job, lead_entry) = self.member(sim[lead]);
         let ckpt_path = lead_job.dir.join("ckpt").join(format!("{}.json", lead_entry.id));
-        let resumed = self.opts.resume && ckpt_path.exists();
+        let restorable = self.opts.resume && ckpt_path.exists();
+        let series = pending.iter().any(|&k| records_series(&self.member(sim[k]).1.config));
         // audit:ordered(timing-only: the duration feeds logs and prometheus metrics, never result files)
         let t0 = Instant::now();
         let simulated = simulate(
             &shared.ctxs[shared.ctx_of[sim[lead].0]],
             lead_entry,
+            series,
             &ckpt_path,
             self.opts.resume,
             self.opts.abort_runs_at_slot,
         );
+        // A served run restored nothing: it deleted the checkpoint.
+        let resumed = restorable && !simulated.as_ref().is_ok_and(Simulated::served);
         if let (Some(m), Ok(_)) = (metrics, &simulated) {
             m.run_seconds.observe(t0.elapsed().as_secs_f64());
         }
@@ -1220,7 +1323,7 @@ mod tests {
     fn queue_is_total_deterministic_and_longest_kinds_first() {
         let manifests = committed_small_manifests();
         let runner = BatchRunner::batch(&manifests, BatchOptions::default());
-        let (_, ctx_of) = contexts(&runner.jobs).expect("contexts");
+        let (_, ctx_of) = contexts(&runner.jobs, None).expect("contexts");
         let queue = runner.queue(&ctx_of).expect("queue");
         let total: usize = manifests.iter().map(|m| m.runs.len()).sum();
         let mut distinct: Vec<(usize, usize)> = queue.concat();
@@ -1295,11 +1398,151 @@ mod tests {
         );
     }
 
+    /// Where a crash inside [`checkpoint::write_atomic`] can stop: after
+    /// the temp file is created, part-way through writing it, after its
+    /// fsync, and after the rename but before the directory fsync.
+    #[derive(Debug, Clone, Copy)]
+    enum WriteStage {
+        Created,
+        PartlyWritten,
+        Synced,
+        Renamed,
+    }
+
+    const WRITE_STAGES: [WriteStage; 4] =
+        [WriteStage::Created, WriteStage::PartlyWritten, WriteStage::Synced, WriteStage::Renamed];
+
+    /// Lays down what a crash at `stage` of writing `new` over `path`
+    /// leaves on disk; `path` holds the previous complete file, if any.
+    fn crash_while_writing(path: &Path, new: &[u8], stage: WriteStage) {
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let stale = match stage {
+            WriteStage::Created => &new[..0],
+            WriteStage::PartlyWritten => &new[..new.len() / 2],
+            WriteStage::Synced => new,
+            WriteStage::Renamed => return std::fs::write(path, new).expect("rename lands"),
+        };
+        std::fs::write(tmp, stale).expect("stale temp file");
+    }
+
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("coca_runner_{name}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn small_manifest(json: &str) -> Manifest {
+        manifest::materialize(&Spec::from_json(json).expect("spec"), ExperimentScale::small())
+            .expect("materialize")
+    }
+
+    fn run_batch(m: &Manifest, dir: &Path, resume: bool, abort: Option<usize>) -> BatchSummary {
+        let opts = BatchOptions {
+            dir: dir.to_path_buf(),
+            workers: 1,
+            resume,
+            abort_runs_at_slot: abort,
+            ..BatchOptions::default()
+        };
+        BatchRunner::new(m, opts).run().expect("batch runs")
+    }
+
+    fn read(path: &Path) -> Vec<u8> {
+        std::fs::read(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    }
+
+    /// A crash at any stage of a result write leaves a batch `--resume`
+    /// completes: a stale `.tmp` is ignored, a complete result is kept and
+    /// skipped, and a torn one counts as not completed and runs again.
+    #[test]
+    fn a_crash_at_every_result_write_stage_resumes_to_the_same_files() {
+        let m = small_manifest(
+            r#"{"name": "stages", "groups": [{"id": "w", "kind": "workloads",
+                "params": {"workload": "fiu"}, "sweep": {"hours": [24, 48, 72, 96, 120]}}]}"#,
+        );
+        let clean = scratch_dir("results_clean");
+        assert!(run_batch(&m, &clean, false, None).is_complete());
+        let dir = scratch_dir("results_crashed");
+        let job = Job { manifest: &m, dir: dir.clone() };
+        job.prepare().expect("batch dir");
+        let result =
+            |root: &Path, entry: &RunEntry| root.join("runs").join(format!("{}.json", entry.id));
+        for (entry, stage) in m.runs.iter().zip(WRITE_STAGES) {
+            crash_while_writing(&result(&dir, entry), &read(&result(&clean, entry)), stage);
+            let complete = matches!(stage, WriteStage::Renamed);
+            assert_eq!(result_complete(&result(&dir, entry), &entry.id), complete, "{stage:?}");
+        }
+        let torn = &m.runs[4];
+        let bytes = read(&result(&clean, torn));
+        std::fs::write(result(&dir, torn), &bytes[..bytes.len() / 2]).expect("torn result");
+        assert!(!result_complete(&result(&dir, torn), &torn.id), "a torn result is not complete");
+
+        let summary = run_batch(&m, &dir, true, None);
+        assert_eq!((summary.completed, summary.skipped, summary.resumed), (4, 1, 0), "{summary:?}");
+        for entry in &m.runs {
+            assert_eq!(read(&result(&dir, entry)), read(&result(&clean, entry)), "{}", entry.id);
+            let mut tmp = result(&dir, entry).into_os_string();
+            tmp.push(".tmp");
+            assert!(!Path::new(&tmp).exists(), "{}: the stale temp file is consumed", entry.id);
+        }
+        for d in [clean, dir] {
+            let _ = std::fs::remove_dir_all(d);
+        }
+    }
+
+    /// A crash at any stage of an engine checkpoint write leaves the
+    /// previous checkpoint readable (the new one once renamed), a torn one
+    /// is a typed error, and `--resume` restores from what is there to the
+    /// uninterrupted run's result file.
+    #[test]
+    fn a_crash_at_every_checkpoint_write_stage_resumes_to_the_same_result() {
+        let m = small_manifest(
+            r#"{"name": "stages", "groups": [{"id": "duel", "kind": "lockstep", "lanes": [
+                {"label": "coca", "policy": "coca", "v_mode": "mult"},
+                {"label": "unaware", "policy": "unaware"}]}]}"#,
+        );
+        let entry = &m.runs[0];
+        let clean = scratch_dir("ckpt_clean");
+        assert!(run_batch(&m, &clean, false, None).is_complete());
+        let result = |root: &Path| read(&root.join("runs").join(format!("{}.json", entry.id)));
+        let ckpt = |root: &Path| root.join("ckpt").join(format!("{}.json", entry.id));
+        // Checkpoints land every 42 slots at small scale: crashes at slots
+        // 100 and 150 leave the ones of slots 84 and 126.
+        let later = scratch_dir("ckpt_later");
+        assert_eq!(run_batch(&m, &later, false, Some(150)).failures.len(), 1);
+        let new_bytes = read(&ckpt(&later));
+        let new_state = checkpoint::read_checkpoint(&ckpt(&later)).expect("later checkpoint");
+        for stage in WRITE_STAGES {
+            let dir = scratch_dir(&format!("ckpt_{stage:?}"));
+            assert_eq!(run_batch(&m, &dir, false, Some(100)).failures.len(), 1, "{stage:?}");
+            let previous = checkpoint::read_checkpoint(&ckpt(&dir)).expect("previous checkpoint");
+            crash_while_writing(&ckpt(&dir), &new_bytes, stage);
+            let expected = match stage {
+                WriteStage::Renamed => new_state.clone(),
+                _ => previous,
+            };
+            assert_eq!(checkpoint::read_checkpoint(&ckpt(&dir)).ok(), Some(expected), "{stage:?}");
+            let summary = run_batch(&m, &dir, true, None);
+            assert_eq!((summary.completed, summary.resumed), (1, 1), "{stage:?}: {summary:?}");
+            assert_eq!(result(&dir), result(&clean), "{stage:?}");
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        std::fs::write(ckpt(&later), &new_bytes[..new_bytes.len() / 2]).expect("torn checkpoint");
+        let torn = checkpoint::read_checkpoint(&ckpt(&later));
+        assert!(torn.is_err(), "a torn checkpoint is an error");
+        assert!(run_batch(&m, &later, true, None).is_complete());
+        assert_eq!(result(&later), result(&clean), "a torn checkpoint is ignored");
+        for d in [clean, later] {
+            let _ = std::fs::remove_dir_all(d);
+        }
+    }
+
     #[test]
     fn committed_specs_share_two_contexts() {
         let manifests = committed_small_manifests();
         let runner = BatchRunner::batch(&manifests, BatchOptions::default());
-        let (ctxs, ctx_of) = contexts(&runner.jobs).expect("contexts");
+        let (ctxs, ctx_of) = contexts(&runner.jobs, None).expect("contexts");
         assert_eq!(ctxs.len(), 2, "(small, fiu, 0.92) and (small, msr, 0.92)");
         assert_eq!(ctx_of.len(), manifests.len());
     }

@@ -14,6 +14,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
+use coca_dcsim::PassMemo;
 use coca_experiments::figures::{self, Figure};
 use coca_experiments::report::write_csv;
 use coca_experiments::setup::PaperSetup;
@@ -241,6 +242,6 @@ fn summary_headline_matches_fig3_saving() {
 
     let setup =
         PaperSetup::build(ExperimentScale::small(), WorkloadKind::Fiu, 0.92).expect("setup");
-    let (vstar, _) = figures::calibrate_v(&setup, 7).expect("calibration");
+    let (vstar, _) = figures::calibrate_v(&setup, 7, &PassMemo::new()).expect("calibration");
     assert_eq!(scalar("coca", "v_used"), vstar);
 }

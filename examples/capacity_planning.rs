@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use coca::baselines::{CarbonUnaware, OfflineOpt};
 use coca::core::symmetric::SymmetricSolver;
-use coca::dcsim::{run_lockstep, Cluster, CostParams};
+use coca::dcsim::{run_lockstep, Cluster, CostParams, PassMemo};
 use coca::traces::{TraceConfig, WorkloadKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for frac in [1.10, 1.00, 0.95, 0.92, 0.85, 0.80, 0.75, 0.70] {
         let budget = frac * unaware;
         let mut solver = SymmetricSolver::new();
-        let plan = OfflineOpt::plan(&cluster, cost, &trace, budget, &mut solver)?;
+        let plan = OfflineOpt::plan(&cluster, cost, &trace, budget, &mut solver, &PassMemo::new())?;
         let total = plan.total_planned_cost();
         println!(
             "{:>7.0}% {:>12.1} {:>12.0} {:>11.2}% {:>10.3}",

@@ -57,9 +57,9 @@ pub mod prelude {
     };
     pub use coca_dcsim::{
         push_source, run_lockstep, Cluster, ClusterBuilder, CostParams, DecisionContext,
-        EngineBuilder, EngineState, Policy, PolicyTelemetry, PollSlot, PushError, PushHandle,
-        PushSource, RecordSink, ServerClass, ServiceConfig, ServiceExit, SimEngine, SimOutcome,
-        SlotObservation, SlotRecord, SlotSource, StepStatus, SummarySink, VecSink,
+        EngineBuilder, EngineState, PassMemo, Policy, PolicyTelemetry, PollSlot, PushError,
+        PushHandle, PushSource, RecordSink, ServerClass, ServiceConfig, ServiceExit, SimEngine,
+        SimOutcome, SlotObservation, SlotRecord, SlotSource, StepStatus, SummarySink, VecSink,
     };
     pub use coca_obs::{
         EngineObserver, MetricsObserver, MetricsRegistry, MetricsSnapshot, NoopObserver,

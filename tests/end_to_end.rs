@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use coca::baselines::{OfflineOpt, PerfectHp};
 use coca::core::symmetric::SymmetricSolver;
-use coca::dcsim::run_lockstep;
+use coca::dcsim::{run_lockstep, PassMemo};
 use coca::traces::WorkloadKind;
 use coca_experiments::figures::calibrate_v;
 use coca_experiments::setup::{unaware_reference, ExperimentScale, PaperSetup};
@@ -18,7 +18,7 @@ fn small_setup() -> PaperSetup {
 #[test]
 fn calibrated_coca_is_carbon_neutral_and_near_unaware_cost() {
     let setup = small_setup();
-    let (_, coca) = calibrate_v(&setup, 6).expect("calibration");
+    let (_, coca) = calibrate_v(&setup, 6, &PassMemo::new()).expect("calibration");
     assert!(
         coca.total_brown_energy() <= setup.budget_kwh * 1.01,
         "COCA must satisfy the budget: {} vs {}",
@@ -45,7 +45,8 @@ fn policy_cost_ordering_holds() {
     let unaware = unaware_reference(&setup.cluster, setup.cost, &setup.trace, setup.rec_total)
         .expect("unaware");
     let mut solver = SymmetricSolver::new();
-    let opt = OfflineOpt::plan(&setup.cluster, setup.cost, &setup.trace, setup.budget_kwh, &mut solver)
+    let memo = PassMemo::new();
+    let opt = OfflineOpt::plan(&setup.cluster, setup.cost, &setup.trace, setup.budget_kwh, &mut solver, &memo)
         .expect("opt plan");
     assert!(opt.total_planned_brown() <= setup.budget_kwh * 1.01, "OPT meets the budget");
     assert!(
@@ -53,7 +54,7 @@ fn policy_cost_ordering_holds() {
         "constrained OPT cannot beat the unconstrained minimum"
     );
 
-    let (_, coca) = calibrate_v(&setup, 6).expect("calibration");
+    let (_, coca) = calibrate_v(&setup, 6, &PassMemo::new()).expect("calibration");
     // OPT has full future knowledge; COCA is online. Allow a small slack for
     // the dual's budget tolerance.
     assert!(
@@ -67,7 +68,7 @@ fn policy_cost_ordering_holds() {
 #[test]
 fn coca_beats_perfect_hp_while_being_more_neutral() {
     let setup = small_setup();
-    let (_, coca) = calibrate_v(&setup, 6).expect("calibration");
+    let (_, coca) = calibrate_v(&setup, 6, &PassMemo::new()).expect("calibration");
     let mut hp: PerfectHp<SymmetricSolver> =
         PerfectHp::new(Arc::clone(&setup.cluster), setup.cost, &setup.trace, setup.rec_total, 48)
             .expect("perfect-hp");
@@ -103,7 +104,7 @@ fn coca_beats_perfect_hp_while_being_more_neutral() {
 #[test]
 fn msr_workload_pipeline_works() {
     let setup = PaperSetup::build(ExperimentScale::small(), WorkloadKind::Msr, 0.9).expect("setup");
-    let (_, coca) = calibrate_v(&setup, 5).expect("calibration");
+    let (_, coca) = calibrate_v(&setup, 5, &PassMemo::new()).expect("calibration");
     assert!(coca.total_brown_energy() <= setup.budget_kwh * 1.02);
     assert!(coca.avg_hourly_cost().is_finite());
 }

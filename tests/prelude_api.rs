@@ -69,7 +69,8 @@ fn prelude_covers_the_whole_pipeline() {
 
     // The baselines are reachable from the prelude too.
     let mut solver = SymmetricSolver::new();
-    let opt = OfflineOpt::plan(&cluster, cost, &trace, 1e9, &mut solver).expect("opt");
+    let opt =
+        OfflineOpt::plan(&cluster, cost, &trace, 1e9, &mut solver, &PassMemo::new()).expect("opt");
     assert_eq!(opt.len(), 48);
     let _unaware = CarbonUnaware::new(Arc::clone(&cluster), cost, SymmetricSolver::new());
     let _hp: PerfectHp<SymmetricSolver> =

@@ -7,7 +7,7 @@ use coca::core::lyapunov::{
 use coca::core::symmetric::SymmetricSolver;
 use coca::core::{CocaConfig, CocaController, VSchedule};
 use coca::baselines::OfflineOpt;
-use coca::dcsim::run_lockstep;
+use coca::dcsim::{run_lockstep, PassMemo};
 use coca::traces::WorkloadKind;
 use coca_experiments::setup::{ExperimentScale, PaperSetup};
 
@@ -59,7 +59,8 @@ fn cost_bound_20_holds() {
 
     // G* for the single frame: the optimal T-step lookahead cost.
     let mut solver = SymmetricSolver::new();
-    let opt = OfflineOpt::plan(&s.cluster, s.cost, &s.trace, s.budget_kwh, &mut solver)
+    let memo = PassMemo::new();
+    let opt = OfflineOpt::plan(&s.cluster, s.cost, &s.trace, s.budget_kwh, &mut solver, &memo)
         .expect("lookahead");
     let g_star = opt.total_planned_cost() / t as f64;
 
@@ -80,7 +81,8 @@ fn neutrality_bound_19_holds() {
     let consts = DriftConstants::from_bounds(&env_bounds(&s));
     let c_t = consts.c_of(t);
     let mut solver = SymmetricSolver::new();
-    let opt = OfflineOpt::plan(&s.cluster, s.cost, &s.trace, s.budget_kwh, &mut solver)
+    let memo = PassMemo::new();
+    let opt = OfflineOpt::plan(&s.cluster, s.cost, &s.trace, s.budget_kwh, &mut solver, &memo)
         .expect("lookahead");
     let g_star = opt.total_planned_cost() / t as f64;
     // g_min: the cheapest feasible hourly cost over the period (0 is always
