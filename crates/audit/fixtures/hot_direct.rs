@@ -1,5 +1,5 @@
-//! Fixture: heap allocations inside and outside declared hot-path regions.
-//! Linted by `tests/lint_fixtures.rs`; never compiled.
+//! Fixture: allocations written in and out of hot-path regions (zero-hop
+//! `hot-path-reach`). Linted by `tests/lint_fixtures.rs`; never compiled.
 
 pub fn build_scratch(n: usize) -> Vec<f64> {
     Vec::with_capacity(n)
@@ -20,7 +20,7 @@ pub fn delta_update_clean(counts: &mut [usize], scratch: &mut Vec<f64>) {
 }
 
 pub fn delta_update_waived(state: &[usize]) -> Vec<usize> {
-    // One-time cache insert, not the per-proposal path. audit:allow(hot-alloc)
+    // One-time cache insert, not the per-proposal path. audit:allow(hot-path-reach)
     state.to_vec()
 }
 // audit:hot-path: end

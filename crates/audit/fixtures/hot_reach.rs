@@ -26,8 +26,8 @@ fn pong(n: usize) -> usize {
 }
 
 // audit:hot-path: begin — fixture delta update
-/// The hot region: the direct allocation belongs to `hot-alloc`; the
-/// reachable ones belong to `hot-path-reach`.
+/// The hot region: a direct allocation (0 calls deep) and two reachable
+/// ones.
 pub fn hot_step(n: usize) -> usize {
     let scratch = refresh(n);
     let direct = format!("{n}");

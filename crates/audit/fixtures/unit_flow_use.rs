@@ -1,5 +1,5 @@
-//! Unit-flow fixture, consumer side: every defect here is invisible to
-//! the per-file `unit-mix` rule and needs the cross-file summaries.
+//! Unit-flow fixture, consumer side: every defect here needs the
+//! cross-file summaries to be seen.
 
 /// Books a slot's figures; both defects need the call graph.
 pub fn book(trace: &[f64], price_usd: f64) -> f64 {

@@ -1,5 +1,5 @@
-//! Unit-mix fixture: suffix inference, annotation binding, ratio names,
-//! and both waiver outcomes (honored and mismatched-therefore-unused).
+//! Local unit-flow fixture: suffix inference, annotation binding, ratio
+//! names, and both waiver outcomes (honored, and mismatched hence stale).
 
 fn suffix_mix(battery_kwh: f64, total_usd: f64) -> f64 {
     battery_kwh + total_usd
@@ -26,7 +26,7 @@ fn dimensionless_override_is_quiet(b_usd: f64) -> f64 {
 }
 
 fn honored_waiver(a_kwh: f64, b_usd: f64) -> f64 {
-    // drift-plus-penalty mixes on purpose: audit:allow(unit-mix)
+    // drift-plus-penalty mixes on purpose: audit:allow(unit-flow)
     a_kwh + b_usd
 }
 

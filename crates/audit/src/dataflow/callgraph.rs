@@ -7,13 +7,19 @@
 //! uppercase-initial bare calls (`Some(x)`, tuple-struct constructors)
 //! are skipped. The same extractor serves the call graph (edges per
 //! function body) and the hot-path analysis (root sites per file line).
+//!
+//! [`CallGraph::reach`] is the one reachability walk: `hot-path-reach`
+//! runs it from each hot-line call, `nondet-reach` from all
+//! state-affecting roots at once, and both render a finding's
+//! first-discovery chain with [`chain_related`].
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use super::symbols::{CallKind, FnId, SymbolTable, KEYWORDS};
 use crate::ast::tree::{Delim, Group, Node};
 use crate::ast::visit::{find_method_calls, split_commas, term_spanning, RunVisitor};
 use crate::ast::visit::Term;
+use crate::report::Related;
 
 /// One syntactic call site, before resolution.
 #[derive(Debug)]
@@ -156,6 +162,82 @@ impl CallGraph {
         out.dedup();
         out
     }
+
+    /// Breadth-first walk from `roots`: every function they reach, each
+    /// with the parent it was first discovered from.
+    pub fn reach(&self, roots: &[FnId]) -> Reach {
+        let mut parent = vec![None; self.calls.len()];
+        let mut seen = vec![false; self.calls.len()];
+        for &r in roots {
+            seen[r] = true;
+        }
+        let mut queue: VecDeque<FnId> = roots.iter().copied().collect();
+        let mut order = Vec::new();
+        while let Some(cur) = queue.pop_front() {
+            order.push(cur);
+            for next in self.callees(cur) {
+                if !seen[next] {
+                    seen[next] = true;
+                    parent[next] = Some(cur);
+                    queue.push_back(next);
+                }
+            }
+        }
+        Reach { order, parent }
+    }
+}
+
+/// The functions a [`CallGraph::reach`] walk found.
+pub struct Reach {
+    /// Reached functions in discovery order, roots first.
+    pub order: Vec<FnId>,
+    /// First-discovery parent of each reached non-root.
+    parent: Vec<Option<FnId>>,
+}
+
+impl Reach {
+    /// The discovery chain from a root to `to`, both ends included.
+    pub fn chain(&self, to: FnId) -> Vec<FnId> {
+        let mut chain = vec![to];
+        while let Some(p) = chain.last().and_then(|&c| self.parent[c]) {
+            chain.push(p);
+        }
+        chain.reverse();
+        chain
+    }
+}
+
+/// `chain` hop by hop as related locations, one per definition — the
+/// first one introduced as `root`, the others as `via` — then the sink:
+/// `what` on `sink_line` of the last hop's file.
+pub fn chain_related(
+    symbols: &SymbolTable,
+    chain: &[FnId],
+    root: &str,
+    sink_line: usize,
+    what: &str,
+) -> Vec<Related> {
+    let mut related: Vec<Related> = chain
+        .iter()
+        .enumerate()
+        .map(|(hop, &id)| {
+            let f = &symbols.fns[id];
+            let role = if hop == 0 { root } else { "via" };
+            Related {
+                file: f.file.clone(),
+                line: f.line,
+                message: format!("{role} `{}`, defined here", f.name),
+            }
+        })
+        .collect();
+    if let Some(&last) = chain.last() {
+        related.push(Related {
+            file: symbols.fns[last].file.clone(),
+            line: sink_line,
+            message: format!("{what} here"),
+        });
+    }
+    related
 }
 
 /// Convenience: name → FnId lookup map for tests and diagnostics.

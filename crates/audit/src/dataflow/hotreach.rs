@@ -1,13 +1,12 @@
-//! `hot-path-reach`: transitive allocation / locking / IO detection for
-//! `audit:hot-path` regions.
+//! `hot-path-reach`: allocation / locking / IO reachable from
+//! `audit:hot-path` regions, zero or more calls away.
 //!
-//! The `hot-alloc` rule flags sinks written *directly on* hot-region
-//! lines, reading the same sink table as this analysis. What it cannot see
-//! is a hot line calling an innocuous-looking helper that allocates two
-//! frames down. This analysis
-//! takes every resolved call on a hot-region line as a *root*, walks the
-//! call graph breadth-first, and scans each reachable body for sink
-//! operations:
+//! A sink written *directly on* a hot-region line is a zero-hop reach,
+//! reported at its own line. A hot line calling an innocuous-looking
+//! helper that allocates two frames down is the same defect further
+//! away: every resolved call on a hot-region line is a *root*, the
+//! shared [`CallGraph::reach`] walk finds what it reaches, and each
+//! reachable body is scanned for the same sink operations:
 //!
 //! - **allocation** — `Vec::new`, `vec![…]`, `Box::new`, `format!`,
 //!   `with_capacity`, `.clone()`, `.to_vec()`, `.to_owned()`,
@@ -19,21 +18,21 @@
 //!
 //! `.push` is deliberately *not* a sink: the workspace's hot-path
 //! contract is capacity reuse (push into pre-sized scratch is the whole
-//! point), and `hot-alloc` agrees. Sinks on lines that are themselves
-//! inside a hot region are skipped — `hot-alloc` owns those sites, so no
-//! site is reported by both rules — and test code never sinks.
+//! point). A reachable body's sinks on hot-region lines are the zero-hop
+//! findings of their own line, so the walk skips them; test code never
+//! sinks.
 //!
-//! Each finding lands on the *root call line* (waivable there with
-//! `// audit:allow(hot-path-reach)`), carrying the discovered call chain
-//! hop by hop as related locations, ending at the sink line.
+//! A zero-hop finding lands on the sink line; a reach finding lands on
+//! the *root call line*, carrying the discovered call chain hop by hop as
+//! related locations, ending at the sink line. Both are waivable where
+//! they land with `// audit:allow(hot-path-reach)`.
 
 use std::collections::HashMap;
 
-use super::callgraph::{raw_calls, CallGraph};
-use super::symbols::{FnId, SymbolTable};
+use super::callgraph::{chain_related, raw_calls, CallGraph};
+use super::symbols::SymbolTable;
 use crate::ast::visit::{find_macro_calls, find_method_calls, RunVisitor};
 use crate::ast::{Ast, Node};
-use crate::report::Related;
 use crate::Report;
 
 /// Method-call sinks: `(name, what)` flagged when called as `.name(…)` or
@@ -82,16 +81,15 @@ const MACRO_SINKS: &[(&str, &str)] = &[
 
 /// One sink operation found in a token forest.
 #[derive(Debug)]
-pub(crate) struct Sink {
+struct Sink {
     /// 1-based line of the sink.
-    pub(crate) line: usize,
+    line: usize,
     /// What the sink does, e.g. "allocates (`format!`)".
-    pub(crate) what: &'static str,
+    what: &'static str,
 }
 
-/// Scans a forest (a function body, or a whole file for `hot-alloc`) for
-/// sink operations.
-pub(crate) fn body_sinks(nodes: &[Node]) -> Vec<Sink> {
+/// Scans a forest (a function body, or a whole file) for sink operations.
+fn body_sinks(nodes: &[Node]) -> Vec<Sink> {
     struct Sinks(Vec<Sink>);
     impl RunVisitor for Sinks {
         fn run(&mut self, run: &[Node], _depth: usize) {
@@ -127,10 +125,24 @@ pub(crate) fn body_sinks(nodes: &[Node]) -> Vec<Sink> {
 
 /// Runs the analysis and reports `hot-path-reach` findings.
 pub fn check(files: &[Ast], symbols: &SymbolTable, graph: &CallGraph, report: &mut Report) {
+    // Zero hops: sinks written on hot-region lines themselves.
+    for file in files {
+        for sink in body_sinks(&file.nodes) {
+            if file.in_hot(sink.line) && !file.in_test(sink.line) {
+                let message = format!(
+                    "code that {} sits on an `audit:hot-path` line (0 calls deep); reuse a \
+                     pre-sized scratch buffer and keep locks and IO off the hot path",
+                    sink.what
+                );
+                report.flag(file, sink.line, super::HOT_PATH_REACH, message, Vec::new());
+            }
+        }
+    }
+
     let file_of: HashMap<&str, usize> =
         files.iter().enumerate().map(|(i, f)| (f.path.as_str(), i)).collect();
-    // Sinks per function, minus hot-region lines (`hot-alloc` territory)
-    // and test code.
+    // Sinks per function, minus hot-region lines (reported above, at
+    // their own line) and test code.
     let sinks: Vec<Vec<Sink>> = symbols
         .fns
         .iter()
@@ -143,7 +155,7 @@ pub fn check(files: &[Ast], symbols: &SymbolTable, graph: &CallGraph, report: &m
         })
         .collect();
 
-    // Roots: resolved calls sitting on hot-region lines, per file.
+    // One or more hops: resolved calls sitting on hot-region lines, per file.
     for file in files {
         for raw in raw_calls(&file.nodes) {
             if !file.in_hot(raw.line) || file.in_test(raw.line) {
@@ -151,40 +163,16 @@ pub fn check(files: &[Ast], symbols: &SymbolTable, graph: &CallGraph, report: &m
             }
             let roots = symbols.resolve(&raw.name, raw.argc, raw.qualifier.as_deref(), raw.kind);
             for root in roots {
-                // BFS with first-discovery parents for chain rendering.
-                let mut parent: HashMap<FnId, FnId> = HashMap::new();
-                let mut queue = std::collections::VecDeque::from([root]);
-                let mut visited = vec![root];
+                let reach = graph.reach(&[root]);
                 let mut reported = Vec::new();
-                while let Some(cur) = queue.pop_front() {
+                for &cur in &reach.order {
                     for sink in &sinks[cur] {
-                        let key = (symbols.fns[cur].file.clone(), sink.line, sink.what);
+                        let key = (symbols.fns[cur].file.as_str(), sink.line, sink.what);
                         if reported.contains(&key) {
                             continue;
                         }
                         reported.push(key);
-                        // Chain: root → … → cur, then the sink line.
-                        let mut chain = vec![cur];
-                        while let Some(&p) = parent.get(chain.last().unwrap()) {
-                            chain.push(p);
-                        }
-                        chain.reverse();
-                        let mut related: Vec<Related> = chain
-                            .iter()
-                            .map(|&id| {
-                                let f = &symbols.fns[id];
-                                Related {
-                                    file: f.file.clone(),
-                                    line: f.line,
-                                    message: format!("via `{}`, defined here", f.name),
-                                }
-                            })
-                            .collect();
-                        related.push(Related {
-                            file: symbols.fns[cur].file.clone(),
-                            line: sink.line,
-                            message: format!("{} here", sink.what),
-                        });
+                        let chain = reach.chain(cur);
                         let depth = chain.len();
                         report.flag(
                             file,
@@ -199,18 +187,56 @@ pub fn check(files: &[Ast], symbols: &SymbolTable, graph: &CallGraph, report: &m
                                 depth,
                                 if depth == 1 { "" } else { "s" }
                             ),
-                            related,
+                            chain_related(symbols, &chain, "via", sink.line, sink.what),
                         );
-                    }
-                    for next in graph.callees(cur) {
-                        if !visited.contains(&next) {
-                            visited.push(next);
-                            parent.insert(next, cur);
-                            queue.push_back(next);
-                        }
                     }
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::dataflow::HOT_PATH_REACH;
+    use crate::Report;
+
+    fn lint(path: &str, src: &str) -> Report {
+        crate::lint_sources(&[(path.to_string(), src.to_string())])
+    }
+
+    #[test]
+    fn direct_sinks_fire_only_inside_declared_regions() {
+        let src = "\
+fn setup() -> Vec<f64> { Vec::new() }
+// audit:hot-path: begin
+fn delta(&mut self, xs: &[usize]) {
+    let copy = xs.to_vec();
+    self.scratch.clear();
+    self.scratch.push(1.0);
+}
+// audit:hot-path: end
+fn teardown() -> Vec<f64> { vec![0.0] }
+";
+        let r = lint("crates/dcsim/src/engine.rs", src);
+        let hits: Vec<usize> =
+            r.unwaived().filter(|v| v.rule == HOT_PATH_REACH).map(|v| v.line).collect();
+        assert_eq!(hits, vec![4], "{r}");
+        assert!(r.violations[0].message.contains("(0 calls deep)"), "{r}");
+    }
+
+    #[test]
+    fn direct_sinks_honor_waivers() {
+        let src = "\
+// audit:hot-path: begin
+fn delta(&mut self) {
+    // Error path only, never taken per-proposal. audit:allow(hot-path-reach)
+    let msg = format!(\"bad\");
+}
+// audit:hot-path: end
+";
+        let r = lint("crates/opt/src/waterfill.rs", src);
+        assert_eq!(r.unwaived_count(), 0, "{r}");
+        assert_eq!(r.violations.iter().filter(|v| v.rule == HOT_PATH_REACH).count(), 1);
     }
 }

@@ -3,16 +3,17 @@
 //! The per-file engines ([`crate::rules`], [`crate::semantic`]) see one
 //! file at a time. This module layers whole-workspace analyses on top of
 //! the same AST: a function [`symbols::SymbolTable`] and
-//! [`callgraph::CallGraph`] feed a generic [`fixpoint`] worklist solver,
-//! and five analyses ride on them:
+//! [`callgraph::CallGraph`] feed a generic [`fixpoint`] worklist solver
+//! and one breadth-first reach walk, and five analyses ride on them:
 //!
-//! - [`unitflow`] (`unit-flow`) — propagates kWh / kW / USD tags through
-//!   parameters and returns, catching cross-unit arithmetic and
-//!   mis-unitted arguments any number of calls away from an annotation;
-//! - [`hotreach`] (`hot-path-reach`) — walks the call graph from every
-//!   call inside an `audit:hot-path` region and flags transitively
-//!   reachable allocation, locking, and IO, with the call chain attached
-//!   as related locations;
+//! - [`unitflow`] (`unit-flow`) — reads kWh / kW / USD tags locally and
+//!   propagates them through parameters and returns, catching cross-unit
+//!   arithmetic and mis-unitted arguments zero or more calls away from an
+//!   annotation;
+//! - [`hotreach`] (`hot-path-reach`) — flags allocation, locking, and IO
+//!   written on an `audit:hot-path` line, or reachable through the call
+//!   graph from a call on one, with the call chain attached as related
+//!   locations;
 //! - [`snapshot`] (`snapshot-complete`) — cross-checks every struct's
 //!   declared fields against its snapshot/restore pair, so no run state
 //!   is silently lost or left stale across crash-resume; non-checkpointed
@@ -26,10 +27,9 @@
 //!   longer suppress or tag anything, iterating because staleness
 //!   findings are themselves waivable.
 //!
-//! These run only in the multi-file driver ([`crate::lint_sources`]);
-//! single-file entry points keep their per-file semantics. Resolution is
-//! name/arity-based with no type inference — `DESIGN.md` §14 and §18
-//! spell out the soundness caveats.
+//! They run in [`crate::lint_sources`], over one file or the whole
+//! workspace alike. Resolution is name/arity-based with no type
+//! inference — `DESIGN.md` §14 and §18 spell out the soundness caveats.
 
 pub mod callgraph;
 pub mod fixpoint;

@@ -37,13 +37,13 @@
 //! Type knowledge is name-based with no inference; a map reached through
 //! a lock guard or an alias is invisible (DESIGN.md §18).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
-use super::callgraph::CallGraph;
+use super::callgraph::{chain_related, CallGraph};
 use super::symbols::{type_text, FnDef, FnId, SymbolTable};
 use crate::ast::visit::{find_method_calls, RunVisitor};
 use crate::ast::{Ast, Node, TokKind};
-use crate::report::{Related, Violation};
+use crate::report::Violation;
 use crate::Report;
 
 /// Root set: `(fn name, required impl owner)` — `None` matches any
@@ -284,8 +284,8 @@ pub fn check(files: &[Ast], symbols: &SymbolTable, graph: &CallGraph, report: &m
         fields_of.entry(s.name.as_str()).or_default().extend(hashy);
     }
 
-    // Multi-source BFS: every root seeds the queue; first discovery wins
-    // the chain. Roots are visited in symbol order, so output is stable.
+    // One walk from every root at once: first discovery wins the chain.
+    // Roots seed it in symbol order, so output is stable.
     let roots: Vec<FnId> = symbols
         .fns
         .iter()
@@ -299,23 +299,10 @@ pub fn check(files: &[Ast], symbols: &SymbolTable, graph: &CallGraph, report: &m
         .map(|(id, _)| id)
         .collect();
 
-    let mut parent: HashMap<FnId, FnId> = HashMap::new();
-    let mut visited: HashSet<FnId> = roots.iter().copied().collect();
-    let mut queue: VecDeque<FnId> = roots.iter().copied().collect();
-    let mut order: Vec<FnId> = Vec::new();
-    while let Some(cur) = queue.pop_front() {
-        order.push(cur);
-        for next in graph.callees(cur) {
-            if !visited.contains(&next) {
-                visited.insert(next);
-                parent.insert(next, cur);
-                queue.push_back(next);
-            }
-        }
-    }
+    let reach = graph.reach(&roots);
 
     let mut reported: HashSet<(String, usize, String)> = HashSet::new();
-    for cur in order {
+    for &cur in &reach.order {
         let f = &symbols.fns[cur];
         if f.in_test {
             continue;
@@ -335,34 +322,10 @@ pub fn check(files: &[Ast], symbols: &SymbolTable, graph: &CallGraph, report: &m
             if !reported.insert(key) {
                 continue;
             }
-            // Chain: discovered root → … → cur, then the sink line.
-            let mut chain = vec![cur];
-            while let Some(&p) = parent.get(chain.last().unwrap()) {
-                chain.push(p);
-            }
-            chain.reverse();
+            let chain = reach.chain(cur);
             let root_def = &symbols.fns[chain[0]];
-            let mut related: Vec<Related> = chain
-                .iter()
-                .enumerate()
-                .map(|(hop, &id)| {
-                    let d = &symbols.fns[id];
-                    Related {
-                        file: d.file.clone(),
-                        line: d.line,
-                        message: if hop == 0 {
-                            format!("state-affecting root `{}`, defined here", d.name)
-                        } else {
-                            format!("via `{}`, defined here", d.name)
-                        },
-                    }
-                })
-                .collect();
-            related.push(Related {
-                file: f.file.clone(),
-                line: sink.line,
-                message: format!("{} here", sink.what),
-            });
+            let related =
+                chain_related(symbols, &chain, "state-affecting root", sink.line, &sink.what);
             // Waivable in place via a *contracted* ordered annotation (or
             // a plain audit:allow).
             let ordered = sast

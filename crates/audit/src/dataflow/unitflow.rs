@@ -1,24 +1,31 @@
-//! `unit-flow`: interprocedural units-of-measure inference.
+//! `unit-flow`: units-of-measure inference, local and interprocedural.
 //!
-//! The per-file `unit-mix` rule only sees units spelled *locally* —
-//! suffixes, annotations, ascriptions in the same file. This analysis
-//! propagates those same tags **through calls**: argument units flow into
-//! parameter summaries, return-expression units flow out as return
-//! summaries, and both iterate to a fixpoint over the call graph, so a
-//! kWh produced two calls away from any annotation still carries its
-//! dimension. Three checks ride on the converged summaries:
+//! The COCA cost pipeline moves between three dimensions — energy (kWh),
+//! power (kW), and money (USD) — and the P3 objective is the one place
+//! they legitimately meet. Everywhere else, adding a price to an energy or
+//! comparing power against dollars is a transcription bug of exactly the
+//! kind that silently skews a reproduction.
+//!
+//! Units are spelled locally (`semantic::units`): identifier suffixes and
+//! `// audit:unit(<tag>)` annotations. This analysis propagates those
+//! tags **through calls**: argument units flow into parameter summaries,
+//! return-expression units flow out as return summaries, and both iterate
+//! to a fixpoint over the call graph, so a kWh produced two calls away
+//! from any annotation still carries its dimension. Three checks ride on
+//! the converged summaries:
 //!
 //! 1. **argument vs declared parameter** — a call passing a kWh term into
 //!    a parameter whose own name/annotation declares USD;
 //! 2. **conflicting inference** — an undeclared parameter that receives
 //!    *different* known units from different call sites (the lattice hits
 //!    ⊤); each contributing site becomes a related location;
-//! 3. **inferred arithmetic mix** — a `+`/`-`/comparison whose operand
-//!    unit was only discoverable through a call's return summary (the
-//!    callee's name carries no suffix). Purely local mixes stay with
-//!    `unit-mix`; this check reports only what it cannot see, so no site
-//!    is double-reported.
+//! 3. **arithmetic mix** — a `+`, `-`, compound assignment or comparison
+//!    whose operands carry different units, each read from the local
+//!    environment or, for a call, from its return summary; a summary the
+//!    unit came from becomes a related location. Multiplication and
+//!    division never flag: they change dimension.
 //!
+//! An `audit:unit(<tag>)` with an unknown tag is itself a finding.
 //! Findings are waivable at the *call/operator* site with
 //! `// audit:allow(unit-flow)`, and test code is exempt throughout.
 
@@ -28,15 +35,34 @@ use super::callgraph::{raw_calls, RawCall};
 use super::fixpoint::{solve, Lattice};
 use super::symbols::{CallKind, FnId, SymbolTable};
 use crate::ast::visit::{term_after, term_before, term_spanning, RunVisitor, Term};
-use crate::ast::{Ast, Node, TokKind};
+use crate::ast::{Ast, Node, TokKind, Token};
 use crate::report::Related;
 use crate::semantic::units::{build_env, suffix_unit, Env, Unit};
 use crate::Report;
 
-/// Operators requiring both operands to share a dimension. Bare `<`/`>`
-/// are excluded here — disambiguating them from generic brackets is the
-/// per-file rule's job, and re-deciding it would risk disagreeing.
-const SAME_DIM_OPS: &[&str] = &["+", "-", "+=", "-=", "<=", ">=", "==", "!="];
+/// Operators requiring both operands to share a dimension.
+const SAME_DIM_OPS: &[&str] = &["+", "-", "+=", "-=", "<", ">", "<=", ">=", "==", "!="];
+
+/// True when the operator token `op` at `run[i]` reads as one: a bare
+/// `<` / `>` doubles as a generic bracket, so it counts as a comparison
+/// only with spacing on both sides.
+fn reads_as_operator(run: &[Node], i: usize, op: &Token) -> bool {
+    if !matches!(op.text.as_str(), "<" | ">") {
+        return true;
+    }
+    let spaced_left = run
+        .get(i.wrapping_sub(1))
+        .and_then(Node::tok)
+        .is_none_or(|p| p.line != op.line || p.end_col() < op.col);
+    let spaced_right = run.get(i + 1).is_none_or(|nx| {
+        let (l, c) = match nx {
+            Node::Tok(t) => (t.line, t.col),
+            Node::Group(g) => (g.line, g.col),
+        };
+        l != op.line || c > op.col + 1
+    });
+    spaced_left && spaced_right
+}
 
 /// Per-function summary: one lattice point per parameter plus the return.
 #[derive(Default)]
@@ -114,8 +140,7 @@ struct Flow<'a> {
 }
 
 impl<'a> Flow<'a> {
-    fn build(files: &'a [Ast], symbols: &'a SymbolTable) -> Self {
-        let envs: Vec<Env> = files.iter().map(|ast| build_env(ast).0).collect();
+    fn build(files: &'a [Ast], symbols: &'a SymbolTable, envs: Vec<Env>) -> Self {
         let file_of: HashMap<&str, usize> =
             files.iter().enumerate().map(|(i, f)| (f.path.as_str(), i)).collect();
         let n = symbols.fns.len();
@@ -216,14 +241,20 @@ impl<'a> Flow<'a> {
         }
     }
 
-    /// True when `term`'s unit was only discoverable interprocedurally:
-    /// a call whose callee name carries no suffix but has a workspace
-    /// return summary. (`env` lookups and suffixed callees are
-    /// `unit-mix` territory.)
-    fn inferred_only(&self, term: &Term) -> bool {
-        term.is_call
-            && suffix_unit(&term.key).is_none()
-            && !self.symbols.by_name(&term.key).is_empty()
+    /// Where a call term's unit came from: each workspace definition of
+    /// the callee with a known return summary. Empty for a plain chain.
+    fn ret_evidence(&self, term: &Term) -> Vec<Related> {
+        if !term.is_call {
+            return Vec::new();
+        }
+        let defs = self.symbols.by_name(&term.key).iter();
+        defs.filter_map(|&k| {
+            let u = self.state[k].ret.known()?;
+            let f = &self.symbols.fns[k];
+            let message = format!("`{}` returns {} (inferred here)", term.key, u.label());
+            Some(Related { file: f.file.clone(), line: f.line, message })
+        })
+        .collect()
     }
 
     /// One transfer step for caller `c`: push argument units into callee
@@ -279,27 +310,45 @@ type ArgSite = (usize, usize, Unit, String);
 
 /// Runs the analysis and reports `unit-flow` findings.
 pub fn check(files: &[Ast], symbols: &SymbolTable, report: &mut Report) {
-    let mut flow = Flow::build(files, symbols);
+    let (envs, issues): (Vec<Env>, Vec<_>) = files.iter().map(build_env).unzip();
+    for (ast, issues) in files.iter().zip(issues) {
+        for i in issues.iter().filter(|i| i.unknown_tag) {
+            let message = format!(
+                "unknown unit tag `{}` in `audit:unit(…)`; \
+                 expected kwh, kw, usd, or dimensionless",
+                i.tag
+            );
+            report.flag(ast, i.line, super::UNIT_FLOW, message, Vec::new());
+        }
+    }
+    let mut flow = Flow::build(files, symbols, envs);
     let n = symbols.fns.len();
     solve(n, |c| flow.step(c));
 
-    // Check 1: argument unit vs declared parameter unit, per call site.
+    // Checks 1 and 2 read the same argument sites. Check 1: an argument's
+    // unit against the callee's declared parameter unit, at the call.
+    // Check 2 keeps each undeclared parameter's sites, so a conflict can
+    // list every one of them as a related location.
+    let mut sites: HashMap<(FnId, usize), Vec<ArgSite>> = HashMap::new();
     for c in 0..n {
         let fi = flow.file_of[symbols.fns[c].file.as_str()];
         let file = &files[fi];
         for call in &flow.calls[c] {
-            if file.in_test(call.raw.line) {
-                continue;
-            }
             for &k in &call.cands {
                 let callee = &symbols.fns[k];
                 for (ai, term) in call.raw.args.iter().enumerate() {
                     let Some(term) = term else { continue };
                     let Some(u) = flow.term_unit(term, &flow.envs[fi]) else { continue };
                     let Some(pi) = param_index(call, callee, ai) else { continue };
-                    let Some(d) = flow.declared[k].get(pi).copied().flatten() else { continue };
-                    if d != u {
-                        report.flag(
+                    let Some(&declared) = flow.declared[k].get(pi) else { continue };
+                    match declared {
+                        None => sites.entry((k, pi)).or_default().push((
+                            fi,
+                            call.raw.line,
+                            u,
+                            term.text.clone(),
+                        )),
+                        Some(d) if d != u && !file.in_test(call.raw.line) => report.flag(
                             file,
                             call.raw.line,
                             super::UNIT_FLOW,
@@ -320,39 +369,16 @@ pub fn check(files: &[Ast], symbols: &SymbolTable, report: &mut Report) {
                                     d.label()
                                 ),
                             }],
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    // Check 2: undeclared parameters inferred to conflicting units.
-    // Recollect contributing sites so each one becomes a related location.
-    let mut sites: HashMap<(FnId, usize), Vec<ArgSite>> = HashMap::new();
-    for c in 0..n {
-        let fi = flow.file_of[symbols.fns[c].file.as_str()];
-        for call in &flow.calls[c] {
-            for &k in &call.cands {
-                for (ai, term) in call.raw.args.iter().enumerate() {
-                    let Some(term) = term else { continue };
-                    let Some(u) = flow.term_unit(term, &flow.envs[fi]) else { continue };
-                    let Some(pi) = param_index(call, &symbols.fns[k], ai) else { continue };
-                    if pi < symbols.fns[k].arity() {
-                        sites
-                            .entry((k, pi))
-                            .or_default()
-                            .push((fi, call.raw.line, u, term.text.clone()));
+                        ),
+                        Some(_) => {}
                     }
                 }
             }
         }
     }
     let mut conflicts: Vec<(&(FnId, usize), &Vec<ArgSite>)> =
-        sites.iter().filter(|((k, pi), v)| {
-            flow.declared[*k].get(*pi).copied().flatten().is_none()
-                && !symbols.fns[*k].in_test
-                && v.iter().any(|s| s.2 != v[0].2)
+        sites.iter().filter(|((k, _), v)| {
+            !symbols.fns[*k].in_test && v.iter().any(|s| s.2 != v[0].2)
         }).collect();
     conflicts.sort_by_key(|((k, pi), _)| (*k, *pi));
     for ((k, pi), contributions) in conflicts {
@@ -386,74 +412,161 @@ pub fn check(files: &[Ast], symbols: &SymbolTable, report: &mut Report) {
         );
     }
 
-    // Check 3: same-dimension operators whose mix is only visible through
-    // an inferred return summary.
+    // Check 3: same-dimension operators between different units.
     for (fi, ast) in files.iter().enumerate() {
-        struct MixVisitor<'x, 'a> {
+        struct Mix<'x, 'a> {
             flow: &'x Flow<'a>,
-            fi: usize,
+            env: &'x Env,
             findings: Vec<(usize, String, Vec<Related>)>,
         }
-        impl RunVisitor for MixVisitor<'_, '_> {
+        impl RunVisitor for Mix<'_, '_> {
             fn run(&mut self, nodes: &[Node], _depth: usize) {
                 for (i, nd) in nodes.iter().enumerate() {
-                    let Some(op) = nd.tok().filter(|t| t.kind == TokKind::Punct) else { continue };
-                    if !SAME_DIM_OPS.contains(&op.text.as_str()) {
+                    let Some(op) = nd.tok().filter(|t| {
+                        t.kind == TokKind::Punct && SAME_DIM_OPS.contains(&t.text.as_str())
+                    }) else {
+                        continue;
+                    };
+                    if !reads_as_operator(nodes, i, op) {
                         continue;
                     }
-                    let Some(lhs) = term_before(nodes, i) else { continue };
-                    let Some(rhs) = term_after(nodes, i + 1) else { continue };
-                    if !(self.flow.inferred_only(&lhs) || self.flow.inferred_only(&rhs)) {
-                        continue; // unit-mix already covers local tags
-                    }
-                    let env = &self.flow.envs[self.fi];
-                    let (Some(lu), Some(ru)) =
-                        (self.flow.term_unit(&lhs, env), self.flow.term_unit(&rhs, env))
+                    let (Some(lhs), Some(rhs)) = (term_before(nodes, i), term_after(nodes, i + 1))
                     else {
                         continue;
                     };
-                    if lu == ru {
+                    let (Some(lu), Some(ru)) =
+                        (self.flow.term_unit(&lhs, self.env), self.flow.term_unit(&rhs, self.env))
+                    else {
                         continue;
-                    }
-                    let mut related = Vec::new();
-                    for t in [&lhs, &rhs] {
-                        if self.flow.inferred_only(t) {
-                            for &k in self.flow.symbols.by_name(&t.key) {
-                                if let Some(u) = self.flow.state[k].ret.known() {
-                                    related.push(Related {
-                                        file: self.flow.symbols.fns[k].file.clone(),
-                                        line: self.flow.symbols.fns[k].line,
-                                        message: format!(
-                                            "`{}` returns {} (inferred here)",
-                                            t.key,
-                                            u.label()
-                                        ),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    self.findings.push((
-                        op.line,
-                        format!(
-                            "`{}` ({}) {} `{}` ({}) mixes units inferred across calls",
+                    };
+                    if lu != ru {
+                        let mut related = self.flow.ret_evidence(&lhs);
+                        related.extend(self.flow.ret_evidence(&rhs));
+                        let message = format!(
+                            "`{}` ({}) {} `{}` ({}) mixes units of measure",
                             lhs.text,
                             lu.label(),
                             op.text,
                             rhs.text,
                             ru.label()
-                        ),
-                        related,
-                    ));
+                        );
+                        self.findings.push((op.line, message, related));
+                    }
                 }
             }
         }
-        let mut v = MixVisitor { flow: &flow, fi, findings: Vec::new() };
+        let mut v = Mix { flow: &flow, env: &flow.envs[fi], findings: Vec::new() };
         crate::ast::visit::walk_runs(&ast.nodes, &mut v);
         for (line, msg, related) in v.findings {
             if !ast.in_test(line) {
                 report.flag(ast, line, super::UNIT_FLOW, msg, related);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::Report;
+
+    fn lint(src: &str) -> Report {
+        crate::lint_sources(&[("crates/core/src/x.rs".to_string(), src.to_string())])
+    }
+
+    #[test]
+    fn suffix_mix_is_flagged() {
+        let r = lint("fn f(a_kwh: f64, b_usd: f64) -> f64 { a_kwh + b_usd }\n");
+        assert_eq!(r.unwaived_count(), 1, "{r}");
+        assert!(r.violations[0].message.contains("kWh"));
+        assert!(r.violations[0].message.contains("USD"));
+    }
+
+    #[test]
+    fn same_unit_and_unknown_terms_pass() {
+        let r = lint("fn f(a_kwh: f64, b_kwh: f64, x: f64) -> f64 { a_kwh + b_kwh + x }\n");
+        assert_eq!(r.unwaived_count(), 0, "{r}");
+    }
+
+    #[test]
+    fn multiplication_changes_dimension_and_passes() {
+        let r = lint(
+            "fn f(price_usd_per_kwh: f64, e_kwh: f64) -> f64 { price_usd_per_kwh * e_kwh }\n",
+        );
+        assert_eq!(r.unwaived_count(), 0, "{r}");
+    }
+
+    #[test]
+    fn annotation_tags_a_binding() {
+        let src = "\
+fn f(y: f64, cost_usd: f64) -> f64 {
+    // audit:unit(kwh)
+    let q = y;
+    q + cost_usd
+}
+";
+        let r = lint(src);
+        assert_eq!(r.unwaived_count(), 1, "{r}");
+        assert!(r.violations[0].message.contains("`q` (kWh)"), "{r}");
+    }
+
+    #[test]
+    fn dimensionless_annotation_suppresses_suffix() {
+        let src = "\
+fn f(b_usd: f64) -> f64 {
+    // audit:unit(dimensionless)
+    let scale_kwh = 2.0;
+    scale_kwh + b_usd
+}
+";
+        assert_eq!(lint(src).unwaived_count(), 0);
+    }
+
+    #[test]
+    fn unknown_tag_is_itself_a_finding() {
+        let r = lint("// audit:unit(joules)\nlet q = 1.0;\n");
+        assert_eq!(r.unwaived_count(), 1, "{r}");
+        assert!(r.violations[0].message.contains("unknown unit tag"));
+    }
+
+    #[test]
+    fn generics_are_not_comparisons() {
+        let r = lint("fn f(xs: Vec<f64>, total_kwh: f64, c_usd: f64) {}\n");
+        assert_eq!(r.unwaived_count(), 0, "{r}");
+    }
+
+    #[test]
+    fn spaced_comparison_between_units_is_flagged() {
+        let r = lint("fn f(p_kw: f64, e_kwh: f64) -> bool { p_kw < e_kwh }\n");
+        assert_eq!(r.unwaived_count(), 1, "{r}");
+    }
+
+    #[test]
+    fn compound_assignment_is_covered() {
+        let r = lint("fn f(mut total_usd: f64, e_kwh: f64) { total_usd += e_kwh; }\n");
+        assert_eq!(r.unwaived_count(), 1, "{r}");
+    }
+
+    #[test]
+    fn waiver_applies() {
+        let src = "\
+fn f(a_kwh: f64, b_usd: f64) -> f64 {
+    // Lyapunov drift-plus-penalty deliberately mixes dimensions. audit:allow(unit-flow)
+    a_kwh + b_usd
+}
+";
+        let r = lint(src);
+        assert_eq!(r.unwaived_count(), 0, "{r}");
+        assert_eq!(r.waived_count(), 1);
+    }
+
+    #[test]
+    fn tests_are_exempt() {
+        let src = "\
+#[cfg(test)]
+mod tests {
+    fn t(a_kwh: f64, b_usd: f64) -> f64 { a_kwh + b_usd }
+}
+";
+        assert_eq!(lint(src).unwaived_count(), 0);
     }
 }

@@ -44,18 +44,6 @@ const ENTRIES: &[Entry] = &[
         example: "pub struct SolveOutcome { … } // fires: add #[must_use]",
     },
     Entry {
-        rule: "hot-alloc",
-        contract: "No allocation (`Vec::new`, `format!`, `to_string`, `clone`, …), \
-                   lock acquisition (`.lock()`, `.read()`, `.write()`) or IO \
-                   (`File::open`, `fs::…`, `flush`) written inside a declared \
-                   `audit:hot-path` region; per-slot allocation dominates \
-                   small-scale runs, and a lock or IO call stalls the decision loop. \
-                   Sinks reached through calls are `hot-path-reach`'s.",
-        waiver: "// audit:allow(hot-alloc) for allocations proven out of the per-slot \
-                 loop (setup, error paths).",
-        example: "// audit:hot-path: begin\nfn decide(&self) {\n    let names = Vec::new(); // fires\n}\n// audit:hot-path: end",
-    },
-    Entry {
         rule: "slot-loop",
         contract: "No hand-rolled `for t in 0..num_slots` loops outside the \
                    streaming engine: slots flow through `SimEngine`/`SlotSource` so \
@@ -63,15 +51,6 @@ const ENTRIES: &[Entry] = &[
         waiver: "// audit:allow(slot-loop) for planners that legitimately scan a \
                  horizon (e.g. offline optimal).",
         example: "for t in 0..num_slots { step(t); } // fires",
-    },
-    Entry {
-        rule: "unit-mix",
-        contract: "Terms tagged kWh / kW / USD (identifier suffixes, \
-                   `// audit:unit(<tag>)` annotations, known core types) must not \
-                   meet across `+`, `-`, compound assignment, or comparisons.",
-        waiver: "// audit:allow(unit-mix) for deliberate conversions; prefer naming \
-                 the conversion factor so the units genuinely match.",
-        example: "let total = energy_kwh + power_kw; // fires",
     },
     Entry {
         rule: "atomic-ordering",
@@ -84,21 +63,31 @@ const ENTRIES: &[Entry] = &[
     },
     Entry {
         rule: "unit-flow",
-        contract: "Interprocedural unit checking: kWh / kW / USD tags propagate \
-                   through parameters and returns, so a mis-unitted argument is \
-                   caught any number of calls from the annotation that tagged it.",
-        waiver: "// audit:allow(unit-flow) at the flagged call site; prefer fixing \
-                 the unit or declaring the parameter's tag.",
-        example: "fn price(e_kwh: f64) {}\nprice(power_kw); // fires at this call",
+        contract: "Terms tagged kWh / kW / USD (identifier suffixes, \
+                   `// audit:unit(<tag>)` annotations) must not meet across `+`, \
+                   `-`, compound assignment, or comparisons. Tags propagate through \
+                   parameters and returns, so a mis-unitted operand or argument is \
+                   caught any number of calls from the annotation that tagged it. \
+                   An `audit:unit` tag other than kwh, kw, usd or dimensionless \
+                   fires too.",
+        waiver: "// audit:allow(unit-flow) at the flagged operator or call site for \
+                 deliberate conversions; prefer naming the conversion factor so the \
+                 units genuinely match, or declaring the parameter's tag.",
+        example: "let total = energy_kwh + power_kw; // fires\nfn price(e_kwh: f64) {}\nprice(power_kw); // fires at this call",
     },
     Entry {
         rule: "hot-path-reach",
-        contract: "Walks the call graph from every call inside an `audit:hot-path` \
-                   region and flags transitively reachable allocation, locking, and \
-                   IO — the chain is attached as related locations.",
-        waiver: "// audit:allow(hot-path-reach) at the flagged root call, with the \
-                 reason the reached sink is acceptable.",
-        example: "// audit:hot-path(decide)\nfn decide(&self) { helper(); }\nfn helper() { let s = format!(\"…\"); } // flagged at the decide() call",
+        contract: "No allocation (`Vec::new`, `format!`, `to_string`, `clone`, …), \
+                   lock acquisition (`.lock()`, `.read()`, `.write()`) or IO \
+                   (`File::open`, `fs::…`, `flush`) on an `audit:hot-path` line or \
+                   reachable from a call on one: per-slot allocation dominates \
+                   small-scale runs, and a lock or IO call stalls the decision loop. \
+                   A direct sink is flagged where it is written (0 calls deep); a \
+                   reached one at the hot-line call, with the call chain attached as \
+                   related locations.",
+        waiver: "// audit:allow(hot-path-reach) at the flagged line, for a sink proven \
+                 out of the per-slot loop (setup, error paths).",
+        example: "// audit:hot-path: begin\nfn decide(&self) {\n    let names = Vec::new(); // fires here\n    helper(); // fires here: helper formats\n}\n// audit:hot-path: end\nfn helper() { let s = format!(\"…\"); }",
     },
     Entry {
         rule: "snapshot-complete",
@@ -211,6 +200,9 @@ mod tests {
     fn unknown_rule_is_none() {
         assert!(explain("not-a-rule").is_none());
         assert!(explain("").is_none());
+        // Folded into `hot-path-reach` and `unit-flow`.
+        assert!(explain("hot-alloc").is_none());
+        assert!(explain("unit-mix").is_none());
     }
 
     #[test]

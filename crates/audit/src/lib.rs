@@ -22,30 +22,26 @@
 //! - [`rules::NAN_GUARD`] — no `ln`/`sqrt`/identifier division in hot
 //!   paths without a guard on the operand within 12 lines above.
 //! - [`rules::MUST_USE`] — solver result types must carry `#[must_use]`.
-//! - [`rules::HOT_ALLOC`] — no allocation, locking or IO inside declared
-//!   `audit:hot-path` regions (the `hot-path-reach` sink table).
 //! - [`rules::SLOT_LOOP`] — no hand-rolled per-slot loops outside the
 //!   streaming engine; slots flow through `SimEngine`/`SlotSource`.
 //!
-//! **Semantic rules** ([`semantic`]):
+//! **Semantic rule** ([`semantic`]):
 //!
-//! - [`semantic::UNIT_MIX`] — units-of-measure dataflow: terms tagged
-//!   kWh / kW / USD (identifier suffixes, `// audit:unit(<tag>)`
-//!   annotations, known core types) must not meet across `+`, `-`,
-//!   compound assignment, or comparisons.
 //! - [`semantic::ATOMIC_ORDERING`] — every atomic op carries an
 //!   `// audit:atomic(<contract>)` annotation; CAS failure ordering must
 //!   not exceed success ordering; CAS results must not be dropped.
 //!
 //! **Interprocedural rules** ([`dataflow`], over a workspace symbol
-//! table and call graph; multi-file driver only):
+//! table and call graph):
 //!
-//! - `unit-flow` — kWh / kW / USD tags propagated through parameters and
-//!   returns to a fixpoint; a mis-unitted argument is caught any number
-//!   of calls from the annotation that tagged it.
-//! - `hot-path-reach` — allocation, locking, or IO transitively
-//!   reachable from calls on `audit:hot-path` lines, with the call chain
-//!   attached as related locations.
+//! - `unit-flow` — terms tagged kWh / kW / USD (identifier suffixes,
+//!   `// audit:unit(<tag>)` annotations) must not meet across `+`, `-`,
+//!   compound assignment, or comparisons; tags propagate through
+//!   parameters and returns to a fixpoint, so a mis-unitted argument is
+//!   caught any number of calls from the annotation that tagged it.
+//! - `hot-path-reach` — allocation, locking, or IO written on an
+//!   `audit:hot-path` line, or reachable from a call on one, with the
+//!   call chain attached as related locations.
 //! - `snapshot-complete` — every struct with a snapshot/restore pair
 //!   accounts for each declared field; non-checkpointed state is
 //!   declared `// audit:transient(<reason>)`.
@@ -100,15 +96,13 @@ const LINTED_CRATES: &[&str] = &[
     "crates/traces",
 ];
 
-/// Every rule id the pass can emit, in stable order (used by the SARIF
-/// driver metadata and the JSON schema's enum).
+/// Every rule id the pass can emit, in stable order: the SARIF driver
+/// metadata, and the JSON schema's enum (a test keeps the two equal).
 pub const ALL_RULES: &[&str] = &[
     rules::FLOAT_EQ,
     rules::NAN_GUARD,
     rules::MUST_USE,
-    rules::HOT_ALLOC,
     rules::SLOT_LOOP,
-    semantic::UNIT_MIX,
     semantic::ATOMIC_ORDERING,
     dataflow::UNIT_FLOW,
     dataflow::HOT_PATH_REACH,
@@ -167,12 +161,14 @@ pub fn run_lint(workspace_root: &Path) -> std::io::Result<Report> {
     Ok(lint_sources(&sources))
 }
 
-/// Lints a set of in-memory sources with the full multi-pass pipeline:
-/// pass 1 parses every file once; pass 2 applies every per-file and
-/// semantic rule to each; pass 3 runs the interprocedural [`dataflow`]
-/// analyses (`unit-flow`, `hot-path-reach`, `snapshot-complete`,
-/// `nondet-reach`, and finally `stale-waiver` hygiene over the
-/// accumulated findings). The report is sorted by `(file, line, rule)`.
+/// Lints a set of in-memory `(workspace-relative path, text)` sources;
+/// the one pipeline behind [`run_lint`], the fixture tests and the unit
+/// tests. Pass 1 parses every file once; pass 2 applies every per-file
+/// and semantic rule to each; pass 3 runs the interprocedural
+/// [`dataflow`] analyses (`unit-flow`, `hot-path-reach`,
+/// `snapshot-complete`, `nondet-reach`, and finally `stale-waiver`
+/// hygiene over the accumulated findings). The report is sorted by
+/// `(file, line, rule)`.
 pub fn lint_sources(sources: &[(String, String)]) -> Report {
     let parsed: Vec<ast::Ast> =
         sources.iter().map(|(rel, text)| ast::Ast::parse(rel, text)).collect();
@@ -184,18 +180,6 @@ pub fn lint_sources(sources: &[(String, String)]) -> Report {
     dataflow::apply_all(&parsed, &mut report);
     report.sort();
     report
-}
-
-/// Lints a single file's contents (entry point shared by the fixture
-/// self-tests and the rule unit tests). The interprocedural [`dataflow`]
-/// analyses do not run — use [`lint_sources`] to exercise `unit-flow`,
-/// `hot-path-reach`, `snapshot-complete`, `nondet-reach` or
-/// `stale-waiver`.
-pub fn lint_source(rel_path: &str, text: &str, report: &mut Report) {
-    let ast = ast::Ast::parse(rel_path, text);
-    rules::apply_all(&ast, report);
-    semantic::apply_all(&ast, report);
-    report.sort();
 }
 
 #[cfg(test)]
@@ -221,6 +205,29 @@ mod tests {
             }
         }
         lints
+    }
+
+    /// CI's schema check only sees the rule ids that fire; this pins every
+    /// id, in order, to the schema's `rule` enum.
+    #[test]
+    fn schema_rule_enum_matches_all_rules() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../schemas/audit.schema.json");
+        let text = std::fs::read_to_string(path).expect("readable schema");
+        let schema: serde::Value = serde_json::from_str(&text).expect("schema parses");
+        let rule = ["properties", "violations", "items", "properties", "rule", "enum"]
+            .iter()
+            .try_fold(&schema, |v, key| v.get_field(key));
+        let ids: Vec<&str> = match rule {
+            Some(serde::Value::Seq(ids)) => ids
+                .iter()
+                .map(|v| match v {
+                    serde::Value::Str(s) => s.as_str(),
+                    other => panic!("non-string rule id {other:?}"),
+                })
+                .collect(),
+            other => panic!("schema lacks the rule enum: {other:?}"),
+        };
+        assert_eq!(ids, ALL_RULES);
     }
 
     /// `cargo test` does not run clippy, so this is what notices a hot path

@@ -310,7 +310,7 @@ mod tests {
         r.push(Violation {
             file: "b.rs".into(),
             line: 9,
-            rule: "unit-mix",
+            rule: "unit-flow",
             message: "mixes".into(),
             waived: true,
             related: Vec::new(),
@@ -361,7 +361,7 @@ mod tests {
     #[test]
     fn sarif_rendering_levels_and_locations() {
         let r = sample();
-        let v: serde::Value = serde_json::from_str(&r.to_sarif(&["float-eq", "unit-mix"])).unwrap();
+        let v: serde::Value = serde_json::from_str(&r.to_sarif(&["float-eq", "unit-flow"])).unwrap();
         assert_eq!(v.get_field("version"), Some(&Value::Str("2.1.0".into())));
         let runs = v.get_field("runs").unwrap().as_seq().unwrap();
         let results = runs[0].get_field("results").unwrap().as_seq().unwrap();
@@ -380,7 +380,7 @@ mod tests {
             Some(&Value::Int(3))
         );
         // The float-eq finding carries one related location; the waived
-        // unit-mix one carries none (field omitted entirely).
+        // unit-flow one carries none (field omitted entirely).
         let rel = results[0].get_field("relatedLocations").unwrap().as_seq().unwrap();
         assert_eq!(rel.len(), 1);
         assert_eq!(

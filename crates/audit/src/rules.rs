@@ -4,7 +4,6 @@
 
 use crate::ast::visit::{find_method_calls, term_after, walk_runs, RunVisitor};
 use crate::ast::{Ast, Delim, Node, TokKind, Token};
-use crate::dataflow::hotreach::body_sinks;
 use crate::report::Report;
 
 /// Rule id: no raw f64 `==`/`!=` comparisons.
@@ -13,9 +12,6 @@ pub const FLOAT_EQ: &str = "float-eq";
 pub const NAN_GUARD: &str = "nan-guard";
 /// Rule id: solver result types must be `#[must_use]`.
 pub const MUST_USE: &str = "must-use";
-/// Rule id: no allocation, locking or IO inside declared `audit:hot-path`
-/// regions.
-pub const HOT_ALLOC: &str = "hot-alloc";
 /// Rule id: no hand-rolled slot loops outside the streaming engine.
 pub const SLOT_LOOP: &str = "slot-loop";
 
@@ -58,18 +54,6 @@ pub fn apply_all(ast: &Ast, report: &mut Report) {
         hits: Vec::new(),
     };
     walk_runs(&ast.nodes, &mut rules);
-    if ast.lines.iter().any(|l| l.in_hot) {
-        rules.hits.extend(body_sinks(&ast.nodes).into_iter().filter(|s| ast.in_hot(s.line)).map(
-            |s| {
-                let message = format!(
-                    "code that {} sits inside an `audit:hot-path` region; reuse a \
-                     pre-sized scratch buffer and keep locks and IO off the hot path",
-                    s.what
-                );
-                (s.line, HOT_ALLOC, message)
-            },
-        ));
-    }
     for (line, rule, message) in rules.hits {
         if !ast.in_test(line) {
             report.flag(ast, line, rule, message, Vec::new());
@@ -393,9 +377,7 @@ mod tests {
     use super::*;
 
     fn lint(path: &str, src: &str) -> Report {
-        let mut r = Report::default();
-        crate::lint_source(path, src, &mut r);
-        r
+        crate::lint_sources(&[(path.to_string(), src.to_string())])
     }
 
     #[test]
@@ -464,40 +446,6 @@ mod tests {
         assert_eq!(r.unwaived().filter(|v| v.rule == MUST_USE).count(), 0);
         let other_crate = lint("crates/traces/src/foo.rs", bad);
         assert_eq!(other_crate.unwaived_count(), 0);
-    }
-
-    #[test]
-    fn hot_alloc_fires_only_inside_declared_regions() {
-        let src = "\
-fn setup() -> Vec<f64> { Vec::new() }
-// audit:hot-path: begin
-fn delta(&mut self, xs: &[usize]) {
-    let copy = xs.to_vec();
-    self.scratch.clear();
-    self.scratch.push(1.0);
-}
-// audit:hot-path: end
-fn teardown() -> Vec<f64> { vec![0.0] }
-";
-        let r = lint("crates/dcsim/src/engine.rs", src);
-        let hits: Vec<usize> =
-            r.unwaived().filter(|v| v.rule == HOT_ALLOC).map(|v| v.line).collect();
-        assert_eq!(hits, vec![4], "{r}");
-    }
-
-    #[test]
-    fn hot_alloc_honors_waivers() {
-        let src = "\
-// audit:hot-path: begin
-fn delta(&mut self) {
-    // Error path only, never taken per-proposal. audit:allow(hot-alloc)
-    let msg = format!(\"bad\");
-}
-// audit:hot-path: end
-";
-        let r = lint("crates/opt/src/waterfill.rs", src);
-        assert_eq!(r.unwaived().filter(|v| v.rule == HOT_ALLOC).count(), 0, "{r}");
-        assert_eq!(r.violations.iter().filter(|v| v.rule == HOT_ALLOC).count(), 1);
     }
 
     #[test]

@@ -1,35 +1,23 @@
-//! `unit-mix`: units-of-measure dataflow lint.
+//! The units-of-measure vocabulary `unit-flow` reads: the three
+//! dimensions the COCA cost pipeline moves between (energy in kWh, power
+//! in kW, money in USD) and each file's binding environment.
 //!
-//! The COCA cost pipeline moves between three dimensions — energy (kWh),
-//! power (kW), and money (USD) — and the P3 objective is the one place
-//! they legitimately meet. Everywhere else, adding a price to an energy or
-//! comparing power against dollars is a transcription bug of exactly the
-//! kind that silently skews a reproduction. This rule tags value *terms*
-//! with a unit and flags `+`, `-`, `+=`, `-=`, and comparisons whose two
-//! sides carry **different** known units.
+//! A name's unit comes from, in precedence order:
 //!
-//! A term's unit comes from, in precedence order:
-//!
-//! 1. an `// audit:unit(<tag>)` annotation on the term's binding line
+//! 1. an `// audit:unit(<tag>)` annotation on the name's binding line
 //!    (or the line above) — tags: `kwh`, `kw`, `usd`, `dimensionless`;
-//! 2. a type ascription to a known dimension-carrying core type
-//!    (`EnergyKwh`, `PowerKw`, `CostUsd`);
-//! 3. the identifier suffix: `…_kwh`, `…_kw`, `…_usd` (or the bare names
+//! 2. the identifier suffix: `…_kwh`, `…_kw`, `…_usd` (or the bare names
 //!    `kwh` / `kw` / `usd`).
 //!
 //! Names containing `_per_` are ratios and deliberately untagged — a
 //! `usd_per_kwh` price times an energy is how units are *supposed* to
-//! cancel. Multiplication and division never flag (they change dimension);
-//! only same-dimension operators do. Terms with no known unit never flag:
-//! the lint is opt-in via naming and annotations, so it cannot drown the
-//! workspace in guesses.
+//! cancel. Names with no known unit stay untagged: the vocabulary is
+//! opt-in via naming and annotations, so it cannot drown the workspace in
+//! guesses.
 
 use std::collections::HashMap;
 
-use super::UNIT_MIX;
-use crate::ast::visit::{term_after, term_before, RunVisitor};
 use crate::ast::{Ast, Node, TokKind};
-use crate::report::Report;
 
 /// A physical dimension the lint tracks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,15 +51,6 @@ impl Unit {
     }
 }
 
-/// Dimension-carrying core types recognized in ascriptions (`let x:
-/// EnergyKwh = …`). The workspace currently encodes units in names rather
-/// than newtypes; this table is the hook for when that changes.
-const TYPE_UNITS: &[(&str, Unit)] = &[
-    ("EnergyKwh", Unit::Kwh),
-    ("PowerKw", Unit::Kw),
-    ("CostUsd", Unit::Usd),
-];
-
 /// Unit of a bare identifier by suffix convention.
 pub(crate) fn suffix_unit(name: &str) -> Option<Unit> {
     if name.contains("_per_") {
@@ -88,14 +67,11 @@ pub(crate) fn suffix_unit(name: &str) -> Option<Unit> {
     }
 }
 
-/// Operators that require both operands to share a dimension.
-const SAME_DIM_OPS: &[&str] = &["+", "-", "+=", "-=", "<", ">", "<=", ">=", "==", "!="];
-
-/// Per-file binding environment: names tagged by annotation or ascription.
-/// Shared with the interprocedural unit-flow analysis, which seeds
-/// parameter and return summaries from the same environment.
+/// Per-file binding environment: names tagged by annotation. `unit-flow`
+/// reads operand units from it and seeds parameter and return summaries
+/// with it.
 pub(crate) struct Env {
-    /// Explicitly tagged names (annotation or known-type ascription).
+    /// Names tagged by annotation.
     tagged: HashMap<String, Unit>,
     /// Names annotated `dimensionless`: suppress suffix inference.
     dimensionless: Vec<String>,
@@ -125,10 +101,9 @@ fn leaf_tokens<'a>(nodes: &'a [Node], out: &mut Vec<&'a crate::ast::Token>) {
     }
 }
 
-/// A defect found while building the environment. Unknown tags are
-/// reported here under `unit-mix`; unbound annotations belong to the
-/// workspace-wide hygiene pass (`stale-waiver`), which also checks
-/// whether they bind a *function* line instead of a local.
+/// A defect found while building the environment. `unit-flow` reports
+/// unknown tags; unbound annotations belong to the hygiene pass
+/// (`stale-waiver`).
 pub(crate) struct EnvIssue {
     /// 1-based line of the annotation comment.
     pub(crate) line: usize,
@@ -140,9 +115,9 @@ pub(crate) struct EnvIssue {
 }
 
 /// Builds the binding environment: for each `audit:unit(<tag>)` comment,
-/// binds the identifier declared on the covered line; plus known-type
-/// ascriptions anywhere in the file. Pure — defects come back as
-/// [`EnvIssue`]s for the caller to report under the right rule.
+/// binds the identifier declared on the covered line. Pure — defects
+/// come back as [`EnvIssue`]s for the caller to report under the right
+/// rule.
 pub(crate) fn build_env(ast: &Ast) -> (Env, Vec<EnvIssue>) {
     let mut env = Env { tagged: HashMap::new(), dimensionless: Vec::new() };
     let mut issues = Vec::new();
@@ -181,213 +156,5 @@ pub(crate) fn build_env(ast: &Ast) -> (Env, Vec<EnvIssue>) {
             issues.push(EnvIssue { line: c.line, tag, unknown_tag: true });
         }
     }
-
-    // `name : KnownType` ascriptions (bindings, fields, parameters).
-    for w in toks.windows(3) {
-        let [n, colon, ty] = w else { continue };
-        if n.kind == TokKind::Ident && colon.is_punct(":") && ty.kind == TokKind::Ident {
-            if let Some((_, u)) = TYPE_UNITS.iter().find(|(t, _)| ty.is_ident(t)) {
-                env.tagged.insert(n.text.clone(), *u);
-            }
-        }
-    }
     (env, issues)
-}
-
-/// Visitor that flags mixed-unit same-dimension operators in every run.
-struct Mix<'a> {
-    ast: &'a Ast,
-    env: &'a Env,
-    findings: Vec<(usize, String)>,
-}
-
-impl RunVisitor for Mix<'_> {
-    fn run(&mut self, nodes: &[Node], _depth: usize) {
-        for (i, n) in nodes.iter().enumerate() {
-            let Some(op) = n.tok().filter(|t| t.kind == TokKind::Punct) else { continue };
-            if !SAME_DIM_OPS.contains(&op.text.as_str()) {
-                continue;
-            }
-            if self.ast.in_test(op.line) {
-                continue;
-            }
-            // Bare `<` / `>` double as generic brackets; require spacing
-            // on both sides before reading them as comparisons.
-            if matches!(op.text.as_str(), "<" | ">") {
-                let spaced_left = nodes.get(i.wrapping_sub(1)).and_then(Node::tok).is_none_or(
-                    |p| p.line != op.line || p.end_col() < op.col,
-                );
-                let spaced_right = nodes.get(i + 1).is_none_or(|nx| {
-                    let (l, c) = match nx {
-                        Node::Tok(t) => (t.line, t.col),
-                        Node::Group(g) => (g.line, g.col),
-                    };
-                    l != op.line || c > op.col + 1
-                });
-                if !(spaced_left && spaced_right) {
-                    continue;
-                }
-            }
-            let Some(lhs) = term_before(nodes, i) else { continue };
-            let Some(rhs) = term_after(nodes, i + 1) else { continue };
-            let (Some(lu), Some(ru)) =
-                (self.env.unit_of(&lhs.key), self.env.unit_of(&rhs.key))
-            else {
-                continue;
-            };
-            if lu != ru {
-                self.findings.push((
-                    op.line,
-                    format!(
-                        "`{}` ({}) {} `{}` ({}) mixes units of measure",
-                        lhs.text,
-                        lu.label(),
-                        op.text,
-                        rhs.text,
-                        ru.label()
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// Runs the rule over one parsed file.
-pub fn check(ast: &Ast, report: &mut Report) {
-    let (env, issues) = build_env(ast);
-    for i in issues.iter().filter(|i| i.unknown_tag) {
-        report.flag(
-            ast,
-            i.line,
-            UNIT_MIX,
-            format!(
-                "unknown unit tag `{}` in `audit:unit(…)`; \
-                 expected kwh, kw, usd, or dimensionless",
-                i.tag
-            ),
-            Vec::new(),
-        );
-    }
-    let mut v = Mix { ast, env: &env, findings: Vec::new() };
-    crate::ast::visit::walk_runs(&ast.nodes, &mut v);
-    for (line, msg) in v.findings {
-        report.flag(ast, line, UNIT_MIX, msg, Vec::new());
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn lint(src: &str) -> Report {
-        let ast = Ast::parse("crates/core/src/x.rs", src);
-        let mut r = Report::default();
-        check(&ast, &mut r);
-        r
-    }
-
-    #[test]
-    fn suffix_mix_is_flagged() {
-        let r = lint("fn f(a_kwh: f64, b_usd: f64) -> f64 { a_kwh + b_usd }\n");
-        assert_eq!(r.unwaived_count(), 1, "{r}");
-        assert!(r.violations[0].message.contains("kWh"));
-        assert!(r.violations[0].message.contains("USD"));
-    }
-
-    #[test]
-    fn same_unit_and_unknown_terms_pass() {
-        let r = lint(
-            "fn f(a_kwh: f64, b_kwh: f64, x: f64) -> f64 { a_kwh + b_kwh + x }\n",
-        );
-        assert_eq!(r.unwaived_count(), 0, "{r}");
-    }
-
-    #[test]
-    fn multiplication_changes_dimension_and_passes() {
-        let r = lint("fn f(price_usd_per_kwh: f64, e_kwh: f64) -> f64 { price_usd_per_kwh * e_kwh }\n");
-        assert_eq!(r.unwaived_count(), 0, "{r}");
-    }
-
-    #[test]
-    fn annotation_tags_a_binding() {
-        let src = "\
-fn f(y: f64, cost_usd: f64) -> f64 {
-    // audit:unit(kwh)
-    let q = y;
-    q + cost_usd
-}
-";
-        let r = lint(src);
-        assert_eq!(r.unwaived_count(), 1, "{r}");
-        assert!(r.violations[0].message.contains("`q` (kWh)"), "{r}");
-    }
-
-    #[test]
-    fn dimensionless_annotation_suppresses_suffix() {
-        let src = "\
-fn f(b_usd: f64) -> f64 {
-    // audit:unit(dimensionless)
-    let scale_kwh = 2.0;
-    scale_kwh + b_usd
-}
-";
-        let r = lint(src);
-        assert_eq!(r.unwaived_count(), 0, "{r}");
-    }
-
-    #[test]
-    fn unknown_tag_is_itself_a_finding() {
-        let r = lint("// audit:unit(joules)\nlet q = 1.0;\n");
-        assert_eq!(r.unwaived_count(), 1, "{r}");
-        assert!(r.violations[0].message.contains("unknown unit tag"));
-    }
-
-    #[test]
-    fn generics_are_not_comparisons() {
-        let r = lint("fn f(xs: Vec<f64>, total_kwh: f64, c_usd: f64) {}\n");
-        assert_eq!(r.unwaived_count(), 0, "{r}");
-    }
-
-    #[test]
-    fn spaced_comparison_between_units_is_flagged() {
-        let r = lint("fn f(p_kw: f64, e_kwh: f64) -> bool { p_kw < e_kwh }\n");
-        assert_eq!(r.unwaived_count(), 1, "{r}");
-    }
-
-    #[test]
-    fn compound_assignment_is_covered() {
-        let r = lint("fn f(mut total_usd: f64, e_kwh: f64) { total_usd += e_kwh; }\n");
-        assert_eq!(r.unwaived_count(), 1, "{r}");
-    }
-
-    #[test]
-    fn waiver_applies() {
-        let src = "\
-fn f(a_kwh: f64, b_usd: f64) -> f64 {
-    // Lyapunov drift-plus-penalty deliberately mixes dimensions. audit:allow(unit-mix)
-    a_kwh + b_usd
-}
-";
-        let r = lint(src);
-        assert_eq!(r.unwaived_count(), 0, "{r}");
-        assert_eq!(r.waived_count(), 1);
-    }
-
-    #[test]
-    fn known_type_ascription_tags_binding() {
-        let r = lint("fn f(e: EnergyKwh, c: CostUsd) -> f64 { e + c }\n");
-        assert_eq!(r.unwaived_count(), 1, "{r}");
-    }
-
-    #[test]
-    fn tests_are_exempt() {
-        let src = "\
-#[cfg(test)]
-mod tests {
-    fn t(a_kwh: f64, b_usd: f64) -> f64 { a_kwh + b_usd }
-}
-";
-        let r = lint(src);
-        assert_eq!(r.unwaived_count(), 0, "{r}");
-    }
 }

@@ -1,9 +1,8 @@
 //! Interprocedural-pass self-tests: the `unit-flow`, `hot-path-reach`,
-//! and `stale-waiver` analyses against fixture files whose defects are
-//! invisible to the per-file rules. Every test drives
-//! [`coca_audit::lint_sources`] — the only entry point where the
-//! dataflow passes run — under *pretend* workspace paths, like the
-//! per-file fixture tests.
+//! `snapshot-complete`, `nondet-reach` and `stale-waiver` analyses
+//! against fixture files whose defects need the symbol table or the call
+//! graph. Every test drives [`coca_audit::lint_sources`] under *pretend*
+//! workspace paths, like the per-file fixture tests.
 
 use coca_audit::{lint_sources, Report};
 
@@ -84,15 +83,13 @@ fn unit_flow_findings_carry_the_cross_file_evidence() {
 }
 
 #[test]
-fn hot_reach_fixture_flags_hidden_sinks_and_defers_direct_ones() {
+fn hot_reach_fixture_flags_direct_and_hidden_sinks() {
     let r = lint(&[(HOT_FIX, include_str!("../fixtures/hot_reach.rs"))]);
     assert_eq!(
         tuples(&r),
         vec![
             ("hot-path-reach", HOT_FIX, 32, false), // refresh → rebuild → Vec::with_capacity
-            // The in-region `format!` stays with hot-alloc — reachability
-            // never double-reports a direct hot-region site.
-            ("hot-alloc", HOT_FIX, 33, false),
+            ("hot-path-reach", HOT_FIX, 33, false), // the in-region `format!`, 0 calls deep
             ("hot-path-reach", HOT_FIX, 34, false), // ping → pong → to_string (cycle terminates)
             ("hot-path-reach", HOT_FIX, 50, false), // gather → `.collect::<Vec<_>>()`
             ("hot-path-reach", HOT_FIX, 51, false), // index → `HashMap::with_capacity`

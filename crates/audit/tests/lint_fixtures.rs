@@ -1,7 +1,7 @@
-//! Lint-pass self-test: runs the audit rules against fixture files with
-//! known violations — checking rule ids, line numbers, and waiver status
-//! per rule — and then against the live workspace, which must carry zero
-//! unwaived violations.
+//! Lint-pass self-test: runs the audit pipeline against single fixture
+//! files with known violations — checking rule ids, line numbers, and
+//! waiver status per rule — and then against the live workspace, which
+//! must carry zero unwaived violations.
 //!
 //! Fixtures live in `crates/audit/fixtures/` (outside any `src/` tree) so
 //! they are neither compiled nor picked up by [`coca_audit::run_lint`];
@@ -10,13 +10,11 @@
 
 use std::path::Path;
 
-use coca_audit::{lint_source, run_lint, Report};
+use coca_audit::{lint_sources, run_lint, Report};
 
 /// Lints fixture `text` as if it lived at `pretend_path`.
 fn lint_fixture(pretend_path: &str, text: &str) -> Report {
-    let mut report = Report::default();
-    lint_source(pretend_path, text, &mut report);
-    report
+    lint_sources(&[(pretend_path.to_string(), text.to_string())])
 }
 
 /// `(rule, line, waived)` triples in file order, for compact assertions.
@@ -78,20 +76,20 @@ fn must_use_fixture_flags_unannotated_result_types() {
 }
 
 #[test]
-fn hot_alloc_fixture_flags_allocations_in_declared_regions_only() {
+fn hot_direct_fixture_flags_allocations_in_declared_regions_only() {
     let r = lint_fixture(
         "crates/traces/src/fixture.rs",
-        include_str!("../fixtures/hot_alloc.rs"),
+        include_str!("../fixtures/hot_direct.rs"),
     );
     assert_eq!(
         triples(&r),
         vec![
-            ("hot-alloc", 10, false), // `.to_vec()` in the delta-update path
-            ("hot-alloc", 12, false), // `format!` in the delta-update path
-            ("hot-alloc", 24, true),  // waived via audit:allow(hot-alloc)
-            ("hot-alloc", 34, false), // `.lock()` written directly in a region
-            ("hot-alloc", 41, false), // turbofish `.collect::<Vec<_>>()`
-            ("hot-alloc", 42, false), // `HashMap::with_capacity`
+            ("hot-path-reach", 10, false), // `.to_vec()` in the delta-update path
+            ("hot-path-reach", 12, false), // `format!` in the delta-update path
+            ("hot-path-reach", 24, true),  // waived via audit:allow(hot-path-reach)
+            ("hot-path-reach", 34, false), // `.lock()` written directly in a region
+            ("hot-path-reach", 41, false), // turbofish `.collect::<Vec<_>>()`
+            ("hot-path-reach", 42, false), // `HashMap::with_capacity`
         ],
         "{r}"
     );
@@ -140,18 +138,19 @@ fn slot_loop_fixture_is_quiet_in_engine_and_traces() {
 }
 
 #[test]
-fn unit_mix_fixture_flags_cross_unit_arithmetic() {
+fn unit_local_fixture_flags_cross_unit_arithmetic() {
     let r = lint_fixture(
         "crates/core/src/fixture.rs",
-        include_str!("../fixtures/unit_mix.rs"),
+        include_str!("../fixtures/unit_local.rs"),
     );
     assert_eq!(
         triples(&r),
         vec![
-            ("unit-mix", 5, false),  // battery_kwh + total_usd (suffix inference)
-            ("unit-mix", 11, false), // annotated kWh binding < cost_usd
-            ("unit-mix", 30, true),  // waived via audit:allow(unit-mix)
-            ("unit-mix", 35, false), // float-eq waiver does not cover unit-mix
+            ("unit-flow", 5, false),  // battery_kwh + total_usd (suffix inference)
+            ("unit-flow", 11, false), // annotated kWh binding < cost_usd
+            ("unit-flow", 30, true),  // waived via audit:allow(unit-flow)
+            ("stale-waiver", 34, false), // the float-eq waiver suppresses nothing…
+            ("unit-flow", 35, false), // …and does not cover unit-flow
         ],
         "{r}"
     );
@@ -171,7 +170,8 @@ fn atomic_ordering_fixture_flags_each_contract_gap() {
             ("atomic-ordering", 23, false), // CAS failure ordering stronger than success
             ("atomic-ordering", 28, false), // CAS result silently dropped
             ("atomic-ordering", 37, true),  // waived via audit:allow(atomic-ordering)
-            ("atomic-ordering", 42, false), // nan-guard waiver does not cover atomic-ordering
+            ("stale-waiver", 41, false),    // the nan-guard waiver suppresses nothing…
+            ("atomic-ordering", 42, false), // …and does not cover atomic-ordering
         ],
         "{r}"
     );

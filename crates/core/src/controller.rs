@@ -205,7 +205,7 @@ impl<S: P3Solver> Policy for CocaController<S> {
             cluster: &self.cluster,
             arrival_rate: obs.arrival_rate,
             onsite: obs.onsite,
-            // audit:allow(unit-mix) — eq. (10): A = V·w + q deliberately adds a price to a kWh queue; the Lyapunov weight is unit-free by construction
+            // audit:allow(unit-flow) — eq. (10): A = V·w + q deliberately adds a price to a kWh queue; the Lyapunov weight is unit-free by construction
             energy_weight: v * w + q,
             delay_weight: v * self.cost.beta,
             gamma: self.cost.gamma,

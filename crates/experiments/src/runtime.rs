@@ -55,6 +55,16 @@ impl<'a> Checkpointing<'a> {
 /// crash (callers match on it to tell a drill from a real failure).
 pub const SIMULATED_CRASH: &str = "simulated crash: abort_at_slot reached";
 
+/// What a [`run_lockstep_checkpointed`] call finished with.
+#[derive(Debug)]
+pub struct CheckpointedRun {
+    /// One outcome per lane, the same as an uninterrupted run's.
+    pub outcomes: Vec<SimOutcome>,
+    /// True when the run continued from a restored checkpoint; false when
+    /// it simulated from slot 0, including after ignoring an unreadable one.
+    pub resumed: bool,
+}
+
 /// Builds the engine `builder` describes over `trace` and runs it to the
 /// end, checkpointing every `ckpt.every` slots. Semantically identical to
 /// `builder.build(trace)?.run_and_finish()` — same outcomes, slot for
@@ -67,18 +77,22 @@ pub fn run_lockstep_checkpointed(
     builder: EngineBuilder<'_>,
     trace: &EnvironmentTrace,
     ckpt: Checkpointing<'_>,
-) -> Result<Vec<SimOutcome>, SimError> {
+) -> Result<CheckpointedRun, SimError> {
     let every = ckpt.every.max(1);
     let mut engine = builder.build(trace)?;
+    let mut resumed = false;
     if ckpt.resume && ckpt.path.exists() {
         match read_checkpoint(ckpt.path).map_err(SimError::from).and_then(|state| {
             engine.restore(&state)?;
             Ok(state.t)
         }) {
-            Ok(t) => logger::info(
-                &Span::new("resume").slot(t).frame(t / every),
-                &format!("continuing from checkpoint {}", ckpt.path.display()),
-            ),
+            Ok(t) => {
+                resumed = true;
+                logger::info(
+                    &Span::new("resume").slot(t).frame(t / every),
+                    &format!("continuing from checkpoint {}", ckpt.path.display()),
+                );
+            }
             Err(e) => logger::error(
                 &Span::new("resume"),
                 &format!("ignoring checkpoint {}: {e}", ckpt.path.display()),
@@ -100,7 +114,7 @@ pub fn run_lockstep_checkpointed(
     }
     // The run completed; a stale checkpoint would hijack the next one.
     let _ = std::fs::remove_file(ckpt.path);
-    engine.into_outcomes()
+    Ok(CheckpointedRun { outcomes: engine.into_outcomes()?, resumed })
 }
 
 #[cfg(test)]
@@ -138,7 +152,8 @@ mod tests {
         let ckpt = Checkpointing::new(&path, 24, false);
         let out = run_lockstep_checkpointed(builder(&setup), &setup.trace, ckpt).unwrap();
         let reference = uninterrupted(builder(&setup), &setup);
-        assert_eq!(out, reference, "checkpointing must not change results");
+        assert_eq!(out.outcomes, reference, "checkpointing must not change results");
+        assert!(!out.resumed);
         assert!(!path.exists(), "checkpoint removed after completion");
     }
 
@@ -160,7 +175,8 @@ mod tests {
         let ckpt = Checkpointing::new(&path, 24, true);
         let resumed = run_lockstep_checkpointed(builder(&setup), &setup.trace, ckpt).unwrap();
         let reference = uninterrupted(builder(&setup), &setup);
-        assert_eq!(resumed, reference, "resume must reproduce the full run exactly");
+        assert!(resumed.resumed);
+        assert_eq!(resumed.outcomes, reference, "resume must reproduce the full run exactly");
         assert!(!path.exists());
     }
 
@@ -204,7 +220,8 @@ mod tests {
         let ckpt = Checkpointing::new(&path, 24, true);
         let resumed = run_lockstep_checkpointed(builder(&setup), &setup.trace, ckpt).unwrap();
         let reference = uninterrupted(builder(&setup), &setup);
-        assert_eq!(resumed, reference, "post-crash resume must be exact");
+        assert!(resumed.resumed);
+        assert_eq!(resumed.outcomes, reference, "post-crash resume must be exact");
         assert!(!path.exists());
     }
 
@@ -224,7 +241,7 @@ mod tests {
         );
         assert!(crash.is_err());
         let ckpt = Checkpointing::new(&path, 24, true);
-        let resumed = run_lockstep_checkpointed(phi(), &setup.trace, ckpt).unwrap();
+        let resumed = run_lockstep_checkpointed(phi(), &setup.trace, ckpt).unwrap().outcomes;
         assert_eq!(resumed, uninterrupted(phi(), &setup));
         assert_ne!(resumed, uninterrupted(builder(&setup), &setup), "φ changes the run");
     }
@@ -238,7 +255,8 @@ mod tests {
         std::fs::write(&path, "{not json").unwrap();
         let ckpt = Checkpointing::new(&path, 24, true);
         let out = run_lockstep_checkpointed(builder(&setup), &setup.trace, ckpt).unwrap();
-        assert_eq!(out.len(), 1, "run falls back to a fresh start");
+        assert_eq!(out.outcomes.len(), 1);
+        assert!(!out.resumed, "run falls back to a fresh start");
     }
 
     #[test]
@@ -261,7 +279,8 @@ mod tests {
         let ckpt = Checkpointing::new(&path, 24, true);
         let out = run_lockstep_checkpointed(builder(&setup), &setup.trace, ckpt).unwrap();
         let fresh = uninterrupted(builder(&setup), &setup);
-        assert_eq!(out, fresh, "the fallback is a full fresh run");
+        assert!(!out.resumed);
+        assert_eq!(out.outcomes, fresh, "the fallback is a full fresh run");
         assert!(!path.exists());
     }
 }

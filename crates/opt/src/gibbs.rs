@@ -139,7 +139,7 @@ where
         if mutable_sites.is_empty() {
             break;
         }
-        let delta = opts.schedule.delta_at(k, opts.iterations);
+        let delta = opts.schedule.delta_at(k);
         let site = mutable_sites[rng.gen_range(0..mutable_sites.len())];
         let old_choice = kept[site];
         // Uniform proposal over the site's choices, including re-proposing

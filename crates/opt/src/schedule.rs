@@ -2,9 +2,9 @@
 //!
 //! The paper (Sec. 4.2) advises starting with a small smoothing parameter δ
 //! (high exploration) and increasing it over iterations so the chain
-//! progressively concentrates on better solutions. These schedules capture
-//! the common choices; all are deterministic functions of the iteration
-//! index.
+//! progressively concentrates on better solutions. Both schedules here are
+//! deterministic functions of the iteration index: the paper's constant δ,
+//! and a clamped geometric anneal.
 
 use serde::{Deserialize, Serialize};
 
@@ -13,14 +13,6 @@ use serde::{Deserialize, Serialize};
 pub enum TemperatureSchedule {
     /// Fixed δ for every iteration (the setting of the paper's Fig. 4).
     Constant(f64),
-    /// Linear interpolation from `start` at iteration 0 to `end` at the last
-    /// iteration.
-    Linear {
-        /// δ at the first iteration.
-        start: f64,
-        /// δ at the last iteration.
-        end: f64,
-    },
     /// Geometric growth `start · factor^k`, clamped to `max`.
     Geometric {
         /// δ at the first iteration.
@@ -30,31 +22,16 @@ pub enum TemperatureSchedule {
         /// Upper clamp.
         max: f64,
     },
-    /// Logarithmic annealing `scale · ln(2 + k)`, the classical
-    /// convergence-guaranteeing schedule for simulated annealing.
-    Logarithmic {
-        /// Multiplicative scale.
-        scale: f64,
-    },
 }
 
 impl TemperatureSchedule {
-    /// δ at iteration `k` out of `total` iterations.
-    pub fn delta_at(&self, k: usize, total: usize) -> f64 {
+    /// δ at iteration `k`.
+    pub fn delta_at(&self, k: usize) -> f64 {
         match *self {
             TemperatureSchedule::Constant(d) => d,
-            TemperatureSchedule::Linear { start, end } => {
-                if total <= 1 {
-                    end
-                } else {
-                    let t = k as f64 / (total - 1) as f64;
-                    start + t * (end - start)
-                }
-            }
             TemperatureSchedule::Geometric { start, factor, max } => {
                 (start * factor.powi(k as i32)).min(max)
             }
-            TemperatureSchedule::Logarithmic { scale } => scale * ((2 + k) as f64).ln(),
         }
     }
 }
@@ -66,36 +43,15 @@ mod tests {
     #[test]
     fn constant_is_constant() {
         let s = TemperatureSchedule::Constant(7.0);
-        assert_eq!(s.delta_at(0, 100), 7.0);
-        assert_eq!(s.delta_at(99, 100), 7.0);
-    }
-
-    #[test]
-    fn linear_hits_endpoints() {
-        let s = TemperatureSchedule::Linear { start: 1.0, end: 11.0 };
-        assert_eq!(s.delta_at(0, 101), 1.0);
-        assert_eq!(s.delta_at(100, 101), 11.0);
-        assert!((s.delta_at(50, 101) - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn linear_degenerate_total() {
-        let s = TemperatureSchedule::Linear { start: 1.0, end: 5.0 };
-        assert_eq!(s.delta_at(0, 1), 5.0);
+        assert_eq!(s.delta_at(0), 7.0);
+        assert_eq!(s.delta_at(99), 7.0);
     }
 
     #[test]
     fn geometric_clamps() {
         let s = TemperatureSchedule::Geometric { start: 1.0, factor: 10.0, max: 500.0 };
-        assert_eq!(s.delta_at(0, 10), 1.0);
-        assert_eq!(s.delta_at(1, 10), 10.0);
-        assert_eq!(s.delta_at(5, 10), 500.0);
-    }
-
-    #[test]
-    fn logarithmic_grows_slowly() {
-        let s = TemperatureSchedule::Logarithmic { scale: 2.0 };
-        assert!(s.delta_at(0, 10) > 0.0);
-        assert!(s.delta_at(1000, 2000) > s.delta_at(10, 2000));
+        assert_eq!(s.delta_at(0), 1.0);
+        assert_eq!(s.delta_at(1), 10.0);
+        assert_eq!(s.delta_at(5), 500.0);
     }
 }

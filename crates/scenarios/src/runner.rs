@@ -71,7 +71,7 @@ use coca_dcsim::{
 };
 use coca_experiments::figures;
 use coca_experiments::parallel;
-use coca_experiments::runtime::{run_lockstep_checkpointed, Checkpointing};
+use coca_experiments::runtime::{run_lockstep_checkpointed, CheckpointedRun, Checkpointing};
 use coca_experiments::setup::{unaware_reference, ExperimentScale, PaperSetup};
 use coca_obs::logger::{self, Span};
 use coca_obs::{BatchMetrics, MetricsRegistry};
@@ -387,9 +387,10 @@ struct LockstepRun {
     /// Hours of the untrimmed context trace (the default moving-average
     /// window scales with it).
     base_len: usize,
-    /// True when the context's pass memo answered the run: it was not
-    /// simulated by this call.
-    served: bool,
+    /// True when the simulation continued from a restored checkpoint. A
+    /// run the context's pass memo answered was not simulated by this
+    /// call, so it restored nothing.
+    resumed: bool,
 }
 
 /// Simulates the lockstep run `cfg`; `series` says whether a run sharing
@@ -467,7 +468,7 @@ fn simulate_lockstep(
     // otherwise 8 snapshots across the horizon (the old `repro summary`
     // cadence).
     let every = if trim_frames > 1 { frame } else { (horizon / 8).max(1) };
-    let simulate = |lanes: &mut [ResolvedLane]| -> Result<Vec<SimOutcome>, String> {
+    let simulate = |lanes: &mut [ResolvedLane]| -> Result<CheckpointedRun, String> {
         let builder = lanes.iter_mut().fold(
             EngineBuilder::new(Arc::clone(&s.cluster), s.cost)
                 .rec_total(s.rec_total)
@@ -503,9 +504,11 @@ fn simulate_lockstep(
                 frame,
                 phi,
             };
+            let mut resumed = false;
             let (summary, executed) = ctx.passes.coca_run(pass, || {
-                let outcomes = simulate(std::slice::from_mut(lane))?;
-                let out = outcomes.first().ok_or("lockstep run produced no outcome")?;
+                let run = simulate(std::slice::from_mut(lane))?;
+                resumed = run.resumed;
+                let out = run.outcomes.first().ok_or("lockstep run produced no outcome")?;
                 Ok::<_, String>(RunSummary::of(out, peak_queue(lane)))
             })?;
             if !executed {
@@ -514,11 +517,11 @@ fn simulate_lockstep(
             }
             let label = lane.label.clone();
             let lane = LaneResult { label, v_used: Some(v), summary, outcome: None };
-            return Ok(LockstepRun { lanes: vec![lane], budget, base_len, served: !executed });
+            return Ok(LockstepRun { lanes: vec![lane], budget, base_len, resumed });
         }
     }
 
-    let outcomes = simulate(&mut lanes)?;
+    let CheckpointedRun { outcomes, resumed } = simulate(&mut lanes)?;
     let lanes = lanes
         .iter()
         .zip(outcomes)
@@ -529,7 +532,7 @@ fn simulate_lockstep(
             outcome: series.then_some(out),
         })
         .collect();
-    Ok(LockstepRun { lanes, budget, base_len, served: false })
+    Ok(LockstepRun { lanes, budget, base_len, resumed })
 }
 
 /// The lanes of run `cfg`'s result file from the lockstep simulation it
@@ -684,9 +687,9 @@ enum Simulated {
 }
 
 impl Simulated {
-    /// True when the context's pass memo answered the simulation.
-    fn served(&self) -> bool {
-        matches!(self, Self::Lockstep(LockstepRun { served: true, .. }))
+    /// True when the simulation continued from a restored checkpoint.
+    fn resumed(&self) -> bool {
+        matches!(self, Self::Lockstep(LockstepRun { resumed: true, .. }))
     }
 }
 
@@ -1189,7 +1192,6 @@ impl<'m> BatchRunner<'m> {
         }
         let (lead_job, lead_entry) = self.member(sim[lead]);
         let ckpt_path = lead_job.dir.join("ckpt").join(format!("{}.json", lead_entry.id));
-        let restorable = self.opts.resume && ckpt_path.exists();
         let series = pending.iter().any(|&k| records_series(&self.member(sim[k]).1.config));
         // audit:ordered(timing-only: the duration feeds logs and prometheus metrics, never result files)
         let t0 = Instant::now();
@@ -1201,8 +1203,7 @@ impl<'m> BatchRunner<'m> {
             self.opts.resume,
             self.opts.abort_runs_at_slot,
         );
-        // A served run restored nothing: it deleted the checkpoint.
-        let resumed = restorable && !simulated.as_ref().is_ok_and(Simulated::served);
+        let resumed = simulated.as_ref().is_ok_and(Simulated::resumed);
         if let (Some(m), Ok(_)) = (metrics, &simulated) {
             m.run_seconds.observe(t0.elapsed().as_secs_f64());
         }
@@ -1531,7 +1532,13 @@ mod tests {
         std::fs::write(ckpt(&later), &new_bytes[..new_bytes.len() / 2]).expect("torn checkpoint");
         let torn = checkpoint::read_checkpoint(&ckpt(&later));
         assert!(torn.is_err(), "a torn checkpoint is an error");
-        assert!(run_batch(&m, &later, true, None).is_complete());
+        let summary = run_batch(&m, &later, true, None);
+        assert!(summary.is_complete());
+        assert_eq!((summary.completed, summary.resumed), (1, 0), "{summary:?}");
+        let status = std::fs::read_to_string(later.join("status.json")).expect("status.json");
+        let status: Value = serde_json::from_str(&status).expect("status parses");
+        let state = status.get_field("runs").and_then(|r| r.get_field(&entry.id)).and_then(str_of);
+        assert_eq!(state, Some("completed"), "a torn checkpoint restores nothing");
         assert_eq!(result(&later), result(&clean), "a torn checkpoint is ignored");
         for d in [clean, later] {
             let _ = std::fs::remove_dir_all(d);
