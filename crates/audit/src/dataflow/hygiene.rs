@@ -60,12 +60,19 @@ fn used_waivers<'a>(
 }
 
 /// Runs the pass and appends `stale-waiver` findings to `report`.
+/// `unbound` holds each file's `audit:unit` annotations that bind no
+/// identifier, as `unit-flow` found them while building its environments;
 /// `known_rules` is the full rule-id vocabulary ([`crate::ALL_RULES`]).
-pub fn check(files: &[Ast], known_rules: &[&str], report: &mut Report) {
+pub(crate) fn check(
+    files: &[Ast],
+    unbound: &[Vec<units::EnvIssue>],
+    known_rules: &[&str],
+    report: &mut Report,
+) {
     // Annotation hygiene is independent of waiver usage: compute once.
     let mut base: Vec<Violation> = Vec::new();
-    for file in files {
-        for issue in build_unit_issues(file) {
+    for (file, unbound) in files.iter().zip(unbound) {
+        for issue in unbound {
             base.push(finding(
                 file,
                 issue.line,
@@ -183,10 +190,4 @@ fn finding(file: &Ast, line: usize, message: String) -> Violation {
         waived: file.waived(line, super::STALE_WAIVER),
         related: Vec::new(),
     }
-}
-
-/// Unbound `audit:unit` annotations of one file.
-fn build_unit_issues(ast: &Ast) -> Vec<units::EnvIssue> {
-    let (_, issues) = units::build_env(ast);
-    issues.into_iter().filter(|i| !i.unknown_tag).collect()
 }

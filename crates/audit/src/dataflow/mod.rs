@@ -62,9 +62,9 @@ pub const STALE_WAIVER: &str = "stale-waiver";
 pub fn apply_all(files: &[Ast], report: &mut Report) {
     let symbols = symbols::SymbolTable::build(files);
     let graph = callgraph::CallGraph::build(&symbols);
-    unitflow::check(files, &symbols, report);
+    let unbound_units = unitflow::check(files, &symbols, report);
     hotreach::check(files, &symbols, &graph, report);
     snapshot::check(files, &symbols, report);
     nondet::check(files, &symbols, &graph, report);
-    hygiene::check(files, crate::ALL_RULES, report);
+    hygiene::check(files, &unbound_units, crate::ALL_RULES, report);
 }

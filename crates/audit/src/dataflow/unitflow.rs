@@ -37,7 +37,7 @@ use super::symbols::{CallKind, FnId, SymbolTable};
 use crate::ast::visit::{term_after, term_before, term_spanning, RunVisitor, Term};
 use crate::ast::{Ast, Node, TokKind, Token};
 use crate::report::Related;
-use crate::semantic::units::{build_env, suffix_unit, Env, Unit};
+use crate::semantic::units::{build_env, suffix_unit, Env, EnvIssue, Unit};
 use crate::Report;
 
 /// Operators requiring both operands to share a dimension.
@@ -308,11 +308,20 @@ impl<'a> Flow<'a> {
 /// (file index, line, inferred unit, argument text).
 type ArgSite = (usize, usize, Unit, String);
 
-/// Runs the analysis and reports `unit-flow` findings.
-pub fn check(files: &[Ast], symbols: &SymbolTable, report: &mut Report) {
-    let (envs, issues): (Vec<Env>, Vec<_>) = files.iter().map(build_env).unzip();
+/// Runs the analysis and reports `unit-flow` findings. Returns each
+/// file's unbound `audit:unit` annotations, which the hygiene pass reports
+/// (see [`super::hygiene`]).
+pub(crate) fn check(
+    files: &[Ast],
+    symbols: &SymbolTable,
+    report: &mut Report,
+) -> Vec<Vec<EnvIssue>> {
+    let (envs, issues): (Vec<Env>, Vec<Vec<EnvIssue>>) = files.iter().map(build_env).unzip();
+    let mut unbound = Vec::with_capacity(files.len());
     for (ast, issues) in files.iter().zip(issues) {
-        for i in issues.iter().filter(|i| i.unknown_tag) {
+        let (unknown, rest): (Vec<_>, Vec<_>) = issues.into_iter().partition(|i| i.unknown_tag);
+        unbound.push(rest);
+        for i in unknown {
             let message = format!(
                 "unknown unit tag `{}` in `audit:unit(…)`; \
                  expected kwh, kw, usd, or dimensionless",
@@ -463,6 +472,7 @@ pub fn check(files: &[Ast], symbols: &SymbolTable, report: &mut Report) {
             }
         }
     }
+    unbound
 }
 
 #[cfg(test)]

@@ -8,14 +8,21 @@
 //! scratch). CI runs this after the criterion smoke; the full statistics
 //! stay with `cargo bench -p coca-bench p3`.
 //!
-//! Two checks, both fatal:
+//! Three checks, all fatal:
 //!
 //! * **Same chain.** Both engines share the seed, the warm start and the
 //!   RNG stream, and their costs agree to ≤ 1e-9, so every solve must
 //!   return the same speed vector.
 //! * **Kernel speed.** The kernel must be at least [`MIN_SPEEDUP`]× faster
 //!   than the cold chain. It is ~27× faster at paper scale, so only a
-//!   real regression trips this.
+//!   real regression trips this. The floor is a ratio against a cold chain
+//!   built on `optimal_dispatch`, so a faster cold reference lowers it too.
+//! * **Forced loads in closed form.** [`SymmetricSolver`] on the
+//!   homogeneous paper-scale fleet (`Cluster::homogeneous(200, 1080)`, the
+//!   shape of both `coca-serve` fleets) prices states that put every
+//!   active server in one queue type, where load conservation alone fixes
+//!   the load. The gate is a count: those prices must spend 0 water-level
+//!   evaluations.
 //!
 //! Reference numbers from `cargo bench -p coca-bench --bench p3_solvers`
 //! (vendored criterion shim, mean of 10 iterations; 2026-08 on an
@@ -41,8 +48,9 @@
 //! small-scale figure batch (`Cluster::scaled_paper_datacenter(8, 200)`,
 //! where that batch's solves happen), and prints its ns/solve, its kernel
 //! prices per solve (each distinct partition state once) and its
-//! water-level evaluations per price beside the GSD rows. Those rows are
-//! informational: no threshold gates them.
+//! water-level evaluations per price beside the GSD rows. Those two rows
+//! are informational; only the homogeneous row's evaluation count is
+//! gated.
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -90,7 +98,8 @@ fn slot(cluster: &Cluster) -> SlotProblem<'_> {
 
 /// Times warm [`SymmetricSolver`] solves of `p` and prints the row: ns per
 /// solve, kernel prices per solve and water-level evaluations per price.
-fn symmetric_row(name: &str, p: &SlotProblem<'_>) {
+/// Returns the kernel prices and the water-level evaluations they spent.
+fn symmetric_row(name: &str, p: &SlotProblem<'_>, note: &str) -> (u64, u64) {
     let mut symmetric = SymmetricSolver::new();
     let (mut prices, mut evals) = (0u64, 0u64);
     let (time, levels) = time_solves(|| {
@@ -103,9 +112,10 @@ fn symmetric_row(name: &str, p: &SlotProblem<'_>) {
     let prices_per_solve = prices as f64 / levels.len() as f64;
     let evals_per_price = evals as f64 / prices.max(1) as f64;
     println!(
-        "  {name:<19}: {ns:>12.0} ns/solve  ({prices_per_solve:.1} kernel prices/solve, \
-         {evals_per_price:.2} evals/price, informational)"
+        "  {name:<30}: {ns:>12.0} ns/solve  ({prices_per_solve:.1} kernel prices/solve, \
+         {evals_per_price:.2} evals/price, {note})"
     );
+    (prices, evals)
 }
 
 fn main() -> ExitCode {
@@ -128,11 +138,14 @@ fn main() -> ExitCode {
     let cold_ns = cold_time.as_nanos() as f64 / ROUNDS as f64;
     let speedup = cold_ns / kernel_ns;
     println!("p3_gsd500_paper_scale ({ROUNDS} solves averaged):");
-    println!("  gsd500_cold_oracle : {cold_ns:>12.0} ns/solve");
-    println!("  gsd500_kernel      : {kernel_ns:>12.0} ns/solve  ({speedup:.2}x)");
-    symmetric_row("symmetric_warm", &p);
+    println!("  {:<30}: {cold_ns:>12.0} ns/solve", "gsd500_cold_oracle");
+    println!("  {:<30}: {kernel_ns:>12.0} ns/solve  ({speedup:.2}x)", "gsd500_kernel");
+    symmetric_row("symmetric_warm", &p, "informational");
     let batch_fleet = Cluster::scaled_paper_datacenter(8, 200);
-    symmetric_row("symmetric_8x200", &slot(&batch_fleet));
+    symmetric_row("symmetric_8x200", &slot(&batch_fleet), "informational");
+    let homogeneous = Cluster::homogeneous(200, 1080);
+    let (forced_prices, forced_evals) =
+        symmetric_row("symmetric_homogeneous_200x1080", &slot(&homogeneous), "gate: 0 evals");
 
     if let Some(slot) = (0..kernel_levels.len()).find(|&i| kernel_levels[i] != cold_levels[i]) {
         eprintln!("FAIL: kernel chain diverged from the cold reference chain at solve {slot}");
@@ -145,6 +158,16 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(1);
     }
-    println!("OK: kernel chain == cold chain, kernel >= {MIN_SPEEDUP}x faster");
+    if forced_prices == 0 || forced_evals > 0 {
+        eprintln!(
+            "FAIL: the homogeneous fleet's {forced_prices} symmetric prices spent {forced_evals} \
+             water-level evaluations; a one-type state is priced in closed form (0)"
+        );
+        return ExitCode::from(1);
+    }
+    println!(
+        "OK: kernel chain == cold chain, kernel >= {MIN_SPEEDUP}x faster, \
+         homogeneous symmetric prices spend 0 water-level evaluations"
+    );
     ExitCode::SUCCESS
 }

@@ -23,7 +23,10 @@
 //! [`SoaWaterfill`] solve prices it on the state's live rows (at most one
 //! per partition). The fleet keeps one water-filling solver, `reset()` at
 //! the start of every descent, so its ν/μ brackets live for one descent and
-//! no slot-dependent state outlives a solve or enters a checkpoint. The
+//! no slot-dependent state outlives a solve or enters a checkpoint. A state
+//! with one live row (every active group in one partition at one level, as
+//! every state of a homogeneous fleet) has its load fixed by conservation
+//! alone, and the kernel prices it without a water-level search. The
 //! chosen levels are dispatched by [`optimal_dispatch`], a cold start of
 //! the same kernel, so published loads and costs do not depend on the
 //! brackets the descent left behind.
@@ -36,7 +39,11 @@
 //! across slots or problems and never enters a checkpoint (DESIGN §10.3).
 //! Within one count line of a descent step the costs are also kept in a
 //! per-line buffer, so the line search reads a count it already asked for
-//! without hashing the state again (DESIGN §10.5).
+//! without hashing the state again (DESIGN §10.5). A descent skips the line
+//! search of a partition when no other partition has moved since its last
+//! one, and the fleet tables keep the all-max capacity and a group →
+//! (partition, rank) map, so the feasibility checks build no speed vector
+//! (DESIGN §10.6).
 //!
 //! This solver is the workhorse for the year-long experiment sweeps and
 //! `coca-serve`; GSD remains the reference algorithm (and the subject of
@@ -204,6 +211,11 @@ struct FleetTables {
     /// PUE bits the base power is scaled by.
     pue: u64,
     parts: Vec<Partition>,
+    /// Per group in cluster order: its partition and its rank among the
+    /// partition's members (a state `(ℓ, n)` runs ranks `0..n` at `ℓ`).
+    place: Vec<(usize, usize)>,
+    /// `cluster.capacity_of` the all-max speed vector.
+    full_capacity: f64,
     /// One row per (partition, level ≥ 1). Between prices the
     /// multiplicities encode the last priced state, `applied`.
     bank: QueueBank,
@@ -218,6 +230,10 @@ struct FleetTables {
     /// a descent step is searching, `NAN` until priced (see
     /// [`SymmetricSolver::descend`]).
     line: Vec<f64>,
+    /// Per partition: the descent's move count right after its last line
+    /// search, `usize::MAX` before the first (see
+    /// [`SymmetricSolver::descend`]).
+    searched_at: Vec<usize>,
     /// Kernel prices (memo misses) in the current solve.
     prices: u64,
     /// Water-level evaluations those prices spent.
@@ -273,6 +289,19 @@ impl FleetTables {
             }
         }
         debug_assert!(self.bank.validate().is_ok(), "cluster-derived rows satisfy the bank contract");
+        self.place.clear();
+        self.place.resize(groups.len(), (0, 0));
+        for (pi, part) in self.parts.iter().enumerate() {
+            for (rank, &gi) in part.members.iter().enumerate() {
+                self.place[gi] = (pi, rank);
+            }
+        }
+        let full: Vec<PartState> = self
+            .parts
+            .iter()
+            .map(|p| PartState { level: p.choices - 1, active: p.members.len() })
+            .collect();
+        self.full_capacity = problem.cluster.capacity_of(&self.levels_of(&full, groups.len()));
         self.applied.clear();
         self.applied.resize(self.parts.len(), PartState::default());
     }
@@ -282,6 +311,20 @@ impl FleetTables {
         self.memo.clear(self.parts.len());
         self.prices = 0;
         self.evals = 0;
+    }
+
+    /// `cluster.capacity_of(&self.levels_of(state, ..))` to the bit — the
+    /// same sum in cluster order — without building the speed vector.
+    fn capacity_of(&self, problem: &SlotProblem<'_>, state: &[PartState]) -> f64 {
+        let groups = problem.cluster.groups();
+        groups
+            .iter()
+            .zip(&self.place)
+            .map(|(g, &(pi, rank))| {
+                let s = state[pi];
+                g.capacity(if rank < s.active { s.level } else { 0 })
+            })
+            .sum()
     }
 
     fn levels_of(&self, state: &[PartState], n_groups: usize) -> Vec<usize> {
@@ -419,24 +462,24 @@ impl SymmetricSolver {
         self.tables.refresh(problem);
         self.tables.begin_solve();
         let parts = &self.tables.parts;
-        let full: Vec<PartState> =
-            parts.iter().map(|p| PartState { level: p.choices - 1, active: p.members.len() }).collect();
 
         // Overload check against the all-max configuration.
-        if !problem.is_feasible(&self.tables.levels_of(&full, n_groups)) {
+        if !problem.carries(self.tables.full_capacity) {
             return Err(SimError::Overload {
                 slot: 0,
                 arrival_rate: problem.arrival_rate,
                 max_capacity: problem.gamma * cluster.max_capacity(),
             });
         }
+        let full: Vec<PartState> =
+            parts.iter().map(|p| PartState { level: p.choices - 1, active: p.members.len() }).collect();
 
         let warm_state = match self.warm.take() {
             Some(w) if w.len() == parts.len() => {
                 let ok = w.iter().zip(parts).all(|(s, p)| {
                     s.level < p.choices && s.active <= p.members.len()
                 });
-                if ok && problem.is_feasible(&self.tables.levels_of(&w, n_groups)) {
+                if ok && problem.carries(self.tables.capacity_of(problem, &w)) {
                     Some(w)
                 } else {
                     None
@@ -552,6 +595,11 @@ impl P3Solver for SymmetricSolver {
 impl SymmetricSolver {
     /// Coordinate descent from a feasible starting state; returns the final
     /// state, its objective, and the number of rounds executed.
+    ///
+    /// A partition whose line search ran after the other partitions last
+    /// moved is skipped: the same lines from the same state would re-read
+    /// the memo's costs and find no strict improvement over the state's
+    /// own cost, so the skip changes no price, visit, move or round count.
     fn descend(
         &mut self,
         problem: &SlotProblem<'_>,
@@ -568,10 +616,19 @@ impl SymmetricSolver {
         debug_assert!(problem.gamma > 0.0, "gamma validated by SlotProblem::validate");
         let required_capacity = problem.arrival_rate / problem.gamma;
         let mut rounds = 0;
+        // Partition moves so far in this descent.
+        let mut moves = 0usize;
+        // audit:hot-path: begin
+        tables.searched_at.clear();
+        tables.searched_at.resize(tables.parts.len(), usize::MAX);
+        // audit:hot-path: end
         for _round in 0..MAX_ROUNDS {
             rounds += 1;
             let mut improved = false;
             for pi in 0..tables.parts.len() {
+                if tables.searched_at[pi] == moves {
+                    continue;
+                }
                 let others_capacity: f64 = state
                     .iter()
                     .zip(&tables.parts)
@@ -643,7 +700,9 @@ impl SymmetricSolver {
                     state[pi] = local_best;
                     best_cost = local_cost;
                     improved = true;
+                    moves += 1;
                 }
+                tables.searched_at[pi] = moves;
             }
             if !improved {
                 break;

@@ -18,9 +18,12 @@
 //! The same differential covers `SymmetricSolver`, which prices partition
 //! states on the kernel: every state a descent prices must match the cold
 //! dispatch of its expanded speed vector, in all three regimes, and the
-//! chosen per-partition `(level, active)` is pinned on six instances. Its
-//! solve-scoped state memo is held to its contract: a solve prices each
-//! distinct state at most once, on fleets of up to six partitions.
+//! chosen per-partition `(level, active)` is pinned on six instances, with
+//! the sequence of visited speed vectors and the work each solve spends.
+//! Its solve-scoped state memo is held to its contract: a solve prices each
+//! distinct state at most once, on fleets of up to six partitions, and
+//! spends water-level evaluations exactly when a priced state has two or
+//! more live rows.
 //!
 //! Runs strict: every test calls [`coca_core::invariant::force_strict`]
 //! before the first solve, so the load-conservation and KKT checks fire as
@@ -185,16 +188,31 @@ fn check_symmetric_solve(
     }
 }
 
-/// Solves `p` and fails if the solve priced one speed vector twice, or
-/// if its stats count a different number of kernel prices than it visited.
+/// Queue types a speed vector runs: the distinct (capacity, slope) bit
+/// patterns of its active groups, the rows the dispatch bank gets.
+fn live_rows(cluster: &Cluster, levels: &[usize]) -> usize {
+    let mut rows = std::collections::HashSet::new();
+    for (g, &level) in cluster.groups().iter().zip(levels).filter(|(_, &l)| l > 0) {
+        rows.insert((g.capacity(level).to_bits(), g.energy_slope(level).to_bits()));
+    }
+    rows.len()
+}
+
+/// Solves `p` and fails if the solve priced one speed vector twice, if
+/// its stats count a different number of kernel prices than it visited,
+/// or if it counts water-level evaluations other than exactly when it
+/// priced a feasible state with two or more live rows (one live row is
+/// priced in closed form).
 fn check_prices_once(solver: &mut SymmetricSolver, p: &SlotProblem<'_>) -> Result<(), String> {
     let mut seen = std::collections::HashSet::new();
     let mut repeat: Option<Vec<usize>> = None;
+    let mut searched = false;
     let _ = solver
-        .solve_visiting(p, &mut |levels, _| {
+        .solve_visiting(p, &mut |levels, cost| {
             if !seen.insert(levels.to_vec()) && repeat.is_none() {
                 repeat = Some(levels.to_vec());
             }
+            searched |= cost.is_finite() && live_rows(p.cluster, levels) >= 2;
         })
         .map_err(|e| e.to_string())?;
     if let Some(levels) = repeat {
@@ -204,10 +222,11 @@ fn check_prices_once(solver: &mut SymmetricSolver, p: &SlotProblem<'_>) -> Resul
     if prices != seen.len() as u64 {
         return Err(format!("stats count {prices} prices, the solve visited {}", seen.len()));
     }
-    if solver.stats().bisection_evals == 0 {
-        return Err("stats count no water-level evaluations".into());
+    match (searched, solver.stats().bisection_evals) {
+        (true, 0) => Err("multi-row states spent no water-level evaluations".into()),
+        (false, evals @ 1..) => Err(format!("{evals} water-level evaluations on one-row states")),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 #[test]
@@ -545,37 +564,35 @@ fn symmetric_choices_are_pinned() {
     assert_eq!(chosen(&mut SymmetricSolver::new(), &kink), [[4, 4], [4, 4], [4, 4]]);
 }
 
-/// One solve's visit sequence and work counters: the number of visits, an
-/// FNV-1a digest over every visited speed vector and the bits of its cost,
-/// then the descent rounds, kernel prices and water-level evaluations.
-fn visits_and_work(solver: &mut SymmetricSolver, p: &SlotProblem<'_>) -> [u64; 5] {
-    let mut visits = 0u64;
-    let mut digest = 0xcbf2_9ce4_8422_2325_u64;
-    let mut mix = |word: u64| {
+/// One solve's visit sequence and work counters: the number of visits,
+/// an FNV-1a digest over every visited speed vector, the same digest with
+/// the bits of each visit's cost mixed in after its vector, then the
+/// descent rounds, kernel prices and water-level evaluations.
+fn visits_and_work(solver: &mut SymmetricSolver, p: &SlotProblem<'_>) -> [u64; 6] {
+    let fnv = |digest: &mut u64, word: u64| {
         for byte in word.to_le_bytes() {
-            digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            *digest = (*digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     };
+    let mut visits = 0u64;
+    let (mut states, mut costs) = (0xcbf2_9ce4_8422_2325_u64, 0xcbf2_9ce4_8422_2325_u64);
     let _ = solver
         .solve_visiting(p, &mut |levels, cost| {
             visits += 1;
             for &level in levels {
-                mix(level as u64);
+                fnv(&mut states, level as u64);
+                fnv(&mut costs, level as u64);
             }
-            mix(cost.to_bits());
+            fnv(&mut costs, cost.to_bits());
         })
         .unwrap();
-    let stats = solver.stats();
-    [visits, digest, stats.iterations as u64, stats.batched_candidates, stats.bisection_evals]
+    let s = solver.stats();
+    [visits, states, costs, s.iterations as u64, s.batched_candidates, s.bisection_evals]
 }
 
-#[test]
-fn symmetric_visits_and_work_are_pinned() {
-    ensure_strict();
-    // The instances of `symmetric_choices_are_pinned`. A faster kernel or
-    // descent must visit the same states in the same order, price each to
-    // the same bits, and spend the same kernel prices and water-level
-    // evaluations.
+/// [`visits_and_work`] on the instances of `symmetric_choices_are_pinned`,
+/// in that order.
+fn pinned_work() -> [[u64; 6]; 6] {
     let homogeneous = Cluster::homogeneous(200, 1080);
     let paper = Cluster::paper_datacenter();
     let lighter = SlotProblem {
@@ -586,21 +603,60 @@ fn symmetric_visits_and_work_are_pinned() {
     let cluster = random_cluster(12, 40, 3);
     let [active, slack, kink] = regime_cases(&cluster);
     let mut warm = SymmetricSolver::new();
-    let got = [
+    [
         visits_and_work(&mut SymmetricSolver::new(), &paper_slot(&homogeneous)),
         visits_and_work(&mut warm, &paper_slot(&paper)),
         visits_and_work(&mut warm, &lighter),
         visits_and_work(&mut SymmetricSolver::new(), &active),
         visits_and_work(&mut SymmetricSolver::new(), &slack),
         visits_and_work(&mut SymmetricSolver::new(), &kink),
+    ]
+}
+
+#[test]
+fn symmetric_visited_states_are_pinned() {
+    ensure_strict();
+    // A faster kernel or descent must visit the same speed vectors in the
+    // same order, in the same descent rounds, and price the same number of
+    // distinct states: per instance the visit count, the digest of the
+    // visited vectors, the rounds and the kernel prices.
+    let got = pinned_work().map(|[visits, states, _, rounds, prices, _]| {
+        [visits, states, rounds, prices]
+    });
+    let want: [[u64; 4]; 6] = [
+        [27, 0x49fe89531c7bd301, 2, 27],
+        [494, 0xef04bce77468dbe0, 6, 494],
+        [259, 0xb31e68e5715fb300, 4, 259],
+        [39, 0xb0a3007335ff3a25, 2, 39],
+        [47, 0x14ea0536dc689da5, 1, 47],
+        [47, 0x14ea0536dc689da5, 1, 47],
     ];
-    // Values recorded before the live-row kernel passes, the per-line
-    // price reuse and the reused water-filling solver went in.
+    assert_eq!(got, want);
+}
+
+#[test]
+fn symmetric_visits_and_work_are_pinned() {
+    ensure_strict();
+    // Each visited state's cost bits and the water-level evaluations the
+    // prices spent, on the instances of `symmetric_visited_states_are_pinned`:
+    // per instance the visit count, the digest of the visited vectors and
+    // their cost bits, the rounds, kernel prices and evaluations.
+    //
+    // A state with one live row is priced in closed form (λ/m, no water
+    // level search). On the homogeneous fleet every state has one live
+    // row: 5 of its 27 costs moved, by at most 3 ulps, from the searched
+    // value, and its evaluations fell from 252 to 0. The `active` case
+    // prices some single-row states too: same cost bits, evaluations
+    // 279 → 273. The other rows are those recorded before the live-row
+    // kernel passes, the per-line price reuse and the reused solver.
+    let got = pinned_work().map(|[visits, _, costs, rounds, prices, evals]| {
+        [visits, costs, rounds, prices, evals]
+    });
     let want: [[u64; 5]; 6] = [
-        [27, 0xa930b673edb0e4a7, 2, 27, 252],
+        [27, 0xbe2b7c863d06ead0, 2, 27, 0],
         [494, 0x3be58d5161f7ad34, 6, 494, 3400],
         [259, 0x1075327f024e12ad, 4, 259, 1169],
-        [39, 0x6c8a5d9b61eb30a1, 2, 39, 279],
+        [39, 0x6c8a5d9b61eb30a1, 2, 39, 273],
         [47, 0x2c89c746115c1b3f, 1, 47, 355],
         [47, 0x2e7c6e2e8691b263, 1, 47, 594],
     ];

@@ -68,7 +68,14 @@ impl SlotProblem<'_> {
     /// Whether the speed vector can carry the arrival rate at all
     /// (paper Algorithm 2 line 2: `λ(t) ≤ γ·Σ xᵢ`).
     pub fn is_feasible(&self, levels: &[usize]) -> bool {
-        self.arrival_rate <= self.gamma * self.cluster.capacity_of(levels) * (1.0 + 1e-12)
+        self.carries(self.cluster.capacity_of(levels))
+    }
+
+    /// [`Self::is_feasible`] for a speed vector whose capacity `Σ xᵢ` the
+    /// caller already summed (in cluster order, as
+    /// [`Cluster::capacity_of`](crate::Cluster::capacity_of) does).
+    pub fn carries(&self, capacity: f64) -> bool {
+        self.arrival_rate <= self.gamma * capacity * (1.0 + 1e-12)
     }
 
     /// Validates the scalar parameters.

@@ -9,9 +9,11 @@
 //!
 //! The checkpoint file is [`coca_dcsim::checkpoint`]'s versioned codec
 //! over the engine's `EngineState`, written durably (temp file, `fsync`,
-//! rename) and deleted on successful completion. Batch lanes use the
-//! default `VecSink`, so their checkpoints carry the record history a
-//! resumed run needs to rebuild its `SimOutcome`. A checkpoint that fails
+//! rename) and deleted on successful completion. The boundary at the end
+//! of the trace writes none: the run completes there, so nothing would
+//! ever resume from it. Batch lanes use the default `VecSink`, so their
+//! checkpoints carry the record history a resumed run needs to rebuild
+//! its `SimOutcome`. A checkpoint that fails
 //! to parse, is of another format version, or does not match the engine's
 //! configuration (lane count, policy names, `rec_total`, history length)
 //! is ignored with a logged error — the run then starts from slot 0.
@@ -79,6 +81,7 @@ pub fn run_lockstep_checkpointed(
     ckpt: Checkpointing<'_>,
 ) -> Result<CheckpointedRun, SimError> {
     let every = ckpt.every.max(1);
+    let horizon = trace.len();
     let mut engine = builder.build(trace)?;
     let mut resumed = false;
     if ckpt.resume && ckpt.path.exists() {
@@ -100,7 +103,7 @@ pub fn run_lockstep_checkpointed(
         }
     }
     while engine.step()? == StepStatus::Advanced {
-        if engine.t() % every == 0 {
+        if engine.t() % every == 0 && engine.t() < horizon {
             write_checkpoint(ckpt.path, &engine.checkpoint()?)?;
             logger::debug(
                 &Span::new("checkpoint").slot(engine.t()).frame(engine.t() / every),
@@ -157,6 +160,29 @@ mod tests {
         assert!(!path.exists(), "checkpoint removed after completion");
     }
 
+    /// A completed run never writes its t = horizon checkpoint: crashing
+    /// at the last slot leaves the t = 48 boundary on disk, not t = 72.
+    #[test]
+    fn completed_run_writes_no_checkpoint_at_the_horizon() {
+        let setup = small_setup();
+        assert_eq!(setup.trace.len(), 72);
+        let dir = std::env::temp_dir().join("coca_runtime_test_horizon");
+        let path = dir.join("ckpt.json");
+        let _ = std::fs::remove_file(&path);
+        let crash = run_lockstep_checkpointed(
+            builder(&setup),
+            &setup.trace,
+            Checkpointing { path: &path, every: 24, resume: false, abort_at_slot: Some(72) },
+        );
+        assert!(matches!(crash, Err(SimError::Internal(ref msg)) if msg == SIMULATED_CRASH));
+        assert_eq!(read_checkpoint(&path).unwrap().t, 48, "the last boundary written is t = 48");
+        let ckpt = Checkpointing::new(&path, 24, true);
+        let resumed = run_lockstep_checkpointed(builder(&setup), &setup.trace, ckpt).unwrap();
+        assert!(resumed.resumed);
+        assert_eq!(resumed.outcomes, uninterrupted(builder(&setup), &setup));
+        assert!(!path.exists());
+    }
+
     #[test]
     fn resume_from_frame_boundary_reproduces_uninterrupted_run() {
         let setup = small_setup();
@@ -195,8 +221,9 @@ mod tests {
         .unwrap();
         let snap = registry.snapshot();
         assert_eq!(snap.counter("engine_slots_total"), Some(72));
-        // 72 slots / every=24 → boundaries at t=24, 48, 72.
-        assert_eq!(snap.counter("engine_checkpoints_total"), Some(3));
+        // 72 slots / every=24 → boundaries at t=24 and 48; the run
+        // completes at t=72 and writes none there.
+        assert_eq!(snap.counter("engine_checkpoints_total"), Some(2));
         let timers = snap.histogram("engine_phase_solve_seconds").expect("solve timer");
         assert_eq!(timers.count, 72);
     }

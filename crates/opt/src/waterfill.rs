@@ -41,7 +41,10 @@
 //! struct-of-arrays [`QueueBank`], and one solver, [`SoaWaterfill`].
 //! [`solve`] is the cold entry: a fresh solver, rows validated, and the
 //! load-conservation and KKT certificates on every solve. The GSD
-//! evaluation context and `SymmetricSolver` reuse one solver across prices.
+//! evaluation context and `SymmetricSolver` reuse one solver across prices;
+//! the reused solver prices a bank with one live row in closed form, where
+//! load conservation alone fixes the load, and the cold entry keeps the
+//! search as the pinned reference.
 
 // A panic mid-slot aborts the control loop Theorem 2 bounds: return typed errors.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
@@ -87,7 +90,7 @@ const KINK_TOL: f64 = 1e-9;
 pub fn solve(problem: &BankProblem<'_>) -> Result<(SoaOutcome, Vec<f64>)> {
     problem.bank.validate()?;
     let mut soa = SoaWaterfill::new();
-    let out = soa.solve_certified(problem, true)?;
+    let out = soa.solve_certified(problem, true, false)?;
     Ok((out, soa.lambdas))
 }
 
@@ -118,8 +121,10 @@ pub struct SoaOutcome {
     pub power: f64,
     /// Total (unweighted) delay cost.
     pub delay: f64,
-    /// Water level ν of the winning regime (`None` on closed-form paths:
-    /// zero load, saturated caps, `W = 0` greedy).
+    /// Water level ν of the winning regime. A forced single-row price of
+    /// [`SoaWaterfill::solve`] reports its row's marginal cost at the
+    /// forced load; the other closed-form paths report `None`: zero load,
+    /// saturated caps, `W = 0` greedy.
     pub water_level: Option<f64>,
 }
 
@@ -634,7 +639,7 @@ fn bank_rescale_interior(
 /// [`solve`] runs it on a fresh solver; both GSD engines' Gibbs candidate
 /// sweeps and `SymmetricSolver`'s descent steps reuse one solver, where
 /// each price moves one row's multiplicity and the optimal water level
-/// drifts only slightly. Two things make a reused solve cheap:
+/// drifts only slightly. Three things make a reused solve cheap:
 ///
 /// * **Warm brackets.** The previous water level ν (one slot per penalty
 ///   regime) and boundary weight μ seed the next search: a few Newton
@@ -651,6 +656,10 @@ fn bank_rescale_interior(
 ///   accumulated in its own lane; the totals are bit-identical to a pass
 ///   over every row (see `LiveRows`). The per-row loads live in reusable
 ///   buffers, so the steady-state solve performs no heap allocation.
+/// * **Forced loads.** A bank with one live row has no water level to
+///   search for: load conservation fixes `λₖ = λ/mₖ`, and the price
+///   spends no evaluation (`solve_forced`). Only [`Self::solve`] takes
+///   this path; the cold [`solve`] keeps the search.
 ///
 /// Invariant hooks: load conservation fires on every solve. The O(n) KKT
 /// certificate ([`crate::invariant::kkt_residual`], read straight off the
@@ -724,14 +733,21 @@ impl SoaWaterfill {
     /// not re-validated.
     pub fn solve(&mut self, problem: &BankProblem<'_>) -> Result<SoaOutcome> {
         let certify = cfg!(debug_assertions) || crate::invariant::global().is_strict();
-        self.solve_certified(problem, certify)
+        self.solve_certified(problem, certify, true)
     }
 
     /// One solve with its invariant hooks: load conservation always, the
-    /// KKT certificate when `certify` is set.
-    fn solve_certified(&mut self, problem: &BankProblem<'_>, certify: bool) -> Result<SoaOutcome> {
+    /// KKT certificate when `certify` is set. `forced_closed_form` prices a
+    /// bank with one live row without a water-level search (see
+    /// [`Self::solve_forced`]); the cold [`solve`] keeps the search.
+    fn solve_certified(
+        &mut self,
+        problem: &BankProblem<'_>,
+        certify: bool,
+        forced_closed_form: bool,
+    ) -> Result<SoaOutcome> {
         self.last_evals = 0;
-        let out = self.solve_inner(problem)?;
+        let out = self.solve_inner(problem, forced_closed_form)?;
         let inv = crate::invariant::global();
         let dispatched: f64 =
             self.live.iter().map(|&k| problem.bank.multiplicity[k] * self.lambdas[k]).sum();
@@ -796,7 +812,11 @@ impl SoaWaterfill {
 
     /// The three-regime analysis of the module docs on the bank lanes,
     /// without the invariant hooks.
-    fn solve_inner(&mut self, problem: &BankProblem<'_>) -> Result<SoaOutcome> {
+    fn solve_inner(
+        &mut self,
+        problem: &BankProblem<'_>,
+        forced_closed_form: bool,
+    ) -> Result<SoaOutcome> {
         problem.validate()?;
         let bank = problem.bank;
         let n = bank.len();
@@ -826,6 +846,9 @@ impl SoaWaterfill {
         // W = 0 degenerates to a linear program.
         if problem.delay_weight <= 0.0 {
             return self.solve_greedy(problem);
+        }
+        if forced_closed_form && self.live.len() == 1 {
+            return Ok(self.solve_forced(problem));
         }
         self.ensure_aux(bank, problem.delay_weight);
 
@@ -884,6 +907,36 @@ impl SoaWaterfill {
         // The winner's totals were measured when its regime was scored, so
         // no extra lane walk here.
         Ok(Self::outcome_parts(problem, best.0, best.1, Some(best.2)))
+    }
+
+    /// One live row `k` below saturation with `W > 0`: load conservation
+    /// (8) alone fixes `λₖ = λ/mₖ`, so there is no water level to search
+    /// for. The water level is the row's marginal cost at that load,
+    /// `a·cₖ + W·Xₖ/(Xₖ − λₖ)²`, with `a` the weight the regime selection
+    /// would pick: `A` when the power is not below `r` or `A = 0`
+    /// (electricity-active), else 0 (renewable-slack — with one load on
+    /// offer both regimes price the same power, so the kink regime never
+    /// runs). The warm slot of each regime the selection would have run
+    /// takes its level, as after a search.
+    fn solve_forced(&mut self, problem: &BankProblem<'_>) -> SoaOutcome {
+        let bank = problem.bank;
+        let k = self.live[0];
+        let m = bank.multiplicity[k];
+        debug_assert!(m > 0.0, "a live row has m > 0");
+        self.lambdas[k] = problem.total_load / m;
+        let (power, delay) =
+            bank_power_delay(bank, self.live_rows(), problem.base_power, &self.lambdas);
+        let gap = bank.capacity[k] - self.lambdas[k];
+        let delay_marginal = problem.delay_weight * bank.capacity[k] / (gap * gap);
+        let nu_active = problem.energy_weight * bank.energy_slope[k] + delay_marginal;
+        self.nu_active = Some(nu_active);
+        let nu = if power >= problem.renewable * (1.0 - KINK_TOL) || problem.energy_weight <= 0.0 {
+            nu_active
+        } else {
+            self.nu_slack = Some(delay_marginal);
+            delay_marginal
+        };
+        Self::outcome_parts(problem, power, delay, Some(nu))
     }
 
     /// The `W = 0` linear program: fills the live rows greedily by
@@ -1452,6 +1505,91 @@ mod tests {
                 assert_matches_cold(&soa, &out, &p, &format!("n={n}, (λ={lam}, A={a}, W={w}, r={r})"));
             }
         }
+    }
+
+    /// Relative distance of `a` from `b`.
+    fn rel(a: f64, b: f64) -> f64 {
+        (a - b).abs() / b.abs().max(f64::MIN_POSITIVE)
+    }
+
+    /// A bank whose only live row (row 1, `m = 4`) has PUE-scaled slope
+    /// and static power; row 0 is retracted. Returns it with its base
+    /// power `P₀`.
+    fn one_live_row_bank() -> (QueueBank, f64) {
+        let pue = 1.3;
+        let mut bank = QueueBank::new();
+        bank.push_type(9.0, 8.1, 0.7 * pue, 0.2 * pue, 0.0);
+        bank.push_type(12.0, 11.4, 0.3 * pue, 0.5 * pue, 4.0);
+        (bank, 4.0 * 0.5 * pue)
+    }
+
+    /// A reused solver prices a bank with one live row in closed form:
+    /// `λ/m`, no water-level evaluation. The cold `solve` keeps the search,
+    /// and the two agree to 1e-12 relative on objective, power, delay and
+    /// load — electricity-active and renewable-slack, and a load just under
+    /// the saturation threshold — and to 1e-9 on the water level, which
+    /// the search only resolves to its stopping rule. Just under
+    /// saturation the search runs out of iterations before it resolves the
+    /// level (its loads are rescaled onto the load), so the level is not
+    /// compared there.
+    #[test]
+    fn one_live_row_is_priced_in_closed_form() {
+        let (bank, base_power) = one_live_row_bank();
+        let cap = bank.aggregates().0;
+        let mut soa = SoaWaterfill::new();
+        for (at, lam, a, r, level_resolved) in [
+            ("active", 0.4 * cap, 5.0, 0.0, true),
+            ("slack", 0.4 * cap, 5.0, 1e6, true),
+            ("active at A = 0", 0.7 * cap, 0.0, 1e6, true),
+            ("active, power just above r", 0.4 * cap, 5.0, 8.0, true),
+            ("just under saturation", cap * (1.0 - 2e-12), 5.0, 0.0, false),
+        ] {
+            let p = BankProblem { base_power, ..problem(&bank, lam, a, 2.0, r) };
+            let out = soa.solve(&p).unwrap();
+            assert_eq!(soa.last_evals, 0, "{at}: no water-level search");
+            let (cold, cold_lambdas) = solve(&p).unwrap();
+            for (what, warm, cold) in [
+                ("objective", out.objective, cold.objective),
+                ("power", out.power, cold.power),
+                ("delay", out.delay, cold.delay),
+                ("load", soa.lambdas()[1], cold_lambdas[1]),
+            ] {
+                assert!(rel(warm, cold) <= 1e-12, "{at}: {what} closed form {warm} vs cold {cold}");
+            }
+            assert_eq!(soa.lambdas()[0], 0.0, "{at}: the retracted row stays empty");
+            let (nu, cold_nu) = (out.water_level.unwrap(), cold.water_level.unwrap());
+            if level_resolved {
+                assert!(rel(nu, cold_nu) <= 1e-9, "{at}: water level {nu} vs cold {cold_nu}");
+            }
+        }
+        // The closed-form level seeds the next search: a second live row
+        // makes the solver search again, and it still agrees with cold.
+        let mut two = bank.clone();
+        two.set_multiplicity(0, 2.0);
+        let p = BankProblem {
+            base_power: base_power + 2.0 * two.static_power_of(0),
+            ..problem(&two, 0.5 * two.aggregates().0, 5.0, 2.0, 0.0)
+        };
+        let out = soa.solve(&p).unwrap();
+        assert!(soa.last_evals > 0, "two live rows search for the water level");
+        assert_matches_cold(&soa, &out, &p, "two live rows after closed-form prices");
+    }
+
+    /// Zero and infeasible loads on a one-live-row bank take the checks
+    /// ahead of the closed form, exactly as the cold `solve` does.
+    #[test]
+    fn one_live_row_zero_and_infeasible_loads_match_cold() {
+        let (bank, base_power) = one_live_row_bank();
+        let mut soa = SoaWaterfill::new();
+        let zero = BankProblem { base_power, ..problem(&bank, 0.0, 5.0, 2.0, 1.0) };
+        let (out, cold) = (soa.solve(&zero).unwrap(), solve(&zero).unwrap().0);
+        assert_eq!(out, cold);
+        assert_eq!(out.water_level, None);
+        assert_eq!(soa.lambdas(), [0.0, 0.0]);
+        let over_cap = 1.01 * bank.aggregates().0;
+        let over = BankProblem { base_power, ..problem(&bank, over_cap, 5.0, 2.0, 0.0) };
+        assert!(matches!(soa.solve(&over), Err(OptError::Infeasible(_))));
+        assert!(matches!(solve(&over), Err(OptError::Infeasible(_))));
     }
 
     /// A retracted (`m = 0`) row must be arithmetically inert: the solve
