@@ -32,6 +32,10 @@ pub fn penalized_problem<'a>(
 /// Minimizes `g + μ·y` for a fixed μ; returns the solution together with
 /// the *plain* slot cost `g` (electricity at the market price + weighted
 /// delay) and the brown energy `y`.
+///
+/// # Errors
+/// The solver's error. An overload names slot `obs.t`: a [`SlotProblem`]
+/// carries no slot index, so the solvers report slot 0.
 pub fn solve_penalized<S: P3Solver>(
     solver: &mut S,
     cluster: &Cluster,
@@ -40,7 +44,12 @@ pub fn solve_penalized<S: P3Solver>(
     mu: f64,
 ) -> Result<(P3Solution, f64, f64), SimError> {
     let problem = penalized_problem(cluster, cost, obs, mu);
-    let sol = solver.solve(&problem)?;
+    let sol = solver.solve(&problem).map_err(|e| match e {
+        SimError::Overload { arrival_rate, max_capacity, .. } => {
+            SimError::Overload { slot: obs.t, arrival_rate, max_capacity }
+        }
+        e => e,
+    })?;
     // Paper-invariant hook: the penalized subproblem shares constraint (8)
     // with P3 — the solver may not drop load no matter the multiplier.
     coca_core::invariant::global().load_conserved(sol.loads.iter().sum(), obs.arrival_rate);

@@ -323,6 +323,18 @@ mod tests {
         assert!(opt.multipliers[0] > 0.0, "tight budget needs a positive multiplier");
     }
 
+    #[test]
+    fn overload_names_the_slot_that_exceeds_the_fleet() {
+        let (cluster, mut trace) = setup(12);
+        let cost = CostParams::default();
+        trace.workload[5] = 1.01 * cost.gamma * cluster.max_capacity();
+        let mut solver = SymmetricSolver::new();
+        let err = OfflineOpt::plan(&cluster, cost, &trace, 1e9, &mut solver, &PassMemo::new())
+            .err()
+            .expect("slot 5 is overloaded");
+        assert!(matches!(err, SimError::Overload { slot: 5, .. }), "{err}");
+    }
+
     /// A search shares a sweep only from the same solver warm state: the
     /// same search from a cold solver shares every sweep, one from a
     /// warmed solver runs its own, and both plan what they plan alone.

@@ -23,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use coca_dcsim::dispatch::{optimal_dispatch, SlotProblem};
-use coca_dcsim::incremental::{SlotContextSeed, SlotEvalContext};
+use coca_dcsim::incremental::SlotEvalContext;
 use coca_dcsim::SimError;
 use coca_obs::SolverObserver;
 use coca_opt::gibbs::{run_gibbs_batched, CandidateOracle, GibbsOptions};
@@ -128,11 +128,6 @@ pub struct GsdSolver {
     /// Kept-state cost after every iteration of the most recent solve
     /// (empty unless `record_trace` is set).
     pub last_trace: Vec<f64>,
-    /// Cross-slot context seed: the collapsed type tables are
-    /// cluster/γ/PUE-derived, so consecutive solves on the same fleet
-    /// reuse them (exact-verified, bit-for-bit transparent) instead of
-    /// rebuilding the dedup map every slot.
-    seed: SlotContextSeed,
 }
 
 impl GsdSolver {
@@ -146,7 +141,6 @@ impl GsdSolver {
             stats: SolveStats::default(),
             observer: None,
             last_trace: Vec::new(),
-            seed: SlotContextSeed::default(),
         }
     }
 
@@ -220,7 +214,7 @@ impl P3Solver for GsdSolver {
         // The context outlives the chain so the final solution is
         // extracted from the same warm kernel instead of a cold
         // from-scratch dispatch.
-        let mut ctx = SlotEvalContext::new_seeded(*problem, &initial, &mut self.seed)?;
+        let mut ctx = SlotEvalContext::new(*problem, &initial)?;
         let outcome = {
             let mut oracle = ContextOracle { ctx: &mut ctx };
             run_gibbs_batched(counts, &initial, &mut oracle, &gibbs_opts, &mut self.rng)

@@ -7,8 +7,10 @@
 //! * **Server agents** (worker threads) own disjoint shards of the server
 //!   groups. Only the owner of a group knows its speed; speed updates are
 //!   messages (paper line 7: a randomly selected server explores a new
-//!   speed). Each agent collapses its shard into distinct queue types with
-//!   integer active counts — the same delta-aggregation device as
+//!   speed). Each agent collapses its shard into the queue types the
+//!   cluster's table ([`coca_dcsim::QueueTypes`]) assigns its groups, kept
+//!   in the shard's own first-appearance order, with integer active counts
+//!   — the same delta-aggregation device as
 //!   [`coca_dcsim::incremental::SlotEvalContext`] — so a `SetLevel` is an
 //!   O(1) count update and every reduce round costs O(#local types), not
 //!   O(local groups).
@@ -56,7 +58,7 @@ use rand::SeedableRng;
 
 use coca_dcsim::dispatch::{optimal_dispatch, SlotProblem};
 use coca_dcsim::incremental::EvalStats;
-use coca_dcsim::{ServerGroup, SimError};
+use coca_dcsim::SimError;
 use coca_opt::bisect::{grow_upper_bracket, illinois_increasing, BisectOptions};
 use coca_opt::gibbs::{run_gibbs_batched, CandidateOracle};
 use coca_opt::waterfill::WARM_BRACKET_SPAN;
@@ -98,10 +100,11 @@ enum Reply {
     Ack,
 }
 
-/// A server agent's shard of the fleet, collapsed into distinct queue
-/// types exactly like the coordinator-side
-/// [`coca_dcsim::incremental::SlotEvalContext`]: per-`(group, level ≥ 1)`
-/// type ids plus integer active counts. `SetLevel` is an O(1) count
+/// A server agent's shard of the fleet, collapsed into the cluster's
+/// queue types ([`coca_dcsim::QueueTypes`]) like the coordinator-side
+/// [`coca_dcsim::incremental::SlotEvalContext`]: one local row per type
+/// its groups use, per-`(group, level ≥ 1)` local row ids, and integer
+/// active counts. `SetLevel` is an O(1) count
 /// delta, and every reduce round (`Aggregates`, `MinMarginal`, `TotalAt`,
 /// `Evaluate`) runs over the distinct types with multiplicity instead of
 /// walking every local group. Counts are integers, so a long proposal
@@ -121,31 +124,28 @@ struct AgentShard {
 }
 
 impl AgentShard {
-    /// Appends a group's per-level rows (cold path, construction only) and
-    /// seeds its initial level into the counts.
-    fn push_group(&mut self, g: &ServerGroup, gamma: f64, pue: f64, level: usize) {
-        self.type_offsets.push(self.type_ids.len());
-        for c in 1..g.num_choices() {
-            let cap = g.capacity(c);
-            let row = (cap, gamma * cap, g.energy_slope(c) * pue, g.static_power(c) * pue);
-            let id = self
-                .types
-                .iter()
-                .position(|t| {
-                    t.0.to_bits() == row.0.to_bits()
-                        && t.2.to_bits() == row.2.to_bits()
-                        && t.3.to_bits() == row.3.to_bits()
-                })
-                .unwrap_or_else(|| {
-                    self.types.push(row);
-                    self.counts.push(0);
-                    self.types.len() - 1
+    /// Collapses the groups `members`, in order, into a shard over the
+    /// cluster's queue types (cold path, once per solve) and seeds their
+    /// `initial` levels into the counts. A type id new to the shard takes
+    /// the next local row, so local rows keep first-appearance order.
+    fn new(problem: &SlotProblem<'_>, members: impl Iterator<Item = usize>, initial: &[usize]) -> Self {
+        let types = problem.cluster.queue_types();
+        let mut shard = Self::default();
+        let mut local_of: Vec<Option<usize>> = vec![None; types.rows().len()];
+        for g in members {
+            shard.type_offsets.push(shard.type_ids.len());
+            for &id in types.group(g) {
+                let local = *local_of[id].get_or_insert_with(|| {
+                    shard.types.push(types.rows()[id].scaled(problem.gamma, problem.pue));
+                    shard.counts.push(0);
+                    shard.types.len() - 1
                 });
-            self.type_ids.push(id);
+                shard.type_ids.push(local);
+            }
+            shard.current.push(0);
+            shard.set_level(shard.current.len() - 1, initial[g]);
         }
-        self.current.push(0);
-        let local = self.current.len() - 1;
-        self.set_level(local, level);
+        shard
     }
 
     // audit:hot-path: begin — O(1) per-proposal delta update
@@ -659,16 +659,21 @@ impl DistributedGsdSolver {
         }
     }
 
+    /// Deals the groups round-robin to the agents; returns the shards and
+    /// each group's (agent, local index).
     fn build_agents(&self, problem: &SlotProblem<'_>, initial: &[usize]) -> (Vec<AgentShard>, Vec<(usize, usize)>) {
-        let groups = problem.cluster.groups();
-        let n_workers = self.num_workers.min(groups.len());
-        let mut shards: Vec<AgentShard> = (0..n_workers).map(|_| AgentShard::default()).collect();
-        let mut owner = vec![(0usize, 0usize); groups.len()];
-        for (gi, g) in groups.iter().enumerate() {
-            let w = gi % n_workers;
-            owner[gi] = (w, shards[w].current.len());
-            shards[w].push_group(g, problem.gamma, problem.pue, initial[gi]);
-        }
+        let n_groups = problem.cluster.num_groups();
+        let n_workers = self.num_workers.min(n_groups);
+        let mut owner = vec![(0, 0); n_groups];
+        let shards = (0..n_workers)
+            .map(|w| {
+                let members = (w..n_groups).step_by(n_workers);
+                for (local, g) in members.clone().enumerate() {
+                    owner[g] = (w, local);
+                }
+                AgentShard::new(problem, members, initial)
+            })
+            .collect();
         (shards, owner)
     }
 }

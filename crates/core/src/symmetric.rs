@@ -13,10 +13,13 @@
 //! `Π_c (K_c · G_c)`, which coordinate descent with integer ternary search
 //! explores in a few hundred cost evaluations.
 //!
-//! Every descent step prices its partition state on the same
-//! struct-of-arrays kernel as GSD (DESIGN §10). A [`QueueBank`] holds one
-//! row per (partition, speed level ≥ 1) — capacity, γ·capacity, slope·PUE,
-//! static·PUE — and is built once per fleet. A state `(ℓ, n)` sets the
+//! Partitions are the groups whose per-level ids in the cluster's
+//! queue-type table ([`QueueTypes`]) are equal. Every descent step prices
+//! its partition state on the same struct-of-arrays kernel as GSD (DESIGN
+//! §10). A [`QueueBank`] holds one row per (partition, speed level ≥ 1) —
+//! capacity, γ·capacity, slope·PUE, static·PUE — and is built once per
+//! fleet: the tables are current while the cluster's table is the same
+//! allocation and γ and PUE have the same bits. A state `(ℓ, n)` sets the
 //! multiplicity of its partition's row `ℓ` to `n` and zeroes the
 //! partition's other rows; capped capacity and base power are summed from
 //! the state (`active · static · pue`), and one warm-started
@@ -55,8 +58,7 @@
 use std::sync::Arc;
 
 use coca_dcsim::dispatch::{optimal_dispatch, SlotProblem};
-use coca_dcsim::incremental::SlotContextSeed;
-use coca_dcsim::SimError;
+use coca_dcsim::{QueueTypes, SimError};
 use coca_obs::SolverObserver;
 use coca_opt::waterfill::{BankProblem, QueueBank, SoaWaterfill};
 
@@ -93,9 +95,6 @@ struct Partition {
     members: Vec<usize>,
     /// Number of speed choices (off + ladder).
     choices: usize,
-    /// Pooled capacity of one member group per positive level
-    /// (`cap_at[ℓ-1]`).
-    cap_at: Vec<f64>,
     /// Static power of one member group when on (kW, before PUE).
     static_power: f64,
     /// Bank row of level 1; level `ℓ ≥ 1` is row `row0 + ℓ − 1`.
@@ -204,11 +203,13 @@ impl StateMemo {
 /// the fleet stays the same.
 #[derive(Debug, Default)]
 struct FleetTables {
-    /// The GSD kernel's fleet key. Groups with equal per-level type ids
-    /// form a partition, and its exact key compare detects a changed fleet,
-    /// γ, or PUE-scaled row.
-    seed: SlotContextSeed,
-    /// PUE bits the base power is scaled by.
+    /// The cluster's queue-type table the tables were built from (`None`
+    /// before the first build). Groups with equal per-level type ids form
+    /// a partition. Holding the `Arc` keeps its address from being reused,
+    /// so pointer equality means the same fleet.
+    types: Option<Arc<QueueTypes>>,
+    /// γ and PUE bits the bank rows and base power are scaled by.
+    gamma: u64,
     pue: u64,
     parts: Vec<Partition>,
     /// Per group in cluster order: its partition and its rank among the
@@ -242,66 +243,55 @@ struct FleetTables {
 
 impl FleetTables {
     /// Rebuilds the tables unless they were built for `problem`'s fleet,
-    /// γ and PUE. The seed pins capacities and the PUE-scaled rows bit for
-    /// bit; the raw static power the base power is summed from is checked
-    /// on each partition's first member.
+    /// γ and PUE: the same type-table allocation (a clone of the cluster
+    /// shares it) and the same γ and PUE bits. An equal fleet in another
+    /// allocation is rebuilt.
     fn refresh(&mut self, problem: &SlotProblem<'_>) {
-        let groups = problem.cluster.groups();
-        let current = !self.seed.refresh(problem)
-            && self.pue == problem.pue.to_bits()
-            && self
-                .parts
-                .iter()
-                .all(|p| groups[p.members[0]].static_power(1).to_bits() == p.static_power.to_bits());
+        let types = problem.cluster.queue_types();
+        let current = self.types.as_ref().is_some_and(|t| Arc::ptr_eq(t, types))
+            && self.gamma == problem.gamma.to_bits()
+            && self.pue == problem.pue.to_bits();
         if current {
             return;
         }
+        self.types = Some(Arc::clone(types));
+        self.gamma = problem.gamma.to_bits();
         self.pue = problem.pue.to_bits();
+        let n_groups = problem.cluster.num_groups();
         self.parts.clear();
         self.bank.clear();
-        'groups: for (i, g) in groups.iter().enumerate() {
-            for part in self.parts.iter_mut() {
-                if self.seed.group_types(part.members[0]) == self.seed.group_types(i) {
-                    part.members.push(i);
+        self.place.clear();
+        self.place.resize(n_groups, (0, 0));
+        'groups: for gi in 0..n_groups {
+            for (pi, part) in self.parts.iter_mut().enumerate() {
+                if types.group(part.members[0]) == types.group(gi) {
+                    self.place[gi] = (pi, part.members.len());
+                    part.members.push(gi);
                     continue 'groups;
                 }
             }
+            self.place[gi] = (self.parts.len(), 0);
+            let ids = types.group(gi);
+            let row0 = self.bank.len();
+            for &id in ids {
+                let (capacity, util_cap, slope, static_power) =
+                    types.rows()[id].scaled(problem.gamma, problem.pue);
+                self.bank.push_type(capacity, util_cap, slope, static_power, 0.0);
+            }
             self.parts.push(Partition {
-                members: vec![i],
-                choices: g.num_choices(),
-                cap_at: (1..g.num_choices()).map(|c| g.capacity(c)).collect(),
-                static_power: g.static_power(1),
-                row0: 0,
+                members: vec![gi],
+                choices: ids.len() + 1,
+                static_power: ids.first().map_or(0.0, |&id| types.rows()[id].static_power),
+                row0,
             });
         }
-        for part in &mut self.parts {
-            let g = &groups[part.members[0]];
-            part.row0 = self.bank.len();
-            for c in 1..part.choices {
-                let capacity = g.capacity(c);
-                self.bank.push_type(
-                    capacity,
-                    problem.gamma * capacity,
-                    g.energy_slope(c) * problem.pue,
-                    g.static_power(c) * problem.pue,
-                    0.0,
-                );
-            }
-        }
         debug_assert!(self.bank.validate().is_ok(), "cluster-derived rows satisfy the bank contract");
-        self.place.clear();
-        self.place.resize(groups.len(), (0, 0));
-        for (pi, part) in self.parts.iter().enumerate() {
-            for (rank, &gi) in part.members.iter().enumerate() {
-                self.place[gi] = (pi, rank);
-            }
-        }
         let full: Vec<PartState> = self
             .parts
             .iter()
             .map(|p| PartState { level: p.choices - 1, active: p.members.len() })
             .collect();
-        self.full_capacity = problem.cluster.capacity_of(&self.levels_of(&full, groups.len()));
+        self.full_capacity = problem.cluster.capacity_of(&self.levels_of(&full, n_groups));
         self.applied.clear();
         self.applied.resize(self.parts.len(), PartState::default());
     }
@@ -443,11 +433,11 @@ impl SymmetricSolver {
     }
 
     /// Capacity contributed by a partition in a given state.
-    fn part_capacity(p: &Partition, s: PartState) -> f64 {
+    fn part_capacity(bank: &QueueBank, p: &Partition, s: PartState) -> f64 {
         if s.active == 0 || s.level == 0 {
             0.0
         } else {
-            s.active as f64 * p.cap_at[s.level - 1]
+            s.active as f64 * bank.capacity_of(p.row0 + s.level - 1)
         }
     }
 
@@ -634,13 +624,13 @@ impl SymmetricSolver {
                     .zip(&tables.parts)
                     .enumerate()
                     .filter(|(j, _)| *j != pi)
-                    .map(|(_, (s, q))| Self::part_capacity(q, *s))
+                    .map(|(_, (s, q))| Self::part_capacity(&tables.bank, q, *s))
                     .sum();
                 let (choices, n_max) = (tables.parts[pi].choices, tables.parts[pi].members.len());
                 let mut local_best = state[pi];
                 let mut local_cost = best_cost;
                 for level in 1..choices {
-                    let cap1 = tables.parts[pi].cap_at[level - 1];
+                    let cap1 = tables.bank.capacity_of(tables.parts[pi].row0 + level - 1);
                     debug_assert!(cap1 > 0.0, "speed ladder capacities are positive");
                     let deficit = required_capacity - others_capacity;
                     let n_min = if deficit <= 0.0 {
@@ -784,23 +774,40 @@ mod tests {
         let small = Cluster::homogeneous(3, 4);
         let large = Cluster::homogeneous(5, 4);
         let p = problem(&small, 10.0, 1.0, 1.0);
-        let mut tables = tables_for(&p);
-        tables.bank.set_multiplicity(0, 2.0); // marks this build
-        tables.applied[0] = PartState { level: 1, active: 2 };
-        tables.refresh(&SlotProblem { arrival_rate: 20.0, onsite: 3.0, ..p });
-        assert_eq!(tables.bank.multiplicity_of(0), 2.0, "slot inputs keep the tables");
+        // An equal fleet in another allocation: rebuilt, not compared.
+        let copy: Cluster =
+            serde::Deserialize::deserialize_value(&serde::Serialize::serialize_value(&small).unwrap())
+                .unwrap();
+        assert_eq!(copy, small);
+        let clone = small.clone();
+        let mut tables = FleetTables::default();
+        // Built for `p`, then marked, before every case.
+        let built_for_p = |tables: &mut FleetTables| {
+            tables.refresh(&p);
+            tables.bank.set_multiplicity(0, 2.0);
+            tables.applied[0] = PartState { level: 1, active: 2 };
+        };
+        for same in [
+            SlotProblem { arrival_rate: 20.0, onsite: 3.0, ..p },
+            // A clone shares the cluster's type table.
+            SlotProblem { cluster: &clone, ..p },
+        ] {
+            built_for_p(&mut tables);
+            tables.refresh(&same);
+            assert_eq!(tables.bank.multiplicity_of(0), 2.0, "kept for {same:?}");
+        }
         for other in [
+            SlotProblem { cluster: &copy, ..p },
             SlotProblem { gamma: 0.9, ..p },
             SlotProblem { pue: 1.3, ..p },
             problem(&large, 10.0, 1.0, 1.0),
         ] {
+            built_for_p(&mut tables);
             tables.refresh(&other);
             assert_eq!(tables.bank.multiplicity_of(0), 0.0, "rebuilt for {other:?}");
             assert_eq!(tables.bank.util_cap_of(0), other.gamma * other.cluster.groups()[0].capacity(1));
             let members: usize = tables.parts.iter().map(|q| q.members.len()).sum();
             assert_eq!(members, other.cluster.num_groups());
-            tables.bank.set_multiplicity(0, 2.0);
-            tables.applied[0] = PartState { level: 1, active: 2 };
         }
     }
 

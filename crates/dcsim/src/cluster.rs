@@ -5,6 +5,13 @@
 //! arbitrary fleets; [`Cluster::paper_datacenter`] reproduces the paper's
 //! evaluation setup: ≈216 K servers with a ≈50 MW peak, organized into 200
 //! groups of four heterogeneous classes ("different purchase dates").
+//!
+//! Every cluster also carries its [`QueueTypes`] table: the distinct
+//! per-level queue rows its groups induce, which every P3 kernel prices
+//! speed vectors over.
+
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize, Value};
 
@@ -14,14 +21,102 @@ use crate::SimError;
 
 /// An ordered collection of server groups.
 ///
-/// Serializes as `{"groups": [...]}`; the per-group choice counts are
-/// derived from the groups, not stored.
+/// Serializes as `{"groups": [...]}`; the per-group choice counts and the
+/// queue-type table are derived from the groups, not stored.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     groups: Vec<ServerGroup>,
     /// `groups[i].num_choices()`, computed once so every decision's
     /// invariant check borrows it instead of collecting a fresh `Vec`.
     choice_counts: Vec<usize>,
+    /// The groups' distinct per-level rows, built once with the cluster.
+    /// Clones share it, so a solver can tell the fleet it built its own
+    /// tables for by pointer (see [`Self::queue_types`]).
+    queue_types: Arc<QueueTypes>,
+}
+
+/// One distinct per-level queue row of a fleet, unscaled: what a
+/// `(group, speed level ≥ 1)` pair contributes to P3 before γ and PUE.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct QueueType {
+    /// Pooled service capacity `Xᵢ` (req/s).
+    pub capacity: f64,
+    /// Marginal power per unit load (kW per req/s).
+    pub energy_slope: f64,
+    /// Static power when on (kW).
+    pub static_power: f64,
+}
+
+impl QueueType {
+    /// The row as a P3 kernel's bank holds it: `(capacity, γ·capacity,
+    /// slope·PUE, static power·PUE)`.
+    pub fn scaled(&self, gamma: f64, pue: f64) -> (f64, f64, f64, f64) {
+        (self.capacity, gamma * self.capacity, self.energy_slope * pue, self.static_power * pue)
+    }
+}
+
+/// A fleet's queue types: the distinct `(capacity, energy slope, static
+/// power)` rows of its `(group, level ≥ 1)` pairs, and each pair's index
+/// into them.
+///
+/// Rows merge only when all three values are bit-equal, so a P3 problem
+/// over the types with integer multiplicities is the problem over the
+/// groups. Rows keep the order in which they first appear, scanning groups
+/// in cluster order and each group's levels upward. Two groups with equal
+/// [`Self::group`] slices are interchangeable in P3 at every γ and PUE.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QueueTypes {
+    rows: Vec<QueueType>,
+    /// Type id of `(group g, level ℓ ≥ 1)` at `ids[offsets[g] + ℓ − 1]`.
+    ids: Vec<usize>,
+    /// Start of each group's range in `ids`, plus a final end sentinel.
+    offsets: Vec<usize>,
+}
+
+impl QueueTypes {
+    fn new(groups: &[ServerGroup]) -> Self {
+        // Runs once per cluster, so a std map is fine.
+        let mut index: HashMap<(u64, u64, u64), usize> = HashMap::new();
+        let mut rows = Vec::new();
+        let mut ids = Vec::new();
+        let mut offsets = Vec::with_capacity(groups.len() + 1);
+        for g in groups {
+            offsets.push(ids.len());
+            for c in 1..g.num_choices() {
+                let row = QueueType {
+                    capacity: g.capacity(c),
+                    energy_slope: g.energy_slope(c),
+                    static_power: g.static_power(c),
+                };
+                let key =
+                    (row.capacity.to_bits(), row.energy_slope.to_bits(), row.static_power.to_bits());
+                let id = *index.entry(key).or_insert_with(|| {
+                    rows.push(row);
+                    rows.len() - 1
+                });
+                ids.push(id);
+            }
+        }
+        offsets.push(ids.len());
+        Self { rows, ids, offsets }
+    }
+
+    /// The distinct rows, in first-appearance order.
+    pub fn rows(&self) -> &[QueueType] {
+        &self.rows
+    }
+
+    /// Type ids of group `g`'s positive levels: level `ℓ` at index `ℓ − 1`.
+    #[inline]
+    pub fn group(&self, g: usize) -> &[usize] {
+        &self.ids[self.offsets[g]..self.offsets[g + 1]]
+    }
+
+    /// Type id of group `g` at level `level ≥ 1`.
+    #[inline]
+    pub fn type_of(&self, g: usize, level: usize) -> usize {
+        self.ids[self.offsets[g] + level - 1]
+    }
 }
 
 impl Cluster {
@@ -35,7 +130,8 @@ impl Cluster {
 
     fn from_groups(groups: Vec<ServerGroup>) -> Self {
         let choice_counts = groups.iter().map(ServerGroup::num_choices).collect();
-        Self { groups, choice_counts }
+        let queue_types = Arc::new(QueueTypes::new(&groups));
+        Self { groups, choice_counts, queue_types }
     }
 
     /// The paper's reference data center: 200 groups × 1 080 servers
@@ -101,6 +197,14 @@ impl Cluster {
     /// Per-group decision-space sizes (off + ladder), as consumed by GSD.
     pub fn choice_counts(&self) -> &[usize] {
         &self.choice_counts
+    }
+
+    /// The fleet's queue-type table. Clones of a cluster share one
+    /// allocation and a deserialized cluster builds its own, so
+    /// `Arc::ptr_eq` on two tables implies the same fleet (an unequal
+    /// pointer says nothing).
+    pub fn queue_types(&self) -> &Arc<QueueTypes> {
+        &self.queue_types
     }
 
     /// Aggregate capacity at the top speed of every group (req/s).
@@ -306,5 +410,54 @@ mod tests {
         let back = Cluster::deserialize_value(&value).unwrap();
         assert_eq!(back, c);
         assert_eq!(back.choice_counts(), c.choice_counts());
+        // The table is rebuilt, equal but not shared; a clone shares it.
+        assert_eq!(back.queue_types(), c.queue_types());
+        assert!(!Arc::ptr_eq(back.queue_types(), c.queue_types()));
+        assert!(Arc::ptr_eq(c.clone().queue_types(), c.queue_types()));
+    }
+
+    #[test]
+    fn queue_types_are_the_distinct_raw_rows_in_first_appearance_order() {
+        let c = Cluster::scaled_paper_datacenter(8, 3);
+        let types = c.queue_types();
+        assert_eq!(types.rows().len(), 16, "four classes × four levels");
+        for (g, grp) in c.groups().iter().enumerate() {
+            // Each class's rows are first seen on its first group.
+            let first = 4 * (g / 2);
+            assert_eq!(types.group(g), &[first, first + 1, first + 2, first + 3]);
+            for level in 1..grp.num_choices() {
+                let (row, cap) = (types.rows()[types.type_of(g, level)], grp.capacity(level));
+                let slope = grp.energy_slope(level);
+                assert_eq!(row, QueueType { capacity: cap, energy_slope: slope, static_power: grp.static_power(level) });
+            }
+        }
+        let homogeneous = Cluster::homogeneous(6, 10);
+        assert_eq!(homogeneous.queue_types().group(5), &[0, 1, 2, 3], "identical groups share rows");
+    }
+
+    #[test]
+    fn classes_equal_at_one_level_share_only_that_levels_type() {
+        use crate::server::SpeedLevel;
+        // Dyadic powers, so equal computing powers are bit-equal slopes.
+        let class = |idle: f64, top: f64| ServerClass {
+            name: format!("idle {idle}, top {top}"),
+            idle_power: idle,
+            levels: vec![
+                SpeedLevel { rate: 5.0, power: idle + 0.5 },
+                SpeedLevel { rate: 10.0, power: idle + top },
+            ],
+        };
+        // Equal capacities throughout: the second class differs in slope
+        // at level 2 only, the third in static power at every level.
+        let c = ClusterBuilder::new()
+            .add_groups(class(0.5, 1.0), 1, 4)
+            .add_groups(class(0.5, 2.0), 1, 4)
+            .add_groups(class(1.0, 1.0), 1, 4)
+            .build()
+            .unwrap();
+        let types = c.queue_types();
+        assert_eq!(types.group(0), &[0, 1]);
+        assert_eq!(types.group(1), &[0, 2], "level 1 shared, level 2 not");
+        assert_eq!(types.group(2), &[3, 4], "static power is part of the identity");
     }
 }

@@ -8,12 +8,13 @@
 //! bisection from scratch; [`SlotEvalContext`] amortizes all of that across
 //! the proposal stream:
 //!
-//! * It takes the per-group per-level `(capacity, util_cap, energy_slope,
-//!   static_power)` tables from a cross-slot [`SlotContextSeed`] and keeps
-//!   the collapsed queue-type multiset as integer counts under single-group
-//!   delta updates — O(1) per flip instead of O(groups) re-aggregation.
-//!   Counts are integers, so a million flips cannot accumulate
-//!   floating-point drift.
+//! * It borrows the cluster's queue-type table
+//!   ([`crate::cluster::QueueTypes`], built once with the cluster: the
+//!   distinct raw `(capacity, energy_slope, static_power)` rows and each
+//!   `(group, level)`'s row id) and keeps the multiset of active types as
+//!   integer counts under single-group delta updates — O(1) per flip
+//!   instead of O(groups) re-aggregation. Counts are integers, so a
+//!   million flips cannot accumulate floating-point drift.
 //! * The multiset is mirrored into a struct-of-arrays
 //!   [`coca_opt::waterfill::QueueBank`] (parallel capacity / util_cap /
 //!   energy_slope / static_power / multiplicity lanes), and
@@ -37,156 +38,16 @@
 //! search begins, never its stopping rule, so the two agree to ≤ 1e-9
 //! relative error (pinned by the differential property test in
 //! `coca-core`). Their banks differ in layout: this context keeps one row
-//! per distinct `(capacity, slope, static power)` type with static power in
-//! the lane, the cold dispatch one row per active `(capacity, slope)` with
+//! per queue type, γ- and PUE-scaled, with static power in the lane; the
+//! cold dispatch one row per active `(capacity, PUE-scaled slope)` with
 //! `P₀` summed per group. The `coca_opt::invariant` hooks (load
 //! conservation, plus the bank's KKT certificate in debug and strict
 //! builds) fire on every solve.
 
-use std::collections::HashMap;
-
 use coca_opt::waterfill::{BankProblem, QueueBank, SoaWaterfill};
 
+use crate::cluster::QueueTypes;
 use crate::dispatch::{DispatchOutcome, SlotProblem};
-
-/// One distinct per-level queue row: everything the oracle needs to know
-/// about a `(group, speed level)` pair, PUE- and γ-scaled exactly like the
-/// rows of [`crate::dispatch::optimal_dispatch`]. Groups whose rows are
-/// bit-identical share a type (static power is part of the identity so the
-/// base-power aggregate stays exact).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct TypeSpec {
-    /// Pooled service capacity `Xᵢ` (req/s).
-    capacity: f64,
-    /// Utilization cap `γ·Xᵢ`.
-    util_cap: f64,
-    /// Marginal power per unit load, PUE-scaled (kW per req/s).
-    energy_slope: f64,
-    /// Static power when active, PUE-scaled (kW).
-    static_power: f64,
-}
-
-/// Reusable cross-slot skeleton of a [`SlotEvalContext`]: the collapsed
-/// type table and the `(group, level) → type` maps.
-///
-/// These depend only on the cluster topology and the γ/PUE scalars — not
-/// on the per-slot arrival rate, renewable supply, or objective weights —
-/// so a solver that prices one slot after another on the same fleet
-/// ([`SlotEvalContext::new_seeded`]) verifies the seed with one linear
-/// key-stream compare and clones it, instead of re-deduplicating every
-/// `(group, level)` row at each solve. Verification is exact (full bit
-/// compare of the derived keys, not a fingerprint): a seed built for a
-/// different cluster, γ, or PUE is detected and rebuilt, so reuse is
-/// bit-for-bit transparent.
-#[derive(Debug, Default)]
-pub struct SlotContextSeed {
-    /// Bit-pattern key of every `(group, level ≥ 1)` row in scan order —
-    /// the exact dedup keys [`Self::rebuild`] fed to the type map.
-    keys: Vec<(u64, u64, u64)>,
-    /// γ the seed was built for (`util_cap = γ·capacity` is derived from
-    /// the key, so it must be pinned separately); `None` until built.
-    gamma: Option<u64>,
-    types: Vec<TypeSpec>,
-    type_ids: Vec<usize>,
-    type_offsets: Vec<usize>,
-}
-
-impl SlotContextSeed {
-    /// Empty (always-rebuilding) seed.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// True when the seed's tables are exactly the ones `rebuild` would
-    /// derive for `problem`: same group structure, same per-row spec bits,
-    /// same γ. One pass over the `(group, level)` rows, no hashing.
-    fn matches(&self, problem: &SlotProblem<'_>) -> bool {
-        if self.gamma != Some(problem.gamma.to_bits()) {
-            return false;
-        }
-        let groups = problem.cluster.groups();
-        if self.type_offsets.len() != groups.len() {
-            return false;
-        }
-        let mut idx = 0;
-        for (g, grp) in groups.iter().enumerate() {
-            if self.type_offsets[g] != idx {
-                return false;
-            }
-            for c in 1..grp.num_choices() {
-                let key = (
-                    grp.capacity(c).to_bits(),
-                    (grp.energy_slope(c) * problem.pue).to_bits(),
-                    (grp.static_power(c) * problem.pue).to_bits(),
-                );
-                if idx >= self.keys.len() || self.keys[idx] != key {
-                    return false;
-                }
-                idx += 1;
-            }
-        }
-        idx == self.keys.len()
-    }
-
-    /// Brings the tables up to date for `problem`: a no-op when they
-    /// still match it exactly, a rebuild otherwise. Returns `true` when it
-    /// rebuilt them.
-    pub fn refresh(&mut self, problem: &SlotProblem<'_>) -> bool {
-        if self.matches(problem) {
-            return false;
-        }
-        self.rebuild(problem);
-        true
-    }
-
-    /// Type ids of group `g`'s positive levels (level `ℓ` at index
-    /// `ℓ − 1`) as of the last [`Self::refresh`]. Two groups with equal
-    /// slices have bit-identical rows at every level, so they are
-    /// interchangeable in P3.
-    pub fn group_types(&self, g: usize) -> &[usize] {
-        let end = self.type_offsets.get(g + 1).copied().unwrap_or(self.type_ids.len());
-        &self.type_ids[self.type_offsets[g]..end]
-    }
-
-    /// Re-derives every table from `problem` (the slow path `matches`
-    /// guards; it runs once per fleet, so a std map is fine).
-    fn rebuild(&mut self, problem: &SlotProblem<'_>) {
-        let groups = problem.cluster.groups();
-        let mut key_to_type: HashMap<(u64, u64, u64), usize> = HashMap::new();
-        self.keys.clear();
-        self.types.clear();
-        self.type_ids.clear();
-        self.type_offsets.clear();
-        for g in groups {
-            self.type_offsets.push(self.type_ids.len());
-            for c in 1..g.num_choices() {
-                let capacity = g.capacity(c);
-                let spec = TypeSpec {
-                    capacity,
-                    util_cap: problem.gamma * capacity,
-                    energy_slope: g.energy_slope(c) * problem.pue,
-                    static_power: g.static_power(c) * problem.pue,
-                };
-                // Bit-pattern key: rows merge only when exactly equal, so
-                // the collapsed problem is equivalent to the expanded one.
-                // (util_cap is γ·capacity, a function of the key.)
-                let key = (
-                    spec.capacity.to_bits(),
-                    spec.energy_slope.to_bits(),
-                    spec.static_power.to_bits(),
-                );
-                self.keys.push(key);
-                let types = &mut self.types;
-                let idx = *key_to_type.entry(key).or_insert_with(|| {
-                    types.push(spec);
-                    types.len() - 1
-                });
-                self.type_ids.push(idx);
-            }
-        }
-        self.gamma = Some(problem.gamma.to_bits());
-    }
-}
 
 /// Work counters accumulated over a context's lifetime (one slot).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -208,10 +69,8 @@ pub struct EvalStats {
 #[derive(Debug)]
 pub struct SlotEvalContext<'a> {
     problem: SlotProblem<'a>,
-    /// Type id of `(group g, level c ≥ 1)` at `type_ids[type_offsets[g] + c − 1]`.
-    type_ids: Vec<usize>,
-    /// Start of each group's row range in `type_ids`.
-    type_offsets: Vec<usize>,
+    /// The cluster's `(group, level) → type` table; bank row `t` is type `t`.
+    types: &'a QueueTypes,
     /// Active-queue count per type. Integers: delta updates cannot drift.
     counts: Vec<u32>,
     /// Mirror of the speed vector the counts currently describe.
@@ -239,46 +98,28 @@ pub struct SlotEvalContext<'a> {
 }
 
 impl<'a> SlotEvalContext<'a> {
-    /// Builds the per-level tables for `problem` and seeds the multiset
-    /// with `initial`.
+    /// Builds the bank over the cluster's queue types for `problem` and
+    /// seeds the multiset with `initial`.
     ///
     /// # Errors
     /// Propagates invalid slot parameters or an out-of-range level vector.
     pub fn new(problem: SlotProblem<'a>, initial: &[usize]) -> crate::Result<Self> {
-        Self::new_seeded(problem, initial, &mut SlotContextSeed::default())
-    }
-
-    /// [`Self::new`] with a reusable [`SlotContextSeed`]: when `seed` still
-    /// matches `problem` (same cluster topology, γ, PUE — verified by an
-    /// exact key compare), the collapsed type tables are cloned from it
-    /// instead of re-derived, skipping the hash-map dedup that dominates a
-    /// cold context build. A stale or empty seed is rebuilt in place.
-    /// Either way the resulting context is bit-for-bit identical to a
-    /// [`Self::new`] build.
-    ///
-    /// # Errors
-    /// Propagates invalid slot parameters or an out-of-range level vector.
-    pub fn new_seeded(
-        problem: SlotProblem<'a>,
-        initial: &[usize],
-        seed: &mut SlotContextSeed,
-    ) -> crate::Result<Self> {
         problem.validate()?;
         problem.cluster.validate_levels(initial)?;
-        seed.refresh(&problem);
+        let types: &'a QueueTypes = problem.cluster.queue_types();
         // One bank row per type, all retracted (m = 0) until the seeding
         // below raises the counts. Rows are validated once here — the SoA
         // solver relies on that instead of per-solve re-validation.
         let mut bank = QueueBank::new();
-        for t in &seed.types {
-            bank.push_type(t.capacity, t.util_cap, t.energy_slope, t.static_power, 0.0);
+        for t in types.rows() {
+            let (capacity, util_cap, slope, static_power) = t.scaled(problem.gamma, problem.pue);
+            bank.push_type(capacity, util_cap, slope, static_power, 0.0);
         }
         debug_assert!(bank.validate().is_ok(), "cluster-derived rows satisfy the bank contract");
         let mut ctx = Self {
             problem,
-            type_ids: seed.type_ids.clone(),
-            type_offsets: seed.type_offsets.clone(),
-            counts: vec![0; seed.types.len()],
+            types,
+            counts: vec![0; types.rows().len()],
             levels: vec![0; initial.len()],
             bank,
             agg_cap: 0.0,
@@ -302,11 +143,6 @@ impl<'a> SlotEvalContext<'a> {
         &self.levels
     }
 
-    /// Number of distinct queue types in the per-level tables.
-    pub fn num_types(&self) -> usize {
-        self.bank.len()
-    }
-
     // The two functions below are the per-proposal delta-update path: they
     // run on every Gibbs proposal and must stay allocation-free.
     // audit:hot-path: begin
@@ -320,9 +156,8 @@ impl<'a> SlotEvalContext<'a> {
         if old == level {
             return;
         }
-        let off = self.type_offsets[group];
         if old > 0 {
-            let t = self.type_ids[off + old - 1];
+            let t = self.types.type_of(group, old);
             self.counts[t] -= 1;
             // u32 → f64 is exact, so the lane always equals the count.
             self.bank.set_multiplicity(t, f64::from(self.counts[t]));
@@ -330,7 +165,7 @@ impl<'a> SlotEvalContext<'a> {
             self.agg_base -= self.bank.static_power_of(t);
         }
         if level > 0 {
-            let t = self.type_ids[off + level - 1];
+            let t = self.types.type_of(group, level);
             self.counts[t] += 1;
             self.bank.set_multiplicity(t, f64::from(self.counts[t]));
             self.agg_cap += self.bank.util_cap_of(t);
@@ -386,9 +221,8 @@ impl<'a> SlotEvalContext<'a> {
         if level == old {
             return self.bank_cost(cap, base_power);
         }
-        let off = self.type_offsets[group];
-        let t_old = (old > 0).then(|| self.type_ids[off + old - 1]);
-        let t_new = (level > 0).then(|| self.type_ids[off + level - 1]);
+        let t_old = (old > 0).then(|| self.types.type_of(group, old));
+        let t_new = (level > 0).then(|| self.types.type_of(group, level));
         // The candidate delta path runs per proposal and must stay
         // allocation-free (±1.0 on integer-valued f64 lanes is exact, so
         // apply + restore round-trips bit-for-bit).
@@ -474,7 +308,7 @@ impl<'a> SlotEvalContext<'a> {
         let lambdas = self.soa.lambdas();
         for (g, &c) in self.levels.iter().enumerate() {
             if c > 0 {
-                loads[g] = lambdas[self.type_ids[self.type_offsets[g] + c - 1]];
+                loads[g] = lambdas[self.types.type_of(g, c)];
             }
         }
         // Mirrors `optimal_dispatch`'s outcome assembly: the bank rows are
@@ -559,42 +393,11 @@ mod tests {
     }
 
     #[test]
-    fn type_table_collapses_identical_groups() {
-        // 6 identical groups collapse to one type per positive speed level.
-        let cluster = Cluster::homogeneous(6, 10);
-        let positive_levels = cluster.groups()[0].num_choices() - 1;
-        let p = slot(&cluster);
-        let ctx = SlotEvalContext::new(p, &cluster.full_speed_vector()).unwrap();
-        assert_eq!(ctx.num_types(), positive_levels);
-    }
-
-    #[test]
     fn rejects_invalid_initial_vector() {
         let cluster = Cluster::homogeneous(2, 3);
         let p = slot(&cluster);
         assert!(SlotEvalContext::new(p, &[9, 9]).is_err());
         assert!(SlotEvalContext::new(p, &[1]).is_err());
-    }
-
-    #[test]
-    fn seed_is_reused_on_the_same_fleet_and_rebuilt_on_a_new_gamma() {
-        let cluster = Cluster::scaled_paper_datacenter(4, 6);
-        let p = slot(&cluster);
-        let full = cluster.full_speed_vector();
-        let mut seed = SlotContextSeed::new();
-        let mut fresh = SlotEvalContext::new(p, &full).unwrap();
-        let mut seeded = SlotEvalContext::new_seeded(p, &full, &mut seed).unwrap();
-        assert!(seed.matches(&p));
-        let mut reused = SlotEvalContext::new_seeded(p, &full, &mut seed).unwrap();
-        let cost = fresh.evaluate_current();
-        assert_eq!(cost.to_bits(), seeded.evaluate_current().to_bits());
-        assert_eq!(cost.to_bits(), reused.evaluate_current().to_bits());
-        let other = SlotProblem { gamma: 0.9, ..p };
-        assert!(!seed.matches(&other), "γ is part of the seed identity");
-        let mut rebuilt = SlotEvalContext::new_seeded(other, &full, &mut seed).unwrap();
-        assert!(seed.matches(&other));
-        let cold = optimal_dispatch(&other, &full).unwrap().objective;
-        assert_close(rebuilt.evaluate_current(), cold, "rebuilt seed");
     }
 
     #[test]

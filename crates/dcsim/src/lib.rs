@@ -10,7 +10,8 @@
 //!   queues — the paper's own complexity-reduction device for GSD
 //!   ("changing speed selections for a whole group of servers in batch").
 //! * [`cluster`] — heterogeneous fleets; includes a builder for the paper's
-//!   216 K-server / 50 MW / 200-group data center.
+//!   216 K-server / 50 MW / 200-group data center, and each fleet's
+//!   queue-type table, built once with the cluster.
 //! * [`queueing`] — M/G/1/PS delay-cost formulas (eq. 4) and their validity
 //!   conditions.
 //! * [`dispatch`] — the bridge to `coca-opt`: optimal load distribution and
@@ -63,7 +64,7 @@ pub mod server;
 mod error;
 
 pub use checkpoint::{read_checkpoint, write_checkpoint, CheckpointError};
-pub use cluster::{Cluster, ClusterBuilder};
+pub use cluster::{Cluster, ClusterBuilder, QueueType, QueueTypes};
 pub use dispatch::{optimal_dispatch, DispatchOutcome, SlotProblem};
 pub use cost::CostParams;
 pub use engine::{

@@ -14,7 +14,8 @@
 //! **Shared contexts.** Manifests with the same (scale, workload, budget
 //! fraction) share one context: the base setup is built once, V\* is
 //! calibrated once per probe count, and the carbon-unaware reference cost
-//! and typical slot objectives are computed once.
+//! is computed once. A Fig. 4 run's typical slot objective is one
+//! full-speed dispatch, computed where the run needs it.
 //!
 //! **Shared passes.** A context's [`PassMemo`] runs each COCA run at
 //! constant V and each OPT μ-sweep its runs make once, keyed by their
@@ -147,8 +148,8 @@ pub struct BatchRunner<'m> {
 
 /// Context shared by every run of one (scale, workload, budget fraction)
 /// across all manifests of a batch: the lazily built base setup, the
-/// quantities derived from it (calibrated V\* per probe count, the
-/// carbon-unaware reference cost, typical slot objectives), and the memo of
+/// quantities derived from it (calibrated V\* per probe count and the
+/// carbon-unaware reference cost), and the memo of
 /// the COCA runs and OPT μ-sweeps its runs make. Each value is computed
 /// once, under its own key's lock ([`OnceMap`]): concurrent runs needing
 /// the same one wait for it instead of duplicating a year-long
@@ -160,7 +161,6 @@ struct Ctx {
     setup: OnceMap<(), Arc<PaperSetup>>,
     vstar: OnceMap<usize, f64>,
     unaware: OnceMap<(), f64>,
-    gtyp: OnceMap<(usize, u64), f64>,
     passes: PassMemo,
 }
 
@@ -211,15 +211,6 @@ impl Ctx {
             Ok::<_, String>(out.avg_hourly_cost())
         })?;
         Ok(cost)
-    }
-
-    fn typical_objective(&self, slot: usize, v: f64) -> Result<f64, String> {
-        let setup = self.setup()?;
-        let (g, _) = self.gtyp.get_or_try_init((slot, v.to_bits()), || {
-            figures::typical_slot_objective(&setup, slot, v)
-                .map_err(|e| format!("snapshot objective: {e}"))
-        })?;
-        Ok(g)
     }
 }
 
@@ -650,7 +641,8 @@ fn run_gsd_trace_kind(ctx: &Ctx, cfg: &Value) -> Result<Vec<Value>, String> {
     let base = ctx.setup()?;
     let slot = p_uint(cfg, "slot", 1500)? % base.trace.len();
     let v = p_num(cfg, "v_mult", 1.0)? * base.characteristic_v();
-    let g_typ = ctx.typical_objective(slot, v)?;
+    let g_typ = figures::typical_slot_objective(&base, slot, v)
+        .map_err(|e| format!("snapshot objective: {e}"))?;
     let delta = p_num_opt(cfg, "delta_mult")?.ok_or("gsd_trace needs delta_mult")? * g_typ;
     let iterations = p_uint(cfg, "iterations", 500)?;
     let init = match p_str(cfg, "init")? {
@@ -938,7 +930,6 @@ fn contexts(
                     setup: OnceMap::default(),
                     vstar: OnceMap::default(),
                     unaware: OnceMap::default(),
-                    gtyp: OnceMap::default(),
                     passes,
                 });
                 keys.push(key);
