@@ -73,11 +73,6 @@ impl CocaConfig {
         }
         Ok(())
     }
-
-    /// Number of frames R = J/T.
-    pub fn num_frames(&self) -> usize {
-        self.horizon / self.frame_length
-    }
 }
 
 /// The COCA online controller (implements [`Policy`]).
@@ -123,11 +118,6 @@ impl<S: P3Solver> CocaController<S> {
     /// [`Self::solver_mut`] or before construction).
     pub fn set_observer(&mut self, observer: Arc<dyn SolverObserver + Send + Sync>) {
         self.observer = Some(observer);
-    }
-
-    /// Current carbon-deficit queue length.
-    pub fn deficit_len(&self) -> f64 {
-        self.deficit.len()
     }
 
     /// Largest deficit observed so far.
@@ -350,7 +340,6 @@ mod tests {
         let mut c = config(100, 240.0, 0.0);
         c.rec_total = -1.0;
         assert!(c.validate().is_err());
-        assert_eq!(config(100, 1.0, 0.0).num_frames(), 1);
     }
 
     #[test]
@@ -503,9 +492,11 @@ mod tests {
             facility_energy: 50.0,
             cost: 1.0,
         });
-        assert!(coca.deficit_len() > 0.0);
+        let deficit =
+            |coca: &CocaController<SymmetricSolver>| coca.telemetry().unwrap().deficit_kwh;
+        assert!(deficit(&coca) > 0.0);
         Policy::reset(&mut coca);
-        assert_eq!(coca.deficit_len(), 0.0);
+        assert_eq!(deficit(&coca), 0.0);
         assert_eq!(coca.max_deficit(), 0.0);
     }
 }

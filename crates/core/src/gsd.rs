@@ -26,7 +26,7 @@ use coca_dcsim::dispatch::{optimal_dispatch, SlotProblem};
 use coca_dcsim::incremental::SlotEvalContext;
 use coca_dcsim::SimError;
 use coca_obs::SolverObserver;
-use coca_opt::gibbs::{run_gibbs_batched, CandidateOracle, GibbsOptions};
+use coca_opt::gibbs::{run_gibbs_batched, CandidateOracle, GibbsOptions, GibbsOutcome};
 use coca_opt::schedule::TemperatureSchedule;
 
 use crate::solver::{P3Solution, P3Solver, SolveStats};
@@ -262,13 +262,11 @@ impl P3Solver for GsdSolver {
 }
 
 /// Prices every proposal from scratch with [`GsdSolver::state_cost`].
-#[cfg(test)]
 struct ColdOracle<'a> {
     problem: &'a SlotProblem<'a>,
     state: Vec<usize>,
 }
 
-#[cfg(test)]
 impl CandidateOracle for ColdOracle<'_> {
     fn current_cost(&mut self) -> f64 {
         GsdSolver::state_cost(self.problem, &self.state)
@@ -286,18 +284,23 @@ impl CandidateOracle for ColdOracle<'_> {
     }
 }
 
-/// The cold reference chain: [`run_gibbs_batched`] over
-/// [`GsdSolver::state_cost`], for tests that pin the kernel's chain to it.
-#[cfg(test)]
-pub(crate) fn cold_chain(
+/// The cold reference chain, a test oracle for the GSD engines: the chain
+/// [`GsdSolver`] walks from `initial` — same options, driver
+/// [`run_gibbs_batched`] and RNG stream — with every proposal priced from
+/// scratch by [`GsdSolver::state_cost`]. The kernel and distributed-chain
+/// tests pin their chains to it, and the `coca-bench` cold engine times it.
+///
+/// # Errors
+/// The driver's error for an `initial` state outside the fleet's choices.
+pub fn cold_chain(
     problem: &SlotProblem<'_>,
     initial: &[usize],
     opts: &GsdOptions,
     rng: &mut StdRng,
-) -> coca_opt::gibbs::GibbsOutcome {
+) -> coca_opt::Result<GibbsOutcome> {
     let counts = problem.cluster.choice_counts();
     let mut oracle = ColdOracle { problem, state: initial.to_vec() };
-    run_gibbs_batched(counts, initial, &mut oracle, &opts.gibbs(), rng).unwrap()
+    run_gibbs_batched(counts, initial, &mut oracle, &opts.gibbs(), rng)
 }
 
 #[cfg(test)]
@@ -449,7 +452,8 @@ mod tests {
             let mut gsd = GsdSolver::new(opts.clone());
             let sol = gsd.solve(&p).unwrap();
             let full = cluster.full_speed_vector();
-            let cold = cold_chain(&p, &full, &opts, &mut StdRng::seed_from_u64(opts.seed));
+            let mut rng = StdRng::seed_from_u64(opts.seed);
+            let cold = cold_chain(&p, &full, &opts, &mut rng).unwrap();
             let case = format!("λ={lam}, A={a}, W={w}");
             assert_eq!(sol.levels, cold.best_state, "{case}");
             assert_eq!(gsd.stats().accepted, cold.accepted, "{case}");

@@ -919,7 +919,8 @@ mod tests {
             let mut solver = DistributedGsdSolver::new(opts.clone(), 2);
             let sol = solver.solve(&p).unwrap();
             let full = cluster.full_speed_vector();
-            let cold = cold_chain(&p, &full, &opts, &mut StdRng::seed_from_u64(opts.seed));
+            let mut rng = StdRng::seed_from_u64(opts.seed);
+            let cold = cold_chain(&p, &full, &opts, &mut rng).unwrap();
             let case = format!("λ={lam}, A={a}, W={w}");
             assert_eq!(sol.levels, cold.best_state, "{case}");
             assert_eq!(solver.stats().accepted, cold.accepted, "{case}");

@@ -11,7 +11,6 @@
 //! * **Bounded + backpressure.** The queue holds at most `capacity` slots.
 //!   `push` blocks until the engine drains one — a slow consumer slows the
 //!   producer down instead of dropping or buffering unboundedly.
-//!   [`PushHandle::try_push`] is the non-blocking probe.
 //! * **In order, exactly once.** Slot `t` must be pushed with index `t`;
 //!   out-of-order pushes are rejected with [`PushError::OutOfOrder`]
 //!   rather than silently reordered.
@@ -168,31 +167,6 @@ impl PushHandle {
         }
     }
 
-    /// Non-blocking push: `Ok(true)` if enqueued, `Ok(false)` if the queue
-    /// is currently full.
-    pub fn try_push(&self, env: SlotEnv) -> Result<bool, PushError> {
-        validate_env(&env)?;
-        let mut st = self.shared.lock();
-        if st.closed || st.receiver_gone {
-            return Err(PushError::Closed);
-        }
-        if env.t != st.next_push {
-            return Err(PushError::OutOfOrder { expected: st.next_push, got: env.t });
-        }
-        if st.queue.len() >= self.shared.capacity {
-            return Ok(false);
-        }
-        st.queue.push_back(env);
-        st.next_push += 1;
-        self.shared.can_poll.notify_all();
-        Ok(true)
-    }
-
-    /// The slot index the channel expects next.
-    pub fn next_slot(&self) -> usize {
-        self.shared.lock().next_push
-    }
-
     /// Closes the stream: queued slots still drain, then the source
     /// reports [`PollSlot::Closed`]. Idempotent.
     pub fn close(&self) {
@@ -315,7 +289,11 @@ mod tests {
         bad.price = f64::NAN;
         assert!(matches!(handle.push(bad), Err(PushError::Invalid(_))));
         handle.push(env(0)).unwrap();
-        assert_eq!(handle.next_slot(), 1);
+        assert_eq!(
+            handle.push(env(0)),
+            Err(PushError::OutOfOrder { expected: 1, got: 0 }),
+            "each slot is accepted once"
+        );
     }
 
     #[test]
@@ -325,15 +303,14 @@ mod tests {
         assert_eq!(handle.push(env(0)), Err(PushError::Closed));
         let (handle, _source) = push_source(4);
         handle.close();
-        assert_eq!(handle.try_push(env(0)), Err(PushError::Closed));
+        assert_eq!(handle.push(env(0)), Err(PushError::Closed));
     }
 
     #[test]
     fn bounded_queue_applies_backpressure() {
         let (handle, mut source) = push_source(2);
-        assert!(handle.try_push(env(0)).unwrap());
-        assert!(handle.try_push(env(1)).unwrap());
-        assert!(!handle.try_push(env(2)).unwrap(), "full queue refuses");
+        handle.push(env(0)).unwrap();
+        handle.push(env(1)).unwrap();
         assert_eq!(source.queued(), 2);
 
         // Blocking push proceeds once the consumer drains a slot.
@@ -344,15 +321,15 @@ mod tests {
         // The producer is (very likely) parked on the full queue; drain one.
         thread::sleep(Duration::from_millis(20));
         assert_eq!(source.poll_slot(0), PollSlot::Ready(env(0)));
-        let handle = producer.join().unwrap();
+        let _handle = producer.join().unwrap();
         assert_eq!(source.queued(), 2);
-        assert_eq!(handle.next_slot(), 3);
+        assert_eq!(source.poll_slot(1), PollSlot::Ready(env(1)));
+        assert_eq!(source.poll_slot(2), PollSlot::Ready(env(2)));
     }
 
     #[test]
     fn resumed_channel_starts_at_first_slot() {
         let (handle, mut source) = push_source_at(4, 7);
-        assert_eq!(handle.next_slot(), 7);
         assert_eq!(
             handle.push(env(0)),
             Err(PushError::OutOfOrder { expected: 7, got: 0 })

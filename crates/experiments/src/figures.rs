@@ -1,10 +1,9 @@
 //! The primitives the scenario runner (`coca-scenarios`) composes into the
 //! paper's figures: the COCA policy and its V\* calibration, horizon
-//! trimming, one GSD convergence trace, one budget-sweep point, one
-//! frame-reset point, and the setup variants of Fig. 5(d) and the
-//! portfolio study. Each figure itself is a committed spec under
-//! `scenarios/`; [`Figure`] is the assembled result `repro` prints and
-//! writes.
+//! trimming into frames, one GSD convergence trace, one budget-sweep point,
+//! and the setup variants of Fig. 5(d) and the portfolio study. Each
+//! figure itself is a committed spec under `scenarios/`; [`Figure`] is the
+//! assembled result `repro` prints and writes.
 
 use std::sync::Arc;
 
@@ -132,9 +131,8 @@ pub fn calibrate_v(
 
 /// Trims the setup's trace to `frames` whole frames (J = R·T like the
 /// paper) and returns the trimmed setup plus the frame length `T`.
-/// `rec_total` is left untouched — callers that want neutrality pressure
-/// rescaled to the shorter horizon (the frame-reset ablation) do that
-/// explicitly on top.
+/// `rec_total` is left untouched; every frame count the committed specs
+/// use divides the horizon of every scale, so nothing is trimmed there.
 pub fn trim_to_frames(setup: &PaperSetup, frames: usize) -> (PaperSetup, usize) {
     assert!(frames >= 1);
     let horizon = setup.trace.len();
@@ -240,17 +238,15 @@ pub struct BudgetSweepRow {
 
 /// One Fig. 5(a)/(b) budget point: re-calibrates V against the rescaled
 /// budget, takes COCA's run at that V from the calibration, plans OPT,
-/// and normalizes both by the caller-supplied carbon-unaware reference
-/// cost (computed once per sweep via
-/// [`unaware_reference`](crate::setup::unaware_reference) on the base
-/// setup). The calibration's COCA runs and OPT's μ-sweeps go through
-/// `memo`, so the points of one sweep share the passes they have in
-/// common; the row does not depend on what the memo already holds.
+/// and normalizes both by the base setup's carbon-unaware reference cost
+/// ([`PaperSetup::unaware_hourly_cost`]). The calibration's COCA runs and
+/// OPT's μ-sweeps go through `memo`, so the points of one sweep share the
+/// passes they have in common; the row does not depend on what the memo
+/// already holds.
 pub fn budget_point(
     base: &PaperSetup,
     frac: f64,
     calib_probes: usize,
-    unaware_cost: f64,
     memo: &PassMemo,
 ) -> Result<BudgetSweepRow, SimError> {
     let setup = base.with_budget_fraction(frac);
@@ -265,6 +261,7 @@ pub fn budget_point(
         memo,
     )?;
     let opt_cost = opt.total_planned_cost() / setup.trace.len() as f64;
+    let unaware_cost = setup.unaware_hourly_cost;
     Ok(BudgetSweepRow {
         budget_fraction: frac,
         coca: coca_out.avg_hourly_cost() / unaware_cost,
@@ -280,58 +277,6 @@ pub fn switching_setup(setup: &PaperSetup, switch_kwh: f64) -> PaperSetup {
     let mut s = setup.clone();
     s.cost.switch_energy_kwh = switch_kwh;
     s
-}
-
-/// One row of the frame-reset ablation.
-#[derive(Debug, Clone, Copy)]
-pub struct AblationRow {
-    /// Frames used (1 = never reset).
-    pub frames: usize,
-    /// Average hourly cost.
-    pub cost: f64,
-    /// Brown energy relative to the budget.
-    pub brown_over_budget: f64,
-    /// Peak carbon-deficit queue length (kWh).
-    pub peak_queue: f64,
-}
-
-/// One point of the frame-reset ablation (DESIGN.md §7): COCA at
-/// constant `v` with the horizon split into `frames` frames, the trace
-/// trimmed to J = R·T, and the controller's REC allotment (but not the
-/// engine's) prorated to the trimmed horizon.
-pub fn frame_reset_point(
-    setup: &PaperSetup,
-    v: f64,
-    frames: usize,
-) -> Result<AblationRow, SimError> {
-    let (s, frame) = trim_to_frames(setup, frames);
-    let trimmed = frame * frames;
-    let cfg = CocaConfig {
-        v: VSchedule::Constant(v),
-        frame_length: frame,
-        horizon: trimmed,
-        alpha: 1.0,
-        rec_total: s.rec_total * trimmed as f64 / setup.trace.len() as f64,
-    };
-    let mut coca = CocaController::new(Arc::clone(&s.cluster), s.cost, cfg, SymmetricSolver::new());
-    // `&mut coca` as the lane keeps the controller borrowed, not moved,
-    // so its peak deficit stays readable after the run.
-    let out = run_lockstep(
-        Arc::clone(&s.cluster),
-        &s.trace,
-        s.cost,
-        s.rec_total,
-        vec![Box::new(&mut coca) as Box<dyn Policy + '_>],
-    )?
-    .pop()
-    .ok_or_else(|| SimError::Internal("engine produced no outcome".into()))?;
-    let budget = s.budget_kwh * trimmed as f64 / setup.trace.len() as f64;
-    Ok(AblationRow {
-        frames,
-        cost: out.avg_hourly_cost(),
-        brown_over_budget: out.total_brown_energy() / budget,
-        peak_queue: coca.max_deficit(),
-    })
 }
 
 /// The setup with the renewable portfolio re-split: `share` of the budget

@@ -7,7 +7,8 @@
 //!    the facility consumption `E_full`;
 //! 3. scale the on-site renewable series to 20 % of `E_full`;
 //! 4. re-run carbon-unaware with on-site renewables to get the reference
-//!    brown consumption `E_unaware` (the paper's 1.55×10⁵ MWh);
+//!    brown consumption `E_unaware` (the paper's 1.55×10⁵ MWh) and the
+//!    reference average hourly cost that Fig. 5 normalizes by;
 //! 5. set the carbon budget to `budget_fraction · E_unaware` (default
 //!    92 %), split 40 % off-site renewables / 60 % RECs.
 
@@ -85,6 +86,10 @@ pub struct PaperSetup {
     pub cost: CostParams,
     /// Reference brown consumption of the carbon-unaware policy (kWh).
     pub unaware_brown_kwh: f64,
+    /// Reference average hourly cost of the carbon-unaware policy. Its
+    /// decisions and costs do not read off-site supply or RECs, so the
+    /// step-4 run is also the reference for the finished setup.
+    pub unaware_hourly_cost: f64,
     /// Carbon budget (kWh) = `budget_fraction · unaware_brown_kwh`.
     pub budget_kwh: f64,
     /// RECs Z (kWh), 60 % of the budget.
@@ -136,9 +141,10 @@ impl PaperSetup {
             scale.hours,
         );
 
-        // Step 4: reference brown consumption with on-site in place.
-        let unaware_brown_kwh =
-            unaware_reference(&cluster, cost, &trace, 0.0)?.total_brown_energy();
+        // Step 4: reference brown consumption and cost with on-site in place.
+        let reference = unaware_reference(&cluster, cost, &trace, 0.0)?;
+        let unaware_brown_kwh = reference.total_brown_energy();
+        let unaware_hourly_cost = reference.avg_hourly_cost();
 
         // Step 5: budget split 40 % off-site / 60 % RECs.
         let budget_kwh = budget_fraction * unaware_brown_kwh;
@@ -152,7 +158,16 @@ impl PaperSetup {
         );
         let rec_total = 0.60 * budget_kwh;
 
-        Ok(Self { cluster, trace, cost, unaware_brown_kwh, budget_kwh, rec_total, scale })
+        Ok(Self {
+            cluster,
+            trace,
+            cost,
+            unaware_brown_kwh,
+            unaware_hourly_cost,
+            budget_kwh,
+            rec_total,
+            scale,
+        })
     }
 
     /// Rebuilds the same scenario with a different budget fraction without
@@ -174,6 +189,7 @@ impl PaperSetup {
             trace,
             cost: self.cost,
             unaware_brown_kwh: self.unaware_brown_kwh,
+            unaware_hourly_cost: self.unaware_hourly_cost,
             budget_kwh,
             rec_total: 0.60 * budget_kwh,
             scale: self.scale,
@@ -231,8 +247,25 @@ mod tests {
         let t = s.with_budget_fraction(1.05);
         assert!((t.budget_fraction() - 1.05).abs() < 1e-9);
         assert_eq!(t.unaware_brown_kwh, s.unaware_brown_kwh);
+        assert_eq!(t.unaware_hourly_cost, s.unaware_hourly_cost);
         assert!(t.trace.total_offsite() > s.trace.total_offsite());
         assert_eq!(t.trace.workload, s.trace.workload, "workload untouched");
+    }
+
+    /// The step-4 reference is the finished setup's: simulating the
+    /// carbon-unaware policy again with off-site supply and RECs in place
+    /// gives the same cost to the bit.
+    #[test]
+    fn unaware_hourly_cost_is_the_finished_setups_reference() {
+        for workload in [WorkloadKind::Fiu, WorkloadKind::Msr] {
+            let s = PaperSetup::build(ExperimentScale::small(), workload, 0.92).unwrap();
+            let again = unaware_reference(&s.cluster, s.cost, &s.trace, s.rec_total).unwrap();
+            assert_eq!(
+                again.avg_hourly_cost().to_bits(),
+                s.unaware_hourly_cost.to_bits(),
+                "{workload:?}"
+            );
+        }
     }
 
     #[test]

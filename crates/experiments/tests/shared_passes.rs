@@ -5,19 +5,15 @@
 
 use coca_dcsim::PassMemo;
 use coca_experiments::figures::{budget_point, calibrate_v, BudgetSweepRow};
-use coca_experiments::setup::{unaware_reference, ExperimentScale, PaperSetup};
+use coca_experiments::setup::{ExperimentScale, PaperSetup};
 use coca_traces::WorkloadKind;
 
 /// The committed Fig. 5(a)/(b) budget fractions and probe count.
 const FRACTIONS: [f64; 5] = [0.85, 0.9, 0.92, 1.0, 1.05];
 const PROBES: usize = 5;
 
-fn base(workload: WorkloadKind) -> (PaperSetup, f64) {
-    let base = PaperSetup::build(ExperimentScale::small(), workload, 0.92).expect("setup");
-    let unaware = unaware_reference(&base.cluster, base.cost, &base.trace, base.rec_total)
-        .expect("unaware reference")
-        .avg_hourly_cost();
-    (base, unaware)
+fn base(workload: WorkloadKind) -> PaperSetup {
+    PaperSetup::build(ExperimentScale::small(), workload, 0.92).expect("setup")
 }
 
 fn bits(row: &BudgetSweepRow) -> (u64, u64, u64, bool, u64) {
@@ -33,9 +29,9 @@ fn bits(row: &BudgetSweepRow) -> (u64, u64, u64, bool, u64) {
 #[test]
 fn budget_points_through_one_memo_match_unshared_ones_bit_for_bit() {
     for workload in [WorkloadKind::Fiu, WorkloadKind::Msr] {
-        let (base, unaware) = base(workload);
+        let base = base(workload);
         let point = |frac: f64, memo: &PassMemo| {
-            bits(&budget_point(&base, frac, PROBES, unaware, memo).expect("budget point"))
+            bits(&budget_point(&base, frac, PROBES, memo).expect("budget point"))
         };
         let alone: Vec<_> = FRACTIONS.iter().map(|&f| point(f, &PassMemo::new())).collect();
 
@@ -72,13 +68,13 @@ fn budget_points_through_one_memo_match_unshared_ones_bit_for_bit() {
 /// rebuilds its plan from it: one sweep shared and one executed.
 #[test]
 fn a_point_landing_on_a_shared_sweep_rebuilds_its_plan() {
-    let (base, unaware) = base(WorkloadKind::Fiu);
-    let alone = budget_point(&base, 1.0, PROBES, unaware, &PassMemo::new()).expect("alone");
+    let base = base(WorkloadKind::Fiu);
+    let alone = budget_point(&base, 1.0, PROBES, &PassMemo::new()).expect("alone");
     let memo = PassMemo::new();
-    budget_point(&base, 0.85, PROBES, unaware, &memo).expect("binding point");
+    budget_point(&base, 0.85, PROBES, &memo).expect("binding point");
     let sweeps = memo.opt_sweeps();
     let before = (sweeps.executed.get(), sweeps.shared.get());
-    let shared = budget_point(&base, 1.0, PROBES, unaware, &memo).expect("slack point");
+    let shared = budget_point(&base, 1.0, PROBES, &memo).expect("slack point");
     assert_eq!((sweeps.executed.get(), sweeps.shared.get()), (before.0 + 1, before.1 + 1));
     assert_eq!(bits(&shared), bits(&alone));
 }
@@ -88,7 +84,7 @@ fn a_point_landing_on_a_shared_sweep_rebuilds_its_plan() {
 /// included) runs no COCA pass of its own.
 #[test]
 fn calibration_reuses_the_context_v_star_bisection() {
-    let (base, unaware) = base(WorkloadKind::Fiu);
+    let base = base(WorkloadKind::Fiu);
     let memo = PassMemo::new();
     calibrate_v(&base, 7, &memo).expect("V* calibration");
     let runs = memo.coca_runs();
@@ -99,8 +95,8 @@ fn calibration_reuses_the_context_v_star_bisection() {
     let (fresh_v, fresh) = calibrate_v(&base, PROBES, &PassMemo::new()).expect("alone");
     assert_eq!((v.to_bits(), format!("{at_v:?}")), (fresh_v.to_bits(), format!("{fresh:?}")));
 
-    let row = budget_point(&base, 0.92, PROBES, unaware, &memo).expect("budget point");
+    let row = budget_point(&base, 0.92, PROBES, &memo).expect("budget point");
     assert_eq!(runs.executed.get(), executed, "the 92% point's calibration is shared too");
-    let alone = budget_point(&base, 0.92, PROBES, unaware, &PassMemo::new()).expect("alone");
+    let alone = budget_point(&base, 0.92, PROBES, &PassMemo::new()).expect("alone");
     assert_eq!(bits(&row), bits(&alone));
 }

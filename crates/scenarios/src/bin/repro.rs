@@ -161,8 +161,8 @@ fn lane_scalar(result: &Value, label: &str, scalar: &str) -> Option<f64> {
 }
 
 /// Prints the old harness's narrative lines for run kinds that used to
-/// accompany their figures: budget rows, the frame-reset table, and the
-/// COCA-vs-PerfectHP saving/summary block.
+/// accompany their figures: budget rows and the COCA-vs-PerfectHP
+/// saving/summary block.
 fn print_narratives(
     sp: &Spec,
     m: &manifest::Manifest,
@@ -193,32 +193,6 @@ fn print_narratives(
                     )
                     .ok();
                 }
-            }
-            "frame_reset" => {
-                writeln!(stdout, "\n## Ablation: deficit-queue frame reset").ok();
-                writeln!(
-                    stdout,
-                    "{:>8} {:>14} {:>16} {:>14}",
-                    "frames", "avg cost", "brown/budget", "peak queue"
-                )
-                .ok();
-                for result in &runs {
-                    let g = |s| lane_scalar(result, "coca", s).unwrap_or(f64::NAN);
-                    writeln!(
-                        stdout,
-                        "{:>8} {:>14.3} {:>16.4} {:>14.1}",
-                        g("frames") as usize,
-                        g("cost"),
-                        g("brown_over_budget"),
-                        g("peak_queue")
-                    )
-                    .ok();
-                }
-                writeln!(
-                    stdout,
-                    "(more frames = more resets = weaker neutrality pressure at fixed V)"
-                )
-                .ok();
             }
             "lockstep" => {
                 // A coca + perfect-hp duel carries the paper's headline

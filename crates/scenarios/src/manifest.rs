@@ -10,6 +10,10 @@
 //! therefore preserves the IDs — and the on-disk results — of every run
 //! whose resolved configuration is unchanged.
 //!
+//! Materialization refuses any run kind but the four the runner executes
+//! (`workloads`, `lockstep`, `budget_point`, `gsd_trace`), so a spec naming
+//! another fails before anything runs.
+//!
 //! Canonical JSON means recursively key-sorted maps serialized by the
 //! vendored `serde_json` (compact separators, shortest-round-trip floats),
 //! so materializing the same spec twice yields byte-identical manifests —
@@ -136,7 +140,7 @@ pub fn materialize(spec: &Spec, scale: ExperimentScale) -> Result<Manifest, Stri
     let mut runs = Vec::new();
     for group in &spec.groups {
         match group.kind.as_str() {
-            "workloads" | "lockstep" | "frame_reset" | "budget_point" | "gsd_trace" => {}
+            "workloads" | "lockstep" | "budget_point" | "gsd_trace" => {}
             other => return Err(format!("group {}: unknown run kind {other:?}", group.id)),
         }
         if group.kind == "lockstep" && group.lanes.is_empty() {

@@ -12,9 +12,9 @@
 //! ```
 //!
 //! **Shared contexts.** Manifests with the same (scale, workload, budget
-//! fraction) share one context: the base setup is built once, V\* is
-//! calibrated once per probe count, and the carbon-unaware reference cost
-//! is computed once. A Fig. 4 run's typical slot objective is one
+//! fraction) share one context: the base setup, which carries the
+//! carbon-unaware reference cost, is built once, and V\* is calibrated once
+//! per probe count. A Fig. 4 run's typical slot objective is one
 //! full-speed dispatch, computed where the run needs it.
 //!
 //! **Shared passes.** A context's [`PassMemo`] runs each COCA run at
@@ -22,16 +22,16 @@
 //! inputs (and, for a sweep, the solver's warm state): V\* calibrations and
 //! budget points go through it, and so does a lockstep run whose lanes
 //! resolve to one COCA lane at a constant V with no recorded series. Such a
-//! run that the memo serves writes no checkpoint and deletes a stale one.
+//! run that the memo serves writes no checkpoint and deletes a stale one:
+//! the frame-reset ablation's one-frame run is the V\* calibration's pass.
 //!
 //! **Shared runs.** Runs with the same simulation identity — context,
-//! kind and resolved config, less a lockstep run's report-only `record`
-//! and `movavg_window` — are simulated once, under the checkpoint path of
-//! the first one still pending. Each then writes its own result file from
-//! the shared outcomes, with its own `id`, `record` and `movavg_window`,
-//! byte-identical to the file it would have written alone. In the
-//! committed specs, Fig. 3's duel and the summary's headline duel are one
-//! simulation.
+//! kind and resolved config, less a lockstep run's report-only `record` —
+//! are simulated once, under the checkpoint path of the first one still
+//! pending. Each then writes its own result file from the shared
+//! outcomes, with its own `id` and `record`, byte-identical to the file it
+//! would have written alone. In the committed specs, Fig. 3's duel and the
+//! summary's headline duel are one simulation.
 //!
 //! **Run order.** The queue is FIFO and holds the simulations of every
 //! manifest, sorted costliest first by a deterministic estimate from each
@@ -49,10 +49,10 @@
 //! result file counts as not completed. With `resume`, an in-flight
 //! lockstep run whose checkpoint file exists restores from its last frame
 //! boundary via [`run_lockstep_checkpointed`]; point kinds (`budget_point`,
-//! `frame_reset`, `gsd_trace`, `workloads`) are atomic — interrupted ones
-//! simply re-run. Result and status files are written canonically through
-//! the fsync'd temp + rename of [`coca_dcsim::checkpoint::write_atomic`],
-//! so a resumed batch is byte-identical to an uninterrupted one.
+//! `gsd_trace`, `workloads`) are atomic — interrupted ones simply re-run.
+//! Result and status files are written canonically through the fsync'd
+//! temp + rename of [`coca_dcsim::checkpoint::write_atomic`], so a resumed
+//! batch is byte-identical to an uninterrupted one.
 //!
 //! Progress flows through the canonical [`BatchMetrics`] counters when a
 //! registry is attached, and through [`coca_obs::logger`] spans.
@@ -73,7 +73,7 @@ use coca_dcsim::{
 use coca_experiments::figures;
 use coca_experiments::parallel;
 use coca_experiments::runtime::{run_lockstep_checkpointed, CheckpointedRun, Checkpointing};
-use coca_experiments::setup::{unaware_reference, ExperimentScale, PaperSetup};
+use coca_experiments::setup::{ExperimentScale, PaperSetup};
 use coca_obs::logger::{self, Span};
 use coca_obs::{BatchMetrics, MetricsRegistry};
 use coca_traces::{WorkloadKind, WorkloadTrace};
@@ -148,10 +148,9 @@ pub struct BatchRunner<'m> {
 
 /// Context shared by every run of one (scale, workload, budget fraction)
 /// across all manifests of a batch: the lazily built base setup, the
-/// quantities derived from it (calibrated V\* per probe count and the
-/// carbon-unaware reference cost), and the memo of
-/// the COCA runs and OPT μ-sweeps its runs make. Each value is computed
-/// once, under its own key's lock ([`OnceMap`]): concurrent runs needing
+/// calibrated V\* per probe count, and the memo of the COCA runs and OPT
+/// μ-sweeps its runs make. Each value is computed once, under its own
+/// key's lock ([`OnceMap`]): concurrent runs needing
 /// the same one wait for it instead of duplicating a year-long
 /// calibration, and runs needing another one do not wait.
 struct Ctx {
@@ -160,7 +159,6 @@ struct Ctx {
     budget_fraction: f64,
     setup: OnceMap<(), Arc<PaperSetup>>,
     vstar: OnceMap<usize, f64>,
-    unaware: OnceMap<(), f64>,
     passes: PassMemo,
 }
 
@@ -201,16 +199,6 @@ impl Ctx {
             Ok::<_, String>(v)
         })?;
         Ok(v)
-    }
-
-    fn unaware_cost(&self) -> Result<f64, String> {
-        let setup = self.setup()?;
-        let (cost, _) = self.unaware.get_or_try_init((), || {
-            let out = unaware_reference(&setup.cluster, setup.cost, &setup.trace, setup.rec_total)
-                .map_err(|e| format!("unaware reference: {e}"))?;
-            Ok::<_, String>(out.avg_hourly_cost())
-        })?;
-        Ok(cost)
     }
 }
 
@@ -527,8 +515,7 @@ fn simulate_lockstep(
 }
 
 /// The lanes of run `cfg`'s result file from the lockstep simulation it
-/// shares: the scalars, plus the series its `record` names, smoothed by
-/// its `movavg_window`.
+/// shares: the scalars, plus the series its `record` names.
 fn report_lockstep(cfg: &Value, run: &LockstepRun) -> Result<Vec<Value>, String> {
     let record: Vec<&str> = match cfg.get_field("record") {
         None => Vec::new(),
@@ -539,7 +526,7 @@ fn report_lockstep(cfg: &Value, run: &LockstepRun) -> Result<Vec<Value>, String>
             .map(|v| str_of(v).ok_or_else(|| "record entries must be strings".to_string()))
             .collect::<Result<_, _>>()?,
     };
-    let window = p_uint(cfg, "movavg_window", figures::movavg_window(run.base_len))?;
+    let window = figures::movavg_window(run.base_len);
 
     let mut lane_values = Vec::with_capacity(run.lanes.len());
     for lane in &run.lanes {
@@ -596,36 +583,11 @@ fn run_workloads_kind(ctx: &Ctx, cfg: &Value) -> Result<Vec<Value>, String> {
     )])
 }
 
-fn run_frame_reset_kind(ctx: &Ctx, cfg: &Value) -> Result<Vec<Value>, String> {
-    let base = ctx.setup()?;
-    let v0 = base.characteristic_v();
-    let (vsched, v_used) = resolve_v(ctx, cfg, cfg, v0)?;
-    let v = match (vsched, v_used) {
-        (VSchedule::Constant(v), _) => v,
-        _ => return Err("frame_reset needs a constant V".into()),
-    };
-    let frames = p_uint(cfg, "frames", 0)?;
-    if frames == 0 {
-        return Err("frame_reset needs frames >= 1".into());
-    }
-    let row = figures::frame_reset_point(&base, v, frames)
-        .map_err(|e| format!("frame_reset run: {e}"))?;
-    let scalars = vec![
-        ("brown_over_budget".to_string(), row.brown_over_budget),
-        ("cost".to_string(), row.cost),
-        ("frames".to_string(), row.frames as f64),
-        ("peak_queue".to_string(), row.peak_queue),
-        ("v_used".to_string(), v),
-    ];
-    Ok(vec![lane_value("coca", false, scalar_map(scalars), series_map(Vec::new()))])
-}
-
 fn run_budget_point_kind(ctx: &Ctx, cfg: &Value) -> Result<Vec<Value>, String> {
     let base = ctx.setup()?;
     let frac = p_num_opt(cfg, "budget_frac")?.ok_or("budget_point needs budget_frac")?;
     let probes = p_uint(cfg, "calib_probes", 5)?;
-    let unaware_cost = ctx.unaware_cost()?;
-    let row = figures::budget_point(&base, frac, probes, unaware_cost, &ctx.passes)
+    let row = figures::budget_point(&base, frac, probes, &ctx.passes)
         .map_err(|e| format!("budget point: {e}"))?;
     let scalars = vec![
         ("budget_frac".to_string(), row.budget_fraction),
@@ -707,7 +669,6 @@ fn simulate(
                 .map(Simulated::Lockstep)
         }
         "workloads" => run_workloads_kind(ctx, cfg),
-        "frame_reset" => run_frame_reset_kind(ctx, cfg),
         "budget_point" => run_budget_point_kind(ctx, cfg),
         "gsd_trace" => run_gsd_trace_kind(ctx, cfg),
         other => Err(format!("unknown run kind {other:?}")),
@@ -726,7 +687,7 @@ fn report(entry: &RunEntry, sim: &Simulated) -> Result<Value, String> {
 
 /// The keys of a lockstep run's config that shape only its result file:
 /// runs whose configs differ in nothing else share one simulation.
-const REPORT_ONLY_KEYS: [&str; 2] = ["movavg_window", "record"];
+const REPORT_ONLY_KEYS: [&str; 1] = ["record"];
 
 /// A run's simulation identity: its context (an index into
 /// [`contexts`]), kind and resolved config, less a lockstep run's
@@ -763,12 +724,11 @@ const PERFECT_HP_LANE_SLOTS: u64 = 25;
 const OPT_PLAN_PASSES: u64 = 8;
 
 /// The probe counts of the context V\* a run needs ([`Ctx::vstar`]), one
-/// per calibrated COCA lane; a `frame_reset` run is its own lane.
+/// per calibrated COCA lane of a lockstep run.
 fn vstar_probes(entry: &RunEntry) -> Vec<usize> {
     let cfg = &entry.config;
     let lanes = match entry.kind.as_str() {
         "lockstep" => cfg.get_field("lanes").and_then(Value::as_seq).unwrap_or(&[]),
-        "frame_reset" => std::slice::from_ref(cfg),
         _ => &[],
     };
     lanes
@@ -808,7 +768,6 @@ fn run_cost(entry: &RunEntry, hours: usize) -> u64 {
                 .sum();
             lane_slots + calibration
         }
-        "frame_reset" => h + calibration,
         "budget_point" => {
             // Its own V bisection (probes + 2 passes, one of which is the
             // COCA run it reports) and the OPT plan.
@@ -929,7 +888,6 @@ fn contexts(
                     budget_fraction: m.budget_fraction,
                     setup: OnceMap::default(),
                     vstar: OnceMap::default(),
-                    unaware: OnceMap::default(),
                     passes,
                 });
                 keys.push(key);
@@ -1382,6 +1340,10 @@ mod tests {
                 e.kind == "gsd_trace" || e.kind == "workloads" || single_coca_lane(e)
             })
             .collect();
+        let mut kinds: Vec<&str> = entries.iter().map(|e| e.kind.as_str()).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds, ["budget_point", "gsd_trace", "lockstep", "workloads"], "four run kinds");
         assert_eq!(first.len(), 11, "one perfect_hp duel and ten budget points");
         assert!(!last.is_empty());
         assert!(
@@ -1534,6 +1496,78 @@ mod tests {
         for d in [clean, later] {
             let _ = std::fs::remove_dir_all(d);
         }
+    }
+
+    /// The frame-reset ablation is a lockstep sweep over `trim_frames`: its
+    /// one-frame run is the V\* calibration's pass, which the context's memo
+    /// serves, and its three multi-frame runs simulate. A spec naming the
+    /// retired `frame_reset` kind does not materialize.
+    #[test]
+    fn ablation_one_frame_run_is_the_calibrations_pass() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../scenarios/ablation_frame_reset.json");
+        let sp = Spec::load(&path).expect("spec parses");
+        let m = manifest::materialize(&sp, ExperimentScale::small()).expect("materialize");
+        let registry = Arc::new(MetricsRegistry::new());
+        let dir = scratch_dir("ablation");
+        let opts = BatchOptions {
+            dir: dir.clone(),
+            workers: 1,
+            registry: Some(Arc::clone(&registry)),
+            ..BatchOptions::default()
+        };
+        let runner = BatchRunner::new(&m, opts);
+        assert!(runner.run().expect("batch runs").is_complete());
+
+        let setup = PaperSetup::build(ExperimentScale::small(), WorkloadKind::Fiu, 0.92)
+            .expect("setup");
+        let memo = PassMemo::new();
+        let (vstar, at_vstar) = figures::calibrate_v(&setup, 7, &memo).expect("calibration");
+        let calibration = memo.coca_runs();
+        let snap = registry.snapshot();
+        assert_eq!(
+            (
+                snap.counter("batch_coca_runs_executed_total"),
+                snap.counter("batch_coca_runs_shared_total")
+            ),
+            (Some(calibration.executed.get() + 3), Some(calibration.shared.get() + 1)),
+            "the multi-frame runs simulate, the one-frame run is shared"
+        );
+
+        let results = runner.load_results().expect("results load");
+        let one = m
+            .runs
+            .iter()
+            .find(|e| e.config.get_field("trim_frames").and_then(uint) == Some(1))
+            .expect("a one-frame run");
+        let lanes = results[&one.id].get_field("lanes").and_then(Value::as_seq).expect("lanes");
+        let scalar = |name: &str| {
+            let scalars = lanes[0].get_field("scalars").expect("scalars");
+            scalars.get_field(name).and_then(num).unwrap_or_else(|| panic!("{name}")).to_bits()
+        };
+        let brown = at_vstar.total_brown_energy();
+        // The runner prorates the budget to the (here untrimmed) horizon.
+        let hours = setup.trace.len() as f64;
+        for (name, want) in [
+            ("avg_hourly_cost", at_vstar.avg_hourly_cost()),
+            ("avg_hourly_deficit", at_vstar.avg_hourly_deficit()),
+            ("total_brown_energy", brown),
+            ("brown_over_budget", brown / (setup.budget_kwh * hours / hours)),
+            ("peak_queue", at_vstar.peak_queue().expect("COCA's peak queue")),
+            ("v_used", vstar),
+        ] {
+            assert_eq!(scalar(name), want.to_bits(), "{name}");
+        }
+
+        let retired = Spec::from_json(
+            r#"{"name": "retired", "groups": [{"id": "frames", "kind": "frame_reset",
+                "params": {"v_mode": "calibrated"}, "sweep": {"frames": [1, 2]}}]}"#,
+        )
+        .expect("spec parses");
+        let err = manifest::materialize(&retired, ExperimentScale::small())
+            .expect_err("frame_reset is not a run kind");
+        assert!(err.contains("unknown run kind \"frame_reset\""), "{err}");
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

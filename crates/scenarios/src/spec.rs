@@ -4,6 +4,9 @@
 //! template, a list of **run groups** (each a run kind, fixed parameters,
 //! an optional cartesian `sweep`, and for lockstep runs a list of policy
 //! lanes), and a list of **figures** assembled from the completed runs.
+//! The four run kinds are `workloads`, `lockstep`, `budget_point` and
+//! `gsd_trace`; a lockstep run's `trim_frames` splits the horizon into
+//! frames, which is all the frame-reset ablation sweeps.
 //! The grammar is pinned by `schemas/scenario.schema.json` and documented
 //! in DESIGN.md §16; parsing here is stricter than the schema (unknown run
 //! kinds and malformed series selectors fail at materialization).
@@ -50,8 +53,7 @@ pub type Lane = Value;
 pub struct GroupSpec {
     /// Group identifier, referenced by figure series.
     pub id: String,
-    /// Run kind: `workloads`, `lockstep`, `frame_reset`, `budget_point`,
-    /// or `gsd_trace`.
+    /// Run kind: `workloads`, `lockstep`, `budget_point` or `gsd_trace`.
     pub kind: String,
     /// Fixed parameters shared by every run of the group (spec key order).
     pub params: Vec<(String, Value)>,

@@ -40,7 +40,7 @@ const SPECS: [&str; 3] = [
       "name": "queue_shared",
       "groups": [
         {"id": "ref_recorded", "kind": "lockstep",
-         "params": {"record": ["cost", "movavg_cost"], "movavg_window": 24},
+         "params": {"record": ["cost", "movavg_cost"]},
          "lanes": [{"label": "carbon-unaware", "policy": "unaware"}]}
       ]
     }"#,
