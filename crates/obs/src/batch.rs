@@ -11,7 +11,7 @@
 //! | `batch_runs_failed_total` | counter | runs that returned an error |
 //! | `batch_runs_resumed_total` | counter | runs restored from a checkpoint |
 //! | `batch_runs_skipped_total` | counter | runs already completed on disk |
-//! | `batch_run_seconds` | histogram | wall-clock per executed simulation (runs sharing one observe it once) |
+//! | `batch_run_seconds` | histogram | wall-clock per executed run, observed when it completes |
 //! | `batch_coca_runs_executed_total` | counter | whole COCA runs a context's pass memo simulated |
 //! | `batch_coca_runs_shared_total` | counter | COCA runs it answered from an earlier run |
 //! | `batch_opt_sweeps_executed_total` | counter | OPT μ-sweeps it ran, plan rebuilds included |
@@ -44,8 +44,8 @@ pub struct BatchMetrics {
     pub resumed: Arc<Counter>,
     /// Runs already completed on disk and skipped (`batch_runs_skipped_total`).
     pub skipped: Arc<Counter>,
-    /// Wall-clock seconds per executed simulation, observed once however
-    /// many runs share it (`batch_run_seconds`).
+    /// Wall-clock seconds per executed run, observed when it completes
+    /// (`batch_run_seconds`).
     pub run_seconds: Arc<Histogram>,
     /// COCA runs a context's pass memo simulated
     /// (`batch_coca_runs_executed_total`).

@@ -34,6 +34,7 @@
 //! `schemas/metrics.schema.json`. The command's own batch tallies into the
 //! same snapshot.
 
+use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -151,99 +152,82 @@ fn emit(args: &Args, stem: &str, fig: &Figure) {
     }
 }
 
-fn lane_scalar(result: &Value, label: &str, scalar: &str) -> Option<f64> {
-    let lane = result
+fn lane<'r>(result: &'r Value, label: &str) -> Option<&'r Value> {
+    result
         .get_field("lanes")?
         .as_seq()?
         .iter()
-        .find(|l| l.get_field("label").and_then(spec::str_of) == Some(label))?;
-    spec::num(lane.get_field("scalars")?.get_field(scalar)?)
+        .find(|l| l.get_field("label").and_then(spec::str_of) == Some(label))
 }
 
-/// Prints the old harness's narrative lines for run kinds that used to
-/// accompany their figures: budget rows and the COCA-vs-PerfectHP
-/// saving/summary block.
+fn lane_scalar(result: &Value, label: &str, scalar: &str) -> Option<f64> {
+    spec::num(lane(result, label)?.get_field("scalars")?.get_field(scalar)?)
+}
+
+/// `value` with `prec` decimals, or `n/a` when the result lacks it.
+fn fixed(value: Option<f64>, prec: usize) -> String {
+    value.map_or_else(|| "n/a".to_string(), |v| format!("{v:.prec$}"))
+}
+
+/// A 0/1 flag scalar as `true`/`false`, or `n/a` when the result lacks it.
+fn flag(value: Option<f64>) -> String {
+    // audit:allow(float-eq) boolean scalar serialized as exactly 0.0/1.0
+    value.map_or_else(|| "n/a".to_string(), |v| (v != 0.0).to_string())
+}
+
+/// Prints the narrative lines that accompany a spec's figures: a row per
+/// budget point, and the paper's headline block for every lockstep run
+/// with a `coca` and a `perfect-hp` lane (Fig. 3's duel): V\*, both
+/// lanes' carbon outcome and cost, and COCA's saving. A scalar the result
+/// lacks prints as `n/a`.
 fn print_narratives(
-    sp: &Spec,
+    out: &mut impl Write,
     m: &manifest::Manifest,
-    results: &std::collections::HashMap<String, Value>,
-    args: &Args,
-) {
-    let mut stdout = std::io::stdout().lock();
-    for group in &sp.groups {
-        let runs: Vec<&Value> = m
-            .runs
-            .iter()
-            .filter(|r| r.group == group.id)
-            .filter_map(|r| results.get(&r.id))
-            .collect();
-        match group.kind.as_str() {
+    results: &HashMap<String, Value>,
+    scale_name: &str,
+) -> std::io::Result<()> {
+    for (run, result) in m.runs.iter().filter_map(|r| Some((r, results.get(&r.id)?))) {
+        match run.kind.as_str() {
             "budget_point" => {
-                for result in &runs {
-                    let g = |s| lane_scalar(result, "point", s).unwrap_or(f64::NAN);
-                    writeln!(
-                        stdout,
-                        "  budget {:.2}: coca {:.4} (neutral: {}, V={:.1}) opt {:.4}",
-                        g("budget_frac"),
-                        g("coca_norm"),
-                        // audit:allow(float-eq) boolean scalar serialized as exactly 0.0/1.0
-                        g("coca_neutral") != 0.0,
-                        g("v_used"),
-                        g("opt_norm"),
-                    )
-                    .ok();
-                }
+                let g = |s| lane_scalar(result, "point", s);
+                writeln!(
+                    out,
+                    "  budget {}: coca {} (neutral: {}, V={}) opt {}",
+                    fixed(g("budget_frac"), 2),
+                    fixed(g("coca_norm"), 4),
+                    flag(g("coca_neutral")),
+                    fixed(g("v_used"), 1),
+                    fixed(g("opt_norm"), 4),
+                )?;
             }
-            "lockstep" => {
-                // A coca + perfect-hp duel carries the paper's headline
-                // numbers; print them like the old fig3/summary commands.
-                for result in &runs {
-                    let (Some(coca), Some(hp)) = (
-                        lane_scalar(result, "coca", "avg_hourly_cost"),
-                        lane_scalar(result, "perfect-hp", "avg_hourly_cost"),
-                    ) else {
-                        continue;
-                    };
-                    let saving = 1.0 - coca / hp;
-                    if sp.name == "summary" {
-                        let g = |s| lane_scalar(result, "coca", s).unwrap_or(f64::NAN);
-                        writeln!(
-                            stdout,
-                            "\n## Summary (scale = {}, budget = {:.0}%)",
-                            args.scale_name,
-                            sp.budget_fraction * 100.0
-                        )
-                        .ok();
-                        writeln!(stdout, "calibrated V*                 : {:.1}", g("v_used"))
-                            .ok();
-                        writeln!(
-                            stdout,
-                            "COCA brown energy / budget    : {:.4} (neutral: {})",
-                            g("brown_over_budget"),
-                            // audit:allow(float-eq) boolean scalar serialized as exactly 0.0/1.0
-                            g("carbon_neutral") != 0.0
-                        )
-                        .ok();
-                        writeln!(stdout, "COCA avg hourly cost          : {coca:.3}").ok();
-                        writeln!(
-                            stdout,
-                            "cost saving vs PerfectHP      : {:.1}%  (paper: >25%)",
-                            saving * 100.0
-                        )
-                        .ok();
-                    } else {
-                        writeln!(
-                            stdout,
-                            "\nCOCA cost saving vs PerfectHP: {:.1}% (paper: >25%)",
-                            saving * 100.0
-                        )
-                        .ok();
-                    }
+            "lockstep" if ["coca", "perfect-hp"].iter().all(|l| lane(result, l).is_some()) => {
+                let coca = |s| lane_scalar(result, "coca", s);
+                let hp = |s| lane_scalar(result, "perfect-hp", s);
+                let saving = coca("avg_hourly_cost")
+                    .zip(hp("avg_hourly_cost"))
+                    .map(|(coca, hp)| 100.0 * (1.0 - coca / hp));
+                writeln!(
+                    out,
+                    "\n## Summary (scale = {scale_name}, budget = {:.0}%)",
+                    m.budget_fraction * 100.0
+                )?;
+                writeln!(out, "calibrated V*            : {}", fixed(coca("v_used"), 1))?;
+                let pair = |s, prec| (fixed(coca(s), prec), fixed(hp(s), prec));
+                let rows = [
+                    ("brown energy / budget", pair("brown_over_budget", 4)),
+                    ("carbon neutral", (flag(coca("carbon_neutral")), flag(hp("carbon_neutral")))),
+                    ("avg hourly cost", pair("avg_hourly_cost", 3)),
+                ];
+                writeln!(out, "{:<27}{:<12}PerfectHP", "", "COCA")?;
+                for (name, (c, h)) in rows {
+                    writeln!(out, "{name:<25}: {c:<12}{h}")?;
                 }
+                writeln!(out, "cost saving vs PerfectHP : {}%  (paper: >25%)", fixed(saving, 1))?;
             }
             _ => {}
         }
     }
+    Ok(())
 }
 
 /// Materializes every spec, executes all their runs through one batch
@@ -322,7 +306,8 @@ fn run_specs(
         for (stem, fig) in assemble::assemble(sp, m, &results)? {
             emit(args, &stem, &fig);
         }
-        print_narratives(sp, m, &results, args);
+        // Ignore stdout errors, as `emit` does.
+        print_narratives(&mut std::io::stdout().lock(), m, &results, &args.scale_name).ok();
     }
     Ok(all_complete)
 }
@@ -528,5 +513,73 @@ fn main() -> ExitCode {
             logger::error(&Span::new("repro"), &e);
             ExitCode::from(1)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// What `print_narratives` writes for the one run of a spec whose only
+    /// group is `group`, given that run's result file `result`.
+    fn narrate(group: &str, result: &str) -> String {
+        let json = format!(r#"{{"name": "narrate", "budget_fraction": 0.9, "groups": [{group}]}}"#);
+        let sp = Spec::from_json(&json).expect("spec parses");
+        let m = manifest::materialize(&sp, ExperimentScale::small()).expect("materialize");
+        let result: Value = serde_json::from_str(result).expect("result parses");
+        let results = HashMap::from([(m.runs[0].id.clone(), result)]);
+        let mut out = Vec::new();
+        print_narratives(&mut out, &m, &results, "small").expect("writes to a Vec");
+        String::from_utf8(out).expect("utf-8")
+    }
+
+    #[test]
+    fn duel_prints_both_lanes_and_a_missing_flag_as_na() {
+        let duel = r#"{"id": "duel", "kind": "lockstep", "lanes": [
+            {"label": "coca", "policy": "coca"},
+            {"label": "perfect-hp", "policy": "perfect_hp"}]}"#;
+        let result = r#"{"id": "r", "kind": "lockstep", "lanes": [
+            {"label": "coca", "skipped": false, "series": {},
+             "scalars": {"avg_hourly_cost": 30.0, "brown_over_budget": 0.99936, "v_used": 385.42}},
+            {"label": "perfect-hp", "skipped": false, "series": {},
+             "scalars": {"avg_hourly_cost": 40.0, "brown_over_budget": 1.05,
+                         "carbon_neutral": 0.0}}]}"#;
+        let want = "\n## Summary (scale = small, budget = 90%)\n\
+                    calibrated V*            : 385.4\n\
+                    \x20                          COCA        PerfectHP\n\
+                    brown energy / budget    : 0.9994      1.0500\n\
+                    carbon neutral           : n/a         false\n\
+                    avg hourly cost          : 30.000      40.000\n\
+                    cost saving vs PerfectHP : 25.0%  (paper: >25%)\n";
+        assert_eq!(narrate(duel, result), want);
+
+        // A lockstep run without both lanes is no duel.
+        let solo = r#"{"id": "solo", "kind": "lockstep", "lanes": [
+            {"label": "coca", "policy": "coca"}]}"#;
+        let result = r#"{"id": "r", "kind": "lockstep", "lanes": [
+            {"label": "coca", "skipped": false, "series": {},
+             "scalars": {"avg_hourly_cost": 30.0}}]}"#;
+        assert_eq!(narrate(solo, result), "");
+    }
+
+    #[test]
+    fn budget_point_prints_a_missing_flag_as_na() {
+        let group = r#"{"id": "b", "kind": "budget_point", "params": {"budget_frac": 0.85}}"#;
+        let point = |neutral: &str| {
+            format!(
+                r#"{{"id": "r", "kind": "budget_point", "lanes": [
+                {{"label": "point", "skipped": false, "series": {{}},
+                  "scalars": {{"budget_frac": 0.85, "coca_norm": 1.048, {neutral}
+                              "opt_norm": 1.027, "v_used": 120.0}}}}]}}"#
+            )
+        };
+        assert_eq!(
+            narrate(group, &point(r#""coca_neutral": 1.0,"#)),
+            "  budget 0.85: coca 1.0480 (neutral: true, V=120.0) opt 1.0270\n"
+        );
+        assert_eq!(
+            narrate(group, &point("")),
+            "  budget 0.85: coca 1.0480 (neutral: n/a, V=120.0) opt 1.0270\n"
+        );
     }
 }

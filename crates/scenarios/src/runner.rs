@@ -25,23 +25,15 @@
 //! run that the memo serves writes no checkpoint and deletes a stale one:
 //! the frame-reset ablation's one-frame run is the V\* calibration's pass.
 //!
-//! **Shared runs.** Runs with the same simulation identity — context,
-//! kind and resolved config, less a lockstep run's report-only `record` —
-//! are simulated once, under the checkpoint path of the first one still
-//! pending. Each then writes its own result file from the shared
-//! outcomes, with its own `id` and `record`, byte-identical to the file it
-//! would have written alone. In the committed specs, Fig. 3's duel and the
-//! summary's headline duel are one simulation.
-//!
-//! **Run order.** The queue is FIFO and holds the simulations of every
-//! manifest, sorted costliest first by a deterministic estimate from each
-//! run's kind and configuration (lanes, `perfect_hp` lanes, calibration
-//! probes, trimmed horizon), so the long runs start early and the short
-//! ones fill the tail. The simulation right behind the first one needing
-//! a context's V\* is the costliest that does not need it, so a second
-//! worker starts on it instead of waiting out the calibration. Result
-//! files do not depend on the order, and the order does not depend on the
-//! worker count or on wall times.
+//! **Run order.** The queue is FIFO and holds the runs of every manifest,
+//! sorted costliest first by a deterministic estimate from each run's kind
+//! and configuration (lanes, `perfect_hp` lanes, calibration probes,
+//! trimmed horizon), so the long runs start early and the short ones fill
+//! the tail. The run right behind the first one needing a context's V\* is
+//! the costliest that does not need it, so a second worker starts on it
+//! instead of waiting out the calibration. Result files do not depend on
+//! the order, and the order does not depend on the worker count or on wall
+//! times.
 //!
 //! **Resume semantics** (DESIGN.md §16): a run whose result file exists and
 //! parses is skipped outright (run IDs hash the resolved configuration, so
@@ -97,9 +89,7 @@ pub struct BatchOptions {
     pub resume: bool,
     /// Smoke-gate hook: stop once this many runs have completed in this
     /// invocation, counted across every manifest of the runner (remaining
-    /// runs report `pending`). Checked before each simulation starts and
-    /// between the result writes of runs sharing one, so the kill point can
-    /// fall inside a shared simulation.
+    /// runs report `pending`). Checked before each run starts.
     pub kill_after: Option<usize>,
     /// Test hook forwarded to every lockstep run's [`Checkpointing`]: crash
     /// the run once it reaches this slot, leaving its checkpoint behind.
@@ -348,44 +338,83 @@ fn resolve_v(
     }
 }
 
-/// One lane of a finished lockstep simulation.
-struct LaneResult {
-    label: String,
-    v_used: Option<f64>,
-    summary: RunSummary,
-    /// The lane's outcome, kept only when a run sharing the simulation
-    /// reports recorded series.
-    outcome: Option<SimOutcome>,
-}
-
-/// A finished lockstep simulation, before any run reports it.
-struct LockstepRun {
-    lanes: Vec<LaneResult>,
+/// What a lockstep run's result file reports of each of its lanes.
+struct LaneReport<'c> {
+    /// The series the run's `record` names.
+    record: Vec<&'c str>,
     /// The carbon budget prorated to the (trimmed) horizon.
     budget: f64,
-    /// Hours of the untrimmed context trace (the default moving-average
-    /// window scales with it).
-    base_len: usize,
-    /// True when the simulation continued from a restored checkpoint. A
-    /// run the context's pass memo answered was not simulated by this
-    /// call, so it restored nothing.
-    resumed: bool,
+    /// The moving-average window, which scales with the untrimmed trace.
+    window: usize,
 }
 
-/// Simulates the lockstep run `cfg`; `series` says whether a run sharing
-/// it reports recorded series. A run whose lanes resolve to one COCA lane
-/// at a constant V, with no series to report, is a COCA pass of the
+impl LaneReport<'_> {
+    /// One lane's entry: its scalars, plus the recorded series read from
+    /// `outcome`, which a lane the pass memo served does not have.
+    fn lane(
+        &self,
+        label: &str,
+        v_used: Option<f64>,
+        out: &RunSummary,
+        outcome: Option<&SimOutcome>,
+    ) -> Result<Value, String> {
+        let brown = out.total_brown_energy();
+        let mut scalars = vec![
+            ("avg_hourly_cost".to_string(), out.avg_hourly_cost()),
+            ("avg_hourly_deficit".to_string(), out.avg_hourly_deficit()),
+            ("brown_over_budget".to_string(), brown / self.budget),
+            (
+                "carbon_neutral".to_string(),
+                f64::from(u8::from(out.is_carbon_neutral() || brown <= self.budget)),
+            ),
+            ("total_brown_energy".to_string(), brown),
+        ];
+        if let Some(v) = v_used {
+            scalars.push(("v_used".to_string(), v));
+        }
+        if let Some(q) = out.peak_queue() {
+            scalars.push(("peak_queue".to_string(), q));
+        }
+        let mut series = Vec::new();
+        for name in &self.record {
+            let out = outcome.ok_or("recorded series of an unrecorded lane")?;
+            let values = match *name {
+                "movavg_cost" => out.movavg_cost(self.window),
+                "movavg_deficit" => out.movavg_deficit(self.window),
+                "cumavg_cost" => out.cumavg_cost(),
+                "cumavg_deficit" => out.cumavg_deficit(),
+                "cost" => out.cost_series(),
+                "deficit" => out.deficit_series(),
+                other => return Err(format!("unknown recorded series {other:?}")),
+            };
+            series.push((name.to_string(), values));
+        }
+        Ok(lane_value(label, false, scalar_map(scalars), series_map(series)))
+    }
+}
+
+/// Runs the lockstep run `cfg`, returning its lanes and whether it
+/// continued from a restored checkpoint. A run whose lanes resolve to one
+/// COCA lane at a constant V, with an empty `record`, is a COCA pass of the
 /// context's memo: a pass some earlier caller ran is served from the memo,
 /// writes no checkpoint and deletes a stale one, and a crash hook cannot
 /// stop it.
-fn simulate_lockstep(
+fn run_lockstep_kind(
     ctx: &Ctx,
     cfg: &Value,
-    series: bool,
     ckpt_path: &Path,
     resume: bool,
     abort_at_slot: Option<usize>,
-) -> Result<LockstepRun, String> {
+) -> Result<(Vec<Value>, bool), String> {
+    let record: Vec<&str> = match cfg.get_field("record") {
+        None => Vec::new(),
+        Some(r) => r
+            .as_seq()
+            .ok_or("record must be a list of series names")?
+            .iter()
+            .map(|v| str_of(v).ok_or_else(|| "record entries must be strings".to_string()))
+            .collect::<Result<_, _>>()?,
+    };
     let base = ctx.setup()?;
     let base_len = base.trace.len();
     let v0 = base.characteristic_v();
@@ -402,6 +431,7 @@ fn simulate_lockstep(
     let horizon = s.trace.len();
     let phi = p_num(cfg, "phi", 1.0)?;
     let budget = s.budget_kwh * horizon as f64 / base_len as f64;
+    let report = LaneReport { record, budget, window: figures::movavg_window(base_len) };
 
     let lanes_cfg = cfg
         .get_field("lanes")
@@ -472,7 +502,7 @@ fn simulate_lockstep(
         _ => None,
     };
 
-    if let (false, [lane]) = (series, lanes.as_mut_slice()) {
+    if let (true, [lane]) = (report.record.is_empty(), lanes.as_mut_slice()) {
         if let (Some(v), LanePolicy::Coca(_)) = (lane.v_used, &lane.policy) {
             let pass = CocaPass {
                 cluster: &s.cluster,
@@ -494,77 +524,20 @@ fn simulate_lockstep(
                 // A stale checkpoint would hijack a later run of these inputs.
                 let _ = std::fs::remove_file(ckpt_path);
             }
-            let label = lane.label.clone();
-            let lane = LaneResult { label, v_used: Some(v), summary, outcome: None };
-            return Ok(LockstepRun { lanes: vec![lane], budget, base_len, resumed });
+            return Ok((vec![report.lane(&lane.label, Some(v), &summary, None)?], resumed));
         }
     }
 
     let CheckpointedRun { outcomes, resumed } = simulate(&mut lanes)?;
     let lanes = lanes
         .iter()
-        .zip(outcomes)
-        .map(|(lane, out)| LaneResult {
-            label: lane.label.clone(),
-            v_used: lane.v_used,
-            summary: RunSummary::of(&out, peak_queue(lane)),
-            outcome: series.then_some(out),
+        .zip(&outcomes)
+        .map(|(lane, out)| {
+            let summary = RunSummary::of(out, peak_queue(lane));
+            report.lane(&lane.label, lane.v_used, &summary, Some(out))
         })
-        .collect();
-    Ok(LockstepRun { lanes, budget, base_len, resumed })
-}
-
-/// The lanes of run `cfg`'s result file from the lockstep simulation it
-/// shares: the scalars, plus the series its `record` names.
-fn report_lockstep(cfg: &Value, run: &LockstepRun) -> Result<Vec<Value>, String> {
-    let record: Vec<&str> = match cfg.get_field("record") {
-        None => Vec::new(),
-        Some(r) => r
-            .as_seq()
-            .ok_or("record must be a list of series names")?
-            .iter()
-            .map(|v| str_of(v).ok_or_else(|| "record entries must be strings".to_string()))
-            .collect::<Result<_, _>>()?,
-    };
-    let window = figures::movavg_window(run.base_len);
-
-    let mut lane_values = Vec::with_capacity(run.lanes.len());
-    for lane in &run.lanes {
-        let out = &lane.summary;
-        let brown = out.total_brown_energy();
-        let mut scalars = vec![
-            ("avg_hourly_cost".to_string(), out.avg_hourly_cost()),
-            ("avg_hourly_deficit".to_string(), out.avg_hourly_deficit()),
-            ("brown_over_budget".to_string(), brown / run.budget),
-            (
-                "carbon_neutral".to_string(),
-                f64::from(u8::from(out.is_carbon_neutral() || brown <= run.budget)),
-            ),
-            ("total_brown_energy".to_string(), brown),
-        ];
-        if let Some(v) = lane.v_used {
-            scalars.push(("v_used".to_string(), v));
-        }
-        if let Some(q) = out.peak_queue() {
-            scalars.push(("peak_queue".to_string(), q));
-        }
-        let mut series = Vec::new();
-        for name in &record {
-            let out = lane.outcome.as_ref().ok_or("recorded series of an unrecorded lane")?;
-            let values = match *name {
-                "movavg_cost" => out.movavg_cost(window),
-                "movavg_deficit" => out.movavg_deficit(window),
-                "cumavg_cost" => out.cumavg_cost(),
-                "cumavg_deficit" => out.cumavg_deficit(),
-                "cost" => out.cost_series(),
-                "deficit" => out.deficit_series(),
-                other => return Err(format!("unknown recorded series {other:?}")),
-            };
-            series.push((name.to_string(), values));
-        }
-        lane_values.push(lane_value(&lane.label, false, scalar_map(scalars), series_map(series)));
-    }
-    Ok(lane_values)
+        .collect::<Result<_, _>>()?;
+    Ok((lanes, resumed))
 }
 
 fn run_workloads_kind(ctx: &Ctx, cfg: &Value) -> Result<Vec<Value>, String> {
@@ -631,84 +604,24 @@ fn run_gsd_trace_kind(ctx: &Ctx, cfg: &Value) -> Result<Vec<Value>, String> {
     Ok(vec![lane])
 }
 
-/// What one executed simulation leaves for the result files of the runs
-/// sharing it (see [`simulation_key`]).
-enum Simulated {
-    /// A lockstep run's lane outcomes; each run reports its own series.
-    Lockstep(LockstepRun),
-    /// A point kind's finished lanes, the same for every run sharing them.
-    Lanes(Vec<Value>),
-}
-
-impl Simulated {
-    /// True when the simulation continued from a restored checkpoint.
-    fn resumed(&self) -> bool {
-        matches!(self, Self::Lockstep(LockstepRun { resumed: true, .. }))
-    }
-}
-
-/// `true` when run config `cfg` records any series.
-fn records_series(cfg: &Value) -> bool {
-    cfg.get_field("record").and_then(Value::as_seq).is_some_and(|r| !r.is_empty())
-}
-
-/// Simulates `entry`; `series` says whether a run sharing the simulation
-/// reports recorded series.
-fn simulate(
+/// Runs `entry`, returning its result file and whether it continued from
+/// a restored checkpoint.
+fn execute(
     ctx: &Ctx,
     entry: &RunEntry,
-    series: bool,
     ckpt_path: &Path,
     resume: bool,
     abort_at_slot: Option<usize>,
-) -> Result<Simulated, String> {
+) -> Result<(Value, bool), String> {
     let cfg = &entry.config;
-    let lanes = match entry.kind.as_str() {
-        "lockstep" => {
-            return simulate_lockstep(ctx, cfg, series, ckpt_path, resume, abort_at_slot)
-                .map(Simulated::Lockstep)
-        }
-        "workloads" => run_workloads_kind(ctx, cfg),
-        "budget_point" => run_budget_point_kind(ctx, cfg),
-        "gsd_trace" => run_gsd_trace_kind(ctx, cfg),
-        other => Err(format!("unknown run kind {other:?}")),
-    }?;
-    Ok(Simulated::Lanes(lanes))
-}
-
-/// The result file of run `entry` from the simulation it shares.
-fn report(entry: &RunEntry, sim: &Simulated) -> Result<Value, String> {
-    let lanes = match sim {
-        Simulated::Lockstep(run) => report_lockstep(&entry.config, run)?,
-        Simulated::Lanes(lanes) => lanes.clone(),
+    let (lanes, resumed) = match entry.kind.as_str() {
+        "lockstep" => run_lockstep_kind(ctx, cfg, ckpt_path, resume, abort_at_slot)?,
+        "workloads" => (run_workloads_kind(ctx, cfg)?, false),
+        "budget_point" => (run_budget_point_kind(ctx, cfg)?, false),
+        "gsd_trace" => (run_gsd_trace_kind(ctx, cfg)?, false),
+        other => return Err(format!("unknown run kind {other:?}")),
     };
-    Ok(run_value(entry, lanes))
-}
-
-/// The keys of a lockstep run's config that shape only its result file:
-/// runs whose configs differ in nothing else share one simulation.
-const REPORT_ONLY_KEYS: [&str; 1] = ["record"];
-
-/// A run's simulation identity: its context (an index into
-/// [`contexts`]), kind and resolved config, less a lockstep run's
-/// [`REPORT_ONLY_KEYS`]. Runs with equal keys produce the same outcomes,
-/// so the batch simulates each key once.
-fn simulation_key(entry: &RunEntry, ctx: usize) -> Result<String, String> {
-    let config = match (&entry.config, entry.kind.as_str()) {
-        (Value::Map(fields), "lockstep") => Value::Map(
-            fields
-                .iter()
-                .filter(|(k, _)| !REPORT_ONLY_KEYS.contains(&k.as_str()))
-                .cloned()
-                .collect(),
-        ),
-        (config, _) => config.clone(),
-    };
-    canonical_json(&Value::Map(vec![
-        ("config".to_string(), config),
-        ("context".to_string(), Value::Int(ctx as i64)),
-        ("kind".to_string(), Value::Str(entry.kind.clone())),
-    ]))
+    Ok((run_value(entry, lanes), resumed))
 }
 
 // ---- the run queue ---------------------------------------------------------
@@ -951,45 +864,26 @@ impl<'m> BatchRunner<'m> {
         self.jobs.first().map_or_else(|| self.opts.dir.join("runs"), Job::runs_dir)
     }
 
-    /// Every run as `(manifest index, run index)`, grouped by simulation
-    /// ([`simulation_key`]; each group in manifest then run order) and
-    /// the groups in queue order: costliest first by [`run_cost`], ties in
-    /// the order of each group's first run, except that the group right
-    /// behind the first one needing a context's V\* is the costliest that
-    /// does not need it. That first group calibrates V\* while every other
-    /// one needing it blocks on the context's cache, so the next free
-    /// worker gets work it can start. `ctx_of` maps each job to its
-    /// context (see [`contexts`]).
-    fn queue(&self, ctx_of: &[usize]) -> Result<Vec<Vec<(usize, usize)>>, String> {
-        let mut sim_of_key: HashMap<String, usize> = HashMap::new();
-        let mut sims: Vec<Vec<(usize, usize)>> = Vec::new();
+    /// Every run as `(manifest index, run index)`, in queue order:
+    /// costliest first by [`run_cost`], ties in manifest then run order,
+    /// except that the run right behind the first one needing a context's
+    /// V\* is the costliest that does not need it. That first run
+    /// calibrates V\* while every other one needing it blocks on the
+    /// context's cache, so the next free worker gets work it can start.
+    /// `ctx_of` maps each job to its context (see [`contexts`]).
+    fn queue(&self, ctx_of: &[usize]) -> Vec<(usize, usize)> {
+        let mut order: Vec<(u64, (usize, usize))> = Vec::new();
         for (j, job) in self.jobs.iter().enumerate() {
             for (i, entry) in job.manifest.runs.iter().enumerate() {
-                let next = sims.len();
-                let k = *sim_of_key.entry(simulation_key(entry, ctx_of[j])?).or_insert(next);
-                if k == next {
-                    sims.push(Vec::new());
-                }
-                sims[k].push((j, i));
+                order.push((run_cost(entry, job.manifest.scale.hours), (j, i)));
             }
         }
-        // Each group's first run, with its job index.
-        let lead = |k: usize| -> (usize, &RunEntry) {
-            let (j, i) = sims[k][0];
-            (j, &self.jobs[j].manifest.runs[i])
-        };
-        let mut order: Vec<(u64, usize)> = (0..sims.len())
-            .map(|k| {
-                let (j, entry) = lead(k);
-                (run_cost(entry, self.jobs[j].manifest.scale.hours), k)
-            })
-            .collect();
         order.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let mut order: Vec<usize> = order.into_iter().map(|(_, k)| k).collect();
+        let mut order: Vec<(usize, usize)> = order.into_iter().map(|(_, run)| run).collect();
 
         // V* keys as (context, probe count).
-        let needs = |&k: &usize| -> Vec<(usize, usize)> {
-            let (j, entry) = lead(k);
+        let needs = |&(j, i): &(usize, usize)| -> Vec<(usize, usize)> {
+            let entry = &self.jobs[j].manifest.runs[i];
             vstar_probes(entry).into_iter().map(|p| (ctx_of[j], p)).collect()
         };
         let mut calibrated: Vec<(usize, usize)> = Vec::new();
@@ -1002,12 +896,12 @@ impl<'m> BatchRunner<'m> {
             calibrated.extend(&fresh);
             let rest = &mut order[pos + 1..];
             if let Some(n) =
-                rest.iter().position(|sim| !needs(sim).iter().any(|key| fresh.contains(key)))
+                rest.iter().position(|run| !needs(run).iter().any(|key| fresh.contains(key)))
             {
                 rest[..=n].rotate_right(1);
             }
         }
-        Ok(order.into_iter().map(|k| std::mem::take(&mut sims[k])).collect())
+        order
     }
 
     /// Runs every manifest to completion (or until `kill_after`), returning
@@ -1029,8 +923,7 @@ impl<'m> BatchRunner<'m> {
     /// Runs every manifest to completion (or until `kill_after`) through
     /// one worker queue, returning one summary per manifest in order.
     /// Manifests with the same (scale, workload, budget fraction) share one
-    /// context, so its setup is built and V\* calibrated once, and runs
-    /// with the same simulation key share one simulation.
+    /// context, so its setup is built and V\* calibrated once.
     pub fn run_each(&self) -> Result<Vec<BatchSummary>, String> {
         for (j, job) in self.jobs.iter().enumerate() {
             if self.jobs[..j].iter().any(|other| other.dir == job.dir) {
@@ -1057,21 +950,18 @@ impl<'m> BatchRunner<'m> {
             metrics,
             completed: AtomicUsize::new(0),
         };
-        let queue = self.queue(&shared.ctx_of)?;
-        let states =
-            parallel::sweep(queue.iter().map(Vec::as_slice).collect(), self.opts.workers, |sim| {
-                self.run_shared(&shared, sim)
-            });
+        let queue = self.queue(&shared.ctx_of);
+        let states = parallel::sweep(queue.clone(), self.opts.workers, |(j, i)| {
+            self.run_one(&shared, j, i)
+        });
 
         let mut by_run: Vec<Vec<RunState>> = self
             .jobs
             .iter()
             .map(|job| job.manifest.runs.iter().map(|_| RunState::Pending).collect())
             .collect();
-        for (sim, states) in queue.into_iter().zip(states) {
-            for ((j, i), state) in sim.into_iter().zip(states) {
-                by_run[j][i] = state;
-            }
+        for ((j, i), state) in queue.into_iter().zip(states) {
+            by_run[j][i] = state;
         }
         let summaries = self
             .jobs
@@ -1097,115 +987,69 @@ impl<'m> BatchRunner<'m> {
         Ok(summaries)
     }
 
-    /// `true` once `kill_after` runs have completed in this invocation.
-    fn killed(&self, shared: &Shared) -> bool {
-        // audit:atomic(SeqCst; crash-injection test hook counting completed runs — monotonic counter, an off-by-one kill point is harmless)
-        self.opts.kill_after.is_some_and(|k| shared.completed.load(Ordering::SeqCst) >= k)
-    }
-
-    /// Executes the simulation of `sim`, a group of runs sharing one
-    /// simulation key, once, and writes every pending run's result file
-    /// from it; runs whose result file exists are skipped. The first
-    /// pending run lends its checkpoint path and its log line carries the
-    /// duration. Returns each run's state, in `sim` order.
-    fn run_shared(&self, shared: &Shared, sim: &[(usize, usize)]) -> Vec<RunState> {
+    /// Executes run `i` of manifest `j` and writes its result file, unless
+    /// that file already exists (the run is skipped) or `kill_after` runs
+    /// have completed in this invocation (it stays pending).
+    fn run_one(&self, shared: &Shared, j: usize, i: usize) -> RunState {
+        let job = &self.jobs[j];
+        let entry = &job.manifest.runs[i];
         let metrics = shared.metrics.as_ref();
-        let mut states = Vec::with_capacity(sim.len());
-        let mut pending = Vec::new();
-        for &(j, i) in sim {
-            let (job, entry) = self.member((j, i));
+        if let Some(m) = metrics {
+            m.runs.inc();
+        }
+        let result_path = job.result_path(entry);
+        if result_complete(&result_path, &entry.id) {
             if let Some(m) = metrics {
-                m.runs.inc();
+                m.skipped.inc();
             }
-            if result_complete(&job.result_path(entry), &entry.id) {
-                if let Some(m) = metrics {
-                    m.skipped.inc();
-                }
-                shared.record_state(job, j, i, "skipped".into());
-                states.push(RunState::Skipped);
-            } else {
-                pending.push(states.len());
-                states.push(RunState::Pending);
-            }
+            shared.record_state(job, j, i, "skipped".into());
+            return RunState::Skipped;
         }
-        let Some(&lead) = pending.first() else {
-            return states;
-        };
-        let pend = |k: usize| {
-            let (j, i) = sim[k];
-            shared.record_state(&self.jobs[j], j, i, "pending".into());
-        };
-        if self.killed(shared) {
-            pending.into_iter().for_each(pend);
-            return states;
+        // audit:atomic(SeqCst; crash-injection test hook counting completed runs — monotonic counter, an off-by-one kill point is harmless)
+        if self.opts.kill_after.is_some_and(|k| shared.completed.load(Ordering::SeqCst) >= k) {
+            shared.record_state(job, j, i, "pending".into());
+            return RunState::Pending;
         }
-        let (lead_job, lead_entry) = self.member(sim[lead]);
-        let ckpt_path = lead_job.dir.join("ckpt").join(format!("{}.json", lead_entry.id));
-        let series = pending.iter().any(|&k| records_series(&self.member(sim[k]).1.config));
+        let ckpt_path = job.dir.join("ckpt").join(format!("{}.json", entry.id));
+        let span = Span::new("run").lane(&entry.group);
         // audit:ordered(timing-only: the duration feeds logs and prometheus metrics, never result files)
         let t0 = Instant::now();
-        let simulated = simulate(
-            &shared.ctxs[shared.ctx_of[sim[lead].0]],
-            lead_entry,
-            series,
+        let written = execute(
+            &shared.ctxs[shared.ctx_of[j]],
+            entry,
             &ckpt_path,
             self.opts.resume,
             self.opts.abort_runs_at_slot,
-        );
-        let resumed = simulated.as_ref().is_ok_and(Simulated::resumed);
-        if let (Some(m), Ok(_)) = (metrics, &simulated) {
-            m.run_seconds.observe(t0.elapsed().as_secs_f64());
-        }
-        for k in pending {
-            // The kill point may also fall between the result writes of
-            // runs sharing one simulation.
-            if k != lead && self.killed(shared) {
-                pend(k);
-                continue;
+        )
+        .and_then(|(value, resumed)| {
+            write_atomic(&result_path, &canonical_json(&value)?)?;
+            Ok(resumed)
+        });
+        match written {
+            Ok(resumed) => {
+                if let Some(m) = metrics {
+                    m.completed.inc();
+                    m.run_seconds.observe(t0.elapsed().as_secs_f64());
+                    if resumed {
+                        m.resumed.inc();
+                    }
+                }
+                // audit:atomic(SeqCst; crash-injection test hook counting completed runs — monotonic counter, an off-by-one kill point is harmless)
+                shared.completed.fetch_add(1, Ordering::SeqCst);
+                logger::info(&span, &format!("{} done ({:.1?})", entry.id, t0.elapsed()));
+                let state = if resumed { "resumed" } else { "completed" };
+                shared.record_state(job, j, i, state.into());
+                RunState::Completed { resumed }
             }
-            let (j, i) = sim[k];
-            let (job, entry) = self.member(sim[k]);
-            let written = simulated.as_ref().map_err(Clone::clone).and_then(|run| {
-                write_atomic(&job.result_path(entry), &canonical_json(&report(entry, run)?)?)
-            });
-            let span = Span::new("run").lane(&entry.group);
-            states[k] = match written {
-                Ok(()) => {
-                    if let Some(m) = metrics {
-                        m.completed.inc();
-                        if resumed {
-                            m.resumed.inc();
-                        }
-                    }
-                    // audit:atomic(SeqCst; crash-injection test hook counting completed runs — monotonic counter, an off-by-one kill point is harmless)
-                    shared.completed.fetch_add(1, Ordering::SeqCst);
-                    let took = if k == lead {
-                        format!("{:.1?}", t0.elapsed())
-                    } else {
-                        format!("shares {}", lead_entry.id)
-                    };
-                    logger::info(&span, &format!("{} done ({took})", entry.id));
-                    let state = if resumed { "resumed" } else { "completed" };
-                    shared.record_state(job, j, i, state.into());
-                    RunState::Completed { resumed }
+            Err(e) => {
+                if let Some(m) = metrics {
+                    m.failed.inc();
                 }
-                Err(e) => {
-                    if let Some(m) = metrics {
-                        m.failed.inc();
-                    }
-                    logger::error(&span, &format!("{} failed: {e}", entry.id));
-                    shared.record_state(job, j, i, format!("failed: {e}"));
-                    RunState::Failed(e)
-                }
-            };
+                logger::error(&span, &format!("{} failed: {e}", entry.id));
+                shared.record_state(job, j, i, format!("failed: {e}"));
+                RunState::Failed(e)
+            }
         }
-        states
-    }
-
-    /// The job and run entry of `(manifest index, run index)`.
-    fn member(&self, (j, i): (usize, usize)) -> (&Job<'m>, &RunEntry) {
-        let job = &self.jobs[j];
-        (job, &job.manifest.runs[i])
     }
 
     /// Loads every completed run result of every manifest from `runs/`,
@@ -1274,60 +1118,41 @@ mod tests {
         let manifests = committed_small_manifests();
         let runner = BatchRunner::batch(&manifests, BatchOptions::default());
         let (_, ctx_of) = contexts(&runner.jobs, None).expect("contexts");
-        let queue = runner.queue(&ctx_of).expect("queue");
+        let queue = runner.queue(&ctx_of);
         let total: usize = manifests.iter().map(|m| m.runs.len()).sum();
-        let mut distinct: Vec<(usize, usize)> = queue.concat();
+        let mut distinct = queue.clone();
         distinct.sort_unstable();
         distinct.dedup();
-        assert_eq!(
-            (queue.concat().len(), distinct.len()),
-            (total, total),
-            "every run queued exactly once"
-        );
+        assert_eq!((queue.len(), distinct.len()), (total, total), "every run queued exactly once");
         for workers in [1, 2, 4] {
             let opts = BatchOptions { workers, ..BatchOptions::default() };
             let runner = BatchRunner::batch(&manifests, opts);
-            assert_eq!(runner.queue(&ctx_of).expect("queue"), queue, "workers {workers}");
-        }
-
-        // The one simulation two committed specs share: the Fig. 3 duel is
-        // the headline duel, recorded.
-        let entry = |(j, i): (usize, usize)| (&manifests[j].spec, &manifests[j].runs[i]);
-        let shared: Vec<Vec<&String>> = queue
-            .iter()
-            .filter(|sim| sim.len() > 1)
-            .map(|sim| sim.iter().map(|&run| entry(run).0).collect())
-            .collect();
-        assert_eq!(shared, [["fig3_perfect_hp", "summary"]], "one shared simulation");
-        for sim in &queue {
-            let key = |&run: &(usize, usize)| simulation_key(entry(run).1, ctx_of[run.0]).unwrap();
-            assert!(sim.iter().all(|run| key(run) == key(&sim[0])), "one key per group");
+            assert_eq!(runner.queue(&ctx_of), queue, "workers {workers}");
         }
 
         // The run behind the first one needing a context's V* (the one that
         // calibrates it) must not need that V*, or a second worker would
         // wait out the calibration.
-        let vstar_keys = |sim: &[(usize, usize)]| -> Vec<(usize, usize)> {
-            let (j, i) = sim[0];
+        let vstar_keys = |(j, i): (usize, usize)| -> Vec<(usize, usize)> {
             vstar_probes(&manifests[j].runs[i]).into_iter().map(|p| (ctx_of[j], p)).collect()
         };
         let mut seen: Vec<(usize, usize)> = Vec::new();
-        for (k, sim) in queue.iter().enumerate() {
-            for key in vstar_keys(sim) {
+        for (k, &run) in queue.iter().enumerate() {
+            for key in vstar_keys(run) {
                 if seen.contains(&key) {
                     continue;
                 }
                 seen.push(key);
                 let next = queue.get(k + 1);
                 assert!(
-                    next.is_some_and(|n| !vstar_keys(n).contains(&key)),
-                    "simulation {k} calibrates V* {key:?}; the one behind it, {next:?}, needs it too"
+                    next.is_some_and(|&n| !vstar_keys(n).contains(&key)),
+                    "run {k} calibrates V* {key:?}; the one behind it, {next:?}, needs it too"
                 );
             }
         }
         assert!(!seen.is_empty(), "the committed specs calibrate V*");
 
-        let entries: Vec<&RunEntry> = queue.iter().map(|sim| entry(sim[0]).1).collect();
+        let entries: Vec<&RunEntry> = queue.iter().map(|&(j, i)| &manifests[j].runs[i]).collect();
         let first: Vec<usize> = (0..entries.len())
             .filter(|&k| {
                 let e = entries[k];
@@ -1348,7 +1173,7 @@ mod tests {
         assert!(!last.is_empty());
         assert!(
             first.iter().max() < last.iter().min(),
-            "long simulations must be queued before every short one: {first:?} vs {last:?}"
+            "long runs must be queued before every short one: {first:?} vs {last:?}"
         );
     }
 

@@ -6,7 +6,10 @@
 //! lanes), and a list of **figures** assembled from the completed runs.
 //! The four run kinds are `workloads`, `lockstep`, `budget_point` and
 //! `gsd_trace`; a lockstep run's `trim_frames` splits the horizon into
-//! frames, which is all the frame-reset ablation sweeps.
+//! frames, which is all the frame-reset ablation sweeps. A lane label
+//! names a figure series, and `repro` reads two by name: it prints the
+//! paper's headline summary for every lockstep run with a `coca` and a
+//! `perfect-hp` lane, which in the committed specs is Fig. 3's duel.
 //! The grammar is pinned by `schemas/scenario.schema.json` and documented
 //! in DESIGN.md §16; parsing here is stricter than the schema (unknown run
 //! kinds and malformed series selectors fail at materialization).

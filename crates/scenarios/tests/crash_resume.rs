@@ -13,18 +13,13 @@ use coca_experiments::ExperimentScale;
 use coca_scenarios::{manifest, BatchOptions, BatchRunner, Manifest, Spec};
 use proptest::prelude::*;
 
-/// Three cheap lockstep runs (constant-V COCA, no calibration) so each
-/// proptest case costs a handful of 336-slot simulations. The `recorded`
-/// run differs from the first `sweep` run only in what it reports, so the
-/// two share one simulation, and kill points and crashes fall inside it.
+/// Two cheap lockstep runs (constant-V COCA, no calibration) so each
+/// proptest case costs a handful of 336-slot simulations.
 const SPEC_JSON: &str = r#"{
   "name": "crash_resume_probe",
   "groups": [
     {"id": "sweep", "kind": "lockstep",
      "sweep": {"switch_kwh": [0.0, 0.01]},
-     "lanes": [{"label": "coca", "policy": "coca", "v_mode": "mult", "v_mult": 1.0}]},
-    {"id": "recorded", "kind": "lockstep",
-     "params": {"switch_kwh": 0.0, "record": ["cumavg_cost"]},
      "lanes": [{"label": "coca", "policy": "coca", "v_mode": "mult", "v_mult": 1.0}]}
   ],
   "figures": []
@@ -94,13 +89,12 @@ fn baseline() -> &'static HashMap<String, Vec<u8>> {
 #[test]
 fn mid_run_abort_restores_from_checkpoint() {
     let dir = fresh_dir("deterministic");
-    // Both simulations die at the first checkpoint at or past slot 100,
-    // failing all three runs.
+    // Both runs die at the first checkpoint at or past slot 100.
     let (first, _) = run_batch(&dir, false, None, Some(100));
-    assert_eq!(first.failures.len(), 3, "every run should crash: {first:?}");
+    assert_eq!(first.failures.len(), 2, "both runs should crash: {first:?}");
     let (second, runner) = run_batch(&dir, true, None, None);
     assert!(second.is_complete(), "resume incomplete: {second:?}");
-    assert_eq!(second.resumed, 3, "every run should restore from a checkpoint");
+    assert_eq!(second.resumed, 2, "both runs should restore from checkpoints");
     assert!(run_bytes(&runner) == *baseline(), "restored run files differ from the baseline");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -112,7 +106,7 @@ fn completed_results_are_skipped_not_rerun() {
     assert!(first.is_complete());
     let (second, runner) = run_batch(&dir, true, None, None);
     assert!(second.is_complete());
-    assert_eq!(second.skipped, 3);
+    assert_eq!(second.skipped, 2);
     assert_eq!(second.resumed, 0);
     assert!(run_bytes(&runner) == *baseline(), "skipped run files differ from the baseline");
     let _ = std::fs::remove_dir_all(&dir);
@@ -122,8 +116,6 @@ fn completed_results_are_skipped_not_rerun() {
 fn truncated_result_files_rerun_on_resume() {
     // A zero-length file and a torn one (say, the data of a rename lost
     // by a filesystem that was not fsync'd) must count as not completed.
-    // The zeroed run shares its simulation with the `recorded` run, whose
-    // result stays, so that simulation re-runs for one of its two runs.
     let dir = fresh_dir("truncated");
     let (first, runner) = run_batch(&dir, false, None, None);
     assert!(first.is_complete());
@@ -137,33 +129,14 @@ fn truncated_result_files_rerun_on_resume() {
 
     let (second, runner) = run_batch(&dir, true, None, None);
     assert!(second.is_complete(), "resume incomplete: {second:?}");
-    assert_eq!((second.completed, second.skipped), (2, 1), "both runs must execute again");
+    assert_eq!((second.completed, second.skipped), (2, 0), "both runs must execute again");
     assert!(run_bytes(&runner) == *baseline(), "re-run files differ from the baseline");
     assert_eq!(std::fs::read(dir.join("manifest.json")).expect("manifest"), manifest_bytes);
-    assert_eq!(runner.load_results().expect("results load").len(), 3);
+    assert_eq!(runner.load_results().expect("results load").len(), 2);
 
-    // Once repaired, the next resume skips all three.
+    // Once repaired, the next resume skips both.
     let (third, _) = run_batch(&dir, true, None, None);
-    assert_eq!(third.skipped, 3);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn kill_inside_a_shared_simulation_resumes_bit_identical() {
-    let dir = fresh_dir("shared");
-    // The crash falls inside the shared simulation: both of its runs fail.
-    let (first, _) = run_batch(&dir, false, None, Some(100));
-    assert_eq!(first.failures.len(), 3, "every run should crash: {first:?}");
-    // The restored shared simulation writes one of its runs; the kill
-    // point falls before the other's result file.
-    let (second, _) = run_batch(&dir, true, Some(1), None);
-    assert_eq!((second.completed, second.resumed, second.pending), (1, 1, 2), "{second:?}");
-    // The run left pending simulates alone, from scratch; the other
-    // pending run restores from its checkpoint.
-    let (third, runner) = run_batch(&dir, true, None, None);
-    assert!(third.is_complete(), "resume incomplete: {third:?}");
-    assert_eq!((third.completed, third.resumed, third.skipped), (2, 1, 1), "{third:?}");
-    assert!(run_bytes(&runner) == *baseline(), "resumed run files differ from the baseline");
+    assert_eq!(third.skipped, 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -175,15 +148,15 @@ proptest! {
     /// complete the batch with results bit-identical to the baseline.
     #[test]
     fn interrupted_batch_resumes_bit_identical(
-        kill_after in 0usize..4,
+        kill_after in 0usize..3,
         abort_slot in 1usize..400,
         use_abort in proptest::bool::ANY,
     ) {
         let dir = fresh_dir(&format!("p{kill_after}_{abort_slot}_{use_abort}"));
-        let kill = (kill_after < 3).then_some(kill_after);
+        let kill = (kill_after < 2).then_some(kill_after);
         let abort = use_abort.then_some(abort_slot);
         let (first, _) = run_batch(&dir, false, kill, abort);
-        prop_assert_eq!(first.total, 3);
+        prop_assert_eq!(first.total, 2);
 
         let (second, runner) = run_batch(&dir, true, None, None);
         prop_assert!(second.is_complete(), "resume incomplete: {:?}", second);

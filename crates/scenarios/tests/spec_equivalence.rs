@@ -211,8 +211,9 @@ fn overestimation_and_switching_cost_stay_modest() {
 
 #[test]
 fn summary_headline_matches_fig3_saving() {
-    let results = &outputs().results["summary"];
-    assert_eq!(results.len(), 1, "summary is one run");
+    // `repro` prints the headline summary from Fig. 3's duel.
+    let results = &outputs().results["fig3_perfect_hp"];
+    assert_eq!(results.len(), 1, "Fig. 3 is one duel");
     let lanes = results.values().next().and_then(|r| r.get_field("lanes")?.as_seq());
     let lanes = lanes.expect("lanes");
     let scalar = |label: &str, name: &str| -> f64 {
